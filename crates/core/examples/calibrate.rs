@@ -1,6 +1,6 @@
 //! Calibration dashboard: runs the headline operating points of every
 //! figure and prints measured-vs-paper values. Used while tuning the cost
-//! model; EXPERIMENTS.md is generated from the full benches.
+//! model; EXPERIMENTS.md is generated from the full `hostnet figures` runs.
 
 use hns_core::figures;
 use hns_core::Category;

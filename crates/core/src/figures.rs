@@ -1,5 +1,5 @@
 //! Every table and figure of the paper's evaluation (§3), as runnable
-//! experiment sets. Each function returns the reports a bench/binary
+//! experiment sets. Each function returns the reports `hostnet figures`
 //! renders; EXPERIMENTS.md records paper-vs-measured for all of them.
 //!
 //! Figures are declared as data — a list of [`SweepPoint`]s — and
@@ -15,6 +15,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use hns_conn::AdmissionPolicy;
 use hns_metrics::Report;
+use hns_nic::SteeringMode;
 use hns_proto::cc::CcAlgo;
 use hns_stack::config::RcvBufPolicy;
 use hns_stack::{DatapathKind, OptLevel, SimConfig};
@@ -651,10 +652,69 @@ pub fn fig13_congestion_control() -> Vec<(&'static str, Report)> {
         .collect()
 }
 
+/// Ablation points: each design choice the figures hold fixed, varied
+/// alone around the default single flow. Settings equal to the default
+/// (aRFS, GRO, MTU 9000, no IRQ moderation, auto-tuned buffer) share the
+/// one `ablation/default` row. The NAPI budget runs on a 16-flow incast,
+/// whose flows all share one receiver core's polls.
+pub fn ablation_points() -> Vec<SweepPoint> {
+    let single = |name: String| SweepPoint::new(ScenarioKind::Single, format!("ablation/{name}"));
+    let mut out = vec![single("default".into())];
+    for (name, mode) in [
+        ("rss", SteeringMode::Rss),
+        ("rps", SteeringMode::Rps),
+        ("rfs", SteeringMode::Rfs),
+    ] {
+        out.push(single(format!("steering/{name}")).configure(move |c| c.stack.steering = mode));
+    }
+    out.push(single("aggregation/lro".into()).configure(|c| {
+        c.stack.lro = true;
+        c.stack.gro = false;
+    }));
+    for mtu in [1500u32, 3000, 6000] {
+        out.push(single(format!("mtu/{mtu}")).configure(move |c| c.stack.mtu = mtu));
+    }
+    for budget in [16u32, 64, 300, 1024] {
+        out.push(
+            SweepPoint::new(
+                ScenarioKind::Incast { flows: 16 },
+                format!("ablation/budget/{budget}"),
+            )
+            .configure(move |c| c.napi_budget = budget),
+        );
+    }
+    for mb in [2u64, 3, 6, 12] {
+        out.push(single(format!("dca/{mb}MB")).configure(move |c| c.dca_capacity = mb << 20));
+    }
+    for us in [10u64, 50, 200] {
+        out.push(
+            single(format!("coalesce/{us}us"))
+                .configure(move |c| c.irq_coalesce = hns_sim::Duration::from_micros(us)),
+        );
+    }
+    for kb in [1600u64, 3200] {
+        out.push(
+            single(format!("rcvbuf/{kb}KB"))
+                .configure(move |c| c.stack.rcvbuf = RcvBufPolicy::Fixed(kb * 1024)),
+        );
+    }
+    out
+}
+
+/// Ablations beyond the figures: Table 2's receive steering, footnote
+/// 3's LRO, MTU, NAPI budget, the §4 DCA slice size, IRQ moderation
+/// (`ethtool -C rx-usecs`) and §4's DCA-aware receive buffer, pinned
+/// near the slice. Returns `(label, report)` rows.
+pub fn ablations() -> Vec<(String, Report)> {
+    let points = ablation_points();
+    let labels: Vec<String> = points.iter().map(|p| p.label.clone()).collect();
+    labels.into_iter().zip(run_sweep(&points)).collect()
+}
+
 #[cfg(test)]
 mod tests {
     // Figure functions are exercised end-to-end by the integration tests
-    // and benches; here we only check cheap structural properties.
+    // and the CLI; here we only check cheap structural properties.
     use super::*;
 
     #[test]
@@ -704,6 +764,18 @@ mod tests {
         );
         assert_eq!(back[0].label, "backend/inkernel/single");
         assert_eq!(back[5].label, "backend/bypass/o2o-8");
+        let abl = ablation_points();
+        assert_eq!(abl.len(), 21);
+        assert_eq!(abl[0].label, "ablation/default");
+        assert_eq!(abl[20].label, "ablation/rcvbuf/3200KB");
+        let budget: Vec<_> = abl
+            .iter()
+            .filter(|p| p.label.starts_with("ablation/budget/"))
+            .collect();
+        assert_eq!(budget.len(), 4);
+        assert!(budget
+            .iter()
+            .all(|p| p.scenario == ScenarioKind::Incast { flows: 16 }));
     }
 
     #[test]

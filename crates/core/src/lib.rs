@@ -8,7 +8,7 @@
 //!
 //! The [`figures`] module packages every table/figure of the paper's
 //! evaluation (§3) as a function returning the corresponding report rows;
-//! the `hns-bench` crate prints them.
+//! `hostnet figures` prints them.
 //!
 //! ```
 //! use hns_core::{Experiment, ScenarioKind};

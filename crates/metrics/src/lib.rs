@@ -11,7 +11,7 @@
 //! * post-GRO skb size distributions (Fig. 8c).
 //!
 //! This crate provides those accumulators plus text-table formatting used by
-//! the figure benches, and JSON export for EXPERIMENTS.md tooling.
+//! `hostnet figures`, and JSON export for EXPERIMENTS.md tooling.
 
 pub mod csv;
 pub mod drops;

@@ -1,6 +1,6 @@
-//! Plain-text table rendering for the figure benches.
+//! Plain-text table rendering for the `hostnet` CLI.
 //!
-//! The benches print the same rows/series the paper's figures report; these
+//! The CLI prints the same rows/series the paper's figures report; these
 //! helpers keep the formatting consistent across all of them.
 
 use crate::report::Report;

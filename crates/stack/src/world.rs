@@ -489,15 +489,9 @@ impl World {
     }
 
     /// Total events the engine has processed (for benchmarking
-    /// events/sec; see `benches/engine_microbench.rs`).
+    /// events/sec; see `hostbench`).
     pub fn events_processed(&self) -> u64 {
         self.queue.popped()
-    }
-
-    /// Frag vectors currently cached in the skb allocation pool
-    /// (introspection for benches and tests).
-    pub fn frag_pool_cached(&self) -> usize {
-        self.frag_pool.cached()
     }
 
     /// Run the simulation: `warmup` to reach steady state (measurements

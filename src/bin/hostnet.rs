@@ -597,6 +597,9 @@ fn run_figures(names: &[String]) -> Vec<hostnet::Report> {
     if want("figback") {
         out.extend(figures::fig_backend().into_iter().map(|(_, r)| r));
     }
+    if want("ablations") {
+        out.extend(figures::ablations().into_iter().map(|(_, r)| r));
+    }
     out
 }
 
@@ -610,7 +613,7 @@ usage:
   hostnet run <scenario> [options]
   hostnet figures [fig03|fig03e|fig03f|fig03g|fig04|fig05|fig05c|fig06|
                    fig07|fig08|fig09|fig09b|fig10|fig11|fig12|fig13|figcap|
-                   figincast|figback]...
+                   figincast|figback|ablations]...
                   [--csv] [--jobs N|auto]
   hostnet capacity [--csv] [--jobs N|auto] [--quick] [--audited]
   hostnet incast [--csv] [--jobs N|auto] [--quick] [--audited]
@@ -1938,6 +1941,10 @@ fault injection (all deterministic; scheduled faults share one window):
                     assert!(!csv);
                     assert_eq!(jobs, None);
                 }
+                _ => panic!("not figures"),
+            }
+            match parse(&argv("figures ablations")).unwrap() {
+                Command::Figures { names, .. } => assert_eq!(names, vec!["ablations"]),
                 _ => panic!("not figures"),
             }
             assert!(parse(&argv("figures --bogus")).is_err());

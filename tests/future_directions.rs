@@ -120,6 +120,58 @@ fn kernel_bypass_exceeds_every_in_kernel_variant() {
     );
 }
 
+/// §4 application-aware CPU scheduling: moving the Fig. 11 short flows
+/// onto their own core pair recovers most of the long flow's mixing
+/// penalty, and the RPCs complete no fewer round trips for it.
+#[test]
+fn app_aware_isolation_recovers_the_mixing_penalty() {
+    use hostnet::building_blocks::sim::Duration;
+    use hostnet::building_blocks::stack::{AppSpec, FlowSpec, SimConfig, World};
+
+    let colocated = Experiment::new(ScenarioKind::Mixed {
+        shorts: 16,
+        size: 4096,
+    })
+    .run();
+    let isolated = {
+        // The long flow on core pair 0, the 16 RPC pairs on core pair 1.
+        let mut w = World::new(SimConfig::default());
+        let long = w.add_flow(FlowSpec::forward(0, 0));
+        w.add_app(0, 0, AppSpec::LongSender { flow: long });
+        w.add_app(1, 0, AppSpec::LongReceiver { flow: long });
+        let conns: Vec<_> = (0..16)
+            .map(|_| {
+                let req = w.add_flow(FlowSpec::forward(1, 1));
+                let resp = w.add_flow(FlowSpec::reverse(1, 1));
+                w.add_app(
+                    0,
+                    1,
+                    AppSpec::RpcClient {
+                        tx: req,
+                        rx: resp,
+                        size: 4096,
+                    },
+                );
+                (req, resp)
+            })
+            .collect();
+        w.add_app(1, 1, AppSpec::RpcServer { conns, size: 4096 });
+        w.run(Duration::from_millis(20), Duration::from_millis(30))
+    };
+    assert!(
+        isolated.flow_gbps(0) >= 1.5 * colocated.flow_gbps(0),
+        "isolated long flow {:.2} vs colocated {:.2} Gbps",
+        isolated.flow_gbps(0),
+        colocated.flow_gbps(0)
+    );
+    assert!(
+        isolated.rpcs_completed >= colocated.rpcs_completed,
+        "isolated rpcs {} vs colocated {}",
+        isolated.rpcs_completed,
+        colocated.rpcs_completed
+    );
+}
+
 /// Open-loop RPC: latency rises with offered load (the hockey-stick), and
 /// throughput tracks the offered load while unsaturated.
 #[test]

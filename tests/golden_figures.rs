@@ -4,8 +4,9 @@
 //! can be pinned byte-for-byte. These tests render representative sweeps
 //! (fig. 3e's ring × buffer grid, the fig. 9b resilience extension,
 //! fig. 13's congestion-control matrix, the fig_capacity overload sweep,
-//! the fig_backend datapath comparison) to canonical JSONL and compare
-//! against the checked-in files under `tests/golden/`.
+//! the fig_backend datapath comparison, the fig_incast fabric sweep, the
+//! ablation grid) to canonical JSONL and compare against the checked-in
+//! files under `tests/golden/`.
 //!
 //! Any intentional change to the engine, cost model, or report schema
 //! shows up here first. To accept new goldens (the `--bless` path):
@@ -154,4 +155,14 @@ fn golden_fig_incast() {
     let reports: Vec<Report> = figures::fig_incast().into_iter().map(|(_, r)| r).collect();
     assert_eq!(reports.len(), 10);
     check("fig_incast.jsonl", render(&reports));
+}
+
+#[test]
+fn golden_ablations() {
+    // The design-choice grid: Table 2 steering, LRO, MTU, NAPI budget,
+    // DCA slice, IRQ moderation and pinned receive buffers, each varied
+    // alone around the default.
+    let reports: Vec<Report> = figures::ablations().into_iter().map(|(_, r)| r).collect();
+    assert_eq!(reports.len(), 21);
+    check("ablations.jsonl", render(&reports));
 }

@@ -3,7 +3,7 @@
 //! effects), not exact Gbps values.
 //!
 //! Tests use shortened measurement windows; the full-length numbers are
-//! produced by `cargo bench` and recorded in EXPERIMENTS.md.
+//! produced by `hostnet figures` and recorded in EXPERIMENTS.md.
 
 use hostnet::building_blocks::stack::config::RcvBufPolicy;
 use hostnet::{Category, Experiment, OptLevel, Placement, ScenarioKind};
