@@ -207,6 +207,32 @@ impl HostFrameLedger {
     }
 }
 
+/// In-flight segment slab conservation: every segment parked in the world's
+/// slab belongs to exactly one arrival event still on the wire, so the
+/// slab's live slots must equal the frames in flight toward all hosts.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct SegmentSlabLedger {
+    /// Slab slots currently holding a segment.
+    pub live: u64,
+    /// Frames in flight on the wire, summed over destination hosts.
+    pub wire_in_flight: u64,
+}
+
+impl SegmentSlabLedger {
+    /// Check slab conservation, appending violations to `out`.
+    pub fn check(&self, out: &mut Vec<Violation>) {
+        if self.live != self.wire_in_flight {
+            out.push(Violation {
+                invariant: "segment-slab-ledger",
+                detail: format!(
+                    "{} live slab segments != {} frames in flight",
+                    self.live, self.wire_in_flight
+                ),
+            });
+        }
+    }
+}
+
 /// Per-host cycle conservation: the per-category taxonomy must sum to the
 /// busy time the scheduler accounted, within the per-call floor-rounding
 /// slack of the cycles→ns conversion.
@@ -666,6 +692,19 @@ mod tests {
         };
         let v = checked(|o| l.check(o));
         assert!(v.iter().any(|v| v.invariant == "backlog-ledger"));
+    }
+
+    #[test]
+    fn segment_slab_ledger_catches_orphaned_slot() {
+        let l = SegmentSlabLedger {
+            live: 7,
+            wire_in_flight: 7,
+        };
+        assert!(checked(|o| l.check(o)).is_empty());
+        // A slot parked without an arrival event (or never freed after one).
+        let v = checked(|o| SegmentSlabLedger { live: 8, ..l }.check(o));
+        assert_eq!(v.len(), 1);
+        assert_eq!(v[0].invariant, "segment-slab-ledger");
     }
 
     #[test]

@@ -33,10 +33,15 @@
 use hns_nic::link::TransmitOutcome;
 use hns_sim::{Duration, SimTime};
 
+/// Most hosts a fabric (and so a world) can hold: events pack the host
+/// index into a `u8`.
+pub const MAX_HOSTS: u16 = 256;
+
 /// ToR fabric parameters. `Copy` so [`crate::SimConfig`] stays `Copy`.
 #[derive(Clone, Copy, Debug)]
 pub struct FabricConfig {
-    /// Number of hosts on the rack (ports on the switch). Must be ≥ 2.
+    /// Number of hosts on the rack (ports on the switch), in
+    /// `2..=MAX_HOSTS`.
     pub hosts: u16,
     /// ECMP uplink count. Zero (the default) models a single-switch rack
     /// with no core hop: frames serialize only at the egress port, which
@@ -110,12 +115,13 @@ fn backlog_bytes(depth: Duration, gbps: f64) -> u64 {
 
 impl Fabric {
     /// Build a fabric. Panics on fewer than two hosts — a rack of one has
-    /// no wire to model.
+    /// no wire to model — or more than [`MAX_HOSTS`]. `World::new` clamps
+    /// the host count first and reports the bad size as a run error.
     pub fn new(config: FabricConfig) -> Self {
         assert!(config.hosts >= 2, "a fabric needs at least two hosts");
         assert!(
-            config.hosts <= 256,
-            "host indices must fit the event encoding (max 256 hosts)"
+            config.hosts <= MAX_HOSTS,
+            "host indices must fit the event encoding (max {MAX_HOSTS} hosts)"
         );
         let n = config.hosts as usize;
         let port = |_: usize| Port {

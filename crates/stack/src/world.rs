@@ -35,7 +35,7 @@ use crate::app::{AppInstance, AppSpec};
 use crate::config::SimConfig;
 use crate::costs::CostModel;
 use crate::datapath::{datapath_for, Datapath};
-use crate::fabric::Fabric;
+use crate::fabric::{Fabric, FabricConfig, MAX_HOSTS};
 use crate::flow::{Flow, FlowSpec};
 use crate::host::{Host, PendingFrame};
 use crate::skb::RxSkb;
@@ -50,8 +50,9 @@ enum Event {
     StepDone { host: u8, core: u16 },
     /// The NIC of `host` pulls the next frame from its Tx queues.
     TxDrain { host: u8 },
-    /// A frame arrives at the NIC of `dst`.
-    FrameArrive { dst: u8, seg: Segment },
+    /// A frame arrives at the NIC of `dst`; its segment waits in
+    /// [`SegmentSlab`] slot `slot`.
+    FrameArrive { dst: u8, slot: u32 },
     /// IRQ delivery to (host, core).
     Irq { host: u8, core: u16 },
     /// Retransmission timer check for a flow.
@@ -79,6 +80,51 @@ enum Event {
     TimeWaitTick,
     /// Periodic idle-connection reaper cadence (overload model).
     IdleReapTick,
+}
+
+// Every queued event is stored, cascaded, sorted and drained by value, so
+// its size is the event queue's memory traffic. Segments ride the wheel by
+// slot index for this reason; the largest variant is `ConnTimer`.
+const _: () = assert!(std::mem::size_of::<Event>() <= 24);
+
+/// Segments on the wire, parked between `tx_drain` and their `FrameArrive`
+/// so the event carries a `u32` slot instead of the segment itself. Slots
+/// are reused LIFO. `FrameArrive` is never cancelled, so each slot is freed
+/// exactly once, when its event fires; slots still parked at `EndRun` drop
+/// with the world.
+#[derive(Default)]
+struct SegmentSlab {
+    /// Slot storage; its length is the high-water mark of frames on the wire.
+    segs: Vec<Segment>,
+    /// Vacated slots awaiting reuse.
+    free: Vec<u32>,
+}
+
+impl SegmentSlab {
+    /// Park `seg` and return its slot.
+    fn park(&mut self, seg: Segment) -> u32 {
+        match self.free.pop() {
+            Some(slot) => {
+                self.segs[slot as usize] = seg;
+                slot
+            }
+            None => {
+                self.segs.push(seg);
+                (self.segs.len() - 1) as u32
+            }
+        }
+    }
+
+    /// Take the segment out of `slot`, freeing the slot.
+    fn take(&mut self, slot: u32) -> Segment {
+        self.free.push(slot);
+        self.segs[slot as usize]
+    }
+
+    /// Slots currently holding a segment.
+    fn live(&self) -> usize {
+        self.segs.len() - self.free.len()
+    }
 }
 
 mod audit;
@@ -249,6 +295,8 @@ pub struct World {
     hosts: Vec<Host>,
     wire: Wire,
     arbiters: Vec<TxArbiter<Segment>>,
+    /// Segments of the `FrameArrive` events still in the queue.
+    in_flight: SegmentSlab,
     /// All flows, indexed by [`FlowId`].
     pub flows: Vec<Flow>,
     /// All applications.
@@ -316,10 +364,13 @@ pub struct World {
 }
 
 impl World {
-    /// Build an empty world from a configuration.
+    /// Build an empty world from a configuration. A fabric sized outside
+    /// `2..=MAX_HOSTS` is clamped into range and reported by
+    /// [`World::try_run`] as [`RunErrorKind::BadTopology`].
     pub fn new(cfg: SimConfig) -> Self {
         let cores = cfg.topology.total_cores() as usize;
-        let nhosts = cfg.hosts();
+        let requested = cfg.hosts();
+        let nhosts = requested.clamp(2, MAX_HOSTS as usize);
         let mut world = World {
             cost: CostModel::calibrated(),
             dp: datapath_for(cfg.datapath),
@@ -329,12 +380,16 @@ impl World {
             queue: EventQueue::new(),
             hosts: (0..nhosts).map(|h| Host::new(h, &cfg)).collect(),
             wire: match cfg.fabric {
-                Some(f) => Wire::Fabric(Fabric::new(f)),
+                Some(f) => Wire::Fabric(Fabric::new(FabricConfig {
+                    hosts: nhosts as u16,
+                    ..f
+                })),
                 None => Wire::Link(Box::new(Link::new(cfg.link, cfg.seed))),
             },
             arbiters: (0..nhosts)
                 .map(|_| TxArbiter::new(cores, u64::MAX))
                 .collect(),
+            in_flight: SegmentSlab::default(),
             flows: Vec::new(),
             apps: Vec::new(),
             measuring: false,
@@ -375,6 +430,11 @@ impl World {
         // the sampler already picks, so this adds no instrumentation).
         if world.monitor.is_some() {
             world.trace.enable_sink();
+        }
+        if nhosts != requested {
+            world.topology_error(format!(
+                "fabric of {requested} hosts outside 2..={MAX_HOSTS} (events pack the host into a u8)"
+            ));
         }
         world
     }
@@ -686,7 +746,10 @@ impl World {
             Event::Dispatch { host, core } => self.dispatch(host as usize, core as usize),
             Event::StepDone { host, core } => self.step_done(host as usize, core as usize),
             Event::TxDrain { host } => self.tx_drain(host as usize),
-            Event::FrameArrive { dst, seg } => self.frame_arrive(dst as usize, seg),
+            Event::FrameArrive { dst, slot } => {
+                let seg = self.in_flight.take(slot);
+                self.frame_arrive(dst as usize, seg)
+            }
             Event::Irq { host, core } => {
                 let h = host as usize;
                 if self.hosts[h].sched.raise_softirq(core as usize) {
@@ -1876,11 +1939,12 @@ impl World {
                             self.trace
                                 .stamp(seg.trace, seg.flow, StageId::Wire, h, core, now);
                         }
+                        let slot = self.in_flight.park(seg);
                         self.queue.schedule(
                             arrives,
                             Event::FrameArrive {
                                 dst: dst as u8,
-                                seg,
+                                slot,
                             },
                         );
                         if let Some(a) = self.audit_mut() {
@@ -2440,5 +2504,49 @@ impl World {
                 );
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn bad_fabric_size_is_a_run_error_not_a_panic() {
+        for hosts in [1, MAX_HOSTS + 1] {
+            let mut w = World::new(SimConfig {
+                fabric: Some(FabricConfig::neutral(hosts)),
+                ..SimConfig::default()
+            });
+            let err = w
+                .try_run(Duration::from_millis(1), Duration::from_millis(1))
+                .unwrap_err();
+            assert_eq!(err.kind, RunErrorKind::BadTopology, "{hosts} hosts");
+            assert!(err.detail.contains("fabric of"), "{}", err.detail);
+        }
+        let w = World::new(SimConfig {
+            fabric: Some(FabricConfig::neutral(MAX_HOSTS)),
+            ..SimConfig::default()
+        });
+        assert!(w.topo_error.is_none());
+    }
+
+    #[test]
+    fn segment_slab_recycles_slots() {
+        let mut w = World::new(SimConfig::default());
+        let flow = w.add_flow(FlowSpec::between(0, 0, 1, 0));
+        w.add_app(0, 0, AppSpec::LongSender { flow });
+        w.add_app(1, 0, AppSpec::LongReceiver { flow });
+        w.run(Duration::from_millis(5), Duration::from_millis(8));
+        // A new slot is pushed only when none is free, so the slab's length
+        // is the peak number of frames on the wire at once: a handful for
+        // one flow on a 2 µs wire, against ~10k frames sent.
+        let frames = w.wire.total_frames();
+        let high_water = w.in_flight.segs.len() as u64;
+        assert!(w.in_flight.live() as u64 <= high_water);
+        assert!(
+            (1..=64).contains(&high_water) && high_water * 100 < frames,
+            "{high_water} slots for {frames} frames"
+        );
     }
 }

@@ -10,6 +10,8 @@
 //!   link accepted is on the wire, arrived, or dropped; every arrival was
 //!   received or attributed to exactly one drop bucket; every received frame
 //!   was polled or still sits in a backlog,
+//! * **segment-slab ledger** — the world's in-flight segment slab holds
+//!   exactly one live slot per frame on the wire,
 //! * **cycle-taxonomy ledger** — per-host busy time equals the category
 //!   breakdown's total within per-charge rounding slack,
 //! * **rx-ring descriptors** — a ring never serves more descriptors than it
@@ -28,7 +30,7 @@
 
 use hns_audit::{
     AcceptLedger, ArenaLedger, ChurnLedger, ConnMemLedger, CycleLedger, DropLedger, FlowLedger,
-    HostFrameLedger, RingLedger, Violation,
+    HostFrameLedger, RingLedger, SegmentSlabLedger, Violation,
 };
 use hns_conn::ConnId;
 use hns_sim::{cycles_to_time, SimTime};
@@ -195,6 +197,12 @@ impl World {
             }
             .check(&mut out);
         }
+
+        SegmentSlabLedger {
+            live: self.in_flight.live() as u64,
+            wire_in_flight: a.wire_in_flight.iter().sum(),
+        }
+        .check(&mut out);
 
         for f in &self.flows {
             FlowLedger {
