@@ -201,6 +201,12 @@ impl Experiment {
         self
     }
 
+    /// The label the report will carry: the override, else the scenario
+    /// label.
+    pub fn report_label(&self) -> String {
+        self.label.clone().unwrap_or_else(|| self.scenario.label())
+    }
+
     /// Short windows (5ms + 8ms) for unit/doc tests.
     pub fn quick(mut self) -> Self {
         self.warmup = Duration::from_millis(5);
@@ -240,7 +246,7 @@ impl Experiment {
             cfg.churn = Some(churn);
         }
         let mut world = World::new(cfg);
-        world.set_label(self.label.clone().unwrap_or_else(|| self.scenario.label()));
+        world.set_label(self.report_label());
         self.scenario.build(&cfg.topology).install(&mut world);
         let report = world.try_run(self.warmup, self.measure)?;
         Ok((report, world.take_trace()))

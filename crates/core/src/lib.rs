@@ -6,9 +6,9 @@
 //! figures plot (throughput-per-core, CPU breakdowns, cache miss rates,
 //! latency distributions, skb size histograms).
 //!
-//! The [`figures`] module packages every table/figure of the paper's
-//! evaluation (§3) as a function returning the corresponding report rows;
-//! `hostnet figures` prints them.
+//! The [`figures`] module declares every table/figure of the paper's
+//! evaluation (§3) as a list of experiments in one registry
+//! ([`figures::FIGURES`]); `hostnet figures` runs and prints them.
 //!
 //! ```
 //! use hns_core::{Experiment, ScenarioKind};

@@ -134,7 +134,8 @@ fn fig_backend_sweep_is_jobs_invariant() {
     // The backend sweep is a set of independent deterministic runs, so
     // the worker count must never leak into the rendered reports.
     let sweep = |jobs: usize| -> Vec<String> {
-        figures::run_sweep_with(jobs, &figures::fig_backend_points())
+        figures::run(jobs, &figures::fig_backend_points())
+            .unwrap()
             .iter()
             .map(|r| r.to_json())
             .collect()

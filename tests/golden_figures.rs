@@ -21,6 +21,16 @@ use hostnet::building_blocks::core_figures as figures;
 use hostnet::Report;
 use std::path::PathBuf;
 
+/// Run the figure registered as `name` — looked up by name, so a renamed
+/// or dropped figure fails here instead of leaving the goldens unnoticed.
+fn figure(name: &str) -> Vec<Report> {
+    let (_, points) = figures::FIGURES
+        .iter()
+        .find(|(n, _)| *n == name)
+        .unwrap_or_else(|| panic!("no figure `{name}` in the registry"));
+    figures::run(1, &points()).unwrap()
+}
+
 /// Canonical rendering: one report JSON object per line, sweep order.
 fn render(reports: &[Report]) -> String {
     let mut out = String::new();
@@ -76,29 +86,20 @@ fn check(name: &str, body: String) {
 
 #[test]
 fn golden_fig03e_ring_buffer_grid() {
-    let reports: Vec<Report> = figures::fig03e_ring_buffer()
-        .into_iter()
-        .map(|(_, _, r)| r)
-        .collect();
+    let reports = figure("fig03e");
     assert_eq!(reports.len(), 24);
     check("fig03e.jsonl", render(&reports));
 }
 
 #[test]
 fn golden_fig09b_resilience() {
-    let reports: Vec<Report> = figures::fig09b_resilience()
-        .into_iter()
-        .map(|(_, r)| r)
-        .collect();
+    let reports = figure("fig09b");
     check("fig09b.jsonl", render(&reports));
 }
 
 #[test]
 fn golden_fig13_congestion_control() {
-    let reports: Vec<Report> = figures::fig13_congestion_control()
-        .into_iter()
-        .map(|(_, r)| r)
-        .collect();
+    let reports = figure("fig13");
     check("fig13.jsonl", render(&reports));
 }
 
@@ -129,7 +130,7 @@ fn golden_fig_backend() {
     // `Datapath` seam is charge-transparent: they must match what the
     // legacy pipeline produced before the trait existed (the other golden
     // suites enforce that too — all pre-seam goldens stay byte-identical).
-    let reports: Vec<Report> = figures::fig_backend().into_iter().map(|(_, r)| r).collect();
+    let reports = figure("figback");
     assert_eq!(reports.len(), 6);
     check("fig_backend.jsonl", render(&reports));
 }
@@ -139,10 +140,7 @@ fn golden_fig_capacity() {
     // The overload sweep: admission policy × concurrent clients. Pins
     // the whole capacity summary (queue books, cookies, sheds, memory
     // peaks, RPC tail) byte-for-byte, on top of the usual report fields.
-    let reports: Vec<Report> = figures::fig_capacity()
-        .into_iter()
-        .map(|(_, r)| r)
-        .collect();
+    let reports = figure("figcap");
     assert_eq!(reports.len(), 12);
     check("fig_capacity.jsonl", render(&reports));
 }
@@ -152,7 +150,7 @@ fn golden_fig_incast() {
     // The fabric fan-in sweep: ECN off/on × sender count through the
     // shared-buffer ToR model. Pins the switch drop counts, per-flow
     // fairness, and the ECN recovery byte-for-byte.
-    let reports: Vec<Report> = figures::fig_incast().into_iter().map(|(_, r)| r).collect();
+    let reports = figure("figincast");
     assert_eq!(reports.len(), 10);
     check("fig_incast.jsonl", render(&reports));
 }
@@ -162,7 +160,7 @@ fn golden_ablations() {
     // The design-choice grid: Table 2 steering, LRO, MTU, NAPI budget,
     // DCA slice, IRQ moderation and pinned receive buffers, each varied
     // alone around the default.
-    let reports: Vec<Report> = figures::ablations().into_iter().map(|(_, r)| r).collect();
+    let reports = figure("ablations");
     assert_eq!(reports.len(), 21);
     check("ablations.jsonl", render(&reports));
 }

@@ -48,20 +48,15 @@ fn default_config_and_golden_sweeps_are_unmonitored() {
         SimConfig::default().monitor.is_none(),
         "monitoring must be opt-in"
     );
-    // The golden-figure sweeps (whose outputs are byte-compared against
-    // checked-in files) must all run unmonitored.
-    for points in [
-        figures::fig03e_points(),
-        figures::fig03g_points(),
-        figures::fig13_points(),
-        figures::fig05_conn_rate_points(),
-        figures::fig_capacity_points(),
-    ] {
-        for p in points {
+    // Every registered figure — the golden sweeps, whose outputs are
+    // byte-compared against checked-in files, among them — must run
+    // unmonitored.
+    for (name, points) in figures::FIGURES {
+        for e in points() {
             assert!(
-                p.build().cfg.monitor.is_none(),
-                "golden sweep point `{}` must run unmonitored",
-                p.label
+                e.cfg.monitor.is_none(),
+                "{name} point `{}` must run unmonitored",
+                e.report_label()
             );
         }
     }

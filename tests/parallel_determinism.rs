@@ -9,10 +9,12 @@
 //! figures --jobs N` surface end to end.
 
 use hostnet::building_blocks::core_figures as figures;
+use hostnet::Experiment;
 
 /// JSON-serialize every report of a sweep at the given job count.
-fn sweep_json(jobs: usize, points: &[figures::SweepPoint]) -> Vec<String> {
-    figures::run_sweep_with(jobs, points)
+fn sweep_json(jobs: usize, points: &[Experiment]) -> Vec<String> {
+    figures::run(jobs, points)
+        .unwrap()
         .iter()
         .map(|r| r.to_json())
         .collect()
@@ -53,8 +55,8 @@ fn traced_fig03g_is_jobs_invariant() {
 fn fig05c_conn_rate_sweep_is_jobs_invariant() {
     // The churn engine's conn summary (rates, handshake percentiles,
     // epoll ratios) must not leak the job count either.
-    let seq = sweep_json(1, &figures::fig05_conn_rate_points());
-    let par = sweep_json(8, &figures::fig05_conn_rate_points());
+    let seq = sweep_json(1, &figures::fig05c_points());
+    let par = sweep_json(8, &figures::fig05c_points());
     assert!(
         seq.iter().all(|j| j.contains("\"conn\"")),
         "churn reports should carry a conn summary"
@@ -88,12 +90,12 @@ fn monitored_capacity_sweep_is_jobs_invariant() {
     use hostnet::building_blocks::sim::Duration;
     use hostnet::building_blocks::trace::TraceConfig;
 
-    let points = || -> Vec<figures::SweepPoint> {
+    let points = || -> Vec<Experiment> {
         figures::fig_capacity_points()
             .into_iter()
             .take(4)
-            .map(|p| {
-                p.configure(|c| {
+            .map(|e| {
+                e.configure(|c| {
                     c.monitor = Some(MonitorConfig {
                         interval: Duration::from_millis(2),
                         ..MonitorConfig::default()
@@ -141,12 +143,12 @@ fn cli_capacity_output_is_jobs_invariant() {
     let bin = env!("CARGO_BIN_EXE_hostnet");
     let run = |jobs: &str| {
         let out = std::process::Command::new(bin)
-            .args(["capacity", "--quick", "--csv", "--jobs", jobs])
+            .args(["figures", "figcap", "--quick", "--csv", "--jobs", jobs])
             .output()
             .expect("spawn hostnet");
         assert!(
             out.status.success(),
-            "hostnet capacity --jobs {jobs} failed"
+            "hostnet figures figcap --jobs {jobs} failed"
         );
         out.stdout
     };
@@ -155,7 +157,7 @@ fn cli_capacity_output_is_jobs_invariant() {
     assert!(!seq.is_empty());
     assert_eq!(
         seq, par,
-        "capacity CLI output differs between --jobs 1 and --jobs 8"
+        "figcap CLI output differs between --jobs 1 and --jobs 8"
     );
 }
 
