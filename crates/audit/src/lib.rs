@@ -144,9 +144,10 @@ impl RingLedger {
 pub struct HostFrameLedger {
     /// Receiving host.
     pub host: usize,
-    /// Frames the link accepted toward this host (pre-loss).
+    /// Frames the wire accepted toward this host (pre-loss).
     pub link_frames: u64,
-    /// Frames the link dropped toward this host.
+    /// Frames the wire dropped toward this host: refused by the switch
+    /// buffer or lost in-network at the host's egress port.
     pub link_drops: u64,
     /// Frames whose arrival event has fired.
     pub arrived: u64,
@@ -325,11 +326,13 @@ impl ArenaLedger {
 pub struct DropLedger {
     /// Taxonomy wire bucket.
     pub taxo_wire: u64,
-    /// Link-local drop counters, both directions.
+    /// In-network losses (loss process and flaps) summed over every
+    /// egress port of the wire.
     pub link_drops: u64,
     /// Taxonomy switch_buffer bucket (ToR shared-buffer overflow).
     pub taxo_switch: u64,
-    /// Fabric-local per-port drop counters (zero without a fabric).
+    /// Shared-buffer refusals summed over every egress port (zero with an
+    /// infinite buffer).
     pub switch_drops: u64,
     /// Taxonomy rx_ring + pool buckets.
     pub taxo_ring_pool: u64,

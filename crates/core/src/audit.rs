@@ -29,7 +29,7 @@ use hns_faults::LossModel;
 use hns_metrics::Report;
 use hns_sim::Duration;
 use hns_stack::config::RcvBufPolicy;
-use hns_stack::{OptLevel, SimConfig, StackConfig};
+use hns_stack::{FabricConfig, OptLevel, SimConfig, StackConfig};
 use hns_workload::Placement;
 use proptest::rng::TestRng;
 
@@ -222,7 +222,7 @@ pub fn draw_case(seed: u64, run: u32) -> (ScenarioKind, Vec<FieldDelta>, Propert
 }
 
 fn draw_scenario(rng: &mut TestRng) -> ScenarioKind {
-    match rng.next_u64() % 8 {
+    match rng.next_u64() % 9 {
         0 => ScenarioKind::Single,
         1 => ScenarioKind::SingleNicRemote,
         2 => ScenarioKind::OneToOne { flows: 2 },
@@ -240,6 +240,7 @@ fn draw_scenario(rng: &mut TestRng) -> ScenarioKind {
         6 => ScenarioKind::Churn {
             churn: hns_workload::churn_open_loop(100_000.0),
         },
+        7 => ScenarioKind::FabricIncast { senders: 3 },
         _ => ScenarioKind::Churn {
             churn: hns_workload::churn_short_rpc(50_000.0, 4096),
         },
@@ -294,6 +295,11 @@ fn draw_deltas(rng: &mut TestRng) -> Vec<FieldDelta> {
 
 fn experiment(scenario: ScenarioKind, deltas: &[FieldDelta]) -> Experiment {
     let mut e = Experiment::new(scenario).quick().audited();
+    if let ScenarioKind::FabricIncast { senders } = scenario {
+        // A neutral rack, so the wire deltas (loss, rate) act on the
+        // fabric's ports.
+        e.cfg.fabric = Some(FabricConfig::neutral(senders + 1));
+    }
     for d in deltas {
         d.apply(&mut e.cfg);
     }

@@ -311,8 +311,10 @@ mod tests {
 
     #[test]
     fn neutral_two_host_fabric_matches_legacy_link() {
-        // The fabric-off and neutral-fabric worlds must be observationally
-        // identical: same goodput, breakdowns, drops, everything.
+        // `fabric: None` must build exactly the neutral 2-host fabric: same
+        // goodput, breakdowns, drops, everything. (That this fabric times
+        // frames like the two-port cable is pinned frame by frame in
+        // `fabric::tests::two_host_neutral_fabric_matches_link`.)
         let legacy = Experiment::new(ScenarioKind::Single).quick().run();
         let fabric = Experiment::new(ScenarioKind::Single)
             .configure(|c| c.fabric = Some(hns_stack::FabricConfig::neutral(2)))
@@ -321,7 +323,7 @@ mod tests {
         assert_eq!(
             format!("{legacy:?}"),
             format!("{fabric:?}"),
-            "neutral 2-host fabric diverged from the legacy link"
+            "explicit neutral 2-host fabric diverged from the default wire"
         );
     }
 

@@ -3,10 +3,10 @@
 //! Models the commodity-NIC features the paper's experiments toggle
 //! (ConnectX-5-class hardware):
 //!
-//! * [`Link`] — the full-duplex 100Gbps point-to-point wire, with
-//!   serialization/propagation delay, Bernoulli loss injection (the §3.6
-//!   "program the switch to drop packets randomly" substitute), and
-//!   queue-delay ECN marking for DCTCP,
+//! * [`WireFaults`] — the wire's fault plan, run by every port of the
+//!   switch fabric: per-port Bernoulli or bursty loss (the §3.6 "program
+//!   the switch to drop packets randomly" substitute), link flaps and
+//!   latency spikes; [`Link`] is the two-port 100Gbps cable built on it,
 //! * [`RxRing`] — Rx descriptor accounting: frames consume descriptors,
 //!   NAPI replenishes them from the page pool, and an empty ring drops
 //!   frames (the paper's Fig. 3e descriptor sweep),
@@ -31,7 +31,7 @@ pub mod txqueue;
 
 pub use descring::DescRing;
 pub use interrupts::InterruptCoalescer;
-pub use link::{Link, LinkConfig, TransmitOutcome};
+pub use link::{Link, LinkConfig, TransmitOutcome, WireFaults};
 pub use rxring::RxRing;
 pub use steering::SteeringMode;
 pub use txqueue::TxArbiter;

@@ -1,15 +1,17 @@
-//! Point-to-point link model.
+//! The wire's physical model and its faults.
 //!
 //! The paper's testbed wires two servers back-to-back with a 100Gbps cable
-//! (a switch is inserted only for the §3.6 loss experiments). Each
-//! direction of [`Link`] is an independent serializing resource: a frame
-//! occupies the wire for `bytes × 8 / rate`, frames queue behind each
-//! other (`busy_until`), and arrive `propagation` later. Loss is injected
-//! per frame with a deterministic seeded RNG — either independently per
-//! frame (the paper's §3.6 sweep) or through a Gilbert–Elliott bursty
-//! process; scheduled link flaps and latency spikes model in-network
-//! failures. ECN CE marks are applied when the frame's queueing delay
-//! exceeds a threshold (K-style marking, used by the DCTCP experiments).
+//! (a switch is inserted only for the §3.6 loss experiments). A frame
+//! occupies a serializing port for `bytes × 8 / rate`, frames queue behind
+//! each other (`busy_until`), and arrive `propagation` later.
+//! [`WireFaults`] then decides each frame's fate with a deterministic
+//! seeded RNG: in-network loss, either independently per frame (the
+//! paper's §3.6 sweep) or through a Gilbert–Elliott bursty process, plus
+//! scheduled link flaps and latency spikes that model in-network failures.
+//!
+//! The world's one wire is the switch fabric (`hns_stack::fabric`), whose
+//! egress ports run these faults. [`Link`] is a two-port cable on the same
+//! faults, which the fabric's unit tests replay as their oracle.
 
 use hns_faults::{LatencySpike, LossModel, LossProcess, PhaseSchedule};
 use hns_sim::{Duration, SimRng, SimTime};
@@ -28,9 +30,6 @@ pub struct LinkConfig {
     pub flap: Option<PhaseSchedule>,
     /// Scheduled extra one-way delay (failover reroute).
     pub latency_spike: Option<LatencySpike>,
-    /// Mark CE when a frame waits longer than this in the wire queue
-    /// (`None` disables marking).
-    pub ecn_threshold: Option<Duration>,
 }
 
 impl Default for LinkConfig {
@@ -41,12 +40,11 @@ impl Default for LinkConfig {
             loss: LossModel::None,
             flap: None,
             latency_spike: None,
-            ecn_threshold: None,
         }
     }
 }
 
-/// Result of offering a frame to one direction of the link.
+/// Result of offering a frame to a wire port.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TransmitOutcome {
     /// Frame will arrive at the far end at this time, with this CE mark.
@@ -56,12 +54,63 @@ pub enum TransmitOutcome {
         /// ECN Congestion-Experienced mark.
         ce: bool,
     },
-    /// Frame was dropped in-network.
+    /// Frame was refused by a full shared switch buffer (the
+    /// `switch_buffer` drop class).
     Dropped,
+    /// Frame was lost in-network by the loss process or a link flap (the
+    /// `wire` drop class).
+    Lost,
+}
+
+/// The fault plan of a wire: one loss process per port (each port of a
+/// real cable or switch fails independently), all drawing from one shared
+/// RNG in transmit order, plus the flap window and latency spike that hit
+/// every port at once.
+#[derive(Debug)]
+pub struct WireFaults {
+    loss: Vec<LossProcess>,
+    flap: Option<PhaseSchedule>,
+    latency_spike: Option<LatencySpike>,
+    rng: SimRng,
+}
+
+impl WireFaults {
+    /// Faults of `config` over `ports` independent ports.
+    pub fn new(config: &LinkConfig, ports: usize, seed: u64) -> Self {
+        // Line-rate time of a nominal 1500B+overhead frame: the slot that
+        // converts idle wire time into Gilbert–Elliott chain steps.
+        let slot = Duration::for_bytes_at_gbps(1578, config.gbps);
+        WireFaults {
+            loss: (0..ports)
+                .map(|_| LossProcess::with_slot(config.loss, slot))
+                .collect(),
+            flap: config.flap,
+            latency_spike: config.latency_spike,
+            rng: SimRng::new(seed ^ 0x11A7),
+        }
+    }
+
+    /// Decide the fate of a frame offered to `port` at `now`. Call it
+    /// after the port clock has advanced, so a lost frame still occupied
+    /// the wire. `None` means the frame is lost; otherwise the extra
+    /// one-way delay of an active latency spike (`ZERO` outside one).
+    ///
+    /// The loss process steps even during a flap, so post-flap behaviour
+    /// is independent of how many frames died in the outage window.
+    pub fn fate(&mut self, port: usize, now: SimTime) -> Option<Duration> {
+        let lost = self.loss[port].step(now, &mut self.rng);
+        if lost || matches!(&self.flap, Some(w) if w.active(now)) {
+            return None;
+        }
+        Some(match &self.latency_spike {
+            Some(spike) if spike.window.active(now) => spike.extra,
+            _ => Duration::ZERO,
+        })
+    }
 }
 
 /// One direction of the full-duplex wire.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct Direction {
     busy_until: SimTime,
     drops: u64,
@@ -69,21 +118,13 @@ struct Direction {
     bytes: u64,
 }
 
-/// The full-duplex link between the two hosts.
+/// The full-duplex cable between two hosts.
 #[derive(Debug)]
 pub struct Link {
     config: LinkConfig,
     dirs: [Direction; 2],
-    /// Independent loss processes per direction (each direction of a real
-    /// cable fails independently).
-    loss: [LossProcess; 2],
-    rng: SimRng,
-}
-
-/// Line-rate serialization time of a nominal 1500B+overhead frame: the
-/// slot that converts idle wire time into Gilbert–Elliott chain steps.
-fn nominal_slot(config: &LinkConfig) -> Duration {
-    Duration::for_bytes_at_gbps(1578, config.gbps)
+    /// Port `dir` carries direction `dir`.
+    faults: WireFaults,
 }
 
 impl Link {
@@ -91,31 +132,9 @@ impl Link {
     pub fn new(config: LinkConfig, seed: u64) -> Self {
         Link {
             config,
-            dirs: [
-                Direction {
-                    busy_until: SimTime::ZERO,
-                    drops: 0,
-                    frames: 0,
-                    bytes: 0,
-                },
-                Direction {
-                    busy_until: SimTime::ZERO,
-                    drops: 0,
-                    frames: 0,
-                    bytes: 0,
-                },
-            ],
-            loss: [
-                LossProcess::with_slot(config.loss, nominal_slot(&config)),
-                LossProcess::with_slot(config.loss, nominal_slot(&config)),
-            ],
-            rng: SimRng::new(seed ^ 0x11A7),
+            dirs: Default::default(),
+            faults: WireFaults::new(&config, 2, seed),
         }
-    }
-
-    /// Config in use.
-    pub fn config(&self) -> &LinkConfig {
-        &self.config
     }
 
     /// Offer a frame of `wire_bytes` to direction `dir` (0 = host0→host1).
@@ -125,34 +144,17 @@ impl Link {
         let d = &mut self.dirs[dir];
         d.frames += 1;
         d.bytes += wire_bytes;
-
-        let start = d.busy_until.max(now);
         let ser = Duration::for_bytes_at_gbps(wire_bytes, self.config.gbps);
-        d.busy_until = start + ser;
-
-        // A flapped (down) link loses every frame in both directions; the
-        // loss process still advances so post-flap behaviour is independent
-        // of how many frames died during the outage window.
-        let flapped = matches!(&self.config.flap, Some(w) if w.active(now));
-        if self.loss[dir].step(now, &mut self.rng) || flapped {
-            d.drops += 1;
-            return TransmitOutcome::Dropped;
-        }
-
-        let queue_delay = start.since(now);
-        let ce = match self.config.ecn_threshold {
-            Some(k) => queue_delay >= k,
-            None => false,
-        };
-        let mut propagation = self.config.propagation;
-        if let Some(spike) = &self.config.latency_spike {
-            if spike.window.active(now) {
-                propagation += spike.extra;
+        d.busy_until = d.busy_until.max(now) + ser;
+        match self.faults.fate(dir, now) {
+            None => {
+                d.drops += 1;
+                TransmitOutcome::Lost
             }
-        }
-        TransmitOutcome::Delivered {
-            arrives: d.busy_until + propagation,
-            ce,
+            Some(extra) => TransmitOutcome::Delivered {
+                arrives: d.busy_until + self.config.propagation + extra,
+                ce: false,
+            },
         }
     }
 
@@ -235,43 +237,12 @@ mod tests {
         let mut l = link(0.015);
         let mut dropped = 0;
         for _ in 0..100_000 {
-            if l.transmit(0, SimTime::ZERO, 1578) == TransmitOutcome::Dropped {
+            if l.transmit(0, SimTime::ZERO, 1578) == TransmitOutcome::Lost {
                 dropped += 1;
             }
         }
         assert!((1_200..1_800).contains(&dropped), "drops = {dropped}");
         assert_eq!(l.drops(0), dropped);
-    }
-
-    #[test]
-    fn ecn_marks_when_queue_builds() {
-        let mut l = Link::new(
-            LinkConfig {
-                ecn_threshold: Some(Duration::from_micros(5)),
-                ..LinkConfig::default()
-            },
-            1,
-        );
-        // Blast enough back-to-back frames that queueing exceeds 5us.
-        let mut saw_ce = false;
-        for _ in 0..100 {
-            if let TransmitOutcome::Delivered { ce, .. } = l.transmit(0, SimTime::ZERO, 9078) {
-                saw_ce |= ce;
-            }
-        }
-        assert!(saw_ce, "queue of 100 jumbo frames is ~72us deep");
-        // And an idle link doesn't mark.
-        let mut l2 = Link::new(
-            LinkConfig {
-                ecn_threshold: Some(Duration::from_micros(5)),
-                ..LinkConfig::default()
-            },
-            1,
-        );
-        match l2.transmit(0, SimTime::ZERO, 9078) {
-            TransmitOutcome::Delivered { ce, .. } => assert!(!ce),
-            _ => panic!(),
-        }
     }
 
     #[test]
@@ -287,7 +258,7 @@ mod tests {
         let mut bursts = 0u64;
         let mut in_burst = false;
         for _ in 0..200_000 {
-            let drop = l.transmit(0, SimTime::ZERO, 1578) == TransmitOutcome::Dropped;
+            let drop = l.transmit(0, SimTime::ZERO, 1578) == TransmitOutcome::Lost;
             if drop {
                 lost += 1;
                 if !in_burst {
@@ -321,8 +292,8 @@ mod tests {
             l.transmit(0, up, 1578),
             TransmitOutcome::Delivered { .. }
         ));
-        assert_eq!(l.transmit(0, down, 1578), TransmitOutcome::Dropped);
-        assert_eq!(l.transmit(1, down, 1578), TransmitOutcome::Dropped);
+        assert_eq!(l.transmit(0, down, 1578), TransmitOutcome::Lost);
+        assert_eq!(l.transmit(1, down, 1578), TransmitOutcome::Lost);
         assert!(matches!(
             l.transmit(1, up_again, 1578),
             TransmitOutcome::Delivered { .. }

@@ -232,13 +232,16 @@ pub struct SimConfig {
     pub datapath: DatapathKind,
     /// NUMA topology of each host.
     pub topology: Topology,
-    /// The wire.
+    /// The wire's rate, propagation and in-network faults (loss, flaps,
+    /// latency spikes), applied at every egress port of the fabric.
     pub link: LinkConfig,
-    /// ToR switch fabric for N-host topologies ([`crate::fabric::Fabric`]).
-    /// `None` (the default) wires exactly two hosts back-to-back over
-    /// [`SimConfig::link`], reproducing the legacy pipeline bit-for-bit;
-    /// `Some` replaces the wire with per-port egress queues over a shared
-    /// buffer and sizes the world to `fabric.hosts` hosts.
+    /// The ToR switch every world's hosts sit behind
+    /// ([`crate::fabric::Fabric`]). `None` (the default) builds
+    /// [`crate::fabric::FabricConfig::neutral`]`(2)`: two hosts, no uplinks,
+    /// an infinite buffer and no marking, frame-for-frame the paper's
+    /// back-to-back cable. `Some` adds uplinks, a shared buffer or ECN
+    /// marking and sizes the world to `fabric.hosts` hosts; the ports
+    /// still run at [`SimConfig::link`]'s rate and suffer its faults.
     pub fabric: Option<crate::fabric::FabricConfig>,
     /// DCA-usable cache capacity in bytes (≈18% of L3).
     pub dca_capacity: u64,
@@ -303,8 +306,8 @@ pub struct SimConfig {
 }
 
 impl SimConfig {
-    /// Number of hosts in the world: two on the legacy point-to-point
-    /// wire, `fabric.hosts` behind a ToR switch.
+    /// Number of hosts in the world: `fabric.hosts`, or two on the
+    /// default neutral fabric.
     pub fn hosts(&self) -> usize {
         self.fabric.map_or(2, |f| f.hosts as usize)
     }

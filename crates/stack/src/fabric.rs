@@ -1,17 +1,17 @@
-//! ToR switch fabric: N hosts behind a shared-buffer switch.
+//! ToR switch fabric: N hosts behind a shared-buffer switch — the world's
+//! one wire.
 //!
-//! The point-to-point [`hns_nic::link::Link`] wires exactly two hosts
-//! back-to-back — the paper's testbed. Incast (§4.3) needs many senders
-//! converging on one receiver, so this module models a single top-of-rack
-//! switch: every source host serializes frames onto its own **ingress**
-//! wire at line rate (that clock is what gates the host's transmit loop),
-//! every destination hangs off its own egress **port** (a serializing
-//! clock identical in form to one `Link` direction), all queues draw on
-//! one **shared buffer** (frames that would push total occupancy past the
-//! buffer are dropped and charged to the `switch_buffer` taxonomy class),
-//! and an optional bank of **uplinks** adds a second serialization stage
-//! chosen by deterministic ECMP hashing of the flow id (no RNG anywhere,
-//! so parallel sweeps stay byte-identical at any `--jobs` count).
+//! The paper's testbed is two hosts on a cable; incast (§4.3) needs many
+//! senders converging on one receiver. This module models a single
+//! top-of-rack switch that covers both: every source host serializes
+//! frames onto its own **ingress** wire at line rate (that clock is what
+//! gates the host's transmit loop), every destination hangs off its own
+//! egress **port** (a serializing clock), all queues draw on one **shared
+//! buffer** (frames that would push total occupancy past the buffer are
+//! dropped and charged to the `switch_buffer` taxonomy class), and an
+//! optional bank of **uplinks** adds a second serialization stage chosen
+//! by deterministic ECMP hashing of the flow id (no RNG, so parallel
+//! sweeps stay byte-identical at any `--jobs` count).
 //!
 //! The ingress/egress split is what makes incast *possible*: a source is
 //! paced only by its own NIC, so `n` senders can legally offer `n` ×
@@ -24,13 +24,21 @@
 //! CE-marked when the egress port already holds at least
 //! `ecn_threshold_bytes` of queued frames the moment it is offered.
 //!
+//! Rate, propagation and in-network faults come from a [`LinkConfig`]:
+//! each egress port runs one loss process of a shared [`WireFaults`]
+//! (the §3.6 loss sweep, bursty loss, flaps and latency spikes), stepped
+//! after the port clock advances, so a lost frame still occupies the wire
+//! while a frame the shared buffer refused makes no loss draw.
+//!
 //! **Identity guarantee:** with two hosts, no uplinks, an infinite buffer
-//! and marking off, a fabric is byte-identical to the legacy `Link` with
-//! the same rate and propagation delay — each port is exactly one `Link`
-//! direction — which is what lets `SimConfig::fabric: None` remain the
-//! default without forking the world's transmit path semantics.
+//! and marking off, port `dst` carries exactly the frames of cable
+//! direction `1 - dst`, so the fabric is frame-for-frame identical to the
+//! two-port [`hns_nic::link::Link`] with the same `LinkConfig` and seed,
+//! faults and RNG draw order included. That is what lets
+//! `SimConfig::fabric: None` build [`FabricConfig::neutral`]`(2)` as the
+//! paper's cable.
 
-use hns_nic::link::TransmitOutcome;
+use hns_nic::link::{LinkConfig, TransmitOutcome, WireFaults};
 use hns_sim::{Duration, SimTime};
 
 /// Most hosts a fabric (and so a world) can hold: events pack the host
@@ -38,6 +46,8 @@ use hns_sim::{Duration, SimTime};
 pub const MAX_HOSTS: u16 = 256;
 
 /// ToR fabric parameters. `Copy` so [`crate::SimConfig`] stays `Copy`.
+/// The ports' rate, propagation and faults are the world's
+/// [`crate::SimConfig::link`].
 #[derive(Clone, Copy, Debug)]
 pub struct FabricConfig {
     /// Number of hosts on the rack (ports on the switch), in
@@ -45,12 +55,8 @@ pub struct FabricConfig {
     pub hosts: u16,
     /// ECMP uplink count. Zero (the default) models a single-switch rack
     /// with no core hop: frames serialize only at the egress port, which
-    /// is required for the 2-host identity with the legacy link.
+    /// is required for the 2-host identity with the cable.
     pub uplinks: u8,
-    /// Per-port line rate in Gbps (paper: 100).
-    pub gbps: f64,
-    /// One-way propagation delay, host NIC to host NIC through the switch.
-    pub propagation: Duration,
     /// Shared egress buffer in bytes. A frame whose admission would push
     /// the summed occupancy of every port past this is dropped
     /// (`switch_buffer` class). `u64::MAX` means never drop.
@@ -61,15 +67,13 @@ pub struct FabricConfig {
 }
 
 impl FabricConfig {
-    /// A fabric that is provably indistinguishable from the default legacy
-    /// link for `hosts` hosts: no uplink stage, infinite shared buffer,
-    /// marking off, legacy rate and propagation.
+    /// A fabric that is provably indistinguishable from the two-port cable
+    /// for `hosts` hosts: no uplink stage, infinite shared buffer, marking
+    /// off.
     pub fn neutral(hosts: u16) -> Self {
         FabricConfig {
             hosts,
             uplinks: 0,
-            gbps: 100.0,
-            propagation: Duration::from_micros(2),
             buffer_bytes: u64::MAX,
             ecn_threshold_bytes: None,
         }
@@ -82,20 +86,26 @@ impl Default for FabricConfig {
     }
 }
 
-/// One egress port: a serializing resource identical to a `Link` direction.
-#[derive(Debug)]
+/// One egress port: a serializing resource, like one cable direction.
+#[derive(Debug, Default)]
 struct Port {
     busy_until: SimTime,
     frames: u64,
-    drops: u64,
     bytes: u64,
+    /// Frames the shared buffer refused.
+    refused: u64,
+    /// Frames lost in-network after serializing.
+    lost: u64,
 }
 
-/// The switch itself. One instance replaces the `Link` when
-/// `SimConfig::fabric` is set.
+/// The switch itself.
 #[derive(Debug)]
 pub struct Fabric {
     config: FabricConfig,
+    /// Port rate and propagation.
+    link: LinkConfig,
+    /// Port `dst`'s loss process is the fault plan's port `dst`.
+    faults: WireFaults,
     /// Egress port toward each host (indexed by destination host).
     ports: Vec<Port>,
     /// ECMP uplink serialization clocks (empty when `uplinks == 0`).
@@ -103,7 +113,7 @@ pub struct Fabric {
     /// Per-source ingress wire (host NIC → switch): the only clock that
     /// gates a host's transmit loop. With two hosts source `h` and port
     /// `1 - h` carry exactly the same frames at the same times, so this
-    /// equals the legacy per-direction `next_free`.
+    /// equals the cable's per-direction `next_free`.
     ingress: Vec<SimTime>,
 }
 
@@ -114,38 +124,33 @@ fn backlog_bytes(depth: Duration, gbps: f64) -> u64 {
 }
 
 impl Fabric {
-    /// Build a fabric. Panics on fewer than two hosts — a rack of one has
-    /// no wire to model — or more than [`MAX_HOSTS`]. `World::new` clamps
-    /// the host count first and reports the bad size as a run error.
+    /// Build a fault-free fabric at the default link rate and propagation.
+    /// Panics on fewer than two hosts or more than [`MAX_HOSTS`], like
+    /// [`Fabric::with_link`].
     pub fn new(config: FabricConfig) -> Self {
+        Fabric::with_link(config, LinkConfig::default(), 0)
+    }
+
+    /// Build a fabric whose ports run at `link`'s rate and propagation and
+    /// suffer its faults, drawn from `seed`. Panics on fewer than two
+    /// hosts — a rack of one has no wire to model — or more than
+    /// [`MAX_HOSTS`]. `World::new` clamps the host count first and reports
+    /// the bad size as a run error.
+    pub fn with_link(config: FabricConfig, link: LinkConfig, seed: u64) -> Self {
         assert!(config.hosts >= 2, "a fabric needs at least two hosts");
         assert!(
             config.hosts <= MAX_HOSTS,
             "host indices must fit the event encoding (max {MAX_HOSTS} hosts)"
         );
         let n = config.hosts as usize;
-        let port = |_: usize| Port {
-            busy_until: SimTime::ZERO,
-            frames: 0,
-            drops: 0,
-            bytes: 0,
-        };
         Fabric {
-            ports: (0..n).map(port).collect(),
+            link,
+            faults: WireFaults::new(&link, n, seed),
+            ports: (0..n).map(|_| Port::default()).collect(),
             uplinks: vec![SimTime::ZERO; config.uplinks as usize],
             ingress: vec![SimTime::ZERO; n],
             config,
         }
-    }
-
-    /// Config in use.
-    pub fn config(&self) -> &FabricConfig {
-        &self.config
-    }
-
-    /// Number of hosts on the rack.
-    pub fn hosts(&self) -> usize {
-        self.ports.len()
     }
 
     /// Deterministic ECMP: which uplink carries `flow`. Fibonacci hashing
@@ -162,19 +167,18 @@ impl Fabric {
         let ports: u64 = self
             .ports
             .iter()
-            .map(|p| backlog_bytes(p.busy_until.since(now), self.config.gbps))
+            .map(|p| backlog_bytes(p.busy_until.since(now), self.link.gbps))
             .sum();
         let uplinks: u64 = self
             .uplinks
             .iter()
-            .map(|&u| backlog_bytes(u.since(now), self.config.gbps))
+            .map(|&u| backlog_bytes(u.since(now), self.link.gbps))
             .sum();
         ports + uplinks
     }
 
     /// Offer a frame of `wire_bytes` from host `src` to host `dst` on
-    /// behalf of `flow` (the ECMP key). Mirrors
-    /// [`hns_nic::link::Link::transmit`]: serialization starts when the
+    /// behalf of `flow` (the ECMP key). Serialization starts when the
     /// egress port frees up, the frame arrives `propagation` after it
     /// finishes, and callers gate their transmit loops on
     /// [`Fabric::next_free`].
@@ -188,7 +192,7 @@ impl Fabric {
     ) -> TransmitOutcome {
         debug_assert_ne!(src, dst, "a host cannot transmit to itself");
         let occ = self.occupancy(now);
-        let ser = Duration::for_bytes_at_gbps(wire_bytes, self.config.gbps);
+        let ser = Duration::for_bytes_at_gbps(wire_bytes, self.link.gbps);
 
         // The frame crosses the source's own wire whatever the switch does
         // with it afterwards — a congested egress port does not slow the
@@ -201,15 +205,15 @@ impl Fabric {
 
         // Shared-buffer admission: a refused frame consumed its ingress
         // wire time but never occupied the switch, so no switch clock
-        // advances.
+        // advances and no loss is drawn.
         if occ.saturating_add(wire_bytes) > self.config.buffer_bytes {
-            p.drops += 1;
+            p.refused += 1;
             return TransmitOutcome::Dropped;
         }
 
         // Depth-based CE mark, judged on the egress queue as the frame is
         // offered (the DCTCP "K" rule).
-        let depth = backlog_bytes(p.busy_until.since(now), self.config.gbps);
+        let depth = backlog_bytes(p.busy_until.since(now), self.link.gbps);
         let ce = match self.config.ecn_threshold_bytes {
             Some(k) => depth >= k,
             None => false,
@@ -226,17 +230,22 @@ impl Fabric {
         }
 
         let p = &mut self.ports[dst];
-        let start = p.busy_until.max(available);
-        p.busy_until = start + ser;
+        p.busy_until = p.busy_until.max(available) + ser;
 
-        TransmitOutcome::Delivered {
-            arrives: p.busy_until + self.config.propagation,
-            ce,
+        match self.faults.fate(dst, now) {
+            None => {
+                p.lost += 1;
+                TransmitOutcome::Lost
+            }
+            Some(extra) => TransmitOutcome::Delivered {
+                arrives: p.busy_until + self.link.propagation + extra,
+                ce,
+            },
         }
     }
 
     /// Earliest time host `src` can begin serializing a new frame: when
-    /// its own ingress wire frees up. Equals the legacy per-direction
+    /// its own ingress wire frees up. Equals the cable's per-direction
     /// gate at two hosts (ingress `h` and port `1 - h` carry the same
     /// frames).
     pub fn next_free(&self, src: usize) -> SimTime {
@@ -248,9 +257,10 @@ impl Fabric {
         self.ports[dst].frames
     }
 
-    /// Frames dropped at the shared buffer on the way to host `dst`.
+    /// Frames that never reached host `dst`: refused by the shared buffer
+    /// or lost in-network.
     pub fn drops_to(&self, dst: usize) -> u64 {
-        self.ports[dst].drops
+        self.ports[dst].refused + self.ports[dst].lost
     }
 
     /// Bytes offered toward host `dst`.
@@ -258,45 +268,92 @@ impl Fabric {
         self.ports[dst].bytes
     }
 
-    /// Shared-buffer drops summed over every port.
-    pub fn total_drops(&self) -> u64 {
-        self.ports.iter().map(|p| p.drops).sum()
+    /// Frames offered toward every host.
+    pub fn frames(&self) -> u64 {
+        self.ports.iter().map(|p| p.frames).sum()
+    }
+
+    /// Shared-buffer refusals summed over every port (`switch_buffer`).
+    pub fn switch_drops(&self) -> u64 {
+        self.ports.iter().map(|p| p.refused).sum()
+    }
+
+    /// In-network losses summed over every port (`wire`).
+    pub fn loss_drops(&self) -> u64 {
+        self.ports.iter().map(|p| p.lost).sum()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hns_nic::link::{Link, LinkConfig};
+    use hns_faults::{LatencySpike, LossModel, PhaseSchedule};
+    use hns_nic::link::Link;
 
     fn neutral() -> Fabric {
         Fabric::new(FabricConfig::neutral(2))
     }
 
     /// The identity the goldens rest on: a neutral 2-host fabric times
-    /// frames exactly like the default legacy link.
+    /// frames exactly like the two-port cable with the same link config,
+    /// faults and RNG draw order included.
     #[test]
     fn two_host_neutral_fabric_matches_link() {
-        let mut f = neutral();
-        let mut l = Link::new(LinkConfig::default(), 7);
-        let offers = [
-            (0usize, 9078u64, 0u64),
-            (0, 9078, 100),
-            (1, 78, 3_000),
-            (0, 1578, 5_000),
-            (1, 9078, 5_000),
-        ];
-        for &(src, bytes, at) in &offers {
-            let now = SimTime::from_nanos(at);
-            let a = f.transmit(src, 1 - src, 42, now, bytes);
-            let b = l.transmit(src, now, bytes);
-            assert_eq!(a, b, "src={src} bytes={bytes} at={at}");
-            assert_eq!(f.next_free(src), l.next_free(src));
+        let window = |start_us, len_us| {
+            PhaseSchedule::once(
+                Duration::from_micros(start_us),
+                Duration::from_micros(len_us),
+            )
+        };
+        let faulted = LinkConfig {
+            loss: LossModel::bursty(0.02, 4.0),
+            flap: Some(window(300, 100)),
+            latency_spike: Some(LatencySpike {
+                window: window(1_000, 300),
+                extra: Duration::from_micros(30),
+            }),
+            ..LinkConfig::default()
+        };
+        for (name, link) in [("default", LinkConfig::default()), ("faulted", faulted)] {
+            let mut f = Fabric::with_link(FabricConfig::neutral(2), link, 7);
+            let mut l = Link::new(link, 7);
+            let mut lost = 0;
+            let mut spiked = 0;
+            // Two data frames one way, then an ACK back, every 500 ns for
+            // 2 ms: across the flap and the spike, with a standing queue.
+            for i in 0..4_000u64 {
+                let src = usize::from(i % 3 == 2);
+                let bytes = if src == 0 { 9078 } else { 78 };
+                let now = SimTime::from_nanos(i * 500);
+                let a = f.transmit(src, 1 - src, 42, now, bytes);
+                let b = l.transmit(src, now, bytes);
+                assert_eq!(a, b, "{name}: frame {i}");
+                assert_eq!(f.next_free(src), l.next_free(src), "{name}: frame {i}");
+                match a {
+                    TransmitOutcome::Lost => lost += 1,
+                    TransmitOutcome::Delivered { arrives, .. } => {
+                        let prop = arrives.since(l.next_free(src));
+                        spiked += u32::from(prop > link.propagation);
+                    }
+                    TransmitOutcome::Dropped => panic!("{name}: infinite buffer refused"),
+                }
+            }
+            for dst in 0..2 {
+                assert_eq!(f.frames_to(dst), l.frames(1 - dst), "{name}");
+                assert_eq!(f.bytes_to(dst), l.bytes(1 - dst), "{name}");
+                assert_eq!(f.drops_to(dst), l.drops(1 - dst), "{name}");
+            }
+            assert_eq!(f.switch_drops(), 0, "{name}");
+            assert_eq!(f.loss_drops(), lost, "{name}");
+            if name == "faulted" {
+                assert!(
+                    lost > 200 && spiked > 0,
+                    "{name}: lost {lost}, spiked {spiked}"
+                );
+            } else {
+                assert_eq!((lost, spiked), (0, 0));
+            }
         }
-        assert_eq!(f.frames_to(1), l.frames(0));
-        assert_eq!(f.bytes_to(1), l.bytes(0));
-        assert_eq!(f.frames_to(0), l.frames(1));
-        assert_eq!(f.total_drops(), 0);
     }
 
     #[test]
@@ -357,10 +414,11 @@ mod tests {
             match f.transmit(0, 1, i, t0, 9078) {
                 TransmitOutcome::Delivered { .. } => delivered += 1,
                 TransmitOutcome::Dropped => dropped += 1,
+                TransmitOutcome::Lost => panic!("no faults configured"),
             }
         }
         assert!(dropped > 0, "10 jumbo frames exceed a 20KB buffer");
-        assert_eq!(f.total_drops(), dropped);
+        assert_eq!(f.switch_drops(), dropped);
         assert_eq!(f.drops_to(1), dropped);
         assert_eq!(f.frames_to(1), 10);
         // Every frame — dropped ones included — crossed the source's own

@@ -1,8 +1,10 @@
 //! The simulation world: the hosts, the wire between them, and the event
-//! loop that drives every pipeline stage of the paper's Fig. 1. By default
-//! two hosts sit back-to-back on a point-to-point [`Link`] (the paper's
-//! testbed); configuring [`SimConfig::fabric`] instead puts N hosts behind
-//! a ToR switch model ([`crate::fabric::Fabric`]) for incast experiments.
+//! loop that drives every pipeline stage of the paper's Fig. 1. The wire is
+//! always a ToR switch model ([`crate::fabric::Fabric`]) whose ports carry
+//! the rate, propagation and faults of [`SimConfig::link`]. By default it
+//! is a neutral two-port switch, frame-for-frame the paper's back-to-back
+//! cable; configuring [`SimConfig::fabric`] puts N hosts behind it for
+//! incast experiments.
 //!
 //! # Execution model
 //!
@@ -16,7 +18,7 @@
 //! cycle cost is what occupies the core.
 //!
 //! Packets move as whole frames: the sender path enqueues post-TSO frames
-//! on the NIC [`TxArbiter`]; `TxDrain` serializes them onto the [`Link`];
+//! on the NIC [`TxArbiter`]; `TxDrain` serializes them onto the [`Fabric`];
 //! `FrameArrive` lands them in an Rx descriptor, DMAs them (into the DCA
 //! cache when eligible), and raises an IRQ subject to NAPI masking.
 
@@ -25,7 +27,7 @@ use hns_mem::pages_for;
 use hns_metrics::{Category, DropStats, LatencyStats, Report, SideReport};
 use hns_nic::link::TransmitOutcome;
 use hns_nic::tso;
-use hns_nic::{Link, TxArbiter};
+use hns_nic::TxArbiter;
 use hns_proto::{FlowId, Segment, SegmentKind, HEADER_BYTES};
 use hns_sched::Task;
 use hns_sim::{cycles_to_time, Duration, EventQueue, PendingFire, SimTime};
@@ -195,85 +197,6 @@ struct RpcIo {
 /// Live-snapshot subscriber callback (see [`World::set_monitor_emit`]).
 pub type MonitorEmit = Box<dyn FnMut(&hns_monitor::MonitorSnapshot)>;
 
-/// The network between the hosts: the paper's point-to-point cable, or the
-/// ToR switch fabric when [`SimConfig::fabric`] is set. Every method takes
-/// host indices; with two hosts the link's direction index equals the
-/// source host, so the legacy path is a straight passthrough.
-enum Wire {
-    /// Two hosts back-to-back (loss/flap/ECN knobs live in `LinkConfig`).
-    /// Boxed: the link's fault-injection state dwarfs the fabric variant.
-    Link(Box<Link>),
-    /// N hosts behind a shared-buffer switch.
-    Fabric(Fabric),
-}
-
-impl Wire {
-    /// Offer a frame from `src` to `dst`; `flow` is the fabric's ECMP key.
-    fn transmit(
-        &mut self,
-        src: usize,
-        dst: usize,
-        flow: u64,
-        now: SimTime,
-        wire_bytes: u64,
-    ) -> TransmitOutcome {
-        match self {
-            Wire::Link(l) => l.transmit(src, now, wire_bytes),
-            Wire::Fabric(f) => f.transmit(src, dst, flow, now, wire_bytes),
-        }
-    }
-
-    /// Earliest time `src` can begin serializing a new frame.
-    fn next_free(&self, src: usize) -> SimTime {
-        match self {
-            Wire::Link(l) => l.next_free(src),
-            Wire::Fabric(f) => f.next_free(src),
-        }
-    }
-
-    /// Frames offered toward host `dst` (delivered and dropped alike).
-    fn frames_to(&self, dst: usize) -> u64 {
-        match self {
-            Wire::Link(l) => l.frames(1 - dst),
-            Wire::Fabric(f) => f.frames_to(dst),
-        }
-    }
-
-    /// Frames lost on the way to host `dst` (in-network loss on the link,
-    /// shared-buffer overflow on the fabric).
-    fn drops_to(&self, dst: usize) -> u64 {
-        match self {
-            Wire::Link(l) => l.drops(1 - dst),
-            Wire::Fabric(f) => f.drops_to(dst),
-        }
-    }
-
-    /// Total frames ever offered (watchdog snapshots).
-    fn total_frames(&self) -> u64 {
-        match self {
-            Wire::Link(l) => l.frames(0) + l.frames(1),
-            Wire::Fabric(f) => (0..f.hosts()).map(|h| f.frames_to(h)).sum(),
-        }
-    }
-
-    /// Drops charged to the `wire` taxonomy class (in-network loss). The
-    /// fabric never loses frames in-network — its drops are `switch_buffer`.
-    fn loss_drops(&self) -> u64 {
-        match self {
-            Wire::Link(l) => l.drops(0) + l.drops(1),
-            Wire::Fabric(_) => 0,
-        }
-    }
-
-    /// Drops charged to the `switch_buffer` taxonomy class.
-    fn switch_drops(&self) -> u64 {
-        match self {
-            Wire::Link(_) => 0,
-            Wire::Fabric(f) => f.total_drops(),
-        }
-    }
-}
-
 /// The assembled simulation.
 pub struct World {
     /// Experiment configuration.
@@ -293,7 +216,7 @@ pub struct World {
     descrings: Vec<hns_nic::DescRing>,
     queue: EventQueue<Event>,
     hosts: Vec<Host>,
-    wire: Wire,
+    wire: Fabric,
     arbiters: Vec<TxArbiter<Segment>>,
     /// Segments of the `FrameArrive` events still in the queue.
     in_flight: SegmentSlab,
@@ -379,13 +302,14 @@ impl World {
                 .collect(),
             queue: EventQueue::new(),
             hosts: (0..nhosts).map(|h| Host::new(h, &cfg)).collect(),
-            wire: match cfg.fabric {
-                Some(f) => Wire::Fabric(Fabric::new(FabricConfig {
+            wire: Fabric::with_link(
+                FabricConfig {
                     hosts: nhosts as u16,
-                    ..f
-                })),
-                None => Wire::Link(Box::new(Link::new(cfg.link, cfg.seed))),
-            },
+                    ..cfg.fabric.unwrap_or_default()
+                },
+                cfg.link,
+                cfg.seed,
+            ),
             arbiters: (0..nhosts)
                 .map(|_| TxArbiter::new(cores, u64::MAX))
                 .collect(),
@@ -732,7 +656,7 @@ impl World {
             queue_len: self.queue.len(),
             backlog_frames,
             stuck_flows,
-            wire_frames: self.wire.total_frames(),
+            wire_frames: self.wire.frames(),
             retransmissions: self.flows.iter().map(|f| f.sender.retransmissions).sum(),
         }
     }
@@ -1924,7 +1848,7 @@ impl World {
                 let wire = payload as u64 + HEADER_BYTES as u64;
                 // Route the frame: data toward the flow's receiver, ACKs
                 // back toward its sender, lifecycle frames to the churn
-                // peer. On the 2-host link every case is `1 - h`.
+                // peer. With two hosts every case is `1 - h`.
                 let dst = match seg.kind {
                     SegmentKind::Data { .. } => self.flows[seg.flow as usize].spec.dst_host,
                     SegmentKind::Ack { .. } => self.flows[seg.flow as usize].spec.src_host,
@@ -1951,10 +1875,8 @@ impl World {
                             a.wire_in_flight[dst] += 1;
                         }
                     }
-                    TransmitOutcome::Dropped => match &self.wire {
-                        Wire::Link(_) => self.drop_stats.wire += 1,
-                        Wire::Fabric(_) => self.drop_stats.switch_buffer += 1,
-                    },
+                    TransmitOutcome::Dropped => self.drop_stats.switch_buffer += 1,
+                    TransmitOutcome::Lost => self.drop_stats.wire += 1,
                 }
                 if self.arbiters[h].is_empty() {
                     self.hosts[h].txdrain_armed = false;
@@ -2238,10 +2160,7 @@ impl World {
         } else if self.monitor.is_some() {
             self.monitor_tick(0);
         }
-        let prop = self
-            .cfg
-            .fabric
-            .map_or(self.cfg.link.propagation, |f| f.propagation);
+        let prop = self.cfg.link.propagation;
         for f in &mut self.flows {
             let copied = std::mem::take(&mut f.copied_since_tick);
             let hint = f.rtt_hint(prop);
@@ -2387,7 +2306,7 @@ impl World {
             },
         };
         // Host 1 is the receiver by convention; every other host (host 0
-        // on the legacy link, hosts {0, 2, 3, ..} behind a fabric) is a
+        // of a two-host world, hosts {0, 2, 3, ..} on a larger rack) is a
         // sender and folds into the sender side of the report.
         let mut sender = side(&self.hosts[0]);
         for h in self.hosts.iter().skip(2) {
@@ -2541,7 +2460,7 @@ mod tests {
         // A new slot is pushed only when none is free, so the slab's length
         // is the peak number of frames on the wire at once: a handful for
         // one flow on a 2 µs wire, against ~10k frames sent.
-        let frames = w.wire.total_frames();
+        let frames = w.wire.frames();
         let high_water = w.in_flight.segs.len() as u64;
         assert!(w.in_flight.live() as u64 <= high_water);
         assert!(

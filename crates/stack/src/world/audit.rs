@@ -41,8 +41,8 @@ use crate::watchdog::RunErrorKind;
 /// Counters the audited event loop maintains beyond what reports need.
 /// Everything is cumulative from t = 0 except `charge_calls`, which resets
 /// with the measurement window (its ledger's two sides reset there too).
-/// All per-host vectors are sized to the world's host count (two on the
-/// legacy link, `fabric.hosts` behind a ToR switch).
+/// All per-host vectors are sized to the world's host count (two by
+/// default, `fabric.hosts` on a larger rack).
 #[derive(Default)]
 pub(super) struct AuditState {
     /// Frames whose `FrameArrive` event has fired, per destination host.

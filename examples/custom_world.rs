@@ -7,14 +7,18 @@
 
 use hostnet::building_blocks::proto::cc::CcAlgo;
 use hostnet::building_blocks::sim::Duration;
-use hostnet::building_blocks::stack::{AppSpec, FlowSpec, SimConfig, World};
+use hostnet::building_blocks::stack::{AppSpec, FabricConfig, FlowSpec, SimConfig, World};
 
 fn main() {
     let mut cfg = SimConfig::default();
-    // A longer link (two switch hops) with shallow-buffer ECN marking,
-    // the environment DCTCP is designed for.
+    // A longer link (two switch hops) whose switch CE-marks past a
+    // shallow queue (20 us at 100 Gbps), the environment DCTCP is
+    // designed for.
     cfg.link.propagation = Duration::from_micros(8);
-    cfg.link.ecn_threshold = Some(Duration::from_micros(20));
+    cfg.fabric = Some(FabricConfig {
+        ecn_threshold_bytes: Some(250_000),
+        ..FabricConfig::neutral(2)
+    });
     cfg.stack.cc = CcAlgo::Dctcp;
     cfg.seed = 42;
 

@@ -12,7 +12,9 @@
 use hostnet::audit::{bisect_case, check_case, run_audit};
 use hostnet::building_blocks::faults::LossModel;
 use hostnet::building_blocks::stack::RunErrorKind;
-use hostnet::{AuditOptions, Experiment, FieldDelta, Placement, Property, ScenarioKind};
+use hostnet::{
+    AuditOptions, Experiment, FieldDelta, Placement, Property, Report, ScenarioKind, SimConfig,
+};
 
 fn audited(scenario: ScenarioKind) -> Experiment {
     Experiment::new(scenario).quick().audited()
@@ -258,4 +260,40 @@ fn audited_mixed_tenant_fabric_stays_silent() {
     .try_run()
     .expect("mixed-tenant fabric run must stay silent under audit");
     assert!(r.total_gbps > 1.0);
+}
+
+/// 3-sender fabric incast on a neutral 4-host rack with the world's link
+/// settings perturbed by `link`.
+fn audited_fabric_with_link(link: impl FnOnce(&mut SimConfig)) -> Report {
+    use hostnet::building_blocks::stack::FabricConfig;
+    audited(ScenarioKind::FabricIncast { senders: 3 })
+        .configure(move |c| {
+            c.fabric = Some(FabricConfig::neutral(4));
+            link(c);
+        })
+        .try_run()
+        .expect("fabric run with link settings must stay silent under audit")
+}
+
+#[test]
+fn link_settings_reach_fabric_runs() {
+    // The fabric's ports take their rate, propagation and faults from
+    // `SimConfig::link`: wire loss must drop frames on a fabric run too,
+    // charged to the `wire` class and recovered by retransmission, with
+    // every ledger balanced.
+    let r = audited_fabric_with_link(|c| c.link.loss = LossModel::uniform(0.01));
+    assert!(r.drops.wire > 0, "1% wire loss dropped nothing");
+    assert_eq!(r.drops.switch_buffer, 0, "a neutral fabric never refuses");
+    assert!(
+        r.retransmissions > 0,
+        "lost frames were never retransmitted"
+    );
+
+    // And the link rate caps the receiver's egress port.
+    let r = audited_fabric_with_link(|c| c.link.gbps = 40.0);
+    assert!(
+        r.total_gbps <= 40.0,
+        "3 senders through a 40 Gbps port delivered {:.2} Gbps",
+        r.total_gbps
+    );
 }
