@@ -6,7 +6,9 @@
 //! fig. 13's congestion-control matrix, the fig_capacity overload sweep,
 //! the fig_backend datapath comparison, the fig_incast fabric sweep, the
 //! ablation grid) to canonical JSONL and compare against the checked-in
-//! files under `tests/golden/`.
+//! files under `tests/golden/`. A further check parses every golden back
+//! and pins the CSV the whole set renders to (`tests/golden/reports.csv`),
+//! so JSON in and CSV out are held byte-for-byte too.
 //!
 //! Any intentional change to the engine, cost model, or report schema
 //! shows up here first. To accept new goldens (the `--bless` path):
@@ -163,4 +165,34 @@ fn golden_ablations() {
     let reports = figure("ablations");
     assert_eq!(reports.len(), 21);
     check("ablations.jsonl", render(&reports));
+}
+
+#[test]
+fn golden_reports_csv() {
+    // JSON in and CSV out: every committed golden parses back into its
+    // reports, and the CSV of the whole set (files in name order) is
+    // pinned byte-for-byte.
+    let dir = golden_path("");
+    let mut files: Vec<PathBuf> = std::fs::read_dir(&dir)
+        .expect("golden dir")
+        .map(|e| e.expect("golden entry").path())
+        .filter(|p| p.extension().is_some_and(|x| x == "jsonl"))
+        .collect();
+    files.sort();
+    assert_eq!(files.len(), 7, "every JSONL golden is covered");
+    let mut reports = Vec::new();
+    for path in &files {
+        let text = std::fs::read_to_string(path).expect("read golden");
+        // `render` writes pretty JSON; each report closes with a bare `}`.
+        for doc in text.split_inclusive("\n}\n") {
+            let doc = doc.trim_end();
+            let r = Report::from_json(doc).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+            assert_eq!(r.to_json(), doc, "JSON round trip in {}", path.display());
+            reports.push(r);
+        }
+    }
+    check(
+        "reports.csv",
+        hostnet::building_blocks::metrics::reports_to_csv(&reports),
+    );
 }
