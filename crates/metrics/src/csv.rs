@@ -2,7 +2,7 @@
 //! a plotting pipeline.
 
 use crate::report::Report;
-use crate::taxonomy::ALL_CATEGORIES;
+use crate::schema::{At, Section, View};
 
 /// Escape a CSV field (quotes fields containing commas/quotes/newlines).
 fn escape(field: &str) -> String {
@@ -13,173 +13,41 @@ fn escape(field: &str) -> String {
     }
 }
 
-/// Render a series of reports as CSV: one row per report with the
-/// scalar metrics and both sides' per-category cycle fractions. When any
-/// report carries lifecycle-trace data, per-stage p50/p99 residency
-/// columns are appended (untraced series keep the exact legacy shape).
+/// Render a series of reports as CSV: one row per report, one column per
+/// CSV entry of the report schema. A field that can be off (tracing, churn,
+/// overload, monitor) has columns only when some report of the series has
+/// it; a list (the traced stages) gets one column group per row key found
+/// across the series, in first-appearance order.
 pub fn reports_to_csv(reports: &[Report]) -> String {
+    let off = Report::default();
+    let mut header = Vec::new();
+    let mut rows = vec![Vec::new(); reports.len()];
+    for f in Report::FIELDS.iter().filter(|f| f.csv.is_some()) {
+        if !f.on(&off) && !reports.iter().any(|r| f.on(r)) {
+            continue;
+        }
+        let mut keys: Vec<&str> = Vec::new();
+        if let At::Stored(_, get, _) = f.at {
+            for key in reports.iter().flat_map(|r| get(r).keys()) {
+                if !keys.contains(&key) {
+                    keys.push(key);
+                }
+            }
+        }
+        f.cells(&off, View::Csv, "", &keys, &mut header);
+        for (r, row) in reports.iter().zip(&mut rows) {
+            f.cells(r, View::Csv, "", &keys, row);
+        }
+    }
     let mut out = String::new();
-    out.push_str(
-        "label,window_secs,total_gbps,thpt_per_core_gbps,snd_cores,rcv_cores,\
-         rx_miss_rate,tx_miss_rate,napi_copy_avg_us,napi_copy_p99_us,\
-         rpc_latency_avg_us,rpc_latency_p99_us,avg_skb_bytes,wire_drops,\
-         ring_drops,retransmissions,rpcs_completed,fairness",
-    );
-    for cat in ALL_CATEGORIES {
-        out.push_str(&format!(
-            ",{}",
-            escape(&format!("rx_{}", cat.label().replace('/', "_")))
-        ));
-    }
-    for cat in ALL_CATEGORIES {
-        out.push_str(&format!(
-            ",{}",
-            escape(&format!("tx_{}", cat.label().replace('/', "_")))
-        ));
-    }
-    // Union of stage labels across the series, first-appearance order
-    // (reports follow pipeline order, so the union does too).
-    let mut stages: Vec<&str> = Vec::new();
-    for r in reports {
-        for s in &r.stage_latency {
-            if !stages.contains(&s.stage.as_str()) {
-                stages.push(&s.stage);
-            }
-        }
-    }
-    // Stage labels come from the trace pipeline but are still data: escape
-    // the assembled column names so a label containing a comma (or quote)
-    // cannot shear the header.
-    for s in &stages {
-        out.push_str(&format!(
-            ",{},{}",
-            escape(&format!("{s}_p50_ns")),
-            escape(&format!("{s}_p99_ns"))
-        ));
-    }
-    if !stages.is_empty() {
-        out.push_str(",trace_overflow");
-    }
-    // Churn columns only when some report carries a connection summary
-    // (non-churn series keep the exact legacy shape, like tracing).
-    let churn = reports.iter().any(|r| r.conn.is_some());
-    if churn {
-        out.push_str(
-            ",conn_opened,conn_established,conn_closed,conn_failed,\
-             conn_retransmits,conn_rate_cps,handshake_avg_us,handshake_p99_us,\
-             conn_live_hw,conn_table_capacity,epoll_evts_per_wakeup",
-        );
-    }
-    // Capacity columns only when some report ran the overload model.
-    let overload = reports.iter().any(|r| r.capacity.is_some());
-    if overload {
-        out.push_str(
-            ",policy,accept_hw,accept_overflows,syn_cookies,accept_drops,\
-             sheds,refused,mem_peak_bytes,alloc_fails,idle_reaped,slow_conns,\
-             conn_rpc_avg_us,conn_rpc_p99_us",
-        );
-    }
-    // Monitor columns only when some report ran with streaming telemetry.
-    let monitored = reports.iter().any(|r| r.monitor.is_some());
-    if monitored {
-        out.push_str(
-            ",mon_snapshots,mon_interval_secs,mon_goodput_avg_gbps,\
-             mon_goodput_min_gbps,mon_goodput_max_gbps",
-        );
-    }
-    out.push('\n');
-
-    for r in reports {
-        out.push_str(&format!(
-            "{},{:.6},{:.4},{:.4},{:.4},{:.4},{:.4},{:.4},{:.2},{:.2},{:.2},{:.2},{:.1},{},{},{},{},{:.4}",
-            escape(&r.label),
-            r.window_secs,
-            r.total_gbps,
-            r.thpt_per_core_gbps,
-            r.sender.cores_used,
-            r.receiver.cores_used,
-            r.receiver.cache.miss_rate(),
-            r.sender.cache.miss_rate(),
-            r.napi_to_copy.avg_us,
-            r.napi_to_copy.p99_us,
-            r.rpc_latency.avg_us,
-            r.rpc_latency.p99_us,
-            r.avg_skb_bytes,
-            r.wire_drops,
-            r.ring_drops,
-            r.retransmissions,
-            r.rpcs_completed,
-            r.fairness_index(),
-        ));
-        for cat in ALL_CATEGORIES {
-            out.push_str(&format!(",{:.4}", r.receiver.breakdown.fraction(cat)));
-        }
-        for cat in ALL_CATEGORIES {
-            out.push_str(&format!(",{:.4}", r.sender.breakdown.fraction(cat)));
-        }
-        for s in &stages {
-            match r.stage_latency.iter().find(|l| l.stage == *s) {
-                Some(l) => out.push_str(&format!(",{},{}", l.p50_ns, l.p99_ns)),
-                None => out.push_str(",,"),
-            }
-        }
-        if !stages.is_empty() {
-            out.push_str(&format!(",{}", r.trace_overflow));
-        }
-        if churn {
-            match &r.conn {
-                Some(c) => out.push_str(&format!(
-                    ",{},{},{},{},{},{:.1},{:.2},{:.2},{},{},{:.2}",
-                    c.opened,
-                    c.established,
-                    c.closed,
-                    c.failed,
-                    c.retransmits,
-                    c.conn_rate_cps,
-                    c.handshake.avg_us,
-                    c.handshake.p99_us,
-                    c.established_high_water,
-                    c.table_capacity,
-                    c.epoll_events_per_wakeup(),
-                )),
-                None => out.push_str(",,,,,,,,,,,"),
-            }
-        }
-        if overload {
-            match &r.capacity {
-                Some(c) => out.push_str(&format!(
-                    ",{},{},{},{},{},{},{},{},{},{},{},{:.2},{:.2}",
-                    escape(&c.policy),
-                    c.accept_high_water,
-                    c.accept_overflows,
-                    c.syn_cookies,
-                    c.accept_drops,
-                    c.sheds,
-                    c.refused,
-                    c.mem_peak_bytes,
-                    c.alloc_fails,
-                    c.idle_reaped,
-                    c.slow_conns,
-                    c.rpc.avg_us,
-                    c.rpc.p99_us,
-                )),
-                None => out.push_str(",,,,,,,,,,,,,"),
-            }
-        }
-        if monitored {
-            match &r.monitor {
-                Some(m) => out.push_str(&format!(
-                    ",{},{:.6},{:.4},{:.4},{:.4}",
-                    m.snapshots,
-                    m.interval_secs,
-                    m.goodput_avg_gbps,
-                    m.goodput_min_gbps,
-                    m.goodput_max_gbps,
-                )),
-                None => out.push_str(",,,,,"),
-            }
-        }
+    let mut line = |cells: Vec<String>| {
+        let cells: Vec<String> = cells.iter().map(|c| escape(c)).collect();
+        out.push_str(&cells.join(","));
         out.push('\n');
+    };
+    line(header.into_iter().map(|(name, _)| name).collect());
+    for row in rows {
+        line(row.into_iter().map(|(_, text)| text).collect());
     }
     out
 }

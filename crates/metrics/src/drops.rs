@@ -15,7 +15,7 @@
 //! connection-lifecycle losses rather than frame-layer ones; they serialize
 //! only when nonzero so pre-overload reports stay byte-identical.
 
-use crate::json::{obj, JsonError, Value};
+use crate::schema::{field, Field, Section};
 
 /// [`DropStats`] re-grouped by observing layer (see [`DropStats::by_layer`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -158,57 +158,28 @@ impl DropStats {
             ("conn_memory", self.conn_memory),
         ]
     }
+}
 
-    pub(crate) fn to_value(self) -> Value {
-        let mut fields = vec![
-            ("wire", Value::UInt(self.wire)),
-            ("rx_ring", Value::UInt(self.rx_ring)),
-            ("gro_overflow", Value::UInt(self.gro_overflow)),
-            ("socket_queue", Value::UInt(self.socket_queue)),
-            ("pool", Value::UInt(self.pool)),
-        ];
-        // Connection-level and fabric classes only appear when something
-        // was lost there, keeping pre-overload/pre-fabric reports
-        // byte-identical.
-        if self.switch_buffer > 0 {
-            fields.push(("switch_buffer", Value::UInt(self.switch_buffer)));
-        }
-        if self.handshake_abort > 0 {
-            fields.push(("handshake_abort", Value::UInt(self.handshake_abort)));
-        }
-        if self.accept_queue > 0 {
-            fields.push(("accept_queue", Value::UInt(self.accept_queue)));
-        }
-        if self.conn_memory > 0 {
-            fields.push(("conn_memory", Value::UInt(self.conn_memory)));
-        }
-        obj(fields)
-    }
-
-    pub(crate) fn from_value(v: &Value) -> Result<DropStats, JsonError> {
-        let opt = |key: &str| -> Result<u64, JsonError> {
-            match v.get(key) {
-                Ok(x) => x.as_u64(),
-                Err(_) => Ok(0),
-            }
-        };
-        Ok(DropStats {
-            wire: v.get("wire")?.as_u64()?,
-            switch_buffer: opt("switch_buffer")?,
-            rx_ring: v.get("rx_ring")?.as_u64()?,
-            gro_overflow: v.get("gro_overflow")?.as_u64()?,
-            socket_queue: v.get("socket_queue")?.as_u64()?,
-            pool: v.get("pool")?.as_u64()?,
-            handshake_abort: opt("handshake_abort")?,
-            accept_queue: opt("accept_queue")?,
-            conn_memory: opt("conn_memory")?,
-        })
-    }
+impl Section for DropStats {
+    // Connection-level and fabric classes only appear when something was
+    // lost there, keeping pre-overload/pre-fabric reports byte-identical.
+    const FIELDS: &'static [Field<Self>] = &[
+        field!(wire),
+        field!(rx_ring),
+        field!(gro_overflow),
+        field!(socket_queue),
+        field!(pool),
+        field!(switch_buffer when(|d| d.switch_buffer > 0)),
+        field!(handshake_abort when(|d| d.handshake_abort > 0)),
+        field!(accept_queue when(|d| d.accept_queue > 0)),
+        field!(conn_memory when(|d| d.conn_memory > 0)),
+    ];
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::schema::Node;
 
     #[test]
     fn total_sums_every_bucket() {
@@ -274,6 +245,12 @@ mod tests {
         );
     }
 
+    fn round_trip(d: DropStats) -> DropStats {
+        let mut back = DropStats::new();
+        back.read(&d.to_value()).unwrap();
+        back
+    }
+
     #[test]
     fn json_round_trip() {
         let d = DropStats {
@@ -282,8 +259,7 @@ mod tests {
             socket_queue: 2,
             ..DropStats::new()
         };
-        let v = d.to_value();
-        assert_eq!(DropStats::from_value(&v).unwrap(), d);
+        assert_eq!(round_trip(d), d);
         let o = DropStats {
             switch_buffer: 2,
             handshake_abort: 3,
@@ -291,7 +267,7 @@ mod tests {
             conn_memory: 5,
             ..d
         };
-        assert_eq!(DropStats::from_value(&o.to_value()).unwrap(), o);
+        assert_eq!(round_trip(o), o);
     }
 
     /// Pre-overload/pre-fabric reports must not grow keys: connection-level

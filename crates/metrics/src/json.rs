@@ -435,54 +435,6 @@ pub fn obj(fields: Vec<(&str, Value)>) -> Value {
     )
 }
 
-/// Array of `(u64, u64)` pairs, each as a two-element array.
-pub fn pairs_u64(pairs: &[(u64, u64)]) -> Value {
-    Value::Arr(
-        pairs
-            .iter()
-            .map(|&(a, b)| Value::Arr(vec![Value::UInt(a), Value::UInt(b)]))
-            .collect(),
-    )
-}
-
-/// Array of `(f64, f64)` pairs, each as a two-element array.
-pub fn pairs_f64(pairs: &[(f64, f64)]) -> Value {
-    Value::Arr(
-        pairs
-            .iter()
-            .map(|&(a, b)| Value::Arr(vec![Value::Num(a), Value::Num(b)]))
-            .collect(),
-    )
-}
-
-/// Parse an array of `(u64, u64)` pairs.
-pub fn parse_pairs_u64(v: &Value) -> Result<Vec<(u64, u64)>, JsonError> {
-    v.as_arr()?
-        .iter()
-        .map(|p| {
-            let p = p.as_arr()?;
-            if p.len() != 2 {
-                return err("pair is not length 2");
-            }
-            Ok((p[0].as_u64()?, p[1].as_u64()?))
-        })
-        .collect()
-}
-
-/// Parse an array of `(f64, f64)` pairs.
-pub fn parse_pairs_f64(v: &Value) -> Result<Vec<(f64, f64)>, JsonError> {
-    v.as_arr()?
-        .iter()
-        .map(|p| {
-            let p = p.as_arr()?;
-            if p.len() != 2 {
-                return err("pair is not length 2");
-            }
-            Ok((p[0].as_f64()?, p[1].as_f64()?))
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -515,10 +467,17 @@ mod tests {
 
     #[test]
     fn nested_structure_round_trips() {
+        let pair = |a, b| Value::Arr(vec![a, b]);
         let v = obj(vec![
             ("label", Value::Str("a \"quoted\"\nlabel".into())),
-            ("counts", pairs_u64(&[(1, 2), (3, 4)])),
-            ("timeline", pairs_f64(&[(0.001, 40.0)])),
+            (
+                "counts",
+                Value::Arr(vec![pair(Value::UInt(1), Value::UInt(2))]),
+            ),
+            (
+                "timeline",
+                Value::Arr(vec![pair(Value::Num(0.001), Value::Num(40.0))]),
+            ),
             ("empty_arr", Value::Arr(vec![])),
             ("empty_obj", Value::Obj(vec![])),
         ]);
@@ -526,14 +485,6 @@ mod tests {
         let back = Value::parse(&pretty).unwrap();
         assert_eq!(back, v);
         assert_eq!(Value::parse(&v.compact()).unwrap(), v);
-        assert_eq!(
-            parse_pairs_u64(back.get("counts").unwrap()).unwrap(),
-            vec![(1, 2), (3, 4)]
-        );
-        assert_eq!(
-            parse_pairs_f64(back.get("timeline").unwrap()).unwrap(),
-            vec![(0.001, 40.0)]
-        );
     }
 
     #[test]

@@ -2,10 +2,12 @@
 //!
 //! Every figure bench runs one or more experiments and renders the resulting
 //! [`Report`]s. Reports serialize to JSON so EXPERIMENTS.md entries can be
-//! regenerated mechanically.
+//! regenerated mechanically. Each section's `Section` impl lists its fields
+//! once; that list is the whole JSON, CSV and table schema.
 
 use crate::drops::DropStats;
-use crate::json::{self, JsonError, Value};
+use crate::json::{JsonError, Value};
+use crate::schema::{field, Field, Node, Section};
 use crate::taxonomy::CycleBreakdown;
 
 /// Cache behaviour observed during receive-side (or send-side) data copy.
@@ -33,20 +35,10 @@ impl CacheStats {
         self.hit_bytes += other.hit_bytes;
         self.miss_bytes += other.miss_bytes;
     }
+}
 
-    fn to_value(self) -> Value {
-        json::obj(vec![
-            ("hit_bytes", Value::UInt(self.hit_bytes)),
-            ("miss_bytes", Value::UInt(self.miss_bytes)),
-        ])
-    }
-
-    fn from_value(v: &Value) -> Result<CacheStats, JsonError> {
-        Ok(CacheStats {
-            hit_bytes: v.get("hit_bytes")?.as_u64()?,
-            miss_bytes: v.get("miss_bytes")?.as_u64()?,
-        })
-    }
+impl Section for CacheStats {
+    const FIELDS: &'static [Field<Self>] = &[field!(hit_bytes), field!(miss_bytes)];
 }
 
 /// Latency distribution summary in microseconds (paper Fig. 3f reports the
@@ -61,22 +53,12 @@ pub struct LatencyStats {
     pub samples: u64,
 }
 
-impl LatencyStats {
-    fn to_value(self) -> Value {
-        json::obj(vec![
-            ("avg_us", Value::Num(self.avg_us)),
-            ("p99_us", Value::Num(self.p99_us)),
-            ("samples", Value::UInt(self.samples)),
-        ])
-    }
-
-    fn from_value(v: &Value) -> Result<LatencyStats, JsonError> {
-        Ok(LatencyStats {
-            avg_us: v.get("avg_us")?.as_f64()?,
-            p99_us: v.get("p99_us")?.as_f64()?,
-            samples: v.get("samples")?.as_u64()?,
-        })
-    }
+impl Section for LatencyStats {
+    const FIELDS: &'static [Field<Self>] = &[
+        field!(avg_us csv("avg_us", 2) table("avg_us", 2)),
+        field!(p99_us csv("p99_us", 2) table("p99_us", 2)),
+        field!(samples),
+    ];
 }
 
 /// Residency summary for one pipeline stage, produced by the per-skb
@@ -103,31 +85,20 @@ pub struct StageLatency {
     pub max_ns: u64,
 }
 
-impl StageLatency {
-    fn to_value(&self) -> Value {
-        json::obj(vec![
-            ("stage", Value::Str(self.stage.clone())),
-            ("samples", Value::UInt(self.samples)),
-            ("mean_ns", Value::Num(self.mean_ns)),
-            ("p50_ns", Value::UInt(self.p50_ns)),
-            ("p90_ns", Value::UInt(self.p90_ns)),
-            ("p99_ns", Value::UInt(self.p99_ns)),
-            ("p999_ns", Value::UInt(self.p999_ns)),
-            ("max_ns", Value::UInt(self.max_ns)),
-        ])
-    }
+impl Section for StageLatency {
+    const FIELDS: &'static [Field<Self>] = &[
+        field!(stage table("stage", 0)),
+        field!(samples table("samples", 0)),
+        field!(mean_ns),
+        field!(p50_ns csv("p50_ns", 0) table_scaled("p50_us", 1e-3, 3)),
+        field!(p90_ns table_scaled("p90_us", 1e-3, 3)),
+        field!(p99_ns csv("p99_ns", 0) table_scaled("p99_us", 1e-3, 3)),
+        field!(p999_ns table_scaled("p999_us", 1e-3, 3)),
+        field!(max_ns),
+    ];
 
-    fn from_value(v: &Value) -> Result<StageLatency, JsonError> {
-        Ok(StageLatency {
-            stage: v.get("stage")?.as_str()?.to_string(),
-            samples: v.get("samples")?.as_u64()?,
-            mean_ns: v.get("mean_ns")?.as_f64()?,
-            p50_ns: v.get("p50_ns")?.as_u64()?,
-            p90_ns: v.get("p90_ns")?.as_u64()?,
-            p99_ns: v.get("p99_ns")?.as_u64()?,
-            p999_ns: v.get("p999_ns")?.as_u64()?,
-            max_ns: v.get("max_ns")?.as_u64()?,
-        })
+    fn key(&self) -> &str {
+        &self.stage
     }
 }
 
@@ -182,52 +153,28 @@ impl ConnSummary {
             self.epoll_events as f64 / self.epoll_wakeups as f64
         }
     }
+}
 
-    fn to_value(self) -> Value {
-        json::obj(vec![
-            ("opened", Value::UInt(self.opened)),
-            ("established", Value::UInt(self.established)),
-            ("closed", Value::UInt(self.closed)),
-            ("failed", Value::UInt(self.failed)),
-            ("retransmits", Value::UInt(self.retransmits)),
-            ("rpcs", Value::UInt(self.rpcs)),
-            ("stale_frames", Value::UInt(self.stale_frames)),
-            ("conn_rate_cps", Value::Num(self.conn_rate_cps)),
-            ("handshake", self.handshake.to_value()),
-            (
-                "established_high_water",
-                Value::UInt(self.established_high_water),
-            ),
-            (
-                "time_wait_high_water",
-                Value::UInt(self.time_wait_high_water),
-            ),
-            ("table_capacity", Value::UInt(self.table_capacity)),
-            ("table_slot_reuse", Value::UInt(self.table_slot_reuse)),
-            ("epoll_wakeups", Value::UInt(self.epoll_wakeups)),
-            ("epoll_events", Value::UInt(self.epoll_events)),
-        ])
-    }
-
-    fn from_value(v: &Value) -> Result<ConnSummary, JsonError> {
-        Ok(ConnSummary {
-            opened: v.get("opened")?.as_u64()?,
-            established: v.get("established")?.as_u64()?,
-            closed: v.get("closed")?.as_u64()?,
-            failed: v.get("failed")?.as_u64()?,
-            retransmits: v.get("retransmits")?.as_u64()?,
-            rpcs: v.get("rpcs")?.as_u64()?,
-            stale_frames: v.get("stale_frames")?.as_u64()?,
-            conn_rate_cps: v.get("conn_rate_cps")?.as_f64()?,
-            handshake: LatencyStats::from_value(v.get("handshake")?)?,
-            established_high_water: v.get("established_high_water")?.as_u64()?,
-            time_wait_high_water: v.get("time_wait_high_water")?.as_u64()?,
-            table_capacity: v.get("table_capacity")?.as_u64()?,
-            table_slot_reuse: v.get("table_slot_reuse")?.as_u64()?,
-            epoll_wakeups: v.get("epoll_wakeups")?.as_u64()?,
-            epoll_events: v.get("epoll_events")?.as_u64()?,
-        })
-    }
+impl Section for ConnSummary {
+    const FIELDS: &'static [Field<Self>] = &[
+        field!(opened csv("conn_opened", 0) table("opened", 0)),
+        field!(established csv("conn_established", 0) table("established", 0)),
+        field!(closed csv("conn_closed", 0) table("closed", 0)),
+        field!(failed csv("conn_failed", 0) table("failed", 0)),
+        field!(retransmits csv("conn_retransmits", 0) table("retransmits", 0)),
+        field!(rpcs table("rpcs", 0)),
+        field!(stale_frames),
+        field!(conn_rate_cps csv("conn_rate_cps", 1) table("conn_rate_cps", 0)),
+        field!(handshake csv("handshake_", 0) table("handshake_", 0)),
+        field!(established_high_water csv("conn_live_hw", 0) table("live_high_water", 0)),
+        field!(time_wait_high_water),
+        field!(table_capacity csv("conn_table_capacity", 0) table("table_capacity", 0)),
+        field!(table_slot_reuse),
+        field!(epoll_wakeups),
+        field!(epoll_events),
+        field!(Derived(ConnSummary::epoll_events_per_wakeup)
+            csv("epoll_evts_per_wakeup", 2) table("epoll_evts_per_wakeup", 2)),
+    ];
 }
 
 /// Overload/capacity summary from a churn run with the overload model
@@ -274,44 +221,23 @@ pub struct CapacitySummary {
     pub rpc: LatencyStats,
 }
 
-impl CapacitySummary {
-    fn to_value(&self) -> Value {
-        json::obj(vec![
-            ("policy", Value::Str(self.policy.clone())),
-            ("accept_depth", Value::UInt(self.accept_depth)),
-            ("accept_high_water", Value::UInt(self.accept_high_water)),
-            ("accept_overflows", Value::UInt(self.accept_overflows)),
-            ("syn_cookies", Value::UInt(self.syn_cookies)),
-            ("accept_drops", Value::UInt(self.accept_drops)),
-            ("sheds", Value::UInt(self.sheds)),
-            ("refused", Value::UInt(self.refused)),
-            ("mem_budget_bytes", Value::UInt(self.mem_budget_bytes)),
-            ("mem_peak_bytes", Value::UInt(self.mem_peak_bytes)),
-            ("alloc_fails", Value::UInt(self.alloc_fails)),
-            ("idle_reaped", Value::UInt(self.idle_reaped)),
-            ("slow_conns", Value::UInt(self.slow_conns)),
-            ("rpc", self.rpc.to_value()),
-        ])
-    }
-
-    fn from_value(v: &Value) -> Result<CapacitySummary, JsonError> {
-        Ok(CapacitySummary {
-            policy: v.get("policy")?.as_str()?.to_string(),
-            accept_depth: v.get("accept_depth")?.as_u64()?,
-            accept_high_water: v.get("accept_high_water")?.as_u64()?,
-            accept_overflows: v.get("accept_overflows")?.as_u64()?,
-            syn_cookies: v.get("syn_cookies")?.as_u64()?,
-            accept_drops: v.get("accept_drops")?.as_u64()?,
-            sheds: v.get("sheds")?.as_u64()?,
-            refused: v.get("refused")?.as_u64()?,
-            mem_budget_bytes: v.get("mem_budget_bytes")?.as_u64()?,
-            mem_peak_bytes: v.get("mem_peak_bytes")?.as_u64()?,
-            alloc_fails: v.get("alloc_fails")?.as_u64()?,
-            idle_reaped: v.get("idle_reaped")?.as_u64()?,
-            slow_conns: v.get("slow_conns")?.as_u64()?,
-            rpc: LatencyStats::from_value(v.get("rpc")?)?,
-        })
-    }
+impl Section for CapacitySummary {
+    const FIELDS: &'static [Field<Self>] = &[
+        field!(policy csv("policy", 0) table("policy", 0)),
+        field!(accept_depth table("accept_depth", 0)),
+        field!(accept_high_water csv("accept_hw", 0) table("accept_high_water", 0)),
+        field!(accept_overflows csv("accept_overflows", 0) table("accept_overflows", 0)),
+        field!(syn_cookies csv("syn_cookies", 0) table("syn_cookies", 0)),
+        field!(accept_drops csv("accept_drops", 0) table("accept_drops", 0)),
+        field!(sheds csv("sheds", 0) table("sheds", 0)),
+        field!(refused csv("refused", 0) table("refused", 0)),
+        field!(mem_budget_bytes),
+        field!(mem_peak_bytes csv("mem_peak_bytes", 0) table("mem_peak_bytes", 0)),
+        field!(alloc_fails csv("alloc_fails", 0) table("alloc_fails", 0)),
+        field!(idle_reaped csv("idle_reaped", 0) table("idle_reaped", 0)),
+        field!(slow_conns csv("slow_conns", 0) table("slow_conns", 0)),
+        field!(rpc csv("conn_rpc_", 0) table("rpc_", 0)),
+    ];
 }
 
 /// Whole-window roll-up of the streaming monitor (`hns-monitor`): how many
@@ -353,60 +279,30 @@ pub struct MonitorStage {
     pub p999_ns: u64,
 }
 
-impl MonitorStage {
-    fn to_value(&self) -> Value {
-        json::obj(vec![
-            ("stage", Value::Str(self.stage.clone())),
-            ("samples", Value::UInt(self.samples)),
-            ("p50_ns", Value::UInt(self.p50_ns)),
-            ("p99_ns", Value::UInt(self.p99_ns)),
-            ("p999_ns", Value::UInt(self.p999_ns)),
-        ])
-    }
+impl Section for MonitorStage {
+    const FIELDS: &'static [Field<Self>] = &[
+        field!(stage table("stage", 0)),
+        field!(samples table("samples", 0)),
+        field!(p50_ns table_scaled("p50_us", 1e-3, 3)),
+        field!(p99_ns table_scaled("p99_us", 1e-3, 3)),
+        field!(p999_ns table_scaled("p999_us", 1e-3, 3)),
+    ];
 
-    fn from_value(v: &Value) -> Result<MonitorStage, JsonError> {
-        Ok(MonitorStage {
-            stage: v.get("stage")?.as_str()?.to_string(),
-            samples: v.get("samples")?.as_u64()?,
-            p50_ns: v.get("p50_ns")?.as_u64()?,
-            p99_ns: v.get("p99_ns")?.as_u64()?,
-            p999_ns: v.get("p999_ns")?.as_u64()?,
-        })
+    fn key(&self) -> &str {
+        &self.stage
     }
 }
 
-impl MonitorSummary {
-    fn to_value(&self) -> Value {
-        json::obj(vec![
-            ("snapshots", Value::UInt(self.snapshots)),
-            ("interval_secs", Value::Num(self.interval_secs)),
-            ("sketch_alpha", Value::Num(self.sketch_alpha)),
-            ("goodput_avg_gbps", Value::Num(self.goodput_avg_gbps)),
-            ("goodput_min_gbps", Value::Num(self.goodput_min_gbps)),
-            ("goodput_max_gbps", Value::Num(self.goodput_max_gbps)),
-            (
-                "stages",
-                Value::Arr(self.stages.iter().map(|s| s.to_value()).collect()),
-            ),
-        ])
-    }
-
-    fn from_value(v: &Value) -> Result<MonitorSummary, JsonError> {
-        Ok(MonitorSummary {
-            snapshots: v.get("snapshots")?.as_u64()?,
-            interval_secs: v.get("interval_secs")?.as_f64()?,
-            sketch_alpha: v.get("sketch_alpha")?.as_f64()?,
-            goodput_avg_gbps: v.get("goodput_avg_gbps")?.as_f64()?,
-            goodput_min_gbps: v.get("goodput_min_gbps")?.as_f64()?,
-            goodput_max_gbps: v.get("goodput_max_gbps")?.as_f64()?,
-            stages: v
-                .get("stages")?
-                .as_arr()?
-                .iter()
-                .map(MonitorStage::from_value)
-                .collect::<Result<_, _>>()?,
-        })
-    }
+impl Section for MonitorSummary {
+    const FIELDS: &'static [Field<Self>] = &[
+        field!(snapshots csv("mon_snapshots", 0) table("snapshots", 0)),
+        field!(interval_secs csv("mon_interval_secs", 6) table_scaled("interval_ms", 1e3, 3)),
+        field!(sketch_alpha table("sketch_alpha", 4)),
+        field!(goodput_avg_gbps csv("mon_goodput_avg_gbps", 4) table("goodput_avg_gbps", 3)),
+        field!(goodput_min_gbps csv("mon_goodput_min_gbps", 4) table("goodput_min_gbps", 3)),
+        field!(goodput_max_gbps csv("mon_goodput_max_gbps", 4) table("goodput_max_gbps", 3)),
+        field!(stages table("stages", 0)),
+    ];
 }
 
 /// Measurements for one side (sender or receiver) of the experiment.
@@ -420,22 +316,8 @@ pub struct SideReport {
     pub cache: CacheStats,
 }
 
-impl SideReport {
-    fn to_value(&self) -> Value {
-        json::obj(vec![
-            ("breakdown", self.breakdown.to_value()),
-            ("cores_used", Value::Num(self.cores_used)),
-            ("cache", self.cache.to_value()),
-        ])
-    }
-
-    fn from_value(v: &Value) -> Result<SideReport, JsonError> {
-        Ok(SideReport {
-            breakdown: CycleBreakdown::from_value(v.get("breakdown")?)?,
-            cores_used: v.get("cores_used")?.as_f64()?,
-            cache: CacheStats::from_value(v.get("cache")?)?,
-        })
-    }
+impl Section for SideReport {
+    const FIELDS: &'static [Field<Self>] = &[field!(breakdown), field!(cores_used), field!(cache)];
 }
 
 /// Full result of one experiment run.
@@ -547,99 +429,9 @@ impl Report {
 
     /// Parse a report previously rendered by [`Report::to_json`].
     pub fn from_json(text: &str) -> Result<Report, JsonError> {
-        Report::from_value(&Value::parse(text)?)
-    }
-
-    fn to_value(&self) -> Value {
-        let mut fields = vec![
-            ("label", Value::Str(self.label.clone())),
-            ("window_secs", Value::Num(self.window_secs)),
-            ("delivered_bytes", Value::UInt(self.delivered_bytes)),
-            ("total_gbps", Value::Num(self.total_gbps)),
-            ("thpt_per_core_gbps", Value::Num(self.thpt_per_core_gbps)),
-            ("sender", self.sender.to_value()),
-            ("receiver", self.receiver.to_value()),
-            ("napi_to_copy", self.napi_to_copy.to_value()),
-            ("rpc_latency", self.rpc_latency.to_value()),
-            ("skb_size_hist", json::pairs_u64(&self.skb_size_hist)),
-            ("avg_skb_bytes", Value::Num(self.avg_skb_bytes)),
-            ("wire_drops", Value::UInt(self.wire_drops)),
-            ("ring_drops", Value::UInt(self.ring_drops)),
-            ("drops", self.drops.to_value()),
-            ("retransmissions", Value::UInt(self.retransmissions)),
-            ("rpcs_completed", Value::UInt(self.rpcs_completed)),
-            ("per_flow_bytes", json::pairs_u64(&self.per_flow_bytes)),
-            ("gbps_timeline", json::pairs_f64(&self.gbps_timeline)),
-        ];
-        // Trace fields only exist when tracing ran: untraced reports keep
-        // the exact pre-tracing JSON shape (determinism tests diff bytes).
-        if !self.stage_latency.is_empty() {
-            fields.push((
-                "stage_latency",
-                Value::Arr(self.stage_latency.iter().map(|s| s.to_value()).collect()),
-            ));
-            fields.push(("trace_overflow", Value::UInt(self.trace_overflow)));
-        }
-        // Likewise the churn summary: only present when churn ran.
-        if let Some(conn) = &self.conn {
-            fields.push(("conn", conn.to_value()));
-        }
-        // And the overload summary: only when the overload model ran.
-        if let Some(capacity) = &self.capacity {
-            fields.push(("capacity", capacity.to_value()));
-        }
-        // And the monitor roll-up: only when the monitor streamed.
-        if let Some(monitor) = &self.monitor {
-            fields.push(("monitor", monitor.to_value()));
-        }
-        json::obj(fields)
-    }
-
-    fn from_value(v: &Value) -> Result<Report, JsonError> {
-        Ok(Report {
-            label: v.get("label")?.as_str()?.to_string(),
-            window_secs: v.get("window_secs")?.as_f64()?,
-            delivered_bytes: v.get("delivered_bytes")?.as_u64()?,
-            total_gbps: v.get("total_gbps")?.as_f64()?,
-            thpt_per_core_gbps: v.get("thpt_per_core_gbps")?.as_f64()?,
-            sender: SideReport::from_value(v.get("sender")?)?,
-            receiver: SideReport::from_value(v.get("receiver")?)?,
-            napi_to_copy: LatencyStats::from_value(v.get("napi_to_copy")?)?,
-            rpc_latency: LatencyStats::from_value(v.get("rpc_latency")?)?,
-            skb_size_hist: json::parse_pairs_u64(v.get("skb_size_hist")?)?,
-            avg_skb_bytes: v.get("avg_skb_bytes")?.as_f64()?,
-            wire_drops: v.get("wire_drops")?.as_u64()?,
-            ring_drops: v.get("ring_drops")?.as_u64()?,
-            drops: DropStats::from_value(v.get("drops")?)?,
-            retransmissions: v.get("retransmissions")?.as_u64()?,
-            rpcs_completed: v.get("rpcs_completed")?.as_u64()?,
-            per_flow_bytes: json::parse_pairs_u64(v.get("per_flow_bytes")?)?,
-            gbps_timeline: json::parse_pairs_f64(v.get("gbps_timeline")?)?,
-            stage_latency: match v.get("stage_latency") {
-                Ok(arr) => arr
-                    .as_arr()?
-                    .iter()
-                    .map(StageLatency::from_value)
-                    .collect::<Result<_, _>>()?,
-                Err(_) => Vec::new(),
-            },
-            trace_overflow: match v.get("trace_overflow") {
-                Ok(n) => n.as_u64()?,
-                Err(_) => 0,
-            },
-            conn: match v.get("conn") {
-                Ok(o) => Some(ConnSummary::from_value(o)?),
-                Err(_) => None,
-            },
-            capacity: match v.get("capacity") {
-                Ok(o) => Some(CapacitySummary::from_value(o)?),
-                Err(_) => None,
-            },
-            monitor: match v.get("monitor") {
-                Ok(o) => Some(MonitorSummary::from_value(o)?),
-                Err(_) => None,
-            },
-        })
+        let mut report = Report::default();
+        report.read(&Value::parse(text)?)?;
+        Ok(report)
     }
 
     /// Coefficient of variation of the throughput timeline — a steadiness
@@ -657,6 +449,50 @@ impl Report {
         let var = xs.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / xs.len() as f64;
         var.sqrt() / mean
     }
+}
+
+/// Trace keys exist only when tracing ran, so untraced reports keep the
+/// exact pre-tracing shape.
+fn traced(r: &Report) -> bool {
+    !r.stage_latency.is_empty()
+}
+
+impl Section for Report {
+    const FIELDS: &'static [Field<Self>] = &[
+        field!(label csv("label", 0)),
+        field!(window_secs csv("window_secs", 6)),
+        field!(delivered_bytes),
+        field!(total_gbps csv("total_gbps", 4)),
+        field!(thpt_per_core_gbps csv("thpt_per_core_gbps", 4)),
+        field!(sender),
+        field!(receiver),
+        // The CSV interleaves the two sides, so their columns are this
+        // section's, reading into `sender` and `receiver`.
+        field!(Derived(|r| r.sender.cores_used) csv("snd_cores", 4)),
+        field!(Derived(|r| r.receiver.cores_used) csv("rcv_cores", 4)),
+        field!(Derived(|r| r.receiver.cache.miss_rate()) csv("rx_miss_rate", 4)),
+        field!(Derived(|r| r.sender.cache.miss_rate()) csv("tx_miss_rate", 4)),
+        field!(napi_to_copy csv("napi_copy_", 0)),
+        field!(rpc_latency csv("rpc_latency_", 0)),
+        field!(skb_size_hist),
+        field!(avg_skb_bytes csv("avg_skb_bytes", 1)),
+        field!(wire_drops csv("wire_drops", 0)),
+        field!(ring_drops csv("ring_drops", 0)),
+        field!(drops),
+        field!(retransmissions csv("retransmissions", 0)),
+        field!(rpcs_completed csv("rpcs_completed", 0)),
+        field!(per_flow_bytes),
+        field!(gbps_timeline),
+        field!(Derived(Report::fairness_index) csv("fairness", 4)),
+        field!(PerCategory(|r| &r.receiver.breakdown) csv("rx_", 4)),
+        field!(PerCategory(|r| &r.sender.breakdown) csv("tx_", 4)),
+        field!(stage_latency when(traced) csv("", 0) table("stage residency (tracer)", 0)),
+        field!(trace_overflow when(traced)
+            csv("trace_overflow", 0) table("trace stamps lost to full rings", 0)),
+        field!(conn csv("", 0) table("connection lifecycle", 0)),
+        field!(capacity csv("", 0) table("overload model", 0)),
+        field!(monitor csv("", 0) table("monitor summary", 0)),
+    ];
 }
 
 #[cfg(test)]

@@ -4,6 +4,7 @@
 //! helpers keep the formatting consistent across all of them.
 
 use crate::report::Report;
+use crate::schema::{At, Section, View};
 use crate::taxonomy::{CycleBreakdown, ALL_CATEGORIES};
 
 /// Format a Gbps value the way the figure tables do.
@@ -55,139 +56,28 @@ pub fn format_series_table(reports: &[Report]) -> String {
     out
 }
 
-/// Render the per-stage residency table from a traced report: one row per
-/// pipeline stage with sample count and p50/p90/p99/p999 in microseconds.
-/// Empty string when the report carries no trace data.
-pub fn format_stage_table(report: &Report) -> String {
-    if report.stage_latency.is_empty() {
-        return String::new();
-    }
-    let us = |ns: u64| ns as f64 / 1e3;
+/// Render every present section of a report under its title: the traced
+/// stage residency, the connection, capacity and monitor summaries, each
+/// only when the run produced it. Scalar entries print as `title: value`.
+/// Empty string when the report has none.
+pub fn format_sections(report: &Report) -> String {
     let mut out = String::new();
-    out.push_str(&format!(
-        "{:<12} {:>10} {:>10} {:>10} {:>10} {:>10}\n",
-        "stage", "samples", "p50_us", "p90_us", "p99_us", "p999_us"
-    ));
-    for s in &report.stage_latency {
-        out.push_str(&format!(
-            "{:<12} {:>10} {:>10.3} {:>10.3} {:>10.3} {:>10.3}\n",
-            s.stage,
-            s.samples,
-            us(s.p50_ns),
-            us(s.p90_ns),
-            us(s.p99_ns),
-            us(s.p999_ns),
-        ));
-    }
-    if report.trace_overflow > 0 {
-        out.push_str(&format!(
-            "warning: {} stamps lost to full trace rings (distributions are partial)\n",
-            report.trace_overflow
-        ));
-    }
-    out
-}
-
-/// Render the connection-lifecycle summary from a churn report: lifecycle
-/// counters, handshake latency, flow-table footprint and epoll batching.
-/// Empty string when the report carries no churn data.
-pub fn format_conn_table(report: &Report) -> String {
-    let Some(c) = &report.conn else {
-        return String::new();
-    };
-    let mut out = String::new();
-    out.push_str(&format!("{:<24} {:>12}\n", "conn metric", "value"));
-    let rows: [(&str, String); 12] = [
-        ("opened", c.opened.to_string()),
-        ("established", c.established.to_string()),
-        ("closed", c.closed.to_string()),
-        ("failed", c.failed.to_string()),
-        ("retransmits", c.retransmits.to_string()),
-        ("rpcs", c.rpcs.to_string()),
-        ("conn_rate_cps", format!("{:.0}", c.conn_rate_cps)),
-        ("handshake_avg_us", format!("{:.2}", c.handshake.avg_us)),
-        ("handshake_p99_us", format!("{:.2}", c.handshake.p99_us)),
-        ("live_high_water", c.established_high_water.to_string()),
-        ("table_capacity", c.table_capacity.to_string()),
-        (
-            "epoll_evts_per_wakeup",
-            format!("{:.2}", c.epoll_events_per_wakeup()),
-        ),
-    ];
-    for (label, value) in rows {
-        out.push_str(&format!("{label:<24} {value:>12}\n"));
-    }
-    out
-}
-
-/// Render the overload/capacity summary from an overload-enabled churn
-/// report: accept-queue pressure, admission outcomes, memory pinning, and
-/// the RPC latency tail. Empty string when the report carries no capacity
-/// data.
-pub fn format_capacity_table(report: &Report) -> String {
-    let Some(c) = &report.capacity else {
-        return String::new();
-    };
-    let mut out = String::new();
-    out.push_str(&format!("{:<24} {:>12}\n", "capacity metric", "value"));
-    let rows: [(&str, String); 14] = [
-        ("policy", c.policy.clone()),
-        ("accept_depth", c.accept_depth.to_string()),
-        ("accept_high_water", c.accept_high_water.to_string()),
-        ("accept_overflows", c.accept_overflows.to_string()),
-        ("syn_cookies", c.syn_cookies.to_string()),
-        ("accept_drops", c.accept_drops.to_string()),
-        ("sheds", c.sheds.to_string()),
-        ("refused", c.refused.to_string()),
-        ("mem_peak_bytes", c.mem_peak_bytes.to_string()),
-        ("alloc_fails", c.alloc_fails.to_string()),
-        ("idle_reaped", c.idle_reaped.to_string()),
-        ("slow_conns", c.slow_conns.to_string()),
-        ("rpc_avg_us", format!("{:.2}", c.rpc.avg_us)),
-        ("rpc_p99_us", format!("{:.2}", c.rpc.p99_us)),
-    ];
-    for (label, value) in rows {
-        out.push_str(&format!("{label:<24} {value:>12}\n"));
-    }
-    out
-}
-
-/// Render the streaming-telemetry summary from a monitored report: snapshot
-/// cadence, goodput envelope across intervals, and the per-stage sketch
-/// quantiles accumulated over the whole measurement window. Empty string
-/// when the report carries no monitor data.
-pub fn format_monitor_table(report: &Report) -> String {
-    let Some(m) = &report.monitor else {
-        return String::new();
-    };
-    let mut out = String::new();
-    out.push_str(&format!("{:<24} {:>12}\n", "monitor metric", "value"));
-    let rows: [(&str, String); 6] = [
-        ("snapshots", m.snapshots.to_string()),
-        ("interval_ms", format!("{:.3}", m.interval_secs * 1e3)),
-        ("sketch_alpha", format!("{:.4}", m.sketch_alpha)),
-        ("goodput_avg_gbps", format!("{:.3}", m.goodput_avg_gbps)),
-        ("goodput_min_gbps", format!("{:.3}", m.goodput_min_gbps)),
-        ("goodput_max_gbps", format!("{:.3}", m.goodput_max_gbps)),
-    ];
-    for (label, value) in rows {
-        out.push_str(&format!("{label:<24} {value:>12}\n"));
-    }
-    if !m.stages.is_empty() {
-        let us = |ns: u64| ns as f64 / 1e3;
-        out.push_str(&format!(
-            "{:<12} {:>10} {:>10} {:>10} {:>10}\n",
-            "stage", "samples", "p50_us", "p99_us", "p999_us"
-        ));
-        for s in &m.stages {
-            out.push_str(&format!(
-                "{:<12} {:>10} {:>10.3} {:>10.3} {:>10.3}\n",
-                s.stage,
-                s.samples,
-                us(s.p50_ns),
-                us(s.p99_ns),
-                us(s.p999_ns),
-            ));
+    for f in Report::FIELDS {
+        let (At::Stored(key, get, _), Some(title)) = (&f.at, f.table) else {
+            continue;
+        };
+        if !f.on(report) {
+            continue;
+        }
+        match get(report).block(key) {
+            Some(body) => out.push_str(&format!("\n{}:\n{body}", title.name)),
+            None => {
+                let mut cells = Vec::new();
+                f.cells(report, View::Table, "", &[], &mut cells);
+                for (label, value) in cells {
+                    out.push_str(&format!("{label}: {value}\n"));
+                }
+            }
         }
     }
     out
@@ -232,11 +122,7 @@ mod tests {
     fn stage_table_rows_and_overflow_warning() {
         use crate::report::StageLatency;
         let mut r = Report::default();
-        assert_eq!(
-            format_stage_table(&r),
-            "",
-            "untraced report renders nothing"
-        );
+        assert_eq!(format_sections(&r), "", "untraced report renders nothing");
         r.stage_latency = vec![StageLatency {
             stage: "sock_queue".into(),
             samples: 42,
@@ -247,24 +133,21 @@ mod tests {
             p999_ns: 9000,
             max_ns: 12000,
         }];
-        let t = format_stage_table(&r);
+        let t = format_sections(&r);
+        assert!(t.contains("\nstage residency (tracer):\nstage "));
         assert!(t.contains("sock_queue"));
         assert!(t.contains("1.000"));
         assert!(t.contains("5.000"));
-        assert!(!t.contains("warning"));
+        assert!(t.contains("trace stamps lost to full rings: 0\n"));
         r.trace_overflow = 3;
-        assert!(format_stage_table(&r).contains("3 stamps lost"));
+        assert!(format_sections(&r).contains("trace stamps lost to full rings: 3\n"));
     }
 
     #[test]
     fn conn_table_renders_only_for_churn_reports() {
         use crate::report::{ConnSummary, LatencyStats};
         let mut r = Report::default();
-        assert_eq!(
-            format_conn_table(&r),
-            "",
-            "non-churn report renders nothing"
-        );
+        assert_eq!(format_sections(&r), "", "non-churn report renders nothing");
         r.conn = Some(ConnSummary {
             opened: 500,
             established: 495,
@@ -278,10 +161,12 @@ mod tests {
             epoll_events: 40,
             ..ConnSummary::default()
         });
-        let t = format_conn_table(&r);
+        let t = format_sections(&r);
+        assert!(t.starts_with("\nconnection lifecycle:\nconn metric "));
         assert!(t.contains("opened"));
         assert!(t.contains("500"));
         assert!(t.contains("50000"));
+        assert!(t.contains("handshake_p99_us"));
         assert!(t.contains("4.00"), "epoll coalescing ratio");
     }
 
@@ -290,7 +175,7 @@ mod tests {
         use crate::report::{CapacitySummary, LatencyStats};
         let mut r = Report::default();
         assert_eq!(
-            format_capacity_table(&r),
+            format_sections(&r),
             "",
             "non-overload report renders nothing"
         );
@@ -307,10 +192,12 @@ mod tests {
             },
             ..CapacitySummary::default()
         });
-        let t = format_capacity_table(&r);
+        let t = format_sections(&r);
+        assert!(t.starts_with("\noverload model:\ncapacity metric "));
         assert!(t.contains("policy"));
         assert!(t.contains("queue"));
         assert!(t.contains("250"));
+        assert!(t.contains("rpc_p99_us"));
         assert!(t.contains("640.00"));
     }
 
@@ -319,7 +206,7 @@ mod tests {
         use crate::report::{MonitorStage, MonitorSummary};
         let mut r = Report::default();
         assert_eq!(
-            format_monitor_table(&r),
+            format_sections(&r),
             "",
             "unmonitored report renders nothing"
         );
@@ -338,11 +225,29 @@ mod tests {
                 p999_ns: 9000,
             }],
         });
-        let t = format_monitor_table(&r);
+        let t = format_sections(&r);
+        assert!(t.starts_with("\nmonitor summary:\nmonitor metric "));
         assert!(t.contains("snapshots"));
         assert!(t.contains("12"));
+        assert!(t.contains("10.000"), "interval rendered in milliseconds");
         assert!(t.contains("38.500"));
         assert!(t.contains("sock_queue"));
         assert!(t.contains("5.000"), "p99 rendered in microseconds");
+    }
+
+    #[test]
+    fn sections_print_in_schema_order() {
+        use crate::report::{CapacitySummary, ConnSummary, MonitorSummary};
+        let r = Report {
+            conn: Some(ConnSummary::default()),
+            capacity: Some(CapacitySummary::default()),
+            monitor: Some(MonitorSummary::default()),
+            ..Report::default()
+        };
+        let t = format_sections(&r);
+        let at = |title: &str| t.find(title).unwrap_or_else(|| panic!("no {title}"));
+        assert!(at("connection lifecycle:") < at("overload model:"));
+        assert!(at("overload model:") < at("monitor summary:"));
+        assert!(!t.contains("stage "), "an empty stage list prints no table");
     }
 }

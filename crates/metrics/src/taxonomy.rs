@@ -14,7 +14,7 @@
 //! | Scheduling | Scheduling / context switching among threads |
 //! | Etc | Remaining functions (e.g. IRQ handling) |
 
-use crate::json::{obj, JsonError, Value};
+use crate::schema::{field, Field, Section};
 use std::fmt;
 use std::ops::{Add, AddAssign, Index, IndexMut};
 
@@ -157,27 +157,10 @@ impl CycleBreakdown {
             .into_iter()
             .map(|c| (c, self.cycles[c.index()]))
     }
+}
 
-    pub(crate) fn to_value(self) -> Value {
-        obj(vec![(
-            "cycles",
-            Value::Arr(self.cycles.iter().map(|&c| Value::UInt(c)).collect()),
-        )])
-    }
-
-    pub(crate) fn from_value(v: &Value) -> Result<CycleBreakdown, JsonError> {
-        let arr = v.get("cycles")?.as_arr()?;
-        if arr.len() != 8 {
-            return Err(JsonError {
-                message: format!("cycles array has {} entries, expected 8", arr.len()),
-            });
-        }
-        let mut cycles = [0u64; 8];
-        for (slot, item) in cycles.iter_mut().zip(arr) {
-            *slot = item.as_u64()?;
-        }
-        Ok(CycleBreakdown { cycles })
-    }
+impl Section for CycleBreakdown {
+    const FIELDS: &'static [Field<Self>] = &[field!(cycles)];
 }
 
 impl Index<Category> for CycleBreakdown {
@@ -212,6 +195,7 @@ impl AddAssign for CycleBreakdown {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::schema::Node;
 
     #[test]
     fn indices_are_dense_and_unique() {
@@ -277,7 +261,8 @@ mod tests {
     fn json_round_trip() {
         let mut b = CycleBreakdown::new();
         b.charge(Category::NetDevice, 42);
-        let back = CycleBreakdown::from_value(&b.to_value()).unwrap();
+        let mut back = CycleBreakdown::new();
+        back.read(&b.to_value()).unwrap();
         assert_eq!(b, back);
     }
 }

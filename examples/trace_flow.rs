@@ -78,10 +78,10 @@ fn main() {
     );
 
     // ── Packet view: where each skb spent its time ──────────────────────
-    println!("\nstage residency (lifecycle tracer, every 4th skb):");
+    println!("\nlifecycle tracer, every 4th skb:");
     print!(
         "{}",
-        hostnet::building_blocks::metrics::format_stage_table(&report)
+        hostnet::building_blocks::metrics::format_sections(&report)
     );
     let lifecycle = world.trace();
     println!(

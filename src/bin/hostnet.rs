@@ -212,23 +212,14 @@ fn execute(cmd: cli::Command) -> ExitCode {
                         report.drops.total()
                     );
                 }
-                let conn_table = hostnet::building_blocks::metrics::format_conn_table(&report);
-                if !conn_table.is_empty() {
-                    println!("\nconnection lifecycle:");
-                    print!("{conn_table}");
-                }
-                let cap_table = hostnet::building_blocks::metrics::format_capacity_table(&report);
-                if !cap_table.is_empty() {
-                    println!("\noverload model:");
-                    print!("{cap_table}");
-                }
+                print!(
+                    "{}",
+                    hostnet::building_blocks::metrics::format_sections(&report)
+                );
                 if run.trace {
-                    let table = hostnet::building_blocks::metrics::format_stage_table(&report);
-                    if table.is_empty() {
+                    if report.stage_latency.is_empty() {
                         println!("\ntrace: no stamped skbs (check --trace-flow / sampling)");
                     } else {
-                        println!("\nstage residency (tracer):");
-                        print!("{table}");
                         println!(
                             "trace: {} events across {} skbs",
                             trace.events(),
@@ -244,7 +235,7 @@ fn execute(cmd: cli::Command) -> ExitCode {
 
 /// `hostnet monitor`: run a monitored churn/capacity scenario, printing a
 /// live interval line per snapshot (and streaming snapshot JSONL to
-/// `--metrics-out`), then the end-of-run summary tables.
+/// `--metrics-out`), then every section of the report.
 ///
 /// Builds the [`hostnet::building_blocks::stack::World`] directly rather
 /// than going through [`Experiment`]: the emit callback is a closure, which
@@ -333,18 +324,8 @@ fn run_monitor(m: cli::MonitorArgs) -> ExitCode {
     if m.json {
         println!("{}", report.to_json());
     } else {
-        println!("\nmonitor summary ({}):", m.label);
-        print!("{}", metrics::format_monitor_table(&report));
-        let conn_table = metrics::format_conn_table(&report);
-        if !conn_table.is_empty() {
-            println!("\nconnection lifecycle:");
-            print!("{conn_table}");
-        }
-        let cap_table = metrics::format_capacity_table(&report);
-        if !cap_table.is_empty() {
-            println!("\noverload model:");
-            print!("{cap_table}");
-        }
+        println!("\n{}:", m.label);
+        print!("{}", metrics::format_sections(&report));
     }
     ExitCode::SUCCESS
 }
@@ -398,8 +379,8 @@ fn apply_faults(c: &mut hostnet::building_blocks::stack::SimConfig, run: &cli::R
 /// `hostnet figures`: run the named figures (all when `names` is empty) in
 /// registry order as one batch on the sweep pool, then print one CSV of
 /// every report or, per figure, its series table, the per-side cycle
-/// taxonomies and any capacity tables. A point whose run fails is named
-/// and the command exits 1.
+/// taxonomies and every present report section. A point whose run fails
+/// is named and the command exits 1.
 fn run_figures(
     names: &[&str],
     csv: bool,
@@ -461,10 +442,10 @@ fn run_figures(
             metrics::format_breakdown_table(&side(|r| &r.receiver.breakdown))
         );
         for r in block {
-            let table = metrics::format_capacity_table(r);
-            if !table.is_empty() {
+            let sections = metrics::format_sections(r);
+            if !sections.is_empty() {
                 println!("\n{}:", r.label);
-                print!("{table}");
+                print!("{sections}");
             }
         }
     }
@@ -490,7 +471,8 @@ usage:
 
 figures (the evaluation sweeps; no names runs every figure, in the order
          above; per figure: series table, per-side cycle taxonomy, and
-         the admission-control tables of figcap):
+         every report section a point produced, e.g. figcap's admission
+         control, fig05c's connection lifecycle, fig03g's stage residency):
   --csv              one CSV of every report instead of tables
   --jobs N|auto      sweep thread-pool size (output identical for any value)
   --quick            short windows (5ms + 8ms) for smoke runs
