@@ -111,7 +111,7 @@ impl ScenarioKind {
                 rate_rps,
             } => hns_workload::open_loop_rpc(topo, clients, size, rate_rps),
             // Churn installs no flows or apps: the engine drives the world
-            // from `SimConfig::churn` (applied in `try_run_traced`).
+            // from `SimConfig::churn` (applied in `Experiment::sim_config`).
             ScenarioKind::Churn { .. } => Scenario::default(),
             ScenarioKind::FabricIncast { senders } => hns_workload::fabric_incast(topo, senders),
             ScenarioKind::FabricMixed {
@@ -241,15 +241,32 @@ impl Experiment {
     /// collector so callers can export timelines (JSONL / Chrome JSON).
     /// The collector is disabled (and empty) unless `cfg.trace.enabled`.
     pub fn try_run_traced(&self) -> Result<(Report, hns_trace::TraceCollector), RunError> {
+        let mut world = self.world();
+        let report = world.try_run(self.warmup, self.measure)?;
+        Ok((report, world.take_trace()))
+    }
+
+    /// The configuration the run simulates: `cfg`, plus the workload of a
+    /// [`ScenarioKind::Churn`] scenario as `cfg.churn`. Its
+    /// [`SimConfig::validate`] is the run's preflight check.
+    pub fn sim_config(&self) -> SimConfig {
         let mut cfg = self.cfg;
         if let ScenarioKind::Churn { churn } = self.scenario {
             cfg.churn = Some(churn);
         }
+        cfg
+    }
+
+    /// Build the world this experiment runs: its configuration, report
+    /// label and installed scenario. The one build path; a caller that
+    /// hooks the world (e.g. with [`World::set_monitor_emit`]) runs it with
+    /// `world.try_run(exp.warmup, exp.measure)`.
+    pub fn world(&self) -> World {
+        let cfg = self.sim_config();
         let mut world = World::new(cfg);
         world.set_label(self.report_label());
         self.scenario.build(&cfg.topology).install(&mut world);
-        let report = world.try_run(self.warmup, self.measure)?;
-        Ok((report, world.take_trace()))
+        world
     }
 }
 

@@ -7,6 +7,8 @@ use hns_nic::steering::SteeringMode;
 use hns_proto::cc::CcAlgo;
 use hns_sim::Duration;
 
+use crate::watchdog::{RunError, RunErrorKind};
+
 /// The paper's incremental optimization levels (Fig. 3a columns): each
 /// level enables everything the previous one does plus one more feature.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -310,6 +312,51 @@ impl SimConfig {
     /// default neutral fabric.
     pub fn hosts(&self) -> usize {
         self.fabric.map_or(2, |f| f.hosts as usize)
+    }
+
+    /// Reject every plan a run cannot honour, before anything is
+    /// simulated: the fault plan (including the stalled core's range), the
+    /// churn and overload plan (which only the in-kernel datapath prices)
+    /// and the monitor. [`crate::World::try_run`] calls it first; front
+    /// ends call it to refuse bad input before running.
+    pub fn validate(&self) -> Result<(), RunError> {
+        let fail = |kind| move |detail| RunError::preflight(kind, detail);
+        self.faults
+            .validate()
+            .map_err(fail(RunErrorKind::BadFaultPlan))?;
+        if let Some(cs) = &self.faults.core_stall {
+            let cores = self.topology.total_cores();
+            if cs.core >= cores {
+                return Err(RunError::preflight(
+                    RunErrorKind::BadFaultPlan,
+                    format!(
+                        "core stall victim core {} out of range (host has {cores})",
+                        cs.core
+                    ),
+                ));
+            }
+        }
+        if let Some(churn) = &self.churn {
+            churn.validate().map_err(fail(RunErrorKind::BadChurnPlan))?;
+            if self.datapath != DatapathKind::InKernel {
+                return Err(RunError::preflight(
+                    RunErrorKind::BadChurnPlan,
+                    format!(
+                        "datapath `{}` is only valid with long-flow scenarios: churn and \
+                         overload handshakes are priced by the in-kernel cost model only, \
+                         so the TOE and bypass backends would mischarge their lifecycle \
+                         frames",
+                        self.datapath.label()
+                    ),
+                ));
+            }
+        }
+        if let Some(monitor) = &self.monitor {
+            monitor
+                .validate()
+                .map_err(fail(RunErrorKind::BadMonitorConfig))?;
+        }
+        Ok(())
     }
 }
 

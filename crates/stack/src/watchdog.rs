@@ -20,6 +20,10 @@ pub enum RunErrorKind {
     /// The churn plan is inconsistent (zero arrival rate, zero shards,
     /// empty pool); nothing was simulated.
     BadChurnPlan,
+    /// The monitor config is one the sketches or the snapshot schedule
+    /// cannot honour (zero interval, alpha outside (0, 0.5)); nothing was
+    /// simulated.
+    BadMonitorConfig,
     /// The scenario references a host or core outside the configured
     /// topology (flow/app host index past the fabric's host count, core
     /// index past the per-host core count); nothing was simulated.
@@ -45,6 +49,7 @@ impl RunErrorKind {
         match self {
             RunErrorKind::BadFaultPlan => "bad-fault-plan",
             RunErrorKind::BadChurnPlan => "bad-churn-plan",
+            RunErrorKind::BadMonitorConfig => "bad-monitor-config",
             RunErrorKind::BadTopology => "bad-topology",
             RunErrorKind::Stalled => "stalled",
             RunErrorKind::EventStorm => "event-storm",
@@ -92,6 +97,19 @@ pub struct RunError {
     pub detail: String,
     /// World state at that moment.
     pub snapshot: Snapshot,
+}
+
+impl RunError {
+    /// An error found before anything was simulated: at t = 0, with an
+    /// empty snapshot.
+    pub fn preflight(kind: RunErrorKind, detail: String) -> Self {
+        RunError {
+            kind,
+            at: SimTime::ZERO,
+            detail,
+            snapshot: Snapshot::default(),
+        }
+    }
 }
 
 impl fmt::Display for RunError {
@@ -154,6 +172,7 @@ mod tests {
     fn kind_names_are_stable() {
         assert_eq!(RunErrorKind::BadFaultPlan.name(), "bad-fault-plan");
         assert_eq!(RunErrorKind::BadTopology.name(), "bad-topology");
+        assert_eq!(RunErrorKind::BadMonitorConfig.name(), "bad-monitor-config");
         assert_eq!(RunErrorKind::EventStorm.name(), "event-storm");
         assert_eq!(RunErrorKind::QueueLeak.name(), "queue-leak");
         assert_eq!(

@@ -280,7 +280,7 @@ pub struct World {
     /// Streaming-telemetry fold (`SimConfig::monitor`); `None` keeps the
     /// whole monitor path to one branch per autotune tick.
     monitor: Option<Box<hns_monitor::MonitorState>>,
-    /// Live snapshot subscriber (the `hostnet monitor` CLI). Called with
+    /// Live snapshot subscriber (`hostnet run --monitor-ms`). Called with
     /// each emitted interval snapshot; absent for batch runs, which read
     /// the roll-up from the report instead.
     monitor_emit: Option<MonitorEmit>,
@@ -343,8 +343,10 @@ impl World {
                 .churn
                 .map(|c| churn::ChurnEngine::new(c, cores, cfg.seed)),
             audit: cfg.audit.then(|| Box::new(audit::AuditState::new(nhosts))),
+            // An invalid monitor config builds nothing; `try_run` reports it.
             monitor: cfg
                 .monitor
+                .filter(|m| m.validate().is_ok())
                 .map(|m| Box::new(hns_monitor::MonitorState::new(m))),
             monitor_emit: None,
             cfg,
@@ -492,16 +494,12 @@ impl World {
     /// returns a [`RunError`] with a diagnostic snapshot instead of
     /// hanging or panicking.
     pub fn try_run(&mut self, warmup: Duration, measure: Duration) -> Result<Report, RunError> {
+        self.cfg.validate()?;
         if let Some(detail) = self.topo_error.clone() {
-            return Err(RunError {
-                kind: RunErrorKind::BadTopology,
-                at: SimTime::ZERO,
-                detail,
-                snapshot: Snapshot::default(),
-            });
+            return Err(RunError::preflight(RunErrorKind::BadTopology, detail));
         }
-        self.arm_faults()?;
-        self.arm_churn()?;
+        self.arm_faults();
+        self.arm_churn();
         self.queue
             .schedule(SimTime::ZERO + warmup, Event::EndWarmup);
         self.queue
@@ -596,28 +594,11 @@ impl World {
         }
     }
 
-    /// Validate the fault plan and apply / schedule every fault window.
-    fn arm_faults(&mut self) -> Result<(), RunError> {
-        let bad_plan = |detail: String| RunError {
-            kind: RunErrorKind::BadFaultPlan,
-            at: SimTime::ZERO,
-            detail,
-            snapshot: Snapshot::default(),
-        };
-        self.cfg.faults.validate().map_err(bad_plan)?;
-        if let Some(cs) = &self.cfg.faults.core_stall {
-            if cs.core >= self.cfg.topology.total_cores() {
-                return Err(bad_plan(format!(
-                    "core stall victim core {} out of range (host has {})",
-                    cs.core,
-                    self.cfg.topology.total_cores()
-                )));
-            }
-        }
+    /// Apply / schedule every fault window of the validated fault plan.
+    fn arm_faults(&mut self) {
         for kind in [FaultKind::Ring, FaultKind::Pool, FaultKind::Stall] {
             self.fault_tick(kind);
         }
-        Ok(())
     }
 
     /// Record a watchdog error and stop the event loop.
@@ -2448,6 +2429,32 @@ mod tests {
             ..SimConfig::default()
         });
         assert!(w.topo_error.is_none());
+    }
+
+    #[test]
+    fn bad_monitor_config_is_a_run_error_not_a_panic() {
+        use hns_monitor::MonitorConfig;
+        for monitor in [
+            MonitorConfig {
+                alpha: 0.0,
+                ..MonitorConfig::default()
+            },
+            MonitorConfig {
+                interval: Duration::ZERO,
+                ..MonitorConfig::default()
+            },
+        ] {
+            let mut w = World::new(SimConfig {
+                monitor: Some(monitor),
+                ..SimConfig::default()
+            });
+            assert!(w.monitor.is_none(), "{monitor:?} built a monitor");
+            let err = w
+                .try_run(Duration::from_millis(1), Duration::from_millis(1))
+                .unwrap_err();
+            assert_eq!(err.kind, RunErrorKind::BadMonitorConfig, "{monitor:?}");
+            assert!(err.detail.contains("monitor"), "{}", err.detail);
+        }
     }
 
     #[test]

@@ -41,7 +41,6 @@ use hns_sim::{Duration, SimTime};
 use hns_trace::StageId;
 
 use super::{Charges, Event, World};
-use crate::watchdog::{RunError, RunErrorKind, Snapshot};
 
 /// Clients run on host 0, servers on host 1 (matching the long-flow world
 /// where host 0 sends and host 1 receives).
@@ -145,36 +144,12 @@ impl ChurnEngine {
 }
 
 impl World {
-    /// Validate the churn plan, pre-install the pool, and schedule the
+    /// Pre-install the pool of the validated churn plan, and schedule the
     /// first arrival and the TIME_WAIT reaper. Called from `try_run`.
-    pub(super) fn arm_churn(&mut self) -> Result<(), RunError> {
+    pub(super) fn arm_churn(&mut self) {
         let Some(ccfg) = self.cfg.churn else {
-            return Ok(());
+            return;
         };
-        ccfg.validate().map_err(|detail| RunError {
-            kind: RunErrorKind::BadChurnPlan,
-            at: SimTime::ZERO,
-            detail,
-            snapshot: Snapshot::default(),
-        })?;
-        // Churn handshakes are priced by the in-kernel cost model only;
-        // under an offload/bypass backend their frames would silently be
-        // charged as in-kernel residue. Refuse loudly until per-backend
-        // handshake modeling exists (the CLI rejects this earlier with the
-        // same reasoning; this guards programmatic configs).
-        if self.cfg.datapath != crate::config::DatapathKind::InKernel {
-            return Err(RunError {
-                kind: RunErrorKind::BadChurnPlan,
-                at: SimTime::ZERO,
-                detail: format!(
-                    "churn/overload scenarios require the in-kernel datapath \
-                     (got `{}`): per-backend handshake modeling is not \
-                     implemented, so lifecycle frames would be mischarged",
-                    self.cfg.datapath.label()
-                ),
-                snapshot: Snapshot::default(),
-            });
-        }
         let ncores = self.cfg.topology.total_cores() as u64;
         if let ChurnMode::Pool { conns } = ccfg.mode {
             // Seed the pool fully established — the historical handshakes
@@ -204,7 +179,6 @@ impl World {
             SimTime::ZERO + ccfg.reap_interval,
             std::iter::once(Event::TimeWaitTick).chain(idle_reap.then_some(Event::IdleReapTick)),
         );
-        Ok(())
     }
 
     /// Charge a one-off batch of cycles straight to (host, core), outside

@@ -6,7 +6,7 @@ use hns_nic::steering::SteeringMode;
 use hns_proto::cc::CcAlgo;
 use hns_sim::Duration;
 use hns_stack::config::RcvBufPolicy;
-use hns_stack::{AppSpec, FlowSpec, SimConfig, World};
+use hns_stack::{AppSpec, FlowSpec, RunErrorKind, SimConfig, World};
 use proptest::prelude::*;
 
 #[derive(Clone, Debug)]
@@ -151,5 +151,109 @@ proptest! {
         // softirq backlog — bounded by rcvbuf-scale numbers, not unbounded.
         let queued: usize = w.flows.iter().map(|f| f.rx_queue.len()).sum();
         prop_assert!(queued < 100_000, "rx queues exploded: {queued}");
+    }
+}
+
+/// One knob of an otherwise runnable config pushed out of range, and the
+/// error kind `try_run` must refuse it with.
+fn bad_config(knob: u8, r: u64) -> (SimConfig, RunErrorKind) {
+    use hns_conn::{ChurnConfig, ChurnMode};
+    use hns_faults::{CoreStall, PhaseSchedule};
+    use hns_monitor::MonitorConfig;
+    use hns_stack::{DatapathKind, FabricConfig};
+
+    let mut cfg = SimConfig::default();
+    let mut churn = ChurnConfig::default();
+    let x = (r >> 8) as f64;
+    let kind = match knob {
+        0 => {
+            let alpha = [0.0, -x, 0.5 + x, f64::NAN, f64::INFINITY][(r % 5) as usize];
+            cfg.monitor = Some(MonitorConfig {
+                alpha,
+                ..MonitorConfig::default()
+            });
+            RunErrorKind::BadMonitorConfig
+        }
+        1 => {
+            cfg.monitor = Some(MonitorConfig {
+                interval: Duration::ZERO,
+                ..MonitorConfig::default()
+            });
+            RunErrorKind::BadMonitorConfig
+        }
+        2 => {
+            churn.rate_cps = [0.0, -x, f64::NAN, f64::INFINITY][(r % 4) as usize];
+            cfg.churn = Some(churn);
+            RunErrorKind::BadChurnPlan
+        }
+        3 => {
+            churn.shards = [0, 257 + (r % (u16::MAX as u64 - 256)) as u16][(r % 2) as usize];
+            cfg.churn = Some(churn);
+            RunErrorKind::BadChurnPlan
+        }
+        4 => {
+            let ov = &mut churn.overload;
+            ov.enabled = true;
+            match r % 5 {
+                0 => ov.accept_queue = 0,
+                1 => ov.slow_prob = [-1.0 - x, 1.0 + x + 1e-9][(r % 2) as usize],
+                2 => ov.mem_budget = 1 + (r >> 8) % (ov.sock_bytes - 1),
+                3 => {
+                    ov.slow_prob = 0.5;
+                    ov.think_shape = -x;
+                }
+                _ => {
+                    ov.slow_prob = 0.5;
+                    ov.think_cap = ov.think_min / 2;
+                }
+            }
+            cfg.churn = Some(churn);
+            RunErrorKind::BadChurnPlan
+        }
+        5 => {
+            churn.mode = ChurnMode::Pool { conns: 1000 };
+            churn.overload.enabled = true;
+            cfg.churn = Some(churn);
+            RunErrorKind::BadChurnPlan
+        }
+        6 => {
+            let cores = cfg.topology.total_cores();
+            cfg.faults.core_stall = Some(CoreStall {
+                window: PhaseSchedule::once(Duration::ZERO, Duration::from_millis(1)),
+                host: 1,
+                core: cores + (r % (u16::MAX - cores) as u64) as u16,
+            });
+            RunErrorKind::BadFaultPlan
+        }
+        7 => {
+            cfg.datapath = [DatapathKind::ToeOffload, DatapathKind::UserBypass][(r % 2) as usize];
+            cfg.churn = Some(churn);
+            RunErrorKind::BadChurnPlan
+        }
+        _ => {
+            cfg.fabric = Some(FabricConfig::neutral([0, 1, 257][(r % 3) as usize]));
+            RunErrorKind::BadTopology
+        }
+    };
+    (cfg, kind)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// No reachable `SimConfig` panics: an out-of-range knob is a
+    /// `RunError` from `try_run`, of the kind that names the knob, and
+    /// never a panic in `World::new` or the run.
+    #[test]
+    fn out_of_range_configs_are_run_errors_not_panics(knob in 0u8..9, r in any::<u64>()) {
+        let (cfg, kind) = bad_config(knob, r);
+        let outcome = std::panic::catch_unwind(|| {
+            World::new(cfg).try_run(Duration::from_millis(1), Duration::from_millis(1))
+        });
+        match outcome {
+            Ok(Err(e)) => prop_assert_eq!(e.kind, kind, "{:?}: {}", cfg, e),
+            Ok(Ok(_)) => prop_assert!(false, "knob {knob} ran: {cfg:?}"),
+            Err(_) => prop_assert!(false, "knob {knob} panicked: {cfg:?}"),
+        }
     }
 }

@@ -6,9 +6,9 @@
 //! hostnet run rpc --clients 16 --size 4096 --remote-server
 //! hostnet run mixed --shorts 16
 //! hostnet run churn --admission shed --accept-queue 64 --slow-prob 0.25
+//! hostnet run incast --flows 4 --monitor-ms 2 --metrics-out metrics.jsonl
 //! hostnet figures fig06 fig12 --csv
 //! hostnet figures figcap --quick --audited
-//! hostnet monitor --clients 250 --policy queue --metrics-out metrics.jsonl
 //! hostnet audit --runs 200 --seed 1
 //! hostnet list
 //! ```
@@ -19,7 +19,7 @@
 use hostnet::building_blocks::proto::cc::CcAlgo;
 use hostnet::building_blocks::sim::Duration;
 use hostnet::building_blocks::stack::config::RcvBufPolicy;
-use hostnet::building_blocks::stack::DatapathKind;
+use hostnet::building_blocks::stack::{DatapathKind, StackConfig};
 use hostnet::{Experiment, OptLevel, Placement, ScenarioKind};
 
 use std::process::ExitCode;
@@ -66,7 +66,6 @@ fn execute(cmd: cli::Command) -> ExitCode {
             quick,
             audited,
         } => run_figures(&names, csv, jobs, quick, audited),
-        cli::Command::Monitor(m) => run_monitor(*m),
         cli::Command::Audit(opts) => {
             let outcome = hostnet::run_audit(&opts);
             if outcome.ok() {
@@ -105,172 +104,23 @@ fn execute(cmd: cli::Command) -> ExitCode {
                 ExitCode::FAILURE
             }
         }
-        cli::Command::Run(run) => {
-            let mut exp = Experiment::new(run.scenario);
-            if let Some(level) = run.level {
-                exp = exp.at_level(level);
-            }
-            exp = exp.configure(|c| {
-                c.seed = run.seed;
-                c.link.loss = hns_faults::LossModel::uniform(run.loss);
-                if let Some(mtu) = run.mtu {
-                    c.stack.mtu = mtu;
-                }
-                if let Some(cc) = run.cc {
-                    c.stack.cc = cc;
-                }
-                if let Some(ring) = run.ring {
-                    c.stack.rx_descriptors = ring;
-                }
-                if let Some(kb) = run.rcvbuf_kb {
-                    c.stack.rcvbuf = RcvBufPolicy::Fixed(kb * 1024);
-                }
-                c.stack.dca = !run.no_dca;
-                c.stack.iommu = run.iommu;
-                c.stack.zerocopy_tx = run.zerocopy_tx;
-                c.stack.zerocopy_rx = run.zerocopy_rx;
-                if let Some(dp) = run.datapath {
-                    c.datapath = dp;
-                }
-                if run.trace {
-                    c.trace = hostnet::building_blocks::trace::TraceConfig {
-                        enabled: true,
-                        sample_every: run.trace_sample_every,
-                        flow: run.trace_flow,
-                        ..hostnet::building_blocks::trace::TraceConfig::DISABLED
-                    };
-                }
-                apply_faults(c, &run);
-            });
-            exp.warmup = Duration::from_millis(run.warmup_ms);
-            exp.measure = Duration::from_millis(run.measure_ms);
-
-            let (report, trace) = match exp.try_run_traced() {
-                Ok(r) => r,
-                Err(e) => {
-                    eprintln!("run did not quiesce: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            if let Some(path) = &run.trace_out {
-                use hostnet::building_blocks::trace::export;
-                let body = if run.trace_chrome {
-                    export::to_chrome(&trace)
-                } else {
-                    export::to_jsonl(&trace)
-                };
-                if let Err(e) = std::fs::write(path, body) {
-                    eprintln!("--trace-out: cannot write `{path}`: {e}");
-                    return ExitCode::FAILURE;
-                }
-                eprintln!(
-                    "trace: {} events ({} skbs) written to {path}",
-                    trace.events(),
-                    trace.summary().skbs
-                );
-            }
-            if run.json {
-                println!("{}", report.to_json());
-            } else {
-                print!(
-                    "{}",
-                    hostnet::building_blocks::metrics::format_series_table(std::slice::from_ref(
-                        &report
-                    ))
-                );
-                println!("\nreceiver breakdown:");
-                for (cat, _) in report.receiver.breakdown.iter() {
-                    println!(
-                        "  {:<12} {:>5.1}%",
-                        cat.label(),
-                        report.receiver.breakdown.fraction(cat) * 100.0
-                    );
-                }
-                if report.rpcs_completed > 0 {
-                    println!(
-                        "\nrpcs: {} ({:.0}/s)",
-                        report.rpcs_completed,
-                        report.rpcs_completed as f64 / report.window_secs
-                    );
-                }
-                if report.retransmissions > 0 {
-                    println!(
-                        "loss: {} wire drops, {} ring drops, {} retransmissions",
-                        report.wire_drops, report.ring_drops, report.retransmissions
-                    );
-                }
-                if report.drops.total() > 0 {
-                    let mut parts = Vec::new();
-                    for (bucket, n) in report.drops.buckets() {
-                        if n > 0 {
-                            parts.push(format!("{bucket} {n}"));
-                        }
-                    }
-                    println!(
-                        "drop taxonomy: {} ({} frames attributed)",
-                        parts.join(", "),
-                        report.drops.total()
-                    );
-                }
-                print!(
-                    "{}",
-                    hostnet::building_blocks::metrics::format_sections(&report)
-                );
-                if run.trace {
-                    if report.stage_latency.is_empty() {
-                        println!("\ntrace: no stamped skbs (check --trace-flow / sampling)");
-                    } else {
-                        println!(
-                            "trace: {} events across {} skbs",
-                            trace.events(),
-                            trace.summary().skbs
-                        );
-                    }
-                }
-            }
-            ExitCode::SUCCESS
-        }
+        cli::Command::Run(exp, out) => run(&exp, &out),
     }
 }
 
-/// `hostnet monitor`: run a monitored churn/capacity scenario, printing a
-/// live interval line per snapshot (and streaming snapshot JSONL to
-/// `--metrics-out`), then every section of the report.
-///
-/// Builds the [`hostnet::building_blocks::stack::World`] directly rather
-/// than going through [`Experiment`]: the emit callback is a closure, which
-/// an `Experiment` (being `Clone`) cannot carry. Churn scenarios install no
-/// flows or apps, so nothing else from the scenario builder is needed.
-fn run_monitor(m: cli::MonitorArgs) -> ExitCode {
-    use hostnet::building_blocks::{metrics, monitor, stack, trace};
-    use std::cell::{Cell, RefCell};
+/// `hostnet run`: build the experiment's world and run it, streaming each
+/// monitor snapshot (a live line unless `--json`, a JSONL line to
+/// `--metrics-out`) when the config has a monitor; then write the trace and
+/// print the report.
+fn run(exp: &Experiment, out: &cli::Output) -> ExitCode {
+    use hostnet::building_blocks::{metrics, trace::export};
+    use std::cell::Cell;
     use std::io::Write as _;
     use std::rc::Rc;
 
-    let warmup_ms = m.warmup_ms.unwrap_or(if m.quick { 5 } else { 20 });
-    let duration_ms = m.duration_ms.unwrap_or(if m.quick { 30 } else { 100 });
-    let interval_ms = m.interval_ms.unwrap_or(if m.quick { 5 } else { 10 });
-
-    // The sketches ride the lifecycle tracer's sampler — one instrumentation
-    // layer, sampled, not a second one.
-    let cfg = stack::SimConfig {
-        seed: m.seed,
-        churn: Some(m.churn),
-        monitor: Some(monitor::MonitorConfig {
-            interval: Duration::from_millis(interval_ms),
-            ..monitor::MonitorConfig::default()
-        }),
-        trace: trace::TraceConfig {
-            enabled: true,
-            sample_every: m.trace_sample,
-            ..trace::TraceConfig::DISABLED
-        },
-        ..stack::SimConfig::default()
-    };
-
-    let writer: Option<Rc<RefCell<std::io::BufWriter<std::fs::File>>>> = match &m.metrics_out {
+    let mut metrics_out = match &out.metrics_out {
         Some(path) => match std::fs::File::create(path) {
-            Ok(f) => Some(Rc::new(RefCell::new(std::io::BufWriter::new(f)))),
+            Ok(f) => Some(std::io::BufWriter::new(f)),
             Err(e) => {
                 eprintln!("--metrics-out: cannot create `{path}`: {e}");
                 return ExitCode::FAILURE;
@@ -279,19 +129,15 @@ fn run_monitor(m: cli::MonitorArgs) -> ExitCode {
         None => None,
     };
     let write_failed = Rc::new(Cell::new(false));
-
-    let mut world = stack::World::new(cfg);
-    world.set_label(m.label.clone());
+    let mut world = exp.world();
     {
-        let writer = writer.clone();
         let write_failed = Rc::clone(&write_failed);
-        let live = !m.json;
+        let live = !out.json;
         world.set_monitor_emit(Box::new(move |s| {
             if live {
                 println!("{}", s.human_line());
             }
-            if let Some(w) = &writer {
-                let mut w = w.borrow_mut();
+            if let Some(w) = &mut metrics_out {
                 // Flush per line so the file is a live stream, not a
                 // buffered batch that appears at exit.
                 if writeln!(w, "{}", s.to_jsonl())
@@ -303,77 +149,92 @@ fn run_monitor(m: cli::MonitorArgs) -> ExitCode {
             }
         }));
     }
-
-    let report = match world.try_run(
-        Duration::from_millis(warmup_ms),
-        Duration::from_millis(duration_ms),
-    ) {
+    let report = match world.try_run(exp.warmup, exp.measure) {
         Ok(r) => r,
         Err(e) => {
-            eprintln!("monitor run did not quiesce: {e}");
+            eprintln!("run did not quiesce: {e}");
             return ExitCode::FAILURE;
         }
     };
     if write_failed.get() {
         eprintln!(
             "--metrics-out: write to `{}` failed",
-            m.metrics_out.as_deref().unwrap_or("?")
+            out.metrics_out.as_deref().unwrap_or("?")
         );
         return ExitCode::FAILURE;
     }
-    if m.json {
+    let trace = world.take_trace();
+    if let Some(path) = &out.trace_out {
+        let body = if out.trace_chrome {
+            export::to_chrome(&trace)
+        } else {
+            export::to_jsonl(&trace)
+        };
+        if let Err(e) = std::fs::write(path, body) {
+            eprintln!("--trace-out: cannot write `{path}`: {e}");
+            return ExitCode::FAILURE;
+        }
+        eprintln!(
+            "trace: {} events ({} skbs) written to {path}",
+            trace.events(),
+            trace.summary().skbs
+        );
+    }
+    if out.json {
         println!("{}", report.to_json());
-    } else {
-        println!("\n{}:", m.label);
-        print!("{}", metrics::format_sections(&report));
+        return ExitCode::SUCCESS;
+    }
+    print!(
+        "{}",
+        metrics::format_series_table(std::slice::from_ref(&report))
+    );
+    println!("\nreceiver breakdown:");
+    for (cat, _) in report.receiver.breakdown.iter() {
+        println!(
+            "  {:<12} {:>5.1}%",
+            cat.label(),
+            report.receiver.breakdown.fraction(cat) * 100.0
+        );
+    }
+    if report.rpcs_completed > 0 {
+        println!(
+            "\nrpcs: {} ({:.0}/s)",
+            report.rpcs_completed,
+            report.rpcs_completed as f64 / report.window_secs
+        );
+    }
+    if report.retransmissions > 0 {
+        println!(
+            "loss: {} wire drops, {} ring drops, {} retransmissions",
+            report.wire_drops, report.ring_drops, report.retransmissions
+        );
+    }
+    if report.drops.total() > 0 {
+        let mut parts = Vec::new();
+        for (bucket, n) in report.drops.buckets() {
+            if n > 0 {
+                parts.push(format!("{bucket} {n}"));
+            }
+        }
+        println!(
+            "drop taxonomy: {} ({} frames attributed)",
+            parts.join(", "),
+            report.drops.total()
+        );
+    }
+    print!("{}", metrics::format_sections(&report));
+    if exp.cfg.trace.enabled {
+        if report.stage_latency.is_empty() {
+            println!("\ntrace: no stamped skbs (check --trace-flow / sampling)");
+        } else {
+            println!(
+                "trace: {} events across {} skbs",
+                trace.events(),
+                trace.summary().skbs
+            );
+        }
     }
     ExitCode::SUCCESS
-}
-
-/// Translate the CLI's `--fault-*` flags into the simulation's fault plan.
-/// Scheduled faults (flap, spike, ring, pool, stall) share one window
-/// starting at `--fault-at-ms`; resource faults target the receiver host.
-fn apply_faults(c: &mut hostnet::building_blocks::stack::SimConfig, run: &cli::RunArgs) {
-    use hostnet::building_blocks::faults::{
-        CoreStall, LatencySpike, LossModel, PhaseSchedule, PoolPressure, RingExhaust,
-    };
-
-    let ms = |v: f64| Duration::from_nanos((v * 1e6) as u64);
-    let window = |d: f64| PhaseSchedule::once(ms(run.fault_at_ms), ms(d));
-
-    if run.burst_loss > 0.0 {
-        c.link.loss = LossModel::bursty(run.burst_loss, run.burst_len);
-    }
-    if run.flap_ms > 0.0 {
-        c.link.flap = Some(window(run.flap_ms));
-    }
-    if run.spike_ms > 0.0 {
-        c.link.latency_spike = Some(LatencySpike {
-            window: window(run.spike_ms),
-            extra: Duration::from_micros(100),
-        });
-    }
-    if run.ring_ms > 0.0 {
-        c.faults.ring_exhaust = Some(RingExhaust {
-            window: window(run.ring_ms),
-            host: 1,
-        });
-    }
-    if run.pool_ms > 0.0 {
-        c.faults.pool_pressure = Some(PoolPressure {
-            window: window(run.pool_ms),
-            host: 1,
-        });
-    }
-    if run.stall_ms > 0.0 {
-        c.faults.core_stall = Some(CoreStall {
-            window: window(run.stall_ms),
-            host: 1,
-            core: 0,
-        });
-    }
-    c.watchdog_horizon = Duration::from_millis(run.watchdog_ms);
-    c.max_backlog = run.max_backlog;
 }
 
 /// `hostnet figures`: run the named figures (all when `names` is empty) in
@@ -464,7 +325,6 @@ usage:
                    fig08|fig09|fig09b|fig05c|fig10|fig11|fig12|fig13|figcap|
                    figincast|figback|ablations]...
                   [--csv] [--jobs N|auto] [--quick] [--audited]
-  hostnet monitor [options]
   hostnet audit [--runs N] [--seed S] [--out DIR] [--quiet]
   hostnet list
   hostnet help
@@ -480,24 +340,6 @@ figures (the evaluation sweeps; no names runs every figure, in the order
   figcap             admission policy x concurrent clients at fixed cores
   figincast          switch fan-in through the shared-buffer ToR, ECN off/on
   figback            in-kernel vs TCP offload vs kernel-bypass datapaths
-
-monitor (streaming telemetry: live interval lines + JSONL snapshots,
-         quantile sketches fed by the sampled lifecycle tracer):
-  --scenario S       capacity | churn                     (default capacity)
-  --clients N        capacity clients (400 conn/s each)   (default 250)
-  --policy P         capacity admission: drop|queue|shed  (default queue)
-  --rate CPS         churn connection arrivals per second (default 100000)
-  --rpc-size BYTES   RPC request/response size            (default 4096)
-  --rpc-size-dist D  fixed | pareto:<min>:<shape>:<cap>   (default fixed)
-  --seed N           RNG seed                             (default 1)
-  --warmup-ms N      warmup window                        (default 20)
-  --duration-ms N    measured window                      (default 100)
-  --interval-ms N    snapshot interval                    (default 10)
-  --trace-sample-every N  tracer sampling period feeding the sketches
-                          (default 8)
-  --metrics-out PATH stream snapshot JSONL to PATH
-  --quick            smoke windows (5ms + 30ms, 5ms snapshots)
-  --json             emit the final report as JSON (no live lines)
 
 audit (differential config fuzzer, every run under the invariant auditor):
   --runs N           fuzz cases to run                    (default 200)
@@ -528,6 +370,10 @@ options:
   --zerocopy-rx      TCP mmap receive path (§4)
   --datapath B       inkernel | toe | bypass datapath backend (§4, default
                      inkernel; toe = on-NIC protocol, bypass = busy-poll)
+  --seed N           RNG seed                             (default 1)
+  --warmup-ms N      warmup window                        (default 20)
+  --measure-ms N     measurement window                   (default 30)
+  --json             emit the full report as JSON (and no live monitor lines)
   --churn-rate CPS   connection arrivals per second       (default 100000)
   --churn-mode M     handshake | rpc | pool               (default handshake)
   --churn-conns N    pool population for --churn-mode pool (default 100000)
@@ -540,10 +386,6 @@ overload model (churn scenario only; any flag enables it):
   --mem-budget-kb N  connection memory budget (0 = unlimited, default 0)
   --idle-timeout-ms T  reap established conns idle longer than T (0 = off)
   --slow-prob P      fraction of clients with heavy-tailed think times
-  --seed N           RNG seed                             (default 1)
-  --warmup-ms N      warmup window                        (default 20)
-  --measure-ms N     measurement window                   (default 30)
-  --json             emit the full report as JSON
 
 tracing (any --trace-* flag implies --trace):
   --trace                  trace every skb through the 14 pipeline stages
@@ -551,6 +393,11 @@ tracing (any --trace-* flag implies --trace):
   --trace-flow F           only trace flow id F
   --trace-out PATH         write the per-skb trace to PATH
   --trace-format F         jsonl | chrome (Perfetto)       (default jsonl)
+
+monitoring (any scenario: a live line per snapshot interval, per-stage
+            quantile sketches fed by the sampled lifecycle tracer):
+  --monitor-ms N     snapshot interval in ms; implies --trace   (default 10)
+  --metrics-out PATH stream snapshot JSONL to PATH; implies --monitor-ms
 
 fault injection (all deterministic; scheduled faults share one window):
   --fault-at-ms T        fault window start in ms             (default 30)
@@ -572,8 +419,8 @@ fault injection (all deterministic; scheduled faults share one window):
         Help,
         /// `hostnet list`.
         List,
-        /// `hostnet run …` (boxed: RunArgs dwarfs the other variants).
-        Run(Box<RunArgs>),
+        /// `hostnet run …`: the experiment, and what to do with its output.
+        Run(Box<Experiment>, Output),
         /// `hostnet figures [names…] [--csv] [--jobs N] [--quick] [--audited]`.
         Figures {
             /// Registered figures to run (empty = all), see
@@ -589,103 +436,22 @@ fault injection (all deterministic; scheduled faults share one window):
             /// Run every point under the invariant auditor.
             audited: bool,
         },
-        /// `hostnet monitor [options]` (boxed: MonitorArgs carries a full
-        /// churn config).
-        Monitor(Box<MonitorArgs>),
         /// `hostnet audit [--runs N] [--seed S] [--out DIR] [--quiet]`.
         Audit(hostnet::AuditOptions),
     }
 
-    /// Options of `hostnet monitor` (streaming telemetry over a churn run).
-    #[derive(Debug)]
-    pub struct MonitorArgs {
-        /// Fully built and validated churn workload.
-        pub churn: hostnet::building_blocks::conn::ChurnConfig,
-        /// Display label for the run.
-        pub label: String,
-        /// RNG seed.
-        pub seed: u64,
-        /// Warmup window, ms; `None` = default (20, or 5 with `--quick`).
-        pub warmup_ms: Option<u64>,
-        /// Measured window, ms; `None` = default (100, or 30 with `--quick`).
-        pub duration_ms: Option<u64>,
-        /// Snapshot interval, ms; `None` = default (10, or 5 with `--quick`).
-        pub interval_ms: Option<u64>,
-        /// Lifecycle-tracer sampling period feeding the sketches.
-        pub trace_sample: u32,
-        /// Stream snapshot JSONL to this path.
-        pub metrics_out: Option<String>,
-        /// Smoke windows (5ms warmup + 30ms measure, 5ms snapshots).
-        pub quick: bool,
-        /// Emit the final report as JSON and suppress the live lines.
+    /// What `hostnet run` does with a run's output. Every other flag is a
+    /// simulation setting and lands in the [`Experiment`].
+    #[derive(Debug, Default)]
+    pub struct Output {
+        /// Print the report as JSON, and no live monitor lines.
         pub json: bool,
-    }
-
-    /// Options of `hostnet run`.
-    #[derive(Debug)]
-    pub struct RunArgs {
-        /// Scenario to execute.
-        pub scenario: ScenarioKind,
-        /// Optimization level override.
-        pub level: Option<OptLevel>,
-        /// Congestion control override.
-        pub cc: Option<CcAlgo>,
-        /// In-network loss probability.
-        pub loss: f64,
-        /// MTU override.
-        pub mtu: Option<u32>,
-        /// Rx descriptor override.
-        pub ring: Option<u32>,
-        /// Pinned receive buffer in KB.
-        pub rcvbuf_kb: Option<u64>,
-        /// Disable DDIO.
-        pub no_dca: bool,
-        /// Enable the IOMMU.
-        pub iommu: bool,
-        /// MSG_ZEROCOPY.
-        pub zerocopy_tx: bool,
-        /// TCP mmap receive.
-        pub zerocopy_rx: bool,
-        /// Datapath backend override (in-kernel / TOE / bypass).
-        pub datapath: Option<DatapathKind>,
-        /// Seed.
-        pub seed: u64,
-        /// Warmup window (ms).
-        pub warmup_ms: u64,
-        /// Measurement window (ms).
-        pub measure_ms: u64,
-        /// Emit JSON.
-        pub json: bool,
-        /// Start of every scheduled fault window, ms.
-        pub fault_at_ms: f64,
-        /// Gilbert–Elliott long-run loss rate (0 = none).
-        pub burst_loss: f64,
-        /// Mean loss-burst length in frames.
-        pub burst_len: f64,
-        /// Link-flap duration, ms (0 = none).
-        pub flap_ms: f64,
-        /// Latency-spike duration, ms (0 = none).
-        pub spike_ms: f64,
-        /// Rx-ring exhaustion duration, ms (0 = none).
-        pub ring_ms: f64,
-        /// Page-pool failure duration, ms (0 = none).
-        pub pool_ms: f64,
-        /// Core-stall duration, ms (0 = none).
-        pub stall_ms: f64,
-        /// Watchdog horizon, ms (0 disables).
-        pub watchdog_ms: u64,
-        /// Softirq backlog cap in frames (0 disables).
-        pub max_backlog: u32,
-        /// Enable the per-skb lifecycle tracer.
-        pub trace: bool,
-        /// Trace every Nth skb (1 = all).
-        pub trace_sample_every: u32,
-        /// Only trace this flow id.
-        pub trace_flow: Option<u64>,
-        /// Write the trace to this path.
+        /// Write the per-skb trace to this path.
         pub trace_out: Option<String>,
-        /// Export format: JSONL records or Chrome trace_event JSON.
+        /// Export the trace as Chrome trace_event JSON instead of JSONL.
         pub trace_chrome: bool,
+        /// Stream monitor snapshot JSONL to this path.
+        pub metrics_out: Option<String>,
     }
 
     /// Parse a full argument vector.
@@ -694,9 +460,8 @@ fault injection (all deterministic; scheduled faults share one window):
         match it.next().map(String::as_str) {
             None | Some("help") | Some("--help") | Some("-h") => Ok(Command::Help),
             Some("list") => Ok(Command::List),
-            Some("run") => parse_run(&args[1..]).map(|r| Command::Run(Box::new(r))),
+            Some("run") => parse_run(&args[1..]),
             Some("figures") => parse_figures(&args[1..]),
-            Some("monitor") => parse_monitor(&args[1..]).map(|m| Command::Monitor(Box::new(m))),
             Some("audit") => {
                 let mut opts = hostnet::AuditOptions::new(200, 1);
                 opts.progress = true;
@@ -761,13 +526,48 @@ fault injection (all deterministic; scheduled faults share one window):
         })
     }
 
-    fn parse_run(args: &[String]) -> Result<RunArgs, String> {
+    /// The `run` flags that only the churn scenario takes, besides
+    /// [`OVERLOAD_FLAGS`].
+    const CHURN_FLAGS: [&str; 4] = [
+        "--churn-rate",
+        "--churn-mode",
+        "--churn-conns",
+        "--rpc-size-dist",
+    ];
+
+    /// The churn scenario's overload-model flags; any of them switches the
+    /// model on.
+    const OVERLOAD_FLAGS: [&str; 5] = [
+        "--admission",
+        "--accept-queue",
+        "--mem-budget-kb",
+        "--idle-timeout-ms",
+        "--slow-prob",
+    ];
+
+    /// A `run` flag's edit of the stack config, applied after `--level`.
+    type StackEdit = Box<dyn Fn(&mut StackConfig)>;
+
+    fn parse_run(args: &[String]) -> Result<Command, String> {
+        use hostnet::building_blocks::conn::{AdmissionPolicy, OverloadConfig};
+        use hostnet::building_blocks::faults::{
+            CoreStall, LatencySpike, LossModel, PhaseSchedule, PoolPressure, RingExhaust,
+        };
+        use hostnet::building_blocks::monitor::MonitorConfig;
+        use hostnet::building_blocks::workload;
+
         let scenario_name = args
             .first()
             .ok_or_else(|| "run: missing scenario".to_string())?
             .clone();
 
-        // Defaults, possibly overridden by flags below.
+        // Settings land in `exp` as they are parsed. Only what needs more
+        // than one flag waits for the end: the scenario and its churn
+        // workload, the stack overrides (applied after `--level`, whatever
+        // the flag order) and the fault durations (which share the
+        // `--fault-at-ms` window).
+        let mut exp = Experiment::new(ScenarioKind::Single);
+        let mut out = Output::default();
         let mut flows = 8u16;
         let mut clients = 16u16;
         let mut size = 4096u32;
@@ -776,110 +576,68 @@ fault injection (all deterministic; scheduled faults share one window):
         let mut churn_rate = 100_000.0f64;
         let mut churn_mode = String::from("handshake");
         let mut churn_conns = 100_000u32;
-        let mut rpc_size_dist: Option<hostnet::building_blocks::conn::RpcSizeDist> = None;
-        let mut admission: Option<String> = None;
-        let mut accept_queue: Option<u32> = None;
-        let mut mem_budget_kb: Option<u64> = None;
-        let mut idle_timeout_ms: Option<f64> = None;
-        let mut slow_prob: Option<f64> = None;
+        let mut rpc_size_dist = None;
+        let mut overload = OverloadConfig::default();
         // Churn-only flags actually given, so a non-churn scenario can
         // reject them instead of silently ignoring them.
         let mut churn_flags: Vec<&'static str> = Vec::new();
-
-        let mut out = RunArgs {
-            scenario: ScenarioKind::Single, // placeholder, set at the end
-            level: None,
-            cc: None,
-            loss: 0.0,
-            mtu: None,
-            ring: None,
-            rcvbuf_kb: None,
-            no_dca: false,
-            iommu: false,
-            zerocopy_tx: false,
-            zerocopy_rx: false,
-            datapath: None,
-            seed: 1,
-            warmup_ms: 20,
-            measure_ms: 30,
-            json: false,
-            fault_at_ms: 30.0,
-            burst_loss: 0.0,
-            burst_len: 8.0,
-            flap_ms: 0.0,
-            spike_ms: 0.0,
-            ring_ms: 0.0,
-            pool_ms: 0.0,
-            stall_ms: 0.0,
-            watchdog_ms: 5000,
-            max_backlog: 0,
-            trace: false,
-            trace_sample_every: 1,
-            trace_flow: None,
-            trace_out: None,
-            trace_chrome: false,
-        };
+        let mut level = None;
+        let mut stack: Vec<StackEdit> = Vec::new();
+        let (mut fault_at_ms, mut burst_loss, mut burst_len) = (30.0f64, 0.0f64, 8.0f64);
+        let (mut flap_ms, mut spike_ms, mut ring_ms, mut pool_ms, mut stall_ms) =
+            (0.0f64, 0.0f64, 0.0f64, 0.0f64, 0.0f64);
 
         let mut it = args[1..].iter();
         while let Some(flag) = it.next() {
             let mut value = |name: &str| -> Result<&String, String> {
                 it.next().ok_or_else(|| format!("{name}: missing value"))
             };
+            if let Some(f) = CHURN_FLAGS
+                .iter()
+                .chain(&OVERLOAD_FLAGS)
+                .find(|f| *f == flag)
+            {
+                churn_flags.push(f);
+            }
+            overload.enabled |= OVERLOAD_FLAGS.contains(&flag.as_str());
             match flag.as_str() {
                 "--flows" => flows = parse_num(value("--flows")?, "--flows")?,
                 "--clients" => clients = parse_num(value("--clients")?, "--clients")?,
                 "--size" => size = parse_num(value("--size")?, "--size")?,
                 "--shorts" => shorts = parse_num(value("--shorts")?, "--shorts")?,
                 "--remote-server" => remote_server = true,
-                "--churn-rate" => {
-                    churn_flags.push("--churn-rate");
-                    churn_rate = parse_num(value("--churn-rate")?, "--churn-rate")?;
-                    if !churn_rate.is_finite() || churn_rate <= 0.0 {
-                        return Err("--churn-rate: must be a positive number".into());
-                    }
-                }
-                "--churn-mode" => {
-                    churn_flags.push("--churn-mode");
-                    churn_mode = value("--churn-mode")?.clone();
-                }
+                "--churn-rate" => churn_rate = parse_num(value("--churn-rate")?, "--churn-rate")?,
+                "--churn-mode" => churn_mode = value("--churn-mode")?.clone(),
                 "--churn-conns" => {
-                    churn_flags.push("--churn-conns");
-                    churn_conns = parse_num(value("--churn-conns")?, "--churn-conns")?;
+                    churn_conns = parse_num(value("--churn-conns")?, "--churn-conns")?
                 }
                 "--rpc-size-dist" => {
-                    churn_flags.push("--rpc-size-dist");
-                    rpc_size_dist = Some(parse_rpc_size_dist(value("--rpc-size-dist")?)?);
+                    rpc_size_dist = Some(parse_rpc_size_dist(value("--rpc-size-dist")?)?)
                 }
                 "--admission" => {
-                    churn_flags.push("--admission");
-                    admission = Some(value("--admission")?.clone());
+                    let p = value("--admission")?;
+                    overload.policy = AdmissionPolicy::parse(p).ok_or_else(|| {
+                        format!("--admission: expected drop|queue|shed, got `{p}`")
+                    })?;
                 }
                 "--accept-queue" => {
-                    churn_flags.push("--accept-queue");
-                    accept_queue = Some(parse_num(value("--accept-queue")?, "--accept-queue")?);
+                    overload.accept_queue = parse_num(value("--accept-queue")?, "--accept-queue")?
                 }
                 "--mem-budget-kb" => {
-                    churn_flags.push("--mem-budget-kb");
-                    mem_budget_kb = Some(parse_num(value("--mem-budget-kb")?, "--mem-budget-kb")?);
+                    overload.mem_budget = parse_kib(value("--mem-budget-kb")?, "--mem-budget-kb")?
                 }
                 "--idle-timeout-ms" => {
-                    churn_flags.push("--idle-timeout-ms");
                     let ms: f64 = parse_num(value("--idle-timeout-ms")?, "--idle-timeout-ms")?;
                     if !ms.is_finite() || ms < 0.0 {
                         return Err("--idle-timeout-ms: must be a non-negative number".into());
                     }
-                    idle_timeout_ms = Some(ms);
+                    overload.idle_timeout = Duration::from_nanos((ms * 1e6) as u64);
                 }
                 "--slow-prob" => {
-                    churn_flags.push("--slow-prob");
-                    let p: f64 = parse_num(value("--slow-prob")?, "--slow-prob")?;
-                    if !(0.0..=1.0).contains(&p) {
-                        return Err("--slow-prob: must be in [0, 1]".into());
-                    }
-                    slow_prob = Some(p);
+                    overload.slow_prob = parse_num(value("--slow-prob")?, "--slow-prob")?
                 }
                 "--level" => {
-                    out.level = Some(match value("--level")?.as_str() {
+                    level = Some(match value("--level")?.as_str() {
                         "no-opt" => OptLevel::NoOpt,
                         "tso-gro" => OptLevel::TsoGro,
                         "jumbo" => OptLevel::Jumbo,
@@ -888,89 +646,98 @@ fault injection (all deterministic; scheduled faults share one window):
                     })
                 }
                 "--cc" => {
-                    out.cc = Some(match value("--cc")?.as_str() {
+                    let cc = match value("--cc")?.as_str() {
                         "cubic" => CcAlgo::Cubic,
                         "bbr" => CcAlgo::Bbr,
                         "dctcp" => CcAlgo::Dctcp,
                         "reno" => CcAlgo::Reno,
                         x => return Err(format!("--cc: unknown algorithm `{x}`")),
-                    })
+                    };
+                    stack.push(Box::new(move |s| s.cc = cc));
                 }
                 "--loss" => {
-                    out.loss = value("--loss")?
+                    let p: f64 = value("--loss")?
                         .parse()
                         .map_err(|_| "--loss: expected a probability".to_string())?;
-                    if !(0.0..1.0).contains(&out.loss) {
+                    if !(0.0..1.0).contains(&p) {
                         return Err("--loss: must be in [0, 1)".into());
                     }
+                    exp.cfg.link.loss = LossModel::uniform(p);
                 }
-                "--mtu" => out.mtu = Some(parse_num(value("--mtu")?, "--mtu")?),
-                "--ring" => out.ring = Some(parse_num(value("--ring")?, "--ring")?),
+                "--mtu" => {
+                    let mtu = parse_num(value("--mtu")?, "--mtu")?;
+                    stack.push(Box::new(move |s| s.mtu = mtu));
+                }
+                "--ring" => {
+                    let ring = parse_num(value("--ring")?, "--ring")?;
+                    stack.push(Box::new(move |s| s.rx_descriptors = ring));
+                }
                 "--rcvbuf-kb" => {
-                    out.rcvbuf_kb = Some(parse_num(value("--rcvbuf-kb")?, "--rcvbuf-kb")?)
+                    let bytes = parse_kib(value("--rcvbuf-kb")?, "--rcvbuf-kb")?;
+                    stack.push(Box::new(move |s| s.rcvbuf = RcvBufPolicy::Fixed(bytes)));
                 }
-                "--no-dca" => out.no_dca = true,
-                "--iommu" => out.iommu = true,
-                "--zerocopy-tx" => out.zerocopy_tx = true,
-                "--zerocopy-rx" => out.zerocopy_rx = true,
+                "--no-dca" => stack.push(Box::new(|s| s.dca = false)),
+                "--iommu" => stack.push(Box::new(|s| s.iommu = true)),
+                "--zerocopy-tx" => stack.push(Box::new(|s| s.zerocopy_tx = true)),
+                "--zerocopy-rx" => stack.push(Box::new(|s| s.zerocopy_rx = true)),
                 "--datapath" => {
                     let v = value("--datapath")?;
-                    out.datapath = Some(DatapathKind::parse(v).ok_or_else(|| {
+                    exp.cfg.datapath = DatapathKind::parse(v).ok_or_else(|| {
                         format!("--datapath: unknown backend `{v}` (inkernel | toe | bypass)")
-                    })?);
+                    })?;
                 }
                 "--fault-at-ms" => {
-                    out.fault_at_ms = parse_num(value("--fault-at-ms")?, "--fault-at-ms")?
+                    fault_at_ms = parse_num(value("--fault-at-ms")?, "--fault-at-ms")?
                 }
                 "--fault-burst-loss" => {
-                    out.burst_loss = parse_num(value("--fault-burst-loss")?, "--fault-burst-loss")?;
-                    if !(0.0..1.0).contains(&out.burst_loss) {
+                    burst_loss = parse_num(value("--fault-burst-loss")?, "--fault-burst-loss")?;
+                    if !(0.0..1.0).contains(&burst_loss) {
                         return Err("--fault-burst-loss: must be in [0, 1)".into());
                     }
                 }
                 "--fault-burst-len" => {
-                    out.burst_len = parse_num(value("--fault-burst-len")?, "--fault-burst-len")?
+                    burst_len = parse_num(value("--fault-burst-len")?, "--fault-burst-len")?
                 }
                 "--fault-flap-ms" => {
-                    out.flap_ms = parse_num(value("--fault-flap-ms")?, "--fault-flap-ms")?
+                    flap_ms = parse_num(value("--fault-flap-ms")?, "--fault-flap-ms")?
                 }
                 "--fault-spike-ms" => {
-                    out.spike_ms = parse_num(value("--fault-spike-ms")?, "--fault-spike-ms")?
+                    spike_ms = parse_num(value("--fault-spike-ms")?, "--fault-spike-ms")?
                 }
                 "--fault-ring-ms" => {
-                    out.ring_ms = parse_num(value("--fault-ring-ms")?, "--fault-ring-ms")?
+                    ring_ms = parse_num(value("--fault-ring-ms")?, "--fault-ring-ms")?
                 }
                 "--fault-pool-ms" => {
-                    out.pool_ms = parse_num(value("--fault-pool-ms")?, "--fault-pool-ms")?
+                    pool_ms = parse_num(value("--fault-pool-ms")?, "--fault-pool-ms")?
                 }
                 "--fault-stall-ms" => {
-                    out.stall_ms = parse_num(value("--fault-stall-ms")?, "--fault-stall-ms")?
+                    stall_ms = parse_num(value("--fault-stall-ms")?, "--fault-stall-ms")?
                 }
                 "--watchdog-ms" => {
-                    out.watchdog_ms = parse_num(value("--watchdog-ms")?, "--watchdog-ms")?
+                    exp.cfg.watchdog_horizon = parse_ms(value("--watchdog-ms")?, "--watchdog-ms")?
                 }
                 "--max-backlog" => {
-                    out.max_backlog = parse_num(value("--max-backlog")?, "--max-backlog")?
+                    exp.cfg.max_backlog = parse_num(value("--max-backlog")?, "--max-backlog")?
                 }
-                "--trace" => out.trace = true,
+                "--trace" => exp.cfg.trace.enabled = true,
                 "--trace-sample-every" => {
-                    out.trace = true;
-                    out.trace_sample_every =
+                    exp.cfg.trace.enabled = true;
+                    exp.cfg.trace.sample_every =
                         parse_num(value("--trace-sample-every")?, "--trace-sample-every")?;
-                    if out.trace_sample_every == 0 {
+                    if exp.cfg.trace.sample_every == 0 {
                         return Err("--trace-sample-every: must be at least 1".into());
                     }
                 }
                 "--trace-flow" => {
-                    out.trace = true;
-                    out.trace_flow = Some(parse_num(value("--trace-flow")?, "--trace-flow")?);
+                    exp.cfg.trace.enabled = true;
+                    exp.cfg.trace.flow = Some(parse_num(value("--trace-flow")?, "--trace-flow")?);
                 }
                 "--trace-out" => {
-                    out.trace = true;
+                    exp.cfg.trace.enabled = true;
                     out.trace_out = Some(value("--trace-out")?.clone());
                 }
                 "--trace-format" => {
-                    out.trace = true;
+                    exp.cfg.trace.enabled = true;
                     out.trace_chrome = match value("--trace-format")?.as_str() {
                         "jsonl" => false,
                         "chrome" => true,
@@ -979,17 +746,87 @@ fault injection (all deterministic; scheduled faults share one window):
                         }
                     };
                 }
-                "--seed" => out.seed = parse_num(value("--seed")?, "--seed")?,
-                "--warmup-ms" => out.warmup_ms = parse_num(value("--warmup-ms")?, "--warmup-ms")?,
-                "--measure-ms" => {
-                    out.measure_ms = parse_num(value("--measure-ms")?, "--measure-ms")?
+                "--monitor-ms" => {
+                    exp.cfg.monitor = Some(MonitorConfig {
+                        interval: parse_ms(value("--monitor-ms")?, "--monitor-ms")?,
+                        ..MonitorConfig::default()
+                    })
                 }
+                "--metrics-out" => out.metrics_out = Some(value("--metrics-out")?.clone()),
+                "--seed" => exp.cfg.seed = parse_num(value("--seed")?, "--seed")?,
+                "--warmup-ms" => exp.warmup = parse_ms(value("--warmup-ms")?, "--warmup-ms")?,
+                "--measure-ms" => exp.measure = parse_ms(value("--measure-ms")?, "--measure-ms")?,
                 "--json" => out.json = true,
                 x => return Err(format!("unknown flag `{x}`")),
             }
         }
 
-        out.scenario = match scenario_name.as_str() {
+        if let Some(level) = level {
+            exp = exp.at_level(level);
+        }
+        for set in &stack {
+            set(&mut exp.cfg.stack);
+        }
+        // A snapshot stream needs a monitor, and the monitor's sketches ride
+        // the sampled lifecycle tracer.
+        if out.metrics_out.is_some() && exp.cfg.monitor.is_none() {
+            exp.cfg.monitor = Some(MonitorConfig::default());
+        }
+        if exp.cfg.monitor.is_some() {
+            exp.cfg.trace.enabled = true;
+        }
+
+        // Scheduled faults share one window starting at `--fault-at-ms`;
+        // resource faults target the receiver host.
+        for (v, flag) in [
+            (fault_at_ms, "--fault-at-ms"),
+            (burst_len, "--fault-burst-len"),
+            (flap_ms, "--fault-flap-ms"),
+            (spike_ms, "--fault-spike-ms"),
+            (ring_ms, "--fault-ring-ms"),
+            (pool_ms, "--fault-pool-ms"),
+            (stall_ms, "--fault-stall-ms"),
+        ] {
+            if !v.is_finite() || v < 0.0 {
+                return Err(format!("{flag}: must be a non-negative number"));
+            }
+        }
+        let ms = |v: f64| Duration::from_nanos((v * 1e6) as u64);
+        let window = |d: f64| PhaseSchedule::once(ms(fault_at_ms), ms(d));
+        let c = &mut exp.cfg;
+        if burst_loss > 0.0 {
+            c.link.loss = LossModel::bursty(burst_loss, burst_len);
+        }
+        if flap_ms > 0.0 {
+            c.link.flap = Some(window(flap_ms));
+        }
+        if spike_ms > 0.0 {
+            c.link.latency_spike = Some(LatencySpike {
+                window: window(spike_ms),
+                extra: Duration::from_micros(100),
+            });
+        }
+        if ring_ms > 0.0 {
+            c.faults.ring_exhaust = Some(RingExhaust {
+                window: window(ring_ms),
+                host: 1,
+            });
+        }
+        if pool_ms > 0.0 {
+            c.faults.pool_pressure = Some(PoolPressure {
+                window: window(pool_ms),
+                host: 1,
+            });
+        }
+        if stall_ms > 0.0 {
+            c.faults.core_stall = Some(CoreStall {
+                window: window(stall_ms),
+                host: 1,
+                core: 0,
+            });
+        }
+
+        exp.scenario = match scenario_name.as_str() {
             "single" => ScenarioKind::Single,
             "numa-remote" => ScenarioKind::SingleNicRemote,
             "one-to-one" => ScenarioKind::OneToOne { flows },
@@ -1007,7 +844,6 @@ fault injection (all deterministic; scheduled faults share one window):
             },
             "mixed" => ScenarioKind::Mixed { shorts, size },
             "churn" => {
-                use hostnet::building_blocks::workload;
                 let mut churn = match churn_mode.as_str() {
                     "handshake" => workload::churn_open_loop(churn_rate),
                     "rpc" => workload::churn_short_rpc(churn_rate, size),
@@ -1020,197 +856,27 @@ fault injection (all deterministic; scheduled faults share one window):
                 };
                 // Sample handshakes into the lifecycle tracer at the same
                 // rate as data skbs.
-                if out.trace {
-                    churn.trace_sample = out.trace_sample_every;
+                if exp.cfg.trace.enabled {
+                    churn.trace_sample = exp.cfg.trace.sample_every;
                 }
                 if let Some(d) = rpc_size_dist {
                     churn.rpc_size_dist = d;
-                    // Validate eagerly: the dist is rejected outside rpc mode.
-                    churn.validate().map_err(|e| format!("run churn: {e}"))?;
                 }
-                // Any overload flag switches the overload model on.
-                if admission.is_some()
-                    || accept_queue.is_some()
-                    || mem_budget_kb.is_some()
-                    || idle_timeout_ms.is_some()
-                    || slow_prob.is_some()
-                {
-                    use hostnet::building_blocks::conn::AdmissionPolicy;
-                    churn.overload.enabled = true;
-                    if let Some(p) = &admission {
-                        churn.overload.policy = AdmissionPolicy::parse(p).ok_or_else(|| {
-                            format!("--admission: expected drop|queue|shed, got `{p}`")
-                        })?;
-                    }
-                    if let Some(n) = accept_queue {
-                        churn.overload.accept_queue = n;
-                    }
-                    if let Some(kb) = mem_budget_kb {
-                        churn.overload.mem_budget = kb * 1024;
-                    }
-                    if let Some(ms) = idle_timeout_ms {
-                        churn.overload.idle_timeout = Duration::from_nanos((ms * 1e6) as u64);
-                    }
-                    if let Some(p) = slow_prob {
-                        churn.overload.slow_prob = p;
-                    }
-                    churn.validate().map_err(|e| format!("run churn: {e}"))?;
-                }
+                churn.overload = overload;
                 ScenarioKind::Churn { churn }
             }
             x => return Err(format!("unknown scenario `{x}` (see `hostnet list`)")),
         };
-        if !matches!(out.scenario, ScenarioKind::Churn { .. }) && !churn_flags.is_empty() {
+        if !matches!(exp.scenario, ScenarioKind::Churn { .. }) && !churn_flags.is_empty() {
             return Err(format!(
                 "{}: only valid with the churn scenario (got `{scenario_name}`)",
                 churn_flags.join(", ")
             ));
         }
-        if matches!(out.scenario, ScenarioKind::Churn { .. }) {
-            if let Some(dp) = out.datapath {
-                if dp != DatapathKind::InKernel {
-                    return Err(format!(
-                        "--datapath {}: only valid with long-flow scenarios (got `{scenario_name}`): \
-                         the TOE and bypass backends do not model connection handshakes, so \
-                         churn/overload lifecycle frames would be silently mischarged",
-                        dp.label()
-                    ));
-                }
-            }
-        }
-        for (v, flag) in [
-            (out.fault_at_ms, "--fault-at-ms"),
-            (out.burst_len, "--fault-burst-len"),
-            (out.flap_ms, "--fault-flap-ms"),
-            (out.spike_ms, "--fault-spike-ms"),
-            (out.ring_ms, "--fault-ring-ms"),
-            (out.pool_ms, "--fault-pool-ms"),
-            (out.stall_ms, "--fault-stall-ms"),
-        ] {
-            if !v.is_finite() || v < 0.0 {
-                return Err(format!("{flag}: must be a non-negative number"));
-            }
-        }
-        Ok(out)
-    }
-
-    fn parse_monitor(args: &[String]) -> Result<MonitorArgs, String> {
-        use hostnet::building_blocks::conn::{AdmissionPolicy, RpcSizeDist};
-        use hostnet::building_blocks::workload;
-
-        let mut scenario = String::from("capacity");
-        let mut clients = 250u32;
-        let mut policy = String::from("queue");
-        let mut rate = 100_000.0f64;
-        let mut rpc_size = 4096u32;
-        let mut rpc_size_dist = RpcSizeDist::Fixed;
-        // Scenario-specific flags actually given, so the other scenario can
-        // reject them instead of silently ignoring them.
-        let mut capacity_flags: Vec<&'static str> = Vec::new();
-        let mut churn_flags: Vec<&'static str> = Vec::new();
-
-        let mut out = MonitorArgs {
-            // Placeholder; rebuilt from the parsed flags below.
-            churn: workload::churn_capacity(clients, AdmissionPolicy::Queue),
-            label: String::new(),
-            seed: 1,
-            warmup_ms: None,
-            duration_ms: None,
-            interval_ms: None,
-            trace_sample: 8,
-            metrics_out: None,
-            quick: false,
-            json: false,
-        };
-
-        let mut it = args.iter();
-        while let Some(flag) = it.next() {
-            let mut value = |name: &str| -> Result<&String, String> {
-                it.next().ok_or_else(|| format!("{name}: missing value"))
-            };
-            match flag.as_str() {
-                "--scenario" => scenario = value("--scenario")?.clone(),
-                "--clients" => {
-                    capacity_flags.push("--clients");
-                    clients = parse_num(value("--clients")?, "--clients")?;
-                }
-                "--policy" => {
-                    capacity_flags.push("--policy");
-                    policy = value("--policy")?.clone();
-                }
-                "--rate" => {
-                    churn_flags.push("--rate");
-                    rate = parse_num(value("--rate")?, "--rate")?;
-                    if !rate.is_finite() || rate <= 0.0 {
-                        return Err("--rate: must be a positive number".into());
-                    }
-                }
-                "--rpc-size" => rpc_size = parse_num(value("--rpc-size")?, "--rpc-size")?,
-                "--rpc-size-dist" => {
-                    rpc_size_dist = parse_rpc_size_dist(value("--rpc-size-dist")?)?
-                }
-                "--seed" => out.seed = parse_num(value("--seed")?, "--seed")?,
-                "--warmup-ms" => {
-                    out.warmup_ms = Some(parse_num(value("--warmup-ms")?, "--warmup-ms")?)
-                }
-                "--duration-ms" => {
-                    out.duration_ms = Some(parse_num(value("--duration-ms")?, "--duration-ms")?)
-                }
-                "--interval-ms" => {
-                    let v: u64 = parse_num(value("--interval-ms")?, "--interval-ms")?;
-                    if v == 0 {
-                        return Err("--interval-ms: must be at least 1".into());
-                    }
-                    out.interval_ms = Some(v);
-                }
-                "--trace-sample-every" => {
-                    out.trace_sample =
-                        parse_num(value("--trace-sample-every")?, "--trace-sample-every")?;
-                    if out.trace_sample == 0 {
-                        return Err("--trace-sample-every: must be at least 1".into());
-                    }
-                }
-                "--metrics-out" => out.metrics_out = Some(value("--metrics-out")?.clone()),
-                "--quick" => out.quick = true,
-                "--json" => out.json = true,
-                x => return Err(format!("monitor: unknown flag `{x}`")),
-            }
-        }
-
-        let mut churn = match scenario.as_str() {
-            "capacity" => {
-                if !churn_flags.is_empty() {
-                    return Err(format!(
-                        "{}: only valid with --scenario churn",
-                        churn_flags.join(", ")
-                    ));
-                }
-                let p = AdmissionPolicy::parse(&policy)
-                    .ok_or_else(|| format!("--policy: expected drop|queue|shed, got `{policy}`"))?;
-                let mut c = workload::churn_capacity(clients, p);
-                c.rpc_size = rpc_size;
-                out.label = format!("monitor/capacity/{clients}x{policy}");
-                c
-            }
-            "churn" => {
-                if !capacity_flags.is_empty() {
-                    return Err(format!(
-                        "{}: only valid with --scenario capacity",
-                        capacity_flags.join(", ")
-                    ));
-                }
-                out.label = format!("monitor/churn/{rate:.0}cps");
-                workload::churn_short_rpc(rate, rpc_size)
-            }
-            x => return Err(format!("--scenario: expected capacity|churn, got `{x}`")),
-        };
-        churn.rpc_size_dist = rpc_size_dist;
-        // Sample handshakes into the lifecycle tracer at the same rate as
-        // data skbs, so the sketches see the whole pipeline.
-        churn.trace_sample = out.trace_sample;
-        churn.validate().map_err(|e| format!("monitor: {e}"))?;
-        out.churn = churn;
-        Ok(out)
+        exp.sim_config()
+            .validate()
+            .map_err(|e| format!("run {scenario_name}: {}", e.detail))?;
+        Ok(Command::Run(Box::new(exp), out))
     }
 
     /// Parse `fixed` or `pareto:<min>:<shape>:<cap>` into an [`RpcSizeDist`].
@@ -1234,6 +900,21 @@ fault injection (all deterministic; scheduled faults share one window):
         ))
     }
 
+    /// Parse whole milliseconds, rejecting counts past `Duration`'s range.
+    fn parse_ms(s: &str, flag: &str) -> Result<Duration, String> {
+        parse_num::<u64>(s, flag)?
+            .checked_mul(1_000_000)
+            .map(Duration::from_nanos)
+            .ok_or_else(|| format!("{flag}: `{s}` ms is out of range"))
+    }
+
+    /// Parse a KiB count into bytes, rejecting counts that overflow.
+    fn parse_kib(s: &str, flag: &str) -> Result<u64, String> {
+        parse_num::<u64>(s, flag)?
+            .checked_mul(1024)
+            .ok_or_else(|| format!("{flag}: `{s}` KiB is out of range"))
+    }
+
     fn parse_num<T: std::str::FromStr>(s: &str, flag: &str) -> Result<T, String> {
         s.parse()
             .map_err(|_| format!("{flag}: invalid number `{s}`"))
@@ -1247,6 +928,22 @@ fault injection (all deterministic; scheduled faults share one window):
             s.split_whitespace().map(String::from).collect()
         }
 
+        /// Parse a `run` invocation into its experiment and output choices.
+        fn run(s: &str) -> (Experiment, Output) {
+            match parse(&argv(s)).unwrap() {
+                Command::Run(exp, out) => (*exp, out),
+                _ => panic!("not a run: {s}"),
+            }
+        }
+
+        /// The churn workload a `run churn …` invocation parses into.
+        fn churn(s: &str) -> hostnet::building_blocks::conn::ChurnConfig {
+            match run(s).0.scenario {
+                ScenarioKind::Churn { churn } => churn,
+                other => panic!("not a churn scenario: {other:?}"),
+            }
+        }
+
         #[test]
         fn parses_help_and_list() {
             assert!(matches!(parse(&[]).unwrap(), Command::Help));
@@ -1256,71 +953,40 @@ fault injection (all deterministic; scheduled faults share one window):
 
         #[test]
         fn parses_simple_run() {
-            let cmd = parse(&argv("run single --json --seed 9")).unwrap();
-            match cmd {
-                Command::Run(r) => {
-                    assert_eq!(r.scenario, ScenarioKind::Single);
-                    assert!(r.json);
-                    assert_eq!(r.seed, 9);
-                }
-                _ => panic!("not a run"),
-            }
+            let (exp, out) = run("run single --json --seed 9");
+            assert_eq!(exp.scenario, ScenarioKind::Single);
+            assert!(out.json);
+            assert_eq!(exp.cfg.seed, 9);
         }
 
         #[test]
         fn parses_scenario_parameters() {
-            let cmd = parse(&argv("run rpc --clients 4 --size 16384 --remote-server")).unwrap();
-            match cmd {
-                Command::Run(r) => match r.scenario {
-                    ScenarioKind::RpcIncast {
-                        clients,
-                        size,
-                        server,
-                    } => {
-                        assert_eq!(clients, 4);
-                        assert_eq!(size, 16384);
-                        assert_eq!(server, Placement::NicRemote);
-                    }
-                    _ => panic!("wrong scenario"),
-                },
-                _ => panic!("not a run"),
-            }
+            assert_eq!(
+                run("run rpc --clients 4 --size 16384 --remote-server")
+                    .0
+                    .scenario,
+                ScenarioKind::RpcIncast {
+                    clients: 4,
+                    size: 16384,
+                    server: Placement::NicRemote,
+                }
+            );
         }
 
         #[test]
         fn parses_churn_scenario() {
             use hostnet::building_blocks::conn::ChurnMode;
-            let cmd = parse(&argv(
-                "run churn --churn-rate 250000 --churn-mode rpc --size 1024",
-            ))
-            .unwrap();
-            match cmd {
-                Command::Run(r) => match r.scenario {
-                    ScenarioKind::Churn { churn } => {
-                        assert_eq!(churn.mode, ChurnMode::ShortRpc);
-                        assert!((churn.rate_cps - 250_000.0).abs() < 1e-9);
-                        assert_eq!(churn.rpc_size, 1024);
-                        assert_eq!(churn.trace_sample, 0, "tracing off by default");
-                    }
-                    _ => panic!("wrong scenario"),
-                },
-                _ => panic!("not a run"),
-            }
+            let c = churn("run churn --churn-rate 250000 --churn-mode rpc --size 1024");
+            assert_eq!(c.mode, ChurnMode::ShortRpc);
+            assert!((c.rate_cps - 250_000.0).abs() < 1e-9);
+            assert_eq!(c.rpc_size, 1024);
+            assert_eq!(c.trace_sample, 0, "tracing off by default");
 
-            let cmd = parse(&argv(
+            let c = churn(
                 "run churn --churn-mode pool --churn-conns 5000 --trace --trace-sample-every 4",
-            ))
-            .unwrap();
-            match cmd {
-                Command::Run(r) => match r.scenario {
-                    ScenarioKind::Churn { churn } => {
-                        assert_eq!(churn.mode, ChurnMode::Pool { conns: 5000 });
-                        assert_eq!(churn.trace_sample, 4, "--trace wires the conn sampler");
-                    }
-                    _ => panic!("wrong scenario"),
-                },
-                _ => panic!("not a run"),
-            }
+            );
+            assert_eq!(c.mode, ChurnMode::Pool { conns: 5000 });
+            assert_eq!(c.trace_sample, 4, "--trace wires the conn sampler");
         }
 
         #[test]
@@ -1333,34 +999,19 @@ fault injection (all deterministic; scheduled faults share one window):
         #[test]
         fn parses_overload_flags() {
             use hostnet::building_blocks::conn::AdmissionPolicy;
-            let cmd = parse(&argv(
+            let ov = churn(
                 "run churn --churn-mode rpc --admission shed --accept-queue 64 \
                  --mem-budget-kb 2048 --idle-timeout-ms 8 --slow-prob 0.25",
-            ))
-            .unwrap();
-            match cmd {
-                Command::Run(r) => match r.scenario {
-                    ScenarioKind::Churn { churn } => {
-                        let ov = churn.overload;
-                        assert!(ov.enabled, "any overload flag enables the model");
-                        assert_eq!(ov.policy, AdmissionPolicy::Shed);
-                        assert_eq!(ov.accept_queue, 64);
-                        assert_eq!(ov.mem_budget, 2048 * 1024);
-                        assert_eq!(ov.idle_timeout, Duration::from_millis(8));
-                        assert!((ov.slow_prob - 0.25).abs() < 1e-12);
-                    }
-                    _ => panic!("wrong scenario"),
-                },
-                _ => panic!("not a run"),
-            }
+            )
+            .overload;
+            assert!(ov.enabled, "any overload flag enables the model");
+            assert_eq!(ov.policy, AdmissionPolicy::Shed);
+            assert_eq!(ov.accept_queue, 64);
+            assert_eq!(ov.mem_budget, 2048 * 1024);
+            assert_eq!(ov.idle_timeout, Duration::from_millis(8));
+            assert!((ov.slow_prob - 0.25).abs() < 1e-12);
             // Overload stays off when no flag is given.
-            match parse(&argv("run churn")).unwrap() {
-                Command::Run(r) => match r.scenario {
-                    ScenarioKind::Churn { churn } => assert!(!churn.overload.enabled),
-                    _ => panic!("wrong scenario"),
-                },
-                _ => panic!("not a run"),
-            }
+            assert!(!churn("run churn").overload.enabled);
         }
 
         #[test]
@@ -1402,36 +1053,20 @@ fault injection (all deterministic; scheduled faults share one window):
         #[test]
         fn parses_rpc_size_dist_on_churn_runs() {
             use hostnet::building_blocks::conn::RpcSizeDist;
-            let cmd = parse(&argv(
-                "run churn --churn-mode rpc --rpc-size-dist pareto:512:1.2:65536",
-            ))
-            .unwrap();
-            match cmd {
-                Command::Run(r) => match r.scenario {
-                    ScenarioKind::Churn { churn } => {
-                        assert_eq!(
-                            churn.rpc_size_dist,
-                            RpcSizeDist::Pareto {
-                                min: 512,
-                                shape: 1.2,
-                                cap: 65536
-                            }
-                        );
-                    }
-                    _ => panic!("wrong scenario"),
-                },
-                _ => panic!("not a run"),
-            }
+            assert_eq!(
+                churn("run churn --churn-mode rpc --rpc-size-dist pareto:512:1.2:65536")
+                    .rpc_size_dist,
+                RpcSizeDist::Pareto {
+                    min: 512,
+                    shape: 1.2,
+                    cap: 65536
+                }
+            );
             // Spelled-out `fixed` is the default and always accepted.
-            match parse(&argv("run churn --churn-mode rpc --rpc-size-dist fixed")).unwrap() {
-                Command::Run(r) => match r.scenario {
-                    ScenarioKind::Churn { churn } => {
-                        assert_eq!(churn.rpc_size_dist, RpcSizeDist::Fixed)
-                    }
-                    _ => panic!("wrong scenario"),
-                },
-                _ => panic!("not a run"),
-            }
+            assert_eq!(
+                churn("run churn --churn-mode rpc --rpc-size-dist fixed").rpc_size_dist,
+                RpcSizeDist::Fixed
+            );
         }
 
         #[test]
@@ -1471,77 +1106,41 @@ fault injection (all deterministic; scheduled faults share one window):
 
         #[test]
         fn parses_monitor_command() {
-            use hostnet::building_blocks::conn::{AdmissionPolicy, ChurnMode, RpcSizeDist};
-            match parse(&argv("monitor")).unwrap() {
-                Command::Monitor(m) => {
-                    assert_eq!(m.churn.mode, ChurnMode::ShortRpc);
-                    assert!(m.churn.overload.enabled, "capacity probe by default");
-                    assert_eq!(m.churn.overload.policy, AdmissionPolicy::Queue);
-                    assert_eq!(m.churn.rpc_size_dist, RpcSizeDist::Fixed);
-                    assert_eq!(m.churn.trace_sample, 8, "sketches ride the sampler");
-                    assert_eq!(m.seed, 1);
-                    assert_eq!(m.warmup_ms, None);
-                    assert!(!m.quick && !m.json);
-                    assert_eq!(m.metrics_out, None);
+            use hostnet::building_blocks::monitor::MonitorConfig;
+            let (exp, out) = run("run churn --churn-mode rpc --admission queue \
+                 --trace-sample-every 8 --monitor-ms 5 --metrics-out m.jsonl");
+            let monitor = exp.cfg.monitor.expect("--monitor-ms turns the monitor on");
+            assert_eq!(monitor.interval, Duration::from_millis(5));
+            assert!(exp.cfg.trace.enabled, "the sketches ride the tracer");
+            match exp.scenario {
+                ScenarioKind::Churn { churn } => {
+                    assert_eq!(churn.trace_sample, 8, "handshakes feed the sketches")
                 }
-                _ => panic!("not monitor"),
+                other => panic!("not a churn scenario: {other:?}"),
             }
-            match parse(&argv(
-                "monitor --scenario capacity --clients 64 --policy shed --rpc-size 1024 \
-                 --rpc-size-dist pareto:256:1.5:32768 --seed 7 --warmup-ms 4 \
-                 --duration-ms 40 --interval-ms 2 --trace-sample-every 4 \
-                 --metrics-out m.jsonl --quick --json",
-            ))
-            .unwrap()
-            {
-                Command::Monitor(m) => {
-                    assert_eq!(m.churn.overload.policy, AdmissionPolicy::Shed);
-                    assert_eq!(m.churn.rpc_size, 1024);
-                    assert_eq!(
-                        m.churn.rpc_size_dist,
-                        RpcSizeDist::Pareto {
-                            min: 256,
-                            shape: 1.5,
-                            cap: 32768
-                        }
-                    );
-                    assert_eq!(m.churn.trace_sample, 4);
-                    assert_eq!(m.seed, 7);
-                    assert_eq!(m.warmup_ms, Some(4));
-                    assert_eq!(m.duration_ms, Some(40));
-                    assert_eq!(m.interval_ms, Some(2));
-                    assert_eq!(m.metrics_out.as_deref(), Some("m.jsonl"));
-                    assert!(m.quick && m.json);
-                    assert!(m.label.contains("64xshed"), "label: {}", m.label);
-                }
-                _ => panic!("not monitor"),
-            }
-            // The plain-churn scenario takes a rate instead of clients.
-            match parse(&argv("monitor --scenario churn --rate 50000")).unwrap() {
-                Command::Monitor(m) => {
-                    assert!(!m.churn.overload.enabled);
-                    assert!((m.churn.rate_cps - 50_000.0).abs() < 1e-9);
-                }
-                _ => panic!("not monitor"),
-            }
+            assert_eq!(out.metrics_out.as_deref(), Some("m.jsonl"));
+            assert!(!out.json);
+
+            // --monitor-ms implies --trace, so churn samples every handshake.
+            assert_eq!(churn("run churn --monitor-ms 2").trace_sample, 1);
+            // --metrics-out alone monitors any scenario at the default interval.
+            let (exp, _) = run("run incast --flows 4 --metrics-out m.jsonl");
+            assert_eq!(exp.cfg.monitor, Some(MonitorConfig::default()));
+            assert!(exp.cfg.trace.enabled);
+            // No monitor, and no tracing, unless asked.
+            let (exp, out) = run("run single");
+            assert!(exp.cfg.monitor.is_none() && !exp.cfg.trace.enabled);
+            assert_eq!(out.metrics_out, None);
         }
 
         #[test]
         fn rejects_bad_monitor_flags() {
-            assert!(parse(&argv("monitor --scenario nope")).is_err());
-            assert!(parse(&argv("monitor --policy fifo")).is_err());
-            assert!(parse(&argv("monitor --rate 0")).is_err());
-            assert!(parse(&argv("monitor --interval-ms 0")).is_err());
-            assert!(parse(&argv("monitor --trace-sample-every 0")).is_err());
-            assert!(parse(&argv("monitor --bogus")).is_err());
-            assert!(parse(&argv("monitor --metrics-out")).is_err());
-            // Scenario-specific flags are rejected on the other scenario.
-            assert!(parse(&argv("monitor --scenario churn --clients 8"))
+            assert!(parse(&argv("run single --monitor-ms 0"))
                 .unwrap_err()
-                .contains("only valid with --scenario capacity"));
-            assert!(parse(&argv("monitor --scenario capacity --rate 1000"))
-                .unwrap_err()
-                .contains("only valid with --scenario churn"));
+                .contains("monitor interval must be positive"));
+            assert!(parse(&argv("run single --monitor-ms x")).is_err());
+            assert!(parse(&argv("run single --monitor-ms")).is_err());
+            assert!(parse(&argv("run churn --metrics-out")).is_err());
         }
 
         #[test]
@@ -1566,104 +1165,91 @@ fault injection (all deterministic; scheduled faults share one window):
                 ("toe", DatapathKind::ToeOffload),
                 ("dpdk", DatapathKind::UserBypass),
             ] {
-                match parse(&argv(&format!("run single --datapath {arg}"))).unwrap() {
-                    Command::Run(r) => assert_eq!(r.datapath, Some(kind)),
-                    _ => panic!("not a run"),
-                }
+                let (exp, _) = run(&format!("run single --datapath {arg}"));
+                assert_eq!(exp.cfg.datapath, kind);
             }
-            match parse(&argv("run single")).unwrap() {
-                Command::Run(r) => assert_eq!(r.datapath, None),
-                _ => panic!("not a run"),
-            }
+            assert_eq!(run("run single").0.cfg.datapath, DatapathKind::InKernel);
             assert!(parse(&argv("run single --datapath quic")).is_err());
         }
 
         #[test]
         fn parses_stack_flags() {
-            let cmd = parse(&argv(
+            use hostnet::building_blocks::faults::LossModel;
+            use hostnet::building_blocks::nic::steering::SteeringMode;
+            let c = run(
                 "run single --level jumbo --cc bbr --loss 0.0015 --mtu 1500 \
                  --ring 2048 --rcvbuf-kb 3200 --no-dca --iommu --zerocopy-tx --zerocopy-rx",
-            ))
-            .unwrap();
-            match cmd {
-                Command::Run(r) => {
-                    assert_eq!(r.level, Some(OptLevel::Jumbo));
-                    assert!(matches!(r.cc, Some(CcAlgo::Bbr)));
-                    assert!((r.loss - 0.0015).abs() < 1e-12);
-                    assert_eq!(r.mtu, Some(1500));
-                    assert_eq!(r.ring, Some(2048));
-                    assert_eq!(r.rcvbuf_kb, Some(3200));
-                    assert!(r.no_dca && r.iommu && r.zerocopy_tx && r.zerocopy_rx);
-                }
-                _ => panic!("not a run"),
-            }
+            )
+            .0
+            .cfg;
+            assert!(c.stack.tso && c.stack.gro, "jumbo keeps TSO/GRO");
+            assert_eq!(c.stack.steering, SteeringMode::Rss, "jumbo has no aRFS");
+            assert!(matches!(c.stack.cc, CcAlgo::Bbr));
+            assert_eq!(c.link.loss, LossModel::Uniform { rate: 0.0015 });
+            assert_eq!(c.stack.mtu, 1500);
+            assert_eq!(c.stack.rx_descriptors, 2048);
+            assert_eq!(c.stack.rcvbuf, RcvBufPolicy::Fixed(3200 * 1024));
+            assert!(!c.stack.dca && c.stack.iommu);
+            assert!(c.stack.zerocopy_tx && c.stack.zerocopy_rx);
+            // Overrides given before --level win as if the level came first.
+            let before = run("run single --mtu 1500 --no-dca --iommu --level jumbo").0;
+            let after = run("run single --level jumbo --mtu 1500 --no-dca --iommu").0;
+            assert_eq!(before.cfg.stack.mtu, 1500);
+            assert!(!before.cfg.stack.dca && before.cfg.stack.iommu);
+            assert_eq!(
+                format!("{:?}", before.cfg.stack),
+                format!("{:?}", after.cfg.stack)
+            );
         }
 
         #[test]
         fn parses_fault_flags() {
-            let cmd = parse(&argv(
-                "run single --fault-burst-loss 0.02 --fault-burst-len 16 \
+            use hostnet::building_blocks::faults::{LossModel, PhaseSchedule};
+            let c = run("run single --fault-burst-loss 0.02 --fault-burst-len 16 \
                  --fault-at-ms 22.5 --fault-flap-ms 1.5 --fault-ring-ms 2 \
                  --fault-pool-ms 3 --fault-stall-ms 4 --fault-spike-ms 0.5 \
-                 --watchdog-ms 800 --max-backlog 4096",
-            ))
-            .unwrap();
-            match cmd {
-                Command::Run(r) => {
-                    assert!((r.burst_loss - 0.02).abs() < 1e-12);
-                    assert!((r.burst_len - 16.0).abs() < 1e-12);
-                    assert!((r.fault_at_ms - 22.5).abs() < 1e-12);
-                    assert!((r.flap_ms - 1.5).abs() < 1e-12);
-                    assert!((r.ring_ms - 2.0).abs() < 1e-12);
-                    assert!((r.pool_ms - 3.0).abs() < 1e-12);
-                    assert!((r.stall_ms - 4.0).abs() < 1e-12);
-                    assert!((r.spike_ms - 0.5).abs() < 1e-12);
-                    assert_eq!(r.watchdog_ms, 800);
-                    assert_eq!(r.max_backlog, 4096);
-                }
-                _ => panic!("not a run"),
-            }
+                 --watchdog-ms 800 --max-backlog 4096")
+            .0
+            .cfg;
+            let ms = |v: f64| Duration::from_nanos((v * 1e6) as u64);
+            let window = |d: f64| PhaseSchedule::once(ms(22.5), ms(d));
+            assert_eq!(c.link.loss, LossModel::bursty(0.02, 16.0));
+            assert_eq!(c.link.flap, Some(window(1.5)));
+            assert_eq!(c.link.latency_spike.map(|s| s.window), Some(window(0.5)));
+            let ring = c.faults.ring_exhaust.unwrap();
+            assert_eq!((ring.window, ring.host), (window(2.0), 1));
+            let pool = c.faults.pool_pressure.unwrap();
+            assert_eq!((pool.window, pool.host), (window(3.0), 1));
+            let stall = c.faults.core_stall.unwrap();
+            assert_eq!((stall.window, stall.host, stall.core), (window(4.0), 1, 0));
+            assert_eq!(c.watchdog_horizon, Duration::from_millis(800));
+            assert_eq!(c.max_backlog, 4096);
         }
 
         #[test]
         fn fault_defaults_are_quiet() {
-            match parse(&argv("run single")).unwrap() {
-                Command::Run(r) => {
-                    assert_eq!(r.burst_loss, 0.0);
-                    assert_eq!(r.flap_ms, 0.0);
-                    assert_eq!(r.ring_ms, 0.0);
-                    assert_eq!(r.watchdog_ms, 5000);
-                    assert_eq!(r.max_backlog, 0);
-                }
-                _ => panic!("not a run"),
-            }
+            use hostnet::building_blocks::faults::LossModel;
+            let c = run("run single").0.cfg;
+            assert!(c.faults.is_quiet());
+            assert_eq!(c.link.loss, LossModel::None);
+            assert!(c.link.flap.is_none() && c.link.latency_spike.is_none());
+            assert_eq!(c.watchdog_horizon, Duration::from_millis(5000));
+            assert_eq!(c.max_backlog, 0);
         }
 
         #[test]
         fn parses_trace_flags() {
-            let cmd = parse(&argv(
-                "run single --trace-sample-every 8 --trace-flow 0 \
-                 --trace-out t.json --trace-format chrome",
-            ))
-            .unwrap();
-            match cmd {
-                Command::Run(r) => {
-                    assert!(r.trace, "--trace-* flags imply --trace");
-                    assert_eq!(r.trace_sample_every, 8);
-                    assert_eq!(r.trace_flow, Some(0));
-                    assert_eq!(r.trace_out.as_deref(), Some("t.json"));
-                    assert!(r.trace_chrome);
-                }
-                _ => panic!("not a run"),
-            }
-            match parse(&argv("run single --trace")).unwrap() {
-                Command::Run(r) => {
-                    assert!(r.trace && !r.trace_chrome);
-                    assert_eq!(r.trace_sample_every, 1);
-                    assert_eq!(r.trace_out, None);
-                }
-                _ => panic!("not a run"),
-            }
+            let (exp, out) = run("run single --trace-sample-every 8 --trace-flow 0 \
+                 --trace-out t.json --trace-format chrome");
+            assert!(exp.cfg.trace.enabled, "--trace-* flags imply --trace");
+            assert_eq!(exp.cfg.trace.sample_every, 8);
+            assert_eq!(exp.cfg.trace.flow, Some(0));
+            assert_eq!(out.trace_out.as_deref(), Some("t.json"));
+            assert!(out.trace_chrome);
+            let (exp, out) = run("run single --trace");
+            assert!(exp.cfg.trace.enabled && !out.trace_chrome);
+            assert_eq!(exp.cfg.trace.sample_every, 1);
+            assert_eq!(out.trace_out, None);
         }
 
         #[test]
@@ -1680,6 +1266,9 @@ fault injection (all deterministic; scheduled faults share one window):
             assert!(parse(&argv("run single --mtu banana")).is_err());
             assert!(parse(&argv("run single --trace-sample-every 0")).is_err());
             assert!(parse(&argv("run single --trace-format xml")).is_err());
+            // Values whose unit conversion would overflow.
+            assert!(parse(&argv("run single --measure-ms 18446744073709552")).is_err());
+            assert!(parse(&argv("run single --rcvbuf-kb 18446744073709552")).is_err());
         }
 
         #[test]
@@ -1778,7 +1367,7 @@ fault injection (all deterministic; scheduled faults share one window):
 
         #[test]
         fn rejects_retired_sweep_commands() {
-            for cmd in ["capacity", "incast", "backend"] {
+            for cmd in ["capacity", "incast", "backend", "monitor"] {
                 let err = parse(&argv(&format!("{cmd} --quick"))).unwrap_err();
                 assert!(err.contains("unknown command"), "`{cmd}`: {err}");
             }
@@ -1838,11 +1427,10 @@ fault injection (all deterministic; scheduled faults share one window):
 
         #[test]
         fn all_to_all_uses_flows_as_dimension() {
-            let cmd = parse(&argv("run all-to-all --flows 4")).unwrap();
-            match cmd {
-                Command::Run(r) => assert_eq!(r.scenario, ScenarioKind::AllToAll { x: 4 }),
-                _ => panic!("not a run"),
-            }
+            assert_eq!(
+                run("run all-to-all --flows 4").0.scenario,
+                ScenarioKind::AllToAll { x: 4 }
+            );
         }
     }
 }

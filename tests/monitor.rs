@@ -16,7 +16,7 @@ use hostnet::building_blocks::conn::AdmissionPolicy;
 use hostnet::building_blocks::core_figures as figures;
 use hostnet::building_blocks::monitor::MonitorConfig;
 use hostnet::building_blocks::sim::Duration;
-use hostnet::building_blocks::stack::{SimConfig, World};
+use hostnet::building_blocks::stack::SimConfig;
 use hostnet::building_blocks::trace::{StageId, TraceConfig};
 use hostnet::building_blocks::workload;
 use hostnet::{Experiment, ScenarioKind};
@@ -25,21 +25,25 @@ use hostnet::{Experiment, ScenarioKind};
 fn capacity_experiment(monitored: bool) -> Experiment {
     let mut churn = workload::churn_capacity(60, AdmissionPolicy::Queue);
     churn.trace_sample = 4;
-    Experiment::new(ScenarioKind::Churn { churn })
-        .quick()
-        .configure(move |c| {
-            c.trace = TraceConfig {
-                enabled: true,
-                sample_every: 4,
-                ..TraceConfig::DISABLED
-            };
-            if monitored {
-                c.monitor = Some(MonitorConfig {
-                    interval: Duration::from_millis(2),
-                    ..MonitorConfig::default()
-                });
-            }
-        })
+    traced(ScenarioKind::Churn { churn }, monitored)
+}
+
+/// A short run of `scenario` with every 4th skb traced; `monitored` only
+/// toggles a 2 ms monitor.
+fn traced(scenario: ScenarioKind, monitored: bool) -> Experiment {
+    Experiment::new(scenario).quick().configure(move |c| {
+        c.trace = TraceConfig {
+            enabled: true,
+            sample_every: 4,
+            ..TraceConfig::DISABLED
+        };
+        if monitored {
+            c.monitor = Some(MonitorConfig {
+                interval: Duration::from_millis(2),
+                ..MonitorConfig::default()
+            });
+        }
+    })
 }
 
 #[test]
@@ -64,25 +68,39 @@ fn default_config_and_golden_sweeps_are_unmonitored() {
 
 #[test]
 fn monitor_only_adds_the_monitor_key() {
-    let plain = capacity_experiment(false).run();
-    let mut monitored = capacity_experiment(true).run();
+    // A churn run and a long-flow run: every scenario can be monitored.
+    for (plain, monitored) in [
+        (capacity_experiment(false), capacity_experiment(true)),
+        (
+            traced(ScenarioKind::Incast { flows: 4 }, false),
+            traced(ScenarioKind::Incast { flows: 4 }, true),
+        ),
+    ] {
+        let label = plain.report_label();
+        let plain = plain.run();
+        let mut monitored = monitored.run();
 
-    let summary = monitored.monitor.clone().expect("monitored report");
-    assert!(
-        summary.snapshots >= 2,
-        "expected snapshots in an 8ms window"
-    );
-    assert!(monitored.to_json().contains("\"monitor\""));
-    assert!(!plain.to_json().contains("\"monitor\""));
+        let summary = monitored.monitor.clone().expect("monitored report");
+        assert!(
+            summary.snapshots >= 2,
+            "{label}: expected snapshots in an 8ms window"
+        );
+        assert!(
+            !summary.stages.is_empty(),
+            "{label}: the sketches saw no stage residencies"
+        );
+        assert!(monitored.to_json().contains("\"monitor\""));
+        assert!(!plain.to_json().contains("\"monitor\""));
 
-    // Strip the summary: everything else must be byte-identical, i.e. the
-    // monitor observed the run without perturbing it.
-    monitored.monitor = None;
-    assert_eq!(
-        plain.to_json(),
-        monitored.to_json(),
-        "monitoring must not change simulation outcomes"
-    );
+        // Strip the summary: everything else must be byte-identical, i.e.
+        // the monitor observed the run without perturbing it.
+        monitored.monitor = None;
+        assert_eq!(
+            plain.to_json(),
+            monitored.to_json(),
+            "{label}: monitoring must not change simulation outcomes"
+        );
+    }
 }
 
 #[test]
@@ -93,28 +111,16 @@ fn monitored_snapshot_stream_is_deterministic() {
     let stream = || {
         let mut churn = workload::churn_capacity(60, AdmissionPolicy::Drop);
         churn.trace_sample = 4;
-        let cfg = SimConfig {
-            seed: 42,
-            churn: Some(churn),
-            monitor: Some(MonitorConfig {
-                interval: Duration::from_millis(2),
-                ..MonitorConfig::default()
-            }),
-            trace: TraceConfig {
-                enabled: true,
-                sample_every: 4,
-                ..TraceConfig::DISABLED
-            },
-            ..SimConfig::default()
-        };
+        let mut exp = traced(ScenarioKind::Churn { churn }, true).configure(|c| c.seed = 42);
+        exp.measure = Duration::from_millis(10);
         let lines = Rc::new(RefCell::new(Vec::<String>::new()));
         let sink = Rc::clone(&lines);
-        let mut world = World::new(cfg);
+        let mut world = exp.world();
         world.set_monitor_emit(Box::new(move |s| {
             sink.borrow_mut().push(s.to_jsonl());
         }));
         world
-            .try_run(Duration::from_millis(5), Duration::from_millis(10))
+            .try_run(exp.warmup, exp.measure)
             .expect("monitored run quiesces");
         drop(world); // releases the emit closure's clone of `lines`
         Rc::try_unwrap(lines).unwrap().into_inner()
@@ -219,17 +225,16 @@ fn cli_monitor_streams_deterministic_jsonl() {
             std::process::id()
         ));
         let out = std::process::Command::new(bin)
-            .args([
-                "monitor",
-                "--quick",
-                "--seed",
-                "11",
-                "--metrics-out",
-                path.to_str().unwrap(),
-            ])
+            .args(
+                "run churn --churn-mode rpc --admission queue --slow-prob 0.25 \
+                   --monitor-ms 5 --trace-sample-every 8 --warmup-ms 5 --measure-ms 30 \
+                   --seed 11 --metrics-out"
+                    .split_whitespace(),
+            )
+            .arg(&path)
             .output()
-            .expect("spawn hostnet monitor");
-        assert!(out.status.success(), "hostnet monitor failed: {out:?}");
+            .expect("spawn hostnet run");
+        assert!(out.status.success(), "hostnet run failed: {out:?}");
         let jsonl = std::fs::read_to_string(&path).expect("metrics file");
         let _ = std::fs::remove_file(&path);
         (out.stdout, jsonl)
