@@ -10,9 +10,10 @@
 //! * [`RxRing`] — Rx descriptor accounting: frames consume descriptors,
 //!   NAPI replenishes them from the page pool, and an empty ring drops
 //!   frames (the paper's Fig. 3e descriptor sweep),
-//! * [`TxArbiter`] — per-core Tx queues with deficit-round-robin service,
-//!   which is what interleaves different flows' frames onto the wire and
-//!   starves GRO of aggregation opportunities as flow counts grow (§3.5),
+//! * [`TxArbiter`] — per-core Tx queues served round-robin, one frame per
+//!   non-empty queue in turn, which is what interleaves different flows'
+//!   frames onto the wire and starves GRO of aggregation opportunities as
+//!   flow counts grow (§3.5),
 //! * [`tso`] — hardware segmentation of up-to-64KB skbs into MTU frames,
 //! * [`steering`] — the paper's Table 2: RSS/RPS/RFS/aRFS receive steering,
 //! * [`InterruptCoalescer`] — NAPI-style IRQ masking: no new interrupt

@@ -7,6 +7,10 @@
 //! interleaves them frame-by-frame, which — together with shrinking
 //! per-flow windows — is what starves GRO of batching opportunities as the
 //! paper's all-to-all experiment scales (§3.5, Fig. 8c).
+//!
+//! The queues are unbounded (the stack's windows bound them). One bit per
+//! non-empty queue lets [`TxArbiter::dequeue`] find the next queue to serve
+//! with a `trailing_zeros` per 64 queues instead of probing every queue.
 
 use std::collections::VecDeque;
 
@@ -14,86 +18,93 @@ use std::collections::VecDeque;
 /// opaque handle the stack uses to recover the segment on dequeue.
 pub type QueuedFrame<T> = (u32, T);
 
-/// Round-robin transmit arbiter over per-core Tx queues.
+/// Round-robin transmit arbiter over per-core Tx queues: each non-empty
+/// queue sends one frame in turn.
 #[derive(Debug)]
 pub struct TxArbiter<T> {
     queues: Vec<VecDeque<QueuedFrame<T>>>,
+    /// Bit `q % 64` of word `q / 64` is set iff queue `q` is non-empty.
+    active: Vec<u64>,
     /// Next queue to serve (round-robin pointer).
     next: usize,
     /// Total frames currently queued.
     queued: usize,
-    /// Per-queue byte depth limit (BQL-ish); pushes beyond it are rejected
-    /// so the qdisc layer keeps the backlog instead.
-    byte_limit: u64,
-    depths: Vec<u64>,
 }
 
 impl<T> TxArbiter<T> {
-    /// Arbiter over `queues` hardware queues with a per-queue byte limit.
-    pub fn new(queues: usize, byte_limit: u64) -> Self {
+    /// Arbiter over `queues` hardware queues.
+    pub fn new(queues: usize) -> Self {
         assert!(queues > 0);
         TxArbiter {
             queues: (0..queues).map(|_| VecDeque::new()).collect(),
+            active: vec![0; queues.div_ceil(64)],
             next: 0,
             queued: 0,
-            byte_limit,
-            depths: vec![0; queues],
         }
     }
 
-    /// Try to enqueue a frame on `queue`. Returns `false` when the queue is
-    /// over its byte limit (caller keeps the frame in qdisc backlog).
-    pub fn enqueue(&mut self, queue: usize, payload: u32, tag: T) -> bool {
-        if self.depths[queue] + payload as u64 > self.byte_limit {
-            return false;
-        }
+    /// Enqueue a frame on `queue`.
+    pub fn enqueue(&mut self, queue: usize, payload: u32, tag: T) {
         self.queues[queue].push_back((payload, tag));
-        self.depths[queue] += payload as u64;
+        self.active[queue / 64] |= 1 << (queue % 64);
         self.queued += 1;
-        true
     }
 
     /// Enqueue a run of frames on `queue` in one call — the TSO path
     /// splits a 64KB write into dozens of MTU frames that all target the
-    /// sender core's queue, so the queue/depth lookups are hoisted out of
-    /// the per-frame loop. Each frame is still byte-limit checked
-    /// individually (identical to calling [`Self::enqueue`] per frame);
-    /// returns how many were accepted.
-    pub fn enqueue_all<I>(&mut self, queue: usize, frames: I) -> usize
+    /// sender core's queue, so the queue lookup is hoisted out of the
+    /// per-frame loop. Identical to calling [`Self::enqueue`] per frame.
+    pub fn enqueue_all<I>(&mut self, queue: usize, frames: I)
     where
         I: IntoIterator<Item = QueuedFrame<T>>,
     {
         let q = &mut self.queues[queue];
-        let depth = &mut self.depths[queue];
-        let mut accepted = 0;
-        for (payload, tag) in frames {
-            if *depth + payload as u64 > self.byte_limit {
-                continue; // caller keeps rejected frames in qdisc backlog
-            }
-            q.push_back((payload, tag));
-            *depth += payload as u64;
-            accepted += 1;
+        let before = q.len();
+        q.extend(frames);
+        let added = q.len() - before;
+        if added > 0 {
+            self.active[queue / 64] |= 1 << (queue % 64);
+            self.queued += added;
         }
-        self.queued += accepted;
-        accepted
     }
 
-    /// Dequeue the next frame in round-robin order.
+    /// Dequeue the next frame in round-robin order: from the first
+    /// non-empty queue at or after the round-robin pointer, wrapping.
     pub fn dequeue(&mut self) -> Option<QueuedFrame<T>> {
         if self.queued == 0 {
             return None;
         }
-        let n = self.queues.len();
-        for _ in 0..n {
-            let q = self.next;
-            self.next = (self.next + 1) % n;
-            if let Some(frame) = self.queues[q].pop_front() {
-                self.depths[q] -= frame.0 as u64;
-                self.queued -= 1;
-                return Some(frame);
+        let q = self.next_active();
+        let frame = self.queues[q]
+            .pop_front()
+            .expect("an active queue holds a frame");
+        if self.queues[q].is_empty() {
+            self.active[q / 64] &= !(1 << (q % 64));
+        }
+        self.next = if q + 1 == self.queues.len() { 0 } else { q + 1 };
+        self.queued -= 1;
+        Some(frame)
+    }
+
+    /// The first non-empty queue at or after `next`, wrapping. Only called
+    /// with at least one frame queued.
+    fn next_active(&self) -> usize {
+        let words = self.active.len();
+        let w0 = self.next / 64;
+        let at_or_after = self.active[w0] & (!0u64 << (self.next % 64));
+        if at_or_after != 0 {
+            return w0 * 64 + at_or_after.trailing_zeros() as usize;
+        }
+        // The words after `w0`, then from word 0 round to `w0` itself,
+        // whose bits at or after `next` are already known to be clear.
+        let mut w = w0;
+        for _ in 0..words {
+            w = if w + 1 == words { 0 } else { w + 1 };
+            if self.active[w] != 0 {
+                return w * 64 + self.active[w].trailing_zeros() as usize;
             }
         }
-        None
+        unreachable!("a queued frame has no active queue")
     }
 
     /// Frames queued across all queues.
@@ -105,11 +116,6 @@ impl<T> TxArbiter<T> {
     pub fn is_empty(&self) -> bool {
         self.queued == 0
     }
-
-    /// Bytes queued on one queue.
-    pub fn queue_depth(&self, queue: usize) -> u64 {
-        self.depths[queue]
-    }
 }
 
 #[cfg(test)]
@@ -118,9 +124,9 @@ mod tests {
 
     #[test]
     fn single_queue_is_fifo() {
-        let mut a: TxArbiter<u32> = TxArbiter::new(1, 1 << 20);
+        let mut a: TxArbiter<u32> = TxArbiter::new(1);
         for i in 0..5 {
-            assert!(a.enqueue(0, 100, i));
+            a.enqueue(0, 100, i);
         }
         let order: Vec<u32> = std::iter::from_fn(|| a.dequeue()).map(|(_, t)| t).collect();
         assert_eq!(order, vec![0, 1, 2, 3, 4]);
@@ -128,10 +134,10 @@ mod tests {
 
     #[test]
     fn round_robin_interleaves_queues() {
-        let mut a: TxArbiter<(usize, u32)> = TxArbiter::new(3, 1 << 20);
+        let mut a: TxArbiter<(usize, u32)> = TxArbiter::new(3);
         for q in 0..3 {
             for i in 0..3 {
-                assert!(a.enqueue(q, 100, (q, i)));
+                a.enqueue(q, 100, (q, i));
             }
         }
         let order: Vec<(usize, u32)> = std::iter::from_fn(|| a.dequeue()).map(|(_, t)| t).collect();
@@ -154,25 +160,20 @@ mod tests {
 
     #[test]
     fn enqueue_all_matches_per_frame_enqueue() {
-        let mut batch: TxArbiter<u32> = TxArbiter::new(2, 450);
-        let mut serial: TxArbiter<u32> = TxArbiter::new(2, 450);
-        // Five 100-byte frames against a 450-byte limit: the last is
-        // rejected in both modes, accepted frames keep FIFO order.
+        let mut batch: TxArbiter<u32> = TxArbiter::new(2);
+        let mut serial: TxArbiter<u32> = TxArbiter::new(2);
         let frames: Vec<(u32, u32)> = (0..5).map(|i| (100, i)).collect();
-        let accepted = batch.enqueue_all(0, frames.iter().copied());
-        let mut expect = 0;
+        batch.enqueue_all(0, frames.iter().copied());
+        batch.enqueue_all(1, std::iter::empty());
         for &(p, t) in &frames {
-            if serial.enqueue(0, p, t) {
-                expect += 1;
-            }
+            serial.enqueue(0, p, t);
         }
-        assert_eq!(accepted, expect);
-        assert_eq!(accepted, 4);
+        assert_eq!(batch.len(), 5);
         assert_eq!(batch.len(), serial.len());
-        assert_eq!(batch.queue_depth(0), serial.queue_depth(0));
         loop {
             let (a, b) = (batch.dequeue(), serial.dequeue());
             assert_eq!(a, b);
+            assert_eq!(batch.len(), serial.len());
             if a.is_none() {
                 break;
             }
@@ -180,32 +181,11 @@ mod tests {
     }
 
     #[test]
-    fn byte_limit_rejects() {
-        let mut a: TxArbiter<u8> = TxArbiter::new(1, 250);
-        assert!(a.enqueue(0, 100, 0));
-        assert!(a.enqueue(0, 100, 1));
-        assert!(!a.enqueue(0, 100, 2), "251..300 bytes over limit");
-        a.dequeue();
-        assert!(a.enqueue(0, 100, 2), "room after dequeue");
-    }
-
-    #[test]
     fn skips_empty_queues() {
-        let mut a: TxArbiter<u8> = TxArbiter::new(4, 1 << 20);
+        let mut a: TxArbiter<u8> = TxArbiter::new(4);
         a.enqueue(2, 10, 42);
         assert_eq!(a.dequeue().map(|(_, t)| t), Some(42));
         assert!(a.dequeue().is_none());
         assert!(a.is_empty());
-    }
-
-    #[test]
-    fn depth_tracking() {
-        let mut a: TxArbiter<u8> = TxArbiter::new(2, 1 << 20);
-        a.enqueue(0, 100, 0);
-        a.enqueue(0, 200, 1);
-        assert_eq!(a.queue_depth(0), 300);
-        assert_eq!(a.queue_depth(1), 0);
-        a.dequeue();
-        assert_eq!(a.queue_depth(0), 200);
     }
 }

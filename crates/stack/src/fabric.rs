@@ -24,6 +24,12 @@
 //! CE-marked when the egress port already holds at least
 //! `ecn_threshold_bytes` of queued frames the moment it is offered.
 //!
+//! Admission needs the shared buffer's occupancy on every frame. The
+//! fabric keeps a bitset of ports that may hold a backlog and sums only
+//! those (plus the few uplinks), dropping a port from the set once it has
+//! drained, so a frame's cost grows with the ports actually queueing, not
+//! with the rack size.
+//!
 //! Rate, propagation and in-network faults come from a [`LinkConfig`]:
 //! each egress port runs one loss process of a shared [`WireFaults`]
 //! (the §3.6 loss sweep, bursty loss, flaps and latency spikes), stepped
@@ -44,6 +50,9 @@ use hns_sim::{Duration, SimTime};
 /// Most hosts a fabric (and so a world) can hold: events pack the host
 /// index into a `u8`.
 pub const MAX_HOSTS: u16 = 256;
+
+/// Words of the fabric's busy-port bitset: one bit per possible port.
+const BUSY_WORDS: usize = MAX_HOSTS as usize / 64;
 
 /// ToR fabric parameters. `Copy` so [`crate::SimConfig`] stays `Copy`.
 /// The ports' rate, propagation and faults are the world's
@@ -108,6 +117,14 @@ pub struct Fabric {
     faults: WireFaults,
     /// Egress port toward each host (indexed by destination host).
     ports: Vec<Port>,
+    /// Ports that may hold a backlog: bit `p % 64` of word `p / 64` is set
+    /// when port `p` serializes a frame and cleared by the first
+    /// occupancy sum in [`Fabric::transmit`] that finds the port drained.
+    /// Every port with `busy_until` past the latest `transmit`'s `now` has
+    /// its bit set, so the occupancy sum visits only these.
+    busy: [u64; BUSY_WORDS],
+    /// `now` of the latest [`Fabric::transmit`]; never decreases.
+    clock: SimTime,
     /// ECMP uplink serialization clocks (empty when `uplinks == 0`).
     uplinks: Vec<SimTime>,
     /// Per-source ingress wire (host NIC → switch): the only clock that
@@ -147,6 +164,8 @@ impl Fabric {
             link,
             faults: WireFaults::new(&link, n, seed),
             ports: (0..n).map(|_| Port::default()).collect(),
+            busy: [0; BUSY_WORDS],
+            clock: SimTime::ZERO,
             uplinks: vec![SimTime::ZERO; config.uplinks as usize],
             ingress: vec![SimTime::ZERO; n],
             config,
@@ -162,19 +181,39 @@ impl Fabric {
     }
 
     /// Total queued bytes across every egress port and uplink at `now`
-    /// (the shared buffer's occupancy).
+    /// (the shared buffer's occupancy). `now` must be no earlier than the
+    /// latest [`Fabric::transmit`]'s.
     pub fn occupancy(&self, now: SimTime) -> u64 {
-        let ports: u64 = self
-            .ports
-            .iter()
-            .map(|p| backlog_bytes(p.busy_until.since(now), self.link.gbps))
-            .sum();
-        let uplinks: u64 = self
+        self.backlog(now).0
+    }
+
+    /// The occupancy at `now`, and the busy-port set with every port that
+    /// has drained by `now` removed. Each port's term is an integer, so
+    /// the sum is exact in any order; a port left out has no backlog.
+    fn backlog(&self, now: SimTime) -> (u64, [u64; BUSY_WORDS]) {
+        debug_assert!(now >= self.clock, "fabric time went backwards");
+        let gbps = self.link.gbps;
+        let mut total: u64 = self
             .uplinks
             .iter()
-            .map(|&u| backlog_bytes(u.since(now), self.link.gbps))
+            .map(|&u| backlog_bytes(u.since(now), gbps))
             .sum();
-        ports + uplinks
+        let mut busy = self.busy;
+        let words = self.ports.len().div_ceil(64);
+        for (w, word) in busy[..words].iter_mut().enumerate() {
+            let mut bits = *word;
+            while bits != 0 {
+                let b = bits.trailing_zeros();
+                bits &= bits - 1;
+                let until = self.ports[w * 64 + b as usize].busy_until;
+                if until <= now {
+                    *word &= !(1 << b);
+                } else {
+                    total += backlog_bytes(until.since(now), gbps);
+                }
+            }
+        }
+        (total, busy)
     }
 
     /// Offer a frame of `wire_bytes` from host `src` to host `dst` on
@@ -182,6 +221,11 @@ impl Fabric {
     /// egress port frees up, the frame arrives `propagation` after it
     /// finishes, and callers gate their transmit loops on
     /// [`Fabric::next_free`].
+    ///
+    /// `now` must never decrease from one call to the next (the world's
+    /// event clock guarantees it): the occupancy sum forgets a port once
+    /// it has drained by `now`, which is only safe if no later frame can
+    /// be offered at an earlier time.
     pub fn transmit(
         &mut self,
         src: usize,
@@ -191,7 +235,9 @@ impl Fabric {
         wire_bytes: u64,
     ) -> TransmitOutcome {
         debug_assert_ne!(src, dst, "a host cannot transmit to itself");
-        let occ = self.occupancy(now);
+        let (occ, busy) = self.backlog(now);
+        self.busy = busy;
+        self.clock = now;
         let ser = Duration::for_bytes_at_gbps(wire_bytes, self.link.gbps);
 
         // The frame crosses the source's own wire whatever the switch does
@@ -231,6 +277,7 @@ impl Fabric {
 
         let p = &mut self.ports[dst];
         p.busy_until = p.busy_until.max(available) + ser;
+        self.busy[dst / 64] |= 1 << (dst % 64);
 
         match self.faults.fate(dst, now) {
             None => {
@@ -447,6 +494,102 @@ mod tests {
         let half = f.occupancy(SimTime::from_nanos(726));
         assert!(half < full && half > 8_000, "one frame left: {half}");
         assert_eq!(f.occupancy(SimTime::from_nanos(2_000)), 0);
+    }
+
+    /// Every port's and uplink's backlog at `now`, summed the long way.
+    fn full_scan(f: &Fabric, now: SimTime) -> u64 {
+        let gbps = f.link.gbps;
+        let ports: u64 = f
+            .ports
+            .iter()
+            .map(|p| backlog_bytes(p.busy_until.since(now), gbps))
+            .sum();
+        let uplinks: u64 = f
+            .uplinks
+            .iter()
+            .map(|&u| backlog_bytes(u.since(now), gbps))
+            .sum();
+        ports + uplinks
+    }
+
+    /// The busy-port set only ever leaves out drained ports: on the
+    /// incast shape and on a full rack, with queues that build past the
+    /// ECN threshold and the shared buffer and then drain, the occupancy
+    /// equals a full scan at every frame, and a twin fabric fed the same
+    /// frames whose busy set holds every port before each one (so it sums
+    /// every port, as a full scan does) gives identical outcomes.
+    #[test]
+    fn busy_port_occupancy_is_exact() {
+        let incast = FabricConfig {
+            uplinks: 4,
+            // `hns_core::figures::INCAST_BUFFER_BYTES` and
+            // `INCAST_ECN_THRESHOLD`, the incast figure's switch.
+            buffer_bytes: 256 * 1024,
+            ecn_threshold_bytes: Some(64 * 1024),
+            ..FabricConfig::neutral(17)
+        };
+        let rack = FabricConfig {
+            uplinks: 2,
+            buffer_bytes: 1 << 20,
+            ecn_threshold_bytes: Some(32 * 1024),
+            ..FabricConfig::neutral(MAX_HOSTS)
+        };
+        let lossy = LinkConfig {
+            loss: LossModel::bursty(0.01, 4.0),
+            ..LinkConfig::default()
+        };
+        for (name, cfg, link) in [
+            ("incast17", incast, LinkConfig::default()),
+            ("rack256", rack, lossy),
+        ] {
+            let n = cfg.hosts as usize;
+            let mut every_port = [0u64; BUSY_WORDS];
+            for p in 0..n {
+                every_port[p / 64] |= 1 << (p % 64);
+            }
+            let mut f = Fabric::with_link(cfg, link, 3);
+            let mut twin = Fabric::with_link(cfg, link, 3);
+            let mut rng = hns_sim::SimRng::new(0x0cc0 + n as u64);
+            let (mut now, mut ce, mut cleared) = (0u64, 0u32, 0u32);
+            for i in 0..20_000u32 {
+                // Three frames in four converge on host 1 from the other
+                // hosts; the rest run between random pairs.
+                let (src, dst) = if rng.next_below(4) != 0 {
+                    let src = rng.next_below(n as u64 - 1) as usize;
+                    (if src >= 1 { src + 1 } else { src }, 1)
+                } else {
+                    let src = rng.next_below(n as u64) as usize;
+                    let dst = rng.next_below(n as u64 - 1) as usize;
+                    (src, if dst >= src { dst + 1 } else { dst })
+                };
+                let bytes = if rng.chance(0.8) { 9078 } else { 78 };
+                // Back-to-back bursts build queues; rare idles drain them.
+                now += match rng.next_below(200) {
+                    0 => 50_000,
+                    1..=80 => 0,
+                    _ => rng.next_below(600),
+                };
+                let at = SimTime::from_nanos(now);
+                assert_eq!(f.occupancy(at), full_scan(&f, at), "{name}: frame {i}");
+                let before = f.busy;
+                twin.busy = every_port;
+                let a = f.transmit(src, dst, u64::from(i), at, bytes);
+                let b = twin.transmit(src, dst, u64::from(i), at, bytes);
+                assert_eq!(a, b, "{name}: frame {i}");
+                assert_eq!(f.occupancy(at), full_scan(&f, at), "{name}: frame {i}");
+                ce += u32::from(matches!(a, TransmitOutcome::Delivered { ce: true, .. }));
+                cleared += u32::from(before.iter().zip(f.busy).any(|(&b, a)| b & !a != 0));
+            }
+            for dst in 0..n {
+                assert_eq!(f.frames_to(dst), twin.frames_to(dst), "{name}");
+                assert_eq!(f.drops_to(dst), twin.drops_to(dst), "{name}");
+            }
+            assert!(
+                f.switch_drops() > 0 && ce > 0 && cleared > 0,
+                "{name}: drops {}, ce {ce}, cleared {cleared}",
+                f.switch_drops()
+            );
+        }
     }
 
     #[test]
