@@ -7,7 +7,7 @@
 //! receiver "gets out-of-order TCP segments, and ends up sending duplicate
 //! ACKs").
 
-use crate::sack::SackBlocks;
+use crate::sack::{overlap_window, SackBlocks};
 
 /// Outcome of offering one data segment to the queue.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -43,6 +43,11 @@ impl ReassemblyQueue {
     /// Bytes held out-of-order (not yet deliverable).
     pub fn ooo_bytes(&self) -> u64 {
         self.ranges.iter().map(|(s, e)| e - s).sum()
+    }
+
+    /// The stored out-of-order ranges: sorted, disjoint and non-adjacent.
+    pub fn ranges(&self) -> &[(u64, u64)] {
+        &self.ranges
     }
 
     /// Number of discontiguous holes currently tracked.
@@ -98,39 +103,21 @@ impl ReassemblyQueue {
         }
     }
 
-    /// Store `[start, end)` into the sorted range list; returns true if any
-    /// new bytes were added.
-    fn store(&mut self, mut start: u64, mut end: u64) -> bool {
-        let mut added_new = false;
-        let mut merged: Vec<(u64, u64)> = Vec::with_capacity(self.ranges.len() + 1);
-        let mut placed = false;
-        for &(s, e) in &self.ranges {
-            if e < start || s > end {
-                // Disjoint (not even adjacent): keep as-is, but insert our
-                // range in sorted position.
-                if s > end && !placed && start < end {
-                    merged.push((start, end));
-                    placed = true;
-                }
-                merged.push((s, e));
-            } else {
-                // Overlapping or adjacent: coalesce.
-                if start < s || end > e {
-                    added_new = added_new || start < s || end > e;
-                }
-                start = start.min(s);
-                end = end.max(e);
-            }
+    /// Store `[start, end)` into the sorted range list, coalescing in place
+    /// with every range it overlaps or touches; returns true if any new
+    /// bytes were added.
+    fn store(&mut self, start: u64, end: u64) -> bool {
+        let (lo, hi) = overlap_window(&self.ranges, start, end);
+        if lo == hi {
+            self.ranges.insert(lo, (start, end));
+            return start < end;
         }
-        if !placed {
-            merged.push((start, end));
-        }
-        merged.sort_unstable();
-        // Detect whether the stored set actually grew.
-        let old_bytes: u64 = self.ranges.iter().map(|(s, e)| e - s).sum();
-        let new_bytes: u64 = merged.iter().map(|(s, e)| e - s).sum();
-        self.ranges = merged;
-        new_bytes > old_bytes || added_new
+        let (s, e) = (self.ranges[lo].0, self.ranges[hi - 1].1);
+        // Nothing new only when one stored range already covers it all.
+        let added = hi - lo > 1 || start < s || end > e;
+        self.ranges[lo] = (start.min(s), end.max(e));
+        self.ranges.drain(lo + 1..hi);
+        added
     }
 
     /// Pull ranges now contiguous with rcv_nxt.

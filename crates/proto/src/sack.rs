@@ -54,6 +54,15 @@ impl SackBlocks {
     }
 }
 
+/// The window `lo..hi` of sorted, disjoint, non-adjacent `ranges` that
+/// overlap or touch `[start, end]`: everything before `lo` ends below
+/// `start`, everything from `hi` on begins above `end`.
+pub(crate) fn overlap_window(ranges: &[(u64, u64)], start: u64, end: u64) -> (usize, usize) {
+    let lo = ranges.partition_point(|&(_, e)| e < start);
+    let hi = lo + ranges[lo..].partition_point(|&(s, _)| s <= end);
+    (lo, hi)
+}
+
 /// Sender-side scoreboard of SACKed ranges above `snd_una`.
 #[derive(Debug, Default)]
 pub struct Scoreboard {
@@ -80,26 +89,22 @@ impl Scoreboard {
         self.prune(snd_una);
     }
 
-    fn insert(&mut self, mut start: u64, mut end: u64) {
-        let mut merged = Vec::with_capacity(self.ranges.len() + 1);
-        let mut placed = false;
-        for &(s, e) in &self.ranges {
-            if e < start || s > end {
-                if s > end && !placed {
-                    merged.push((start, end));
-                    placed = true;
-                }
-                merged.push((s, e));
-            } else {
-                start = start.min(s);
-                end = end.max(e);
-            }
+    /// Merge `[start, end)` in place: the stored ranges it overlaps or
+    /// touches form one window, which becomes a single coalesced range.
+    fn insert(&mut self, start: u64, end: u64) {
+        let (lo, hi) = overlap_window(&self.ranges, start, end);
+        if lo == hi {
+            self.ranges.insert(lo, (start, end));
+            return;
         }
-        if !placed {
-            merged.push((start, end));
-        }
-        merged.sort_unstable();
-        self.ranges = merged;
+        let merged = (start.min(self.ranges[lo].0), end.max(self.ranges[hi - 1].1));
+        self.ranges[lo] = merged;
+        self.ranges.drain(lo + 1..hi);
+    }
+
+    /// The SACKed ranges: sorted, disjoint and non-adjacent.
+    pub fn ranges(&self) -> &[(u64, u64)] {
+        &self.ranges
     }
 
     /// Drop everything at or below the cumulative ACK.

@@ -6,13 +6,18 @@
 //! in FIFO scheduling order, which is what keeps runs deterministic
 //! regardless of storage internals.
 //!
-//! Since PR 8 the storage is a hierarchical timer wheel
-//! (`crate::wheel`): pushes are O(1) bucket appends and pops are
-//! amortized-O(1) `pop_front`s from a sorted front run, replacing the
-//! binary heap's O(log n) sifts that dominated the engine at million-flow
-//! scale. The heap lives on as [`HeapEventQueue`] — same API, same
-//! semantics — serving as the differential-test oracle and the benchmark
-//! baseline.
+//! # One slab, ordered by a timer wheel
+//!
+//! Every pending event is stored exactly once, in a slab of nodes
+//! (`time`, `seq`, the slot's `generation`, a `next` link and the
+//! payload) with a LIFO free list threaded through `next`. The ordering
+//! structure is a hierarchical timer wheel (`crate::wheel`) that links and
+//! moves 4-byte slot indices, never the events: pushes are O(1) bucket
+//! prepends and pops are amortized-O(1) `pop_front`s from a sorted front
+//! run. The slab and the wheel's index buffers keep their high-water
+//! capacity, so a queue in steady state allocates nothing. The binary heap
+//! lives on as [`HeapEventQueue`] — same API, same semantics — serving as
+//! the differential-test oracle and the benchmark baseline.
 //!
 //! Events also support *cancellation by token*: callers keep the
 //! [`EventToken`] returned by [`EventQueue::schedule`] and may cancel it
@@ -20,17 +25,19 @@
 //!
 //! # Cancellation without the hot-path probe
 //!
-//! Cancellation is generation-stamped: every scheduled event carries a
-//! `(slot, generation)` pair into storage, and a side table records each
-//! slot's current generation. Cancelling (or firing) an event bumps its
-//! slot's generation, so liveness is a single indexed compare — no
-//! hash-set probe on the pop path. Slots are freelisted and reused, so the
-//! table stays sized to the maximum number of *outstanding* events, not
-//! the run length.
+//! Cancellation is generation-stamped: a token is `(slot, generation)`,
+//! and the node records its slot's current generation. Cancelling (or
+//! firing) an event bumps that generation, so liveness is a single indexed
+//! compare — no hash-set probe on the pop path. Slots are reused, so the
+//! slab stays sized to the maximum number of *stored* events, not the run
+//! length.
 //!
-//! Cancelled events buried in the wheel are discarded lazily as they
-//! surface, but the head itself is pruned eagerly (on `cancel` and after
-//! each `pop`), so the queue upholds the invariant *the head is never
+//! A cancel also drops the payload, but the node keeps its slot until it
+//! surfaces — its level-0 bucket is consumed, or it reaches the head of
+//! the wheel's front — and is discarded; only then does the slot return to
+//! the free list, so no bucket link can ever point at a reused node. The
+//! head itself is pruned eagerly (on `cancel` and after each
+//! `pop`), so the queue upholds the invariant *the head is never
 //! cancelled*. That is what lets [`EventQueue::peek_time`] take `&self`,
 //! and it keeps [`EventQueue::len`] exact: a token cancelled after its
 //! event fired is a generation mismatch and a no-op, never a phantom
@@ -45,15 +52,17 @@
 //! each [`PendingFire`] must be passed to [`EventQueue::commit`] just
 //! before it is handled, which re-checks liveness (a handler earlier in
 //! the batch may have cancelled it), advances `now`, and counts the pop.
-//! This two-phase protocol makes the batch path byte-identical to a
-//! pop-per-event loop: `len()`, `popped()`, and cancellation semantics are
-//! exactly those of [`EventQueue::pop`].
+//! A drained event holds its slot until that commit, which releases it
+//! whether or not the event was cancelled in between. This two-phase
+//! protocol makes the batch path byte-identical to a pop-per-event loop:
+//! `len()`, `popped()`, and cancellation semantics are exactly those of
+//! [`EventQueue::pop`].
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 use crate::time::SimTime;
-use crate::wheel::{TimerWheel, WheelEntry};
+use crate::wheel::{Slab, TimerWheel, NIL};
 
 /// Opaque handle identifying a scheduled event, for cancellation. Carries
 /// the event's slot index and the slot generation at scheduling time; the
@@ -115,7 +124,8 @@ impl<E> Ord for ScheduledEvent<E> {
 /// The event is physically out of the queue but still *pending* for
 /// accounting purposes: `len()` counts it until [`EventQueue::commit`]
 /// retires it (or a cancel kills it first, in which case `commit` returns
-/// `false` and the caller must skip it).
+/// `false` and the caller must skip it). Commit each drained event exactly
+/// once: the commit releases its slot.
 #[derive(Debug)]
 pub struct PendingFire<E> {
     /// The shared batch timestamp.
@@ -126,17 +136,14 @@ pub struct PendingFire<E> {
     pub event: E,
 }
 
-/// Deterministic priority queue of simulation events, backed by a
-/// hierarchical timer wheel.
+/// Deterministic priority queue of simulation events: a slab of nodes
+/// ordered by a hierarchical timer wheel.
 pub struct EventQueue<E> {
-    wheel: TimerWheel<E>,
+    /// Every stored event, indexed by slot; the wheel links slot indices.
+    slab: Slab<E>,
+    wheel: TimerWheel,
     next_seq: u64,
     now: SimTime,
-    /// Current generation of each slot. A stored event is live iff its
-    /// stamped generation equals its slot's entry here.
-    generations: Vec<u64>,
-    /// Slots whose event has fired or been cancelled, available for reuse.
-    free_slots: Vec<u32>,
     /// Exact number of pending (live) events, counting batch-drained
     /// events until they commit.
     live_pending: usize,
@@ -150,14 +157,13 @@ impl<E> Default for EventQueue<E> {
 }
 
 impl<E> EventQueue<E> {
-    /// Create an empty queue at t = 0.
+    /// Create an empty queue at t = 0. Allocates nothing.
     pub fn new() -> Self {
         EventQueue {
+            slab: Slab::new(),
             wheel: TimerWheel::new(),
             next_seq: 0,
             now: SimTime::ZERO,
-            generations: Vec::new(),
-            free_slots: Vec::new(),
             live_pending: 0,
             popped: 0,
         }
@@ -188,17 +194,12 @@ impl<E> EventQueue<E> {
         self.popped
     }
 
-    /// Allocate a slot and stamp the current generation.
+    /// Store `event` at `time` with the next sequence number.
     #[inline]
-    fn alloc_slot(&mut self) -> (u32, u64) {
-        let slot = match self.free_slots.pop() {
-            Some(s) => s,
-            None => {
-                self.generations.push(0);
-                (self.generations.len() - 1) as u32
-            }
-        };
-        (slot, self.generations[slot as usize])
+    fn alloc(&mut self, time: SimTime, event: E) -> u32 {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.slab.alloc(time, seq, event)
     }
 
     /// Schedule `event` at absolute time `at`.
@@ -211,21 +212,15 @@ impl<E> EventQueue<E> {
             "scheduling into the past: {at:?} < {:?}",
             self.now
         );
-        let at = at.max(self.now);
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        let (slot, generation) = self.alloc_slot();
-        self.wheel.push(WheelEntry {
-            time: at,
-            seq,
-            slot,
-            generation,
-            event,
-        });
+        let slot = self.alloc(at.max(self.now), event);
+        self.wheel.push(&mut self.slab, slot);
         self.live_pending += 1;
         // Keep the head materialized so peek_time stays `&self`.
-        self.wheel.ensure_front();
-        EventToken { slot, generation }
+        self.wheel.ensure_front(&mut self.slab);
+        EventToken {
+            slot,
+            generation: self.slab[slot].generation,
+        }
     }
 
     /// Schedule `event` after a delay relative to `now`.
@@ -234,10 +229,10 @@ impl<E> EventQueue<E> {
     }
 
     /// Schedule a batch of events at one shared timestamp, in iterator
-    /// order (they will fire FIFO). The placement is computed once and the
-    /// whole run bulk-inserts into a single wheel bucket, so this is the
-    /// cheap way to arm N timers at the same instant. No tokens are
-    /// returned — use [`Self::schedule`] for events that may be cancelled.
+    /// order (they will fire FIFO). The new nodes are chained in order and
+    /// the wheel places the whole run at once, so this is the cheap way to
+    /// arm N timers at the same instant. No tokens are returned — use
+    /// [`Self::schedule`] for events that may be cancelled.
     pub fn schedule_all<I>(&mut self, at: SimTime, events: I)
     where
         I: IntoIterator<Item = E>,
@@ -248,77 +243,62 @@ impl<E> EventQueue<E> {
             self.now
         );
         let at = at.max(self.now);
-        let next_seq = &mut self.next_seq;
-        let generations = &mut self.generations;
-        let free_slots = &mut self.free_slots;
-        let live_pending = &mut self.live_pending;
-        let entries = events.into_iter().map(|event| {
-            let seq = *next_seq;
-            *next_seq += 1;
-            let slot = match free_slots.pop() {
-                Some(s) => s,
-                None => {
-                    generations.push(0);
-                    (generations.len() - 1) as u32
-                }
-            };
-            *live_pending += 1;
-            WheelEntry {
-                time: at,
-                seq,
-                slot,
-                generation: generations[slot as usize],
-                event,
+        let (mut head, mut tail) = (NIL, NIL);
+        for event in events {
+            let slot = self.alloc(at, event);
+            if tail == NIL {
+                head = slot;
+            } else {
+                self.slab[tail].next = slot;
             }
-        });
-        self.wheel.push_same_time(at, entries);
-        self.wheel.ensure_front();
+            tail = slot;
+            self.live_pending += 1;
+        }
+        self.wheel.push_same_time(&mut self.slab, at, head);
+        self.wheel.ensure_front(&mut self.slab);
     }
 
     /// Cancel a previously scheduled event. Safe to call with a token that
     /// has already fired or been cancelled (generation mismatch, no effect)
     /// or with [`EventToken::NONE`].
     pub fn cancel(&mut self, token: EventToken) {
-        let s = token.slot as usize;
-        if s >= self.generations.len() || self.generations[s] != token.generation {
-            return; // NONE, already fired, or already cancelled
+        let Some(node) = self.slab.get_mut(token.slot) else {
+            return; // NONE
+        };
+        if node.generation != token.generation {
+            return; // already fired or already cancelled
         }
-        // Bump the generation so the stored entry reads as dead, and free
-        // the slot immediately: a reusing event gets the bumped generation,
-        // so the stale entry can never be mistaken for it.
-        self.generations[s] = self.generations[s].wrapping_add(1);
-        self.free_slots.push(token.slot);
+        // Bump the generation so the token (and a drained batch entry)
+        // reads as dead, and drop the payload. The slot is released only
+        // when the node surfaces (or its batch entry commits), so nothing
+        // still linked can be handed to a new event.
+        node.generation = node.generation.wrapping_add(1);
+        node.event = None;
         self.live_pending -= 1;
         self.prune();
     }
 
-    /// True iff the event stamped `(slot, generation)` has neither fired
-    /// nor been cancelled.
-    #[inline]
-    fn is_live(&self, slot: u32, generation: u64) -> bool {
-        self.generations[slot as usize] == generation
-    }
-
     /// Restore the invariant that the queue head is live and materialized
-    /// in the wheel's front, discarding any cancelled entries that
-    /// surfaced. Amortized O(1): each dead entry is discarded exactly once.
+    /// in the wheel's front, discarding (and releasing) any cancelled nodes
+    /// that surfaced. Amortized O(1): each dead node is discarded exactly
+    /// once.
     fn prune(&mut self) {
         loop {
-            self.wheel.ensure_front();
+            self.wheel.ensure_front(&mut self.slab);
             match self.wheel.peek() {
-                Some(e) if !self.is_live(e.slot, e.generation) => {
+                Some(slot) if self.slab[slot].event.is_none() => {
                     self.wheel.pop_front();
+                    self.slab.release(slot);
                 }
                 _ => break,
             }
         }
     }
 
-    /// Retire a fired event's slot and advance the clock.
+    /// Count a fired event and advance the clock.
     #[inline]
-    fn retire(&mut self, slot: u32, time: SimTime) {
-        self.generations[slot as usize] = self.generations[slot as usize].wrapping_add(1);
-        self.free_slots.push(slot);
+    fn retire(&mut self, time: SimTime) {
+        debug_assert!(time >= self.now, "time went backwards");
         self.live_pending -= 1;
         self.now = time;
         self.popped += 1;
@@ -329,17 +309,21 @@ impl<E> EventQueue<E> {
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         // The head-liveness invariant means the first pop is the answer;
         // the loop is defense in depth (and self-healing in release).
-        self.wheel.ensure_front();
-        while let Some(ev) = self.wheel.pop_front() {
-            if !self.is_live(ev.slot, ev.generation) {
+        self.wheel.ensure_front(&mut self.slab);
+        while let Some(slot) = self.wheel.pop_front() {
+            let node = &mut self.slab[slot];
+            let Some(event) = node.event.take() else {
                 debug_assert!(false, "cancelled event at queue head");
-                self.wheel.ensure_front();
+                self.slab.release(slot);
+                self.wheel.ensure_front(&mut self.slab);
                 continue;
-            }
-            debug_assert!(ev.time >= self.now, "time went backwards");
-            self.retire(ev.slot, ev.time);
+            };
+            let time = node.time;
+            node.generation = node.generation.wrapping_add(1);
+            self.slab.release(slot);
+            self.retire(time);
             self.prune();
-            return Some((ev.time, ev.event));
+            return Some((time, event));
         }
         None
     }
@@ -355,55 +339,67 @@ impl<E> EventQueue<E> {
     /// this drain — they surface on the next `pop_batch` call, in FIFO
     /// order, exactly as a pop-per-event loop would see them.
     pub fn pop_batch(&mut self, out: &mut Vec<PendingFire<E>>) -> usize {
-        self.wheel.ensure_front();
-        let head_time = match self.wheel.peek() {
-            Some(e) => e.time,
-            None => return 0,
+        self.wheel.ensure_front(&mut self.slab);
+        let Some(head) = self.wheel.peek() else {
+            return 0;
         };
-        // Every entry at the head timestamp is contiguous in the wheel's
+        let head_time = self.slab[head].time;
+        // Every node at the head timestamp is contiguous in the wheel's
         // front (they all sit below the front limit), so the drain is a
         // straight run of pop_fronts with no refill in between.
         let mut drained = 0;
-        while let Some(e) = self.wheel.peek() {
-            if e.time != head_time {
+        while let Some(slot) = self.wheel.peek() {
+            let node = &mut self.slab[slot];
+            if node.time != head_time {
                 break;
             }
-            let e = self.wheel.pop_front().expect("peeked entry");
-            if self.is_live(e.slot, e.generation) {
-                out.push(PendingFire {
-                    time: e.time,
-                    slot: e.slot,
-                    generation: e.generation,
-                    event: e.event,
-                });
-                drained += 1;
+            self.wheel.pop_front();
+            match node.event.take() {
+                // The slot stays allocated until `commit`, so a cancel in
+                // between finds this node, never a reused one.
+                Some(event) => {
+                    out.push(PendingFire {
+                        time: head_time,
+                        slot,
+                        generation: node.generation,
+                        event,
+                    });
+                    drained += 1;
+                }
+                // Dead nodes were already uncounted at cancel time;
+                // discard them on the way past.
+                None => self.slab.release(slot),
             }
-            // Dead entries were already uncounted at cancel time; discard
-            // them on the way past.
         }
         self.prune();
         drained
     }
 
     /// Commit one batch-drained event just before handling it: re-checks
-    /// liveness, retires the slot, advances `now`, and counts the pop.
-    /// Returns `false` if the event was cancelled after the drain (by an
-    /// earlier handler in the same batch) — the caller must skip it.
+    /// liveness, releases the slot, and — if live — advances `now` and
+    /// counts the pop. Returns `false` if the event was cancelled after
+    /// the drain (by an earlier handler in the same batch) — the caller
+    /// must skip it.
     pub fn commit(&mut self, fire: &PendingFire<E>) -> bool {
-        if !self.is_live(fire.slot, fire.generation) {
-            return false;
+        let node = &mut self.slab[fire.slot];
+        let live = node.generation == fire.generation;
+        if live {
+            node.generation = node.generation.wrapping_add(1);
         }
-        debug_assert!(fire.time >= self.now, "time went backwards");
-        self.retire(fire.slot, fire.time);
-        true
+        self.slab.release(fire.slot);
+        if live {
+            self.retire(fire.time);
+        }
+        live
     }
 
     /// Timestamp of the next pending event without popping it. `&self`:
     /// the head is never cancelled (pruned eagerly on `cancel`/`pop`), so
     /// no draining is needed to answer accurately.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.wheel.peek().map(|head| {
-            debug_assert!(self.is_live(head.slot, head.generation));
+        self.wheel.peek().map(|slot| {
+            let head = &self.slab[slot];
+            debug_assert!(head.event.is_some());
             head.time
         })
     }
@@ -412,7 +408,7 @@ impl<E> EventQueue<E> {
     /// wrap-around without 2^64 organic reuses. Not for production use.
     #[doc(hidden)]
     pub fn force_generation(&mut self, slot: u32, generation: u64) {
-        self.generations[slot as usize] = generation;
+        self.slab[slot].generation = generation;
     }
 }
 
@@ -745,11 +741,11 @@ mod tests {
         // the wrap itself: tokens stamped MAX-1 and MAX must die on
         // fire/cancel, and the post-wrap stamp (0) must not resurrect
         // them. Reaching u64::MAX takes 2^64 reuses organically; pin the
-        // side table directly (tests share the module, fields are ours).
+        // freed slot's generation directly.
         let mut q = EventQueue::new();
         let a = q.schedule(SimTime::from_nanos(1), "seed");
         q.cancel(a); // slot 0 freed
-        q.generations[0] = u64::MAX - 1;
+        q.force_generation(0, u64::MAX - 1);
         let b = q.schedule(SimTime::from_nanos(2), "near-max");
         assert_eq!(b.generation, u64::MAX - 1);
         q.cancel(b); // bumps to u64::MAX

@@ -1,0 +1,101 @@
+//! A warmed-up [`EventQueue`] allocates nothing.
+//!
+//! Every pending event lives in the queue's slab and the wheel only links
+//! slot indices, so once the slab, the front and the spill have reached
+//! their high-water capacity, schedule / cancel / pop cycles must not
+//! touch the allocator — even as the clock moves the events across wheel
+//! buckets the warm-up never used. A counting global allocator checks it.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use hns_sim::event::EventToken;
+use hns_sim::{EventQueue, SimTime};
+
+/// Wraps the system allocator, counting this thread's allocations so the
+/// test harness's other threads cannot disturb the count.
+struct Counting;
+
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count() {
+    // `try_with`: the slot is gone while the thread is being torn down.
+    let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+}
+
+// SAFETY: every method forwards to `System` with the caller's arguments
+// unchanged; the bookkeeping touches only a const-initialized
+// thread-local `Cell`, which never allocates.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count();
+        System.alloc(layout)
+    }
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count();
+        System.alloc_zeroed(layout)
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count();
+        System.realloc(ptr, layout, new_size)
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Allocations made by this thread so far.
+fn allocs() -> u64 {
+    ALLOCS.with(Cell::get)
+}
+
+/// Events per round, by horizon.
+const SAME_TICK: u64 = 16;
+const SPREAD: u64 = 40;
+const SPILL: u64 = 8;
+
+/// One round: arm a same-tick burst, events spread over every wheel level
+/// and a few beyond the last one, cancel every third, then pop until the
+/// queue is empty. `shift` moves the whole round to other buckets.
+fn round(q: &mut EventQueue<u64>, tokens: &mut Vec<EventToken>, shift: u64) {
+    let base = q.now().as_nanos() + 1_000 + shift;
+    for i in 0..SAME_TICK {
+        tokens.push(q.schedule(SimTime::from_nanos(base), i));
+    }
+    for i in 0..SPREAD {
+        // 40 ns .. ~1.1 s ahead: level 0 through level 3.
+        let ahead = 40 << (i % 25);
+        tokens.push(q.schedule(SimTime::from_nanos(base + ahead + i), i));
+    }
+    for i in 0..SPILL {
+        let ahead = 40_000_000_000 + i * 1_000_003;
+        tokens.push(q.schedule(SimTime::from_nanos(base + ahead), i));
+    }
+    for tok in tokens.iter().step_by(3) {
+        q.cancel(*tok);
+    }
+    tokens.clear();
+    while q.pop().is_some() {}
+}
+
+#[test]
+fn warm_queue_cycles_allocate_nothing() {
+    let mut q: EventQueue<u64> = EventQueue::new();
+    let mut tokens = Vec::with_capacity((SAME_TICK + SPREAD + SPILL) as usize);
+    round(&mut q, &mut tokens, 0);
+    let before = allocs();
+    for k in 1..200u64 {
+        // Shift by a prime number of nanoseconds so every round lands in
+        // buckets of its own at every level.
+        round(&mut q, &mut tokens, k * 7_919_003);
+    }
+    assert!(q.is_empty());
+    let armed = SAME_TICK + SPREAD + SPILL;
+    assert_eq!(q.popped(), 200 * (armed - armed.div_ceil(3)));
+    assert_eq!(allocs() - before, 0, "a warmed-up queue allocated");
+}

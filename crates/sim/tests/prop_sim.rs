@@ -1,6 +1,8 @@
 //! Property-based tests for the simulation engine.
 
-use hns_sim::{Duration, EventQueue, Histogram, SimRng, SimTime};
+use hns_sim::{
+    cycles_to_time, time_to_cycles, Duration, EventQueue, Histogram, SimRng, SimTime, CPU_HZ,
+};
 use proptest::prelude::*;
 
 proptest! {
@@ -109,5 +111,18 @@ proptest! {
         let da = Duration::from_nanos(a);
         let db = Duration::from_nanos(b);
         prop_assert_eq!((da + db) - db, da);
+    }
+
+    /// The cycle/time conversions equal the 128-bit formulas bit for bit
+    /// over the whole `u64` range, huge inputs (whose products truncate)
+    /// included: `x` is spread over every magnitude by its top bits.
+    #[test]
+    fn cycle_conversions_match_u128_formula(x in any::<u64>()) {
+        for v in [x, x >> (x % 64), x % 1_000_000_007] {
+            let ns = ((v as u128 * 1_000_000_000) / CPU_HZ as u128) as u64;
+            prop_assert_eq!(cycles_to_time(v).as_nanos(), ns);
+            let cycles = ((v as u128 * CPU_HZ as u128) / 1_000_000_000) as u64;
+            prop_assert_eq!(time_to_cycles(Duration::from_nanos(v)), cycles);
+        }
     }
 }

@@ -9,7 +9,10 @@
 //! property drives the wheel through the `pop_batch`/`commit` protocol
 //! (including handler-style mid-batch cancellation) against serial heap
 //! pops, and another pins slot generations near `u64::MAX` so wrap-around
-//! reuse is covered, not just reachable.
+//! reuse is covered, not just reachable. Two workload-shaped profiles
+//! follow: a far timer that pins the wheel's front limit while bursts of
+//! near events insert into a long sorted front, and a cancel-heavy stream
+//! whose buried cancels are followed by schedules that reuse slots.
 
 use hns_sim::event::EventToken;
 use hns_sim::{EventQueue, HeapEventQueue, SimTime};
@@ -269,5 +272,103 @@ proptest! {
         }
         prop_assert_eq!(fired_w.len() as u64, w.popped());
         prop_assert_eq!(w.popped(), h.popped());
+    }
+
+    /// A far timer (an RTO, a 1 ms autotune tick) pins the front limit
+    /// far ahead, so every nearer schedule is insertion-sorted into the
+    /// front. Bursts of near schedules, buried cancels, stale cancels,
+    /// re-arms of the far timer and pops must all match the heap oracle.
+    #[test]
+    fn far_timer_pinned_front_matches_heap(ops in ops_strategy(300)) {
+        let mut w: EventQueue<u64> = EventQueue::new();
+        let mut h: HeapEventQueue<u64> = HeapEventQueue::new();
+        let mut id = 0u64;
+        let far_at = |now: SimTime, b: u64| SimTime::from_nanos(now.as_nanos() + 1_000_000 + b % 2_000_000);
+        let at = far_at(w.now(), id);
+        let mut far = (w.schedule(at, id), h.schedule(at, id));
+        id += 1;
+        let (mut live, mut dead): (Vec<(EventToken, EventToken)>, Vec<_>) = (Vec::new(), Vec::new());
+        for (kind, a, b) in ops {
+            match kind {
+                // A burst of near schedules, below the pinned front limit.
+                0..=4 => {
+                    let spread = [8, 2_000, 200_000, 900_000][(a % 4) as usize];
+                    for k in 0..1 + a % 24 {
+                        let x = b.rotate_left(7 * k as u32);
+                        let at = SimTime::from_nanos(w.now().as_nanos() + x % spread);
+                        live.push((w.schedule(at, id), h.schedule(at, id)));
+                        id += 1;
+                    }
+                }
+                5..=6 => {
+                    if !live.is_empty() {
+                        let pair = live.swap_remove((a as usize) % live.len());
+                        w.cancel(pair.0);
+                        h.cancel(pair.1);
+                        dead.push(pair);
+                    }
+                }
+                7 => {
+                    if !dead.is_empty() {
+                        let (tw, th) = dead[(a as usize) % dead.len()];
+                        w.cancel(tw);
+                        h.cancel(th);
+                    }
+                }
+                // Re-arm the far timer, as an ACK re-arms an RTO.
+                8 => {
+                    w.cancel(far.0);
+                    h.cancel(far.1);
+                    dead.push(far);
+                    let at = far_at(w.now(), b);
+                    far = (w.schedule(at, id), h.schedule(at, id));
+                    id += 1;
+                }
+                _ => {
+                    for _ in 0..1 + a % 4 {
+                        prop_assert_eq!(w.pop(), h.pop(), "pop diverged");
+                    }
+                }
+            }
+            assert_observables(&w, &h);
+        }
+        loop {
+            let (pw, ph) = (w.pop(), h.pop());
+            prop_assert_eq!(pw, ph);
+            assert_observables(&w, &h);
+            if pw.is_none() {
+                break;
+            }
+        }
+    }
+
+    /// Cancel-heavy streams: most cancels hit buried events, whose nodes
+    /// stay stored until they surface, and the schedules that follow take
+    /// recycled slots. Stale-token cancels of those buried nodes must stay
+    /// no-ops, and `len`, pops and `peek_time` must match the oracle.
+    #[test]
+    fn cancel_heavy_slot_reuse_matches_heap(ops in ops_strategy(400)) {
+        // Remap `apply`'s op kinds: schedule 4/10, cancel 3/10, stale
+        // cancel 2/10, pop 1/10.
+        const KINDS: [u64; 10] = [0, 1, 2, 4, 5, 6, 5, 7, 7, 8];
+        let mut w: EventQueue<u64> = EventQueue::new();
+        let mut h: HeapEventQueue<u64> = HeapEventQueue::new();
+        let mut id = 0u64;
+        let (mut live, mut dead) = (Vec::new(), Vec::new());
+        for (kind, a, b) in ops {
+            // Three in four use the level-0 horizon (profile 1), so many
+            // events sit buried just behind the head.
+            let a = if a % 4 == 0 { a } else { a / 7 * 7 + 1 };
+            apply((KINDS[kind as usize], a, b), &mut id, &mut w, &mut h, &mut live, &mut dead);
+            assert_observables(&w, &h);
+        }
+        loop {
+            let (pw, ph) = (w.pop(), h.pop());
+            prop_assert_eq!(pw, ph);
+            assert_observables(&w, &h);
+            if pw.is_none() {
+                break;
+            }
+        }
     }
 }
