@@ -208,26 +208,33 @@ impl HostFrameLedger {
     }
 }
 
-/// In-flight segment slab conservation: every segment parked in the world's
-/// slab belongs to exactly one arrival event still on the wire, so the
-/// slab's live slots must equal the frames in flight toward all hosts.
+/// Segment slab conservation: the world parks a segment once, when the
+/// stack hands its frame to the NIC, and frees the slot at the NAPI poll or
+/// where the frame is dropped. Every live slot therefore belongs to exactly
+/// one frame that is Tx-queued, on the wire, or waiting in a softirq
+/// backlog.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SegmentSlabLedger {
     /// Slab slots currently holding a segment.
     pub live: u64,
+    /// Frames waiting in the NICs' Tx queues, summed over hosts.
+    pub tx_queued: u64,
     /// Frames in flight on the wire, summed over destination hosts.
     pub wire_in_flight: u64,
+    /// Frames waiting in the softirq backlogs, summed over hosts and cores.
+    pub backlog: u64,
 }
 
 impl SegmentSlabLedger {
     /// Check slab conservation, appending violations to `out`.
     pub fn check(&self, out: &mut Vec<Violation>) {
-        if self.live != self.wire_in_flight {
+        let held = self.tx_queued + self.wire_in_flight + self.backlog;
+        if self.live != held {
             out.push(Violation {
                 invariant: "segment-slab-ledger",
                 detail: format!(
-                    "{} live slab segments != {} frames in flight",
-                    self.live, self.wire_in_flight
+                    "{} live slab segments != {} Tx-queued + {} on the wire + {} in backlogs",
+                    self.live, self.tx_queued, self.wire_in_flight, self.backlog
                 ),
             });
         }
@@ -701,13 +708,40 @@ mod tests {
     fn segment_slab_ledger_catches_orphaned_slot() {
         let l = SegmentSlabLedger {
             live: 7,
+            tx_queued: 0,
             wire_in_flight: 7,
+            backlog: 0,
         };
         assert!(checked(|o| l.check(o)).is_empty());
         // A slot parked without an arrival event (or never freed after one).
         let v = checked(|o| SegmentSlabLedger { live: 8, ..l }.check(o));
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].invariant, "segment-slab-ledger");
+    }
+
+    #[test]
+    fn segment_slab_ledger_counts_tx_queued_and_backlog_slots() {
+        let l = SegmentSlabLedger {
+            live: 12,
+            tx_queued: 3,
+            wire_in_flight: 4,
+            backlog: 5,
+        };
+        assert!(checked(|o| l.check(o)).is_empty());
+        // A Tx-queued frame dropped without freeing its slot, and a polled
+        // frame whose slot was never freed: each leaves one orphan.
+        for orphan in [
+            SegmentSlabLedger { tx_queued: 2, ..l },
+            SegmentSlabLedger { backlog: 4, ..l },
+        ] {
+            let v = checked(|o| orphan.check(o));
+            assert_eq!(v.len(), 1, "{orphan:?}");
+            assert_eq!(v[0].invariant, "segment-slab-ledger");
+        }
+        // A slot freed twice (once at a drop, once at the poll) leaves the
+        // slab one short of the frames that still hold slots.
+        let v = checked(|o| SegmentSlabLedger { live: 11, ..l }.check(o));
+        assert_eq!(v.len(), 1);
     }
 
     #[test]

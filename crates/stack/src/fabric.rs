@@ -25,10 +25,13 @@
 //! `ecn_threshold_bytes` of queued frames the moment it is offered.
 //!
 //! Admission needs the shared buffer's occupancy on every frame. The
-//! fabric keeps a bitset of ports that may hold a backlog and sums only
-//! those (plus the few uplinks), dropping a port from the set once it has
-//! drained, so a frame's cost grows with the ports actually queueing, not
-//! with the rack size.
+//! fabric keeps one bitset of ports and one of uplinks that may hold a
+//! backlog and sums only those, dropping a port or uplink from its set
+//! once it has drained, so a frame's cost grows with the queues actually
+//! building, not with the rack size. An infinite buffer (the neutral
+//! fabric's) admits every frame, so `transmit` skips the sum altogether,
+//! and the depth behind an ECN mark is computed only when a threshold is
+//! set.
 //!
 //! Rate, propagation and in-network faults come from a [`LinkConfig`]:
 //! each egress port runs one loss process of a shared [`WireFaults`]
@@ -53,6 +56,10 @@ pub const MAX_HOSTS: u16 = 256;
 
 /// Words of the fabric's busy-port bitset: one bit per possible port.
 const BUSY_WORDS: usize = MAX_HOSTS as usize / 64;
+
+/// Words of the fabric's busy-uplink bitset: one bit per possible uplink
+/// ([`FabricConfig::uplinks`] is a `u8`).
+const UPLINK_WORDS: usize = (u8::MAX as usize + 1) / 64;
 
 /// ToR fabric parameters. `Copy` so [`crate::SimConfig`] stays `Copy`.
 /// The ports' rate, propagation and faults are the world's
@@ -127,6 +134,9 @@ pub struct Fabric {
     clock: SimTime,
     /// ECMP uplink serialization clocks (empty when `uplinks == 0`).
     uplinks: Vec<SimTime>,
+    /// Uplinks that may hold a backlog, kept like `busy`: set when an
+    /// uplink serializes a frame, cleared once it has drained.
+    busy_uplinks: [u64; UPLINK_WORDS],
     /// Per-source ingress wire (host NIC → switch): the only clock that
     /// gates a host's transmit loop. With two hosts source `h` and port
     /// `1 - h` carry exactly the same frames at the same times, so this
@@ -138,6 +148,33 @@ pub struct Fabric {
 /// [`Duration::for_bytes_at_gbps`]).
 fn backlog_bytes(depth: Duration, gbps: f64) -> u64 {
     (depth.as_nanos() as f64 * gbps / 8.0) as u64
+}
+
+/// The summed backlog at `now` of every serializing clock whose bit is set
+/// in `busy` (bit `i % 64` of word `i / 64` for clock `i`, which frees up
+/// at `until(i)`), clearing the bits of clocks that have drained. A
+/// drained clock's term is exactly 0, so leaving it out is exact.
+fn busy_backlog(
+    busy: &mut [u64],
+    until: impl Fn(usize) -> SimTime,
+    now: SimTime,
+    gbps: f64,
+) -> u64 {
+    let mut total = 0;
+    for (w, word) in busy.iter_mut().enumerate() {
+        let mut bits = *word;
+        while bits != 0 {
+            let b = bits.trailing_zeros();
+            bits &= bits - 1;
+            let until = until(w * 64 + b as usize);
+            if until <= now {
+                *word &= !(1 << b);
+            } else {
+                total += backlog_bytes(until.since(now), gbps);
+            }
+        }
+    }
+    total
 }
 
 impl Fabric {
@@ -167,6 +204,7 @@ impl Fabric {
             busy: [0; BUSY_WORDS],
             clock: SimTime::ZERO,
             uplinks: vec![SimTime::ZERO; config.uplinks as usize],
+            busy_uplinks: [0; UPLINK_WORDS],
             ingress: vec![SimTime::ZERO; n],
             config,
         }
@@ -187,33 +225,26 @@ impl Fabric {
         self.backlog(now).0
     }
 
-    /// The occupancy at `now`, and the busy-port set with every port that
-    /// has drained by `now` removed. Each port's term is an integer, so
-    /// the sum is exact in any order; a port left out has no backlog.
-    fn backlog(&self, now: SimTime) -> (u64, [u64; BUSY_WORDS]) {
+    /// The occupancy at `now`, and the busy-port and busy-uplink sets
+    /// with every port and uplink that has drained by `now` removed. Each
+    /// term is an integer, so the sum is exact in any order.
+    fn backlog(&self, now: SimTime) -> (u64, [u64; BUSY_WORDS], [u64; UPLINK_WORDS]) {
         debug_assert!(now >= self.clock, "fabric time went backwards");
         let gbps = self.link.gbps;
-        let mut total: u64 = self
-            .uplinks
-            .iter()
-            .map(|&u| backlog_bytes(u.since(now), gbps))
-            .sum();
-        let mut busy = self.busy;
-        let words = self.ports.len().div_ceil(64);
-        for (w, word) in busy[..words].iter_mut().enumerate() {
-            let mut bits = *word;
-            while bits != 0 {
-                let b = bits.trailing_zeros();
-                bits &= bits - 1;
-                let until = self.ports[w * 64 + b as usize].busy_until;
-                if until <= now {
-                    *word &= !(1 << b);
-                } else {
-                    total += backlog_bytes(until.since(now), gbps);
-                }
-            }
-        }
-        (total, busy)
+        let mut ports = self.busy;
+        let mut uplinks = self.busy_uplinks;
+        let total = busy_backlog(
+            &mut ports[..self.ports.len().div_ceil(64)],
+            |p| self.ports[p].busy_until,
+            now,
+            gbps,
+        ) + busy_backlog(
+            &mut uplinks[..self.uplinks.len().div_ceil(64)],
+            |u| self.uplinks[u],
+            now,
+            gbps,
+        );
+        (total, ports, uplinks)
     }
 
     /// Offer a frame of `wire_bytes` from host `src` to host `dst` on
@@ -235,8 +266,7 @@ impl Fabric {
         wire_bytes: u64,
     ) -> TransmitOutcome {
         debug_assert_ne!(src, dst, "a host cannot transmit to itself");
-        let (occ, busy) = self.backlog(now);
-        self.busy = busy;
+        debug_assert!(now >= self.clock, "fabric time went backwards");
         self.clock = now;
         let ser = Duration::for_bytes_at_gbps(wire_bytes, self.link.gbps);
 
@@ -245,23 +275,28 @@ impl Fabric {
         // sender down, it drops the sender's frames.
         self.ingress[src] = self.ingress[src].max(now) + ser;
 
-        let p = &mut self.ports[dst];
-        p.frames += 1;
-        p.bytes += wire_bytes;
+        self.ports[dst].frames += 1;
+        self.ports[dst].bytes += wire_bytes;
 
         // Shared-buffer admission: a refused frame consumed its ingress
         // wire time but never occupied the switch, so no switch clock
-        // advances and no loss is drawn.
-        if occ.saturating_add(wire_bytes) > self.config.buffer_bytes {
-            p.refused += 1;
-            return TransmitOutcome::Dropped;
+        // advances and no loss is drawn. An infinite buffer refuses
+        // nothing, so it skips the occupancy sum and its busy sets stay
+        // supersets of the queues that hold a backlog.
+        if self.config.buffer_bytes != u64::MAX {
+            let (occ, busy, busy_uplinks) = self.backlog(now);
+            self.busy = busy;
+            self.busy_uplinks = busy_uplinks;
+            if occ.saturating_add(wire_bytes) > self.config.buffer_bytes {
+                self.ports[dst].refused += 1;
+                return TransmitOutcome::Dropped;
+            }
         }
 
         // Depth-based CE mark, judged on the egress queue as the frame is
         // offered (the DCTCP "K" rule).
-        let depth = backlog_bytes(p.busy_until.since(now), self.link.gbps);
         let ce = match self.config.ecn_threshold_bytes {
-            Some(k) => depth >= k,
+            Some(k) => backlog_bytes(self.ports[dst].busy_until.since(now), self.link.gbps) >= k,
             None => false,
         };
 
@@ -272,6 +307,7 @@ impl Fabric {
             let u = self.ecmp_uplink(flow);
             let up_start = self.uplinks[u].max(now);
             self.uplinks[u] = up_start + ser;
+            self.busy_uplinks[u / 64] |= 1 << (u % 64);
             available = self.uplinks[u];
         }
 
@@ -512,12 +548,14 @@ mod tests {
         ports + uplinks
     }
 
-    /// The busy-port set only ever leaves out drained ports: on the
-    /// incast shape and on a full rack, with queues that build past the
-    /// ECN threshold and the shared buffer and then drain, the occupancy
-    /// equals a full scan at every frame, and a twin fabric fed the same
-    /// frames whose busy set holds every port before each one (so it sums
-    /// every port, as a full scan does) gives identical outcomes.
+    /// The busy-port and busy-uplink sets only ever leave out drained
+    /// queues: on the incast shape and on a full rack, with queues that
+    /// build past the ECN threshold and the shared buffer and then drain,
+    /// the occupancy equals a full scan at every frame, and a twin fabric
+    /// fed the same frames whose busy sets hold every port and uplink
+    /// before each one (so it sums every queue, as a full scan does) gives
+    /// identical outcomes. The neutral fabric, which skips the sum in
+    /// `transmit`, still reports an exact occupancy.
     #[test]
     fn busy_port_occupancy_is_exact() {
         let incast = FabricConfig {
@@ -541,16 +579,26 @@ mod tests {
         for (name, cfg, link) in [
             ("incast17", incast, LinkConfig::default()),
             ("rack256", rack, lossy),
+            (
+                "neutral17",
+                FabricConfig::neutral(17),
+                LinkConfig::default(),
+            ),
         ] {
             let n = cfg.hosts as usize;
             let mut every_port = [0u64; BUSY_WORDS];
             for p in 0..n {
                 every_port[p / 64] |= 1 << (p % 64);
             }
+            let mut every_uplink = [0u64; UPLINK_WORDS];
+            for u in 0..cfg.uplinks as usize {
+                every_uplink[u / 64] |= 1 << (u % 64);
+            }
             let mut f = Fabric::with_link(cfg, link, 3);
             let mut twin = Fabric::with_link(cfg, link, 3);
             let mut rng = hns_sim::SimRng::new(0x0cc0 + n as u64);
-            let (mut now, mut ce, mut cleared) = (0u64, 0u32, 0u32);
+            let (mut now, mut ce) = (0u64, 0u32);
+            let (mut cleared, mut uplinks_cleared) = (0u32, 0u32);
             for i in 0..20_000u32 {
                 // Three frames in four converge on host 1 from the other
                 // hosts; the rest run between random pairs.
@@ -571,24 +619,33 @@ mod tests {
                 };
                 let at = SimTime::from_nanos(now);
                 assert_eq!(f.occupancy(at), full_scan(&f, at), "{name}: frame {i}");
-                let before = f.busy;
+                let (before, uplinks_before) = (f.busy, f.busy_uplinks);
                 twin.busy = every_port;
+                twin.busy_uplinks = every_uplink;
                 let a = f.transmit(src, dst, u64::from(i), at, bytes);
                 let b = twin.transmit(src, dst, u64::from(i), at, bytes);
                 assert_eq!(a, b, "{name}: frame {i}");
                 assert_eq!(f.occupancy(at), full_scan(&f, at), "{name}: frame {i}");
                 ce += u32::from(matches!(a, TransmitOutcome::Delivered { ce: true, .. }));
-                cleared += u32::from(before.iter().zip(f.busy).any(|(&b, a)| b & !a != 0));
+                let shrank = |b: &[u64], a: &[u64]| b.iter().zip(a).any(|(&b, &a)| b & !a != 0);
+                cleared += u32::from(shrank(&before, &f.busy));
+                uplinks_cleared += u32::from(shrank(&uplinks_before, &f.busy_uplinks));
             }
             for dst in 0..n {
                 assert_eq!(f.frames_to(dst), twin.frames_to(dst), "{name}");
                 assert_eq!(f.drops_to(dst), twin.drops_to(dst), "{name}");
             }
-            assert!(
-                f.switch_drops() > 0 && ce > 0 && cleared > 0,
-                "{name}: drops {}, ce {ce}, cleared {cleared}",
-                f.switch_drops()
-            );
+            if cfg.buffer_bytes == u64::MAX {
+                // Nothing is refused, so nothing is ever summed or cleared.
+                assert_eq!((f.switch_drops(), ce, cleared), (0, 0, 0), "{name}");
+            } else {
+                assert!(
+                    f.switch_drops() > 0 && ce > 0 && cleared > 0 && uplinks_cleared > 0,
+                    "{name}: drops {}, ce {ce}, cleared {cleared}, uplinks cleared \
+                     {uplinks_cleared}",
+                    f.switch_drops()
+                );
+            }
         }
     }
 

@@ -7,7 +7,6 @@ use hns_mem::numa::NodeId;
 use hns_mem::{DcaCache, FrameArena, FrameId, Iommu, PageAllocator, SenderL3};
 use hns_metrics::{CacheStats, CoreUsage, CycleBreakdown};
 use hns_nic::{InterruptCoalescer, RxRing};
-use hns_proto::Segment;
 use hns_sched::Scheduler;
 use hns_sim::{Histogram, SimTime};
 
@@ -15,10 +14,12 @@ use crate::config::SimConfig;
 use crate::gro::GroEngine;
 
 /// A frame sitting in a core's softirq backlog, DMAed but not yet polled.
+/// Its segment stays parked in the world's segment slab from Tx enqueue
+/// until the NAPI poll takes it, so the backlog queues only the slot.
 #[derive(Clone, Copy, Debug)]
 pub struct PendingFrame {
-    /// The protocol segment the frame carries.
-    pub seg: Segment,
+    /// Slab slot of the protocol segment the frame carries.
+    pub slot: u32,
     /// Backing DMA buffer (None for pure ACKs, which we model as
     /// header-only frames whose payload buffer is trivially recycled).
     pub frame: Option<FrameId>,

@@ -10,8 +10,8 @@
 //!   link accepted is on the wire, arrived, or dropped; every arrival was
 //!   received or attributed to exactly one drop bucket; every received frame
 //!   was polled or still sits in a backlog,
-//! * **segment-slab ledger** — the world's in-flight segment slab holds
-//!   exactly one live slot per frame on the wire,
+//! * **segment-slab ledger** — the world's segment slab holds exactly one
+//!   live slot per frame that is Tx-queued, on the wire, or in a backlog,
 //! * **cycle-taxonomy ledger** — per-host busy time equals the category
 //!   breakdown's total within per-charge rounding slack,
 //! * **rx-ring descriptors** — a ring never serves more descriptors than it
@@ -200,7 +200,14 @@ impl World {
 
         SegmentSlabLedger {
             live: self.in_flight.live() as u64,
+            tx_queued: self.arbiters.iter().map(|t| t.len() as u64).sum(),
             wire_in_flight: a.wire_in_flight.iter().sum(),
+            backlog: self
+                .hosts
+                .iter()
+                .flat_map(|h| h.cores.iter())
+                .map(|c| c.backlog.len() as u64)
+                .sum(),
         }
         .check(&mut out);
 
