@@ -32,6 +32,13 @@ pub struct LinkConfig {
     pub latency_spike: Option<LatencySpike>,
 }
 
+impl LinkConfig {
+    /// True if the line rate can serialize a frame: finite and positive.
+    pub fn rate_is_valid(&self) -> bool {
+        self.gbps.is_finite() && self.gbps > 0.0
+    }
+}
+
 impl Default for LinkConfig {
     fn default() -> Self {
         LinkConfig {

@@ -43,20 +43,19 @@
 //! event fired is a generation mismatch and a no-op, never a phantom
 //! entry.
 //!
-//! # Batched same-tick dispatch
+//! # Events kept outside the queue
 //!
-//! [`EventQueue::pop_batch`] drains every event sharing the head
-//! timestamp into a caller-owned scratch vector in one pass — all
-//! same-instant events are contiguous at the wheel's front, so the drain
-//! never re-probes the queue. Draining does **not** retire the events:
-//! each [`PendingFire`] must be passed to [`EventQueue::commit`] just
-//! before it is handled, which re-checks liveness (a handler earlier in
-//! the batch may have cancelled it), advances `now`, and counts the pop.
-//! A drained event holds its slot until that commit, which releases it
-//! whether or not the event was cancelled in between. This two-phase
-//! protocol makes the batch path byte-identical to a pop-per-event loop:
-//! `len()`, `popped()`, and cancellation semantics are exactly those of
-//! [`EventQueue::pop`].
+//! A caller may hold some events itself — the world keeps each host's NIC
+//! drain in a small heap of its own — and still have them fire in the
+//! queue's order. [`EventQueue::reserve`] takes the next sequence number
+//! exactly as [`EventQueue::schedule`] would, but stores nothing and
+//! returns the [`EventKey`] instead. [`EventQueue::pop_before`] then
+//! merges the two sides by `(time, seq)`: it pops the head if it sorts
+//! before the caller's earliest key, and otherwise advances `now` to the
+//! key's time, counts one pop and answers [`Next::External`]. An event
+//! held outside therefore fires exactly where the same event scheduled
+//! into the queue would have, and `popped()` counts it the same way;
+//! only `len()` leaves it out.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -119,21 +118,26 @@ impl<E> Ord for ScheduledEvent<E> {
     }
 }
 
-/// An event drained by [`EventQueue::pop_batch`] but not yet retired.
-///
-/// The event is physically out of the queue but still *pending* for
-/// accounting purposes: `len()` counts it until [`EventQueue::commit`]
-/// retires it (or a cancel kills it first, in which case `commit` returns
-/// `false` and the caller must skip it). Commit each drained event exactly
-/// once: the commit releases its slot.
-#[derive(Debug)]
-pub struct PendingFire<E> {
-    /// The shared batch timestamp.
+/// A position in the queue's `(time, seq)` order, reserved by
+/// [`EventQueue::reserve`] for an event the caller keeps outside the queue.
+/// Keys order by time, then by reservation order; only the queue mints
+/// them, so a key's sequence number is unique among every scheduled event.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
+pub struct EventKey {
+    /// When the reserved event fires.
     pub time: SimTime,
-    slot: u32,
-    generation: u64,
-    /// The payload.
-    pub event: E,
+    seq: u64,
+}
+
+/// What [`EventQueue::pop_before`] found first.
+#[derive(Debug, PartialEq, Eq)]
+pub enum Next<E> {
+    /// The queue head sorted first and has fired.
+    Event(SimTime, E),
+    /// The caller's key sorted first: its event is due at this time.
+    External(SimTime),
+    /// Neither side holds anything.
+    Empty,
 }
 
 /// Deterministic priority queue of simulation events: a slab of nodes
@@ -144,8 +148,7 @@ pub struct EventQueue<E> {
     wheel: TimerWheel,
     next_seq: u64,
     now: SimTime,
-    /// Exact number of pending (live) events, counting batch-drained
-    /// events until they commit.
+    /// Exact number of pending (live) events.
     live_pending: usize,
     popped: u64,
 }
@@ -170,15 +173,15 @@ impl<E> EventQueue<E> {
     }
 
     /// Current simulation time: the timestamp of the most recently popped
-    /// (or committed) event, monotonically non-decreasing.
+    /// event or external key, monotonically non-decreasing.
     #[inline]
     pub fn now(&self) -> SimTime {
         self.now
     }
 
     /// Number of pending (non-cancelled) events. Exact: cancelling an
-    /// already-fired token is a generation mismatch and changes nothing,
-    /// and batch-drained events stay counted until they commit.
+    /// already-fired token is a generation mismatch and changes nothing.
+    /// Reserved keys are not stored, so they are not counted.
     pub fn len(&self) -> usize {
         self.live_pending
     }
@@ -188,18 +191,32 @@ impl<E> EventQueue<E> {
         self.len() == 0
     }
 
-    /// Total events popped so far (for engine benchmarking). Batched
-    /// events count when they commit.
+    /// Total events popped so far (for engine benchmarking), counting
+    /// each external key [`Self::pop_before`] let fire.
     pub fn popped(&self) -> u64 {
         self.popped
     }
 
-    /// Store `event` at `time` with the next sequence number.
+    /// Take the next sequence number for an event at `at` without storing
+    /// anything: the caller keeps the event and passes the key to
+    /// [`Self::pop_before`], which fires it exactly where [`Self::schedule`]
+    /// at this point would have.
+    ///
+    /// Reserving in the past is a logic error; debug builds assert, release
+    /// builds clamp to `now` so the simulation still makes progress.
     #[inline]
-    fn alloc(&mut self, time: SimTime, event: E) -> u32 {
+    pub fn reserve(&mut self, at: SimTime) -> EventKey {
+        debug_assert!(
+            at >= self.now,
+            "scheduling into the past: {at:?} < {:?}",
+            self.now
+        );
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.slab.alloc(time, seq, event)
+        EventKey {
+            time: at.max(self.now),
+            seq,
+        }
     }
 
     /// Schedule `event` at absolute time `at`.
@@ -207,12 +224,8 @@ impl<E> EventQueue<E> {
     /// Scheduling in the past is a logic error; debug builds assert, release
     /// builds clamp to `now` so the simulation still makes progress.
     pub fn schedule(&mut self, at: SimTime, event: E) -> EventToken {
-        debug_assert!(
-            at >= self.now,
-            "scheduling into the past: {at:?} < {:?}",
-            self.now
-        );
-        let slot = self.alloc(at.max(self.now), event);
+        let key = self.reserve(at);
+        let slot = self.slab.alloc(key.time, key.seq, event);
         self.wheel.push(&mut self.slab, slot);
         self.live_pending += 1;
         // Keep the head materialized so peek_time stays `&self`.
@@ -237,15 +250,12 @@ impl<E> EventQueue<E> {
     where
         I: IntoIterator<Item = E>,
     {
-        debug_assert!(
-            at >= self.now,
-            "scheduling into the past: {at:?} < {:?}",
-            self.now
-        );
-        let at = at.max(self.now);
+        let time = at.max(self.now);
         let (mut head, mut tail) = (NIL, NIL);
         for event in events {
-            let slot = self.alloc(at, event);
+            // Asserts `at >= now` and clamps it to `time`.
+            let key = self.reserve(at);
+            let slot = self.slab.alloc(key.time, key.seq, event);
             if tail == NIL {
                 head = slot;
             } else {
@@ -254,7 +264,7 @@ impl<E> EventQueue<E> {
             tail = slot;
             self.live_pending += 1;
         }
-        self.wheel.push_same_time(&mut self.slab, at, head);
+        self.wheel.push_same_time(&mut self.slab, time, head);
         self.wheel.ensure_front(&mut self.slab);
     }
 
@@ -268,10 +278,9 @@ impl<E> EventQueue<E> {
         if node.generation != token.generation {
             return; // already fired or already cancelled
         }
-        // Bump the generation so the token (and a drained batch entry)
-        // reads as dead, and drop the payload. The slot is released only
-        // when the node surfaces (or its batch entry commits), so nothing
-        // still linked can be handed to a new event.
+        // Bump the generation so the token reads as dead, and drop the
+        // payload. The slot is released only when the node surfaces, so
+        // nothing still linked can be handed to a new event.
         node.generation = node.generation.wrapping_add(1);
         node.event = None;
         self.live_pending -= 1;
@@ -297,9 +306,8 @@ impl<E> EventQueue<E> {
 
     /// Count a fired event and advance the clock.
     #[inline]
-    fn retire(&mut self, time: SimTime) {
+    fn advance(&mut self, time: SimTime) {
         debug_assert!(time >= self.now, "time went backwards");
-        self.live_pending -= 1;
         self.now = time;
         self.popped += 1;
     }
@@ -321,76 +329,39 @@ impl<E> EventQueue<E> {
             let time = node.time;
             node.generation = node.generation.wrapping_add(1);
             self.slab.release(slot);
-            self.retire(time);
+            self.live_pending -= 1;
+            self.advance(time);
             self.prune();
             return Some((time, event));
         }
         None
     }
 
-    /// Drain every live event sharing the head timestamp into `out`
-    /// (appending), without retiring them. Returns the number appended;
-    /// zero means the queue is exhausted.
-    ///
-    /// Each drained [`PendingFire`] must go through [`Self::commit`]
-    /// before being handled: a handler running earlier in the batch may
-    /// cancel a later entry, and `commit` is what detects that. Events
-    /// scheduled *into* the batch timestamp by handlers are not part of
-    /// this drain — they surface on the next `pop_batch` call, in FIFO
-    /// order, exactly as a pop-per-event loop would see them.
-    pub fn pop_batch(&mut self, out: &mut Vec<PendingFire<E>>) -> usize {
-        self.wheel.ensure_front(&mut self.slab);
-        let Some(head) = self.wheel.peek() else {
-            return 0;
-        };
-        let head_time = self.slab[head].time;
-        // Every node at the head timestamp is contiguous in the wheel's
-        // front (they all sit below the front limit), so the drain is a
-        // straight run of pop_fronts with no refill in between.
-        let mut drained = 0;
-        while let Some(slot) = self.wheel.peek() {
-            let node = &mut self.slab[slot];
-            if node.time != head_time {
-                break;
-            }
-            self.wheel.pop_front();
-            match node.event.take() {
-                // The slot stays allocated until `commit`, so a cancel in
-                // between finds this node, never a reused one.
-                Some(event) => {
-                    out.push(PendingFire {
-                        time: head_time,
-                        slot,
-                        generation: node.generation,
-                        event,
-                    });
-                    drained += 1;
-                }
-                // Dead nodes were already uncounted at cancel time;
-                // discard them on the way past.
-                None => self.slab.release(slot),
+    /// Pop the head if it sorts before `key` in `(time, seq)` order.
+    /// Otherwise the caller's reserved event is due: advance `now` to
+    /// `key.time`, count the pop, and return [`Next::External`] (the caller
+    /// drops the key). With no key this is [`Self::pop`].
+    #[inline]
+    pub fn pop_before(&mut self, key: Option<EventKey>) -> Next<E> {
+        if let Some(key) = key {
+            // The head is live and materialized (`cancel` and `pop` keep
+            // it so), so one compare picks the side that fires first.
+            let head_first = self.wheel.peek().is_some_and(|slot| {
+                let head = &self.slab[slot];
+                EventKey {
+                    time: head.time,
+                    seq: head.seq,
+                } < key
+            });
+            if !head_first {
+                self.advance(key.time);
+                return Next::External(key.time);
             }
         }
-        self.prune();
-        drained
-    }
-
-    /// Commit one batch-drained event just before handling it: re-checks
-    /// liveness, releases the slot, and — if live — advances `now` and
-    /// counts the pop. Returns `false` if the event was cancelled after
-    /// the drain (by an earlier handler in the same batch) — the caller
-    /// must skip it.
-    pub fn commit(&mut self, fire: &PendingFire<E>) -> bool {
-        let node = &mut self.slab[fire.slot];
-        let live = node.generation == fire.generation;
-        if live {
-            node.generation = node.generation.wrapping_add(1);
+        match self.pop() {
+            Some((time, event)) => Next::Event(time, event),
+            None => Next::Empty,
         }
-        self.slab.release(fire.slot);
-        if live {
-            self.retire(fire.time);
-        }
-        live
     }
 
     /// Timestamp of the next pending event without popping it. `&self`:
@@ -801,78 +772,129 @@ mod tests {
     }
 
     #[test]
-    fn pop_batch_drains_exactly_the_head_timestamp() {
+    fn pop_before_fires_a_same_tick_run_then_the_key() {
         let mut q = EventQueue::new();
         let t = SimTime::from_nanos(10);
         for i in 0..5 {
             q.schedule(t, i);
         }
+        let key = q.reserve(t);
         q.schedule(SimTime::from_nanos(11), 99);
-        let mut batch = Vec::new();
-        assert_eq!(q.pop_batch(&mut batch), 5);
-        assert_eq!(batch.len(), 5);
-        // Drained but uncommitted events are still pending for len().
-        assert_eq!(q.len(), 6);
-        assert_eq!(q.popped(), 0);
-        for (i, fire) in batch.drain(..).enumerate() {
-            assert!(q.commit(&fire));
-            assert_eq!(fire.time, t);
-            assert_eq!(fire.event, i as i32);
+        assert_eq!(q.len(), 6, "a reserved key is not stored");
+        for i in 0..5 {
+            assert_eq!(q.pop_before(Some(key)), Next::Event(t, i));
             assert_eq!(q.now(), t);
         }
         assert_eq!(q.len(), 1);
         assert_eq!(q.popped(), 5);
-        assert_eq!(q.pop_batch(&mut batch), 1);
-        assert_eq!(batch[0].event, 99);
+        assert_eq!(q.pop_before(Some(key)), Next::External(t));
+        assert_eq!(q.popped(), 6);
+        assert_eq!(q.pop_before(None), Next::Event(SimTime::from_nanos(11), 99));
+        assert_eq!(q.pop_before(None), Next::Empty);
     }
 
     #[test]
-    fn pop_batch_commit_detects_mid_batch_cancellation() {
-        // A handler for the first event of a tick cancels the second: the
-        // second was already drained, so its commit must fail and all
-        // counters must match what a pop-per-event loop would report.
+    fn pop_before_skips_an_event_cancelled_by_an_earlier_same_tick_handler() {
+        // A handler for the first event of a tick cancels the second (as
+        // `sync_rto` rearms an RTO): the second never fires, and the key
+        // reserved after all three still fires last.
         let mut q = EventQueue::new();
         let t = SimTime::from_nanos(7);
         q.schedule(t, "first");
         let victim = q.schedule(t, "second");
         q.schedule(t, "third");
-        let mut batch = Vec::new();
-        assert_eq!(q.pop_batch(&mut batch), 3);
+        let key = q.reserve(t);
         let mut fired = Vec::new();
-        for fire in batch.drain(..) {
-            if fire.event == "first" {
-                q.cancel(victim); // handler side effect
-            }
-            if q.commit(&fire) {
-                fired.push(fire.event);
+        loop {
+            match q.pop_before(Some(key)) {
+                Next::Event(_, "first") => {
+                    q.cancel(victim); // handler side effect
+                    fired.push("first");
+                }
+                Next::Event(_, e) => fired.push(e),
+                Next::External(_) => break,
+                Next::Empty => unreachable!("the key is still held"),
             }
         }
         assert_eq!(fired, vec!["first", "third"]);
-        assert_eq!(q.popped(), 2);
+        assert_eq!(q.popped(), 3);
         assert!(q.is_empty());
         assert_eq!(q.now(), t);
     }
 
     #[test]
-    fn pop_batch_same_tick_reschedule_lands_in_next_batch() {
-        // Events scheduled at the batch timestamp by a handler fire in the
-        // same tick but after the drained run — FIFO by sequence, exactly
-        // like the serial loop.
+    fn pop_before_same_tick_reschedule_fires_after_a_same_tick_key() {
+        // A handler re-arms a drain at its own tick and then schedules a
+        // same-tick follow-up: FIFO by sequence puts the key first.
         let mut q = EventQueue::new();
         let t = SimTime::from_nanos(42);
         q.schedule(t, 0);
-        let mut batch = Vec::new();
-        assert_eq!(q.pop_batch(&mut batch), 1);
-        let fire = batch.pop().unwrap();
-        assert!(q.commit(&fire));
-        q.schedule(t, 1); // same-tick follow-up from the handler
-        assert_eq!(q.pop_batch(&mut batch), 1);
-        let fire = batch.pop().unwrap();
-        assert_eq!(fire.time, t);
-        assert_eq!(fire.event, 1);
-        assert!(q.commit(&fire));
-        assert_eq!(q.pop_batch(&mut batch), 0);
-        assert_eq!(q.popped(), 2);
+        assert_eq!(q.pop_before(None), Next::Event(t, 0));
+        let key = q.reserve(t);
+        q.schedule(t, 1);
+        assert_eq!(q.pop_before(Some(key)), Next::External(t));
+        assert_eq!(q.pop_before(None), Next::Event(t, 1));
+        assert_eq!(q.pop_before(None), Next::Empty);
+        assert_eq!(q.popped(), 3);
+    }
+
+    #[test]
+    fn reserved_key_fires_between_same_time_schedules() {
+        let mut q = EventQueue::new();
+        let t = SimTime::from_nanos(5);
+        q.schedule(t, "before");
+        let key = q.reserve(t);
+        q.schedule(t, "after");
+        assert_eq!(q.pop_before(Some(key)), Next::Event(t, "before"));
+        assert_eq!(q.pop_before(Some(key)), Next::External(t));
+        assert_eq!(q.pop_before(None), Next::Event(t, "after"));
+    }
+
+    #[test]
+    fn earlier_key_fires_before_the_head() {
+        let mut q = EventQueue::new();
+        q.schedule(SimTime::from_nanos(9), "late");
+        let key = q.reserve(SimTime::from_nanos(8));
+        assert!(key < q.reserve(SimTime::from_nanos(9)));
+        assert_eq!(key.time, SimTime::from_nanos(8));
+        assert_eq!(
+            q.pop_before(Some(key)),
+            Next::External(SimTime::from_nanos(8))
+        );
+        assert_eq!(
+            q.pop_before(None),
+            Next::Event(SimTime::from_nanos(9), "late")
+        );
+    }
+
+    #[test]
+    fn external_pop_advances_now_and_counts() {
+        let mut q: EventQueue<u8> = EventQueue::new();
+        q.schedule(SimTime::from_nanos(100), 1);
+        let key = q.reserve(SimTime::from_nanos(30));
+        assert_eq!(q.pop_before(Some(key)), Next::External(key.time));
+        assert_eq!(q.now(), SimTime::from_nanos(30));
+        assert_eq!(q.popped(), 1);
+        assert_eq!(q.len(), 1);
+        // `now` moved, so a relative schedule starts from the key's time.
+        q.schedule_after(Duration::from_nanos(5), 2);
+        assert_eq!(q.pop(), Some((SimTime::from_nanos(35), 2)));
+    }
+
+    #[test]
+    fn empty_only_when_both_sides_are_empty() {
+        let mut q: EventQueue<u8> = EventQueue::new();
+        assert_eq!(q.pop_before(None), Next::Empty);
+        let key = q.reserve(SimTime::from_nanos(3));
+        assert_eq!(q.pop_before(Some(key)), Next::External(key.time));
+        let t = q.schedule(SimTime::from_nanos(4), 1);
+        q.cancel(t);
+        let key = q.reserve(SimTime::from_nanos(4));
+        assert_eq!(q.pop_before(Some(key)), Next::External(key.time));
+        q.schedule(SimTime::from_nanos(6), 2);
+        assert_eq!(q.pop_before(None), Next::Event(SimTime::from_nanos(6), 2));
+        assert_eq!(q.pop_before(None), Next::Empty);
+        assert_eq!(q.popped(), 3);
     }
 
     #[test]

@@ -8,8 +8,10 @@
 //! * [`EventQueue`] — a priority queue of timestamped events with
 //!   deterministic FIFO tie-breaking for events scheduled at the same
 //!   instant: each event is stored once in a slab, ordered by a
-//!   hierarchical timer wheel of slot indices, with batched same-tick
-//!   dispatch ([`HeapEventQueue`] keeps the old binary heap around as the
+//!   hierarchical timer wheel of slot indices. A caller may keep events of
+//!   its own outside the queue under keys from [`EventQueue::reserve`],
+//!   and [`EventQueue::pop_before`] merges both sides in one order
+//!   ([`HeapEventQueue`] keeps the old binary heap around as the
 //!   differential-testing oracle and benchmark baseline),
 //! * [`SimRng`] — a small, fast, seedable PRNG (SplitMix64 seeded
 //!   xoshiro256++) so simulations are bit-reproducible across platforms,
@@ -29,7 +31,7 @@ pub mod stats;
 pub mod time;
 mod wheel;
 
-pub use event::{EventQueue, HeapEventQueue, PendingFire, ScheduledEvent};
+pub use event::{EventKey, EventQueue, HeapEventQueue, Next, ScheduledEvent};
 pub use rng::SimRng;
 pub use stats::{Counter, Histogram, MeanVar, Percentiles};
 pub use time::{Duration, SimTime};

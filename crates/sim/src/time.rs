@@ -122,7 +122,11 @@ impl Duration {
     #[inline]
     pub fn for_bytes_at_gbps(bytes: u64, gbps: f64) -> Duration {
         debug_assert!(gbps > 0.0);
-        Duration(((bytes as f64 * 8.0) / gbps).round() as u64)
+        let x = (bytes as f64 * 8.0) / gbps;
+        // `x.round() as u64` without a libm call (`x - trunc(x)` is exact);
+        // the casts saturate exactly as `round`'s would.
+        let t = x as u64;
+        Duration(t.saturating_add(u64::from(x - t as f64 >= 0.5)))
     }
 
     /// True if this span is zero.
@@ -285,6 +289,13 @@ mod tests {
         assert_eq!(
             Duration::for_bytes_at_gbps(1500, 100.0),
             Duration::from_nanos(120)
+        );
+        // Ties round away from zero, and an unrepresentable span saturates.
+        assert_eq!(Duration::for_bytes_at_gbps(1, 16.0).as_nanos(), 1);
+        assert_eq!(Duration::for_bytes_at_gbps(3, 16.0).as_nanos(), 2);
+        assert_eq!(
+            Duration::for_bytes_at_gbps(u64::MAX, 1e-300).as_nanos(),
+            u64::MAX
         );
     }
 

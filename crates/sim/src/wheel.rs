@@ -67,8 +67,8 @@
 //!    node that misses a level's window always fits the next one.
 //! 3. The front is sorted ascending by `(time, seq)` and, together with
 //!    invariant 1, holds *all* pending nodes below `front_limit` — so all
-//!    same-timestamp nodes are contiguous at the head, which is what
-//!    makes batched same-tick dispatch a simple run of `pop_front`s.
+//!    same-timestamp nodes are contiguous at the head and pop in FIFO
+//!    order as a run of `pop_front`s.
 //!
 //! Cancellation lives in [`crate::EventQueue`]: it bumps the node's
 //! generation and drops the payload, but leaves the node linked. A dead
@@ -115,8 +115,7 @@ pub(crate) struct Node<E> {
     /// Next node in the same bucket list, or in the queue's free list;
     /// [`NIL`] ends either.
     pub(crate) next: u32,
-    /// The payload; `None` once the event fired, was cancelled or was
-    /// drained into a batch.
+    /// The payload; `None` once the event fired or was cancelled.
     pub(crate) event: Option<E>,
 }
 
@@ -161,8 +160,8 @@ impl<E> Slab<E> {
         slot
     }
 
-    /// Return a slot to the free list. Nothing may refer to it any more:
-    /// no wheel region, and no batch entry awaiting its commit.
+    /// Return a slot to the free list. No wheel region may refer to it
+    /// any more.
     #[inline]
     pub(crate) fn release(&mut self, slot: u32) {
         self.nodes[slot as usize].next = self.free;

@@ -27,6 +27,34 @@ proptest! {
         }
     }
 
+    /// Serialization time rounds exactly as `f64::round` does: random
+    /// sizes and rates, exact .5 ties (odd byte counts at 16 Gb/s), and
+    /// quotients above 2^52, where every f64 is already an integer.
+    #[test]
+    fn serialization_time_matches_f64_round(
+        bytes in any::<u64>(),
+        gbps in 0.001f64..1_000.0,
+        pick in 0u8..4,
+    ) {
+        let (bytes, gbps) = match pick {
+            0 => (bytes % 100_000, gbps),
+            1 => ((bytes % 100_000) | 1, 16.0),
+            2 => ((1 << 53) + bytes % (1 << 60), gbps.min(8.0)),
+            _ => (bytes, gbps),
+        };
+        let want = ((bytes as f64 * 8.0) / gbps).round() as u64;
+        prop_assert_eq!(
+            Duration::for_bytes_at_gbps(bytes, gbps).as_nanos(),
+            want,
+            "{} B at {} Gb/s",
+            bytes,
+            gbps
+        );
+        if pick == 1 {
+            prop_assert_eq!(want, bytes.div_ceil(2), "a .5 tie rounds up");
+        }
+    }
+
     /// Cancelling an arbitrary subset removes exactly that subset.
     #[test]
     fn event_queue_cancellation(

@@ -6,16 +6,20 @@
 //! runs, cancellations of pending *and already-fired* tokens, and pops —
 //! and every observable (`pop` results, `len`, `popped`, `peek_time`,
 //! `now`) is asserted equal after every single operation. A dedicated
-//! property drives the wheel through the `pop_batch`/`commit` protocol
-//! (including handler-style mid-batch cancellation) against serial heap
-//! pops, and another pins slot generations near `u64::MAX` so wrap-around
-//! reuse is covered, not just reachable. Two workload-shaped profiles
+//! property keeps some events outside the wheel under reserved keys and
+//! merges them through `pop_before` (with mid-run cancellations and
+//! same-tick re-reservations) against an oracle that schedules a marker
+//! event for each key, and another pins slot generations near `u64::MAX`
+//! so wrap-around reuse is covered, not just reachable. Two workload-shaped profiles
 //! follow: a far timer that pins the wheel's front limit while bursts of
 //! near events insert into a long sorted front, and a cancel-heavy stream
 //! whose buried cancels are followed by schedules that reuse slots.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
 use hns_sim::event::EventToken;
-use hns_sim::{EventQueue, HeapEventQueue, SimTime};
+use hns_sim::{EventKey, EventQueue, HeapEventQueue, Next, SimTime};
 use proptest::prelude::*;
 
 /// Decoded operation stream: `(kind, a, b)` triples.
@@ -115,6 +119,39 @@ fn assert_observables(w: &EventQueue<u64>, h: &HeapEventQueue<u64>) {
     assert_eq!(w.now(), h.now(), "now diverged");
 }
 
+/// One merged pop: the wheel's head or its earliest reserved key, against
+/// the oracle's next event (a marker where the wheel side holds a key).
+/// Returns whether anything fired.
+fn pop_both(
+    w: &mut EventQueue<u64>,
+    h: &mut HeapEventQueue<u64>,
+    keys: &mut BinaryHeap<Reverse<(EventKey, u64)>>,
+) -> bool {
+    let fired = match w.pop_before(keys.peek().map(|k| k.0 .0)) {
+        Next::Event(t, e) => Some((t, e)),
+        Next::External(t) => keys.pop().map(|Reverse((_, marker))| (t, marker)),
+        Next::Empty => None,
+    };
+    assert_eq!(fired, h.pop(), "merged pop diverged");
+    fired.is_some()
+}
+
+fn assert_merged_observables(
+    w: &EventQueue<u64>,
+    h: &HeapEventQueue<u64>,
+    keys: &BinaryHeap<Reverse<(EventKey, u64)>>,
+) {
+    assert_eq!(w.len() + keys.len(), h.len(), "len diverged");
+    assert_eq!(w.popped(), h.popped(), "popped diverged");
+    assert_eq!(w.now(), h.now(), "now diverged");
+    let key_time = keys.peek().map(|k| k.0 .0.time);
+    let merged = match (w.peek_time(), key_time) {
+        (Some(a), Some(b)) => Some(a.min(b)),
+        (a, b) => a.or(b),
+    };
+    assert_eq!(merged, h.peek_time(), "peek_time diverged");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
@@ -181,96 +218,65 @@ proptest! {
         assert_observables(&w, &h);
     }
 
-    /// Batched same-tick dispatch against serial pops: the wheel drains
-    /// whole ticks via `pop_batch` + per-event `commit` — with
-    /// handler-style mid-batch cancellations and same-tick reschedules —
-    /// while the heap pops one event at a time. Fired streams and all
-    /// counters must be identical.
+    /// Events kept outside the queue against one queue holding them all:
+    /// the wheel side reserves keys (held in a caller heap, as the world
+    /// holds NIC drains) and merges them through `pop_before`, while the
+    /// heap oracle schedules a marker event wherever a key is reserved.
+    /// Mid-run cancellations, handler-style same-tick re-reservations and
+    /// cancels make every pop — event or marker — and every counter match.
     #[test]
-    fn pop_batch_commit_matches_serial_heap_pops(ops in ops_strategy(300)) {
+    fn reserved_keys_match_heap_markers(ops in ops_strategy(300)) {
         let mut w: EventQueue<u64> = EventQueue::new();
         let mut h: HeapEventQueue<u64> = HeapEventQueue::new();
+        let mut keys: BinaryHeap<Reverse<(EventKey, u64)>> = BinaryHeap::new();
         let mut id = 0u64;
-        // id -> token pair, so a "handler" can cancel a specific later
-        // event of its own batch on both queues.
-        let mut tokens: std::collections::HashMap<u64, (EventToken, EventToken)> =
-            std::collections::HashMap::new();
-        let mut batch = Vec::new();
-        let mut fired_w = Vec::new();
-        let mut fired_h = Vec::new();
+        let mut live: Vec<(EventToken, EventToken)> = Vec::new();
         for (kind, a, b) in ops {
+            let at = SimTime::from_nanos(w.now().as_nanos() + b % (horizon(a) + 1));
             match kind {
                 // Schedule on both (same-tick horizons included).
-                0..=4 => {
-                    let at = SimTime::from_nanos(w.now().as_nanos() + b % (horizon(a) + 1));
-                    let tw = w.schedule(at, id);
-                    let th = h.schedule(at, id);
-                    tokens.insert(id, (tw, th));
+                0..=3 => {
+                    live.push((w.schedule(at, id), h.schedule(at, id)));
                     id += 1;
                 }
-                // Cancel an outstanding event by id on both.
-                5 => {
-                    if !tokens.is_empty() {
-                        let ids: Vec<u64> = tokens.keys().copied().collect();
-                        let victim = ids[(a as usize) % ids.len()];
-                        let (tw, th) = tokens[&victim];
+                // Reserve a key: a marker event on the oracle.
+                4..=5 => {
+                    keys.push(Reverse((w.reserve(at), id)));
+                    h.schedule(at, id);
+                    id += 1;
+                }
+                // Cancel an outstanding event on both.
+                6 => {
+                    if !live.is_empty() {
+                        let (tw, th) = live.swap_remove((a as usize) % live.len());
                         w.cancel(tw);
                         h.cancel(th);
                     }
                 }
-                // Drain one whole tick: batch on the wheel, serial pops on
-                // the heap. `a` odd => the first handler cancels the last
-                // event of the batch (classic sync_rto same-tick rearm).
+                // Pop a few. `a` odd => each "handler" cancels the newest
+                // scheduled event and re-reserves a key at its own tick,
+                // as `tx_drain` re-arms the NIC.
                 _ => {
-                    let drained = w.pop_batch(&mut batch);
-                    let tick = h.peek_time();
-                    for (j, fire) in batch.drain(..).enumerate() {
-                        if j == 0 && a % 2 == 1 && drained > 1 {
-                            // Handler side effect: kill a later same-tick
-                            // event on both queues before it commits.
-                            let last_id = id - 1;
-                            if let Some(&(tw, th)) = tokens.get(&last_id) {
+                    for _ in 0..1 + a % 4 {
+                        pop_both(&mut w, &mut h, &mut keys);
+                        if a % 2 == 1 {
+                            if let Some((tw, th)) = live.pop() {
                                 w.cancel(tw);
                                 h.cancel(th);
                             }
-                        }
-                        if w.commit(&fire) {
-                            fired_w.push((fire.time, fire.event));
-                            tokens.remove(&fire.event);
-                        }
-                    }
-                    if let Some(t) = tick {
-                        while h.peek_time() == Some(t) {
-                            let (pt, pe) = h.pop().expect("peeked");
-                            fired_h.push((pt, pe));
+                            keys.push(Reverse((w.reserve(w.now()), id)));
+                            h.schedule(h.now(), id);
+                            id += 1;
                         }
                     }
-                    prop_assert_eq!(&fired_w, &fired_h, "fired streams diverged");
                 }
             }
-            assert_eq!(w.len(), h.len(), "len diverged");
-            assert_eq!(w.popped(), h.popped(), "popped diverged");
-            assert_eq!(w.peek_time(), h.peek_time(), "peek_time diverged");
+            assert_merged_observables(&w, &h, &keys);
         }
-        // Drain the remainder tick-by-tick the same way.
-        loop {
-            if w.pop_batch(&mut batch) == 0 {
-                prop_assert_eq!(h.pop(), None);
-                break;
-            }
-            let tick = h.peek_time().expect("heap behind wheel");
-            for fire in batch.drain(..) {
-                if w.commit(&fire) {
-                    fired_w.push((fire.time, fire.event));
-                }
-            }
-            while h.peek_time() == Some(tick) {
-                let (pt, pe) = h.pop().expect("peeked");
-                fired_h.push((pt, pe));
-            }
-            prop_assert_eq!(&fired_w, &fired_h);
+        while pop_both(&mut w, &mut h, &mut keys) {
+            assert_merged_observables(&w, &h, &keys);
         }
-        prop_assert_eq!(fired_w.len() as u64, w.popped());
+        prop_assert!(keys.is_empty() && w.is_empty() && h.is_empty());
         prop_assert_eq!(w.popped(), h.popped());
     }
 

@@ -316,9 +316,9 @@ impl SimConfig {
 
     /// Reject every plan a run cannot honour, before anything is
     /// simulated: the fault plan (including the stalled core's range), the
-    /// churn and overload plan (which only the in-kernel datapath prices)
-    /// and the monitor. [`crate::World::try_run`] calls it first; front
-    /// ends call it to refuse bad input before running.
+    /// churn and overload plan (which only the in-kernel datapath prices),
+    /// the monitor and the link rate. [`crate::World::try_run`] calls it
+    /// first; front ends call it to refuse bad input before running.
     pub fn validate(&self) -> Result<(), RunError> {
         let fail = |kind| move |detail| RunError::preflight(kind, detail);
         self.faults
@@ -355,6 +355,13 @@ impl SimConfig {
             monitor
                 .validate()
                 .map_err(fail(RunErrorKind::BadMonitorConfig))?;
+        }
+        // Every port of the wire serializes at this rate.
+        if !self.link.rate_is_valid() {
+            return Err(RunError::preflight(
+                RunErrorKind::BadTopology,
+                format!("link rate {} Gb/s cannot serialize a frame", self.link.gbps),
+            ));
         }
         Ok(())
     }

@@ -111,7 +111,7 @@ pub struct Host {
     pub napi_to_copy_ns: Histogram,
     /// Post-aggregation skb sizes delivered to TCP/IP.
     pub skb_sizes: Histogram,
-    /// A TxDrain event is pending for this host's NIC.
+    /// A NIC drain is pending for this host (in `World::drains`).
     pub txdrain_armed: bool,
 }
 

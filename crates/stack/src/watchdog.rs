@@ -26,7 +26,8 @@ pub enum RunErrorKind {
     BadMonitorConfig,
     /// The scenario references a host or core outside the configured
     /// topology (flow/app host index past the fabric's host count, core
-    /// index past the per-host core count); nothing was simulated.
+    /// index past the per-host core count), or its link rate is not a
+    /// finite positive Gb/s; nothing was simulated.
     BadTopology,
     /// No forward progress — no frame offered to the wire and no byte
     /// delivered to an application — for a full watchdog horizon while

@@ -18,19 +18,24 @@
 //! cycle cost is what occupies the core.
 //!
 //! Packets move as whole frames: the sender path enqueues post-TSO frames
-//! on the NIC [`TxArbiter`]; `TxDrain` serializes them onto the [`Fabric`];
-//! `FrameArrive` lands them in an Rx descriptor, DMAs them (into the DCA
-//! cache when eligible), and raises an IRQ subject to NAPI masking.
+//! on the NIC [`TxArbiter`]; each host's NIC drain serializes them onto the
+//! [`Fabric`] one frame at a time; `FrameArrive` lands them in an Rx
+//! descriptor, DMAs them (into the DCA cache when eligible), and raises an
+//! IRQ subject to NAPI masking. The drains are kept off the event queue
+//! and merged with it in `(time, seq)` order (see `World::drains`).
+
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 use hns_mem::numa::MemClass;
 use hns_mem::pages_for;
 use hns_metrics::{Category, DropStats, LatencyStats, Report, SideReport};
-use hns_nic::link::TransmitOutcome;
+use hns_nic::link::{LinkConfig, TransmitOutcome};
 use hns_nic::tso;
 use hns_nic::TxArbiter;
 use hns_proto::{FlowId, Segment, SegmentKind, HEADER_BYTES};
 use hns_sched::Task;
-use hns_sim::{cycles_to_time, Duration, EventQueue, PendingFire, SimTime};
+use hns_sim::{cycles_to_time, Duration, EventKey, EventQueue, Next, SimTime};
 use hns_trace::{StageId, TraceCollector};
 
 use crate::app::{AppInstance, AppSpec};
@@ -50,8 +55,6 @@ enum Event {
     Dispatch { host: u8, core: u16 },
     /// The running step on (host, core) completed.
     StepDone { host: u8, core: u16 },
-    /// The NIC of `host` pulls the next frame from its Tx queues.
-    TxDrain { host: u8 },
     /// A frame arrives at the NIC of `dst`; its segment waits in
     /// [`SegmentSlab`] slot `slot`.
     FrameArrive { dst: u8, slot: u32 },
@@ -82,6 +85,12 @@ enum Event {
     TimeWaitTick,
     /// Periodic idle-connection reaper cadence (overload model).
     IdleReapTick,
+}
+
+/// One turn of the event loop: a queued event, or the NIC drain of a host.
+enum Fire {
+    Event(Event),
+    TxDrain(usize),
 }
 
 // Every queued event is stored, cascaded, sorted and drained by value, so
@@ -227,6 +236,11 @@ pub struct World {
     /// descriptor-bookkeeping cycles rather than gate transmission.
     descrings: Vec<hns_nic::DescRing>,
     queue: EventQueue<Event>,
+    /// Each host's pending NIC drain, at most one per host (while
+    /// [`Host::txdrain_armed`]) and never cancelled, so it stays off the
+    /// wheel: a key reserved from the queue's own sequence counter, which
+    /// the event loop merges with the queue head in `(time, seq)` order.
+    drains: BinaryHeap<Reverse<(EventKey, u8)>>,
     hosts: Vec<Host>,
     wire: Fabric,
     /// Per-host NIC Tx queues, holding [`SegmentSlab`] slots.
@@ -276,11 +290,6 @@ pub struct World {
     /// Reusable output buffer for GRO offer/flush in the softirq loop
     /// (avoids a `Vec` allocation per offered frame).
     gro_scratch: Vec<RxSkb>,
-    /// Reusable batch buffer for same-tick event dispatch: `try_run`
-    /// drains a whole timestamp's events here via `pop_batch` and commits
-    /// each one just before handling, so the queue is probed once per tick
-    /// rather than once per event.
-    fire_scratch: Vec<PendingFire<Event>>,
     /// Per-skb lifecycle tracer (`hns-trace`). Disabled by default; every
     /// hook below is a single branch on `trace.enabled()` and stamps never
     /// charge cycles, so behaviour is identical with tracing on or off.
@@ -302,12 +311,17 @@ pub struct World {
 
 impl World {
     /// Build an empty world from a configuration. A fabric sized outside
-    /// `2..=MAX_HOSTS` is clamped into range and reported by
-    /// [`World::try_run`] as [`RunErrorKind::BadTopology`].
+    /// `2..=MAX_HOSTS` is clamped into range, and a link rate that cannot
+    /// serialize a frame builds a default-rate wire; [`World::try_run`]
+    /// reports either as [`RunErrorKind::BadTopology`].
     pub fn new(cfg: SimConfig) -> Self {
         let cores = cfg.topology.total_cores() as usize;
         let requested = cfg.hosts();
         let nhosts = requested.clamp(2, MAX_HOSTS as usize);
+        let mut link = cfg.link;
+        if !link.rate_is_valid() {
+            link.gbps = LinkConfig::default().gbps;
+        }
         let mut world = World {
             cost: CostModel::calibrated(),
             dp: datapath_for(cfg.datapath),
@@ -315,13 +329,14 @@ impl World {
                 .map(|_| hns_nic::DescRing::new(1 << 16))
                 .collect(),
             queue: EventQueue::new(),
+            drains: BinaryHeap::new(),
             hosts: (0..nhosts).map(|h| Host::new(h, &cfg)).collect(),
             wire: Fabric::with_link(
                 FabricConfig {
                     hosts: nhosts as u16,
                     ..cfg.fabric.unwrap_or_default()
                 },
-                cfg.link,
+                link,
                 cfg.seed,
             ),
             arbiters: (0..nhosts).map(|_| TxArbiter::new(cores)).collect(),
@@ -349,7 +364,6 @@ impl World {
             label: String::new(),
             frag_pool: crate::skb::FragPool::new(),
             gro_scratch: Vec::new(),
-            fire_scratch: Vec::new(),
             trace: TraceCollector::new(cfg.trace, nhosts, cores),
             churn: cfg
                 .churn
@@ -550,53 +564,47 @@ impl World {
             }),
         );
 
-        // Batched same-tick dispatch: drain every event sharing the head
-        // timestamp in one queue probe, then commit each just before
-        // handling. `commit` re-checks liveness, so a handler cancelling a
-        // later event in the same tick (e.g. `sync_rto` rearming an RTO)
-        // skips it exactly as the old pop-per-event loop did.
-        let mut batch = std::mem::take(&mut self.fire_scratch);
-        'run: while !self.finished {
-            if self.queue.pop_batch(&mut batch) == 0 {
-                break; // deadlock-free exhaustion (tests)
+        while !self.finished {
+            // The queue head or the earliest NIC drain, whichever sorts
+            // first; a drain leaves its heap before the checks below, as a
+            // popped event leaves the queue.
+            let (t, fire) = match self.queue.pop_before(self.drains.peek().map(|d| d.0 .0)) {
+                Next::Event(t, ev) => (t, Fire::Event(ev)),
+                Next::External(t) => {
+                    let Reverse((_, h)) = self.drains.pop().expect("peeked drain");
+                    (t, Fire::TxDrain(h as usize))
+                }
+                Next::Empty => break, // deadlock-free exhaustion (tests)
+            };
+            self.audit_pop(t);
+            if self.finished {
+                break;
             }
-            for fire in batch.drain(..) {
-                if self.finished {
-                    break 'run;
-                }
-                if !self.queue.commit(&fire) {
-                    continue; // cancelled earlier in this tick
-                }
-                let t = fire.time;
-                self.audit_pop(t);
-                if self.finished {
-                    break 'run;
-                }
-                if t == self.storm_at {
-                    self.storm_count += 1;
-                } else {
-                    self.storm_at = t;
-                    self.storm_count = 0;
-                }
-                if self.storm_count > STORM_LIMIT {
-                    self.trip(
-                        RunErrorKind::EventStorm,
-                        format!("{STORM_LIMIT}+ events at t={}ns", t.as_nanos()),
-                    );
-                    break 'run;
-                }
-                if self.queue.len() > LEAK_LIMIT {
-                    self.trip(
-                        RunErrorKind::QueueLeak,
-                        format!("event queue grew past {LEAK_LIMIT}"),
-                    );
-                    break 'run;
-                }
-                self.handle(fire.event)
+            if t == self.storm_at {
+                self.storm_count += 1;
+            } else {
+                self.storm_at = t;
+                self.storm_count = 0;
+            }
+            if self.storm_count > STORM_LIMIT {
+                self.trip(
+                    RunErrorKind::EventStorm,
+                    format!("{STORM_LIMIT}+ events at t={}ns", t.as_nanos()),
+                );
+                break;
+            }
+            if self.queue.len() + self.drains.len() > LEAK_LIMIT {
+                self.trip(
+                    RunErrorKind::QueueLeak,
+                    format!("event queue grew past {LEAK_LIMIT}"),
+                );
+                break;
+            }
+            match fire {
+                Fire::Event(ev) => self.handle(ev),
+                Fire::TxDrain(h) => self.tx_drain(h),
             }
         }
-        batch.clear();
-        self.fire_scratch = batch;
         if self.run_error.is_none() {
             self.audit_teardown();
         }
@@ -646,7 +654,7 @@ impl World {
             })
             .collect();
         Snapshot {
-            queue_len: self.queue.len(),
+            queue_len: self.queue.len() + self.drains.len(),
             backlog_frames,
             stuck_flows,
             wire_frames: self.wire.frames(),
@@ -662,7 +670,6 @@ impl World {
         match ev {
             Event::Dispatch { host, core } => self.dispatch(host as usize, core as usize),
             Event::StepDone { host, core } => self.step_done(host as usize, core as usize),
-            Event::TxDrain { host } => self.tx_drain(host as usize),
             Event::FrameArrive { dst, slot } => self.frame_arrive(dst as usize, slot),
             Event::Irq { host, core } => {
                 let h = host as usize;
@@ -1801,7 +1808,7 @@ impl World {
         if !self.hosts[h].txdrain_armed && !self.arbiters[h].is_empty() {
             self.hosts[h].txdrain_armed = true;
             let at = self.wire.next_free(h).max(self.queue.now());
-            self.queue.schedule(at, Event::TxDrain { host: h as u8 });
+            self.drains.push(Reverse((self.queue.reserve(at), h as u8)));
         }
     }
 
@@ -1884,7 +1891,7 @@ impl World {
                     self.hosts[h].txdrain_armed = false;
                 } else {
                     let at = self.wire.next_free(h).max(now);
-                    self.queue.schedule(at, Event::TxDrain { host: h as u8 });
+                    self.drains.push(Reverse((self.queue.reserve(at), h as u8)));
                 }
             }
             None => {

@@ -230,8 +230,12 @@ fn bad_config(knob: u8, r: u64) -> (SimConfig, RunErrorKind) {
             cfg.churn = Some(churn);
             RunErrorKind::BadChurnPlan
         }
-        _ => {
+        8 => {
             cfg.fabric = Some(FabricConfig::neutral([0, 1, 257][(r % 3) as usize]));
+            RunErrorKind::BadTopology
+        }
+        _ => {
+            cfg.link.gbps = [0.0, -x, f64::NAN, f64::INFINITY][(r % 4) as usize];
             RunErrorKind::BadTopology
         }
     };
@@ -245,7 +249,7 @@ proptest! {
     /// `RunError` from `try_run`, of the kind that names the knob, and
     /// never a panic in `World::new` or the run.
     #[test]
-    fn out_of_range_configs_are_run_errors_not_panics(knob in 0u8..9, r in any::<u64>()) {
+    fn out_of_range_configs_are_run_errors_not_panics(knob in 0u8..10, r in any::<u64>()) {
         let (cfg, kind) = bad_config(knob, r);
         let outcome = std::panic::catch_unwind(|| {
             World::new(cfg).try_run(Duration::from_millis(1), Duration::from_millis(1))
