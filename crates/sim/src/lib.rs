@@ -9,8 +9,9 @@
 //!   deterministic FIFO tie-breaking for events scheduled at the same
 //!   instant: each event is stored once in a slab, ordered by a
 //!   hierarchical timer wheel of slot indices. A caller may keep events of
-//!   its own outside the queue under keys from [`EventQueue::reserve`],
-//!   and [`EventQueue::pop_before`] merges both sides in one order
+//!   its own outside the queue under keys from [`EventQueue::reserve`] —
+//!   in FIFO [`Lanes`] for streams that are FIFO by construction — and
+//!   [`EventQueue::pop_before`] merges both sides in one order
 //!   ([`HeapEventQueue`] keeps the old binary heap around as the
 //!   differential-testing oracle and benchmark baseline),
 //! * [`SimRng`] — a small, fast, seedable PRNG (SplitMix64 seeded
@@ -31,7 +32,7 @@ pub mod stats;
 pub mod time;
 mod wheel;
 
-pub use event::{EventKey, EventQueue, HeapEventQueue, Next, ScheduledEvent};
+pub use event::{EventKey, EventQueue, HeapEventQueue, Lanes, Next, ScheduledEvent, MAX_LANES};
 pub use rng::SimRng;
 pub use stats::{Counter, Histogram, MeanVar, Percentiles};
 pub use time::{Duration, SimTime};

@@ -17,16 +17,16 @@
 //!   otherwise a galloping search from the head (probe 0, 1, 3, 7, …,
 //!   then binary-search the bracket) finds its position, which costs a
 //!   compare or two for the common near-head insert and O(log n) at worst.
-//! * **Four wheel levels** of 256 buckets each. Level 0 buckets are 8 ns
-//!   wide (`time >> 3`), and each higher level is 256× coarser
-//!   (`time >> 11`, `time >> 19`, `time >> 27`), giving windows of
-//!   ~2.05 µs, ~524 µs, ~134 ms and ~34.4 s ahead of the consumed edge. A
+//! * **Four wheel levels** of 256 buckets each. Level 0 buckets are 64 ns
+//!   wide (`time >> 6`), and each higher level is 256× coarser
+//!   (`time >> 14`, `time >> 22`, `time >> 30`), giving windows of
+//!   ~16.4 µs, ~4.19 ms, ~1.07 s and ~275 s ahead of the consumed edge. A
 //!   bucket is an intrusive singly linked list: the level holds 256 inline
 //!   `u32` list heads and the nodes link through [`Node::next`], so a push
 //!   is one prepend and a cascade relinks nodes without copying them. A
 //!   per-level 256-bit occupancy bitmap finds the next non-empty bucket in
 //!   a handful of word scans.
-//! * **Spill** — nodes beyond the level-3 window (≳34 s ahead) land in a
+//! * **Spill** — nodes beyond the level-3 window (≳275 s ahead) land in a
 //!   lazily-sorted index vector and migrate into the wheels once the
 //!   consumed edge draws near enough. Such far timers are vanishingly rare
 //!   in a seconds-scale simulation, so the spill stays small and its sort
@@ -87,11 +87,12 @@ use crate::time::SimTime;
 
 /// Buckets per wheel level.
 pub(crate) const SLOTS: usize = 256;
-/// log2 of a level-0 bucket width in nanoseconds (8 ns). Kept small so a
-/// level-0 bucket holds few nodes even under dense event storms: the
-/// per-bucket sort in `consume_l0` is the wheel's only comparison cost
-/// besides front inserts, and small buckets keep it cheap.
-pub(crate) const SHIFT0: u32 = 3;
+/// log2 of a level-0 bucket width in nanoseconds (64 ns). The per-frame
+/// streams (NIC drains, frame arrivals, IRQs) ride the caller's FIFO lanes,
+/// so what stays on the wheel is sparse: a 16.4 µs level-0 window lets
+/// near timers land in level 0 without a cascade, and a bucket still holds
+/// few nodes for `consume_l0` to sort.
+pub(crate) const SHIFT0: u32 = 6;
 /// Bits added per level (each level is 256× coarser).
 const LEVEL_BITS: u32 = 8;
 /// Number of wheel levels before the spill list takes over.
@@ -708,21 +709,48 @@ mod tests {
         }
     }
 
+    /// Nanoseconds spanned by the window of `level` (`LEVELS` = the spill
+    /// edge), measured from a consumed edge at zero.
+    fn window(level: usize) -> u64 {
+        (SLOTS as u64) << level_shift(level)
+    }
+
+    /// A time that, pushed into an empty wheel, lands in `level` (or the
+    /// spill for `LEVELS`): halfway through that level's reach.
+    fn inside(level: usize) -> u64 {
+        match level {
+            0 => window(0) / 2,
+            l => (window(l - 1) + window(l)) / 2,
+        }
+    }
+
+    /// The region an empty wheel places time `t` in: a level or the spill.
+    fn region(t: u64) -> usize {
+        (0..LEVELS).find(|&l| t < window(l)).unwrap_or(LEVELS)
+    }
+
     #[test]
     fn pops_sorted_across_levels_and_spill() {
         let mut h = Harness::new();
-        // One node per region: front-of-L0, deep L0, L1, L2, L3, spill.
-        let times = [
-            5u64,
-            2_000,             // L0 window (2.05us)
-            500_000,           // L1 window (524us)
-            100_000_000,       // L2 window (134ms)
-            20_000_000_000,    // L3 window (34.4s)
-            2_000_000_000_000, // spill (2000s)
-        ];
+        // One node per region: front-of-L0, then one inside each level
+        // and the spill, all derived from the geometry.
+        let mut times = vec![5u64];
+        times.extend((0..=LEVELS).map(inside));
+        for (l, &t) in times[1..].iter().enumerate() {
+            assert_eq!(region(t), l, "{t} ns lands in region {l}");
+        }
         for (i, &t) in times.iter().rev().enumerate() {
             h.push(t, i as u64);
         }
+        // Every level and the spill hold exactly their node.
+        let counts: Vec<usize> =
+            h.w.levels
+                .iter()
+                .map(|lv| lv.occupied.iter().map(|w| w.count_ones() as usize).sum())
+                .collect();
+        assert_eq!(counts[0], 2, "front-of-L0 and deep L0");
+        assert!(counts[1..].iter().all(|&c| c == 1), "{counts:?}");
+        assert_eq!(h.w.spill.len(), 1);
         let got: Vec<u64> = h.drain().into_iter().map(|(t, _)| t).collect();
         let mut want = times.to_vec();
         want.sort_unstable();
@@ -761,11 +789,11 @@ mod tests {
             let base = last.0;
             for _ in 0..(next() % 4) {
                 let spread = match next() % 10 {
-                    0 => 100_000_000_000, // spill-bound (≳34s)
-                    1 => 3_000_000_000,   // L3
-                    2 => 10_000_000,      // L2
-                    3..=5 => 200_000,     // L1
-                    _ => 400,             // L0
+                    0 => 2 * window(3), // spill-bound
+                    1 => window(3),     // L3
+                    2 => window(2),     // L2
+                    3..=5 => window(1), // L1
+                    _ => window(0),     // L0
                 };
                 h.push(base + next() % spread, seq);
                 seq += 1;
@@ -822,7 +850,8 @@ mod tests {
     #[test]
     fn spill_migrates_as_the_edge_approaches() {
         let mut h = Harness::new();
-        let far = 100_000_000_000u64; // 100s: beyond the initial L3 window
+        // Beyond the initial L3 window, by two and a half L2 buckets.
+        let far = window(3) + 5 * (window(2) / SLOTS as u64) / 2;
         h.push(far, 0);
         assert_eq!(h.w.spill.len(), 1);
         // A steady stream of near nodes drags the consumed edge forward;
@@ -830,8 +859,10 @@ mod tests {
         let mut seq = 1u64;
         let mut t = 0u64;
         let mut popped = Vec::new();
+        // Steps of a tenth of the L2 window keep each near node in L2.
+        let step = window(2) / 10;
         while t < far + 1_000 {
-            t += 100_000_000; // 100ms steps
+            t += step;
             h.push(t, seq);
             seq += 1;
             popped.push(h.pop().unwrap().0);
@@ -847,11 +878,9 @@ mod tests {
     fn stored_tracks_every_region() {
         let mut h = Harness::new();
         assert_eq!(h.w.stored(), 0);
-        h.push(50, 0); // L0
-        h.push(400_000, 1); // L1
-        h.push(100_000_000, 2); // L2
-        h.push(9_000_000_000, 3); // L3
-        h.push(100_000_000_000, 4); // spill
+        for region in 0..=LEVELS {
+            h.push(inside(region), region as u64);
+        }
         assert_eq!(h.w.stored(), 5);
         h.pop();
         assert_eq!(h.w.stored(), 4);

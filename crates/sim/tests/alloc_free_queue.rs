@@ -4,13 +4,14 @@
 //! slot indices, so once the slab, the front and the spill have reached
 //! their high-water capacity, schedule / cancel / pop cycles must not
 //! touch the allocator — even as the clock moves the events across wheel
-//! buckets the warm-up never used. A counting global allocator checks it.
+//! buckets the warm-up never used. The same holds for FIFO [`Lanes`]
+//! merged with the queue. A counting global allocator checks it.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use hns_sim::event::EventToken;
-use hns_sim::{EventQueue, SimTime};
+use hns_sim::{EventQueue, Lanes, Next, SimTime};
 
 /// Wraps the system allocator, counting this thread's allocations so the
 /// test harness's other threads cannot disturb the count.
@@ -68,12 +69,13 @@ fn round(q: &mut EventQueue<u64>, tokens: &mut Vec<EventToken>, shift: u64) {
         tokens.push(q.schedule(SimTime::from_nanos(base), i));
     }
     for i in 0..SPREAD {
-        // 40 ns .. ~1.1 s ahead: level 0 through level 3.
-        let ahead = 40 << (i % 25);
+        // 40 ns .. ~2.7 s ahead: level 0 through level 3.
+        let ahead = 40 << (i % 27);
         tokens.push(q.schedule(SimTime::from_nanos(base + ahead + i), i));
     }
     for i in 0..SPILL {
-        let ahead = 40_000_000_000 + i * 1_000_003;
+        // Past the ~275 s level-3 window.
+        let ahead = 400_000_000_000 + i * 1_000_003;
         tokens.push(q.schedule(SimTime::from_nanos(base + ahead), i));
     }
     for tok in tokens.iter().step_by(3) {
@@ -87,15 +89,58 @@ fn round(q: &mut EventQueue<u64>, tokens: &mut Vec<EventToken>, shift: u64) {
 fn warm_queue_cycles_allocate_nothing() {
     let mut q: EventQueue<u64> = EventQueue::new();
     let mut tokens = Vec::with_capacity((SAME_TICK + SPREAD + SPILL) as usize);
-    round(&mut q, &mut tokens, 0);
+    // Shift by a prime number of nanoseconds so every round lands in
+    // buckets of its own at every level. The shift is 27 mod 64, so the
+    // first 64 rounds meet every alignment of the same-tick burst against
+    // a 64 ns level-0 bucket; the fullest bucket sets the sort scratch's
+    // high-water mark, so those rounds are the warm-up.
+    let shift = |k: u64| k * 7_919_003;
+    for k in 0..64 {
+        round(&mut q, &mut tokens, shift(k));
+    }
     let before = allocs();
-    for k in 1..200u64 {
-        // Shift by a prime number of nanoseconds so every round lands in
-        // buckets of its own at every level.
-        round(&mut q, &mut tokens, k * 7_919_003);
+    for k in 64..264u64 {
+        round(&mut q, &mut tokens, shift(k));
     }
     assert!(q.is_empty());
     let armed = SAME_TICK + SPREAD + SPILL;
-    assert_eq!(q.popped(), 200 * (armed - armed.div_ceil(3)));
+    assert_eq!(q.popped(), 264 * (armed - armed.div_ceil(3)));
     assert_eq!(allocs() - before, 0, "a warmed-up queue allocated");
+}
+
+#[test]
+fn warm_lanes_allocate_nothing() {
+    // Four lanes of same-tick and staggered entries merged with wheel
+    // events through `pop_before`: once the deques and the head heap have
+    // reached their high-water capacity, cycles allocate nothing.
+    let mut q: EventQueue<u64> = EventQueue::new();
+    let mut lanes: Lanes<u64> = Lanes::new();
+    let cycle = |q: &mut EventQueue<u64>, lanes: &mut Lanes<u64>| {
+        let now = q.now().as_nanos();
+        for i in 0..32u64 {
+            let at = SimTime::from_nanos(now + 100 + (i / 4) * 50);
+            let pushed = lanes.push((i % 4) as usize, q.reserve(at), i);
+            assert!(pushed.is_ok());
+            q.schedule(SimTime::from_nanos(now + 100 + i * 13), i);
+        }
+        let mut fired = 0;
+        loop {
+            match q.pop_before(lanes.peek()) {
+                Next::Event(..) => fired += 1,
+                Next::External(_) => {
+                    lanes.pop().expect("a key was peeked");
+                    fired += 1;
+                }
+                Next::Empty => break,
+            }
+        }
+        assert_eq!(fired, 64);
+    };
+    cycle(&mut q, &mut lanes);
+    let before = allocs();
+    for _ in 0..200 {
+        cycle(&mut q, &mut lanes);
+    }
+    assert!(lanes.is_empty() && q.is_empty());
+    assert_eq!(allocs() - before, 0, "warm lanes allocated");
 }

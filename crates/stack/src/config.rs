@@ -7,6 +7,7 @@ use hns_nic::steering::SteeringMode;
 use hns_proto::cc::CcAlgo;
 use hns_sim::Duration;
 
+use crate::fabric::MAX_HOSTS;
 use crate::watchdog::{RunError, RunErrorKind};
 
 /// The paper's incremental optimization levels (Fig. 3a columns): each
@@ -317,8 +318,9 @@ impl SimConfig {
     /// Reject every plan a run cannot honour, before anything is
     /// simulated: the fault plan (including the stalled core's range), the
     /// churn and overload plan (which only the in-kernel datapath prices),
-    /// the monitor and the link rate. [`crate::World::try_run`] calls it
-    /// first; front ends call it to refuse bad input before running.
+    /// the monitor, the link rate and the fabric size.
+    /// [`crate::World::try_run`] calls it first; front ends call it to
+    /// refuse bad input before running.
     pub fn validate(&self) -> Result<(), RunError> {
         let fail = |kind| move |detail| RunError::preflight(kind, detail);
         self.faults
@@ -361,6 +363,15 @@ impl SimConfig {
             return Err(RunError::preflight(
                 RunErrorKind::BadTopology,
                 format!("link rate {} Gb/s cannot serialize a frame", self.link.gbps),
+            ));
+        }
+        // Events pack a host into a `u8`, and the world's event lanes are
+        // sized for at most `MAX_HOSTS` hosts.
+        let hosts = self.hosts();
+        if !(2..=MAX_HOSTS as usize).contains(&hosts) {
+            return Err(RunError::preflight(
+                RunErrorKind::BadTopology,
+                format!("fabric of {hosts} hosts outside 2..={MAX_HOSTS}"),
             ));
         }
         Ok(())
@@ -447,6 +458,26 @@ mod tests {
         );
         assert!(DatapathKind::parse("quic").is_none());
         assert_eq!(SimConfig::default().datapath, DatapathKind::InKernel);
+    }
+
+    #[test]
+    fn validate_refuses_a_fabric_outside_the_host_range() {
+        let with_hosts = |hosts| SimConfig {
+            fabric: Some(crate::fabric::FabricConfig::neutral(hosts)),
+            ..SimConfig::default()
+        };
+        for hosts in [1, MAX_HOSTS + 1] {
+            let err = with_hosts(hosts).validate().unwrap_err();
+            assert_eq!(err.kind, RunErrorKind::BadTopology, "{hosts} hosts");
+            assert!(
+                err.detail.contains(&format!("fabric of {hosts} hosts")),
+                "{}",
+                err.detail
+            );
+        }
+        for hosts in [2, MAX_HOSTS] {
+            assert!(with_hosts(hosts).validate().is_ok(), "{hosts} hosts");
+        }
     }
 
     #[test]

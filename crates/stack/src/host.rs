@@ -111,7 +111,7 @@ pub struct Host {
     pub napi_to_copy_ns: Histogram,
     /// Post-aggregation skb sizes delivered to TCP/IP.
     pub skb_sizes: Histogram,
-    /// A NIC drain is pending for this host (in `World::drains`).
+    /// A NIC drain is pending for this host (on its lane in `World::lanes`).
     pub txdrain_armed: bool,
 }
 

@@ -8,7 +8,8 @@
 //! ablation grid) to canonical JSONL and compare against the checked-in
 //! files under `tests/golden/`. A further check parses every golden back
 //! and pins the CSV the whole set renders to (`tests/golden/reports.csv`),
-//! so JSON in and CSV out are held byte-for-byte too.
+//! so JSON in and CSV out are held byte-for-byte too. One audited
+//! latency-spike run is pinned on its own (`single_latency_spike.json`).
 //!
 //! Any intentional change to the engine, cost model, or report schema
 //! shows up here first. To accept new goldens (the `--bless` path):
@@ -20,7 +21,7 @@
 //! then review the golden diff like any other code change.
 
 use hostnet::building_blocks::core_figures as figures;
-use hostnet::Report;
+use hostnet::{Experiment, Report, ScenarioKind};
 use std::path::PathBuf;
 
 /// Run the figure registered as `name` — looked up by name, so a renamed
@@ -195,4 +196,26 @@ fn golden_reports_csv() {
         "reports.csv",
         hostnet::building_blocks::metrics::reports_to_csv(&reports),
     );
+}
+
+#[test]
+fn golden_latency_spike_keeps_event_order() {
+    // A +100 us one-way spike from 25 ms to 30 ms. When it ends, frames
+    // sent afterwards arrive before frames still on the wire, so their
+    // arrivals cannot join the port's FIFO lane and go to the timer wheel
+    // instead. The auditor checks that events still pop in time order, and
+    // the golden pins the report.
+    use hostnet::building_blocks::faults::{LatencySpike, PhaseSchedule};
+    use hostnet::building_blocks::sim::Duration;
+    let report = Experiment::new(ScenarioKind::Single)
+        .audited()
+        .configure(|c| {
+            c.link.latency_spike = Some(LatencySpike {
+                window: PhaseSchedule::once(Duration::from_millis(25), Duration::from_millis(5)),
+                extra: Duration::from_micros(100),
+            });
+        })
+        .try_run()
+        .unwrap_or_else(|e| panic!("audited latency-spike run tripped: {e}"));
+    check("single_latency_spike.json", report.to_json() + "\n");
 }
