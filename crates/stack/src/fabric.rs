@@ -188,8 +188,8 @@ impl Fabric {
     /// Build a fabric whose ports run at `link`'s rate and propagation and
     /// suffer its faults, drawn from `seed`. Panics on fewer than two
     /// hosts — a rack of one has no wire to model — or more than
-    /// [`MAX_HOSTS`]. `World::new` clamps the host count first and reports
-    /// the bad size as a run error.
+    /// [`MAX_HOSTS`]. `SimConfig::validate` reports a bad size as a run
+    /// error, and `World::new` clamps the host count before building.
     pub fn with_link(config: FabricConfig, link: LinkConfig, seed: u64) -> Self {
         assert!(config.hosts >= 2, "a fabric needs at least two hosts");
         assert!(

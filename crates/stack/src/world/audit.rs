@@ -45,7 +45,8 @@ use crate::watchdog::RunErrorKind;
 /// default, `fabric.hosts` on a larger rack).
 #[derive(Default)]
 pub(super) struct AuditState {
-    /// Frames whose `FrameArrive` event has fired, per destination host.
+    /// Frames that have arrived (from an arrival lane or, after a latency
+    /// spike, a wheel `FrameArrive` event), per destination host.
     pub(super) arrived: Vec<u64>,
     /// Frames softirq popped from the per-core backlogs, per host.
     pub(super) polled: Vec<u64>,
@@ -53,7 +54,8 @@ pub(super) struct AuditState {
     pub(super) backlog_drops: Vec<u64>,
     /// Connection frames that arrived after teardown, per host.
     pub(super) stale_frames: Vec<u64>,
-    /// `FrameArrive` events scheduled but not yet fired, per destination.
+    /// Frame arrivals queued (on an arrival lane or the wheel) but not yet
+    /// fired, per destination.
     pub(super) wire_in_flight: Vec<u64>,
     /// Busy-time charge calls since the window started, per host (bounds
     /// the cycles→ns flooring slack in the cycle ledger).
