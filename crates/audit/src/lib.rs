@@ -151,7 +151,8 @@ pub struct HostFrameLedger {
     pub link_drops: u64,
     /// Frames whose arrival event has fired.
     pub arrived: u64,
-    /// Frames in flight on the wire (arrival event scheduled, not fired).
+    /// Frames in flight on the wire: arrivals still queued (on an arrival
+    /// lane or the wheel), counted from the queues, not fired.
     pub wire_in_flight: u64,
     /// Frames received into Rx rings (Σ per-ring received).
     pub ring_received: u64,

@@ -4,7 +4,7 @@
 //! `MonitorState` is driven entirely by the simulation loop — it never
 //! schedules events of its own. The world feeds it three things:
 //!
-//! - sampled stage residencies (from the trace collector's sink),
+//! - sampled stage residencies (the trace collector's window fold),
 //! - delivered byte counts (once per autotune tick),
 //! - cumulative drop/conn counter snapshots (once per autotune tick).
 //!

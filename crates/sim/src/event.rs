@@ -178,6 +178,11 @@ impl<T> Lanes<T> {
         self.len == 0
     }
 
+    /// Entries held in `lane` (zero for a lane never pushed to).
+    pub fn lane_len(&self, lane: usize) -> usize {
+        self.lanes.get(lane).map_or(0, VecDeque::len)
+    }
+
     /// Append `value` to `lane` under `key`, or hand it back if `key`
     /// sorts before the lane's tail (the caller then orders the event some
     /// other way, e.g. [`EventQueue::schedule`]; skipping the refused
@@ -470,6 +475,12 @@ impl<E> EventQueue<E> {
             Some((time, event)) => Next::Event(time, event),
             None => Next::Empty,
         }
+    }
+
+    /// Every pending event, in slot order (not firing order): for audits
+    /// that count what is still queued.
+    pub fn pending(&self) -> impl Iterator<Item = &E> {
+        self.slab.events()
     }
 
     /// Timestamp of the next pending event without popping it. `&self`:
@@ -798,6 +809,21 @@ mod tests {
     }
 
     #[test]
+    fn pending_lists_exactly_the_live_events() {
+        let mut q = EventQueue::new();
+        q.schedule(SimTime::from_nanos(1), 'a');
+        let b = q.schedule(SimTime::from_nanos(90_000), 'b');
+        q.schedule(SimTime::from_nanos(2), 'c');
+        q.schedule(SimTime::from_nanos(3), 'd');
+        q.cancel(b); // cancelled below the head: still in the slab
+        assert_eq!(q.pop().map(|(_, e)| e), Some('a'));
+        let mut live: Vec<char> = q.pending().copied().collect();
+        live.sort_unstable();
+        assert_eq!(live, ['c', 'd']);
+        assert_eq!(live.len(), q.len());
+    }
+
+    #[test]
     fn late_cancel_after_reuse_cannot_kill_the_new_event() {
         // The nasty ordering: an event fires, its slot is reused by a new
         // event, and only then does the stale token's cancel arrive. The
@@ -1048,6 +1074,10 @@ mod tests {
             (lanes.len(), lanes.heads.len()),
             (4, 2),
             "one head per lane"
+        );
+        assert_eq!(
+            (lanes.lane_len(3), lanes.lane_len(7), lanes.lane_len(9)),
+            (2, 2, 0)
         );
         assert_eq!(lanes.peek(), Some(a0));
         // Lane 3's next entry takes its head's place: the heap keeps its

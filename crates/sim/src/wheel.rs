@@ -169,6 +169,11 @@ impl<E> Slab<E> {
         self.free = slot;
     }
 
+    /// Every payload still stored: events neither fired nor cancelled.
+    pub(crate) fn events(&self) -> impl Iterator<Item = &E> {
+        self.nodes.iter().filter_map(|n| n.event.as_ref())
+    }
+
     /// The node in `slot`, or `None` past the end (e.g. a `NONE` token).
     #[inline]
     pub(crate) fn get_mut(&mut self, slot: u32) -> Option<&mut Node<E>> {

@@ -318,7 +318,8 @@ impl SimConfig {
     /// Reject every plan a run cannot honour, before anything is
     /// simulated: the fault plan (including the stalled core's range), the
     /// churn and overload plan (which only the in-kernel datapath prices),
-    /// the monitor, the link rate and the fabric size.
+    /// the tracer's sampling, the monitor (which reads the tracer's
+    /// residencies, so needs it on), the link rate and the fabric size.
     /// [`crate::World::try_run`] calls it first; front ends call it to
     /// refuse bad input before running.
     pub fn validate(&self) -> Result<(), RunError> {
@@ -353,9 +354,19 @@ impl SimConfig {
                 ));
             }
         }
+        if self.trace.enabled && self.trace.sample_every == 0 {
+            let detail = "trace sample_every must be at least 1".into();
+            return Err(fail(RunErrorKind::BadTraceConfig)(detail));
+        }
         if let Some(monitor) = &self.monitor {
+            let traced = self
+                .trace
+                .enabled
+                .then_some(())
+                .ok_or_else(|| "a monitor needs tracing on to feed its sketches".to_string());
             monitor
                 .validate()
+                .and(traced)
                 .map_err(fail(RunErrorKind::BadMonitorConfig))?;
         }
         // Every port of the wire serializes at this rate.
@@ -478,6 +489,28 @@ mod tests {
         for hosts in [2, MAX_HOSTS] {
             assert!(with_hosts(hosts).validate().is_ok(), "{hosts} hosts");
         }
+    }
+
+    #[test]
+    fn validate_refuses_unsampled_tracing_and_untraced_monitors() {
+        let mut c = SimConfig {
+            trace: hns_trace::TraceConfig {
+                sample_every: 0,
+                ..hns_trace::TraceConfig::enabled()
+            },
+            ..SimConfig::default()
+        };
+        assert_eq!(c.validate().unwrap_err().kind, RunErrorKind::BadTraceConfig);
+        c.trace.enabled = false;
+        assert!(c.validate().is_ok(), "an off tracer's sampling is moot");
+
+        c.trace = hns_trace::TraceConfig::DISABLED;
+        c.monitor = Some(hns_monitor::MonitorConfig::default());
+        let err = c.validate().unwrap_err();
+        assert_eq!(err.kind, RunErrorKind::BadMonitorConfig);
+        assert!(err.detail.contains("tracing"), "{}", err.detail);
+        c.trace.enabled = true;
+        assert!(c.validate().is_ok());
     }
 
     #[test]

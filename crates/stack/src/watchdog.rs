@@ -21,9 +21,13 @@ pub enum RunErrorKind {
     /// empty pool); nothing was simulated.
     BadChurnPlan,
     /// The monitor config is one the sketches or the snapshot schedule
-    /// cannot honour (zero interval, alpha outside (0, 0.5)); nothing was
-    /// simulated.
+    /// cannot honour (zero interval, alpha outside (0, 0.5)), or a monitor
+    /// runs with tracing off, so its stage sketches could never fill;
+    /// nothing was simulated.
     BadMonitorConfig,
+    /// The lifecycle tracer is on with a sampling period of zero; nothing
+    /// was simulated.
+    BadTraceConfig,
     /// The scenario references a host or core outside the configured
     /// topology (flow/app host index past the fabric's host count, core
     /// index past the per-host core count), or its link rate is not a
@@ -51,6 +55,7 @@ impl RunErrorKind {
             RunErrorKind::BadFaultPlan => "bad-fault-plan",
             RunErrorKind::BadChurnPlan => "bad-churn-plan",
             RunErrorKind::BadMonitorConfig => "bad-monitor-config",
+            RunErrorKind::BadTraceConfig => "bad-trace-config",
             RunErrorKind::BadTopology => "bad-topology",
             RunErrorKind::Stalled => "stalled",
             RunErrorKind::EventStorm => "event-storm",
@@ -174,6 +179,7 @@ mod tests {
         assert_eq!(RunErrorKind::BadFaultPlan.name(), "bad-fault-plan");
         assert_eq!(RunErrorKind::BadTopology.name(), "bad-topology");
         assert_eq!(RunErrorKind::BadMonitorConfig.name(), "bad-monitor-config");
+        assert_eq!(RunErrorKind::BadTraceConfig.name(), "bad-trace-config");
         assert_eq!(RunErrorKind::EventStorm.name(), "event-storm");
         assert_eq!(RunErrorKind::QueueLeak.name(), "queue-leak");
         assert_eq!(

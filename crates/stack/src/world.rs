@@ -344,7 +344,7 @@ impl World {
         if !link.rate_is_valid() {
             link.gbps = LinkConfig::default().gbps;
         }
-        let mut world = World {
+        World {
             cost: CostModel::calibrated(),
             dp: datapath_for(cfg.datapath),
             descrings: (0..nhosts)
@@ -398,14 +398,7 @@ impl World {
                 .map(|m| Box::new(hns_monitor::MonitorState::new(m))),
             monitor_emit: None,
             cfg,
-        };
-        // The monitor rides the sampled lifecycle tracer: subscribe its
-        // residency sink only when both are on (the sink sees exactly what
-        // the sampler already picks, so this adds no instrumentation).
-        if world.monitor.is_some() {
-            world.trace.enable_sink();
         }
-        world
     }
 
     /// Subscribe to live monitor snapshots (the streaming CLI). The
@@ -543,6 +536,7 @@ impl World {
         }
         self.arm_faults();
         self.arm_churn();
+        self.trace.set_window_start(SimTime::ZERO + warmup);
         self.queue
             .schedule(SimTime::ZERO + warmup, Event::EndWarmup);
         self.queue
@@ -696,7 +690,10 @@ impl World {
             Event::OpenLoopArrival { app } => self.open_loop_arrival(app as usize),
             Event::AutotuneTick => self.autotune_tick(),
             Event::EndWarmup => self.end_warmup(),
-            Event::EndRun => self.finished = true,
+            Event::EndRun => {
+                self.drain_trace();
+                self.finished = true;
+            }
             Event::FaultTick { kind } => self.fault_tick(kind),
             Event::ConnArrival => self.conn_arrival(),
             Event::ConnTimer { conn, deadline } => self.conn_timer(conn, deadline),
@@ -1908,9 +1905,6 @@ impl World {
                                 },
                             );
                         }
-                        if let Some(a) = self.audit_mut() {
-                            a.wire_in_flight[dst] += 1;
-                        }
                     }
                     TransmitOutcome::Dropped => {
                         self.in_flight.release(slot);
@@ -1948,7 +1942,6 @@ impl World {
         let fid = flow as usize;
         if let Some(a) = self.audit_mut() {
             a.arrived[dst] += 1;
-            a.wire_in_flight[dst] -= 1;
         }
         // Steering decides the queue; the frame consumes a descriptor of
         // *that queue's* ring.
@@ -2203,6 +2196,7 @@ impl World {
     // ------------------------------------------------------------------
 
     fn autotune_tick(&mut self) {
+        self.drain_trace();
         if self.measuring {
             let t = self.queue.now().since(self.window_start).as_secs_f64();
             let gbps = self.tick_bytes as f64 * 8.0 / 1e9 / AUTOTUNE_INTERVAL.as_secs_f64();
@@ -2211,8 +2205,6 @@ impl World {
                 self.monitor_tick(self.tick_bytes);
             }
             self.tick_bytes = 0;
-        } else if self.monitor.is_some() {
-            self.monitor_tick(0);
         }
         let prop = self.cfg.link.propagation;
         for f in &mut self.flows {
@@ -2228,25 +2220,33 @@ impl World {
             .schedule_after(AUTOTUNE_INTERVAL, Event::AutotuneTick);
     }
 
-    /// Fold one autotune tick into the streaming monitor: drain sampled
-    /// residencies from the trace sink, account delivered bytes and the
-    /// drop/conn counter samples, and cut a snapshot when an emission
-    /// interval has elapsed. During warmup the sink is drained and
-    /// discarded so the window's sketches hold only window samples (and
-    /// the sink's pending buffer stays bounded).
-    fn monitor_tick(&mut self, tick_bytes: u64) {
-        let now = self.queue.now();
-        if !self.measuring {
-            self.trace.drain_residencies(now, |_, _| {});
+    /// Hand the tracer's window residencies folded since the last drain to
+    /// the monitor, when one runs, and let the tracer prune timelines that
+    /// went quiet. Runs every autotune tick and once more at `EndRun`, so
+    /// the monitor holds the same residencies as the report's
+    /// `stage_latency`.
+    fn drain_trace(&mut self) {
+        if !self.trace.enabled() {
             return;
         }
+        let mut mon = self.monitor.as_deref_mut();
+        self.trace.drain_residencies(self.queue.now(), |stage, ns| {
+            if let Some(m) = mon.as_deref_mut() {
+                m.record_residency(stage, ns);
+            }
+        });
+    }
+
+    /// Fold one measuring autotune tick into the streaming monitor: account
+    /// delivered bytes and the drop/conn counter samples, and cut a
+    /// snapshot when an emission interval has elapsed.
+    fn monitor_tick(&mut self, tick_bytes: u64) {
+        let now = self.queue.now();
         let drops = self.drop_stats.since(self.drop_baseline);
         let conn = self.monitor_counters();
         let Some(mon) = self.monitor.as_deref_mut() else {
             return;
         };
-        self.trace
-            .drain_residencies(now, |stage, ns| mon.record_residency(stage, ns));
         mon.record_bytes(tick_bytes);
         if let Some(snapshot) = mon.on_tick(now, drops, conn) {
             if let Some(emit) = self.monitor_emit.as_mut() {
@@ -2314,12 +2314,11 @@ impl World {
         self.ring_drop_baseline = self.hosts.iter().map(|h| h.ring_drops()).sum();
         self.drop_baseline = self.drop_stats;
         if self.monitor.is_some() {
-            // Discard warmup residencies still queued in the sink, then
-            // open the monitor's window with baselines pinned at "now":
+            // Open the monitor's window with baselines pinned at "now":
             // drops are reported window-relative (zero here) and conn
             // counters are sampled so the first interval's deltas start
-            // from this instant.
-            self.trace.drain_residencies(now, |_, _| {});
+            // from this instant. The tracer folds no warmup residency, so
+            // there is nothing to discard.
             let conn = self.monitor_counters();
             if let Some(mon) = self.monitor.as_deref_mut() {
                 mon.begin_window(now, DropStats::new(), conn);
@@ -2385,38 +2384,26 @@ impl World {
         };
 
         let (stage_latency, trace_overflow) = if self.trace.enabled() {
-            let summary = self.trace.summary();
-            let mut rows: Vec<hns_metrics::StageLatency> = summary
-                .stages
-                .iter()
-                .map(|s| {
-                    let p = s.hist.percentiles();
-                    hns_metrics::StageLatency {
-                        stage: s.stage.label().to_string(),
-                        samples: s.hist.count(),
-                        mean_ns: s.hist.mean(),
-                        p50_ns: p.p50,
-                        p90_ns: p.p90,
-                        p99_ns: p.p99,
-                        p999_ns: p.p999,
-                        max_ns: p.max,
-                    }
-                })
-                .collect();
-            if summary.end_to_end.count() > 0 {
-                let p = summary.end_to_end.percentiles();
-                rows.push(hns_metrics::StageLatency {
-                    stage: "end_to_end".to_string(),
-                    samples: summary.end_to_end.count(),
-                    mean_ns: summary.end_to_end.mean(),
+            let row = |stage: &str, h: &hns_sim::Histogram| {
+                let p = h.percentiles();
+                hns_metrics::StageLatency {
+                    stage: stage.to_string(),
+                    samples: h.count(),
+                    mean_ns: h.mean(),
                     p50_ns: p.p50,
                     p90_ns: p.p90,
                     p99_ns: p.p99,
                     p999_ns: p.p999,
                     max_ns: p.max,
-                });
-            }
-            (rows, summary.overflow)
+                }
+            };
+            let mut rows: Vec<_> = self
+                .trace
+                .stage_residency()
+                .map(|(s, h)| row(s.label(), h))
+                .collect();
+            rows.extend(self.trace.end_to_end().map(|h| row("end_to_end", h)));
+            (rows, self.trace.overflows())
         } else {
             (Vec::new(), 0)
         };
@@ -2527,6 +2514,32 @@ mod tests {
                 .unwrap_err();
             assert_eq!(err.kind, RunErrorKind::BadMonitorConfig, "{monitor:?}");
             assert!(err.detail.contains("monitor"), "{}", err.detail);
+        }
+    }
+
+    /// The churn engine's `trace_sample` is a connection's only draw: one
+    /// connection in N is traced, not one in N² through the tracer's own
+    /// skb sampling.
+    #[test]
+    fn churn_traces_one_connection_in_trace_sample() {
+        use hns_conn::{ChurnConfig, ChurnMode};
+        for n in [1, 8] {
+            let mut w = World::new(SimConfig {
+                churn: Some(ChurnConfig {
+                    mode: ChurnMode::HandshakeOnly,
+                    trace_sample: n,
+                    ..ChurnConfig::default()
+                }),
+                trace: hns_trace::TraceConfig {
+                    sample_every: n,
+                    ..hns_trace::TraceConfig::enabled()
+                },
+                ..SimConfig::default()
+            });
+            w.run(Duration::from_millis(2), Duration::from_millis(8));
+            let arrivals = w.churn.as_ref().expect("churn engine").arrival_seq;
+            assert!(arrivals > 500, "{arrivals} arrivals");
+            assert_eq!(w.trace.skbs(), arrivals.div_ceil(n as u64), "N = {n}");
         }
     }
 

@@ -54,9 +54,6 @@ pub(super) struct AuditState {
     pub(super) backlog_drops: Vec<u64>,
     /// Connection frames that arrived after teardown, per host.
     pub(super) stale_frames: Vec<u64>,
-    /// Frame arrivals queued (on an arrival lane or the wheel) but not yet
-    /// fired, per destination.
-    pub(super) wire_in_flight: Vec<u64>,
     /// Busy-time charge calls since the window started, per host (bounds
     /// the cycles→ns flooring slack in the cycle ledger).
     pub(super) charge_calls: Vec<u64>,
@@ -74,7 +71,6 @@ impl AuditState {
             polled: vec![0; hosts],
             backlog_drops: vec![0; hosts],
             stale_frames: vec![0; hosts],
-            wire_in_flight: vec![0; hosts],
             charge_calls: vec![0; hosts],
             last_event_at: SimTime::ZERO,
             prev_rcv_nxt: Vec::new(),
@@ -135,9 +131,25 @@ impl World {
         }
     }
 
+    /// Frame arrivals pending per destination host, counted from the
+    /// queues (arrival-lane entries plus wheel `FrameArrive` events), so
+    /// an arrival lost before it fires unbalances the frame ledgers.
+    fn pending_arrivals(&self) -> Vec<u64> {
+        let mut pending: Vec<u64> = (0..self.hosts.len())
+            .map(|h| self.lanes.lane_len(super::arrival_lane(h)) as u64)
+            .collect();
+        for ev in self.queue.pending() {
+            if let super::Event::FrameArrive { dst, .. } = ev {
+                pending[*dst as usize] += 1;
+            }
+        }
+        pending
+    }
+
     /// Evaluate every conservation law at the current event boundary.
     fn collect_violations(&mut self, teardown: bool) -> Vec<Violation> {
         let mut out = Vec::new();
+        let in_flight = self.pending_arrivals();
         let a = self.audit.as_deref().expect("audit mode on");
 
         for (h, host) in self.hosts.iter().enumerate() {
@@ -157,7 +169,7 @@ impl World {
                 link_frames: self.wire.frames_to(h),
                 link_drops: self.wire.drops_to(h),
                 arrived: a.arrived[h],
-                wire_in_flight: a.wire_in_flight[h],
+                wire_in_flight: in_flight[h],
                 ring_received: host.rings.iter().map(|r| r.received).sum(),
                 ring_drops: host.rings.iter().map(|r| r.drops).sum(),
                 backlog_drops: a.backlog_drops[h],
@@ -203,7 +215,7 @@ impl World {
         SegmentSlabLedger {
             live: self.in_flight.live() as u64,
             tx_queued: self.arbiters.iter().map(|t| t.len() as u64).sum(),
-            wire_in_flight: a.wire_in_flight.iter().sum(),
+            wire_in_flight: in_flight.iter().sum(),
             backlog: self
                 .hosts
                 .iter()

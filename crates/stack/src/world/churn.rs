@@ -286,14 +286,16 @@ impl World {
             let id = eng.table.install(conn);
             (id.to_u64(), client_core as usize)
         };
-        // Lifecycle tracing: sample every Nth connection; the whole
-        // connection shares one timeline id (SynTx → … → TimeWaitReap).
+        // Lifecycle tracing: sample every Nth connection, the only draw
+        // (the collector's own skb sampling does not apply twice); the
+        // whole connection shares one timeline id (SynTx → … →
+        // TimeWaitReap).
         let seq = self.churn.as_ref().expect("churn engine").arrival_seq - 1;
         let tid = if self.trace.enabled()
             && ccfg.trace_sample > 0
             && seq.is_multiple_of(ccfg.trace_sample as u64)
         {
-            let tid = self.trace.alloc(raw);
+            let tid = self.trace.alloc_sampled(raw);
             let eng = self.churn.as_mut().expect("churn engine");
             eng.table
                 .get_mut(ConnId::from_u64(raw))

@@ -161,6 +161,7 @@ fn bad_config(knob: u8, r: u64) -> (SimConfig, RunErrorKind) {
     use hns_faults::{CoreStall, PhaseSchedule};
     use hns_monitor::MonitorConfig;
     use hns_stack::{DatapathKind, FabricConfig};
+    use hns_trace::TraceConfig;
 
     let mut cfg = SimConfig::default();
     let mut churn = ChurnConfig::default();
@@ -172,6 +173,7 @@ fn bad_config(knob: u8, r: u64) -> (SimConfig, RunErrorKind) {
                 alpha,
                 ..MonitorConfig::default()
             });
+            cfg.trace = TraceConfig::enabled();
             RunErrorKind::BadMonitorConfig
         }
         1 => {
@@ -179,6 +181,7 @@ fn bad_config(knob: u8, r: u64) -> (SimConfig, RunErrorKind) {
                 interval: Duration::ZERO,
                 ..MonitorConfig::default()
             });
+            cfg.trace = TraceConfig::enabled();
             RunErrorKind::BadMonitorConfig
         }
         2 => {
@@ -234,9 +237,21 @@ fn bad_config(knob: u8, r: u64) -> (SimConfig, RunErrorKind) {
             cfg.fabric = Some(FabricConfig::neutral([0, 1, 257][(r % 3) as usize]));
             RunErrorKind::BadTopology
         }
-        _ => {
+        9 => {
             cfg.link.gbps = [0.0, -x, f64::NAN, f64::INFINITY][(r % 4) as usize];
             RunErrorKind::BadTopology
+        }
+        10 => {
+            cfg.trace = TraceConfig {
+                sample_every: 0,
+                ..TraceConfig::enabled()
+            };
+            RunErrorKind::BadTraceConfig
+        }
+        _ => {
+            // A valid monitor whose stage sketches the tracer never feeds.
+            cfg.monitor = Some(MonitorConfig::default());
+            RunErrorKind::BadMonitorConfig
         }
     };
     (cfg, kind)
@@ -249,7 +264,7 @@ proptest! {
     /// `RunError` from `try_run`, of the kind that names the knob, and
     /// never a panic in `World::new` or the run.
     #[test]
-    fn out_of_range_configs_are_run_errors_not_panics(knob in 0u8..10, r in any::<u64>()) {
+    fn out_of_range_configs_are_run_errors_not_panics(knob in 0u8..12, r in any::<u64>()) {
         let (cfg, kind) = bad_config(knob, r);
         let outcome = std::panic::catch_unwind(|| {
             World::new(cfg).try_run(Duration::from_millis(1), Duration::from_millis(1))

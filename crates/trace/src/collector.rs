@@ -1,9 +1,11 @@
-//! The event collector: bounded per-core rings of stage stamps, skb id
-//! allocation with sampling/filtering, and timeline/histogram derivation.
+//! The event collector: skb id allocation with sampling and filtering,
+//! the live residency fold behind every report, and bounded per-core rings
+//! of stage stamps for export.
 
 use crate::{StageId, TraceConfig, N_STAGES};
 use hns_sim::stats::Histogram;
 use hns_sim::time::SimTime;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 /// Identifier for one traced wire frame. Allocated when the sender's TCP
@@ -30,9 +32,10 @@ pub struct TraceRecord {
 /// A [`TraceRecord`] with the `(host, core)` ring it was stamped on.
 pub type LocatedRecord = (usize, usize, TraceRecord);
 
-/// A fixed-capacity record ring for one (host, core) execution context.
+/// A fixed-capacity export ring for one (host, core) execution context.
 /// Full ring ⇒ the record is dropped and counted, never silently lost and
-/// never allowed to grow memory.
+/// never allowed to grow memory. Rings feed the exporters only; the
+/// residency fold never reads them.
 #[derive(Debug, Default)]
 struct Ring {
     records: Vec<TraceRecord>,
@@ -59,75 +62,50 @@ impl Ring {
     }
 }
 
-/// How long a sink entry for an in-flight skb may sit without a new stamp
+/// How long the entry of an in-flight skb may sit without a new stamp
 /// before the pruner drops it. Data-path residencies are microseconds and
 /// the longest lifecycle stages (TIME_WAIT, SYN RTO backoff) are tens of
 /// milliseconds, so anything older is a timeline that ended without a
 /// terminal stamp (e.g. GRO-merged frames) and would otherwise leak.
-const SINK_PRUNE_AFTER_NS: u64 = 100_000_000;
-
-/// Live residency feed for the streaming monitor (`hns-monitor`).
-///
-/// The rings above are bounded — on a long run they fill once and then
-/// only count overflow. The sink instead computes each sampled residency
-/// the moment the *next* stamp lands (previous stamp → this stamp on the
-/// same skb) and parks it in a small pending buffer that the simulation
-/// drains every housekeeping tick. Live telemetry therefore keeps flowing
-/// at the configured sampling rate for the whole run, no matter how long,
-/// while ring-derived post-hoc summaries stay exactly as they were.
-#[derive(Debug, Default)]
-struct ResidencySink {
-    /// Last stamp seen per in-flight traced skb.
-    last: HashMap<SkbId, (StageId, SimTime)>,
-    /// Residencies computed since the last drain: `(stage, nanoseconds)`.
-    pending: Vec<(StageId, u64)>,
-}
-
-/// Per-stage residency summary derived from the raw timelines.
-#[derive(Clone, Debug)]
-pub struct StageResidency {
-    /// Which stage the residency is *in* (time from this stage's stamp to
-    /// the next stamp on the same skb).
-    pub stage: StageId,
-    /// Residency distribution in nanoseconds.
-    pub hist: Histogram,
-}
-
-/// Aggregate view handed to the report layer.
-#[derive(Clone, Debug, Default)]
-pub struct TraceSummary {
-    /// Residency histograms, pipeline order, only stages with samples.
-    pub stages: Vec<StageResidency>,
-    /// End-to-end (AppWrite→RecvCopy) latency in nanoseconds for timelines
-    /// that completed.
-    pub end_to_end: Histogram,
-    /// Total stamps recorded across all rings.
-    pub events: u64,
-    /// Stamps dropped because a ring was full.
-    pub overflow: u64,
-    /// Distinct traced skbs.
-    pub skbs: u64,
-}
+const PRUNE_AFTER_NS: u64 = 100_000_000;
 
 /// The collector. One instance per `World`; indexed by (host, core) so the
 /// Chrome export can draw one track per core.
+///
+/// It is also the one residency fold: each stamp closes the residency of
+/// the skb's previous stage (previous stamp → this stamp) the moment it
+/// lands, and a residency whose closing stamp lands at or after the window
+/// start goes into the per-stage histograms and the monitor's pending
+/// buffer. The fold covers the whole window however long the run, and
+/// never reads the export rings.
 #[derive(Debug)]
 pub struct TraceCollector {
     cfg: TraceConfig,
-    /// Rings indexed `host * cores_per_host + core`.
+    /// Export rings indexed `host * cores_per_host + core`.
     rings: Vec<Ring>,
     cores_per_host: usize,
     /// Monotone counter over *candidate* skbs (for every-Nth sampling).
     seen: u64,
     /// Next id to hand out.
     next_id: SkbId,
-    /// Streaming residency feed, present only when a monitor subscribed.
-    sink: Option<ResidencySink>,
+    /// Per in-flight skb: its last stamp's stage and time, and its first
+    /// stamp's time.
+    open: HashMap<SkbId, (StageId, SimTime, SimTime)>,
+    /// Closing stamps before this instant (the warmup) fold nothing.
+    window_start: SimTime,
+    /// Window residencies per stage, indexed by `StageId`, then the end to
+    /// end latencies (first stamp → [`StageId::RecvCopy`]) of timelines
+    /// ended in the window. Allocated by the first residency, so a tracer
+    /// that folds nothing allocates nothing (and no histogram sits inline,
+    /// whose 16-byte alignment would reorder `World`'s hot fields).
+    hists: Vec<Histogram>,
+    /// Window residencies since the last drain: `(stage, nanoseconds)`.
+    pending: Vec<(StageId, u64)>,
 }
 
 impl TraceCollector {
     /// Build a collector for `hosts * cores_per_host` execution contexts.
-    /// A disabled config allocates no ring storage.
+    /// A disabled config allocates nothing.
     pub fn new(cfg: TraceConfig, hosts: usize, cores_per_host: usize) -> Self {
         let n = if cfg.enabled {
             hosts * cores_per_host
@@ -141,7 +119,10 @@ impl TraceCollector {
             cores_per_host: cores_per_host.max(1),
             seen: 0,
             next_id: 0,
-            sink: None,
+            open: HashMap::new(),
+            window_start: SimTime::ZERO,
+            hists: Vec::new(),
+            pending: Vec::new(),
         }
     }
 
@@ -156,31 +137,21 @@ impl TraceCollector {
         self.cfg.enabled
     }
 
-    /// The configuration this collector was built with.
-    pub fn config(&self) -> TraceConfig {
-        self.cfg
+    /// Open the measurement window at `at`, before the first stamp:
+    /// residencies closing earlier (the warmup) never fold.
+    pub fn set_window_start(&mut self, at: SimTime) {
+        self.window_start = at;
     }
 
-    /// Subscribe a live residency sink. No-op when tracing is disabled —
-    /// the sink sees only what the sampler already picks, so it adds no
-    /// second instrumentation layer and cannot perturb the simulation.
-    pub fn enable_sink(&mut self) {
-        if self.cfg.enabled {
-            self.sink = Some(ResidencySink::default());
-        }
-    }
-
-    /// Hand every residency computed since the last drain to `f`, in stamp
-    /// order, then prune sink entries whose timelines went quiet (ended
-    /// without a terminal stamp) so in-flight state stays bounded.
+    /// Hand every window residency folded since the last drain to `f`, in
+    /// stamp order, then prune in-flight entries whose timelines went quiet
+    /// (ended without a terminal stamp) so that state stays bounded.
     pub fn drain_residencies(&mut self, now: SimTime, mut f: impl FnMut(StageId, u64)) {
-        if let Some(sink) = &mut self.sink {
-            for (stage, ns) in sink.pending.drain(..) {
-                f(stage, ns);
-            }
-            sink.last
-                .retain(|_, (_, t0)| now.since(*t0).as_nanos() < SINK_PRUNE_AFTER_NS);
+        for (stage, ns) in self.pending.drain(..) {
+            f(stage, ns);
         }
+        self.open
+            .retain(|_, (_, at, _)| now.since(*at).as_nanos() < PRUNE_AFTER_NS);
     }
 
     /// Decide whether to trace the next emitted skb of `flow`, and hand out
@@ -188,23 +159,37 @@ impl TraceCollector {
     /// returns [`NO_SKB`] when the frame should not be traced.
     #[inline]
     pub fn alloc(&mut self, flow: u64) -> SkbId {
-        if !self.cfg.enabled {
+        if !self.admits(flow) {
             return NO_SKB;
         }
-        if let Some(want) = self.cfg.flow {
-            if want != flow {
-                return NO_SKB;
-            }
-        }
-        let n = self.cfg.sample_every.max(1) as u64;
-        let pick = self.seen.is_multiple_of(n);
+        let pick = self.seen.is_multiple_of(self.cfg.sample_every as u64);
         self.seen += 1;
-        if !pick {
+        if pick {
+            self.alloc_sampled(flow)
+        } else {
+            NO_SKB
+        }
+    }
+
+    /// Hand out an id for a candidate its caller already sampled (the churn
+    /// engine draws one connection in `trace_sample` itself), so only the
+    /// per-flow filter applies.
+    pub fn alloc_sampled(&mut self, flow: u64) -> SkbId {
+        if !self.admits(flow) {
             return NO_SKB;
         }
-        let id = self.next_id;
         self.next_id += 1;
-        id
+        self.next_id - 1
+    }
+
+    #[inline]
+    fn admits(&self, flow: u64) -> bool {
+        self.cfg.enabled && self.cfg.flow.is_none_or(|want| want == flow)
+    }
+
+    /// Ids handed out so far: the traced skbs.
+    pub fn skbs(&self) -> u64 {
+        self.next_id
     }
 
     /// Stamp `skb` crossing `stage` on (`host`, `core`) at `t`. No-op for
@@ -233,27 +218,53 @@ impl TraceCollector {
                 t,
             });
         }
-        // Feed the live sink even when the ring overflowed: the monitor's
-        // stream must keep flowing on runs long enough to fill the rings.
-        if let Some(sink) = &mut self.sink {
-            let prev = if stage == StageId::RecvCopy {
-                // Terminal stamp: the skb's life ends here.
-                sink.last.remove(&skb)
-            } else {
-                sink.last.insert(skb, (stage, t))
-            };
-            if let Some((prev_stage, prev_t)) = prev {
-                sink.pending.push((prev_stage, t.since(prev_t).as_nanos()));
+        let prev = match self.open.entry(skb) {
+            // Terminal stamp: the skb's life ends here.
+            Entry::Occupied(e) if stage == StageId::RecvCopy => Some(e.remove()),
+            Entry::Occupied(mut e) => Some(e.insert((stage, t, e.get().2))),
+            Entry::Vacant(e) => {
+                if stage != StageId::RecvCopy {
+                    e.insert((stage, t, t));
+                }
+                None
             }
+        };
+        let Some((prev, at, first)) = prev.filter(|_| t >= self.window_start) else {
+            return;
+        };
+        if self.hists.is_empty() {
+            self.hists = (0..=N_STAGES).map(|_| Histogram::new()).collect();
+        }
+        let ns = t.since(at).as_nanos();
+        self.hists[prev as usize].record(ns);
+        self.pending.push((prev, ns));
+        if stage == StageId::RecvCopy {
+            self.hists[N_STAGES].record(t.since(first).as_nanos());
         }
     }
 
-    /// Total stamps dropped to full rings.
+    /// Window residency histograms in pipeline order, stages with samples
+    /// only. Residency in stage *s* is the time from the *s* stamp to the
+    /// next stamp on the same skb; a timeline's final stamp has none.
+    pub fn stage_residency(&self) -> impl Iterator<Item = (StageId, &Histogram)> {
+        StageId::ALL
+            .into_iter()
+            .zip(&self.hists)
+            .filter(|(_, h)| h.count() > 0)
+    }
+
+    /// End-to-end latency (first stamp → [`StageId::RecvCopy`]) of the
+    /// timelines that ended in the window; `None` when none did.
+    pub fn end_to_end(&self) -> Option<&Histogram> {
+        self.hists.get(N_STAGES).filter(|h| h.count() > 0)
+    }
+
+    /// Export records dropped to full rings. The fold is unaffected.
     pub fn overflows(&self) -> u64 {
         self.rings.iter().map(|r| r.overflow).sum()
     }
 
-    /// Total stamps recorded.
+    /// Export records held by the rings.
     pub fn events(&self) -> u64 {
         self.rings.iter().map(|r| r.records.len() as u64).sum()
     }
@@ -270,63 +281,6 @@ impl TraceCollector {
         out.sort_by_key(|(_, _, r)| (r.t, r.skb, r.stage as u8));
         out
     }
-
-    /// Group records into per-skb timelines, each sorted by time (ties
-    /// broken by pipeline order). Returned in skb-id order.
-    pub fn timelines(&self) -> Vec<(SkbId, Vec<LocatedRecord>)> {
-        let mut by_skb: HashMap<SkbId, Vec<LocatedRecord>> = HashMap::new();
-        for (idx, ring) in self.rings.iter().enumerate() {
-            let host = idx / self.cores_per_host;
-            let core = idx % self.cores_per_host;
-            for r in &ring.records {
-                by_skb.entry(r.skb).or_default().push((host, core, *r));
-            }
-        }
-        let mut out: Vec<_> = by_skb.into_iter().collect();
-        out.sort_by_key(|(id, _)| *id);
-        for (_, tl) in out.iter_mut() {
-            tl.sort_by_key(|(_, _, r)| (r.t, r.stage as u8));
-        }
-        out
-    }
-
-    /// Derive per-stage residency histograms and the end-to-end breakdown.
-    ///
-    /// Residency in stage *s* is the time from the *s* stamp to the next
-    /// stamp on the same skb; the final stamp of a timeline has no
-    /// residency (the skb is gone). End-to-end latency is only recorded
-    /// for timelines that reach [`StageId::RecvCopy`].
-    pub fn summary(&self) -> TraceSummary {
-        let mut hists: Vec<Histogram> = (0..N_STAGES).map(|_| Histogram::new()).collect();
-        let mut end_to_end = Histogram::new();
-        let timelines = self.timelines();
-        let skbs = timelines.len() as u64;
-        for (_, tl) in &timelines {
-            for pair in tl.windows(2) {
-                let (_, _, a) = pair[0];
-                let (_, _, b) = pair[1];
-                hists[a.stage as usize].record(b.t.since(a.t).as_nanos());
-            }
-            if let (Some((_, _, first)), Some((_, _, last))) = (tl.first(), tl.last()) {
-                if last.stage == StageId::RecvCopy {
-                    end_to_end.record(last.t.since(first.t).as_nanos());
-                }
-            }
-        }
-        let stages = StageId::ALL
-            .iter()
-            .zip(hists)
-            .filter(|(_, h)| h.count() > 0)
-            .map(|(s, hist)| StageResidency { stage: *s, hist })
-            .collect();
-        TraceSummary {
-            stages,
-            end_to_end,
-            events: self.events(),
-            overflow: self.overflows(),
-            skbs,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -337,15 +291,26 @@ mod tests {
         SimTime::from_nanos(ns)
     }
 
+    fn residencies(c: &TraceCollector) -> Vec<(StageId, u64, u64)> {
+        c.stage_residency()
+            .map(|(s, h)| (s, h.count(), h.max()))
+            .collect()
+    }
+
     #[test]
     fn disabled_collector_allocates_nothing_and_records_nothing() {
         let mut c = TraceCollector::disabled();
         assert!(!c.enabled());
         assert_eq!(c.alloc(0), NO_SKB);
+        assert_eq!(c.alloc_sampled(0), NO_SKB);
         c.stamp(NO_SKB, 0, StageId::TcpTx, 0, 0, t(1));
         assert_eq!(c.events(), 0);
         assert_eq!(c.overflows(), 0);
-        assert!(c.summary().stages.is_empty());
+        assert_eq!(c.skbs(), 0);
+        assert_eq!(c.stage_residency().count(), 0);
+        let mut got = Vec::new();
+        c.drain_residencies(t(10), |s, ns| got.push((s, ns)));
+        assert!(got.is_empty());
     }
 
     #[test]
@@ -361,6 +326,23 @@ mod tests {
             picks,
             [true, false, false, true, false, false, true, false, false]
         );
+        assert_eq!(c.skbs(), 3);
+    }
+
+    #[test]
+    fn presampled_ids_skip_the_draw_but_not_the_filter() {
+        let cfg = TraceConfig {
+            enabled: true,
+            sample_every: 8,
+            flow: Some(5),
+            ..TraceConfig::DISABLED
+        };
+        let mut c = TraceCollector::new(cfg, 1, 1);
+        assert_eq!(c.alloc_sampled(4), NO_SKB);
+        assert!((0..3).all(|_| c.alloc_sampled(5) != NO_SKB));
+        // Nor do they consume sampling slots: the next candidate is drawn.
+        assert_ne!(c.alloc(5), NO_SKB);
+        assert_eq!(c.skbs(), 4);
     }
 
     #[test]
@@ -391,7 +373,6 @@ mod tests {
         }
         assert_eq!(c.events(), 2);
         assert_eq!(c.overflows(), 3);
-        assert_eq!(c.summary().overflow, 3);
     }
 
     #[test]
@@ -402,24 +383,18 @@ mod tests {
         c.stamp(id, 1, StageId::TcpTx, 0, 0, t(150));
         c.stamp(id, 1, StageId::Wire, 0, 0, t(400));
         c.stamp(id, 1, StageId::RecvCopy, 1, 0, t(1100));
-        let s = c.summary();
-        assert_eq!(s.skbs, 1);
-        assert_eq!(s.events, 4);
-        let stages: Vec<(StageId, u64)> = s
-            .stages
-            .iter()
-            .map(|r| (r.stage, r.hist.quantile(0.5)))
-            .collect();
-        // Log-linear buckets give ~1% precision; check stage identity and
-        // rough magnitude.
-        assert_eq!(stages.len(), 3);
-        assert_eq!(stages[0].0, StageId::AppWrite);
-        assert_eq!(stages[1].0, StageId::TcpTx);
-        assert_eq!(stages[2].0, StageId::Wire);
-        assert!((45..=55).contains(&stages[0].1));
-        assert!((245..=255).contains(&stages[1].1));
-        assert_eq!(s.end_to_end.count(), 1);
-        assert!(s.end_to_end.max() >= 990 && s.end_to_end.max() <= 1010);
+        assert_eq!(c.skbs(), 1);
+        assert_eq!(c.events(), 4);
+        assert_eq!(
+            residencies(&c),
+            [
+                (StageId::AppWrite, 1, 50),
+                (StageId::TcpTx, 1, 250),
+                (StageId::Wire, 1, 700)
+            ]
+        );
+        let e2e = c.end_to_end().expect("a timeline ended");
+        assert_eq!((e2e.count(), e2e.max()), (1, 1000));
     }
 
     #[test]
@@ -428,25 +403,43 @@ mod tests {
         let id = c.alloc(1);
         c.stamp(id, 1, StageId::TcpTx, 0, 0, t(10));
         c.stamp(id, 1, StageId::Gro, 1, 0, t(90));
-        let s = c.summary();
-        assert_eq!(s.end_to_end.count(), 0);
-        assert_eq!(s.stages.len(), 1);
+        assert!(c.end_to_end().is_none());
+        assert_eq!(residencies(&c), [(StageId::TcpTx, 1, 80)]);
     }
 
     #[test]
-    fn sink_streams_residencies_matching_summary() {
+    fn only_residencies_closing_in_the_window_fold() {
         let mut c = TraceCollector::new(TraceConfig::enabled(), 2, 1);
-        c.enable_sink();
+        c.set_window_start(t(200));
+        let id = c.alloc(1);
+        c.stamp(id, 1, StageId::AppWrite, 0, 0, t(100));
+        c.stamp(id, 1, StageId::TcpTx, 0, 0, t(150)); // closes in warmup
+        c.stamp(id, 1, StageId::Wire, 0, 0, t(200)); // closes at the start
+        c.stamp(id, 1, StageId::RecvCopy, 1, 0, t(900));
+        assert_eq!(
+            residencies(&c),
+            [(StageId::TcpTx, 1, 50), (StageId::Wire, 1, 700)]
+        );
+        // End to end spans the whole timeline; its closing stamp decides.
+        assert_eq!(c.end_to_end().map(|h| h.max()), Some(800));
+        let mut got = Vec::new();
+        c.drain_residencies(t(1000), |s, ns| got.push((s, ns)));
+        assert_eq!(got, [(StageId::TcpTx, 50), (StageId::Wire, 700)]);
+    }
+
+    #[test]
+    fn drained_residencies_match_the_fold() {
+        let mut c = TraceCollector::new(TraceConfig::enabled(), 2, 1);
         let id = c.alloc(1);
         c.stamp(id, 1, StageId::AppWrite, 0, 0, t(100));
         c.stamp(id, 1, StageId::TcpTx, 0, 0, t(150));
         c.stamp(id, 1, StageId::RecvCopy, 1, 0, t(400));
         let mut got = Vec::new();
         c.drain_residencies(t(1000), |s, ns| got.push((s, ns)));
+        assert_eq!(got, [(StageId::AppWrite, 50), (StageId::TcpTx, 250)]);
         assert_eq!(
-            got,
-            vec![(StageId::AppWrite, 50), (StageId::TcpTx, 250)],
-            "sink residencies must equal the ring-derived ones"
+            residencies(&c),
+            [(StageId::AppWrite, 1, 50), (StageId::TcpTx, 1, 250)]
         );
         // Drained means drained.
         let mut again = Vec::new();
@@ -455,52 +448,38 @@ mod tests {
     }
 
     #[test]
-    fn sink_keeps_flowing_after_ring_overflow() {
+    fn fold_ignores_ring_overflow() {
         let cfg = TraceConfig {
             enabled: true,
             ring_capacity: 1,
             ..TraceConfig::DISABLED
         };
         let mut c = TraceCollector::new(cfg, 1, 1);
-        c.enable_sink();
         let id = c.alloc(0);
         c.stamp(id, 0, StageId::AppWrite, 0, 0, t(0));
         c.stamp(id, 0, StageId::TcpTx, 0, 0, t(10));
         c.stamp(id, 0, StageId::Qdisc, 0, 0, t(30));
         assert_eq!(c.overflows(), 2, "ring is saturated");
-        let mut got = Vec::new();
-        c.drain_residencies(t(100), |s, ns| got.push((s, ns)));
         assert_eq!(
-            got,
-            vec![(StageId::AppWrite, 10), (StageId::TcpTx, 20)],
-            "overflowed rings must not stall the live stream"
+            residencies(&c),
+            [(StageId::AppWrite, 1, 10), (StageId::TcpTx, 1, 20)],
+            "overflowed rings must not truncate the fold"
         );
     }
 
     #[test]
-    fn sink_prunes_abandoned_timelines() {
+    fn quiet_timelines_are_pruned() {
         let mut c = TraceCollector::new(TraceConfig::enabled(), 2, 1);
-        c.enable_sink();
         let id = c.alloc(1);
         // A GRO-merged frame: timeline ends without a terminal stamp.
         c.stamp(id, 1, StageId::Gro, 1, 0, t(100));
-        c.drain_residencies(t(SINK_PRUNE_AFTER_NS + 200), |_, _| {});
+        c.drain_residencies(t(PRUNE_AFTER_NS + 200), |_, _| {});
         // A much later stamp on the same id must not pair with the stale
         // entry (it was pruned), so no bogus residency appears.
-        c.stamp(id, 1, StageId::TcpRx, 1, 0, t(SINK_PRUNE_AFTER_NS + 500));
+        c.stamp(id, 1, StageId::TcpRx, 1, 0, t(PRUNE_AFTER_NS + 500));
         let mut got = Vec::new();
-        c.drain_residencies(t(SINK_PRUNE_AFTER_NS + 1000), |s, ns| got.push((s, ns)));
+        c.drain_residencies(t(PRUNE_AFTER_NS + 1000), |s, ns| got.push((s, ns)));
         assert!(got.is_empty(), "pruned entry paired anyway: {got:?}");
-    }
-
-    #[test]
-    fn sink_on_disabled_collector_is_inert() {
-        let mut c = TraceCollector::disabled();
-        c.enable_sink();
-        c.stamp(NO_SKB, 0, StageId::TcpTx, 0, 0, t(1));
-        let mut got = Vec::new();
-        c.drain_residencies(t(10), |s, ns| got.push((s, ns)));
-        assert!(got.is_empty());
     }
 
     #[test]

@@ -37,15 +37,19 @@ fn us(ns: u64) -> String {
 
 /// Render timelines as Chrome `trace_event` JSON.
 ///
-/// Each residency (stamp *i* to stamp *i+1* of a timeline) becomes one
-/// complete event named after stage *i*, on the (host, core) track where
-/// stamp *i* was taken. The final stamp of each timeline becomes an
+/// The exported records are grouped per skb in skb-id order, each timeline
+/// in (time, stage) order. Each residency (stamp *i* to stamp *i+1* of a
+/// timeline) becomes one complete event named after stage *i*, on the
+/// (host, core) track where stamp *i* was taken. The final stamp of each timeline becomes an
 /// instant event so the end of life is visible.
 pub fn to_chrome(c: &TraceCollector) -> String {
     let mut events: Vec<String> = Vec::new();
     let mut tracks: Vec<(usize, usize)> = Vec::new();
-    for (skb, tl) in c.timelines() {
-        for (host, core, _) in &tl {
+    let mut records = c.sorted_records();
+    records.sort_by_key(|(_, _, r)| r.skb); // stable: (time, stage) per skb
+    for tl in records.chunk_by(|a, b| a.2.skb == b.2.skb) {
+        let skb = tl[0].2.skb;
+        for (host, core, _) in tl {
             if !tracks.contains(&(*host, *core)) {
                 tracks.push((*host, *core));
             }

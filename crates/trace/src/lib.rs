@@ -4,9 +4,8 @@
 //! where an individual packet spends its *time*. This crate is the missing
 //! observability layer: a low-overhead event collector that stamps each skb
 //! at every pipeline stage it crosses — application write through wire,
-//! DMA, NAPI, GRO and the final `recv()` copy — and turns the raw
-//! timelines into per-stage residency histograms and exportable timeline
-//! files.
+//! DMA, NAPI, GRO and the final `recv()` copy — and folds the stamps into
+//! per-stage residency histograms and exportable timeline files.
 //!
 //! Design constraints (in order):
 //!
@@ -15,10 +14,11 @@
 //!    and records nothing, and the simulation's behaviour (event order,
 //!    cycle charges, RNG draws) is identical with tracing on or off —
 //!    stamps observe the world, they never mutate it.
-//! 2. **Bounded memory, explicit loss.** Records land in per-core ring
-//!    buffers of fixed capacity; when a ring is full the record is counted
-//!    in an overflow counter instead of growing memory or silently
-//!    vanishing. Reports surface the counter.
+//! 2. **One fold over the window, bounded export.** Each stamp closes the
+//!    skb's previous residency, which folds if the stamp lands in the
+//!    measurement window; reports and the monitor read that fold. Records
+//!    also land in fixed-capacity per-core rings for export only; a full
+//!    ring counts what it drops, which never touches the quantiles.
 //! 3. **Deterministic output.** Under a fixed seed the simulation is
 //!    bit-reproducible, so the exported JSONL is byte-identical run to run
 //!    and can be diffed like any other artifact.
@@ -32,12 +32,12 @@
 //! Exporters: [`export::to_jsonl`] (one event per line, replay/diff-able)
 //! and [`export::to_chrome`] (Chrome `trace_event` JSON — open it in
 //! Perfetto or `chrome://tracing` to see one track per core with stage
-//! spans).
+//! spans). Both read the rings, which fill from t = 0.
 
 pub mod collector;
 pub mod export;
 
-pub use collector::{SkbId, TraceCollector, TraceRecord, TraceSummary, NO_SKB};
+pub use collector::{SkbId, TraceCollector, TraceRecord, NO_SKB};
 
 /// Pipeline stages a packet crosses, sender application to receiver
 /// application (the paper's Fig. 1 read left to right).
@@ -171,12 +171,13 @@ impl std::fmt::Display for StageId {
 pub struct TraceConfig {
     /// Master switch. Off (the default) keeps every hook a dead branch.
     pub enabled: bool,
-    /// Trace every Nth emitted skb (1 = all). Zero is treated as 1.
+    /// Trace every Nth emitted skb (1 = all). `SimConfig::validate`
+    /// refuses zero.
     pub sample_every: u32,
     /// Only trace this flow when set (per-flow filter).
     pub flow: Option<u64>,
-    /// Per-core ring capacity in records; the overflow counter absorbs the
-    /// excess.
+    /// Per-core export ring capacity in records; the overflow counter
+    /// absorbs the excess.
     pub ring_capacity: u32,
 }
 

@@ -88,7 +88,7 @@ fn main() {
         "({} stamps across {} skbs; the sock_queue row is the receive-side\n\
          buffering the cwnd timeline above cannot see)",
         lifecycle.events(),
-        lifecycle.summary().skbs
+        lifecycle.skbs()
     );
 }
 

@@ -177,7 +177,7 @@ fn run(exp: &Experiment, out: &cli::Output) -> ExitCode {
         eprintln!(
             "trace: {} events ({} skbs) written to {path}",
             trace.events(),
-            trace.summary().skbs
+            trace.skbs()
         );
     }
     if out.json {
@@ -230,7 +230,7 @@ fn run(exp: &Experiment, out: &cli::Output) -> ExitCode {
             println!(
                 "trace: {} events across {} skbs",
                 trace.events(),
-                trace.summary().skbs
+                trace.skbs()
             );
         }
     }
@@ -724,9 +724,6 @@ fault injection (all deterministic; scheduled faults share one window):
                     exp.cfg.trace.enabled = true;
                     exp.cfg.trace.sample_every =
                         parse_num(value("--trace-sample-every")?, "--trace-sample-every")?;
-                    if exp.cfg.trace.sample_every == 0 {
-                        return Err("--trace-sample-every: must be at least 1".into());
-                    }
                 }
                 "--trace-flow" => {
                     exp.cfg.trace.enabled = true;
@@ -1264,7 +1261,10 @@ fault injection (all deterministic; scheduled faults share one window):
             assert!(parse(&argv("run single --loss 1.5")).is_err());
             assert!(parse(&argv("run single --flows")).is_err());
             assert!(parse(&argv("run single --mtu banana")).is_err());
-            assert!(parse(&argv("run single --trace-sample-every 0")).is_err());
+            // SimConfig::validate owns the tracer's preflight.
+            assert!(parse(&argv("run single --trace-sample-every 0"))
+                .unwrap_err()
+                .contains("sample_every must be at least 1"));
             assert!(parse(&argv("run single --trace-format xml")).is_err());
             // Values whose unit conversion would overflow.
             assert!(parse(&argv("run single --measure-ms 18446744073709552")).is_err());

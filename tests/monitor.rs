@@ -165,18 +165,19 @@ fn sketch_quantiles_match_offline_trace_quantiles() {
     let summary = report.monitor.as_ref().expect("monitored report");
     let alpha = summary.sketch_alpha;
 
-    // Offline ground truth: exact residencies from the trace timelines,
-    // restricted to the pairs the sketches folded — the second stamp must
-    // land by the final pre-EndRun autotune tick (EndRun wins the 10ms
-    // tie by FIFO order, so the last fold is at 9ms). The sink treats
-    // RecvCopy as terminal, so pairs starting there are skipped.
-    let fold_horizon_ns = 9_000_000u64;
+    // Offline ground truth: exact residencies from the exported records,
+    // every consecutive pair of one skb's timeline. The run's last drain
+    // at EndRun hands the monitor every pair the tracer folded. The tracer
+    // treats RecvCopy as terminal, so pairs starting there are skipped.
+    let mut timelines: HashMap<u64, Vec<_>> = HashMap::new();
+    for (_, _, r) in trace.sorted_records() {
+        timelines.entry(r.skb).or_default().push(r);
+    }
     let mut exact: HashMap<&'static str, Vec<u64>> = HashMap::new();
-    for (_skb, tl) in trace.timelines() {
+    for tl in timelines.values() {
         for pair in tl.windows(2) {
-            let (_, _, a) = pair[0];
-            let (_, _, b) = pair[1];
-            if a.stage == StageId::RecvCopy || b.t.as_nanos() > fold_horizon_ns {
+            let (a, b) = (pair[0], pair[1]);
+            if a.stage == StageId::RecvCopy {
                 continue;
             }
             exact
@@ -186,6 +187,11 @@ fn sketch_quantiles_match_offline_trace_quantiles() {
         }
     }
 
+    assert_eq!(
+        exact.len(),
+        summary.stages.len(),
+        "every stage with a residency reaches the monitor"
+    );
     assert!(
         summary.stages.iter().any(|s| s.samples >= 100),
         "need a well-populated stage for the tail quantiles to mean anything"

@@ -165,3 +165,116 @@ fn stage_percentiles_reach_json_and_csv() {
     assert!(header.contains("end_to_end_p99_ns"));
     assert!(header.contains("trace_overflow"));
 }
+
+/// A slow-start run: a 200 µs warmup, then a 3 ms window, with rings
+/// large enough to keep every stamp for the exact comparison.
+fn slow_start() -> Experiment {
+    use hostnet::building_blocks::sim::Duration;
+    let mut exp = Experiment::new(ScenarioKind::Single).configure(|c| {
+        c.trace = TraceConfig {
+            ring_capacity: 1 << 20,
+            ..TraceConfig::enabled()
+        }
+    });
+    exp.warmup = Duration::from_micros(200);
+    exp.measure = Duration::from_millis(3);
+    exp
+}
+
+/// Traced stage latency covers the measurement window only, like every
+/// other report field: the report's rows equal the ones computed from the
+/// exported records when a residency counts only if its closing stamp
+/// lands in the window, and end to end only if the timeline's terminal
+/// `recv_copy` does.
+#[test]
+fn stage_latency_covers_the_window_only() {
+    use hostnet::building_blocks::metrics::StageLatency;
+    use hostnet::building_blocks::sim::{Histogram, SimTime};
+    use hostnet::building_blocks::trace::{StageId, TraceRecord, N_STAGES};
+    use std::collections::BTreeMap;
+
+    let exp = slow_start();
+    let (report, trace) = exp.try_run_traced().unwrap();
+    assert_eq!(report.trace_overflow, 0, "the rings must hold every stamp");
+    let start = SimTime::ZERO + exp.warmup;
+
+    let mut timelines: BTreeMap<u64, Vec<TraceRecord>> = BTreeMap::new();
+    for (_, _, r) in trace.sorted_records() {
+        timelines.entry(r.skb).or_default().push(r);
+    }
+    let mut stages: Vec<Histogram> = (0..N_STAGES).map(|_| Histogram::new()).collect();
+    let mut end_to_end = Histogram::new();
+    let mut warmup_pairs = 0;
+    for tl in timelines.values() {
+        for pair in tl.windows(2) {
+            let (a, b) = (pair[0], pair[1]);
+            if b.t < start {
+                warmup_pairs += 1;
+            } else {
+                stages[a.stage as usize].record(b.t.since(a.t).as_nanos());
+            }
+        }
+        let (first, last) = (tl[0], tl[tl.len() - 1]);
+        if last.stage == StageId::RecvCopy && last.t >= start {
+            end_to_end.record(last.t.since(first.t).as_nanos());
+        }
+    }
+    assert!(
+        warmup_pairs > 1_000,
+        "the warmup must hold residencies the window leaves out ({warmup_pairs})"
+    );
+
+    let row = |stage: &str, h: &Histogram| {
+        let p = h.percentiles();
+        StageLatency {
+            stage: stage.to_string(),
+            samples: h.count(),
+            mean_ns: h.mean(),
+            p50_ns: p.p50,
+            p90_ns: p.p90,
+            p99_ns: p.p99,
+            p999_ns: p.p999,
+            max_ns: p.max,
+        }
+    };
+    let mut want: Vec<StageLatency> = StageId::ALL
+        .iter()
+        .zip(&stages)
+        .filter(|(_, h)| h.count() > 0)
+        .map(|(s, h)| row(s.label(), h))
+        .collect();
+    want.push(row("end_to_end", &end_to_end));
+    assert_eq!(report.stage_latency, want);
+}
+
+/// The monitor is fed the residencies the report folds, so the two agree
+/// on every stage's sample count.
+#[test]
+fn monitor_and_stage_latency_fold_the_same_residencies() {
+    use hostnet::building_blocks::monitor::MonitorConfig;
+    use hostnet::building_blocks::sim::Duration;
+
+    let report = slow_start()
+        .configure(|c| {
+            c.monitor = Some(MonitorConfig {
+                interval: Duration::from_millis(1),
+                ..MonitorConfig::default()
+            })
+        })
+        .run();
+    let monitor: Vec<(String, u64)> = report
+        .monitor
+        .expect("monitored report")
+        .stages
+        .into_iter()
+        .map(|s| (s.stage, s.samples))
+        .collect();
+    let traced: Vec<(String, u64)> = report
+        .stage_latency
+        .into_iter()
+        .filter(|s| s.stage != "end_to_end")
+        .map(|s| (s.stage, s.samples))
+        .collect();
+    assert!(!traced.is_empty());
+    assert_eq!(monitor, traced);
+}
