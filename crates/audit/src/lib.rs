@@ -242,6 +242,48 @@ impl SegmentSlabLedger {
     }
 }
 
+/// A flow's retransmission timer against the event queue. An armed timer
+/// has exactly one pending `Rto` event, firing no later than the timer is
+/// due (one that fires earlier is re-filed under the timer's key); a
+/// disarmed timer has none. A lost re-file leaves an armed timer that never
+/// fires, and a leaked event a second one.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct RtoTimerLedger {
+    /// Flow id (labels the violation).
+    pub flow: u64,
+    /// When the armed timer fires, in ns: its deadline, or the moment it
+    /// was armed if the deadline had passed by then. `None` when disarmed.
+    pub due_ns: Option<u64>,
+    /// `Rto` events pending in the queue for this flow.
+    pub pending: u64,
+    /// The latest firing time among them, in ns (0 when none).
+    pub latest_ns: u64,
+}
+
+impl RtoTimerLedger {
+    /// Check the timer against its pending events, appending violations
+    /// to `out`.
+    pub fn check(&self, out: &mut Vec<Violation>) {
+        let ok = match self.due_ns {
+            Some(due) => self.pending == 1 && self.latest_ns <= due,
+            None => self.pending == 0,
+        };
+        if !ok {
+            let armed = match self.due_ns {
+                Some(due) => format!("armed, due at {due} ns"),
+                None => "disarmed".to_string(),
+            };
+            out.push(Violation {
+                invariant: "rto-timer",
+                detail: format!(
+                    "flow {}: timer {armed}, {} Rto events pending (latest at {} ns)",
+                    self.flow, self.pending, self.latest_ns
+                ),
+            });
+        }
+    }
+}
+
 /// Per-host cycle conservation: the per-category taxonomy must sum to the
 /// busy time the scheduler accounted, within the per-call floor-rounding
 /// slack of the cycles→ns conversion.
@@ -703,6 +745,34 @@ mod tests {
         };
         let v = checked(|o| l.check(o));
         assert!(v.iter().any(|v| v.invariant == "backlog-ledger"));
+    }
+
+    #[test]
+    fn rto_timer_ledger_wants_one_event_no_later_than_due() {
+        let ledger = |due_ns, pending, latest_ns| RtoTimerLedger {
+            flow: 3,
+            due_ns,
+            pending,
+            latest_ns,
+        };
+        for good in [
+            ledger(Some(10_000), 1, 4_000),  // fires early, re-filed then
+            ledger(Some(10_000), 1, 10_000), // fires at its key
+            ledger(None, 0, 0),
+        ] {
+            assert!(checked(|o| good.check(o)).is_empty(), "{good:?}");
+        }
+        for bad in [
+            ledger(Some(10_000), 0, 0),      // re-file lost
+            ledger(Some(10_000), 2, 4_000),  // event leaked
+            ledger(Some(10_000), 1, 10_001), // fires late
+            ledger(None, 1, 4_000),          // disarm missed
+        ] {
+            let v = checked(|o| bad.check(o));
+            assert_eq!(v.len(), 1, "{bad:?}");
+            assert_eq!(v[0].invariant, "rto-timer");
+            assert!(v[0].detail.contains("flow 3"), "{}", v[0].detail);
+        }
     }
 
     #[test]

@@ -451,8 +451,8 @@ impl TcpSender {
     /// a flight is the *tail-loss probe* (PTO = max(2·srtt, 500µs), per
     /// Linux), which recovers tail losses without waiting out a full RTO;
     /// subsequent timers are the RTO with exponential backoff. The stack
-    /// schedules an event here; stale events (deadline moved) are ignored
-    /// by re-checking this value at fire time.
+    /// re-reads this value after every call that may move it and fires
+    /// [`Self::on_rto`] once the latest deadline is reached.
     pub fn rto_deadline(&self) -> Option<SimTime> {
         let armed = self.rto_armed_at?;
         let delay = match (self.tlp_sent, self.rtt.srtt, self.in_flight() > 0) {

@@ -61,6 +61,15 @@
 //! port, interrupts raised after a constant delay. Each lane is a plain
 //! deque whose keys never decrease, so a sorted structure would be wasted
 //! on it; one small heap orders only the lane heads.
+//!
+//! A held key can also be filed later: [`EventQueue::schedule_key`]
+//! stores an event under a key `reserve` minted earlier, and the event
+//! fires at that key's `(time, seq)` — after same-time events reserved
+//! before it, before those reserved after it — however many schedules
+//! came in between. A retransmission timer uses this to move its deadline
+//! without touching the queue: each move only reserves a key, and the
+//! one pending event, when it fires early, is re-filed under the latest
+//! key.
 
 use std::cmp::{Ordering, Reverse};
 use std::collections::binary_heap::PeekMut;
@@ -125,9 +134,10 @@ impl<E> Ord for ScheduledEvent<E> {
 }
 
 /// A position in the queue's `(time, seq)` order, reserved by
-/// [`EventQueue::reserve`] for an event the caller keeps outside the queue.
-/// Keys order by time, then by reservation order; only the queue mints
-/// them, so a key's sequence number is unique among every scheduled event.
+/// [`EventQueue::reserve`] for an event the caller keeps outside the queue
+/// or files later with [`EventQueue::schedule_key`]. Keys order by time,
+/// then by reservation order; only the queue mints them, so a key's
+/// sequence number is unique among every scheduled event.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct EventKey {
     /// When the reserved event fires.
@@ -336,9 +346,30 @@ impl<E> EventQueue<E> {
     ///
     /// Scheduling in the past is a logic error; debug builds assert, release
     /// builds clamp to `now` so the simulation still makes progress.
+    #[inline]
     pub fn schedule(&mut self, at: SimTime, event: E) -> EventToken {
         let key = self.reserve(at);
-        let slot = self.slab.alloc(key.time, key.seq, event);
+        self.schedule_key(key, event)
+    }
+
+    /// Store `event` under `key`, which [`Self::reserve`] minted earlier:
+    /// it fires at the key's `(time, seq)`, exactly where [`Self::schedule`]
+    /// at the reservation would have put it, however many events were
+    /// scheduled in between. A key is stored at most once at a time; a
+    /// caller may hold it, file it, and after it fires or is cancelled
+    /// file it again.
+    ///
+    /// A key whose time has passed is a logic error; debug builds assert,
+    /// release builds clamp it to `now`.
+    pub fn schedule_key(&mut self, key: EventKey, event: E) -> EventToken {
+        debug_assert!(key.seq < self.next_seq, "a key the queue never minted");
+        debug_assert!(
+            key.time >= self.now,
+            "scheduling into the past: {:?} < {:?}",
+            key.time,
+            self.now
+        );
+        let slot = self.slab.alloc(key.time.max(self.now), key.seq, event);
         self.wheel.push(&mut self.slab, slot);
         self.live_pending += 1;
         // Keep the head materialized so peek_time stays `&self`.
@@ -477,9 +508,9 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Every pending event, in slot order (not firing order): for audits
-    /// that count what is still queued.
-    pub fn pending(&self) -> impl Iterator<Item = &E> {
+    /// Every pending event with its firing time, in slot order (not firing
+    /// order): for audits that count what is still queued.
+    pub fn pending(&self) -> impl Iterator<Item = (SimTime, &E)> {
         self.slab.events()
     }
 
@@ -565,16 +596,34 @@ impl<E> HeapEventQueue<E> {
         self.popped
     }
 
-    /// Schedule `event` at absolute time `at` (clamped to `now`).
-    pub fn schedule(&mut self, at: SimTime, event: E) -> EventToken {
+    /// Take the next sequence number for an event at `at` (clamped to
+    /// `now`) without storing anything (see [`EventQueue::reserve`]).
+    pub fn reserve(&mut self, at: SimTime) -> EventKey {
         debug_assert!(
             at >= self.now,
             "scheduling into the past: {at:?} < {:?}",
             self.now
         );
-        let at = at.max(self.now);
         let seq = self.next_seq;
         self.next_seq += 1;
+        EventKey {
+            time: at.max(self.now),
+            seq,
+        }
+    }
+
+    /// Schedule `event` at absolute time `at` (clamped to `now`).
+    pub fn schedule(&mut self, at: SimTime, event: E) -> EventToken {
+        let key = self.reserve(at);
+        self.schedule_key(key, event)
+    }
+
+    /// Store `event` under a key [`Self::reserve`] minted earlier (see
+    /// [`EventQueue::schedule_key`]).
+    pub fn schedule_key(&mut self, key: EventKey, event: E) -> EventToken {
+        debug_assert!(key.seq < self.next_seq, "a key the queue never minted");
+        debug_assert!(key.time >= self.now, "scheduling into the past");
+        let (at, seq) = (key.time.max(self.now), key.seq);
         let slot = match self.free_slots.pop() {
             Some(s) => s,
             None => {
@@ -817,9 +866,9 @@ mod tests {
         q.schedule(SimTime::from_nanos(3), 'd');
         q.cancel(b); // cancelled below the head: still in the slab
         assert_eq!(q.pop().map(|(_, e)| e), Some('a'));
-        let mut live: Vec<char> = q.pending().copied().collect();
+        let mut live: Vec<(u64, char)> = q.pending().map(|(t, &e)| (t.as_nanos(), e)).collect();
         live.sort_unstable();
-        assert_eq!(live, ['c', 'd']);
+        assert_eq!(live, [(2, 'c'), (3, 'd')]);
         assert_eq!(live.len(), q.len());
     }
 
@@ -930,7 +979,7 @@ mod tests {
     #[test]
     fn pop_before_skips_an_event_cancelled_by_an_earlier_same_tick_handler() {
         // A handler for the first event of a tick cancels the second (as
-        // `sync_rto` rearms an RTO): the second never fires, and the key
+        // `sync_rto` disarms an RTO): the second never fires, and the key
         // reserved after all three still fires last.
         let mut q = EventQueue::new();
         let t = SimTime::from_nanos(7);
@@ -1055,6 +1104,57 @@ mod tests {
         q.schedule_all(SimTime::from_nanos(200), 3..5);
         let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
         assert_eq!(order, vec![1, 2, 3, 4, 9]);
+    }
+
+    #[test]
+    fn a_key_refiled_at_now_fires_after_same_time_smaller_seqs() {
+        // A key reserved between same-time schedules, filed, cancelled and
+        // filed again once the clock reaches its time: it keeps its place
+        // between the events reserved before and after it, and a schedule
+        // made after the re-file still fires last. The heap agrees.
+        let t = SimTime::from_nanos(10);
+        let mut w = EventQueue::new();
+        let mut h = HeapEventQueue::new();
+        w.schedule(t, "head");
+        h.schedule(t, "head");
+        w.schedule(t, "smaller");
+        h.schedule(t, "smaller");
+        let key = w.reserve(t);
+        assert_eq!(h.reserve(t), key);
+        w.schedule(t, "larger");
+        h.schedule(t, "larger");
+        let early = w.schedule_key(key, "key");
+        w.cancel(early);
+        let early = h.schedule_key(key, "key");
+        h.cancel(early);
+        assert_eq!(w.pop(), Some((t, "head")));
+        assert_eq!(h.pop(), Some((t, "head")));
+        assert_eq!(w.now(), t);
+        w.schedule_key(key, "key");
+        h.schedule_key(key, "key");
+        w.schedule(t, "newest");
+        h.schedule(t, "newest");
+        let order = ["smaller", "key", "larger", "newest"];
+        for e in order {
+            assert_eq!(w.pop(), Some((t, e)));
+            assert_eq!(h.pop(), Some((t, e)));
+        }
+        assert_eq!((w.pop(), h.pop()), (None, None));
+        assert_eq!(w.popped(), h.popped());
+    }
+
+    #[test]
+    fn a_held_key_fires_at_its_place_among_later_schedules() {
+        let mut q = EventQueue::new();
+        let key = q.reserve(SimTime::from_nanos(5_000_000));
+        for i in 0..3 {
+            q.schedule(SimTime::from_nanos(5_000_000), i);
+        }
+        q.schedule(SimTime::from_nanos(4_999_999), 9);
+        q.schedule_key(key, 7);
+        assert_eq!(q.len(), 5);
+        let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
+        assert_eq!(order, vec![9, 7, 0, 1, 2]);
     }
 
     #[test]

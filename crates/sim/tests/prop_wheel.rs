@@ -11,14 +11,17 @@
 //! every wheel level and past the spill edge, refused out-of-order pushes
 //! that fall back to the wheel, mid-run cancellations and same-tick
 //! re-arms) against an oracle that schedules every lane event plainly,
-//! and another pins slot generations near `u64::MAX`
+//! Another holds keys from `reserve` and files them later with
+//! `schedule_key` under their old sequence numbers, tying with newer
+//! schedules, `schedule_all` runs and lane keys (the oracle files the same
+//! keys), and another pins slot generations near `u64::MAX`
 //! so wrap-around reuse is covered, not just reachable. Two workload-shaped profiles
 //! follow: a far timer that pins the wheel's front limit while bursts of
 //! near events insert into a long sorted front, and a cancel-heavy stream
 //! whose buried cancels are followed by schedules that reuse slots.
 
 use hns_sim::event::EventToken;
-use hns_sim::{EventQueue, HeapEventQueue, Lanes, Next, SimTime, MAX_LANES};
+use hns_sim::{EventKey, EventQueue, HeapEventQueue, Lanes, Next, SimTime, MAX_LANES};
 use proptest::prelude::*;
 
 /// Decoded operation stream: `(kind, a, b)` triples.
@@ -342,6 +345,116 @@ proptest! {
         prop_assert_eq!(w.popped(), h.popped());
     }
 
+    /// Keys reserved and held, then filed later with `schedule_key` under
+    /// their old sequence numbers, against the heap oracle doing the same:
+    /// a filed key ties at its time with plain `schedule` calls and
+    /// `schedule_all` runs made after its reservation, and with lane keys
+    /// merged through `pop_before` (the oracle files lane events with
+    /// `schedule_key` too). Filed keys are cancelled and filed again, as
+    /// an RTO is disarmed and re-filed; held keys whose time passes
+    /// unfiled are dropped, as a skipped sequence number changes no order.
+    #[test]
+    fn held_keys_match_heap(ops in ops_strategy(300)) {
+        let mut w: EventQueue<u64> = EventQueue::new();
+        let mut h: HeapEventQueue<u64> = HeapEventQueue::new();
+        let mut lanes: Lanes<u64> = Lanes::new();
+        let mut id = 0u64;
+        // Held keys not stored on either side, and filed ones with their
+        // tokens (a filed key may be cancelled, then held again).
+        let mut held: Vec<EventKey> = Vec::new();
+        let mut filed: Vec<(EventKey, EventToken, EventToken)> = Vec::new();
+        for (kind, a, b) in ops {
+            let now = w.now().as_nanos();
+            // A coarse grid at small horizons, so keys, schedules, runs
+            // and lane heads tie at one time.
+            let at = match a % 3 {
+                0 => SimTime::from_nanos(now + (b % 4) * 64),
+                _ => SimTime::from_nanos(now + b % (horizon(a / 3) + 1)),
+            };
+            match kind {
+                // Reserve a key on both sides and hold it.
+                0..=1 => {
+                    let key = w.reserve(at);
+                    prop_assert_eq!(h.reserve(at), key, "keys diverged");
+                    held.push(key);
+                }
+                // File a held key under its old sequence number.
+                2..=3 => {
+                    if !held.is_empty() {
+                        let key = held.swap_remove((b as usize) % held.len());
+                        let (tw, th) = (w.schedule_key(key, id), h.schedule_key(key, id));
+                        filed.push((key, tw, th));
+                        id += 1;
+                    }
+                }
+                // A plain schedule or a same-time run, after the holds.
+                4 => {
+                    w.schedule(at, id);
+                    h.schedule(at, id);
+                    id += 1;
+                }
+                5 => {
+                    let n = 1 + a % 4;
+                    w.schedule_all(at, id..id + n);
+                    for e in id..id + n {
+                        h.schedule(at, e);
+                    }
+                    id += n;
+                }
+                // A lane event: held in a lane on the wheel side, filed
+                // under the same key on the oracle side. A refused key
+                // goes to the wheel under that key.
+                6 => {
+                    let key = w.reserve(at);
+                    prop_assert_eq!(h.reserve(at), key, "keys diverged");
+                    if let Err(e) = lanes.push((a % 3) as usize, key, id) {
+                        w.schedule_key(key, e);
+                    }
+                    h.schedule_key(key, id);
+                    id += 1;
+                }
+                // Cancel a filed key; it is held again, to file later.
+                7 => {
+                    if !filed.is_empty() {
+                        let (key, tw, th) = filed.swap_remove((b as usize) % filed.len());
+                        w.cancel(tw);
+                        h.cancel(th);
+                        held.push(key);
+                    }
+                }
+                // Pop a few, merging the lanes through `pop_before`.
+                _ => {
+                    for _ in 0..1 + a % 4 {
+                        let fired = match w.pop_before(lanes.peek()) {
+                            Next::Event(t, e) => Some((t, e)),
+                            Next::External(t) => lanes.pop().map(|(_, e)| (t, e)),
+                            Next::Empty => None,
+                        };
+                        prop_assert_eq!(fired, h.pop(), "merged pop diverged");
+                    }
+                }
+            }
+            let now = w.now();
+            held.retain(|k| k.time >= now);
+            prop_assert_eq!(w.len() + lanes.len(), h.len(), "len diverged");
+            prop_assert_eq!(w.popped(), h.popped(), "popped diverged");
+            prop_assert_eq!(w.now(), h.now(), "now diverged");
+        }
+        loop {
+            let fired = match w.pop_before(lanes.peek()) {
+                Next::Event(t, e) => Some((t, e)),
+                Next::External(t) => lanes.pop().map(|(_, e)| (t, e)),
+                Next::Empty => None,
+            };
+            prop_assert_eq!(fired, h.pop(), "merged pop diverged");
+            if fired.is_none() {
+                break;
+            }
+        }
+        prop_assert!(lanes.is_empty() && w.is_empty() && h.is_empty());
+        prop_assert_eq!(w.popped(), h.popped());
+    }
+
     /// A far timer (an RTO, a 1 ms autotune tick) pins the front limit
     /// far ahead, so every nearer schedule is insertion-sorted into the
     /// front. Bursts of near schedules, buried cancels, stale cancels,
@@ -383,7 +496,8 @@ proptest! {
                         h.cancel(th);
                     }
                 }
-                // Re-arm the far timer, as an ACK re-arms an RTO.
+                // Re-arm the far timer by cancel and schedule, as a
+                // deadline pulled earlier re-files an RTO.
                 8 => {
                     w.cancel(far.0);
                     h.cancel(far.1);

@@ -10,7 +10,7 @@ use std::collections::VecDeque;
 use hns_mem::numa::CoreId;
 use hns_proto::{CcAlgo, FlowId, RcvBufAutotune, TcpReceiver, TcpSender};
 use hns_sim::event::EventToken;
-use hns_sim::{Duration, SimTime};
+use hns_sim::{Duration, EventKey, SimTime};
 
 use crate::config::{RcvBufPolicy, SimConfig};
 use crate::skb::RxSkb;
@@ -109,11 +109,19 @@ pub struct Flow {
     pub copied_since_tick: u64,
     /// EWMA of host-side NAPI→copy latency, feeds the DRS RTT hint.
     pub host_latency_ewma: Duration,
-    /// Pending RTO event token (cancelled/rescheduled as the deadline
-    /// moves).
-    pub rto_token: EventToken,
-    /// Deadline the current RTO event was scheduled for.
+    /// Deadline of the armed retransmission timer, as
+    /// `TcpSender::rto_deadline` last reported it; `None` when disarmed.
     pub rto_scheduled_for: Option<SimTime>,
+    /// Where the armed timer fires in the event order: the key reserved
+    /// when the deadline last moved, so the timer fires at the same
+    /// `(time, seq)` as an event scheduled then.
+    pub rto_key: Option<EventKey>,
+    /// The flow's one pending `Rto` event while armed ([`EventToken::NONE`]
+    /// when disarmed). It fires at `rto_key` or, when later ACKs pushed
+    /// the deadline out, earlier, and is then re-filed under the key.
+    pub rto_token: EventToken,
+    /// When the pending `Rto` event fires.
+    pub rto_filed_at: SimTime,
     /// BBR pacer: release timer armed.
     pub pacer_armed: bool,
     /// Delayed-ACK flush timer armed (one pending event at most).
@@ -154,8 +162,10 @@ impl Flow {
             app_bytes: 0,
             copied_since_tick: 0,
             host_latency_ewma: Duration::from_micros(10),
-            rto_token: EventToken::NONE,
             rto_scheduled_for: None,
+            rto_key: None,
+            rto_token: EventToken::NONE,
+            rto_filed_at: SimTime::ZERO,
             pacer_armed: false,
             delack_armed: false,
             rtx_baseline: 0,

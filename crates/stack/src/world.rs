@@ -33,7 +33,8 @@ use hns_nic::tso;
 use hns_nic::TxArbiter;
 use hns_proto::{FlowId, Segment, SegmentKind, HEADER_BYTES};
 use hns_sched::Task;
-use hns_sim::{cycles_to_time, Duration, EventQueue, Lanes, Next, SimTime, MAX_LANES};
+use hns_sim::event::EventToken;
+use hns_sim::{cycles_to_time, Duration, EventKey, EventQueue, Lanes, Next, SimTime, MAX_LANES};
 use hns_trace::{StageId, TraceCollector};
 
 use crate::app::{AppInstance, AppSpec};
@@ -58,8 +59,9 @@ enum Event {
     /// one on the wire (a latency spike just ended) is an event; the rest
     /// ride `dst`'s arrival lane.
     FrameArrive { dst: u8, slot: u32 },
-    /// Retransmission timer check for a flow.
-    Rto { flow: u32, deadline: SimTime },
+    /// A flow's retransmission timer: fires its recorded key, or is
+    /// re-filed under it when the deadline moved out (see `handle_rto`).
+    Rto { flow: u32 },
     /// Delayed-ACK flush timer for a flow's receiver.
     DelAck { flow: u32 },
     /// BBR pacing timer fired for a flow.
@@ -684,7 +686,7 @@ impl World {
             Event::Dispatch { host, core } => self.dispatch(host as usize, core as usize),
             Event::StepDone { host, core } => self.step_done(host as usize, core as usize),
             Event::FrameArrive { dst, slot } => self.frame_arrive(dst as usize, slot),
-            Event::Rto { flow, deadline } => self.handle_rto(flow as usize, deadline),
+            Event::Rto { flow } => self.handle_rto(flow as usize),
             Event::DelAck { flow } => self.handle_delack(flow as usize),
             Event::PacerFire { flow } => self.pacer_fire(flow as usize),
             Event::OpenLoopArrival { app } => self.open_loop_arrival(app as usize),
@@ -2051,39 +2053,63 @@ impl World {
     // Timers
     // ------------------------------------------------------------------
 
-    /// Keep the event queue's RTO timer in sync with the sender's
-    /// deadline.
+    /// Keep the flow's retransmission timer in sync with the sender's
+    /// deadline (RFC 6298 §5.3 restarts it on every ACK of new data).
+    ///
+    /// A moved deadline always reserves its key, the sequence number a
+    /// plain `schedule` would take, so the timer fires where it always
+    /// has. The queue is touched only to disarm, or when the new key fires
+    /// no later than the pending event: a deadline pushed out leaves the
+    /// pending event in place, and `handle_rto` re-files it under the key
+    /// when it fires.
     fn sync_rto(&mut self, fid: usize) {
         let desired = self.flows[fid].sender.rto_deadline();
-        if desired == self.flows[fid].rto_scheduled_for {
+        let f = &mut self.flows[fid];
+        if desired == f.rto_scheduled_for {
             return;
         }
-        let token = self.flows[fid].rto_token;
-        self.queue.cancel(token);
-        self.flows[fid].rto_scheduled_for = desired;
-        self.flows[fid].rto_token = match desired {
-            Some(t) => self.queue.schedule(
-                t.max(self.queue.now()),
-                Event::Rto {
-                    flow: fid as u32,
-                    deadline: t,
-                },
-            ),
-            None => hns_sim::event::EventToken::NONE,
+        f.rto_scheduled_for = desired;
+        let Some(t) = desired else {
+            f.rto_key = None;
+            self.queue.cancel(f.rto_token);
+            f.rto_token = EventToken::NONE;
+            return;
         };
+        let key = self.queue.reserve(t.max(self.queue.now()));
+        f.rto_key = Some(key);
+        if f.rto_token == EventToken::NONE || key.time <= f.rto_filed_at {
+            self.queue.cancel(f.rto_token);
+            self.file_rto(fid, key);
+        }
     }
 
-    fn handle_rto(&mut self, fid: usize, deadline: SimTime) {
-        if self.flows[fid].rto_scheduled_for != Some(deadline) {
-            return; // stale timer
-        }
+    /// File the flow's one pending `Rto` event under `key`.
+    fn file_rto(&mut self, fid: usize, key: EventKey) {
+        let token = self
+            .queue
+            .schedule_key(key, Event::Rto { flow: fid as u32 });
+        let f = &mut self.flows[fid];
+        f.rto_token = token;
+        f.rto_filed_at = key.time;
+    }
+
+    /// The flow's pending `Rto` event fired. Before the recorded key it is
+    /// re-filed under that key; at the key the timer expires.
+    fn handle_rto(&mut self, fid: usize) {
         let now = self.queue.now();
-        self.flows[fid].rto_scheduled_for = None;
-        // The token just fired; forget it so a later `sync_rto` doesn't
-        // "cancel" a dead token. (Harmless since the queue's
-        // generation-stamped slots make stale cancels a no-op, but NONE
-        // documents that no timer is pending.)
-        self.flows[fid].rto_token = hns_sim::event::EventToken::NONE;
+        let f = &mut self.flows[fid];
+        f.rto_token = EventToken::NONE;
+        let Some(key) = f.rto_key else {
+            debug_assert!(false, "disarming cancels the pending RTO");
+            return;
+        };
+        if key.time > now {
+            // ACKs pushed the deadline out after this event was filed.
+            self.file_rto(fid, key);
+            return;
+        }
+        f.rto_scheduled_for = None;
+        f.rto_key = None;
         self.flows[fid].sender.on_rto(now);
         self.flows[fid]
             .trace

@@ -21,6 +21,9 @@
 //! * **flow byte ledgers + seqno continuity** — written equals acked plus
 //!   in-flight plus unsent, the receiver never runs ahead of the sender,
 //!   and delivery never regresses,
+//! * **rto-timer ledger** — an armed retransmission timer has exactly one
+//!   pending `Rto` event, firing no later than the timer is due, and a
+//!   disarmed one has none,
 //! * at teardown additionally the **drop-taxonomy reconciliation** and the
 //!   **churn connection-table** checks.
 //!
@@ -30,7 +33,7 @@
 
 use hns_audit::{
     AcceptLedger, ArenaLedger, ChurnLedger, ConnMemLedger, CycleLedger, DropLedger, FlowLedger,
-    HostFrameLedger, RingLedger, SegmentSlabLedger, Violation,
+    HostFrameLedger, RingLedger, RtoTimerLedger, SegmentSlabLedger, Violation,
 };
 use hns_conn::ConnId;
 use hns_sim::{cycles_to_time, SimTime};
@@ -131,25 +134,33 @@ impl World {
         }
     }
 
-    /// Frame arrivals pending per destination host, counted from the
-    /// queues (arrival-lane entries plus wheel `FrameArrive` events), so
-    /// an arrival lost before it fires unbalances the frame ledgers.
-    fn pending_arrivals(&self) -> Vec<u64> {
-        let mut pending: Vec<u64> = (0..self.hosts.len())
+    /// What the queues hold, counted from the queues themselves, so an
+    /// event lost before it fires unbalances a ledger: frame arrivals
+    /// pending per destination host (arrival-lane entries plus wheel
+    /// `FrameArrive` events), and per flow the `Rto` events pending with
+    /// the latest one's firing time.
+    fn pending_events(&self) -> (Vec<u64>, Vec<(u64, SimTime)>) {
+        let mut arrivals: Vec<u64> = (0..self.hosts.len())
             .map(|h| self.lanes.lane_len(super::arrival_lane(h)) as u64)
             .collect();
-        for ev in self.queue.pending() {
-            if let super::Event::FrameArrive { dst, .. } = ev {
-                pending[*dst as usize] += 1;
+        let mut rtos = vec![(0, SimTime::ZERO); self.flows.len()];
+        for (t, ev) in self.queue.pending() {
+            match *ev {
+                super::Event::FrameArrive { dst, .. } => arrivals[dst as usize] += 1,
+                super::Event::Rto { flow } => {
+                    let r = &mut rtos[flow as usize];
+                    *r = (r.0 + 1, r.1.max(t));
+                }
+                _ => {}
             }
         }
-        pending
+        (arrivals, rtos)
     }
 
     /// Evaluate every conservation law at the current event boundary.
     fn collect_violations(&mut self, teardown: bool) -> Vec<Violation> {
         let mut out = Vec::new();
-        let in_flight = self.pending_arrivals();
+        let (in_flight, rtos) = self.pending_events();
         let a = self.audit.as_deref().expect("audit mode on");
 
         for (h, host) in self.hosts.iter().enumerate() {
@@ -235,6 +246,16 @@ impl World {
                 rcv_nxt: f.receiver.rcv_nxt(),
                 app_read: f.app_read_pos,
                 rx_backlog: f.rx_backlog,
+            }
+            .check(&mut out);
+        }
+
+        for (f, &(pending, latest)) in self.flows.iter().zip(&rtos) {
+            RtoTimerLedger {
+                flow: f.id,
+                due_ns: f.rto_key.map(|k| k.time.as_nanos()),
+                pending,
+                latest_ns: latest.as_nanos(),
             }
             .check(&mut out);
         }
