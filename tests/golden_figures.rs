@@ -10,6 +10,10 @@
 //! and pins the CSV the whole set renders to (`tests/golden/reports.csv`),
 //! so JSON in and CSV out are held byte-for-byte too. One audited
 //! latency-spike run is pinned on its own (`single_latency_spike.json`).
+//! Every point of every registered figure, at `--quick` windows, plus one
+//! pool-mode churn point, is pinned by an FNV-64 digest of its report JSON
+//! (`figure_digests.txt`), so a change that moves any figure names the
+//! points that moved.
 //!
 //! Any intentional change to the engine, cost model, or report schema
 //! shows up here first. To accept new goldens (the `--bless` path):
@@ -196,6 +200,70 @@ fn golden_reports_csv() {
         "reports.csv",
         hostnet::building_blocks::metrics::reports_to_csv(&reports),
     );
+}
+
+/// FNV-1a 64-bit hash of a report's JSON bytes (the benchmark's digest).
+fn digest(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+#[test]
+fn golden_figure_digests() {
+    // Every figure at `--quick` windows, in registry order, then one
+    // pool-mode churn point (no figure runs pool mode). One line per
+    // point: figure, report label, digest.
+    use hostnet::building_blocks::workload::churn_pool;
+    let mut names = Vec::new();
+    let mut points = Vec::new();
+    for (name, figure) in figures::FIGURES {
+        for e in figure() {
+            names.push(name);
+            points.push(e.quick());
+        }
+    }
+    names.push("pool");
+    points.push(
+        Experiment::new(ScenarioKind::Churn {
+            churn: churn_pool(1000, 50_000.0),
+        })
+        .quick(),
+    );
+    let reports = figures::run(2, &points).unwrap();
+    let lines: Vec<String> = names
+        .iter()
+        .zip(&reports)
+        .map(|(name, r)| {
+            format!(
+                "{name}\t{}\t{:016x}",
+                r.label,
+                digest(r.to_json().as_bytes())
+            )
+        })
+        .collect();
+    let body = lines.join("\n") + "\n";
+    let path = golden_path("figure_digests.txt");
+    if std::env::var_os("HNS_BLESS").is_none() {
+        if let Ok(want) = std::fs::read_to_string(&path) {
+            let moved: Vec<&str> = want
+                .lines()
+                .zip(&lines)
+                .filter(|(w, g)| w != g)
+                .map(|(w, _)| w.rsplit_once('\t').map_or(w, |(point, _)| point))
+                .collect();
+            assert!(
+                moved.is_empty() && want.lines().count() == lines.len(),
+                "{} of {} figure points moved (golden has {} lines):\n  {}\n\
+                 (if intended, re-bless with `HNS_BLESS=1 cargo test --test golden_figures`)",
+                moved.len(),
+                lines.len(),
+                want.lines().count(),
+                moved.join("\n  ")
+            );
+        }
+    }
+    check("figure_digests.txt", body);
 }
 
 #[test]
