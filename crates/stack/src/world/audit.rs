@@ -307,7 +307,7 @@ impl World {
 
     /// Connection-table sanity snapshot, `None` when no churn is configured.
     fn audit_churn_ledger(&self) -> Option<ChurnLedger> {
-        let eng = self.churn.as_ref()?;
+        let eng = self.churn_engine()?;
         let pool_live = eng
             .pool
             .iter()
@@ -326,11 +326,10 @@ impl World {
     /// Accept-queue and connection-memory conservation snapshots, `None`
     /// unless the overload model ran.
     fn audit_overload_ledgers(&self) -> Option<(AcceptLedger, ConnMemLedger)> {
-        let ccfg = self.cfg.churn?;
-        if !ccfg.overload.enabled {
+        let eng = self.churn_engine()?;
+        if !eng.cfg.overload.enabled {
             return None;
         }
-        let eng = self.churn.as_ref()?;
         let accept = AcceptLedger {
             depth: eng.accept.depth() as u64,
             len: eng.accept.len() as u64,
