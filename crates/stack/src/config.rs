@@ -266,8 +266,6 @@ pub struct SimConfig {
     /// arrivals into one interrupt. Zero (the default here, and typical
     /// with NAPI doing the real coalescing) fires immediately.
     pub irq_coalesce: Duration,
-    /// Record per-flow protocol traces ([`crate::trace::FlowTracer`]).
-    pub trace_flows: bool,
     /// Per-skb lifecycle tracing (stage stamps, `hns-trace`). Disabled by
     /// default; when off every hook is a single dead branch.
     pub trace: hns_trace::TraceConfig,
@@ -405,7 +403,6 @@ impl Default for SimConfig {
             write_size: 128 * 1024,
             irq_latency: Duration::from_micros(1),
             irq_coalesce: Duration::ZERO,
-            trace_flows: false,
             trace: hns_trace::TraceConfig::DISABLED,
             max_backlog: 0,
             faults: FaultConfig::default(),

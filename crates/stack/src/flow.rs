@@ -14,7 +14,6 @@ use hns_sim::{Duration, EventKey, SimTime};
 
 use crate::config::{RcvBufPolicy, SimConfig};
 use crate::skb::RxSkb;
-use crate::trace::FlowTracer;
 
 /// Placement and policy for one flow. Built by the workload layer.
 #[derive(Clone, Copy, Debug)]
@@ -128,8 +127,6 @@ pub struct Flow {
     pub delack_armed: bool,
     /// Retransmission count at warmup end (measurement subtracts it).
     pub rtx_baseline: u64,
-    /// Optional protocol event trace.
-    pub trace: FlowTracer,
     /// When the application last issued a `write()` for this flow; lets the
     /// lifecycle tracer stamp AppWrite/CopyIn retroactively when a wire
     /// frame is later emitted from those bytes.
@@ -169,7 +166,6 @@ impl Flow {
             pacer_armed: false,
             delack_armed: false,
             rtx_baseline: 0,
-            trace: FlowTracer::new(cfg.trace_flows),
             last_write_at: SimTime::ZERO,
         }
     }

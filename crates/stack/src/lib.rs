@@ -31,7 +31,6 @@ pub mod flow;
 pub mod gro;
 pub mod host;
 pub mod skb;
-pub mod trace;
 pub mod watchdog;
 pub mod world;
 
