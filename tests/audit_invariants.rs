@@ -47,6 +47,9 @@ fn audited_scenarios_stay_silent() {
         ScenarioKind::Churn {
             churn: hostnet::building_blocks::workload::churn_short_rpc(50_000.0, 4096),
         },
+        ScenarioKind::Churn {
+            churn: hostnet::building_blocks::workload::churn_pool(1000, 50_000.0),
+        },
     ];
     for s in scenarios {
         let r = audited(s)
