@@ -284,6 +284,38 @@ impl RtoTimerLedger {
     }
 }
 
+/// Connection-timer conservation (churn): a live connection whose timer is
+/// armed has a pending `ConnTimer` for its id at exactly the armed
+/// deadline, on the connection-timer lane or on the wheel. Superseded
+/// entries at other times may still be pending (they fire stale); a lost
+/// arm leaves a connection that never retransmits, closes or makes its
+/// deferred move.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct ConnTimerLedger {
+    /// Packed connection id (labels the violation).
+    pub conn: u64,
+    /// The armed deadline, in ns.
+    pub due_ns: u64,
+    /// `ConnTimer` entries pending for this connection at `due_ns`.
+    pub pending_at_due: u64,
+}
+
+impl ConnTimerLedger {
+    /// Check the armed timer has an entry at its deadline, appending
+    /// violations to `out`.
+    pub fn check(&self, out: &mut Vec<Violation>) {
+        if self.pending_at_due == 0 {
+            out.push(Violation {
+                invariant: "conn-timer",
+                detail: format!(
+                    "conn {:#x}: timer armed for {} ns, no ConnTimer pending then",
+                    self.conn, self.due_ns
+                ),
+            });
+        }
+    }
+}
+
 /// Per-host cycle conservation: the per-category taxonomy must sum to the
 /// busy time the scheduler accounted, within the per-call floor-rounding
 /// slack of the cycles→ns conversion.
@@ -773,6 +805,21 @@ mod tests {
             assert_eq!(v[0].invariant, "rto-timer");
             assert!(v[0].detail.contains("flow 3"), "{}", v[0].detail);
         }
+    }
+
+    #[test]
+    fn conn_timer_ledger_wants_an_entry_at_the_deadline() {
+        let ledger = |pending_at_due| ConnTimerLedger {
+            conn: 0x2a,
+            due_ns: 5_000_000,
+            pending_at_due,
+        };
+        assert!(checked(|o| ledger(1).check(o)).is_empty());
+        let v = checked(|o| ledger(0).check(o)); // arm lost
+        assert_eq!(v.len(), 1);
+        assert_eq!(v[0].invariant, "conn-timer");
+        assert!(v[0].detail.contains("conn 0x2a"), "{}", v[0].detail);
+        assert!(v[0].detail.contains("5000000 ns"), "{}", v[0].detail);
     }
 
     #[test]

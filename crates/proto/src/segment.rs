@@ -47,9 +47,6 @@ pub enum SegmentKind {
     Conn {
         /// Which lifecycle step this segment performs.
         phase: ConnPhase,
-        /// True if this is a handshake retransmission (SYN/SYN-ACK resent
-        /// after loss).
-        retransmit: bool,
     },
 }
 
@@ -149,10 +146,10 @@ impl Segment {
 
     /// Build a connection-lifecycle control segment. `conn` is the packed
     /// connection id from the connection layer.
-    pub fn conn(conn: u64, phase: ConnPhase, retransmit: bool) -> Self {
+    pub fn conn(conn: u64, phase: ConnPhase) -> Self {
         Segment {
             flow: conn,
-            kind: SegmentKind::Conn { phase, retransmit },
+            kind: SegmentKind::Conn { phase },
             ecn_ce: false,
             trace: NO_TRACE,
         }
@@ -212,11 +209,11 @@ impl Segment {
         }
     }
 
-    /// Typed accessor: the connection-control fields, or `None` for data
+    /// Typed accessor: the connection-lifecycle phase, or `None` for data
     /// and ACK segments.
-    pub fn conn_view(&self) -> Option<(ConnPhase, bool)> {
+    pub fn conn_view(&self) -> Option<ConnPhase> {
         match self.kind {
-            SegmentKind::Conn { phase, retransmit } => Some((phase, retransmit)),
+            SegmentKind::Conn { phase } => Some(phase),
             _ => None,
         }
     }
@@ -282,16 +279,16 @@ mod tests {
 
     #[test]
     fn conn_segment_fields() {
-        let s = Segment::conn(0xdead_beef, ConnPhase::Syn, false);
+        let s = Segment::conn(0xdead_beef, ConnPhase::Syn);
         assert!(!s.is_data());
         assert_eq!(s.payload_len(), 0);
         assert_eq!(s.wire_bytes(), 78, "SYN is headers only");
         assert_eq!(s.flow, 0xdead_beef);
-        assert_eq!(s.conn_view(), Some((ConnPhase::Syn, false)));
+        assert_eq!(s.conn_view(), Some(ConnPhase::Syn));
         assert!(s.data_view().is_none());
         assert!(s.ack_view().is_none());
 
-        let r = Segment::conn(7, ConnPhase::Request { len: 4096 }, false);
+        let r = Segment::conn(7, ConnPhase::Request { len: 4096 });
         assert_eq!(r.payload_len(), 4096);
         assert_eq!(r.wire_bytes(), 4096 + 78);
         assert_eq!(ConnPhase::FinAck.payload_len(), 0);
@@ -304,10 +301,10 @@ mod tests {
             ConnPhase::CookieAck,
             ConnPhase::Reset,
         ] {
-            let s = Segment::conn(1, phase, false);
+            let s = Segment::conn(1, phase);
             assert_eq!(s.payload_len(), 0);
             assert_eq!(s.wire_bytes(), 78);
-            assert_eq!(s.conn_view(), Some((phase, false)));
+            assert_eq!(s.conn_view(), Some(phase));
         }
     }
 

@@ -58,9 +58,10 @@
 //!
 //! [`Lanes`] is the caller-side store for streams that are FIFO by
 //! construction — a NIC drain per host, the frames arriving at a switch
-//! port, interrupts raised after a constant delay. Each lane is a plain
-//! deque whose keys never decrease, so a sorted structure would be wasted
-//! on it; one small heap orders only the lane heads.
+//! port, interrupts raised and timers armed a constant delay after `now`.
+//! Each lane is a plain deque whose keys never decrease, so a sorted
+//! structure would be wasted on it; one small heap orders only the lane
+//! heads.
 //!
 //! A held key can also be filed later: [`EventQueue::schedule_key`]
 //! stores an event under a key `reserve` minted earlier, and the event
@@ -191,6 +192,16 @@ impl<T> Lanes<T> {
     /// Entries held in `lane` (zero for a lane never pushed to).
     pub fn lane_len(&self, lane: usize) -> usize {
         self.lanes.get(lane).map_or(0, VecDeque::len)
+    }
+
+    /// The entries held in `lane`, oldest first (none for a lane never
+    /// pushed to): for audits that check what a lane still holds.
+    pub fn iter(&self, lane: usize) -> impl Iterator<Item = (EventKey, &T)> {
+        self.lanes
+            .get(lane)
+            .into_iter()
+            .flatten()
+            .map(|(key, value)| (*key, value))
     }
 
     /// Append `value` to `lane` under `key`, or hand it back if `key`
@@ -1239,6 +1250,27 @@ mod tests {
         assert_eq!(fresh.len(), 1);
         let order: Vec<_> = std::iter::from_fn(|| lanes.pop()).collect();
         assert_eq!(order, vec![(1, "other"), (2, "late"), (2, "tie")]);
+    }
+
+    #[test]
+    fn lane_iter_lists_one_lane_oldest_first() {
+        let mut q: EventQueue<()> = EventQueue::new();
+        let mut lanes = Lanes::new();
+        let k = |q: &mut EventQueue<()>, ns| q.reserve(SimTime::from_nanos(ns));
+        let (a0, b0, a1) = (k(&mut q, 10), k(&mut q, 5), k(&mut q, 20));
+        lanes.push(1, a0, 'a').unwrap();
+        lanes.push(4, b0, 'b').unwrap();
+        lanes.push(1, a1, 'c').unwrap();
+        let lane1: Vec<_> = lanes.iter(1).map(|(key, &v)| (key, v)).collect();
+        assert_eq!(lane1, [(a0, 'a'), (a1, 'c')]);
+        assert_eq!(lanes.iter(4).count(), 1);
+        assert_eq!(lanes.iter(2).count(), 0, "a lane below the highest");
+        assert_eq!(lanes.iter(MAX_LANES).count(), 0, "a lane never pushed to");
+        // Reading leaves the lanes as they were.
+        assert_eq!(lanes.len(), 3);
+        assert_eq!(lanes.pop(), Some((4, 'b')));
+        let rest: Vec<_> = lanes.iter(1).map(|(_, &v)| v).collect();
+        assert_eq!(rest, ['a', 'c']);
     }
 
     #[test]

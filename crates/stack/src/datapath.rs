@@ -4,11 +4,11 @@
 //! cores on copy, skb management, and softirq scheduling rather than
 //! protocol arithmetic — which is precisely the cost that TCP-offload NICs
 //! (FlexTOE-style) and kernel-bypass stacks (DPDK-class) claim back. The
-//! [`Datapath`] trait captures the *charging policy* of each architecture
-//! as a set of pure predicates the [`crate::World`] pipeline consults at
-//! every cost juncture.
+//! *charging policy* of each architecture is a set of pure predicates on
+//! [`DatapathKind`] that the [`crate::World`] pipeline consults at every
+//! cost juncture.
 //!
-//! One invariant governs every implementation: **backends change where
+//! One invariant governs every backend: **backends change where
 //! cycles are charged, never what moves.** Protocol state machines, frame
 //! arenas, page pools, IOMMU mappings and descriptor rings operate
 //! identically under all three backends; only `Charges::add` calls are
@@ -19,173 +19,83 @@
 
 use crate::config::{DatapathKind, StackConfig};
 
-/// Charging policy for one datapath architecture. Implementations are
-/// stateless unit structs — all state lives in the world; the trait only
-/// decides which costs the host observes.
-pub trait Datapath: Sync {
-    /// Which backend this is.
-    fn kind(&self) -> DatapathKind;
-
-    /// Stable label (`inkernel` / `toe` / `bypass`).
-    fn label(&self) -> &'static str {
-        self.kind().label()
-    }
-
+/// The charging policy of each backend, as predicates on its kind. All
+/// state lives in the world; these only decide which costs the host
+/// observes. Each is a `match` the optimizer folds into its caller.
+impl DatapathKind {
     /// Application I/O goes through syscalls (`write`/`recv` entry/exit
     /// cycles). Bypass links the stack into the process: no syscalls.
-    fn charges_syscalls(&self) -> bool;
+    #[inline]
+    pub fn charges_syscalls(self) -> bool {
+        !matches!(self, DatapathKind::UserBypass)
+    }
 
     /// Payload is copied between application buffers and DMA memory,
     /// charged through the DCA/NUMA copy model. Bypass is zero-copy by
     /// construction (pre-registered buffers).
-    fn charges_copies(&self) -> bool;
+    #[inline]
+    pub fn charges_copies(self) -> bool {
+        !matches!(self, DatapathKind::UserBypass)
+    }
 
     /// The host runs — and pays for — the in-kernel protocol pipeline:
     /// TCP/IP rx/tx, skb alloc/build/free, qdisc, software GSO/GRO, ACK
     /// generation and processing, socket locking, retransmit overhead.
     /// Off-host backends still *execute* the state machines (correctness)
     /// but charge them zero host cycles.
-    fn charges_protocol(&self) -> bool;
+    #[inline]
+    pub fn charges_protocol(self) -> bool {
+        matches!(self, DatapathKind::InKernel)
+    }
 
     /// The host pays page-pool and IOMMU map/unmap cycles per frame.
     /// Offload backends use long-lived pre-registered buffer pools, so
     /// per-frame memory management vanishes from the host taxonomy.
-    fn charges_memory(&self) -> bool;
+    #[inline]
+    pub fn charges_memory(self) -> bool {
+        matches!(self, DatapathKind::InKernel)
+    }
 
     /// Descriptor-ring bookkeeping (post / completion harvest) is a host
     /// cost. This is the residual cost the offload architectures keep.
-    fn charges_descriptors(&self) -> bool;
+    #[inline]
+    pub fn charges_descriptors(self) -> bool {
+        !matches!(self, DatapathKind::InKernel)
+    }
 
     /// Rx completions are harvested by a busy-polling core rather than
     /// IRQ + softirq: interrupt latency is zero and each harvested frame
     /// costs [`crate::CostModel::bypass_poll_frame`] on the polling core.
-    fn busy_polls(&self) -> bool;
+    #[inline]
+    pub fn busy_polls(self) -> bool {
+        matches!(self, DatapathKind::UserBypass)
+    }
 
     /// Hard-IRQ handler cycles are charged on Rx delivery. Polling
     /// backends never take the interrupt.
-    fn charges_irq(&self) -> bool {
+    #[inline]
+    pub fn charges_irq(self) -> bool {
         !self.busy_polls()
     }
 
     /// Arriving frames are aggregated into large skbs before delivery
-    /// (software GRO, hardware LRO, or on-NIC TOE reassembly).
-    fn rx_aggregates(&self, stack: &StackConfig) -> bool;
+    /// (software GRO, hardware LRO, or on-NIC TOE reassembly). The TOE
+    /// reassembles in hardware regardless of the GRO knob; bypass never
+    /// aggregates.
+    #[inline]
+    pub fn rx_aggregates(self, stack: &StackConfig) -> bool {
+        match self {
+            DatapathKind::InKernel => stack.gro || stack.lro,
+            DatapathKind::ToeOffload => true,
+            DatapathKind::UserBypass => false,
+        }
+    }
 
     /// Aggregation costs host cycles per merged frame (software GRO).
     /// Hardware aggregation (LRO, TOE) is free; bypass never aggregates.
-    fn rx_aggregation_charged(&self, stack: &StackConfig) -> bool;
-}
-
-/// The legacy kernel stack: every cost the paper measures, unchanged.
-pub struct InKernel;
-
-impl Datapath for InKernel {
-    fn kind(&self) -> DatapathKind {
-        DatapathKind::InKernel
-    }
-    fn charges_syscalls(&self) -> bool {
-        true
-    }
-    fn charges_copies(&self) -> bool {
-        true
-    }
-    fn charges_protocol(&self) -> bool {
-        true
-    }
-    fn charges_memory(&self) -> bool {
-        true
-    }
-    fn charges_descriptors(&self) -> bool {
-        false
-    }
-    fn busy_polls(&self) -> bool {
-        false
-    }
-    fn rx_aggregates(&self, stack: &StackConfig) -> bool {
-        stack.gro || stack.lro
-    }
-    fn rx_aggregation_charged(&self, stack: &StackConfig) -> bool {
-        stack.gro && !stack.lro
-    }
-}
-
-/// Full TCP offload: protocol, segmentation, aggregation and retransmit
-/// state live on-NIC; the host's taxonomy collapses to copy + syscall +
-/// descriptor bookkeeping (plus the completion IRQ itself).
-pub struct ToeOffload;
-
-impl Datapath for ToeOffload {
-    fn kind(&self) -> DatapathKind {
-        DatapathKind::ToeOffload
-    }
-    fn charges_syscalls(&self) -> bool {
-        true
-    }
-    fn charges_copies(&self) -> bool {
-        true
-    }
-    fn charges_protocol(&self) -> bool {
-        false
-    }
-    fn charges_memory(&self) -> bool {
-        false
-    }
-    fn charges_descriptors(&self) -> bool {
-        true
-    }
-    fn busy_polls(&self) -> bool {
-        false
-    }
-    fn rx_aggregates(&self, _stack: &StackConfig) -> bool {
-        // The TOE reassembles in hardware regardless of the GRO knob.
-        true
-    }
-    fn rx_aggregation_charged(&self, _stack: &StackConfig) -> bool {
-        false
-    }
-}
-
-/// Kernel-bypass busy-poll: zero-copy, no syscalls, no interrupts, no
-/// aggregation — a dedicated polling core pays per-frame harvest cycles
-/// and descriptor bookkeeping, and nothing else.
-pub struct UserBypass;
-
-impl Datapath for UserBypass {
-    fn kind(&self) -> DatapathKind {
-        DatapathKind::UserBypass
-    }
-    fn charges_syscalls(&self) -> bool {
-        false
-    }
-    fn charges_copies(&self) -> bool {
-        false
-    }
-    fn charges_protocol(&self) -> bool {
-        false
-    }
-    fn charges_memory(&self) -> bool {
-        false
-    }
-    fn charges_descriptors(&self) -> bool {
-        true
-    }
-    fn busy_polls(&self) -> bool {
-        true
-    }
-    fn rx_aggregates(&self, _stack: &StackConfig) -> bool {
-        false
-    }
-    fn rx_aggregation_charged(&self, _stack: &StackConfig) -> bool {
-        false
-    }
-}
-
-/// The shared policy instance for a backend kind.
-pub fn datapath_for(kind: DatapathKind) -> &'static dyn Datapath {
-    match kind {
-        DatapathKind::InKernel => &InKernel,
-        DatapathKind::ToeOffload => &ToeOffload,
-        DatapathKind::UserBypass => &UserBypass,
+    #[inline]
+    pub fn rx_aggregation_charged(self, stack: &StackConfig) -> bool {
+        matches!(self, DatapathKind::InKernel) && stack.gro && !stack.lro
     }
 }
 
@@ -196,9 +106,9 @@ mod tests {
     #[test]
     fn policies_match_their_kind() {
         for kind in DatapathKind::ALL {
-            let dp = datapath_for(kind);
-            assert_eq!(dp.kind(), kind);
-            assert_eq!(dp.label(), kind.label());
+            assert_eq!(DatapathKind::parse(kind.label()), Some(kind));
+            // Exactly the polling backend skips the interrupt.
+            assert_eq!(kind.charges_irq(), kind != DatapathKind::UserBypass);
         }
     }
 
@@ -207,9 +117,9 @@ mod tests {
         // Each architecture strictly removes host costs relative to the
         // previous one; nothing reappears.
         let stack = StackConfig::all_opts();
-        let ik = datapath_for(DatapathKind::InKernel);
-        let toe = datapath_for(DatapathKind::ToeOffload);
-        let byp = datapath_for(DatapathKind::UserBypass);
+        let ik = DatapathKind::InKernel;
+        let toe = DatapathKind::ToeOffload;
+        let byp = DatapathKind::UserBypass;
         assert!(ik.charges_protocol() && !toe.charges_protocol() && !byp.charges_protocol());
         assert!(ik.charges_memory() && !toe.charges_memory() && !byp.charges_memory());
         assert!(toe.charges_copies() && !byp.charges_copies());
@@ -222,7 +132,7 @@ mod tests {
 
     #[test]
     fn inkernel_aggregation_follows_the_knobs() {
-        let ik = datapath_for(DatapathKind::InKernel);
+        let ik = DatapathKind::InKernel;
         let mut s = StackConfig::all_opts();
         assert!(ik.rx_aggregates(&s) && ik.rx_aggregation_charged(&s));
         s.lro = true;

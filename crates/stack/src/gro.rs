@@ -38,19 +38,21 @@ impl GroEngine {
 
     /// Offer one driver-built skb, appending any aggregate(s) flushed by
     /// this arrival to `out` (0, 1 or 2 — a gap flushes the old aggregate
-    /// and an overflow may flush another). A successful merge recycles the
-    /// absorbed skb's frag vector into `pool`; nothing here allocates.
+    /// and an overflow may flush another). Returns true when the skb merged
+    /// into its flow's aggregate: it is absorbed, and its own timeline ends
+    /// here. A successful merge recycles the absorbed skb's frag vector
+    /// into `pool`; nothing here allocates.
     pub fn offer_into(
         &mut self,
         skb: RxSkb,
         max_aggregate: u32,
         pool: &mut FragPool,
         out: &mut Vec<RxSkb>,
-    ) {
+    ) -> bool {
         // Find this flow's slot.
         if let Some(idx) = self.table.iter().position(|s| s.flow == skb.flow) {
             let slot = &mut self.table[idx];
-            match slot.try_merge(skb, max_aggregate) {
+            return match slot.try_merge(skb, max_aggregate) {
                 Ok(spare) => {
                     pool.put(spare);
                     self.merged += 1;
@@ -58,15 +60,16 @@ impl GroEngine {
                         self.flushed += 1;
                         out.push(self.table.remove(idx));
                     }
+                    true
                 }
                 Err(skb) => {
                     // Gap or size overflow: flush the old aggregate, start
                     // a new one.
                     self.flushed += 1;
                     out.push(std::mem::replace(&mut self.table[idx], skb));
+                    false
                 }
-            }
-            return;
+            };
         }
         // New flow: claim a slot, evicting the oldest on overflow.
         if self.table.len() == GRO_TABLE_SLOTS {
@@ -74,6 +77,7 @@ impl GroEngine {
             out.push(self.table.remove(0));
         }
         self.table.push(skb);
+        false
     }
 
     /// Allocating convenience wrapper around [`GroEngine::offer_into`]
@@ -126,9 +130,12 @@ mod tests {
     fn contiguous_frames_aggregate() {
         let mut arena = FrameArena::new();
         let mut gro = GroEngine::new();
+        let (mut pool, mut out) = (FragPool::new(), Vec::new());
         for i in 0..4 {
-            let flushed = gro.offer(mk(&mut arena, 1, i * 9000, 9000), 65536);
-            assert!(flushed.is_empty());
+            let skb = mk(&mut arena, 1, i * 9000, 9000);
+            let absorbed = gro.offer_into(skb, 65536, &mut pool, &mut out);
+            assert_eq!(absorbed, i > 0, "every frame after the head merges");
+            assert!(out.is_empty());
         }
         let out = gro.flush_all();
         assert_eq!(out.len(), 1);

@@ -37,7 +37,6 @@ pub mod world;
 pub use app::AppSpec;
 pub use config::{DatapathKind, OptLevel, SimConfig, StackConfig};
 pub use costs::CostModel;
-pub use datapath::{datapath_for, Datapath};
 pub use fabric::{Fabric, FabricConfig};
 pub use flow::FlowSpec;
 pub use watchdog::{RunError, RunErrorKind};

@@ -22,6 +22,7 @@
 //! [`Fabric`] one frame at a time; their arrival lands them in an Rx
 //! descriptor, DMAs them (into the DCA cache when eligible), and raises an
 //! IRQ subject to NAPI masking. Drains, arrivals and IRQs are FIFO streams,
+//! as are the churn engine's connection timers armed one fixed RTO ahead,
 //! so they ride event lanes off the timer wheel and merge with it in
 //! `(time, seq)` order (see `World::lanes`).
 
@@ -38,9 +39,8 @@ use hns_sim::{cycles_to_time, Duration, EventKey, EventQueue, Lanes, Next, SimTi
 use hns_trace::{StageId, TraceCollector};
 
 use crate::app::{AppInstance, AppSpec};
-use crate::config::SimConfig;
+use crate::config::{DatapathKind, SimConfig};
 use crate::costs::CostModel;
-use crate::datapath::{datapath_for, Datapath};
 use crate::fabric::{Fabric, FabricConfig, MAX_HOSTS};
 use crate::flow::{Flow, FlowSpec};
 use crate::host::{Host, PendingFrame};
@@ -78,9 +78,11 @@ enum Event {
     FaultTick { kind: FaultKind },
     /// An open-loop connection arrival (churn workloads).
     ConnArrival,
-    /// A connection's client-side retransmit timer fired. Stale unless
-    /// `deadline` still matches the record's armed deadline.
-    ConnTimer { conn: u64, deadline: SimTime },
+    /// A connection's client-side timer fired: a backoff retry or a slow
+    /// client's think deadline (a timer armed one fixed RTO ahead rides
+    /// [`CONN_TIMER_LANE`] instead). It fires at its deadline, so it is
+    /// stale unless the record's armed deadline is `now`.
+    ConnTimer { conn: u64 },
     /// Periodic TIME_WAIT reaper cadence (churn workloads).
     TimeWaitTick,
     /// Periodic idle-connection reaper cadence (overload model).
@@ -91,35 +93,39 @@ enum Event {
 /// value.
 enum Fire {
     Event(Event),
-    Lane(usize, u32),
+    Lane(usize, u64),
 }
 
 /// The world's event lanes. Each is FIFO by construction: a host's NIC
 /// drain is pending at most once and re-arms at a monotone wire clock, a
 /// switch port delivers at its monotone `busy_until` plus a constant
-/// propagation, and every IRQ fires a constant delay after `now`. Lane 0
-/// carries the IRQs (value: [`irq_value`]); host `h` drains on lane
-/// `1 + 2h` and receives frames (value: the segment slot) on lane `2 + 2h`.
+/// propagation, and every IRQ and every connection timer on its lane
+/// fires a constant delay after `now`. Lane 0 carries the IRQs (value:
+/// [`irq_value`]) and lane 1 the connection timers armed one
+/// `ChurnConfig::syn_rto` ahead (value: the packed connection id); host `h`
+/// drains on lane `2 + 2h` and receives frames (value: the segment slot)
+/// on lane `3 + 2h`.
 const IRQ_LANE: usize = 0;
-const _: () = assert!(2 + 2 * (MAX_HOSTS as usize - 1) < MAX_LANES);
+const CONN_TIMER_LANE: usize = 1;
+const _: () = assert!(3 + 2 * (MAX_HOSTS as usize - 1) < MAX_LANES);
 
 fn drain_lane(h: usize) -> usize {
-    1 + 2 * h
-}
-
-fn arrival_lane(h: usize) -> usize {
     2 + 2 * h
 }
 
+fn arrival_lane(h: usize) -> usize {
+    3 + 2 * h
+}
+
 /// An IRQ lane value: the interrupted host and core.
-fn irq_value(host: usize, core: u16) -> u32 {
-    (host as u32) << 16 | core as u32
+fn irq_value(host: usize, core: u16) -> u64 {
+    (host as u64) << 16 | core as u64
 }
 
 // Every queued event is stored, cascaded, sorted and drained by value, so
 // its size is the event queue's memory traffic. Segments ride the wheel by
-// slot index for this reason; the largest variant is `ConnTimer`.
-const _: () = assert!(std::mem::size_of::<Event>() <= 24);
+// slot index for this reason; the largest variants carry one `u64`.
+const _: () = assert!(std::mem::size_of::<Event>() <= 16);
 // The same holds for the softirq backlog, which queues slots, not segments.
 const _: () = assert!(std::mem::size_of::<PendingFrame>() <= 24);
 
@@ -247,11 +253,11 @@ pub struct World {
     pub cfg: SimConfig,
     /// Cycle-cost model.
     pub cost: CostModel,
-    /// Charging policy of the configured datapath backend
-    /// ([`SimConfig::datapath`]). Consulted at every cost juncture; the
-    /// [`crate::datapath::InKernel`] policy reproduces the legacy charges
+    /// The configured datapath backend ([`SimConfig::datapath`]), whose
+    /// charging policy ([`crate::datapath`]) is consulted at every cost
+    /// juncture; [`DatapathKind::InKernel`] reproduces the legacy charges
     /// bit-for-bit.
-    dp: &'static dyn Datapath,
+    dp: DatapathKind,
     /// Per-host Tx descriptor rings for the offload backends: posted at
     /// segment emission, completed when the NIC serializes the frame onto
     /// the wire, harvested (and charged) at the next emission. Sized so
@@ -259,11 +265,11 @@ pub struct World {
     /// descriptor-bookkeeping cycles rather than gate transmission.
     descrings: Vec<hns_nic::DescRing>,
     queue: EventQueue<Event>,
-    /// Per-frame events that are FIFO by construction and never cancelled
-    /// (see [`IRQ_LANE`]), kept off the wheel under keys reserved from the
+    /// Events that are FIFO by construction and never cancelled (see
+    /// [`IRQ_LANE`]), kept off the wheel under keys reserved from the
     /// queue's own sequence counter; the event loop merges the earliest
     /// lane head with the queue head in `(time, seq)` order.
-    lanes: Lanes<u32>,
+    lanes: Lanes<u64>,
     hosts: Vec<Host>,
     wire: Fabric,
     /// Per-host NIC Tx queues, holding [`SegmentSlab`] slots.
@@ -348,7 +354,7 @@ impl World {
         }
         World {
             cost: CostModel::calibrated(),
-            dp: datapath_for(cfg.datapath),
+            dp: cfg.datapath,
             descrings: (0..nhosts)
                 .map(|_| hns_nic::DescRing::new(1 << 16))
                 .collect(),
@@ -616,8 +622,11 @@ impl World {
             match fire {
                 Fire::Event(ev) => self.handle(ev),
                 Fire::Lane(IRQ_LANE, v) => self.irq((v >> 16) as usize, v as u16 as usize),
-                Fire::Lane(lane, _) if lane % 2 == 1 => self.tx_drain(lane / 2),
-                Fire::Lane(lane, slot) => self.frame_arrive(lane / 2 - 1, slot),
+                Fire::Lane(CONN_TIMER_LANE, conn) => {
+                    self.with_churn(|w, eng| w.conn_timer(eng, conn))
+                }
+                Fire::Lane(lane, _) if lane % 2 == 0 => self.tx_drain(lane / 2 - 1),
+                Fire::Lane(lane, slot) => self.frame_arrive(lane / 2 - 1, slot as u32),
             }
         }
         if self.run_error.is_none() {
@@ -698,9 +707,7 @@ impl World {
             }
             Event::FaultTick { kind } => self.fault_tick(kind),
             Event::ConnArrival => self.with_churn(World::conn_arrival),
-            Event::ConnTimer { conn, deadline } => {
-                self.with_churn(|w, eng| w.conn_timer(eng, conn, deadline))
-            }
+            Event::ConnTimer { conn } => self.with_churn(|w, eng| w.conn_timer(eng, conn)),
             Event::TimeWaitTick => self.with_churn(World::time_wait_tick),
             Event::IdleReapTick => self.with_churn(World::idle_reap_tick),
         }
@@ -980,19 +987,21 @@ impl World {
                             ch.add(Category::NetDevice, self.cost.gro_per_frame);
                         }
                         if self.trace.enabled() {
-                            // A merged frame's timeline ends here (its skb is
-                            // absorbed); the aggregate continues under the
-                            // head frame's id.
                             self.trace
                                 .stamp(seg.trace, seg.flow, StageId::Gro, h, core, now);
                         }
                         let mut flushed = std::mem::take(&mut self.gro_scratch);
-                        self.hosts[h].cores[core].gro.offer_into(
+                        let absorbed = self.hosts[h].cores[core].gro.offer_into(
                             skb,
                             self.cfg.stack.max_aggregate,
                             &mut self.frag_pool,
                             &mut flushed,
                         );
+                        if absorbed && self.trace.enabled() {
+                            // A merged frame's timeline ends here; the
+                            // aggregate continues under the head frame's id.
+                            self.trace.close(seg.trace);
+                        }
                         for skb in flushed.drain(..) {
                             self.deliver_skb(h, core, skb, ch);
                         }
@@ -1001,7 +1010,7 @@ impl World {
                         self.deliver_skb(h, core, skb, ch);
                     }
                 }
-                SegmentKind::Conn { phase, .. } => {
+                SegmentKind::Conn { phase } => {
                     self.with_churn(|w, eng| w.conn_rx(eng, h, core, seg.flow, phase, ch));
                 }
             }
@@ -1787,14 +1796,15 @@ impl World {
     /// Queue `value` on `lane` at `at`, under a key reserved where
     /// `schedule` would take one, so it fires where the same event on the
     /// wheel would. A refused key hands `value` back.
-    fn try_lane_push(&mut self, lane: usize, at: SimTime, value: u32) -> Result<(), u32> {
+    fn try_lane_push(&mut self, lane: usize, at: SimTime, value: u64) -> Result<(), u64> {
         let key = self.queue.reserve(at);
         self.lanes.push(lane, key, value)
     }
 
     /// [`Self::try_lane_push`] on a lane whose times never fall (a host's
-    /// drain, the IRQ lane): a refusal is a logic error.
-    fn lane_push(&mut self, lane: usize, at: SimTime, value: u32) {
+    /// drain, the IRQ and connection-timer lanes): a refusal is a logic
+    /// error.
+    fn lane_push(&mut self, lane: usize, at: SimTime, value: u64) {
         if self.try_lane_push(lane, at, value).is_err() {
             panic!("lane {lane} refused a key at {at:?}");
         }
@@ -1855,7 +1865,8 @@ impl World {
                             let core = self.flows[flow as usize].spec.src_core as usize;
                             self.trace.stamp(tid, flow, StageId::Wire, h, core, now);
                         }
-                        if let Err(slot) = self.try_lane_push(arrival_lane(dst), arrives, slot) {
+                        let lane = arrival_lane(dst);
+                        if let Err(slot) = self.try_lane_push(lane, arrives, slot as u64) {
                             // A latency spike just ended: this frame lands
                             // before ones still on the wire, so the wheel
                             // orders it.
@@ -1863,7 +1874,7 @@ impl World {
                                 arrives,
                                 Event::FrameArrive {
                                     dst: dst as u8,
-                                    slot,
+                                    slot: slot as u32,
                                 },
                             );
                         }

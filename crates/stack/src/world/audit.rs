@@ -24,6 +24,9 @@
 //! * **rto-timer ledger** — an armed retransmission timer has exactly one
 //!   pending `Rto` event, firing no later than the timer is due, and a
 //!   disarmed one has none,
+//! * **conn-timer ledger** — a live connection whose timer is armed has a
+//!   pending `ConnTimer` at exactly its deadline, on the connection-timer
+//!   lane or on the wheel,
 //! * at teardown additionally the **drop-taxonomy reconciliation** and the
 //!   **churn connection-table** checks.
 //!
@@ -31,15 +34,22 @@
 //! same diagnostic-snapshot machinery the watchdog uses, so a failing audit
 //! run reports *what* broke and the world state it broke in.
 
+use std::collections::HashMap;
+
 use hns_audit::{
-    AcceptLedger, ArenaLedger, ChurnLedger, ConnMemLedger, CycleLedger, DropLedger, FlowLedger,
-    HostFrameLedger, RingLedger, RtoTimerLedger, SegmentSlabLedger, Violation,
+    AcceptLedger, ArenaLedger, ChurnLedger, ConnMemLedger, ConnTimerLedger, CycleLedger,
+    DropLedger, FlowLedger, HostFrameLedger, RingLedger, RtoTimerLedger, SegmentSlabLedger,
+    Violation,
 };
 use hns_conn::ConnId;
 use hns_sim::{cycles_to_time, SimTime};
 
 use super::World;
 use crate::watchdog::RunErrorKind;
+
+/// [`World::pending_events`]: pending arrivals per host, `(count, latest)`
+/// `Rto`s per flow, and `ConnTimer`s per `(connection, ns)`.
+type PendingEvents = (Vec<u64>, Vec<(u64, SimTime)>, HashMap<(u64, u64), u64>);
 
 /// Counters the audited event loop maintains beyond what reports need.
 /// Everything is cumulative from t = 0 except `charge_calls`, which resets
@@ -137,13 +147,18 @@ impl World {
     /// What the queues hold, counted from the queues themselves, so an
     /// event lost before it fires unbalances a ledger: frame arrivals
     /// pending per destination host (arrival-lane entries plus wheel
-    /// `FrameArrive` events), and per flow the `Rto` events pending with
-    /// the latest one's firing time.
-    fn pending_events(&self) -> (Vec<u64>, Vec<(u64, SimTime)>) {
+    /// `FrameArrive` events), per flow the `Rto` events pending with the
+    /// latest one's firing time, and the `ConnTimer`s pending per
+    /// `(connection, firing time in ns)` (lane entries plus wheel events).
+    fn pending_events(&self) -> PendingEvents {
         let mut arrivals: Vec<u64> = (0..self.hosts.len())
             .map(|h| self.lanes.lane_len(super::arrival_lane(h)) as u64)
             .collect();
         let mut rtos = vec![(0, SimTime::ZERO); self.flows.len()];
+        let mut conn_timers = HashMap::new();
+        for (key, &conn) in self.lanes.iter(super::CONN_TIMER_LANE) {
+            *conn_timers.entry((conn, key.time.as_nanos())).or_default() += 1;
+        }
         for (t, ev) in self.queue.pending() {
             match *ev {
                 super::Event::FrameArrive { dst, .. } => arrivals[dst as usize] += 1,
@@ -151,16 +166,19 @@ impl World {
                     let r = &mut rtos[flow as usize];
                     *r = (r.0 + 1, r.1.max(t));
                 }
+                super::Event::ConnTimer { conn } => {
+                    *conn_timers.entry((conn, t.as_nanos())).or_default() += 1;
+                }
                 _ => {}
             }
         }
-        (arrivals, rtos)
+        (arrivals, rtos, conn_timers)
     }
 
     /// Evaluate every conservation law at the current event boundary.
     fn collect_violations(&mut self, teardown: bool) -> Vec<Violation> {
         let mut out = Vec::new();
-        let (in_flight, rtos) = self.pending_events();
+        let (in_flight, rtos, conn_timers) = self.pending_events();
         let a = self.audit.as_deref().expect("audit mode on");
 
         for (h, host) in self.hosts.iter().enumerate() {
@@ -258,6 +276,18 @@ impl World {
                 latest_ns: latest.as_nanos(),
             }
             .check(&mut out);
+        }
+
+        if let Some(eng) = self.churn_engine() {
+            for (id, c) in eng.table.iter().filter(|(_, c)| c.timer_at != SimTime::MAX) {
+                let (conn, due_ns) = (id.to_u64(), c.timer_at.as_nanos());
+                ConnTimerLedger {
+                    conn,
+                    due_ns,
+                    pending_at_due: conn_timers.get(&(conn, due_ns)).copied().unwrap_or(0),
+                }
+                .check(&mut out);
+            }
         }
 
         // Delivered-seqno continuity: rcv_nxt is a high-water mark and may

@@ -28,7 +28,10 @@
 //! Reliability is client-driven: one deadline-stamped timer per connection
 //! covers SYN, request, and FIN retransmission with exponential backoff
 //! (stale timers are recognised by deadline comparison, the same discipline
-//! as the flow RTO). The server is duplicate-tolerant — a resent SYN gets
+//! as the flow RTO). A first transmission arms it one fixed `syn_rto`
+//! ahead; those deadlines never fall, so they ride a FIFO event lane
+//! instead of the wheel. Backoff retries and think deadlines go on the
+//! wheel. The server is duplicate-tolerant — a resent SYN gets
 //! the SYN-ACK again, a resent request gets the response again, a FIN to an
 //! already-closed half gets its FIN-ACK again — so any single loss heals.
 
@@ -45,7 +48,7 @@ use hns_proto::{ConnPhase, Segment};
 use hns_sim::{Duration, SimTime};
 use hns_trace::StageId;
 
-use super::{Charges, Event, World};
+use super::{Charges, Event, World, CONN_TIMER_LANE};
 
 /// Clients run on host 0, servers on host 1 (matching the long-flow world
 /// where host 0 sends and host 1 receives).
@@ -288,19 +291,26 @@ impl World {
         }
     }
 
-    /// Arm (or re-arm) the connection's single client-side timer. The
-    /// deadline is stored on the record; a fired event whose deadline no
-    /// longer matches is stale.
+    /// Arm (or re-arm) the connection's single client-side timer on the
+    /// wheel. The deadline is stored on the record; a fired event whose
+    /// deadline no longer matches is stale.
     fn arm_conn_timer(&mut self, eng: &mut ChurnEngine, raw: u64, deadline: SimTime) {
         if let Some(c) = eng.table.get_mut(ConnId::from_u64(raw)) {
             c.timer_at = deadline;
-            self.queue.schedule(
-                deadline,
-                Event::ConnTimer {
-                    conn: raw,
-                    deadline,
-                },
-            );
+            self.queue
+                .schedule(deadline, Event::ConnTimer { conn: raw });
+        }
+    }
+
+    /// [`Self::arm_conn_timer`] one `syn_rto` from now, on the
+    /// connection-timer lane: the delay is constant and `now` never falls,
+    /// so the lane stays FIFO, and its key fires where the wheel would
+    /// have fired the event.
+    fn arm_conn_rto(&mut self, eng: &mut ChurnEngine, raw: u64) {
+        let deadline = self.queue.now() + eng.cfg.syn_rto;
+        if let Some(c) = eng.table.get_mut(ConnId::from_u64(raw)) {
+            c.timer_at = deadline;
+            self.lane_push(CONN_TIMER_LANE, deadline, raw);
         }
     }
 
@@ -318,11 +328,10 @@ impl World {
         self.enqueue_frames(h, core, seg);
     }
 
-    /// Refuse the connection with a RST from the server; `dup` marks a
-    /// repeated refusal of a retransmitting client.
-    fn refuse(&mut self, eng: &ChurnEngine, core: usize, raw: u64, dup: bool, ch: &mut Charges) {
+    /// Refuse the connection with a RST from the server.
+    fn refuse(&mut self, eng: &ChurnEngine, core: usize, raw: u64, ch: &mut Charges) {
         ch.add(Category::TcpIp, eng.cost.rst_tx);
-        let rst = Segment::conn(raw, ConnPhase::Reset, dup);
+        let rst = Segment::conn(raw, ConnPhase::Reset);
         self.send_ctl(eng, SERVER_HOST, core, rst, ch);
     }
 
@@ -415,10 +424,10 @@ impl World {
             self.trace
                 .stamp(tid, raw, StageId::SynTx, CLIENT_HOST, client_core, now);
         }
-        let syn = Segment::conn(raw, ConnPhase::Syn, false);
+        let syn = Segment::conn(raw, ConnPhase::Syn);
         self.send_ctl(eng, CLIENT_HOST, client_core, syn, &mut ch);
         self.charge_direct(CLIENT_HOST, client_core, ch);
-        self.arm_conn_timer(eng, raw, now + ccfg.syn_rto);
+        self.arm_conn_rto(eng, raw);
     }
 
     /// Initiate an active close from the client: FIN out, FinWait, timer
@@ -442,11 +451,10 @@ impl World {
             self.trace
                 .stamp(tid, raw, StageId::FinTx, CLIENT_HOST, core, now);
         }
-        let fin = Segment::conn(raw, ConnPhase::Fin, false);
+        let fin = Segment::conn(raw, ConnPhase::Fin);
         self.send_ctl(eng, CLIENT_HOST, core, fin, &mut ch);
         self.charge_direct(CLIENT_HOST, core, ch);
-        let rto = eng.cfg.syn_rto;
-        self.arm_conn_timer(eng, raw, now + rto);
+        self.arm_conn_rto(eng, raw);
     }
 
     /// A slow client defers its next move by a think time: `pending`
@@ -528,14 +536,14 @@ impl World {
                 // Closed without a cookie: this connection was refused or
                 // reaped earlier. Re-refuse so a retransmitting client
                 // stops (duplicate-tolerant refusal).
-                self.refuse(eng, core, raw, true, ch);
+                self.refuse(eng, core, raw, ch);
                 return Establish::Refused;
             }
             _ => return Establish::AlreadyUp,
         };
         if !admitted {
             self.drop_stats.conn_memory += 1;
-            self.refuse(eng, core, raw, false, ch);
+            self.refuse(eng, core, raw, ch);
             return Establish::Refused;
         }
         self.server_accept(eng, core, raw, ch);
@@ -582,7 +590,7 @@ impl World {
                 } else {
                     ConnPhase::HsAck
                 };
-                self.send_ctl(eng, CLIENT_HOST, core, Segment::conn(raw, phase, false), ch);
+                self.send_ctl(eng, CLIENT_HOST, core, Segment::conn(raw, phase), ch);
                 if slow {
                     self.client_think(eng, raw, Conn::CLOSE_PENDING);
                 } else {
@@ -592,7 +600,7 @@ impl World {
             ChurnMode::Pool { .. } => {
                 // Overload + pool is rejected at validation, so `cookie`
                 // can never be set on this path.
-                let ack = Segment::conn(raw, ConnPhase::HsAck, false);
+                let ack = Segment::conn(raw, ConnPhase::HsAck);
                 self.send_ctl(eng, CLIENT_HOST, core, ack, ch);
                 eng.pool.push_back(raw);
             }
@@ -604,7 +612,7 @@ impl World {
                 // The first request chunk piggybacks the completing ACK, as
                 // real clients do.
                 self.conn_send_request(eng, core, raw, ch);
-                self.arm_conn_timer(eng, raw, now + ccfg.syn_rto);
+                self.arm_conn_rto(eng, raw);
             }
         }
     }
@@ -625,7 +633,7 @@ impl World {
             // field is the request-send time (RPC-latency base).
             eng.conn(raw).opened_at = self.queue.now();
         }
-        let req = Segment::conn(raw, ConnPhase::Request { len }, false);
+        let req = Segment::conn(raw, ConnPhase::Request { len });
         self.conn_write(CLIENT_HOST, core, req, ch);
     }
 
@@ -692,7 +700,7 @@ impl World {
                     // response.
                     eng.stats.syn_retransmits += 1;
                     ch.add(Category::TcpIp, self.cost.tcp_tx_cycles(len));
-                    let resp = Segment::conn(raw, ConnPhase::Response { len }, true);
+                    let resp = Segment::conn(raw, ConnPhase::Response { len });
                     self.enqueue_frames(SERVER_HOST, core, resp);
                     return;
                 }
@@ -704,7 +712,7 @@ impl World {
                 }
                 ch.add(Category::Sched, cc.epoll_dispatch);
                 self.conn_read(eng, len, ch);
-                let resp = Segment::conn(raw, ConnPhase::Response { len }, false);
+                let resp = Segment::conn(raw, ConnPhase::Response { len });
                 self.conn_write(SERVER_HOST, core, resp, ch);
             }
             (SERVER_HOST, ConnPhase::Fin) => {
@@ -724,7 +732,7 @@ impl World {
                     // (lost completing ACK) releases the pending minisock.
                     eng.release_server_half(was);
                 }
-                let fin_ack = Segment::conn(raw, ConnPhase::FinAck, dup);
+                let fin_ack = Segment::conn(raw, ConnPhase::FinAck);
                 self.send_ctl(eng, SERVER_HOST, core, fin_ack, ch);
             }
 
@@ -807,7 +815,7 @@ impl World {
             };
             eng.stats.syn_retransmits += 1;
             ch.add(Category::TcpIp, tx);
-            self.send_ctl(eng, SERVER_HOST, core, Segment::conn(raw, phase, true), ch);
+            self.send_ctl(eng, SERVER_HOST, core, Segment::conn(raw, phase), ch);
             return;
         }
         // Admission: under the overload model a fresh SYN must win a
@@ -835,7 +843,7 @@ impl World {
                         .stamp(tid, raw, StageId::SynRx, SERVER_HOST, core, now);
                 }
                 ch.add(Category::TcpIp, cc.synack_tx);
-                let syn_ack = Segment::conn(raw, ConnPhase::SynAck, false);
+                let syn_ack = Segment::conn(raw, ConnPhase::SynAck);
                 self.send_ctl(eng, SERVER_HOST, core, syn_ack, ch);
             }
             // Minisock allocation refused by the memory budget: silent
@@ -855,27 +863,27 @@ impl World {
                 eng.accept.note_cookie();
                 eng.conn(raw).flags |= Conn::COOKIE;
                 ch.add(Category::TcpIp, cc.syn_cookie_tx);
-                let syn_ack = Segment::conn(raw, ConnPhase::SynAckCookie, false);
+                let syn_ack = Segment::conn(raw, ConnPhase::SynAckCookie);
                 self.send_ctl(eng, SERVER_HOST, core, syn_ack, ch);
             }
             Err(Some(AdmissionPolicy::Shed)) => {
                 // Fail fast: refuse with a RST so the client stops retrying
                 // into a saturated host.
                 eng.accept.note_shed();
-                self.refuse(eng, core, raw, false, ch);
+                self.refuse(eng, core, raw, ch);
             }
         }
     }
 
-    /// The client's per-connection timer fired. Stale unless the carried
-    /// deadline matches the record's armed deadline. Retransmits whatever
-    /// segment the client half is waiting on, with exponential backoff;
-    /// aborts after the retry budget.
-    pub(super) fn conn_timer(&mut self, eng: &mut ChurnEngine, raw: u64, deadline: SimTime) {
+    /// The client's per-connection timer fired. A timer fires at its
+    /// deadline, so it is stale unless the record's armed deadline is now.
+    /// Retransmits whatever segment the client half is waiting on, with
+    /// exponential backoff; aborts after the retry budget.
+    pub(super) fn conn_timer(&mut self, eng: &mut ChurnEngine, raw: u64) {
         let ccfg = eng.cfg;
         let now = self.queue.now();
         let id = ConnId::from_u64(raw);
-        let Some(c) = eng.table.get_mut(id).filter(|c| c.timer_at == deadline) else {
+        let Some(c) = eng.table.get_mut(id).filter(|c| c.timer_at == now) else {
             return; // superseded or torn down
         };
         c.timer_at = SimTime::MAX;
@@ -890,7 +898,7 @@ impl World {
                 let mut ch = Charges::default();
                 self.conn_send_request(eng, core, raw, &mut ch);
                 self.charge_direct(CLIENT_HOST, core, ch);
-                self.arm_conn_timer(eng, raw, now + ccfg.syn_rto);
+                self.arm_conn_rto(eng, raw);
             } else {
                 self.client_close(eng, raw);
             }
@@ -921,15 +929,15 @@ impl World {
         }
 
         let (tx, seg) = match client {
-            HalfConn::SynSent => (cc.syn_tx, Segment::conn(raw, ConnPhase::Syn, true)),
+            HalfConn::SynSent => (cc.syn_tx, Segment::conn(raw, ConnPhase::Syn)),
             HalfConn::Established if matches!(ccfg.mode, ChurnMode::ShortRpc) => {
                 // Same hash-derived length as the original send: a
                 // retransmit resends identical bytes.
                 let len = eng.rpc_len(raw);
-                let req = Segment::conn(raw, ConnPhase::Request { len }, true);
+                let req = Segment::conn(raw, ConnPhase::Request { len });
                 (self.cost.tcp_tx_cycles(len), req)
             }
-            HalfConn::FinWait => (cc.fin_tx, Segment::conn(raw, ConnPhase::Fin, true)),
+            HalfConn::FinWait => (cc.fin_tx, Segment::conn(raw, ConnPhase::Fin)),
             _ => return, // nothing pending (pool steady state, TIME_WAIT)
         };
         ch.add(Category::TcpIp, tx);

@@ -66,7 +66,9 @@ impl Ring {
 /// before the pruner drops it. Data-path residencies are microseconds and
 /// the longest lifecycle stages (TIME_WAIT, SYN RTO backoff) are tens of
 /// milliseconds, so anything older is a timeline that ended without a
-/// terminal stamp (e.g. GRO-merged frames) and would otherwise leak.
+/// terminal stamp and would otherwise leak. (A GRO-merged frame's entry
+/// does not wait for this: [`TraceCollector::close`] drops it at the
+/// merge.)
 const PRUNE_AFTER_NS: u64 = 100_000_000;
 
 /// The collector. One instance per `World`; indexed by (host, core) so the
@@ -152,6 +154,16 @@ impl TraceCollector {
         }
         self.open
             .retain(|_, (_, at, _)| now.since(*at).as_nanos() < PRUNE_AFTER_NS);
+    }
+
+    /// End `skb`'s timeline without a terminal stamp (a GRO-merged frame:
+    /// the aggregate carries on under its head frame's id). Its last
+    /// residency never closes, so nothing folds; the entry just leaves
+    /// `open` now instead of at the pruner. No-op for [`NO_SKB`] and for
+    /// an id with no open entry.
+    #[inline]
+    pub fn close(&mut self, skb: SkbId) {
+        self.open.remove(&skb);
     }
 
     /// Decide whether to trace the next emitted skb of `flow`, and hand out
@@ -480,6 +492,31 @@ mod tests {
         let mut got = Vec::new();
         c.drain_residencies(t(PRUNE_AFTER_NS + 1000), |s, ns| got.push((s, ns)));
         assert!(got.is_empty(), "pruned entry paired anyway: {got:?}");
+    }
+
+    #[test]
+    fn a_closed_timeline_neither_folds_nor_stays_open() {
+        let mut c = TraceCollector::new(TraceConfig::enabled(), 2, 1);
+        let (merged, head) = (c.alloc(1), c.alloc(1));
+        c.stamp(merged, 1, StageId::Napi, 1, 0, t(100));
+        c.stamp(merged, 1, StageId::Gro, 1, 0, t(120));
+        c.stamp(head, 1, StageId::Gro, 1, 0, t(110));
+        c.close(merged);
+        c.close(NO_SKB);
+        assert!(!c.open.contains_key(&merged), "closed at the merge");
+        assert!(c.open.contains_key(&head), "other timelines stay open");
+        // Only the residency the Gro stamp closed folds; the closed
+        // timeline's last (Gro) residency never does.
+        let mut got = Vec::new();
+        c.drain_residencies(t(200), |s, ns| got.push((s, ns)));
+        assert_eq!(got, [(StageId::Napi, 20)]);
+        assert_eq!(residencies(&c), [(StageId::Napi, 1, 20)]);
+        assert_eq!(c.events(), 3, "the export rings keep every stamp");
+        // A stray later stamp on the closed id starts afresh: no residency
+        // pairs it with the entry the close dropped.
+        c.stamp(merged, 1, StageId::TcpRx, 1, 0, t(300));
+        c.drain_residencies(t(400), |s, ns| got.push((s, ns)));
+        assert_eq!(got, [(StageId::Napi, 20)]);
     }
 
     #[test]

@@ -57,6 +57,21 @@ fn audited_scenarios_stay_silent() {
             .unwrap_or_else(|e| panic!("{}: audited run tripped: {e}", s.label()));
         assert!(r.delivered_bytes > 0 || r.conn.is_some());
     }
+    // Short-RPC churn on a lossy wire (`hostnet run churn --churn-mode rpc
+    // --loss 0.002 --seed 3`): first sends arm the connection-timer lane,
+    // retries back off on the wheel, and the two interleave under the
+    // conn-timer ledger.
+    let churn = hostnet::building_blocks::workload::churn_short_rpc(100_000.0, 4096);
+    let r = Experiment::new(ScenarioKind::Churn { churn })
+        .audited()
+        .configure(|c| {
+            c.link.loss = LossModel::uniform(0.002);
+            c.seed = 3;
+        })
+        .try_run()
+        .unwrap_or_else(|e| panic!("lossy short-RPC churn: audited run tripped: {e}"));
+    let c = r.conn.expect("churn runs carry a conn summary");
+    assert!(r.drops.total() > 0 && c.retransmits > 0, "{c:?}");
 }
 
 #[test]

@@ -1,6 +1,6 @@
 //! Cross-backend differential suite.
 //!
-//! The `Datapath` trait's contract is that backends change *where host
+//! The datapath policy's contract is that backends change *where host
 //! cycles are charged*, never *what moves*: the protocol state machines,
 //! frame arenas, page pools and descriptor rings run identically under
 //! all three architectures. That makes matched-config runs directly

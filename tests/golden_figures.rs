@@ -114,7 +114,7 @@ fn golden_fig13_congestion_control() {
 fn inkernel_backend_is_the_legacy_pipeline() {
     // Explicit form of what every other golden test asserts implicitly:
     // the default datapath is the in-kernel backend, and selecting it
-    // explicitly changes nothing — the `Datapath` seam is
+    // explicitly changes nothing — the datapath seam is
     // charge-transparent, so every pre-seam golden stays byte-identical.
     use hostnet::building_blocks::stack::DatapathKind;
     use hostnet::{Experiment, ScenarioKind};
@@ -134,8 +134,8 @@ fn inkernel_backend_is_the_legacy_pipeline() {
 fn golden_fig_backend() {
     // The datapath comparison: in-kernel vs TOE vs kernel-bypass over the
     // same scenarios. The in-kernel rows double as a pin that the
-    // `Datapath` seam is charge-transparent: they must match what the
-    // legacy pipeline produced before the trait existed (the other golden
+    // datapath seam is charge-transparent: they must match what the
+    // legacy pipeline produced before the seam existed (the other golden
     // suites enforce that too — all pre-seam goldens stay byte-identical).
     let reports = figure("figback");
     assert_eq!(reports.len(), 6);
