@@ -377,14 +377,17 @@ pub fn think_time_ns(u: f64, min: Duration, shape: f64, cap: Duration) -> u64 {
 
 /// Scan the flow table for server-side established connections idle for at
 /// least `timeout`, in the table's deterministic (shard, slot) iteration
-/// order. The engine reaps exactly this list, so timer ordering is a pure
+/// order, into `out` (cleared first, so a caller's buffer is reused across
+/// scans). The engine reaps exactly this list, so timer ordering is a pure
 /// function of table state — property-tested in `prop_overload`.
-pub fn reap_scan(table: &FlowTable, now: SimTime, timeout: Duration) -> Vec<ConnId> {
-    table
-        .iter()
-        .filter(|(_, c)| c.server == HalfConn::Established && now.since(c.last_seen) >= timeout)
-        .map(|(id, _)| id)
-        .collect()
+pub fn reap_scan(table: &FlowTable, now: SimTime, timeout: Duration, out: &mut Vec<ConnId>) {
+    out.clear();
+    out.extend(
+        table
+            .iter()
+            .filter(|(_, c)| c.server == HalfConn::Established && now.since(c.last_seen) >= timeout)
+            .map(|(id, _)| id),
+    );
 }
 
 #[cfg(test)]
@@ -516,7 +519,8 @@ mod tests {
         handshake.server = HalfConn::SynRcvd;
         handshake.last_seen = SimTime::ZERO;
         t.install(handshake);
-        let reaped = reap_scan(&t, now, timeout);
-        assert_eq!(reaped, vec![idle_id]);
+        let mut reaped = vec![idle_id, idle_id];
+        reap_scan(&t, now, timeout, &mut reaped);
+        assert_eq!(reaped, vec![idle_id], "the buffer is cleared first");
     }
 }

@@ -266,6 +266,17 @@ mod tests {
     }
 
     #[test]
+    fn slot_stays_compact() {
+        // A slot is the record plus its generation: the table's per-
+        // connection footprint at the million-connection scale.
+        assert!(
+            std::mem::size_of::<Slot>() <= 48,
+            "a flow-table slot is {} bytes; keep it <= 48",
+            std::mem::size_of::<Slot>()
+        );
+    }
+
+    #[test]
     fn id_packs_and_unpacks() {
         let id = ConnId {
             shard: 255,

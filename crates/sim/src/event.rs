@@ -139,11 +139,26 @@ impl<E> Ord for ScheduledEvent<E> {
 /// or files later with [`EventQueue::schedule_key`]. Keys order by time,
 /// then by reservation order; only the queue mints them, so a key's
 /// sequence number is unique among every scheduled event.
+/// [`EventQueue::pop_before`] hands back the key of whatever fired.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct EventKey {
     /// When the reserved event fires.
     pub time: SimTime,
     seq: u64,
+}
+
+impl EventKey {
+    /// A key the queue never mints and that sorts after every minted one:
+    /// the "no timer armed" sentinel for a caller that records keys.
+    pub const NONE: EventKey = EventKey {
+        time: SimTime::MAX,
+        seq: u64::MAX,
+    };
+
+    /// The key's sequence number: its place among same-time keys.
+    pub fn seq(self) -> u64 {
+        self.seq
+    }
 }
 
 /// Most lanes a [`Lanes`] can hold: a lane index packs into the low bits
@@ -263,13 +278,15 @@ fn pack(key: EventKey, lane: usize) -> u128 {
     ((key.time.as_nanos() as u128) << 64) | ((key.seq << LANE_BITS) | lane as u64) as u128
 }
 
-/// What [`EventQueue::pop_before`] found first.
+/// What [`EventQueue::pop_before`] found first, with the key it fired
+/// under.
 #[derive(Debug, PartialEq, Eq)]
 pub enum Next<E> {
-    /// The queue head sorted first and has fired.
-    Event(SimTime, E),
-    /// The caller's key sorted first: its event is due at this time.
-    External(SimTime),
+    /// The queue head sorted first and has fired: its key (the one it was
+    /// scheduled or filed under) and payload.
+    Event(EventKey, E),
+    /// The caller's key sorted first: its event is due now.
+    External(EventKey),
     /// Neither side holds anything.
     Empty,
 }
@@ -470,6 +487,11 @@ impl<E> EventQueue<E> {
     /// Pop the earliest pending event, advancing `now` to its timestamp.
     /// Returns `None` when the queue is exhausted.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
+        self.pop_keyed().map(|(key, event)| (key.time, event))
+    }
+
+    /// [`Self::pop`], returning the event's full key.
+    fn pop_keyed(&mut self) -> Option<(EventKey, E)> {
         // The head-liveness invariant means the first pop is the answer;
         // the loop is defense in depth (and self-healing in release).
         self.wheel.ensure_front(&mut self.slab);
@@ -481,13 +503,16 @@ impl<E> EventQueue<E> {
                 self.wheel.ensure_front(&mut self.slab);
                 continue;
             };
-            let time = node.time;
+            let key = EventKey {
+                time: node.time,
+                seq: node.seq,
+            };
             node.generation = node.generation.wrapping_add(1);
             self.slab.release(slot);
             self.live_pending -= 1;
-            self.advance(time);
+            self.advance(key.time);
             self.prune();
-            return Some((time, event));
+            return Some((key, event));
         }
         None
     }
@@ -495,7 +520,9 @@ impl<E> EventQueue<E> {
     /// Pop the head if it sorts before `key` in `(time, seq)` order.
     /// Otherwise the caller's reserved event is due: advance `now` to
     /// `key.time`, count the pop, and return [`Next::External`] (the caller
-    /// drops the key). With no key this is [`Self::pop`].
+    /// drops the key). With no key this is [`Self::pop`]. Either way the
+    /// answer carries the fired event's key, so a handler can tell which
+    /// of several same-time entries it is.
     #[inline]
     pub fn pop_before(&mut self, key: Option<EventKey>) -> Next<E> {
         if let Some(key) = key {
@@ -510,19 +537,21 @@ impl<E> EventQueue<E> {
             });
             if !head_first {
                 self.advance(key.time);
-                return Next::External(key.time);
+                return Next::External(key);
             }
         }
-        match self.pop() {
-            Some((time, event)) => Next::Event(time, event),
+        match self.pop_keyed() {
+            Some((key, event)) => Next::Event(key, event),
             None => Next::Empty,
         }
     }
 
-    /// Every pending event with its firing time, in slot order (not firing
+    /// Every pending event with its key, in slot order (not firing
     /// order): for audits that count what is still queued.
-    pub fn pending(&self) -> impl Iterator<Item = (SimTime, &E)> {
-        self.slab.events()
+    pub fn pending(&self) -> impl Iterator<Item = (EventKey, &E)> {
+        self.slab
+            .events()
+            .map(|(time, seq, event)| (EventKey { time, seq }, event))
     }
 
     /// Timestamp of the next pending event without popping it. `&self`:
@@ -726,6 +755,66 @@ mod tests {
     use super::*;
     use crate::Duration;
 
+    /// A `pop_before` answer with its key cut to the firing time.
+    #[derive(Debug, PartialEq)]
+    enum Fired<E> {
+        Event(SimTime, E),
+        External(SimTime),
+        Empty,
+    }
+
+    fn timed<E>(next: Next<E>) -> Fired<E> {
+        match next {
+            Next::Event(key, e) => Fired::Event(key.time, e),
+            Next::External(key) => Fired::External(key.time),
+            Next::Empty => Fired::Empty,
+        }
+    }
+
+    #[test]
+    fn popped_key_is_the_key_filed_or_pushed_under() {
+        // Wheel events come back under the key `schedule` reserved or
+        // `schedule_key` filed them under, lane entries under the key they
+        // were pushed with, including same-time entries of both kinds.
+        let mut q = EventQueue::new();
+        let mut lanes = Lanes::new();
+        let t = SimTime::from_nanos(40);
+        let mut want = Vec::new();
+        let held = q.reserve(t);
+        for i in 0..3u32 {
+            let key = q.reserve(t);
+            lanes.push(0, key, i).unwrap();
+            want.push((key, i));
+            let key = q.reserve(SimTime::from_nanos(10 + u64::from(i)));
+            q.schedule_key(key, 10 + i);
+            want.push((key, 10 + i));
+        }
+        q.schedule_key(held, 99);
+        want.push((held, 99));
+        let late = q.reserve(SimTime::from_nanos(70_000));
+        lanes.push(1, late, 7).unwrap();
+        want.push((late, 7));
+        want.sort_unstable();
+        let mut got = Vec::new();
+        loop {
+            match q.pop_before(lanes.peek()) {
+                Next::Event(key, e) => got.push((key, e)),
+                Next::External(key) => got.push((key, lanes.pop().unwrap().1)),
+                Next::Empty => break,
+            }
+            assert_eq!(q.now(), got.last().unwrap().0.time);
+        }
+        assert_eq!(got, want);
+        // `pending` lists the same keys before anything fires.
+        let key = q.reserve(SimTime::from_nanos(80_000));
+        q.schedule_key(key, 5);
+        assert_eq!(
+            q.pending().map(|(k, &e)| (k, e)).collect::<Vec<_>>(),
+            [(key, 5)]
+        );
+        assert!(key < EventKey::NONE && key.seq() < EventKey::NONE.seq());
+    }
+
     #[test]
     fn pops_in_time_order() {
         let mut q = EventQueue::new();
@@ -877,7 +966,8 @@ mod tests {
         q.schedule(SimTime::from_nanos(3), 'd');
         q.cancel(b); // cancelled below the head: still in the slab
         assert_eq!(q.pop().map(|(_, e)| e), Some('a'));
-        let mut live: Vec<(u64, char)> = q.pending().map(|(t, &e)| (t.as_nanos(), e)).collect();
+        let mut live: Vec<(u64, char)> =
+            q.pending().map(|(k, &e)| (k.time.as_nanos(), e)).collect();
         live.sort_unstable();
         assert_eq!(live, [(2, 'c'), (3, 'd')]);
         assert_eq!(live.len(), q.len());
@@ -976,15 +1066,18 @@ mod tests {
         q.schedule(SimTime::from_nanos(11), 99);
         assert_eq!(q.len(), 6, "a reserved key is not stored");
         for i in 0..5 {
-            assert_eq!(q.pop_before(Some(key)), Next::Event(t, i));
+            assert_eq!(timed(q.pop_before(Some(key))), Fired::Event(t, i));
             assert_eq!(q.now(), t);
         }
         assert_eq!(q.len(), 1);
         assert_eq!(q.popped(), 5);
-        assert_eq!(q.pop_before(Some(key)), Next::External(t));
+        assert_eq!(timed(q.pop_before(Some(key))), Fired::External(t));
         assert_eq!(q.popped(), 6);
-        assert_eq!(q.pop_before(None), Next::Event(SimTime::from_nanos(11), 99));
-        assert_eq!(q.pop_before(None), Next::Empty);
+        assert_eq!(
+            timed(q.pop_before(None)),
+            Fired::Event(SimTime::from_nanos(11), 99)
+        );
+        assert_eq!(timed(q.pop_before(None)), Fired::Empty);
     }
 
     #[test]
@@ -1023,12 +1116,12 @@ mod tests {
         let mut q = EventQueue::new();
         let t = SimTime::from_nanos(42);
         q.schedule(t, 0);
-        assert_eq!(q.pop_before(None), Next::Event(t, 0));
+        assert_eq!(timed(q.pop_before(None)), Fired::Event(t, 0));
         let key = q.reserve(t);
         q.schedule(t, 1);
-        assert_eq!(q.pop_before(Some(key)), Next::External(t));
-        assert_eq!(q.pop_before(None), Next::Event(t, 1));
-        assert_eq!(q.pop_before(None), Next::Empty);
+        assert_eq!(timed(q.pop_before(Some(key))), Fired::External(t));
+        assert_eq!(timed(q.pop_before(None)), Fired::Event(t, 1));
+        assert_eq!(timed(q.pop_before(None)), Fired::Empty);
         assert_eq!(q.popped(), 3);
     }
 
@@ -1039,9 +1132,9 @@ mod tests {
         q.schedule(t, "before");
         let key = q.reserve(t);
         q.schedule(t, "after");
-        assert_eq!(q.pop_before(Some(key)), Next::Event(t, "before"));
-        assert_eq!(q.pop_before(Some(key)), Next::External(t));
-        assert_eq!(q.pop_before(None), Next::Event(t, "after"));
+        assert_eq!(timed(q.pop_before(Some(key))), Fired::Event(t, "before"));
+        assert_eq!(timed(q.pop_before(Some(key))), Fired::External(t));
+        assert_eq!(timed(q.pop_before(None)), Fired::Event(t, "after"));
     }
 
     #[test]
@@ -1052,12 +1145,12 @@ mod tests {
         assert!(key < q.reserve(SimTime::from_nanos(9)));
         assert_eq!(key.time, SimTime::from_nanos(8));
         assert_eq!(
-            q.pop_before(Some(key)),
-            Next::External(SimTime::from_nanos(8))
+            timed(q.pop_before(Some(key))),
+            Fired::External(SimTime::from_nanos(8))
         );
         assert_eq!(
-            q.pop_before(None),
-            Next::Event(SimTime::from_nanos(9), "late")
+            timed(q.pop_before(None)),
+            Fired::Event(SimTime::from_nanos(9), "late")
         );
     }
 
@@ -1066,7 +1159,7 @@ mod tests {
         let mut q: EventQueue<u8> = EventQueue::new();
         q.schedule(SimTime::from_nanos(100), 1);
         let key = q.reserve(SimTime::from_nanos(30));
-        assert_eq!(q.pop_before(Some(key)), Next::External(key.time));
+        assert_eq!(timed(q.pop_before(Some(key))), Fired::External(key.time));
         assert_eq!(q.now(), SimTime::from_nanos(30));
         assert_eq!(q.popped(), 1);
         assert_eq!(q.len(), 1);
@@ -1078,16 +1171,19 @@ mod tests {
     #[test]
     fn empty_only_when_both_sides_are_empty() {
         let mut q: EventQueue<u8> = EventQueue::new();
-        assert_eq!(q.pop_before(None), Next::Empty);
+        assert_eq!(timed(q.pop_before(None)), Fired::Empty);
         let key = q.reserve(SimTime::from_nanos(3));
-        assert_eq!(q.pop_before(Some(key)), Next::External(key.time));
+        assert_eq!(timed(q.pop_before(Some(key))), Fired::External(key.time));
         let t = q.schedule(SimTime::from_nanos(4), 1);
         q.cancel(t);
         let key = q.reserve(SimTime::from_nanos(4));
-        assert_eq!(q.pop_before(Some(key)), Next::External(key.time));
+        assert_eq!(timed(q.pop_before(Some(key))), Fired::External(key.time));
         q.schedule(SimTime::from_nanos(6), 2);
-        assert_eq!(q.pop_before(None), Next::Event(SimTime::from_nanos(6), 2));
-        assert_eq!(q.pop_before(None), Next::Empty);
+        assert_eq!(
+            timed(q.pop_before(None)),
+            Fired::Event(SimTime::from_nanos(6), 2)
+        );
+        assert_eq!(timed(q.pop_before(None)), Fired::Empty);
         assert_eq!(q.popped(), 3);
     }
 

@@ -169,12 +169,12 @@ impl<E> Slab<E> {
         self.free = slot;
     }
 
-    /// Every payload still stored, with its time: events neither fired
-    /// nor cancelled.
-    pub(crate) fn events(&self) -> impl Iterator<Item = (SimTime, &E)> {
+    /// Every payload still stored, with its time and sequence number:
+    /// events neither fired nor cancelled.
+    pub(crate) fn events(&self) -> impl Iterator<Item = (SimTime, u64, &E)> {
         self.nodes
             .iter()
-            .filter_map(|n| n.event.as_ref().map(|e| (n.time, e)))
+            .filter_map(|n| n.event.as_ref().map(|e| (n.time, n.seq, e)))
     }
 
     /// The node in `slot`, or `None` past the end (e.g. a `NONE` token).

@@ -143,11 +143,11 @@ fn pop_both(
     mirror: &mut Mirror,
 ) -> (Option<usize>, bool) {
     let (lane, fired) = match w.pop_before(lanes.peek()) {
-        Next::Event(t, e) => (None, Some((t, e))),
-        Next::External(t) => {
+        Next::Event(k, e) => (None, Some((k.time, e))),
+        Next::External(k) => {
             let (lane, e) = lanes.pop().expect("a key was peeked");
             mirror_of(mirror, lane).0 -= 1;
-            (Some(lane), Some((t, e)))
+            (Some(lane), Some((k.time, e)))
         }
         Next::Empty => (None, None),
     };
@@ -426,8 +426,8 @@ proptest! {
                 _ => {
                     for _ in 0..1 + a % 4 {
                         let fired = match w.pop_before(lanes.peek()) {
-                            Next::Event(t, e) => Some((t, e)),
-                            Next::External(t) => lanes.pop().map(|(_, e)| (t, e)),
+                            Next::Event(k, e) => Some((k.time, e)),
+                            Next::External(k) => lanes.pop().map(|(_, e)| (k.time, e)),
                             Next::Empty => None,
                         };
                         prop_assert_eq!(fired, h.pop(), "merged pop diverged");
@@ -442,8 +442,8 @@ proptest! {
         }
         loop {
             let fired = match w.pop_before(lanes.peek()) {
-                Next::Event(t, e) => Some((t, e)),
-                Next::External(t) => lanes.pop().map(|(_, e)| (t, e)),
+                Next::Event(k, e) => Some((k.time, e)),
+                Next::External(k) => lanes.pop().map(|(_, e)| (k.time, e)),
                 Next::Empty => None,
             };
             prop_assert_eq!(fired, h.pop(), "merged pop diverged");
