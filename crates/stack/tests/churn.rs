@@ -3,7 +3,7 @@
 //! and lost SYNs heal through the client's retry timer), and reports carry
 //! a measurement-window-scoped connection summary.
 
-use hns_conn::{ChurnConfig, ChurnMode};
+use hns_conn::{AdmissionPolicy, ChurnConfig, ChurnMode, OverloadConfig};
 use hns_faults::LossModel;
 use hns_sim::Duration;
 use hns_stack::{AppSpec, FlowSpec, RunErrorKind, SimConfig, World};
@@ -79,6 +79,32 @@ fn pool_churn_keeps_population_and_capacity_flat() {
         c.opened > 0 && c.closed > 0,
         "the pool actually churned: {c:?}"
     );
+}
+
+/// A slow client lingering after its response still receives the
+/// server's answers to its retransmitted requests: each is a duplicate,
+/// not another RPC. A 5 µs RTO retransmits nearly every request.
+#[test]
+fn duplicate_responses_to_a_lingering_client_are_not_rpcs() {
+    let mut cfg = churn_cfg(ChurnMode::ShortRpc, 50_000.0);
+    let churn = cfg.churn.as_mut().unwrap();
+    churn.rpc_size = 4096;
+    churn.syn_rto = Duration::from_micros(5);
+    churn.overload = OverloadConfig {
+        enabled: true,
+        policy: AdmissionPolicy::Queue,
+        slow_prob: 1.0,
+        ..OverloadConfig::default()
+    };
+    let mut w = World::new(cfg);
+    let r = w
+        .try_run(Duration::from_millis(5), Duration::from_millis(30))
+        .expect("churn run must quiesce");
+    let c = r.conn.expect("conn summary");
+    let cap = r.capacity.expect("capacity summary");
+    assert!(c.retransmits > c.opened, "requests were resent: {c:?}");
+    assert!(c.rpcs > 1000 && c.rpcs <= c.opened, "{c:?}");
+    assert_eq!(cap.rpc.samples, c.rpcs, "one latency sample per RPC");
 }
 
 #[test]
