@@ -109,15 +109,11 @@ pub struct ChurnConfig {
     /// is scaled down to suit millisecond-scale simulation horizons while
     /// preserving the exponential-backoff shape.
     pub syn_rto: Duration,
-    /// SYN retransmissions before the handshake is abandoned.
-    pub syn_retry_max: u32,
     /// TIME_WAIT residence (the 2MSL stand-in, scaled like `syn_rto`).
     pub time_wait: Duration,
     /// How often the TIME_WAIT reaper runs (batch reaping, like the
     /// kernel's timewait timer wheel cadence).
     pub reap_interval: Duration,
-    /// Flow-table shard count (1..=256).
-    pub shards: u16,
     /// Sample every Nth connection for lifecycle tracing (0 = never).
     pub trace_sample: u32,
     /// Overload model (accept queue, admission control, memory budget,
@@ -133,10 +129,8 @@ impl Default for ChurnConfig {
             rpc_size: 4096,
             rpc_size_dist: RpcSizeDist::Fixed,
             syn_rto: Duration::from_millis(5),
-            syn_retry_max: 6,
             time_wait: Duration::from_millis(10),
             reap_interval: Duration::from_millis(1),
-            shards: 64,
             trace_sample: 0,
             overload: OverloadConfig::default(),
         }
@@ -151,13 +145,6 @@ impl ChurnConfig {
             return Err(format!(
                 "churn rate must be positive, got {}",
                 self.rate_cps
-            ));
-        }
-        if self.shards == 0 || self.shards > crate::table::MAX_SHARDS {
-            return Err(format!(
-                "churn shards must be in 1..={}, got {}",
-                crate::table::MAX_SHARDS,
-                self.shards
             ));
         }
         if self.syn_rto.is_zero() {
@@ -211,8 +198,6 @@ mod tests {
             c
         };
         assert!(bad(|c| c.rate_cps = 0.0).validate().is_err());
-        assert!(bad(|c| c.shards = 0).validate().is_err());
-        assert!(bad(|c| c.shards = 257).validate().is_err());
         assert!(bad(|c| c.mode = ChurnMode::Pool { conns: 0 })
             .validate()
             .is_err());

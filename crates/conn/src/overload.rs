@@ -66,6 +66,27 @@ impl AdmissionPolicy {
     }
 }
 
+// Per-connection footprints and the slow-client think-time law. These are
+// parameters of the model, taken from "Scouting the Path to a
+// Million-Client Server", not experiment knobs: no figure sweeps them.
+
+/// Bytes a fully established socket pins against
+/// [`OverloadConfig::mem_budget`].
+pub const SOCK_BYTES: u64 = 3_072;
+
+/// Bytes a request sock (SYN_RCVD minisock) pins against
+/// [`OverloadConfig::mem_budget`].
+pub const MINISOCK_BYTES: u64 = 256;
+
+/// Minimum think time of a slow client (the Pareto scale).
+pub const THINK_MIN: Duration = Duration::from_millis(2);
+
+/// Pareto shape of the think-time tail; smaller is heavier.
+pub const THINK_SHAPE: f64 = 1.2;
+
+/// Cap on one think time (bounds the tail so runs finish).
+pub const THINK_CAP: Duration = Duration::from_millis(20);
+
 /// Overload-model knobs, embedded in `ChurnConfig` (and therefore `Copy`).
 ///
 /// The default is fully inert (`enabled = false`): existing churn runs are
@@ -80,25 +101,16 @@ pub struct OverloadConfig {
     /// Listen/accept queue depth (`somaxconn`); must be > 0 when enabled.
     pub accept_queue: u32,
     /// Connection-memory budget in bytes (0 = unlimited). Request socks
-    /// and full socks are charged against it; failures become the
-    /// `conn_memory` drop class.
+    /// ([`MINISOCK_BYTES`]) and full socks ([`SOCK_BYTES`]) are charged
+    /// against it; failures become the `conn_memory` drop class.
     pub mem_budget: u64,
-    /// Bytes a fully-established socket pins.
-    pub sock_bytes: u64,
-    /// Bytes a request sock (SYN_RCVD minisock) pins.
-    pub minisock_bytes: u64,
     /// Reap server-side established connections idle at least this long
     /// (`Duration::ZERO` disables the reaper).
     pub idle_timeout: Duration,
     /// Fraction of arriving clients that are slow (heavy-tailed on/off
-    /// behavior); 0.0 disables.
+    /// behavior, think times from [`THINK_MIN`] to [`THINK_CAP`]); 0.0
+    /// disables.
     pub slow_prob: f64,
-    /// Minimum think time for slow clients (the Pareto scale).
-    pub think_min: Duration,
-    /// Pareto shape (alpha) of the think-time tail; smaller = heavier.
-    pub think_shape: f64,
-    /// Hard cap on a single think time (bounds the tail so runs finish).
-    pub think_cap: Duration,
 }
 
 impl Default for OverloadConfig {
@@ -108,13 +120,8 @@ impl Default for OverloadConfig {
             policy: AdmissionPolicy::Drop,
             accept_queue: 128,
             mem_budget: 0,
-            sock_bytes: 3_072,
-            minisock_bytes: 256,
             idle_timeout: Duration::ZERO,
             slow_prob: 0.0,
-            think_min: Duration::from_millis(2),
-            think_shape: 1.2,
-            think_cap: Duration::from_millis(20),
         }
     }
 }
@@ -128,13 +135,10 @@ impl OverloadConfig {
         if self.accept_queue == 0 {
             return Err("overload: accept_queue depth must be > 0".into());
         }
-        if self.sock_bytes == 0 || self.minisock_bytes == 0 {
-            return Err("overload: sock/minisock sizes must be > 0".into());
-        }
-        if self.mem_budget > 0 && self.mem_budget < self.sock_bytes {
+        if self.mem_budget > 0 && self.mem_budget < SOCK_BYTES {
             return Err(format!(
-                "overload: mem_budget {} smaller than one socket ({})",
-                self.mem_budget, self.sock_bytes
+                "overload: mem_budget {} smaller than one socket ({SOCK_BYTES})",
+                self.mem_budget
             ));
         }
         if !(0.0..=1.0).contains(&self.slow_prob) {
@@ -142,20 +146,6 @@ impl OverloadConfig {
                 "overload: slow_prob must be in [0, 1], got {}",
                 self.slow_prob
             ));
-        }
-        if self.slow_prob > 0.0 {
-            if self.think_min.is_zero() {
-                return Err("overload: think_min must be non-zero with slow clients".into());
-            }
-            if !self.think_shape.is_finite() || self.think_shape <= 0.0 {
-                return Err(format!(
-                    "overload: think_shape must be positive, got {}",
-                    self.think_shape
-                ));
-            }
-            if self.think_cap < self.think_min {
-                return Err("overload: think_cap must be >= think_min".into());
-            }
         }
         Ok(())
     }
@@ -418,27 +408,12 @@ mod tests {
             ov.validate()
         };
         assert!(bad(|o| o.accept_queue = 0).is_err());
-        assert!(bad(|o| o.sock_bytes = 0).is_err());
         assert!(
-            bad(|o| o.mem_budget = 100).is_err(),
+            bad(|o| o.mem_budget = SOCK_BYTES - 1).is_err(),
             "budget below one sock"
         );
+        assert!(bad(|o| o.mem_budget = SOCK_BYTES).is_ok());
         assert!(bad(|o| o.slow_prob = 1.5).is_err());
-        assert!(bad(|o| {
-            o.slow_prob = 0.5;
-            o.think_min = Duration::ZERO;
-        })
-        .is_err());
-        assert!(bad(|o| {
-            o.slow_prob = 0.5;
-            o.think_shape = 0.0;
-        })
-        .is_err());
-        assert!(bad(|o| {
-            o.slow_prob = 0.5;
-            o.think_cap = Duration::from_nanos(1);
-        })
-        .is_err());
     }
 
     #[test]
@@ -496,12 +471,12 @@ mod tests {
 
     #[test]
     fn think_time_is_bounded() {
-        let min = Duration::from_millis(2);
-        let cap = Duration::from_millis(20);
-        assert_eq!(think_time_ns(0.0, min, 1.2, cap), min.as_nanos());
-        assert_eq!(think_time_ns(0.999_999_9, min, 1.2, cap), cap.as_nanos());
-        let mid = think_time_ns(0.5, min, 1.2, cap);
-        assert!(mid > min.as_nanos() && mid < cap.as_nanos());
+        let think = |u| think_time_ns(u, THINK_MIN, THINK_SHAPE, THINK_CAP);
+        let (min, cap) = (THINK_MIN.as_nanos(), THINK_CAP.as_nanos());
+        assert_eq!(think(0.0), min);
+        assert_eq!(think(0.999_999_9), cap);
+        let mid = think(0.5);
+        assert!(mid > min && mid < cap);
     }
 
     #[test]

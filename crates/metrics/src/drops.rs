@@ -10,7 +10,7 @@
 //! experiments can verify full accounting.
 //!
 //! Overload runs add connection-level classes: a handshake the client
-//! abandoned after `syn_retry_max`, a SYN discarded at a full accept queue,
+//! abandoned after its last SYN retry, a SYN discarded at a full accept queue,
 //! and an allocation refused by the connection-memory budget. These are
 //! connection-lifecycle losses rather than frame-layer ones; they serialize
 //! only when nonzero so pre-overload reports stay byte-identical.
@@ -55,7 +55,7 @@ pub struct DropStats {
     /// Rx descriptor replenish failed because the page pool was exhausted
     /// (injected allocation-failure faults).
     pub pool: u64,
-    /// Handshake abandoned by the client after exhausting `syn_retry_max`
+    /// Handshake abandoned by the client after exhausting its SYN retries
     /// (the connection, not a single frame, is what was lost).
     pub handshake_abort: u64,
     /// SYN discarded because the accept queue was full and the admission

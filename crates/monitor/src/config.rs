@@ -11,30 +11,21 @@ pub struct MonitorConfig {
     /// the first autotune tick at or past each interval boundary, so the
     /// effective spacing is `interval` rounded up to the 1 ms tick.
     pub interval: Duration,
-    /// DDSketch relative-error bound for every stage-residency quantile.
-    pub alpha: f64,
 }
 
 impl Default for MonitorConfig {
     fn default() -> Self {
         MonitorConfig {
             interval: Duration::from_millis(10),
-            alpha: 0.01,
         }
     }
 }
 
 impl MonitorConfig {
-    /// Reject configurations the sketch or scheduler cannot honor.
+    /// Reject configurations the scheduler cannot honor.
     pub fn validate(&self) -> Result<(), String> {
         if self.interval == Duration::ZERO {
             return Err("monitor interval must be positive".into());
-        }
-        if !(self.alpha > 0.0 && self.alpha < 0.5) {
-            return Err(format!(
-                "monitor sketch alpha must be in (0, 0.5), got {}",
-                self.alpha
-            ));
         }
         Ok(())
     }
@@ -53,15 +44,9 @@ mod tests {
     fn rejects_bad_knobs() {
         let mut c = MonitorConfig {
             interval: Duration::ZERO,
-            ..Default::default()
         };
         assert!(c.validate().is_err());
         c.interval = Duration::from_millis(5);
-        c.alpha = 0.0;
-        assert!(c.validate().is_err());
-        c.alpha = 0.5;
-        assert!(c.validate().is_err());
-        c.alpha = 0.25;
         assert_eq!(c.validate(), Ok(()));
     }
 }

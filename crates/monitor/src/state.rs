@@ -22,6 +22,9 @@ use hns_metrics::{DropStats, MonitorStage, MonitorSummary};
 use hns_sim::SimTime;
 use hns_trace::{StageId, N_STAGES};
 
+/// DDSketch relative-error bound of every stage-residency quantile.
+pub const SKETCH_ALPHA: f64 = 0.01;
+
 /// Streaming-telemetry fold state for one simulated run.
 #[derive(Clone, Debug)]
 pub struct MonitorState {
@@ -47,7 +50,7 @@ pub struct MonitorState {
 impl MonitorState {
     /// Build the fold state; sketches are sized for every trace stage.
     pub fn new(cfg: MonitorConfig) -> MonitorState {
-        let mk = || (0..N_STAGES).map(|_| DdSketch::new(cfg.alpha)).collect();
+        let mk = || (0..N_STAGES).map(|_| DdSketch::new(SKETCH_ALPHA)).collect();
         MonitorState {
             cfg,
             window_start: SimTime::ZERO,
@@ -186,7 +189,7 @@ impl MonitorState {
         MonitorSummary {
             snapshots: self.snapshots,
             interval_secs: self.cfg.interval.as_secs_f64(),
-            sketch_alpha: self.cfg.alpha,
+            sketch_alpha: SKETCH_ALPHA,
             goodput_avg_gbps: if self.snapshots == 0 {
                 0.0
             } else {
@@ -215,7 +218,6 @@ mod tests {
     fn cfg_10ms() -> MonitorConfig {
         MonitorConfig {
             interval: Duration::from_millis(10),
-            alpha: 0.01,
         }
     }
 

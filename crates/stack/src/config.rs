@@ -4,6 +4,7 @@ use hns_faults::FaultConfig;
 use hns_mem::numa::Topology;
 use hns_nic::link::LinkConfig;
 use hns_nic::steering::SteeringMode;
+use hns_nic::{MAX_AGGREGATE, MTU_JUMBO, MTU_STANDARD};
 use hns_proto::cc::CcAlgo;
 use hns_sim::Duration;
 
@@ -110,18 +111,17 @@ pub enum RcvBufPolicy {
 /// Host-stack feature configuration (shared by both hosts in a run).
 #[derive(Clone, Copy, Debug)]
 pub struct StackConfig {
-    /// Sender hardware segmentation offload.
+    /// Sender segmentation offload: TCP hands the driver
+    /// [`MAX_AGGREGATE`]-byte skbs. Off, as in the paper's No-Opt
+    /// baseline, TCP emits MTU-sized skbs.
     pub tso: bool,
-    /// Sender software segmentation (used when TSO is off; the paper's
-    /// No-Opt baseline disables both so TCP emits MTU-sized skbs).
-    pub gso: bool,
     /// Receiver software aggregation.
     pub gro: bool,
     /// Receiver *hardware* aggregation (LRO) — replaces GRO when set;
     /// aggregation becomes CPU-free (the paper's footnote 3 "~55Gbps with
     /// LRO" variant).
     pub lro: bool,
-    /// MTU payload bytes (1500 or 9000).
+    /// MTU payload bytes ([`MTU_STANDARD`] or [`MTU_JUMBO`]).
     pub mtu: u32,
     /// Receive steering mechanism.
     pub steering: SteeringMode,
@@ -135,14 +135,8 @@ pub struct StackConfig {
     pub rx_descriptors: u32,
     /// Receive buffer sizing.
     pub rcvbuf: RcvBufPolicy,
-    /// Send buffer capacity in bytes. Set above the receive-buffer cap so
-    /// the receiver window (not the send buffer) is the binding constraint,
-    /// as in the paper's tuned testbed.
-    pub sndbuf: u64,
     /// Congestion control algorithm.
     pub cc: CcAlgo,
-    /// Max aggregation/segmentation size (TSO/GSO/GRO), Linux: 64KB.
-    pub max_aggregate: u32,
     /// Sender-side zero-copy (`MSG_ZEROCOPY`, kernel ≥4.14, paper §4):
     /// the user→kernel payload copy is replaced by per-page pinning and a
     /// completion notification.
@@ -160,18 +154,15 @@ impl StackConfig {
     pub fn at_level(level: OptLevel) -> Self {
         let mut cfg = StackConfig {
             tso: false,
-            gso: false,
             gro: false,
             lro: false,
-            mtu: 1500,
+            mtu: MTU_STANDARD,
             steering: SteeringMode::Rss,
             dca: true,
             iommu: false,
             rx_descriptors: 512,
             rcvbuf: RcvBufPolicy::Auto,
-            sndbuf: 16 * 1024 * 1024,
             cc: CcAlgo::Cubic,
-            max_aggregate: 64 * 1024,
             zerocopy_tx: false,
             zerocopy_rx: false,
         };
@@ -179,20 +170,17 @@ impl StackConfig {
             OptLevel::NoOpt => {}
             OptLevel::TsoGro => {
                 cfg.tso = true;
-                cfg.gso = true;
                 cfg.gro = true;
             }
             OptLevel::Jumbo => {
                 cfg.tso = true;
-                cfg.gso = true;
                 cfg.gro = true;
-                cfg.mtu = 9000;
+                cfg.mtu = MTU_JUMBO;
             }
             OptLevel::Arfs => {
                 cfg.tso = true;
-                cfg.gso = true;
                 cfg.gro = true;
-                cfg.mtu = 9000;
+                cfg.mtu = MTU_JUMBO;
                 cfg.steering = SteeringMode::Arfs;
             }
         }
@@ -211,8 +199,8 @@ impl StackConfig {
 
     /// Largest skb the sender TCP layer emits per transmission.
     pub fn max_tx_payload(&self) -> u32 {
-        if self.tso || self.gso {
-            self.max_aggregate
+        if self.tso {
+            MAX_AGGREGATE
         } else {
             self.mss()
         }
@@ -255,12 +243,8 @@ pub struct SimConfig {
     /// Frames processed per softirq *step* (sub-batch granularity for the
     /// scheduler; Linux polls in per-queue batches of 64).
     pub napi_batch: u32,
-    /// Application read size per `recv()` call.
-    pub recv_size: u32,
     /// Application `write()` size for long flows (iPerf default: 128KB).
     pub write_size: u32,
-    /// IRQ dispatch latency from NIC to handler execution.
-    pub irq_latency: Duration,
     /// Interrupt moderation (`ethtool -C rx-usecs`): the NIC delays the
     /// IRQ after the first unmasked frame by this much, batching further
     /// arrivals into one interrupt. Zero (the default here, and typical
@@ -399,9 +383,7 @@ impl Default for SimConfig {
             seed: 1,
             napi_budget: 300,
             napi_batch: 64,
-            recv_size: 128 * 1024,
             write_size: 128 * 1024,
-            irq_latency: Duration::from_micros(1),
             irq_coalesce: Duration::ZERO,
             trace: hns_trace::TraceConfig::DISABLED,
             max_backlog: 0,
@@ -442,7 +424,6 @@ mod tests {
         let mut c = StackConfig::all_opts();
         assert_eq!(c.max_tx_payload(), 65536);
         c.tso = false;
-        c.gso = false;
         assert_eq!(c.max_tx_payload(), c.mss());
     }
 

@@ -87,9 +87,6 @@ pub struct CostModel {
     pub skb_alloc_tx: u64,
     /// skb build per tx skb (SkbMgmt).
     pub skb_build_tx: u64,
-    /// Software GSO segmentation per produced frame (NetDevice); TSO does
-    /// this in hardware for free.
-    pub gso_per_frame: u64,
     /// ACK receive processing at the sender, per ACK (TcpIp).
     pub ack_rx: u64,
     /// Driver work per received pure-ACK frame (NetDevice).
@@ -188,7 +185,6 @@ impl CostModel {
             driver_tx_per_frame: 120,
             skb_alloc_tx: 550,
             skb_build_tx: 320,
-            gso_per_frame: 260,
             ack_rx: 900,
             driver_rx_ack: 420,
             retransmit_extra: 1_500,

@@ -39,7 +39,7 @@ impl DatapathKind {
     }
 
     /// The host runs — and pays for — the in-kernel protocol pipeline:
-    /// TCP/IP rx/tx, skb alloc/build/free, qdisc, software GSO/GRO, ACK
+    /// TCP/IP rx/tx, skb alloc/build/free, qdisc, software GRO, ACK
     /// generation and processing, socket locking, retransmit overhead.
     /// Off-host backends still *execute* the state machines (correctness)
     /// but charge them zero host cycles.

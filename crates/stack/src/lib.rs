@@ -5,7 +5,7 @@
 //! paper's Fig. 1 and runs it under a discrete-event loop:
 //!
 //! **Sender path** — application `write()` → user→kernel data copy →
-//! TCP/IP processing → GSO (software) or TSO (NIC) segmentation → qdisc /
+//! TCP/IP processing → TSO segmentation (NIC) → qdisc /
 //! driver Tx queue → NIC DMA → wire.
 //!
 //! **Receiver path** — NIC DMA (into DDIO cache when eligible) → IRQ →

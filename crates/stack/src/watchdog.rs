@@ -17,13 +17,12 @@ pub enum RunErrorKind {
     /// The fault plan itself is inconsistent (bad schedule, core out of
     /// range); nothing was simulated.
     BadFaultPlan,
-    /// The churn plan is inconsistent (zero arrival rate, zero shards,
-    /// empty pool); nothing was simulated.
+    /// The churn plan is inconsistent (zero arrival rate, empty pool, an
+    /// overload budget below one socket); nothing was simulated.
     BadChurnPlan,
-    /// The monitor config is one the sketches or the snapshot schedule
-    /// cannot honour (zero interval, alpha outside (0, 0.5)), or a monitor
-    /// runs with tracing off, so its stage sketches could never fill;
-    /// nothing was simulated.
+    /// The monitor config is one the snapshot schedule cannot honour (zero
+    /// interval), or a monitor runs with tracing off, so its stage sketches
+    /// could never fill; nothing was simulated.
     BadMonitorConfig,
     /// The lifecycle tracer is on with a sampling period of zero; nothing
     /// was simulated.

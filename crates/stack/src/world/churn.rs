@@ -44,7 +44,10 @@
 
 use std::collections::{HashMap, VecDeque};
 
-use hns_conn::overload::{bounded_pareto, reap_scan, syn_cookie, think_time_ns};
+use hns_conn::overload::{
+    bounded_pareto, reap_scan, syn_cookie, think_time_ns, MINISOCK_BYTES, SOCK_BYTES, THINK_CAP,
+    THINK_MIN, THINK_SHAPE,
+};
 use hns_conn::{
     AcceptQueue, AdmissionPolicy, ChurnConfig, ChurnMode, ChurnStats, Conn, ConnCostModel, ConnId,
     EpollAccounting, FlowTable, HalfConn, MemBudget, RpcSizeDist, TimeWaitRing,
@@ -61,6 +64,13 @@ use super::{Charges, Event, World, CONN_TIMER_LANE};
 /// where host 0 sends and host 1 receives).
 const CLIENT_HOST: usize = 0;
 const SERVER_HOST: usize = 1;
+
+/// Retransmissions of a client's pending segment (SYN, request or FIN)
+/// before it gives up: a handshake fails, a later phase closes unclean.
+const SYN_RETRY_MAX: u8 = 6;
+
+/// Flow-table shard count.
+const SHARDS: u16 = 64;
 
 /// Outcome of the server-side establish attempt for a handshake-completing
 /// segment (plain ACK, piggybacked first request, or cookie-bearing ACK).
@@ -119,7 +129,7 @@ pub(crate) struct ChurnEngine {
 
 impl ChurnEngine {
     pub(crate) fn new(cfg: ChurnConfig, cores: usize, seed: u64) -> Self {
-        let mut table = FlowTable::new(cfg.shards);
+        let mut table = FlowTable::new(SHARDS);
         if let ChurnMode::Pool { conns } = cfg.mode {
             table.reserve(conns as usize);
         }
@@ -200,10 +210,9 @@ impl ChurnEngine {
     /// drawing from `workload_rng`, so slow-client pacing never perturbs
     /// the shared arrival stream (policies stay comparable at a seed).
     fn think_delay(&self, raw: u64, salt: u64) -> Duration {
-        let ov = self.cfg.overload;
         let x = syn_cookie(self.cookie_secret.rotate_left(29) ^ salt, raw);
         let u = x as f64 / (u32::MAX as f64 + 1.0);
-        Duration::from_nanos(think_time_ns(u, ov.think_min, ov.think_shape, ov.think_cap))
+        Duration::from_nanos(think_time_ns(u, THINK_MIN, THINK_SHAPE, THINK_CAP))
     }
 
     /// Deterministic per-request payload size. Like think times, the draw
@@ -226,14 +235,13 @@ impl ChurnEngine {
     /// model: an established socket's bytes, or a pending minisock and its
     /// listen-queue slot.
     fn release_server_half(&mut self, was: HalfConn) {
-        let ov = self.cfg.overload;
-        if !ov.enabled {
+        if !self.cfg.overload.enabled {
             return;
         }
         match was {
-            HalfConn::Established => self.mem.free(ov.sock_bytes),
+            HalfConn::Established => self.mem.free(SOCK_BYTES),
             HalfConn::SynRcvd => {
-                self.mem.free(ov.minisock_bytes);
+                self.mem.free(MINISOCK_BYTES);
                 self.accept.release();
             }
             _ => {}
@@ -575,8 +583,8 @@ impl World {
             HalfConn::SynRcvd if ov.enabled => {
                 // The minisock converts into a full socket: its bytes come
                 // back before the socket's are charged.
-                eng.mem.free(ov.minisock_bytes);
-                if eng.mem.try_charge(ov.sock_bytes) {
+                eng.mem.free(MINISOCK_BYTES);
+                if eng.mem.try_charge(SOCK_BYTES) {
                     eng.accept.pop();
                     true
                 } else {
@@ -594,7 +602,7 @@ impl World {
                 c.flags &= !Conn::COOKIE;
                 ch.add(Category::TcpIp, eng.cost.syn_cookie_check);
                 ch.add(Category::Memory, eng.cost.socket_alloc);
-                eng.mem.try_charge(ov.sock_bytes)
+                eng.mem.try_charge(SOCK_BYTES)
             }
             _ if ov.enabled => {
                 // Closed without a cookie: this connection was refused or
@@ -891,7 +899,7 @@ impl World {
             Ok(())
         } else if !eng.accept.push() {
             Err(Some(ov.policy))
-        } else if eng.mem.try_charge(ov.minisock_bytes) {
+        } else if eng.mem.try_charge(MINISOCK_BYTES) {
             Ok(())
         } else {
             eng.accept.release();
@@ -982,7 +990,7 @@ impl World {
         let cc = eng.cost;
         let mut ch = Charges::default();
 
-        if retries as u32 > ccfg.syn_retry_max {
+        if retries > SYN_RETRY_MAX {
             // Out of retries: free the record. A handshake that never
             // completed is a failure; an established connection stuck in
             // teardown closes unclean but still closes.

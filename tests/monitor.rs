@@ -40,7 +40,6 @@ fn traced(scenario: ScenarioKind, monitored: bool) -> Experiment {
         if monitored {
             c.monitor = Some(MonitorConfig {
                 interval: Duration::from_millis(2),
-                ..MonitorConfig::default()
             });
         }
     })
@@ -152,7 +151,6 @@ fn sketch_quantiles_match_offline_trace_quantiles() {
         };
         c.monitor = Some(MonitorConfig {
             interval: Duration::from_millis(2),
-            ..MonitorConfig::default()
         });
     });
     exp.warmup = Duration::ZERO;

@@ -258,7 +258,6 @@ fn monitor_and_stage_latency_fold_the_same_residencies() {
         .configure(|c| {
             c.monitor = Some(MonitorConfig {
                 interval: Duration::from_millis(1),
-                ..MonitorConfig::default()
             })
         })
         .run();
