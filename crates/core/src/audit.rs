@@ -14,7 +14,7 @@
 //!   the report (observability must not perturb the simulation).
 //! * **replay** — the same config twice gives byte-identical JSON reports,
 //!   and a churn-free run carries no `conn` summary (pre-conn output shape).
-//! * **jobs-invariant** — running through `hns_par::map_ordered` with
+//! * **jobs-invariant** — running through [`crate::par::map_ordered`] with
 //!   `jobs = 2` gives the same report as running inline.
 //!
 //! A failing case is bisected with [`hns_audit::minimize`] down to the
@@ -402,7 +402,7 @@ pub fn check_case(
         Property::JobsInvariant => {
             let solo = run_report(&e)?;
             let pair = [e.clone(), e];
-            let reports = hns_par::map_ordered(2, &pair, run_report);
+            let reports = crate::par::map_ordered(2, &pair, run_report);
             for r in reports {
                 if r?.to_json() != solo.to_json() {
                     return Err("jobs=2 run differed from the inline run".into());

@@ -3,7 +3,7 @@
 //! Each `*_points()` function declares one figure's sweep as a list of
 //! configured, labeled [`Experiment`]s; [`FIGURES`] names them in the
 //! order `hostnet figures` runs them, and [`run`] executes any list on
-//! `hns-par`'s work-stealing thread pool. Every experiment is an
+//! [`crate::par::map_ordered`]'s scoped threads. Every experiment is an
 //! independent, deterministic run (its own world, its own RNG seeds), and
 //! reports come back in declared order, so sweep output is byte-identical
 //! whatever the job count. EXPERIMENTS.md records paper-vs-measured for
@@ -70,7 +70,7 @@ impl std::error::Error for SweepError {}
 /// owns its world and RNGs); `jobs <= 1` is the plain sequential loop.
 /// Every experiment runs; the first failure in declared order is returned.
 pub fn run(jobs: usize, experiments: &[Experiment]) -> Result<Vec<Report>, SweepError> {
-    hns_par::map_ordered(jobs, experiments, |e| {
+    crate::par::map_ordered(jobs, experiments, |e| {
         e.try_run().map_err(|error| SweepError {
             label: e.report_label(),
             error,

@@ -8,7 +8,8 @@
 //!
 //! The [`figures`] module declares every table/figure of the paper's
 //! evaluation (§3) as a list of experiments in one registry
-//! ([`figures::FIGURES`]); `hostnet figures` runs and prints them.
+//! ([`figures::FIGURES`]); `hostnet figures` runs and prints them, on the
+//! threads of [`par::map_ordered`].
 //!
 //! ```
 //! use hns_core::{Experiment, ScenarioKind};
@@ -22,6 +23,7 @@
 pub mod audit;
 pub mod experiment;
 pub mod figures;
+pub mod par;
 
 pub use audit::{run_audit, AuditOptions, AuditOutcome, FieldDelta, Property};
 pub use experiment::{Experiment, ScenarioKind};

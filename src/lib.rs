@@ -18,7 +18,6 @@ pub mod building_blocks {
     pub use hns_metrics as metrics;
     pub use hns_monitor as monitor;
     pub use hns_nic as nic;
-    pub use hns_par as par;
     pub use hns_proto as proto;
     pub use hns_sched as sched;
     pub use hns_sim as sim;
