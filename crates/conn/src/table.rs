@@ -228,12 +228,6 @@ impl FlowTable {
         self.reused_slots
     }
 
-    /// Number of shards.
-    #[inline]
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// Iterate live connections in deterministic (shard, slot) order.
     pub fn iter(&self) -> impl Iterator<Item = (ConnId, &Conn)> + '_ {
         self.shards.iter().enumerate().flat_map(|(si, sh)| {

@@ -42,15 +42,6 @@ impl RcvBufAutotune {
         }
     }
 
-    /// Auto-tuning with a custom cap.
-    pub fn auto_with_max(max: u64) -> Self {
-        RcvBufAutotune {
-            rcvbuf: INITIAL_RCVBUF.min(max),
-            max,
-            auto: true,
-        }
-    }
-
     /// Manually pinned buffer (the paper's Fig. 3e/3f sweeps).
     pub fn fixed(bytes: u64) -> Self {
         RcvBufAutotune {

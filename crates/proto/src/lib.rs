@@ -47,12 +47,5 @@ pub use sack::{SackBlocks, Scoreboard};
 pub use segment::{AckView, ConnPhase, DataView, FlowId, Segment, SegmentKind};
 pub use sender::{SendAction, TcpSender};
 
-/// Default maximum segment size for standard Ethernet (1500 MTU minus
-/// TCP/IP headers).
-pub const MSS_ETHERNET: u32 = 1448;
-
-/// MSS with 9000-byte jumbo frames.
-pub const MSS_JUMBO: u32 = 8948;
-
 /// Bytes of TCP/IP/Ethernet header overhead per wire frame.
 pub const HEADER_BYTES: u32 = 78;

@@ -55,12 +55,6 @@ impl ReassemblyQueue {
         self.ranges.len()
     }
 
-    /// End of the first missing range: the start of the earliest stored
-    /// out-of-order range, or 0 when nothing is parked (no known hole).
-    pub fn first_hole_end(&self) -> u64 {
-        self.ranges.first().map(|&(s, _)| s).unwrap_or(0)
-    }
-
     /// SACK blocks for the next outgoing ACK: the first stored
     /// out-of-order ranges (RFC 2018 prefers most-recently-received
     /// first; lowest-first conveys the same hole boundaries to our

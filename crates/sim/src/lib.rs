@@ -16,13 +16,13 @@
 //!   differential-testing oracle and benchmark baseline),
 //! * [`SimRng`] — a small, fast, seedable PRNG (SplitMix64 seeded
 //!   xoshiro256++) so simulations are bit-reproducible across platforms,
-//! * [`stats`] — streaming counters, mean/variance accumulators, and
-//!   fixed-resolution histograms used to build the paper's figures.
+//! * [`stats`] — fixed-resolution histograms used to build the paper's
+//!   figures.
 //!
 //! Each *run* of the engine is intentionally single-threaded: the paper's
 //! experiments are about *modeled* CPU parallelism (simulated cores), not
 //! host parallelism, and single-threaded execution keeps every run exactly
-//! reproducible. Host parallelism lives one level up — `hns-par` executes
+//! reproducible. Host parallelism lives one level up — `hns-core` executes
 //! independent runs of a figure sweep concurrently, which preserves that
 //! reproducibility because no engine state is shared between runs.
 
@@ -34,7 +34,7 @@ mod wheel;
 
 pub use event::{EventKey, EventQueue, HeapEventQueue, Lanes, Next, ScheduledEvent, MAX_LANES};
 pub use rng::SimRng;
-pub use stats::{Counter, Histogram, MeanVar, Percentiles};
+pub use stats::{Histogram, Percentiles};
 pub use time::{Duration, SimTime};
 
 /// Frequency of the simulated CPU cores, in cycles per second.

@@ -1,108 +1,9 @@
 //! Streaming statistics used to build the paper's figures.
 //!
-//! * [`Counter`] — a monotone u64 accumulator with a windowed-reset helper so
-//!   measurements can exclude warmup,
-//! * [`MeanVar`] — Welford online mean/variance,
 //! * [`Histogram`] — log-linear bucket histogram (HdrHistogram-style, two
 //!   decimal digits of precision) supporting percentile queries; used for the
 //!   NAPI→copy latency distribution (Fig. 3f) and the post-GRO skb size
 //!   distribution (Fig. 8c).
-
-/// A simple monotone counter.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct Counter(u64);
-
-impl Counter {
-    /// New counter at zero.
-    pub const fn new() -> Self {
-        Counter(0)
-    }
-
-    /// Add `n`.
-    #[inline]
-    pub fn add(&mut self, n: u64) {
-        self.0 += n;
-    }
-
-    /// Increment by one.
-    #[inline]
-    pub fn inc(&mut self) {
-        self.0 += 1;
-    }
-
-    /// Current value.
-    #[inline]
-    pub const fn get(self) -> u64 {
-        self.0
-    }
-
-    /// Reset to zero (used at the end of warmup).
-    #[inline]
-    pub fn reset(&mut self) {
-        self.0 = 0;
-    }
-}
-
-/// Welford online mean and variance.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct MeanVar {
-    n: u64,
-    mean: f64,
-    m2: f64,
-}
-
-impl MeanVar {
-    /// Empty accumulator.
-    pub const fn new() -> Self {
-        MeanVar {
-            n: 0,
-            mean: 0.0,
-            m2: 0.0,
-        }
-    }
-
-    /// Record one sample.
-    #[inline]
-    pub fn record(&mut self, x: f64) {
-        self.n += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.n as f64;
-        self.m2 += delta * (x - self.mean);
-    }
-
-    /// Number of samples.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Sample mean (0 if empty).
-    pub fn mean(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-
-    /// Sample variance (0 if fewer than two samples).
-    pub fn variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / (self.n - 1) as f64
-        }
-    }
-
-    /// Sample standard deviation.
-    pub fn stddev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Reset (end of warmup).
-    pub fn reset(&mut self) {
-        *self = MeanVar::new();
-    }
-}
 
 /// Percentile summary extracted from a [`Histogram`].
 #[derive(Clone, Copy, Debug, Default)]
@@ -290,35 +191,6 @@ impl Histogram {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_basics() {
-        let mut c = Counter::new();
-        c.inc();
-        c.add(9);
-        assert_eq!(c.get(), 10);
-        c.reset();
-        assert_eq!(c.get(), 0);
-    }
-
-    #[test]
-    fn meanvar_known_values() {
-        let mut mv = MeanVar::new();
-        for x in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
-            mv.record(x);
-        }
-        assert_eq!(mv.count(), 8);
-        assert!((mv.mean() - 5.0).abs() < 1e-9);
-        // Sample variance of that classic dataset is 32/7.
-        assert!((mv.variance() - 32.0 / 7.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn meanvar_empty_is_zero() {
-        let mv = MeanVar::new();
-        assert_eq!(mv.mean(), 0.0);
-        assert_eq!(mv.variance(), 0.0);
-    }
 
     #[test]
     fn bucket_index_monotone() {
