@@ -340,18 +340,22 @@ pub struct World {
     /// Reusable output buffer for GRO offer/flush in the softirq loop
     /// (avoids a `Vec` allocation per offered frame).
     gro_scratch: Vec<RxSkb>,
-    /// Per-skb lifecycle tracer (`hns-trace`). Disabled by default; every
-    /// hook below is a single branch on `trace.enabled()` and stamps never
-    /// charge cycles, so behaviour is identical with tracing on or off.
+    /// Per-skb lifecycle tracer (`hns-trace`), disabled by default. Hooks
+    /// call it unguarded: off, it hands out only `NO_SKB`, at which
+    /// `stamp`/`close` return. Only code holding no id (`drain_trace`,
+    /// `build_report`) asks whether it is on. Stamps never charge cycles,
+    /// so behaviour is identical with tracing on or off.
     trace: TraceCollector,
     /// Connection-lifecycle engine (`hns-conn`), present when the config
     /// carries a churn workload.
     churn: Option<Box<churn::ChurnEngine>>,
-    /// Invariant-auditor counters (`SimConfig::audit`); `None` keeps every
-    /// hook a single branch on the option.
+    /// Invariant-auditor counters (`SimConfig::audit`). Each hook is one
+    /// branch on the option: counter bumps through `audit.as_deref_mut()`,
+    /// and `audit_pop`/`audit_check`, which return at `None`.
     audit: Option<Box<audit::AuditState>>,
-    /// Streaming-telemetry fold (`SimConfig::monitor`); `None` keeps the
-    /// whole monitor path to one branch per autotune tick.
+    /// Streaming-telemetry fold (`SimConfig::monitor`). The code that
+    /// feeds it (`monitor_tick`, `drain_trace`, `end_warmup`) checks for it
+    /// itself; callers never do.
     monitor: Option<Box<hns_monitor::MonitorState>>,
     /// Live snapshot subscriber (`hostnet run --monitor-ms`). Called with
     /// each emitted interval snapshot; absent for batch runs, which read
@@ -652,7 +656,7 @@ impl World {
             }
         }
         if self.run_error.is_none() {
-            self.audit_teardown();
+            self.audit_check(true);
         }
         match self.run_error.take() {
             Some(e) => Err(e),
@@ -853,7 +857,7 @@ impl World {
         let cd = &mut self.hosts[h].cores[core];
         cd.breakdown += ch.0;
         cd.usage.add_busy(cycles_to_time(ch.total()));
-        if let Some(a) = self.audit_mut() {
+        if let Some(a) = self.audit.as_deref_mut() {
             a.charge_calls[h] += 1;
         }
     }
@@ -882,7 +886,7 @@ impl World {
         cd.breakdown += charges.0;
         let span = cycles_to_time(charges.total());
         cd.usage.add_busy(span);
-        if let Some(a) = self.audit_mut() {
+        if let Some(a) = self.audit.as_deref_mut() {
             a.charge_calls[h] += 1;
         }
         self.queue.schedule_after(
@@ -1000,29 +1004,19 @@ impl World {
                         seg.ecn_ce,
                         retransmit,
                     );
-                    if self.trace.enabled() {
-                        skb.trace = seg.trace;
+                    skb.trace = seg.trace;
+                    self.trace
+                        .stamp(seg.trace, seg.flow, StageId::Napi, h, core, now);
+                    if dp.busy_polls() {
                         self.trace
-                            .stamp(seg.trace, seg.flow, StageId::Napi, h, core, now);
-                        if dp.busy_polls() {
-                            self.trace.stamp(
-                                seg.trace,
-                                seg.flow,
-                                StageId::BypassPoll,
-                                h,
-                                core,
-                                now,
-                            );
-                        }
+                            .stamp(seg.trace, seg.flow, StageId::BypassPoll, h, core, now);
                     }
                     if dp.rx_aggregates(&self.cfg.stack) {
                         if dp.rx_aggregation_charged(&self.cfg.stack) {
                             ch.add(Category::NetDevice, self.cost.gro_per_frame);
                         }
-                        if self.trace.enabled() {
-                            self.trace
-                                .stamp(seg.trace, seg.flow, StageId::Gro, h, core, now);
-                        }
+                        self.trace
+                            .stamp(seg.trace, seg.flow, StageId::Gro, h, core, now);
                         let mut flushed = std::mem::take(&mut self.gro_scratch);
                         let absorbed = self.hosts[h].cores[core].gro.offer_into(
                             skb,
@@ -1030,7 +1024,7 @@ impl World {
                             &mut self.frag_pool,
                             &mut flushed,
                         );
-                        if absorbed && self.trace.enabled() {
+                        if absorbed {
                             // A merged frame's timeline ends here; the
                             // aggregate continues under the head frame's id.
                             self.trace.close(seg.trace);
@@ -1049,10 +1043,8 @@ impl World {
             }
             self.hosts[h].cores[core].budget_used += 1;
         }
-        if batch > 0 {
-            if let Some(a) = self.audit_mut() {
-                a.polled[h] += batch as u64;
-            }
+        if let Some(a) = self.audit.as_deref_mut() {
+            a.polled[h] += batch as u64;
         }
 
         // Driver replenishes this core's Rx ring for the descriptors we
@@ -1101,14 +1093,8 @@ impl World {
             self.hosts[h].skb_sizes.record(skb.len as u64);
         }
         let dp = self.dp;
-        if self.trace.enabled() {
-            self.trace
-                .stamp(skb.trace, skb.flow, StageId::TcpRx, h, core, now);
-            if dp.charges_descriptors() && !dp.busy_polls() {
-                self.trace
-                    .stamp(skb.trace, skb.flow, StageId::ToeComplete, h, core, now);
-            }
-        }
+        self.trace
+            .stamp(skb.trace, skb.flow, StageId::TcpRx, h, core, now);
         let fid = skb.flow as usize;
         if dp.charges_protocol() {
             ch.add(
@@ -1131,6 +1117,8 @@ impl World {
         } else if dp.charges_descriptors() && !dp.busy_polls() {
             // TOE: one completion descriptor per (NIC-aggregated) delivery
             // replaces the entire driver + skb + GRO + TCP-rx pipeline.
+            self.trace
+                .stamp(skb.trace, skb.flow, StageId::ToeComplete, h, core, now);
             ch.add(Category::NetDevice, self.cost.toe_rx_desc);
         }
 
@@ -1162,10 +1150,8 @@ impl World {
             // In-order or out-of-order: park the skb in sequence order.
             // The queue is kept sorted by seq, so a back-to-front scan
             // finds the insertion point in O(1) for in-order traffic.
-            if self.trace.enabled() {
-                self.trace
-                    .stamp(skb.trace, skb.flow, StageId::SockQueue, h, core, now);
-            }
+            self.trace
+                .stamp(skb.trace, skb.flow, StageId::SockQueue, h, core, now);
             let f = &mut self.flows[fid];
             let pos = f
                 .rx_queue
@@ -1318,11 +1304,9 @@ impl World {
     /// the statistical sender L3 model, or — with `MSG_ZEROCOPY` (§4) —
     /// per-page pinning plus a completion notification.
     fn charge_sender_copy(&mut self, fid: usize, bytes: u64, ch: &mut Charges) {
-        if self.trace.enabled() {
-            // Remember the write instant so frames emitted from these bytes
-            // can stamp AppWrite/CopyIn retroactively.
-            self.flows[fid].last_write_at = self.queue.now();
-        }
+        // Remember the write instant so traced frames emitted from these
+        // bytes can stamp AppWrite/CopyIn retroactively.
+        self.flows[fid].last_write_at = self.queue.now();
         if !self.dp.charges_copies() {
             // Bypass transmits straight from pre-registered user buffers.
             return;
@@ -1399,11 +1383,9 @@ impl World {
             if self.measuring {
                 self.hosts[h].napi_to_copy_ns.record(lat_sample.as_nanos());
             }
-            if self.trace.enabled() {
-                // End of life: the payload reached user space.
-                self.trace
-                    .stamp(skb.trace, skb.flow, StageId::RecvCopy, h, core, now);
-            }
+            // End of life: the payload reached user space.
+            self.trace
+                .stamp(skb.trace, skb.flow, StageId::RecvCopy, h, core, now);
             self.flows[fid].sample_host_latency(lat_sample);
             self.consume_skb(h, core, skb, effective, ch);
             copied += effective;
@@ -1780,16 +1762,14 @@ impl World {
         let mut off = 0u64;
         let frames = tso::segment(len, mss).map(|flen| {
             let mut frame_seg = Segment::data(fid as FlowId, seq0 + off, flen, rtx);
-            if trace.enabled() {
-                let tid = trace.alloc(fid as u64);
-                if tid != hns_trace::NO_SKB {
-                    frame_seg.trace = tid;
-                    trace.stamp(tid, fid as u64, StageId::AppWrite, h, queue, wrote);
-                    trace.stamp(tid, fid as u64, StageId::CopyIn, h, queue, wrote);
-                    trace.stamp(tid, fid as u64, StageId::TcpTx, h, queue, now);
-                    trace.stamp(tid, fid as u64, StageId::Gso, h, queue, now);
-                    trace.stamp(tid, fid as u64, StageId::Qdisc, h, queue, now);
-                }
+            let tid = trace.alloc(fid as u64);
+            if tid != hns_trace::NO_SKB {
+                frame_seg.trace = tid;
+                trace.stamp(tid, fid as u64, StageId::AppWrite, h, queue, wrote);
+                trace.stamp(tid, fid as u64, StageId::CopyIn, h, queue, wrote);
+                trace.stamp(tid, fid as u64, StageId::TcpTx, h, queue, now);
+                trace.stamp(tid, fid as u64, StageId::Gso, h, queue, now);
+                trace.stamp(tid, fid as u64, StageId::Qdisc, h, queue, now);
             }
             off += flen as u64;
             (flen, slab.park(frame_seg))
@@ -1874,7 +1854,9 @@ impl World {
                     // transmit call.
                     self.descrings[h].complete(1);
                 }
-                if self.trace.enabled() && !is_conn {
+                // An untraced frame never loads its flow's `src_core`.
+                let traced = tid != hns_trace::NO_SKB && !is_conn;
+                if traced {
                     let core = self.flows[flow as usize].spec.src_core as usize;
                     self.trace.stamp(tid, flow, StageId::NicTx, h, core, now);
                 }
@@ -1882,7 +1864,7 @@ impl World {
                 match self.wire.transmit(h, dst, flow, now, wire) {
                     TransmitOutcome::Delivered { arrives, ce } => {
                         self.in_flight.segs[slot as usize].ecn_ce |= ce;
-                        if self.trace.enabled() && !is_conn {
+                        if traced {
                             let core = self.flows[flow as usize].spec.src_core as usize;
                             self.trace.stamp(tid, flow, StageId::Wire, h, core, now);
                         }
@@ -1934,7 +1916,7 @@ impl World {
         let seg = &self.in_flight.segs[slot as usize];
         let (flow, tid) = (seg.flow, seg.trace);
         let fid = flow as usize;
-        if let Some(a) = self.audit_mut() {
+        if let Some(a) = self.audit.as_deref_mut() {
             a.arrived[dst] += 1;
         }
         // Steering decides the queue; the frame consumes a descriptor of
@@ -1948,7 +1930,7 @@ impl World {
                     // Connection torn down while the frame was in flight: a
                     // late retransmit with no socket to land on.
                     self.in_flight.release(slot);
-                    if let Some(a) = self.audit_mut() {
+                    if let Some(a) = self.audit.as_deref_mut() {
                         a.stale_frames[dst] += 1;
                     }
                     return;
@@ -1962,7 +1944,7 @@ impl World {
         if cap > 0 && self.hosts[dst].cores[target_core as usize].backlog.len() >= cap {
             self.in_flight.release(slot);
             self.drop_stats.gro_overflow += 1;
-            if let Some(a) = self.audit_mut() {
+            if let Some(a) = self.audit.as_deref_mut() {
                 a.backlog_drops[dst] += 1;
             }
             return;
@@ -1998,11 +1980,9 @@ impl World {
             // modeled inline): no page-arena buffer, no GRO, no DCA.
             SegmentKind::Conn { .. } => (target_core, None),
         };
-        if self.trace.enabled() {
-            // Descriptor accepted and DMA'd: the frame is in host memory.
-            self.trace
-                .stamp(tid, flow, StageId::RxDma, dst, core as usize, now);
-        }
+        // Descriptor accepted and DMA'd: the frame is in host memory.
+        self.trace
+            .stamp(tid, flow, StageId::RxDma, dst, core as usize, now);
         let host = &mut self.hosts[dst];
         host.cores[core as usize].backlog.push_back(PendingFrame {
             slot,
@@ -2022,13 +2002,11 @@ impl World {
                 now + IRQ_LATENCY + self.cfg.irq_coalesce
             };
             self.lane_push(IRQ_LANE, fires, irq_value(dst, core));
-            if self.trace.enabled() {
-                // Only the frame that actually raised the interrupt gets an
-                // IRQ stamp; frames batched under NAPI masking wait in the
-                // backlog and their RxDma→Napi residency shows it.
-                self.trace
-                    .stamp(tid, flow, StageId::Irq, dst, core as usize, fires);
-            }
+            // Only the frame that actually raised the interrupt gets an
+            // IRQ stamp; frames batched under NAPI masking wait in the
+            // backlog and their RxDma→Napi residency shows it.
+            self.trace
+                .stamp(tid, flow, StageId::Irq, dst, core as usize, fires);
         }
     }
 
@@ -2205,9 +2183,7 @@ impl World {
             let t = self.queue.now().since(self.window_start).as_secs_f64();
             let gbps = self.tick_bytes as f64 * 8.0 / 1e9 / AUTOTUNE_INTERVAL.as_secs_f64();
             self.gbps_timeline.push((t, gbps));
-            if self.monitor.is_some() {
-                self.monitor_tick(self.tick_bytes);
-            }
+            self.monitor_tick(self.tick_bytes);
             self.tick_bytes = 0;
         }
         let prop = self.cfg.link.propagation;
@@ -2219,7 +2195,7 @@ impl World {
                 .on_copied(copied, AUTOTUNE_INTERVAL, hint);
         }
         self.check_watchdog();
-        self.audit_tick();
+        self.audit_check(false);
         self.queue
             .schedule_after(AUTOTUNE_INTERVAL, Event::AutotuneTick);
     }
@@ -2243,20 +2219,21 @@ impl World {
 
     /// Fold one measuring autotune tick into the streaming monitor: account
     /// delivered bytes and the drop/conn counter samples, and cut a
-    /// snapshot when an emission interval has elapsed.
+    /// snapshot when an emission interval has elapsed. A no-op without a
+    /// monitor; one is held out of `self.monitor` while the counters are
+    /// read.
     fn monitor_tick(&mut self, tick_bytes: u64) {
-        let now = self.queue.now();
-        let drops = self.drop_stats.since(self.drop_baseline);
-        let conn = self.monitor_counters();
-        let Some(mon) = self.monitor.as_deref_mut() else {
+        let Some(mut mon) = self.monitor.take() else {
             return;
         };
+        let drops = self.drop_stats.since(self.drop_baseline);
         mon.record_bytes(tick_bytes);
-        if let Some(snapshot) = mon.on_tick(now, drops, conn) {
+        if let Some(snapshot) = mon.on_tick(self.queue.now(), drops, self.monitor_counters()) {
             if let Some(emit) = self.monitor_emit.as_mut() {
                 emit(&snapshot);
             }
         }
+        self.monitor = Some(mon);
     }
 
     /// Stall tripwire, evaluated once per autotune tick: if the progress
@@ -2317,18 +2294,16 @@ impl World {
         self.wire_drop_baseline = self.wire.loss_drops();
         self.ring_drop_baseline = self.hosts.iter().map(|h| h.ring_drops()).sum();
         self.drop_baseline = self.drop_stats;
-        if self.monitor.is_some() {
+        if let Some(mut mon) = self.monitor.take() {
             // Open the monitor's window with baselines pinned at "now":
             // drops are reported window-relative (zero here) and conn
             // counters are sampled so the first interval's deltas start
             // from this instant. The tracer folds no warmup residency, so
             // there is nothing to discard.
-            let conn = self.monitor_counters();
-            if let Some(mon) = self.monitor.as_deref_mut() {
-                mon.begin_window(now, DropStats::new(), conn);
-            }
+            mon.begin_window(now, DropStats::new(), self.monitor_counters());
+            self.monitor = Some(mon);
         }
-        if let Some(a) = self.audit_mut() {
+        if let Some(a) = self.audit.as_deref_mut() {
             // The cycle ledger's two sides (usage clocks, breakdowns) just
             // reset with the measurement window; its rounding-slack bound
             // restarts with them.
@@ -2514,11 +2489,12 @@ mod tests {
 
     /// The churn engine's `trace_sample` is a connection's only draw: one
     /// connection in N is traced, not one in N² through the tracer's own
-    /// skb sampling.
+    /// skb sampling. A flow filter that admits no connection leaves every
+    /// connection untraced: no id, no `TRACED` flag, no map entry.
     #[test]
     fn churn_traces_one_connection_in_trace_sample() {
         use hns_conn::{ChurnConfig, ChurnMode};
-        for n in [1, 8] {
+        for (n, flow) in [(1, None), (8, None), (1, Some(u64::MAX - 1))] {
             let mut w = World::new(SimConfig {
                 churn: Some(ChurnConfig {
                     mode: ChurnMode::HandshakeOnly,
@@ -2527,14 +2503,28 @@ mod tests {
                 }),
                 trace: hns_trace::TraceConfig {
                     sample_every: n,
+                    flow,
                     ..hns_trace::TraceConfig::enabled()
                 },
                 ..SimConfig::default()
             });
             w.run(Duration::from_millis(2), Duration::from_millis(8));
-            let arrivals = w.churn.as_ref().expect("churn engine").arrival_seq;
+            let eng = w.churn.as_ref().expect("churn engine");
+            let arrivals = eng.arrival_seq;
             assert!(arrivals > 500, "{arrivals} arrivals");
-            assert_eq!(w.trace.skbs(), arrivals.div_ceil(n as u64), "N = {n}");
+            let want = if flow.is_some() {
+                0
+            } else {
+                arrivals.div_ceil(n as u64)
+            };
+            assert_eq!(w.trace.skbs(), want, "N = {n}, flow {flow:?}");
+            if flow.is_some() {
+                assert!(
+                    eng.traced.is_empty(),
+                    "{} refused ids kept",
+                    eng.traced.len()
+                );
+            }
         }
     }
 

@@ -127,12 +127,6 @@ impl AuditState {
 }
 
 impl World {
-    /// The audit counters, when audit mode is on.
-    #[inline]
-    pub(super) fn audit_mut(&mut self) -> Option<&mut AuditState> {
-        self.audit.as_deref_mut()
-    }
-
     /// Event-time monotonicity, checked on every pop of the event loop.
     #[inline]
     pub(super) fn audit_pop(&mut self, t: SimTime) {
@@ -151,23 +145,15 @@ impl World {
         }
     }
 
-    /// Quiesce-point audit, run from every autotune tick.
-    pub(super) fn audit_tick(&mut self) {
-        if self.audit.is_some() {
-            self.audit_check(false);
+    /// Collect violations and trip the watchdog on the first imbalance; a
+    /// no-op unless audit mode is on. Runs at every autotune tick (a
+    /// quiesce point) and, with `teardown`, once after the event loop
+    /// drains, which adds the cross-layer drop reconciliation and the churn
+    /// table.
+    pub(super) fn audit_check(&mut self, teardown: bool) {
+        if self.audit.is_none() {
+            return;
         }
-    }
-
-    /// Teardown audit, run after the event loop drains: everything the tick
-    /// checks plus the cross-layer drop reconciliation and churn table.
-    pub(super) fn audit_teardown(&mut self) {
-        if self.audit.is_some() {
-            self.audit_check(true);
-        }
-    }
-
-    /// Collect violations and trip the watchdog on the first imbalance.
-    fn audit_check(&mut self, teardown: bool) {
         let violations = self.collect_violations(teardown);
         if let Some(v) = violations.first() {
             let detail = if violations.len() > 1 {

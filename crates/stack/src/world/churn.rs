@@ -122,7 +122,7 @@ pub(crate) struct ChurnEngine {
     pub(crate) aborts_prewindow: u64,
     /// Lifecycle-trace ids of the sampled connections (the records with
     /// `Conn::TRACED`), by packed id: only they need one.
-    traced: HashMap<u64, u64>,
+    pub(super) traced: HashMap<u64, u64>,
     /// The idle reaper's scan buffer, reused across ticks.
     reap_buf: Vec<ConnId>,
 }
@@ -470,27 +470,23 @@ impl World {
         // (the collector's own skb sampling does not apply twice); the
         // whole connection shares one timeline id (SynTx → … →
         // TimeWaitReap).
-        let tid = if self.trace.enabled()
-            && ccfg.trace_sample > 0
-            && seq.is_multiple_of(ccfg.trace_sample as u64)
-        {
-            let tid = self.trace.alloc_sampled(raw);
-            eng.conn(raw).flags |= Conn::TRACED;
-            eng.traced.insert(raw, tid);
-            tid
+        let tid = if ccfg.trace_sample > 0 && seq.is_multiple_of(ccfg.trace_sample as u64) {
+            self.trace.alloc_sampled(raw)
         } else {
             hns_trace::NO_SKB
         };
+        if tid != hns_trace::NO_SKB {
+            eng.conn(raw).flags |= Conn::TRACED;
+            eng.traced.insert(raw, tid);
+        }
 
         let cc = eng.cost;
         let mut ch = Charges::default();
         ch.add(Category::Memory, cc.socket_alloc);
         ch.add(Category::TcpIp, cc.syn_tx);
         ch.add(Category::Lock, cc.conn_lock);
-        if self.trace.enabled() {
-            self.trace
-                .stamp(tid, raw, StageId::SynTx, CLIENT_HOST, client_core, now);
-        }
+        self.trace
+            .stamp(tid, raw, StageId::SynTx, CLIENT_HOST, client_core, now);
         let syn = Segment::conn(raw, ConnPhase::Syn);
         self.send_ctl(eng, CLIENT_HOST, client_core, syn, &mut ch);
         self.charge_direct(CLIENT_HOST, client_core, ch);
@@ -515,10 +511,8 @@ impl World {
         let mut ch = Charges::default();
         ch.add(Category::TcpIp, eng.cost.fin_tx);
         ch.add(Category::Lock, eng.cost.conn_lock);
-        if self.trace.enabled() {
-            self.trace
-                .stamp(tid, raw, StageId::FinTx, CLIENT_HOST, core, now);
-        }
+        self.trace
+            .stamp(tid, raw, StageId::FinTx, CLIENT_HOST, core, now);
         let fin = Segment::conn(raw, ConnPhase::Fin);
         self.send_ctl(eng, CLIENT_HOST, core, fin, &mut ch);
         self.charge_direct(CLIENT_HOST, core, ch);
@@ -557,10 +551,8 @@ impl World {
             ch.add(Category::Sched, cc.epoll_wakeup);
         }
         ch.add(Category::Sched, cc.epoll_dispatch);
-        if self.trace.enabled() {
-            self.trace
-                .stamp(tid, raw, StageId::ConnAccept, SERVER_HOST, core, now);
-        }
+        self.trace
+            .stamp(tid, raw, StageId::ConnAccept, SERVER_HOST, core, now);
     }
 
     /// Try to promote the server half to Established on a handshake-
@@ -652,10 +644,8 @@ impl World {
                 .handshake_ns
                 .record(now.since(opened_at).as_nanos());
         }
-        if self.trace.enabled() {
-            self.trace
-                .stamp(tid, raw, StageId::SynAckRx, CLIENT_HOST, core, now);
-        }
+        self.trace
+            .stamp(tid, raw, StageId::SynAckRx, CLIENT_HOST, core, now);
         match ccfg.mode {
             ChurnMode::HandshakeOnly => {
                 let phase = if cookie {
@@ -913,11 +903,9 @@ impl World {
                 c.last_seen = now;
                 let flags = c.flags;
                 ch.add(Category::Memory, cc.socket_alloc);
-                if self.trace.enabled() {
-                    let tid = eng.trace_id(raw, flags);
-                    self.trace
-                        .stamp(tid, raw, StageId::SynRx, SERVER_HOST, core, now);
-                }
+                let tid = eng.trace_id(raw, flags);
+                self.trace
+                    .stamp(tid, raw, StageId::SynRx, SERVER_HOST, core, now);
                 ch.add(Category::TcpIp, cc.synack_tx);
                 let syn_ack = Segment::conn(raw, ConnPhase::SynAck);
                 self.send_ctl(eng, SERVER_HOST, core, syn_ack, ch);
@@ -1067,10 +1055,8 @@ impl World {
             ch.add(Category::TcpIp, cc.timewait_reap);
             ch.add(Category::Memory, cc.sock_free);
             ch.add(Category::Lock, cc.conn_lock);
-            if self.trace.enabled() {
-                self.trace
-                    .stamp(tid, raw, StageId::TimeWaitReap, CLIENT_HOST, core, now);
-            }
+            self.trace
+                .stamp(tid, raw, StageId::TimeWaitReap, CLIENT_HOST, core, now);
             eng.stats.closed += 1;
             self.charge_direct(CLIENT_HOST, core, ch);
         }

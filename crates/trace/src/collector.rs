@@ -163,7 +163,9 @@ impl TraceCollector {
     /// an id with no open entry.
     #[inline]
     pub fn close(&mut self, skb: SkbId) {
-        self.open.remove(&skb);
+        if skb != NO_SKB {
+            self.open.remove(&skb);
+        }
     }
 
     /// Decide whether to trace the next emitted skb of `flow`, and hand out
@@ -206,7 +208,7 @@ impl TraceCollector {
 
     /// Stamp `skb` crossing `stage` on (`host`, `core`) at `t`. No-op for
     /// [`NO_SKB`] — callers pass the id through unconditionally and this
-    /// single branch keeps the disabled path free.
+    /// single branch, inlined into the caller, keeps the disabled path free.
     #[inline]
     pub fn stamp(
         &mut self,
@@ -217,9 +219,23 @@ impl TraceCollector {
         core: usize,
         t: SimTime,
     ) {
-        if skb == NO_SKB {
-            return;
+        if skb != NO_SKB {
+            self.record(skb, flow, stage, host, core, t);
         }
+    }
+
+    /// [`Self::stamp`] for a traced skb, kept out of line so that an
+    /// untraced hook costs its caller the branch and no call.
+    #[inline(never)]
+    fn record(
+        &mut self,
+        skb: SkbId,
+        flow: u64,
+        stage: StageId,
+        host: usize,
+        core: usize,
+        t: SimTime,
+    ) {
         let idx = host * self.cores_per_host + core;
         debug_assert!(idx < self.rings.len(), "trace ring index out of range");
         if let Some(ring) = self.rings.get_mut(idx) {
