@@ -378,6 +378,10 @@ pub fn check_case(
             let base = run_report(&e)?;
             let mut traced = e.clone();
             traced.cfg.trace = hns_trace::TraceConfig::enabled();
+            if let ScenarioKind::Churn { churn } = &mut traced.scenario {
+                // Trace every connection's lifecycle too, not only skbs.
+                churn.trace_sample = 1;
+            }
             let mut tr = run_report(&traced)?;
             // The trace-only report keys are expected to differ; everything
             // else must be byte-identical.

@@ -5,7 +5,9 @@
 //! number in the report — and the exports must be deterministic enough
 //! to diff across runs.
 
-use hostnet::building_blocks::trace::{export, TraceConfig};
+use hostnet::building_blocks::stack::DatapathKind;
+use hostnet::building_blocks::trace::{export, StageId, TraceConfig};
+use hostnet::building_blocks::workload;
 use hostnet::{Experiment, ScenarioKind};
 
 fn untraced() -> Experiment {
@@ -13,7 +15,11 @@ fn untraced() -> Experiment {
 }
 
 fn traced(sample_every: u32) -> Experiment {
-    untraced().configure(|c| {
+    with_trace(untraced(), sample_every)
+}
+
+fn with_trace(exp: Experiment, sample_every: u32) -> Experiment {
+    exp.configure(|c| {
         c.trace = TraceConfig {
             sample_every,
             ..TraceConfig::enabled()
@@ -51,20 +57,50 @@ fn full_tracing_has_zero_simulated_overhead() {
 
 /// With tracing off the report must be byte-identical to one from a
 /// traced run once the trace-only fields are cleared — i.e. tracing
-/// adds keys, it never perturbs existing ones.
+/// adds keys, it never perturbs existing ones. Each case names a stage
+/// only its path stamps, so the comparison covers that hook: the TOE
+/// completion, the bypass poll and a traced connection's lifecycle.
 #[test]
 fn traced_report_differs_only_in_trace_fields() {
-    let off = untraced().run();
-    let mut on = traced(1).run();
+    let mut churn = workload::churn_short_rpc(50_000.0, 4096);
+    churn.trace_sample = 4;
+    let datapath = |kind| untraced().configure(move |c| c.datapath = kind);
+    let cases = [
+        ("in-kernel", untraced(), StageId::Gro),
+        (
+            "toe",
+            datapath(DatapathKind::ToeOffload),
+            StageId::ToeComplete,
+        ),
+        (
+            "bypass",
+            datapath(DatapathKind::UserBypass),
+            StageId::BypassPoll,
+        ),
+        (
+            "churn",
+            Experiment::new(ScenarioKind::Churn { churn }).quick(),
+            StageId::SynTx,
+        ),
+    ];
+    for (name, exp, stage) in cases {
+        let off = exp.clone().run();
+        let mut on = with_trace(exp, 1).run();
 
-    assert!(!on.stage_latency.is_empty());
-    on.stage_latency.clear();
-    on.trace_overflow = 0;
-    assert_eq!(
-        off.to_json(),
-        on.to_json(),
-        "tracing must not drift any non-trace report field"
-    );
+        assert!(
+            on.stage_latency.iter().any(|s| s.stage == stage.label()),
+            "{name}: no {} residency in {:?}",
+            stage.label(),
+            on.stage_latency
+        );
+        on.stage_latency.clear();
+        on.trace_overflow = 0;
+        assert_eq!(
+            off.to_json(),
+            on.to_json(),
+            "{name}: tracing must not drift any non-trace report field"
+        );
+    }
 }
 
 /// JSONL export: deterministic under a fixed seed (replay/diff-able)
