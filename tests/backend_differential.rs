@@ -16,17 +16,22 @@
 
 use hostnet::building_blocks::core_figures as figures;
 use hostnet::building_blocks::metrics::Category;
+use hostnet::building_blocks::stack::config::RcvBufPolicy;
 use hostnet::building_blocks::stack::DatapathKind;
 use hostnet::{Experiment, Report, ScenarioKind};
 
-/// Matched-config audited runs: same scenario, seed and windows, one run
-/// per backend, every conservation ledger checked at quiesce/teardown.
-fn matched_runs(scenario: ScenarioKind) -> Vec<(DatapathKind, Report)> {
+/// Matched-config audited runs: same scenario, seed, windows and receive
+/// buffer, one run per backend, every conservation ledger checked at
+/// quiesce/teardown.
+fn matched_runs(scenario: ScenarioKind, rcvbuf: RcvBufPolicy) -> Vec<(DatapathKind, Report)> {
     DatapathKind::ALL
         .into_iter()
         .map(|kind| {
             let r = Experiment::new(scenario)
-                .configure(|c| c.datapath = kind)
+                .configure(|c| {
+                    c.datapath = kind;
+                    c.stack.rcvbuf = rcvbuf;
+                })
                 .quick()
                 .audited()
                 .try_run()
@@ -59,7 +64,7 @@ fn check_accounting(kind: DatapathKind, r: &Report) {
 #[test]
 fn backends_conserve_bytes_and_accounting_under_audit() {
     for scenario in [ScenarioKind::Single, ScenarioKind::OneToOne { flows: 4 }] {
-        for (kind, r) in matched_runs(scenario) {
+        for (kind, r) in matched_runs(scenario, RcvBufPolicy::Auto) {
             check_accounting(kind, &r);
         }
     }
@@ -68,7 +73,7 @@ fn backends_conserve_bytes_and_accounting_under_audit() {
 #[test]
 fn goodput_per_core_orders_bypass_toe_inkernel() {
     for scenario in [ScenarioKind::Single, ScenarioKind::OneToOne { flows: 4 }] {
-        let runs = matched_runs(scenario);
+        let runs = matched_runs(scenario, RcvBufPolicy::Auto);
         let per_core = |k: DatapathKind| {
             runs.iter()
                 .find(|(kind, _)| *kind == k)
@@ -86,44 +91,53 @@ fn goodput_per_core_orders_bypass_toe_inkernel() {
     }
 }
 
+/// A pinned 64 KB receive buffer closes the window and reopens it with an
+/// explicit window update, whose ACK generation is protocol work: the
+/// offload backends must not pay for it either.
 #[test]
 fn taxonomies_collapse_per_backend_contract() {
-    for (kind, r) in matched_runs(ScenarioKind::Single) {
-        let total = |cat: Category| r.sender.breakdown[cat] + r.receiver.breakdown[cat];
-        match kind {
-            DatapathKind::InKernel => {
-                for cat in [
-                    Category::DataCopy,
-                    Category::TcpIp,
-                    Category::SkbMgmt,
-                    Category::Memory,
-                ] {
-                    assert!(total(cat) > 0, "inkernel: {} cycles missing", cat.label());
-                }
+    for rcvbuf in [RcvBufPolicy::Auto, RcvBufPolicy::Fixed(64 * 1024)] {
+        for (kind, r) in matched_runs(ScenarioKind::Single, rcvbuf) {
+            check_taxonomy(kind, &r);
+        }
+    }
+}
+
+fn check_taxonomy(kind: DatapathKind, r: &Report) {
+    let total = |cat: Category| r.sender.breakdown[cat] + r.receiver.breakdown[cat];
+    match kind {
+        DatapathKind::InKernel => {
+            for cat in [
+                Category::DataCopy,
+                Category::TcpIp,
+                Category::SkbMgmt,
+                Category::Memory,
+            ] {
+                assert!(total(cat) > 0, "inkernel: {} cycles missing", cat.label());
             }
-            DatapathKind::ToeOffload => {
-                // Protocol, skb and memory management moved on-NIC; the
-                // host keeps copies, syscalls (Etc) and descriptor work.
-                assert!(total(Category::DataCopy) > 0, "toe: copies are host work");
-                assert!(total(Category::Etc) > 0, "toe: syscalls are host work");
-                assert!(total(Category::NetDevice) > 0, "toe: descriptor work");
-                assert_eq!(total(Category::TcpIp), 0, "toe: protocol on-NIC");
-                assert_eq!(total(Category::SkbMgmt), 0, "toe: no host skbs");
-                assert_eq!(total(Category::Memory), 0, "toe: preregistered pools");
-            }
-            DatapathKind::UserBypass => {
-                // Zero-copy busy-poll: only descriptor/polling work (plus
-                // scheduling) survives on the host.
-                assert!(total(Category::NetDevice) > 0, "bypass: polling work");
-                for cat in [
-                    Category::DataCopy,
-                    Category::TcpIp,
-                    Category::SkbMgmt,
-                    Category::Memory,
-                    Category::Etc,
-                ] {
-                    assert_eq!(total(cat), 0, "bypass: {} must be zero", cat.label());
-                }
+        }
+        DatapathKind::ToeOffload => {
+            // Protocol, skb and memory management moved on-NIC; the
+            // host keeps copies, syscalls (Etc) and descriptor work.
+            assert!(total(Category::DataCopy) > 0, "toe: copies are host work");
+            assert!(total(Category::Etc) > 0, "toe: syscalls are host work");
+            assert!(total(Category::NetDevice) > 0, "toe: descriptor work");
+            assert_eq!(total(Category::TcpIp), 0, "toe: protocol on-NIC");
+            assert_eq!(total(Category::SkbMgmt), 0, "toe: no host skbs");
+            assert_eq!(total(Category::Memory), 0, "toe: preregistered pools");
+        }
+        DatapathKind::UserBypass => {
+            // Zero-copy busy-poll: only descriptor/polling work (plus
+            // scheduling) survives on the host.
+            assert!(total(Category::NetDevice) > 0, "bypass: polling work");
+            for cat in [
+                Category::DataCopy,
+                Category::TcpIp,
+                Category::SkbMgmt,
+                Category::Memory,
+                Category::Etc,
+            ] {
+                assert_eq!(total(cat), 0, "bypass: {} must be zero", cat.label());
             }
         }
     }
