@@ -489,7 +489,7 @@ impl World {
             .stamp(tid, raw, StageId::SynTx, CLIENT_HOST, client_core, now);
         let syn = Segment::conn(raw, ConnPhase::Syn);
         self.send_ctl(eng, CLIENT_HOST, client_core, syn, &mut ch);
-        self.charge_direct(CLIENT_HOST, client_core, ch);
+        self.charge_core(CLIENT_HOST, client_core, ch);
         self.arm_conn_rto(eng, raw, ccfg.syn_rto);
     }
 
@@ -515,7 +515,7 @@ impl World {
             .stamp(tid, raw, StageId::FinTx, CLIENT_HOST, core, now);
         let fin = Segment::conn(raw, ConnPhase::Fin);
         self.send_ctl(eng, CLIENT_HOST, core, fin, &mut ch);
-        self.charge_direct(CLIENT_HOST, core, ch);
+        self.charge_core(CLIENT_HOST, core, ch);
         self.arm_conn_rto(eng, raw, eng.cfg.syn_rto);
     }
 
@@ -993,7 +993,7 @@ impl World {
             eng.release_server_half(c.server);
             ch.add(Category::Memory, cc.sock_free);
             ch.add(Category::Lock, cc.conn_lock);
-            self.charge_direct(CLIENT_HOST, core, ch);
+            self.charge_core(CLIENT_HOST, core, ch);
             return;
         }
 
@@ -1012,7 +1012,7 @@ impl World {
         ch.add(Category::TcpIp, tx);
         eng.stats.syn_retransmits += 1;
         self.send_ctl(eng, CLIENT_HOST, core, seg, &mut ch);
-        self.charge_direct(CLIENT_HOST, core, ch);
+        self.charge_core(CLIENT_HOST, core, ch);
         let backoff = ccfg.syn_rto * (1u64 << retries.min(10) as u32);
         self.arm_conn_rto(eng, raw, backoff);
     }
@@ -1034,7 +1034,7 @@ impl World {
         if pending & Conn::REQ_PENDING != 0 {
             let mut ch = Charges::default();
             self.conn_send_request(eng, core, raw, &mut ch);
-            self.charge_direct(CLIENT_HOST, core, ch);
+            self.charge_core(CLIENT_HOST, core, ch);
             self.arm_conn_rto(eng, raw, eng.cfg.syn_rto);
         } else {
             self.client_close(eng, raw);
@@ -1058,7 +1058,7 @@ impl World {
             self.trace
                 .stamp(tid, raw, StageId::TimeWaitReap, CLIENT_HOST, core, now);
             eng.stats.closed += 1;
-            self.charge_direct(CLIENT_HOST, core, ch);
+            self.charge_core(CLIENT_HOST, core, ch);
         }
         self.queue
             .schedule_after(eng.cfg.reap_interval, Event::TimeWaitTick);
@@ -1091,7 +1091,7 @@ impl World {
             ch.add(Category::Memory, cc.sock_free);
             ch.add(Category::Etc, cc.epoll_ctl);
             ch.add(Category::Lock, cc.conn_lock);
-            self.charge_direct(SERVER_HOST, core, ch);
+            self.charge_core(SERVER_HOST, core, ch);
         }
         eng.reap_buf = victims;
         self.queue
