@@ -11,9 +11,10 @@
 //! so JSON in and CSV out are held byte-for-byte too. One audited
 //! latency-spike run is pinned on its own (`single_latency_spike.json`).
 //! Every point of every registered figure, at `--quick` windows, plus one
-//! pool-mode churn point and one monitored, traced capacity point, is
-//! pinned by an FNV-64 digest of its report JSON (`figure_digests.txt`),
-//! so a change that moves any figure names the points that moved.
+//! pool-mode churn point, one monitored, traced capacity point and one
+//! single flow with a stalled receiver core, is pinned by an FNV-64
+//! digest of its report JSON (`figure_digests.txt`), so a change that
+//! moves any figure names the points that moved.
 //!
 //! Any intentional change to the engine, cost model, or report schema
 //! shows up here first. To accept new goldens (the `--bless` path):
@@ -212,10 +213,13 @@ fn digest(bytes: &[u8]) -> u64 {
 #[test]
 fn golden_figure_digests() {
     // Every figure at `--quick` windows, in registry order, then one
-    // pool-mode churn point (no figure runs pool mode) and one monitored,
-    // traced capacity point (no figure runs a monitor). One line per
+    // pool-mode churn point (no figure runs pool mode), one monitored,
+    // traced capacity point (no figure runs a monitor) and one single
+    // flow whose receiver core 0 stalls for 4 ms inside the window (no
+    // figure stalls a core: the `--fault-stall-ms 4` shape). One line per
     // point: figure, report label, digest.
     use hostnet::building_blocks::conn::AdmissionPolicy;
+    use hostnet::building_blocks::faults::{CoreStall, PhaseSchedule};
     use hostnet::building_blocks::monitor::MonitorConfig;
     use hostnet::building_blocks::sim::Duration;
     use hostnet::building_blocks::trace::TraceConfig;
@@ -252,8 +256,20 @@ fn golden_figure_digests() {
                 });
             }),
     );
+    names.push("stall");
+    points.push(
+        Experiment::new(ScenarioKind::Single)
+            .quick()
+            .configure(|c| {
+                c.faults.core_stall = Some(CoreStall {
+                    window: PhaseSchedule::once(Duration::from_millis(7), Duration::from_millis(4)),
+                    host: 1,
+                    core: 0,
+                });
+            }),
+    );
     let reports = figures::run(2, &points).unwrap();
-    let monitored = reports.last().and_then(|r| r.monitor.as_ref());
+    let monitored = reports[reports.len() - 2].monitor.as_ref();
     assert!(
         monitored.is_some_and(|m| !m.stages.is_empty()),
         "the monitored point must fold stage residencies: {monitored:?}"
