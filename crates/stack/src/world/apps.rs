@@ -40,17 +40,25 @@ impl World {
             rx: rx as usize,
             size,
         };
-        // Clone the lightweight spec to appease the borrow checker; RPC
-        // progress lives in `self.apps[app_idx]` and is updated in place.
-        let spec = self.apps[app_idx].spec.clone();
-        let again = match spec {
+        // RPC progress lives in `self.apps[app_idx]` and is updated in
+        // place; a server's connection list is taken out for its step and
+        // put back, so no step copies it.
+        let again = match self.apps[app_idx].spec {
             AppSpec::LongSender { flow } => self.step_long_sender(flow as usize, ch),
             AppSpec::LongReceiver { flow } => self.step_long_receiver(h, core, flow as usize, ch),
             AppSpec::RpcClient { tx, rx, size } => {
                 self.step_rpc_client(h, core, io(tx, rx, size), ch)
             }
-            AppSpec::RpcServer { conns, size } => {
-                self.step_rpc_server(h, core, app_idx, &conns, size, ch)
+            AppSpec::RpcServer {
+                ref mut conns,
+                size,
+            } => {
+                let conns = std::mem::take(conns);
+                let again = self.step_rpc_server(h, core, app_idx, &conns, size, ch);
+                if let AppSpec::RpcServer { conns: slot, .. } = &mut self.apps[app_idx].spec {
+                    *slot = conns;
+                }
+                again
             }
             AppSpec::OpenLoopClient { tx, rx, size, .. } => {
                 self.step_open_loop_client(h, core, io(tx, rx, size), ch)
