@@ -177,6 +177,18 @@ impl Scheduler {
         c.running.is_none() && !c.softirq_pending && c.queue.is_empty()
     }
 
+    /// True if nothing waits on `core` behind what runs there: no queued
+    /// thread, no raised softirq, and no wake pending on a running thread.
+    /// A step that ends in this state leaves the core idle.
+    pub fn nothing_waiting(&self, core: usize) -> bool {
+        let c = &self.cores[core];
+        let woken = match c.running {
+            Some(Task::Thread(tid)) => self.threads[tid as usize].wake_pending,
+            _ => false,
+        };
+        c.queue.is_empty() && !c.softirq_pending && !woken
+    }
+
     /// What currently runs on `core`.
     pub fn running(&self, core: usize) -> Option<Task> {
         self.cores[core].running
@@ -424,6 +436,36 @@ mod tests {
         s.wake_thread(a);
         assert!(s.pick(0).is_none(), "core 0 has nothing");
         assert_eq!(s.pick(1).unwrap().task, Task::Thread(a));
+    }
+
+    #[test]
+    fn nothing_waiting_sees_queue_softirq_and_pending_wake() {
+        let mut s = Scheduler::new(1);
+        let a = s.add_thread(0);
+        let b = s.add_thread(0);
+        assert!(s.nothing_waiting(0), "an idle core");
+        s.wake_thread(a);
+        assert!(!s.nothing_waiting(0), "a queued thread");
+        s.pick(0).unwrap();
+        assert!(s.nothing_waiting(0), "the running thread waits on nothing");
+        s.raise_softirq(0);
+        assert!(!s.nothing_waiting(0), "a raised softirq");
+        s.step_done(0, false);
+        s.pick(0).unwrap(); // the softirq
+        assert!(s.nothing_waiting(0));
+        s.wake_thread(b);
+        assert!(!s.nothing_waiting(0), "a thread woken behind the softirq");
+        s.step_done(0, false);
+        s.pick(0).unwrap(); // b
+        s.wake_thread(b);
+        assert!(
+            !s.nothing_waiting(0),
+            "a wake pending on the running thread"
+        );
+        s.step_done(0, false);
+        s.pick(0).unwrap(); // b again, by its pending wake
+        s.step_done(0, false);
+        assert!(s.nothing_waiting(0) && s.is_fully_idle(0));
     }
 
     #[test]

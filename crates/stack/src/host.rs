@@ -8,7 +8,7 @@ use hns_mem::{DcaCache, FrameArena, FrameId, Iommu, PageAllocator, SenderL3};
 use hns_metrics::{CacheStats, CoreUsage, CycleBreakdown};
 use hns_nic::{InterruptCoalescer, RxRing};
 use hns_sched::Scheduler;
-use hns_sim::{Histogram, SimTime};
+use hns_sim::{EventKey, Histogram, SimTime};
 
 use crate::config::SimConfig;
 use crate::gro::GroEngine;
@@ -46,6 +46,11 @@ pub struct CoreData {
     pub breakdown: CycleBreakdown,
     /// Whether the currently-running step should requeue its task.
     pub pending_runnable: bool,
+    /// The running step's end, reserved but not filed: a step that leaves
+    /// nothing waiting files its `StepDone` only when work reaches the
+    /// core before the end (`World::settle`). [`EventKey::NONE`] when
+    /// nothing is held.
+    pub step_end: EventKey,
     /// Rx descriptors consumed whose replenish could not be page-backed
     /// (injected pool pressure); repaid when the pressure clears.
     pub ring_deficit: u32,
@@ -65,6 +70,7 @@ impl CoreData {
             usage: CoreUsage::new(),
             breakdown: CycleBreakdown::new(),
             pending_runnable: false,
+            step_end: EventKey::NONE,
             ring_deficit: 0,
             stalled: false,
         }

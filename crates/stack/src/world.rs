@@ -20,10 +20,17 @@
 //! (one NAPI sub-batch for the softirq, one syscall's worth of work for an
 //! application thread). `Dispatch` picks the next context via
 //! [`hns_sched::Scheduler`], executes its step immediately (mutating world
-//! state and charging cycles), and schedules `StepDone` after the step's
-//! simulated duration; `StepDone` requeues or blocks the context and
-//! dispatches again. All side effects apply at step start; the step's
-//! cycle cost is what occupies the core.
+//! state and charging cycles), and reserves the key of the step's end, its
+//! simulated duration ahead. All side effects apply at step start; the
+//! step's cycle cost is what occupies the core. When work waits at the
+//! step's end (the context stays runnable, or a thread, softirq or frame
+//! waits for the core), a `StepDone` is filed under that key: it requeues
+//! or blocks the context and dispatches again. Otherwise the core holds
+//! the key (`CoreData::step_end`), and the first handler that could give
+//! the core work (`World::settle`) either completes the step, when the key
+//! sorts before the event being handled, or files the `StepDone` under it.
+//! Either way the step ends at the same `(time, seq)` as a filed one, and
+//! a core that goes idle after its step costs no event.
 //!
 //! Packets move as whole frames: the sender path enqueues post-TSO frames
 //! on the NIC [`TxArbiter`]; each host's NIC drain serializes them onto the
@@ -59,7 +66,9 @@ use crate::watchdog::{RunError, RunErrorKind, Snapshot, StuckFlow};
 enum Event {
     /// Try to run something on (host, core).
     Dispatch { host: u8, core: u16 },
-    /// The running step on (host, core) completed.
+    /// The running step on (host, core) completed. Filed at step start
+    /// when work waits at the step's end, else only when work reaches the
+    /// core before the end (see `World::settle`).
     StepDone { host: u8, core: u16 },
     /// A frame arrives at the NIC of `dst`; its segment waits in
     /// [`SegmentSlab`] slot `slot`. Only a frame that overtakes an earlier
@@ -258,6 +267,9 @@ pub struct World {
     /// descriptor-bookkeeping cycles rather than gate transmission.
     descrings: Vec<hns_nic::DescRing>,
     queue: EventQueue<Event>,
+    /// The key of the event being handled, lane entries included: a held
+    /// step end that sorts before it has passed (see [`World::settle`]).
+    firing: EventKey,
     /// Events that are FIFO by construction and never cancelled (see
     /// [`IRQ_LANE`]), kept off the wheel under keys reserved from the
     /// queue's own sequence counter; the event loop merges the earliest
@@ -356,6 +368,7 @@ impl World {
                 .map(|_| hns_nic::DescRing::new(1 << 16))
                 .collect(),
             queue: EventQueue::new(),
+            firing: EventKey::NONE,
             lanes: Lanes::new(),
             hosts: (0..nhosts).map(|h| Host::new(h, &cfg)).collect(),
             wire: Fabric::with_link(
@@ -592,6 +605,7 @@ impl World {
                 }
                 Next::Empty => break, // deadlock-free exhaustion (tests)
             };
+            self.firing = key;
             let t = key.time;
             self.audit_pop(t);
             if self.finished {
@@ -671,8 +685,16 @@ impl World {
                 unsent: f.sender.unsent(),
             })
             .collect();
+        // A held step end that has not passed counts as the `StepDone`
+        // it stands for.
+        let held = self
+            .hosts
+            .iter()
+            .flat_map(|h| h.cores.iter())
+            .filter(|c| c.step_end != EventKey::NONE && c.step_end > self.firing)
+            .count();
         Snapshot {
-            queue_len: self.queue.len() + self.lanes.len(),
+            queue_len: self.queue.len() + self.lanes.len() + held,
             backlog_frames: self.backlog_frames(),
             stuck_flows,
             wire_frames: self.wire.frames(),
@@ -733,6 +755,7 @@ impl World {
     }
 
     fn dispatch(&mut self, h: usize, core: usize) {
+        self.settle(h, core);
         if self.hosts[h].cores[core].stalled {
             return; // injected noisy neighbor owns the core; FaultTick resumes
         }
@@ -753,9 +776,49 @@ impl World {
         };
         self.hosts[h].cores[core].pending_runnable = runnable;
         let span = self.charge_core(h, core, charges);
-        let (host, core) = (h as u8, core as u16);
-        self.queue
-            .schedule_after(span, Event::StepDone { host, core });
+        let end = self.queue.reserve(self.queue.now() + span);
+        let host = &mut self.hosts[h];
+        let cd = &mut host.cores[core];
+        let quiet = !runnable && cd.backlog.is_empty() && cd.pacer_ready.is_empty();
+        if quiet && host.sched.nothing_waiting(core) {
+            cd.step_end = end;
+        } else {
+            let (host, core) = (h as u8, core as u16);
+            self.queue.schedule_key(end, Event::StepDone { host, core });
+        }
+    }
+
+    /// Settle the step end (host `h`, `core`) holds, if any, before a
+    /// handler gives the core work or reads what its `StepDone` changes.
+    #[inline]
+    fn settle(&mut self, h: usize, core: usize) {
+        if self.hosts[h].cores[core].step_end != EventKey::NONE {
+            self.settle_held(h, core);
+        }
+    }
+
+    /// [`Self::settle`]'s slow path. A held end that sorts before the event
+    /// being handled has passed: complete the step as its `StepDone` would
+    /// have, which leaves the core idle (nothing waited, so the dispatch
+    /// that follows a `StepDone` would pick nothing). A later end is filed
+    /// as the `StepDone` under its key.
+    #[inline(never)]
+    fn settle_held(&mut self, h: usize, core: usize) {
+        let end = std::mem::replace(&mut self.hosts[h].cores[core].step_end, EventKey::NONE);
+        if end > self.firing {
+            let (host, core) = (h as u8, core as u16);
+            self.queue.schedule_key(end, Event::StepDone { host, core });
+            return;
+        }
+        let host = &mut self.hosts[h];
+        if host.sched.running(core) == Some(Task::Softirq) {
+            host.coalescer.napi_complete(core);
+        }
+        host.sched.step_done(core, false);
+        debug_assert!(
+            host.sched.is_fully_idle(core),
+            "host {h} core {core}: work waited behind a held step end"
+        );
     }
 
     fn step_done(&mut self, h: usize, core: usize) {
@@ -802,6 +865,7 @@ impl World {
 
     /// Wake thread `tid` on host `h`, charging wakeup cost to the waker.
     fn wake(&mut self, h: usize, tid: u32, ch: &mut Charges) {
+        self.settle(h, self.hosts[h].sched.thread_core(tid) as usize);
         if let Some(core_was_idle) = self.hosts[h].sched.wake_thread(tid) {
             ch.add(Category::Sched, self.cost.wakeup);
             if core_was_idle {

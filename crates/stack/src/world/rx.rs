@@ -551,6 +551,7 @@ impl World {
         // Descriptor accepted and DMA'd: the frame is in host memory.
         self.trace
             .stamp(tid, flow, StageId::RxDma, dst, core as usize, now);
+        self.settle(dst, core as usize);
         let host = &mut self.hosts[dst];
         host.cores[core as usize].backlog.push_back(PendingFrame {
             slot,
@@ -581,6 +582,7 @@ impl World {
     /// Raise the softirq on (host, core), for an IRQ's delivery or a BBR
     /// pacer release, and dispatch the core if it was idle.
     pub(super) fn raise_softirq(&mut self, h: usize, core: usize) {
+        self.settle(h, core);
         if self.hosts[h].sched.raise_softirq(core) {
             self.dispatch(h, core);
         }

@@ -1,5 +1,6 @@
 //! Unit tests of the world: topology and monitor preflight errors, churn
-//! connection tracing and timer carriers, and the segment slab.
+//! connection tracing and timer carriers, the segment slab, and held step
+//! ends.
 
 use super::*;
 
@@ -213,4 +214,109 @@ fn segment_slab_frees_every_drop_path() {
     let w = audited("stale conn frame", churn, &[]);
     let stale: u64 = w.audit.as_ref().map_or(0, |a| a.stale_frames.iter().sum());
     assert!(stale > 0, "no stale connection frame");
+}
+
+/// A pure ACK of `flow` reaches its sender, host 0.
+fn arrive_ack(w: &mut World, flow: FlowId) {
+    let ack = Segment::ack(flow, 0, 1 << 20, false, Default::default());
+    let slot = w.in_flight.park(ack);
+    w.frame_arrive(0, slot);
+}
+
+/// The keys of the pending `StepDone`s.
+fn step_dones(w: &World) -> Vec<EventKey> {
+    let pending = w.queue.pending();
+    let steps = pending.filter(|(_, ev)| matches!(ev, Event::StepDone { .. }));
+    steps.map(|(key, _)| key).collect()
+}
+
+/// A world in which one pure ACK reached host 0's ACK core, raised the
+/// IRQ that masks NAPI, and was polled by a softirq step that left nothing
+/// waiting, so the core holds the step's end; nothing has fired yet. A key
+/// at `before` is reserved ahead of the step, so it takes a lower
+/// sequence number than the end. Returns the world, the flow, the core,
+/// the held end and that key.
+fn held_step(before: Option<SimTime>) -> (World, FlowId, usize, EventKey, Option<EventKey>) {
+    let mut w = World::new(SimConfig::default());
+    let flow = w.add_flow(FlowSpec::between(0, 0, 1, 0));
+    let core = w.flows[flow as usize].ack_irq_core as usize;
+    let early = before.map(|t| w.queue.reserve(t));
+    arrive_ack(&mut w, flow);
+    assert_eq!(
+        w.lanes.lane_len(IRQ_LANE),
+        1,
+        "the first frame raises the IRQ"
+    );
+    w.raise_softirq(0, core); // the IRQ's delivery
+    let end = w.hosts[0].cores[core].step_end;
+    assert_ne!(
+        end,
+        EventKey::NONE,
+        "a step leaving nothing waiting holds its end"
+    );
+    assert!(end.time > SimTime::ZERO, "the step takes time");
+    assert!(step_dones(&w).is_empty(), "a held end files no StepDone");
+    (w, flow, core, end, early)
+}
+
+/// A frame handled under `firing` reaches the core: held ends settle
+/// against that key.
+fn arrive_at(w: &mut World, flow: FlowId, firing: EventKey) {
+    w.firing = firing;
+    arrive_ack(w, flow);
+}
+
+/// The step ended at its held key: the core is idle, NAPI unmasked, so the
+/// frame raised a second IRQ, and no `StepDone` was filed.
+fn assert_completed(w: &World, core: usize) {
+    assert_eq!(w.hosts[0].cores[core].step_end, EventKey::NONE);
+    assert!(step_dones(w).is_empty(), "a completed step files nothing");
+    assert!(w.hosts[0].sched.is_fully_idle(core));
+    assert_eq!(w.lanes.lane_len(IRQ_LANE), 2, "NAPI was unmasked");
+    assert_eq!(w.hosts[0].cores[core].irqs_pending, 1);
+}
+
+/// The frame came before the step's end: the end is filed as the
+/// `StepDone` under the held key, and NAPI, still masked, raises no IRQ.
+fn assert_filed(w: &World, core: usize, end: EventKey) {
+    assert_eq!(w.hosts[0].cores[core].step_end, EventKey::NONE);
+    assert_eq!(step_dones(w), vec![end], "filed under the held key");
+    assert_eq!(w.hosts[0].sched.running(core), Some(Task::Softirq));
+    assert_eq!(w.lanes.lane_len(IRQ_LANE), 1, "NAPI is still masked");
+    assert_eq!(w.hosts[0].cores[core].irqs_pending, 0);
+}
+
+#[test]
+fn frame_mid_step_files_the_held_step_done() {
+    let (mut w, flow, core, end, _) = held_step(None);
+    let mid = w
+        .queue
+        .reserve(SimTime::from_nanos(end.time.as_nanos() / 2));
+    arrive_at(&mut w, flow, mid);
+    assert_filed(&w, core, end);
+}
+
+#[test]
+fn frame_after_the_end_completes_the_step_first() {
+    let (mut w, flow, core, end, _) = held_step(None);
+    let after = w.queue.reserve(end.time + Duration::from_nanos(1));
+    arrive_at(&mut w, flow, after);
+    assert_completed(&w, core);
+}
+
+#[test]
+fn frame_at_the_ends_nanosecond_orders_by_sequence_number() {
+    // Reserved after the step, the arrival's key sorts after the end.
+    let (mut w, flow, core, end, _) = held_step(None);
+    let later = w.queue.reserve(end.time);
+    assert!(later > end);
+    arrive_at(&mut w, flow, later);
+    assert_completed(&w, core);
+
+    // Reserved before the step, it sorts before the end.
+    let (mut w, flow, core, end, early) = held_step(Some(end.time));
+    let early = early.expect("reserved ahead of the step");
+    assert!(early.time == end.time && early < end);
+    arrive_at(&mut w, flow, early);
+    assert_filed(&w, core, end);
 }

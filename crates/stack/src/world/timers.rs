@@ -186,6 +186,7 @@ impl World {
         self.flows[fid].pacer_armed = false;
         let h = self.flows[fid].spec.src_host;
         let core = self.flows[fid].spec.src_core;
+        self.settle(h, core as usize);
         self.hosts[h].cores[core as usize]
             .pacer_ready
             .push_back(fid as u64);
