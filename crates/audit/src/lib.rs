@@ -284,6 +284,61 @@ impl RtoTimerLedger {
     }
 }
 
+/// Step-end conservation, per core. A core running a step either holds
+/// the step's end (a reserved key it files only when work arrives before
+/// it) or has exactly one pending `StepDone`: never both, never neither.
+/// An idle core has neither. A core holding an end has nothing waiting
+/// for it: no queued thread, raised softirq or pending wake, and an empty
+/// softirq backlog and pacer queue. Work left behind a held end waits for
+/// a `StepDone` that is never filed; a second `StepDone` ends one step
+/// twice.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct StepEndLedger {
+    /// Host index (labels the violation).
+    pub host: usize,
+    /// Core index on that host (labels the violation).
+    pub core: usize,
+    /// The scheduler shows a task running on the core.
+    pub running: bool,
+    /// The core holds its step's end.
+    pub held: bool,
+    /// `StepDone` events pending in the queue for this core.
+    pub pending: u64,
+    /// The scheduler has nothing waiting on the core.
+    pub nothing_waiting: bool,
+    /// Frames in the core's softirq backlog.
+    pub backlog: u64,
+    /// Pacer releases queued on the core.
+    pub pacer_ready: u64,
+}
+
+impl StepEndLedger {
+    /// Check the core's step end, appending violations to `out`.
+    pub fn check(&self, out: &mut Vec<Violation>) {
+        let ends = u64::from(self.held) + self.pending;
+        let ends_ok = ends == u64::from(self.running);
+        let quiet = self.nothing_waiting && self.backlog == 0 && self.pacer_ready == 0;
+        if ends_ok && (quiet || !self.held) {
+            return;
+        }
+        let state = if self.running { "running" } else { "idle" };
+        let held = if self.held { "end held" } else { "no end held" };
+        out.push(Violation {
+            invariant: "step-end",
+            detail: format!(
+                "host {} core {}: {state}, {held}, {} StepDone pending; \
+                 nothing waiting in the scheduler: {}, backlog {} frames, {} pacer releases",
+                self.host,
+                self.core,
+                self.pending,
+                self.nothing_waiting,
+                self.backlog,
+                self.pacer_ready
+            ),
+        });
+    }
+}
+
 /// Connection-timer conservation (churn). A connection keeps at most one
 /// pending `ConnTimer` (its carrier) and at most one `ConnBackoff` (its
 /// backoff carrier), and its `QUEUED` and `BACKOFF` flags say whether it
@@ -849,6 +904,60 @@ mod tests {
             assert_eq!(v.len(), 1, "{bad:?}");
             assert_eq!(v[0].invariant, "rto-timer");
             assert!(v[0].detail.contains("flow 3"), "{}", v[0].detail);
+        }
+    }
+
+    #[test]
+    fn step_end_ledger_wants_one_end_per_running_core() {
+        let held = StepEndLedger {
+            host: 1,
+            core: 4,
+            running: true,
+            held: true,
+            nothing_waiting: true,
+            ..Default::default()
+        };
+        let filed = StepEndLedger {
+            held: false,
+            pending: 1,
+            nothing_waiting: false,
+            backlog: 3,
+            ..held
+        };
+        let idle = StepEndLedger {
+            running: false,
+            held: false,
+            ..held
+        };
+        for good in [held, filed, idle] {
+            assert!(checked(|o| good.check(o)).is_empty(), "{good:?}");
+        }
+        for bad in [
+            StepEndLedger { pending: 1, ..held }, // held and filed
+            StepEndLedger {
+                pending: 0,
+                ..filed
+            }, // neither
+            StepEndLedger {
+                pending: 2,
+                ..filed
+            }, // filed twice
+            StepEndLedger { pending: 1, ..idle }, // filed on an idle core
+            StepEndLedger { held: true, ..idle }, // held on an idle core
+            StepEndLedger {
+                nothing_waiting: false,
+                ..held
+            }, // a thread or softirq waits behind the end
+            StepEndLedger { backlog: 1, ..held }, // a lost settle at arrival
+            StepEndLedger {
+                pacer_ready: 1,
+                ..held
+            }, // a lost settle at a pacer release
+        ] {
+            let v = checked(|o| bad.check(o));
+            assert_eq!(v.len(), 1, "{bad:?}");
+            assert_eq!(v[0].invariant, "step-end");
+            assert!(v[0].detail.contains("host 1 core 4"), "{}", v[0].detail);
         }
     }
 

@@ -24,6 +24,9 @@
 //! * **rto-timer ledger** — an armed retransmission timer has exactly one
 //!   pending `Rto` event, firing no later than the timer is due, and a
 //!   disarmed one has none,
+//! * **step-end ledger** — a core running a step either holds the step's
+//!   end or has exactly one pending `StepDone`, never both and never
+//!   neither, and a core holding an end has nothing waiting for it,
 //! * **conn-timer ledger** — a live connection's `QUEUED` flag is set
 //!   exactly when one `ConnTimer` carrier is pending for it (on the
 //!   connection-timer lane or on the wheel) and its `BACKOFF` flag exactly
@@ -42,7 +45,7 @@ use std::collections::HashMap;
 use hns_audit::{
     AcceptLedger, ArenaLedger, ChurnLedger, ConnMemLedger, ConnTimerLedger, CycleLedger,
     DropLedger, FlowLedger, HostFrameLedger, RingLedger, RtoTimerLedger, SegmentSlabLedger,
-    Violation,
+    StepEndLedger, Violation,
 };
 use hns_conn::{Conn, ConnId};
 use hns_sim::{cycles_to_time, EventKey, SimTime};
@@ -50,9 +53,17 @@ use hns_sim::{cycles_to_time, EventKey, SimTime};
 use super::World;
 use crate::watchdog::RunErrorKind;
 
-/// [`World::pending_events`]: pending arrivals per host, `(count, latest)`
-/// `Rto`s per flow, and the timer events per connection.
-type PendingEvents = (Vec<u64>, Vec<(u64, SimTime)>, HashMap<u64, ConnEvents>);
+/// What [`World::pending_events`] counts in the queues.
+struct PendingEvents {
+    /// Frame arrivals pending per destination host.
+    arrivals: Vec<u64>,
+    /// Per flow, its pending `Rto`s: `(count, latest firing time)`.
+    rtos: Vec<(u64, SimTime)>,
+    /// Per connection, its pending timer events.
+    conns: HashMap<u64, ConnEvents>,
+    /// Per host, the `StepDone`s pending for each core.
+    step_dones: Vec<Vec<u64>>,
+}
 
 /// The timer events pending for one connection.
 #[derive(Default)]
@@ -171,13 +182,15 @@ impl World {
     /// `FrameArrive` events), per flow the `Rto` events pending with the
     /// latest one's firing time, and per connection its `ConnTimer`
     /// carriers (lane entries plus wheel events), `ConnBackoff`s and
-    /// `ConnThink`s.
+    /// `ConnThink`s, and per core its `StepDone`s.
     fn pending_events(&self) -> PendingEvents {
         let mut arrivals: Vec<u64> = (0..self.hosts.len())
             .map(|h| self.lanes.lane_len(super::arrival_lane(h)) as u64)
             .collect();
         let mut rtos = vec![(0, SimTime::ZERO); self.flows.len()];
         let mut conns: HashMap<u64, ConnEvents> = HashMap::new();
+        let mut step_dones: Vec<Vec<u64>> =
+            self.hosts.iter().map(|h| vec![0; h.cores.len()]).collect();
         for (key, &conn) in self.lanes.iter(super::CONN_TIMER_LANE) {
             conns.entry(conn).or_default().add_carrier(key);
         }
@@ -197,26 +210,35 @@ impl World {
                 super::Event::ConnThink { conn } => {
                     conns.entry(conn).or_default().thinks.push(key);
                 }
+                super::Event::StepDone { host, core } => {
+                    step_dones[host as usize][core as usize] += 1;
+                }
                 _ => {}
             }
         }
-        (arrivals, rtos, conns)
+        PendingEvents {
+            arrivals,
+            rtos,
+            conns,
+            step_dones,
+        }
     }
 
     /// Evaluate every conservation law at the current event boundary.
     fn collect_violations(&mut self, teardown: bool) -> Vec<Violation> {
         let mut out = Vec::new();
-        let (in_flight, rtos, conn_events) = self.pending_events();
-        self.check_host_ledgers(&in_flight, &mut out);
+        let pending = self.pending_events();
+        self.check_host_ledgers(&pending.arrivals, &mut out);
         SegmentSlabLedger {
             live: self.in_flight.live() as u64,
             tx_queued: self.arbiters.iter().map(|t| t.len() as u64).sum(),
-            wire_in_flight: in_flight.iter().sum(),
+            wire_in_flight: pending.arrivals.iter().sum(),
             backlog: self.backlog_frames(),
         }
         .check(&mut out);
-        self.check_flow_ledgers(&rtos, &mut out);
-        self.check_conn_timer_ledgers(&conn_events, &mut out);
+        self.check_flow_ledgers(&pending.rtos, &mut out);
+        self.check_step_ends(&pending.step_dones, &mut out);
+        self.check_conn_timer_ledgers(&pending.conns, &mut out);
         self.check_seqno_continuity(&mut out);
         if teardown {
             self.check_teardown_ledgers(&mut out);
@@ -313,6 +335,26 @@ impl World {
                 latest_ns: latest.as_nanos(),
             }
             .check(out);
+        }
+    }
+
+    /// Per core: the running step's end, held or filed, against its
+    /// pending `StepDone`s (`step_dones`, per host and core).
+    fn check_step_ends(&self, step_dones: &[Vec<u64>], out: &mut Vec<Violation>) {
+        for (h, host) in self.hosts.iter().enumerate() {
+            for (core, cd) in host.cores.iter().enumerate() {
+                StepEndLedger {
+                    host: h,
+                    core,
+                    running: host.sched.running(core).is_some(),
+                    held: cd.step_end != EventKey::NONE,
+                    pending: step_dones[h][core],
+                    nothing_waiting: host.sched.nothing_waiting(core),
+                    backlog: cd.backlog.len() as u64,
+                    pacer_ready: cd.pacer_ready.len() as u64,
+                }
+                .check(out);
+            }
         }
     }
 
