@@ -183,6 +183,8 @@ fn golden_reports_csv() {
         .expect("golden dir")
         .map(|e| e.expect("golden entry").path())
         .filter(|p| p.extension().is_some_and(|x| x == "jsonl"))
+        // The monitor snapshot stream is pinned by tests/monitor.rs.
+        .filter(|p| !p.ends_with("monitor_stream.jsonl"))
         .collect();
     files.sort();
     assert_eq!(files.len(), 7, "every JSONL golden is covered");

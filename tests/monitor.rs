@@ -253,3 +253,54 @@ fn cli_monitor_streams_deterministic_jsonl() {
     assert_eq!(jsonl_a, jsonl_b, "snapshot stream must be deterministic");
     assert_eq!(stdout_a, stdout_b, "live output must be deterministic");
 }
+
+#[test]
+fn golden_monitor_stream() {
+    // The snapshot JSONL bytes themselves are pinned: a traced incast run
+    // (`stages`) and a monitored churn run (`stages` and `conn`), as CI's
+    // monitor smoke drives them, concatenated in that order. To accept a
+    // new stream: `HNS_BLESS=1 cargo test --test monitor golden_monitor_stream`.
+    let bin = env!("CARGO_BIN_EXE_hostnet");
+    let runs = [
+        "run incast --flows 4 --monitor-ms 2",
+        "run churn --churn-mode rpc --admission queue --mem-budget-kb 4096 \
+         --idle-timeout-ms 12 --slow-prob 0.25 --monitor-ms 5 --trace-sample-every 8 \
+         --warmup-ms 5 --measure-ms 30 --seed 11",
+    ];
+    let mut stream = String::new();
+    for (i, args) in runs.iter().enumerate() {
+        let path = std::env::temp_dir().join(format!(
+            "hostnet-golden-monitor-{i}-{}.jsonl",
+            std::process::id()
+        ));
+        let out = std::process::Command::new(bin)
+            .args(args.split_whitespace())
+            .arg("--metrics-out")
+            .arg(&path)
+            .output()
+            .expect("spawn hostnet run");
+        assert!(out.status.success(), "hostnet {args} failed: {out:?}");
+        stream.push_str(&std::fs::read_to_string(&path).expect("metrics file"));
+        let _ = std::fs::remove_file(&path);
+    }
+    assert!(stream.contains("\"stages\":[{") && stream.contains("\"conn\":{"));
+    let golden =
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/monitor_stream.jsonl");
+    if std::env::var_os("HNS_BLESS").is_some() {
+        std::fs::write(&golden, stream).expect("bless: cannot write golden file");
+        return;
+    }
+    let want = std::fs::read_to_string(&golden).expect("golden monitor stream");
+    if let Some((i, (w, g))) = want
+        .lines()
+        .zip(stream.lines())
+        .enumerate()
+        .find(|(_, (w, g))| w != g)
+    {
+        panic!(
+            "monitor stream differs at line {}:\n  golden: {w}\n  got:    {g}",
+            i + 1
+        );
+    }
+    assert_eq!(want, stream, "monitor stream line count differs");
+}
