@@ -3,11 +3,11 @@
 //! server, open-loop client), built on the `write()`/`recv()` surface of
 //! the send and receive paths.
 
-use hns_metrics::Category;
+use hns_metrics::{Category, CycleBreakdown};
 use hns_proto::FlowId;
 use hns_sim::Duration;
 
-use super::{Charges, Event, World};
+use super::{Event, World};
 use crate::app::AppSpec;
 
 /// Application read size per `recv()` call of a long-flow receiver.
@@ -32,7 +32,13 @@ impl World {
     /// One step of application thread `tid` on (host `h`, `core`). Returns
     /// whether the thread stays runnable; a thread that does not blocks,
     /// and pays the block path.
-    pub(super) fn exec_app(&mut self, h: usize, core: usize, tid: u32, ch: &mut Charges) -> bool {
+    pub(super) fn exec_app(
+        &mut self,
+        h: usize,
+        core: usize,
+        tid: u32,
+        ch: &mut CycleBreakdown,
+    ) -> bool {
         let app_idx = self.hosts[h].thread_app[tid as usize];
         let io = |tx: FlowId, rx: FlowId, size| RpcIo {
             app_idx,
@@ -65,12 +71,12 @@ impl World {
             }
         };
         if !again {
-            ch.add(Category::Sched, self.cost.block);
+            ch.charge(Category::Sched, self.cost.block);
         }
         again
     }
 
-    fn step_long_sender(&mut self, fid: usize, ch: &mut Charges) -> bool {
+    fn step_long_sender(&mut self, fid: usize, ch: &mut CycleBreakdown) -> bool {
         let write = self.cfg.write_size as u64;
         let cap = self.sndbuf_for(fid);
         if self.flows[fid].sender.write_capacity(cap) < write {
@@ -80,7 +86,13 @@ impl World {
         self.flows[fid].sender.write_capacity(self.sndbuf_for(fid)) >= write
     }
 
-    fn step_long_receiver(&mut self, h: usize, core: usize, fid: usize, ch: &mut Charges) -> bool {
+    fn step_long_receiver(
+        &mut self,
+        h: usize,
+        core: usize,
+        fid: usize,
+        ch: &mut CycleBreakdown,
+    ) -> bool {
         if !self.readable(fid) {
             return false;
         }
@@ -88,7 +100,13 @@ impl World {
         self.readable(fid)
     }
 
-    fn step_rpc_client(&mut self, h: usize, core: usize, io: RpcIo, ch: &mut Charges) -> bool {
+    fn step_rpc_client(
+        &mut self,
+        h: usize,
+        core: usize,
+        io: RpcIo,
+        ch: &mut CycleBreakdown,
+    ) -> bool {
         let app_idx = io.app_idx;
         if self.apps[app_idx].awaiting_response {
             // Drain whatever response bytes have arrived.
@@ -126,7 +144,7 @@ impl World {
         app_idx: usize,
         conns: &[(FlowId, FlowId)],
         size: u32,
-        ch: &mut Charges,
+        ch: &mut CycleBreakdown,
     ) -> bool {
         // Epoll-style service: one wakeup drains every ready connection
         // (round-robin start for fairness).
@@ -169,7 +187,7 @@ impl World {
         };
         self.apps[app_idx].pending_arrivals += 1;
         let (h, tid) = (self.apps[app_idx].host, self.apps[app_idx].tid);
-        let mut ch = Charges::default();
+        let mut ch = CycleBreakdown::default();
         self.wake(h, tid, &mut ch);
         // Arrival-process overhead (timer) charged to the client's core.
         self.charge_core(h, self.apps[app_idx].core as usize, ch);
@@ -184,7 +202,7 @@ impl World {
         h: usize,
         core: usize,
         io: RpcIo,
-        ch: &mut Charges,
+        ch: &mut CycleBreakdown,
     ) -> bool {
         let app_idx = io.app_idx;
         let mut progressed = false;

@@ -1,11 +1,11 @@
 //! Timers: the scheduled fault windows and each flow's retransmission,
 //! delayed-ACK and BBR pacing timers.
 
-use hns_metrics::Category;
+use hns_metrics::{Category, CycleBreakdown};
 use hns_sim::event::EventToken;
 use hns_sim::{Duration, EventKey};
 
-use super::{Charges, Event, FaultKind, World};
+use super::{Event, FaultKind, World};
 
 /// Delayed-ACK flush timeout. Linux holds a delayed ACK up to 40–200ms
 /// against a 200ms RTO floor; with this simulation's microsecond RTTs and
@@ -132,8 +132,8 @@ impl World {
         // Timer softirq work: charge to the sender's app core directly
         // (rare enough that we don't occupy the scheduler).
         let spec = self.flows[fid].spec;
-        let mut ch = Charges::default();
-        ch.add(Category::TcpIp, self.cost.retransmit_extra);
+        let mut ch = CycleBreakdown::default();
+        ch.charge(Category::TcpIp, self.cost.retransmit_extra);
         self.pump(fid, &mut ch);
         self.sync_rto(fid);
         self.charge_core(spec.src_host, spec.src_core as usize, ch);
@@ -162,8 +162,8 @@ impl World {
         // ACK, charged to the flow's rx-steering core like any ACK.
         let h = self.flows[fid].spec.dst_host;
         let core = self.flows[fid].irq_core as usize;
-        let mut ch = Charges::default();
-        ch.add(Category::TcpIp, self.cost.ack_gen);
+        let mut ch = CycleBreakdown::default();
+        ch.charge(Category::TcpIp, self.cost.ack_gen);
         let backlog = self.flows[fid].rx_backlog;
         let ack = self.flows[fid].receiver.delack_flush(backlog);
         self.enqueue_frames(h, core, ack);
@@ -195,7 +195,7 @@ impl World {
 
     /// One paced release: emit a single segment, schedule the next release
     /// by the pacing rate. Runs inside the softirq step.
-    pub(super) fn paced_release(&mut self, fid: usize, ch: &mut Charges) {
+    pub(super) fn paced_release(&mut self, fid: usize, ch: &mut CycleBreakdown) {
         if !self.transmit_one(fid, ch) {
             return;
         }
