@@ -143,20 +143,6 @@ impl Scheduler {
         }
     }
 
-    /// Wake a batch of threads in one call — the run-start kick wakes
-    /// every app thread at once, and batch dispatch wakes whole
-    /// same-tick groups. Exactly equivalent to calling
-    /// [`Self::wake_thread`] once per tid in iterator order; returns the
-    /// number of non-redundant wakes.
-    pub fn wake_all<I>(&mut self, tids: I) -> usize
-    where
-        I: IntoIterator<Item = u32>,
-    {
-        tids.into_iter()
-            .filter(|&tid| self.wake_thread(tid).is_some())
-            .count()
-    }
-
     /// Raise the softirq on `core`. Returns `true` if the core was idle.
     pub fn raise_softirq(&mut self, core: usize) -> bool {
         let c = &mut self.cores[core];
@@ -287,42 +273,6 @@ mod tests {
         // Double wake is a no-op.
         assert_eq!(s.wake_thread(t), None);
         assert_eq!(s.wakeups, 1);
-    }
-
-    #[test]
-    fn wake_all_matches_per_thread_wakes() {
-        // Batch wake must be observationally identical to a per-tid loop:
-        // same run-queue order, same wakeup count, redundant wakes skipped.
-        let mut batch = Scheduler::new(2);
-        let mut serial = Scheduler::new(2);
-        let tids: Vec<u32> = (0..6).map(|i| batch.add_thread(i % 2)).collect();
-        for i in 0..6u32 {
-            serial.add_thread((i % 2) as u16);
-        }
-        // Pre-wake one thread so the batch hits a redundant wake.
-        batch.wake_thread(tids[3]);
-        serial.wake_thread(tids[3]);
-        let woken = batch.wake_all(tids.iter().copied());
-        let mut expect = 0;
-        for &t in &tids {
-            if serial.wake_thread(t).is_some() {
-                expect += 1;
-            }
-        }
-        assert_eq!(woken, expect);
-        assert_eq!(batch.wakeups, serial.wakeups);
-        for core in 0..2 {
-            loop {
-                let (a, b) = (batch.pick(core), serial.pick(core));
-                match (&a, &b) {
-                    (Some(x), Some(y)) => assert_eq!(x.task, y.task),
-                    (None, None) => break,
-                    _ => panic!("batch/serial diverged on core {core}"),
-                }
-                batch.step_done(core, false);
-                serial.step_done(core, false);
-            }
-        }
     }
 
     #[test]

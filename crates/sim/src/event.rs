@@ -77,7 +77,7 @@ use std::collections::binary_heap::PeekMut;
 use std::collections::{BinaryHeap, VecDeque};
 
 use crate::time::SimTime;
-use crate::wheel::{Slab, TimerWheel, NIL};
+use crate::wheel::{Slab, TimerWheel};
 
 /// Opaque handle identifying a scheduled event, for cancellation. Carries
 /// the event's slot index and the slot generation at scheduling time; the
@@ -411,33 +411,6 @@ impl<E> EventQueue<E> {
     /// Schedule `event` after a delay relative to `now`.
     pub fn schedule_after(&mut self, delay: crate::Duration, event: E) -> EventToken {
         self.schedule(self.now + delay, event)
-    }
-
-    /// Schedule a batch of events at one shared timestamp, in iterator
-    /// order (they will fire FIFO). The new nodes are chained in order and
-    /// the wheel places the whole run at once, so this is the cheap way to
-    /// arm N timers at the same instant. No tokens are returned — use
-    /// [`Self::schedule`] for events that may be cancelled.
-    pub fn schedule_all<I>(&mut self, at: SimTime, events: I)
-    where
-        I: IntoIterator<Item = E>,
-    {
-        let time = at.max(self.now);
-        let (mut head, mut tail) = (NIL, NIL);
-        for event in events {
-            // Asserts `at >= now` and clamps it to `time`.
-            let key = self.reserve(at);
-            let slot = self.slab.alloc(key.time, key.seq, event);
-            if tail == NIL {
-                head = slot;
-            } else {
-                self.slab[tail].next = slot;
-            }
-            tail = slot;
-            self.live_pending += 1;
-        }
-        self.wheel.push_same_time(&mut self.slab, time, head);
-        self.wheel.ensure_front(&mut self.slab);
     }
 
     /// Cancel a previously scheduled event. Safe to call with a token that
@@ -1187,12 +1160,19 @@ mod tests {
         assert_eq!(q.popped(), 3);
     }
 
+    /// Schedule `events` one by one at `at`: a same-instant run.
+    fn schedule_run(q: &mut EventQueue<i32>, at: u64, events: std::ops::Range<i32>) {
+        for e in events {
+            q.schedule(SimTime::from_nanos(at), e);
+        }
+    }
+
     #[test]
-    fn schedule_all_bulk_insert_is_fifo_and_cancellable_around() {
+    fn same_instant_run_is_fifo_and_cancellable_around() {
         let mut q = EventQueue::new();
         let a = q.schedule(SimTime::from_nanos(5), 100);
-        q.schedule_all(SimTime::from_nanos(5), 0..4);
-        q.schedule_all(SimTime::from_nanos(3), 50..52);
+        schedule_run(&mut q, 5, 0..4);
+        schedule_run(&mut q, 3, 50..52);
         assert_eq!(q.len(), 7);
         q.cancel(a);
         assert_eq!(q.len(), 6);
@@ -1202,13 +1182,13 @@ mod tests {
     }
 
     #[test]
-    fn schedule_all_into_sorted_front_keeps_order() {
+    fn same_instant_runs_into_sorted_front_keep_order() {
         let mut q = EventQueue::new();
         q.schedule(SimTime::from_nanos(100), 0);
         q.schedule(SimTime::from_nanos(300), 9);
         assert!(q.pop().is_some()); // front now holds 300 with a far limit
-        q.schedule_all(SimTime::from_nanos(200), 1..3);
-        q.schedule_all(SimTime::from_nanos(200), 3..5);
+        schedule_run(&mut q, 200, 1..3);
+        schedule_run(&mut q, 200, 3..5);
         let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
         assert_eq!(order, vec![1, 2, 3, 4, 9]);
     }

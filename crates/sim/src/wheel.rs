@@ -382,62 +382,6 @@ impl TimerWheel {
         }
     }
 
-    /// Bulk-insert a chain of slots that all share one timestamp, linked
-    /// from `chain` through [`Node::next`] in ascending `seq` order: the
-    /// placement (bucket, front position, or spill) is computed once and
-    /// the whole run lands together.
-    pub(crate) fn push_same_time<E>(&mut self, slab: &mut Slab<E>, time: SimTime, chain: u32) {
-        if chain == NIL {
-            return;
-        }
-        self.sync_cursors();
-        let t = time.as_nanos();
-        let mut i = chain;
-        if t < self.front_limit() {
-            // All new seqs exceed every stored seq, so the run inserts as a
-            // contiguous block right after any same-time nodes.
-            let mut pos = gallop(&self.front, |j| slab[j].time <= time);
-            while i != NIL {
-                debug_assert_eq!(slab[i].time, time);
-                let next = slab[i].next;
-                self.front.insert(pos, i);
-                pos += 1;
-                self.stored += 1;
-                i = next;
-            }
-            return;
-        }
-        let target = self.levels.iter().enumerate().find_map(|(l, level)| {
-            let abs = t >> level_shift(l);
-            (abs < level.cur + SLOTS as u64).then_some((l, abs))
-        });
-        match target {
-            Some((l, abs)) => {
-                debug_assert!(abs >= self.levels[l].cur);
-                while i != NIL {
-                    debug_assert_eq!(slab[i].time, time);
-                    let next = slab[i].next;
-                    self.levels[l].link(slab, abs, i);
-                    self.stored += 1;
-                    i = next;
-                }
-                if l > 0 {
-                    let boundary = abs << (LEVEL_BITS * l as u32);
-                    self.coarse_min = self.coarse_min.min(boundary);
-                }
-            }
-            None => {
-                while i != NIL {
-                    debug_assert_eq!(slab[i].time, time);
-                    let next = slab[i].next;
-                    self.push_spill(slab, i);
-                    self.stored += 1;
-                    i = next;
-                }
-            }
-        }
-    }
-
     /// Refill the front until it holds the queue head (or the wheel is
     /// truly empty). Amortized O(1) per stored node: each node cascades
     /// at most twice and joins the front exactly once.
@@ -684,16 +628,11 @@ mod tests {
             self.w.push(&mut self.slab, i);
         }
 
-        /// Chain fresh slots for `seqs` at time `t` and bulk-insert them.
-        fn push_same_time(&mut self, t: u64, seqs: std::ops::Range<u64>) {
-            let mut chain = NIL;
-            for seq in seqs.rev() {
-                let i = self.node(t, seq);
-                self.slab[i].next = chain;
-                chain = i;
+        /// Push fresh slots for `seqs` at time `t`, one by one.
+        fn push_run(&mut self, t: u64, seqs: std::ops::Range<u64>) {
+            for seq in seqs {
+                self.push(t, seq);
             }
-            self.w
-                .push_same_time(&mut self.slab, SimTime::from_nanos(t), chain);
         }
 
         fn peek(&mut self) -> Option<(u64, u64)> {
@@ -824,15 +763,15 @@ mod tests {
     }
 
     #[test]
-    fn push_same_time_lands_contiguously_in_fifo_order() {
+    fn same_time_runs_land_contiguously_in_fifo_order() {
         let mut h = Harness::new();
         h.push(100, 0);
         h.push(300, 1);
-        // Bulk insert between them, plus a bulk insert into the sorted
-        // front after a pop established a nonzero front_limit.
-        h.push_same_time(200, 2..5);
+        // A run between them, plus a run into the sorted front after a
+        // pop established a nonzero front_limit.
+        h.push_run(200, 2..5);
         assert_eq!(h.pop().map(|(_, s)| s), Some(0));
-        h.push_same_time(210, 5..7);
+        h.push_run(210, 5..7);
         assert_eq!(
             h.drain(),
             vec![(200, 2), (200, 3), (200, 4), (210, 5), (210, 6), (300, 1)]

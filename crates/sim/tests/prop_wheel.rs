@@ -2,8 +2,8 @@
 //! reference binary-heap [`HeapEventQueue`].
 //!
 //! Both queues consume identical operation streams — interleaved
-//! schedules (near, mid-wheel, far-spill horizons), bulk `schedule_all`
-//! runs, cancellations of pending *and already-fired* tokens, and pops —
+//! schedules (near, mid-wheel, far-spill horizons), runs of schedules
+//! at one instant, cancellations of pending *and already-fired* tokens, and pops —
 //! and every observable (`pop` results, `len`, `popped`, `peek_time`,
 //! `now`) is asserted equal after every single operation. A dedicated
 //! property keeps some events in FIFO [`Lanes`] outside the wheel and
@@ -13,7 +13,7 @@
 //! re-arms) against an oracle that schedules every lane event plainly,
 //! Another holds keys from `reserve` and files them later with
 //! `schedule_key` under their old sequence numbers, tying with newer
-//! schedules, `schedule_all` runs and lane keys (the oracle files the same
+//! schedules, same-instant runs and lane keys (the oracle files the same
 //! keys), and another pins slot generations near `u64::MAX`
 //! so wrap-around reuse is covered, not just reachable. Two workload-shaped profiles
 //! follow: a far timer that pins the wheel's front limit while bursts of
@@ -67,13 +67,13 @@ fn apply(
             *id += 1;
             live.push((tw, th));
         }
-        // Bulk schedule_all on the wheel vs the reference semantics: one
-        // schedule per event at the same instant (tokens not retained).
+        // A run of schedules at one instant, which fire FIFO (tokens not
+        // retained).
         4 => {
             let at = SimTime::from_nanos(w.now().as_nanos() + b % (horizon(a) + 1));
             let n = 1 + a % 5;
-            w.schedule_all(at, *id..*id + n);
             for e in *id..*id + n {
+                w.schedule(at, e);
                 h.schedule(at, e);
             }
             *id += n;
@@ -204,7 +204,7 @@ fn lane_or_wheel(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// Arbitrary interleavings of schedule / schedule_all / cancel /
+    /// Arbitrary interleavings of schedule / same-instant runs / cancel /
     /// cancel-after-fire / pop: every observable matches the heap oracle
     /// after every operation, and draining both yields identical streams.
     #[test]
@@ -348,7 +348,7 @@ proptest! {
     /// Keys reserved and held, then filed later with `schedule_key` under
     /// their old sequence numbers, against the heap oracle doing the same:
     /// a filed key ties at its time with plain `schedule` calls and
-    /// `schedule_all` runs made after its reservation, and with lane keys
+    /// same-instant runs made after its reservation, and with lane keys
     /// merged through `pop_before` (the oracle files lane events with
     /// `schedule_key` too). Filed keys are cancelled and filed again, as
     /// an RTO is disarmed and re-filed; held keys whose time passes
@@ -395,8 +395,8 @@ proptest! {
                 }
                 5 => {
                     let n = 1 + a % 4;
-                    w.schedule_all(at, id..id + n);
                     for e in id..id + n {
+                        w.schedule(at, e);
                         h.schedule(at, e);
                     }
                     id += n;
