@@ -37,5 +37,5 @@ pub mod state;
 
 pub use config::MonitorConfig;
 pub use sketch::DdSketch;
-pub use snapshot::{ConnCounters, MonitorSnapshot, StageQuantiles};
+pub use snapshot::{ConnCounters, MonitorSnapshot};
 pub use state::MonitorState;

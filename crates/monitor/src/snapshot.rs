@@ -5,7 +5,7 @@
 //! emit byte-identical streams regardless of host load.
 
 use hns_metrics::json::{obj, Value};
-use hns_metrics::DropStats;
+use hns_metrics::{DropStats, MonitorStage};
 
 /// Churn/overload counters sampled from the connection engine.
 ///
@@ -69,21 +69,6 @@ impl ConnCounters {
     }
 }
 
-/// Per-stage quantiles over one interval's sampled residencies.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct StageQuantiles {
-    /// Stable stage label (`StageId::label`).
-    pub stage: &'static str,
-    /// Sampled residencies folded into this interval's sketch.
-    pub samples: u64,
-    /// Median residency, nanoseconds.
-    pub p50_ns: u64,
-    /// 99th-percentile residency, nanoseconds.
-    pub p99_ns: u64,
-    /// 99.9th-percentile residency, nanoseconds.
-    pub p999_ns: u64,
-}
-
 /// One interval of the monitor stream.
 #[derive(Clone, Debug, PartialEq)]
 pub struct MonitorSnapshot {
@@ -96,7 +81,7 @@ pub struct MonitorSnapshot {
     /// Drop-taxonomy delta over the interval.
     pub drops: DropStats,
     /// Stage residency quantiles for stages sampled this interval.
-    pub stages: Vec<StageQuantiles>,
+    pub stages: Vec<MonitorStage>,
     /// Churn/overload interval counters (churn scenarios only).
     pub conn: Option<ConnCounters>,
 }
@@ -126,7 +111,7 @@ impl MonitorSnapshot {
                 .iter()
                 .map(|s| {
                     obj(vec![
-                        ("stage", Value::Str(s.stage.to_string())),
+                        ("stage", Value::Str(s.stage.clone())),
                         ("samples", Value::UInt(s.samples)),
                         ("p50_ns", Value::UInt(s.p50_ns)),
                         ("p99_ns", Value::UInt(s.p99_ns)),
@@ -170,8 +155,8 @@ impl MonitorSnapshot {
                 ));
             }
         }
-        let mut tails: Vec<&StageQuantiles> = self.stages.iter().collect();
-        tails.sort_by(|a, b| b.p99_ns.cmp(&a.p99_ns).then(a.stage.cmp(b.stage)));
+        let mut tails: Vec<&MonitorStage> = self.stages.iter().collect();
+        tails.sort_by(|a, b| b.p99_ns.cmp(&a.p99_ns).then(a.stage.cmp(&b.stage)));
         if !tails.is_empty() {
             line.push_str(" | p99/p999 us:");
             for s in tails.iter().take(3) {
@@ -237,8 +222,8 @@ mod tests {
             interval_secs: 0.01,
             goodput_gbps: 12.0,
             drops,
-            stages: vec![StageQuantiles {
-                stage: "tcp_rx",
+            stages: vec![MonitorStage {
+                stage: "tcp_rx".to_string(),
                 samples: 42,
                 p50_ns: 1000,
                 p99_ns: 5000,

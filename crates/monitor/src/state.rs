@@ -17,7 +17,7 @@
 
 use crate::config::MonitorConfig;
 use crate::sketch::DdSketch;
-use crate::snapshot::{ConnCounters, MonitorSnapshot, StageQuantiles};
+use crate::snapshot::{ConnCounters, MonitorSnapshot};
 use hns_metrics::{DropStats, MonitorStage, MonitorSummary};
 use hns_sim::SimTime;
 use hns_trace::{StageId, N_STAGES};
@@ -128,13 +128,7 @@ impl MonitorState {
             .iter()
             .enumerate()
             .filter(|(_, s)| !s.is_empty())
-            .map(|(i, s)| StageQuantiles {
-                stage: StageId::ALL[i].label(),
-                samples: s.count(),
-                p50_ns: s.quantile(0.50),
-                p99_ns: s.quantile(0.99),
-                p999_ns: s.quantile(0.999),
-            })
+            .map(|(i, s)| stage_row(i, s))
             .collect();
         let snapshot = MonitorSnapshot {
             t_secs: now.since(self.window_start).as_secs_f64(),
@@ -177,13 +171,7 @@ impl MonitorState {
             .map(|(idx, (w, i))| {
                 let mut s = w.clone();
                 s.merge(i);
-                MonitorStage {
-                    stage: StageId::ALL[idx].label().to_string(),
-                    samples: s.count(),
-                    p50_ns: s.quantile(0.50),
-                    p99_ns: s.quantile(0.99),
-                    p999_ns: s.quantile(0.999),
-                }
+                stage_row(idx, &s)
             })
             .collect();
         MonitorSummary {
@@ -203,6 +191,18 @@ impl MonitorState {
             goodput_max_gbps: self.goodput_max,
             stages,
         }
+    }
+}
+
+/// The row of trace stage `stage` (its index in `StageId::ALL`): the
+/// sketch's sample count and residency quantiles.
+fn stage_row(stage: usize, sketch: &DdSketch) -> MonitorStage {
+    MonitorStage {
+        stage: StageId::ALL[stage].label().to_string(),
+        samples: sketch.count(),
+        p50_ns: sketch.quantile(0.50),
+        p99_ns: sketch.quantile(0.99),
+        p999_ns: sketch.quantile(0.999),
     }
 }
 
