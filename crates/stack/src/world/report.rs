@@ -183,12 +183,6 @@ impl World {
         let receiver = side(&self.hosts[1]);
         let bottleneck_cores = sender.cores_used.max(receiver.cores_used).max(1e-9);
 
-        let latency = |ns: &hns_sim::Histogram| LatencyStats {
-            avg_us: ns.mean() / 1e3,
-            p99_us: ns.quantile(0.99) as f64 / 1e3,
-            samples: ns.count(),
-        };
-
         let (stage_latency, trace_overflow) = if self.trace.enabled() {
             let row = |stage: &str, h: &hns_sim::Histogram| {
                 let p = h.percentiles();
@@ -232,8 +226,8 @@ impl World {
             thpt_per_core_gbps: total_gbps / bottleneck_cores,
             sender,
             receiver,
-            napi_to_copy: latency(&self.hosts[1].napi_to_copy_ns),
-            rpc_latency: latency(&self.rpc_latency_ns),
+            napi_to_copy: LatencyStats::from_ns(&self.hosts[1].napi_to_copy_ns),
+            rpc_latency: LatencyStats::from_ns(&self.rpc_latency_ns),
             skb_size_hist: self.hosts[1].skb_sizes.iter_buckets().collect(),
             avg_skb_bytes: self.hosts[1].skb_sizes.mean(),
             wire_drops,
