@@ -11,8 +11,10 @@
 //!   wire loss,
 //! * [`PhaseSchedule`] — one-shot or periodic activity windows on the
 //!   simulation clock,
-//! * [`FaultConfig`] — the aggregate plan threaded through `SimConfig`:
-//!   flaps, latency spikes, ring exhaustion, pool pressure, core stalls.
+//! * [`FaultConfig`] — the host-side plan threaded through `SimConfig`:
+//!   ring exhaustion, pool pressure, core stalls,
+//! * [`LatencySpike`] — a scheduled extra wire delay; the wire's loss,
+//!   flaps and spikes ride on the link's configuration.
 //!
 //! Everything is `Copy` and seeded from the run's master seed; the same
 //! seed and plan reproduce the same byte-level run.

@@ -298,7 +298,8 @@ impl SimConfig {
     }
 
     /// Reject every plan a run cannot honour, before anything is
-    /// simulated: the fault plan (including the stalled core's range), the
+    /// simulated: the fault plan (including the stalled core's range and
+    /// the link's flap and latency-spike windows), the
     /// churn and overload plan (which only the in-kernel datapath prices),
     /// the tracer's sampling, the monitor (which reads the tracer's
     /// residencies, so needs it on), the link rate and the fabric size.
@@ -319,6 +320,17 @@ impl SimConfig {
                         cs.core
                     ),
                 ));
+            }
+        }
+        let link_windows = [
+            ("link flap", self.link.flap),
+            ("latency spike", self.link.latency_spike.map(|s| s.window)),
+        ];
+        for (name, window) in link_windows {
+            if let Some(w) = window {
+                w.validate()
+                    .map_err(|e| format!("{name}: {e}"))
+                    .map_err(fail(RunErrorKind::BadFaultPlan))?;
             }
         }
         if let Some(churn) = &self.churn {
@@ -433,6 +445,32 @@ mod tests {
         assert_eq!(c.mss(), 1448);
         let j = StackConfig::at_level(OptLevel::Jumbo);
         assert_eq!(j.mss(), 8948);
+    }
+
+    #[test]
+    fn link_fault_windows_that_never_clear_are_rejected() {
+        use hns_faults::{LatencySpike, PhaseSchedule};
+        let ms = Duration::from_millis;
+        // Active for 2 ms every 1 ms: the link never comes back.
+        let stuck = PhaseSchedule::every(Duration::ZERO, ms(2), ms(1));
+        let clears = PhaseSchedule::every(Duration::ZERO, ms(1), ms(2));
+        let flap = |window| {
+            let mut c = SimConfig::default();
+            c.link.flap = Some(window);
+            c.validate().map_err(|e| e.kind)
+        };
+        let spike = |window| {
+            let mut c = SimConfig::default();
+            c.link.latency_spike = Some(LatencySpike {
+                window,
+                extra: ms(1),
+            });
+            c.validate().map_err(|e| e.kind)
+        };
+        assert_eq!(flap(stuck), Err(RunErrorKind::BadFaultPlan));
+        assert_eq!(spike(stuck), Err(RunErrorKind::BadFaultPlan));
+        assert_eq!(flap(clears), Ok(()));
+        assert_eq!(spike(clears), Ok(()));
     }
 
     #[test]
