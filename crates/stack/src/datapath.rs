@@ -12,8 +12,10 @@
 //!
 //! One invariant governs every backend: **backends change where
 //! cycles are charged, never what moves.** Protocol state machines, frame
-//! arenas, page pools, IOMMU mappings and descriptor rings operate
-//! identically under all three backends; only the cost table differs.
+//! arenas, page pools, IOMMU mappings and the Rx descriptor rings operate
+//! identically under all three backends; only the cost table differs. The
+//! one ring that is not everywhere is the Tx `DescRing`, which only the
+//! offload backends keep ([`DatapathKind::keeps_tx_desc_rings`]).
 //! That keeps every `hns-audit` conservation ledger balanced with
 //! no per-backend ledger cases, and makes the cross-backend differential
 //! test (`tests/backend_differential.rs`) meaningful: application bytes
@@ -104,14 +106,15 @@ impl DatapathKind {
     /// both directions count copied bytes in the copy-cache statistics.
     /// Bypass is zero-copy by construction (pre-registered buffers).
     #[inline]
-    pub fn charges_copies(self) -> bool {
+    pub fn copies_payload(self) -> bool {
         !matches!(self, DatapathKind::UserBypass)
     }
 
-    /// The host keeps offload descriptor rings: a post per transmitted
-    /// frame, a completion harvested at the next transmit.
+    /// The host keeps a Tx descriptor ring to the offload NIC: a post per
+    /// transmitted frame, a completion harvested at the next transmit.
+    /// The in-kernel stack hands frames to the NIC's Tx queues instead.
     #[inline]
-    pub fn charges_descriptors(self) -> bool {
+    pub fn keeps_tx_desc_rings(self) -> bool {
         !matches!(self, DatapathKind::InKernel)
     }
 
@@ -164,9 +167,9 @@ mod tests {
         assert!(protocol(&cik) > 0 && protocol(&ctoe) == 0 && protocol(&cbyp) == 0);
         let memory = |c: &CostModel| c.page_alloc_fast + c.page_free_fast + c.iommu_map;
         assert!(memory(&cik) > 0 && memory(&ctoe) == 0 && memory(&cbyp) == 0);
-        assert!(toe.charges_copies() && !byp.charges_copies());
+        assert!(toe.copies_payload() && !byp.copies_payload());
         assert!(ctoe.syscall_write > 0 && cbyp.syscall_write == 0);
-        assert!(!ik.charges_descriptors() && toe.charges_descriptors());
+        assert!(!ik.keeps_tx_desc_rings() && toe.keeps_tx_desc_rings());
         assert!(byp.busy_polls() && !toe.busy_polls() && !ik.busy_polls());
         assert!(cik.irq_handler > 0 && ctoe.irq_handler > 0 && cbyp.irq_handler == 0);
         assert!(toe.rx_aggregates(&stack) && !byp.rx_aggregates(&stack));
