@@ -31,7 +31,9 @@ impl std::fmt::Display for Violation {
 
 /// Per-flow byte conservation: what the sender wrote must equal what was
 /// acked, what is in flight, and what is still queued; the receiver must
-/// never be ahead of the sender and the app never ahead of the receiver.
+/// never be ahead of the sender and the app never ahead of the receiver;
+/// and the skbs parked in the socket queue must hold every byte the
+/// receiver delivered that the app has not read.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct FlowLedger {
     /// Flow id (labels the violation).
@@ -46,10 +48,12 @@ pub struct FlowLedger {
     pub unsent: u64,
     /// Receiver's next expected sequence number (contiguously delivered).
     pub rcv_nxt: u64,
-    /// Bytes the receiving application has consumed.
+    /// Bytes the receiving application has consumed (`copied_seq`).
     pub app_read: u64,
-    /// Bytes delivered to the socket but not yet read by the app.
-    pub rx_backlog: u64,
+    /// End of the contiguous byte run the socket queue's skbs cover from
+    /// `app_read` on; in balance it is `rcv_nxt`: the in-order skbs cover
+    /// `[app_read, rcv_nxt)`, and out-of-order ones start past a hole.
+    pub queued_to: u64,
 }
 
 impl FlowLedger {
@@ -92,12 +96,12 @@ impl FlowLedger {
                 ),
             });
         }
-        if self.app_read + self.rx_backlog != self.rcv_nxt {
+        if self.queued_to != self.rcv_nxt {
             out.push(Violation {
-                invariant: "flow-rx-backlog-ledger",
+                invariant: "flow-rx-queue-coverage",
                 detail: format!(
-                    "flow {f}: app_read {} + rx_backlog {} != rcv_nxt {}",
-                    self.app_read, self.rx_backlog, self.rcv_nxt
+                    "flow {f}: socket queue covers [{}, {}) but rcv_nxt is {}",
+                    self.app_read, self.queued_to, self.rcv_nxt
                 ),
             });
         }
@@ -794,7 +798,7 @@ mod tests {
             unsent: 25,
             rcv_nxt: 60,
             app_read: 50,
-            rx_backlog: 10,
+            queued_to: 60,
         };
         assert!(checked(|o| l.check(o)).is_empty());
     }
@@ -809,7 +813,7 @@ mod tests {
             unsent: 20,
             rcv_nxt: 40,
             app_read: 40,
-            rx_backlog: 0,
+            queued_to: 40,
         };
         let v = checked(|o| l.check(o));
         assert_eq!(v.len(), 1);
@@ -825,10 +829,40 @@ mod tests {
             acked: 50,
             rcv_nxt: 60,
             app_read: 60,
+            queued_to: 60,
             ..FlowLedger::default()
         };
         let v = checked(|o| l.check(o));
         assert!(v.iter().any(|v| v.invariant == "flow-rcv-ahead-of-snd"));
+    }
+
+    #[test]
+    fn flow_ledger_catches_socket_queue_gap() {
+        // Delivered [50, 60) but the socket queue's skbs stop at 55: an skb
+        // the receiver counted was never parked for the app to read.
+        let mut l = FlowLedger {
+            flow: 4,
+            written: 100,
+            acked: 60,
+            in_flight: 40,
+            rcv_nxt: 60,
+            app_read: 50,
+            queued_to: 55,
+            ..FlowLedger::default()
+        };
+        let v = checked(|o| l.check(o));
+        assert_eq!(v.len(), 1);
+        assert_eq!(v[0].invariant, "flow-rx-queue-coverage");
+        assert!(v[0].detail.contains("[50, 55)"), "{}", v[0].detail);
+        // Queued bytes past rcv_nxt that the receiver never delivered.
+        l.queued_to = 70;
+        let v = checked(|o| l.check(o));
+        assert_eq!(v.len(), 1);
+        assert_eq!(v[0].invariant, "flow-rx-queue-coverage");
+        // An empty queue balances once the app has read everything.
+        l.app_read = 60;
+        l.queued_to = 60;
+        assert!(checked(|o| l.check(o)).is_empty());
     }
 
     #[test]

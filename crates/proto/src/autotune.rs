@@ -56,11 +56,6 @@ impl RcvBufAutotune {
         self.rcvbuf
     }
 
-    /// Whether auto-tuning is active.
-    pub fn is_auto(&self) -> bool {
-        self.auto
-    }
-
     /// DRS step: the application copied `copied` bytes over `interval`;
     /// `rtt` is the (host-latency-inflated) receiver RTT estimate. Grows
     /// (never shrinks) the buffer toward `4 × copied-per-RTT` — 2× for the
@@ -101,7 +96,6 @@ mod tests {
             Duration::from_micros(100),
         );
         assert_eq!(t.rcvbuf(), 3200 * 1024);
-        assert!(!t.is_auto());
     }
 
     #[test]

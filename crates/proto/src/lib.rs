@@ -8,13 +8,15 @@
 //!
 //! What is implemented (all of it exercised by the paper's experiments):
 //!
-//! * cumulative ACKs, duplicate-ACK counting, fast retransmit, and a
-//!   retransmission timeout with exponential backoff ([`sender`]),
+//! * cumulative ACKs, duplicate-ACK counting, fast retransmit, a
+//!   retransmission timeout with exponential backoff, and Linux's
+//!   send-buffer sizing ([`sender`]),
 //! * out-of-order segment reassembly at the receiver ([`reassembly`]),
 //! * delayed ACKs (every second full-sized segment, Linux-style) and
 //!   immediate dup-ACKs on out-of-order arrival ([`receiver`]),
-//! * receive-window advertisement from socket buffer occupancy, with
-//!   Linux-like dynamic right-sizing auto-tuning ([`autotune`]),
+//! * receive-window advertisement from the socket's copy backlog, with an
+//!   update when a closed window reopens ([`receiver`]), and Linux-like
+//!   dynamic right-sizing auto-tuning ([`autotune`]),
 //! * pluggable congestion control ([`cc`]): Reno, CUBIC (Linux default),
 //!   DCTCP (ECN-fraction window scaling), and BBR (model-based rate with
 //!   pacing — the pacing timer is what produces BBR's extra sender-side
@@ -42,7 +44,7 @@ pub mod sender;
 pub use autotune::RcvBufAutotune;
 pub use cc::{make_cc, CcAlgo, CongestionControl};
 pub use reassembly::ReassemblyQueue;
-pub use receiver::{AckAction, TcpReceiver};
+pub use receiver::{AckAction, TcpReceiver, DELACK_TIMEOUT};
 pub use sack::{SackBlocks, Scoreboard};
 pub use segment::{AckView, ConnPhase, DataView, FlowId, Segment, SegmentKind};
 pub use sender::{SendAction, TcpSender};

@@ -1,4 +1,4 @@
-//! TCP receiver state machine.
+//! TCP receiver state machine: the receive side of one socket.
 //!
 //! Consumes (possibly GRO-merged) data segments, reassembles them in order,
 //! and produces ACKs. The host stack calls [`TcpReceiver::on_data`] once per
@@ -8,18 +8,35 @@
 //! duplicate ACKs for out-of-order arrivals, feeding the sender's fast
 //! retransmit.
 //!
-//! Window advertisement accounts buffer occupancy at *skb truesize* — the
-//! kernel charges each queued skb roughly twice its payload against
-//! `sk_rcvbuf` (struct + page overheads), so a 6MB receive buffer holds at
-//! most ≈3MB of payload backlog. The application draining slowly closes
-//! the window, which is the coupling that lets host processing latency
-//! inflate the BDP (paper §3.1, Fig. 3f) — and the truesize factor is why
-//! the copy lag at the default auto-tuned buffer is ≈3MB, the operating
-//! point behind the paper's 49% DCA miss rate.
+//! The receiver also owns the socket's buffer: [`TcpReceiver::on_copy`]
+//! advances the application's read position `copied_seq`, and window
+//! advertisement charges the backlog `rcv_nxt − copied_seq` at
+//! *skb truesize* — the kernel charges each queued skb roughly twice its
+//! payload against `sk_rcvbuf` (struct + page overheads), so a 6MB receive
+//! buffer holds at most ≈3MB of payload backlog. The application draining
+//! slowly closes the window, which is the coupling that lets host
+//! processing latency inflate the BDP (paper §3.1, Fig. 3f) — and the
+//! truesize factor is why the copy lag at the default auto-tuned buffer is
+//! ≈3MB, the operating point behind the paper's 49% DCA miss rate.
+//! A read that reopens a window delivery closed sends an explicit update
+//! ([`TcpReceiver::reopen_update`]), and copies feed dynamic right-sizing.
+
+use hns_sim::{Duration, SimTime};
 
 use crate::autotune::RcvBufAutotune;
 use crate::reassembly::ReassemblyQueue;
 use crate::segment::{FlowId, Segment};
+
+/// Delayed-ACK flush timeout: how long the stack's timer lets an ACK sit
+/// before it calls [`TcpReceiver::delack_flush`]. Linux holds a delayed
+/// ACK up to 40–200ms against a 200ms RTO floor; with this simulation's
+/// microsecond RTTs and millisecond RTOs the same ratio lands at half a
+/// millisecond. Without the timer, an in-order segment below the
+/// every-second-MSS ACK threshold is never acknowledged once the sender
+/// goes quiet — a min-cwnd sender (post-RTO) then crawls at one segment
+/// per RTO, each RTO re-collapsing cwnd: a permanent livelock at ~0
+/// goodput.
+pub const DELACK_TIMEOUT: Duration = Duration::from_micros(500);
 
 /// Outcome of delivering one data segment to the receiver.
 #[derive(Clone, Copy, Debug)]
@@ -42,6 +59,14 @@ pub struct TcpReceiver {
     mss: u32,
     reasm: ReassemblyQueue,
     autotune: RcvBufAutotune,
+    /// Stream offset up to which the application has copied.
+    copied_seq: u64,
+    /// In-order delivery left less than 2·MSS of window.
+    window_closed: bool,
+    /// Bytes copied since the last DRS tick.
+    copied_since_tick: u64,
+    /// EWMA of host-side NAPI→copy latency, feeds the DRS RTT hint.
+    host_latency_ewma: Duration,
     /// Unacknowledged in-order bytes (delayed-ACK accounting).
     unacked_bytes: u64,
     /// Dup-ACKs generated (reporting: §3.6 ACK-processing overhead).
@@ -58,15 +83,14 @@ impl TcpReceiver {
             mss,
             reasm: ReassemblyQueue::new(),
             autotune,
+            copied_seq: 0,
+            window_closed: false,
+            copied_since_tick: 0,
+            host_latency_ewma: Duration::from_micros(10),
             unacked_bytes: 0,
             dup_acks_sent: 0,
             acks_sent: 0,
         }
-    }
-
-    /// Flow id.
-    pub fn flow(&self) -> FlowId {
-        self.flow
     }
 
     /// Next expected in-order byte.
@@ -74,33 +98,35 @@ impl TcpReceiver {
         self.reasm.rcv_nxt()
     }
 
+    /// Stream offset up to which the application has copied.
+    pub fn copied_seq(&self) -> u64 {
+        self.copied_seq
+    }
+
     /// Current receive buffer size.
     pub fn rcvbuf(&self) -> u64 {
         self.autotune.rcvbuf()
     }
 
-    /// Mutable access to the buffer-sizing policy (the stack feeds DRS
-    /// samples from its copy loop).
-    pub fn autotune_mut(&mut self) -> &mut RcvBufAutotune {
-        &mut self.autotune
-    }
-
-    /// Window to advertise given the socket queue backlog (payload bytes
-    /// delivered to the socket but not yet copied to the application).
-    /// Occupancy is charged at truesize (≈2× payload), as in the kernel.
-    pub fn advertised_window(&self, socket_backlog: u64) -> u64 {
-        let truesize = 2 * (socket_backlog + self.reasm.ooo_bytes());
+    /// Window to advertise: the buffer minus what the socket holds —
+    /// payload delivered but not yet copied, plus out-of-order bytes —
+    /// charged at truesize (≈2× payload), as in the kernel.
+    pub fn advertised_window(&self) -> u64 {
+        let backlog = self.reasm.rcv_nxt() - self.copied_seq;
+        let truesize = 2 * (backlog + self.reasm.ooo_bytes());
         self.autotune.rcvbuf().saturating_sub(truesize)
     }
 
     /// Deliver a data segment of `len` bytes at stream offset `seq`;
-    /// `ce` is the wire ECN mark; `socket_backlog` as above.
+    /// `ce` is the wire ECN mark.
     ///
     /// ACK policy follows Linux: out-of-order or duplicate data elicits an
     /// immediate (dup-)ACK; in-order data is delay-acknowledged every
     /// second MSS. GRO-merged skbs (≥ 2×MSS) therefore always ACK — one
     /// ACK per aggregate — while the no-GRO path ACKs every other frame.
-    pub fn on_data(&mut self, seq: u64, len: u32, ce: bool, socket_backlog: u64) -> AckAction {
+    /// The advertised window already counts the bytes just delivered (the
+    /// copy hasn't happened yet).
+    pub fn on_data(&mut self, seq: u64, len: u32, ce: bool) -> AckAction {
         let outcome = self.reasm.insert(seq, len);
         // Immediate ACK on: out-of-order / duplicate data (dup-ACK), ECN
         // marks, a hole fill that released previously-buffered ranges
@@ -126,20 +152,19 @@ impl TcpReceiver {
             if outcome.out_of_order || outcome.duplicate {
                 self.dup_acks_sent += 1;
             }
-            // Backlog grows by what was just delivered — account for it in
-            // the advertised window immediately (the copy hasn't happened
-            // yet).
-            let window = self.advertised_window(socket_backlog + outcome.delivered);
             Some(Segment::ack(
                 self.flow,
                 self.reasm.rcv_nxt(),
-                window,
+                self.advertised_window(),
                 ce,
                 self.reasm.sack_blocks(),
             ))
         } else {
             None
         };
+        if outcome.delivered > 0 && self.advertised_window() < 2 * self.mss as u64 {
+            self.window_closed = true;
+        }
         AckAction {
             ack: ack_seg,
             delivered: outcome.delivered,
@@ -148,33 +173,66 @@ impl TcpReceiver {
         }
     }
 
-    /// Generate a pure window update (after the application drains a
-    /// previously-zero window).
-    pub fn window_update(&mut self, socket_backlog: u64) -> Segment {
+    /// The application copied the skb `[seq, end)`, `napi_latency` after
+    /// NAPI polled it. Returns the bytes new to the application: only the
+    /// overlap with `[copied_seq, rcv_nxt)` counts, so overlapping
+    /// retransmits never double-count. Each skb folds one sample into the
+    /// host-latency EWMA (gain 1/8).
+    pub fn on_copy(&mut self, seq: u64, end: u64, napi_latency: Duration) -> u64 {
+        let hi = end.min(self.reasm.rcv_nxt());
+        let new = hi.saturating_sub(seq.max(self.copied_seq));
+        self.copied_seq = self.copied_seq.max(hi);
+        self.copied_since_tick += new;
+        let old = self.host_latency_ewma.as_nanos();
+        let sample = napi_latency.as_nanos();
+        self.host_latency_ewma = Duration::from_nanos(old - old / 8 + sample / 8);
+        new
+    }
+
+    /// After a read: the window update that reopens a closed window, once
+    /// at least 2·MSS is free again.
+    pub fn reopen_update(&mut self) -> Option<Segment> {
+        if !self.window_closed || self.advertised_window() < 2 * self.mss as u64 {
+            return None;
+        }
+        self.window_closed = false;
+        Some(self.window_update())
+    }
+
+    /// DRS tick: size the buffer from the bytes copied over the last
+    /// `interval` and an RTT hint of 2·`propagation` plus host latency.
+    pub fn on_tick(&mut self, interval: Duration, propagation: Duration) {
+        let copied = std::mem::take(&mut self.copied_since_tick);
+        let rtt = propagation * 2 + self.host_latency_ewma;
+        self.autotune.on_copied(copied, interval, rtt);
+    }
+
+    /// Generate a pure window update at the current cumulative edge.
+    pub fn window_update(&mut self) -> Segment {
         self.acks_sent += 1;
         Segment::ack(
             self.flow,
             self.reasm.rcv_nxt(),
-            self.advertised_window(socket_backlog),
+            self.advertised_window(),
             false,
             self.reasm.sack_blocks(),
         )
     }
 
-    /// True when in-order bytes were delivered but their ACK is still
-    /// being held back by the delayed-ACK policy. The stack arms the
-    /// delack timer off this: without a flush, a one-MSS-per-RTT sender
-    /// (cwnd collapsed after an RTO) gets no ACK clock at all and crawls
-    /// at one RTO per segment.
-    pub fn pending_delack(&self) -> bool {
-        self.unacked_bytes > 0
+    /// While in-order bytes were delivered but the delayed-ACK policy
+    /// still holds their ACK back: when a flush timer armed at `now` fires,
+    /// [`DELACK_TIMEOUT`] later. Without the flush, a one-MSS-per-RTT
+    /// sender (cwnd collapsed after an RTO) gets no ACK clock at all and
+    /// crawls at one RTO per segment.
+    pub fn delack_deadline(&self, now: SimTime) -> Option<SimTime> {
+        (self.unacked_bytes > 0).then(|| now + DELACK_TIMEOUT)
     }
 
     /// Delayed-ACK timer fired: flush the held ACK at the current
-    /// cumulative edge and window.
-    pub fn delack_flush(&mut self, socket_backlog: u64) -> Segment {
-        self.unacked_bytes = 0;
-        self.window_update(socket_backlog)
+    /// cumulative edge and window; `None` when a data-driven ACK already
+    /// flushed it.
+    pub fn delack_flush(&mut self) -> Option<Segment> {
+        (std::mem::take(&mut self.unacked_bytes) > 0).then(|| self.window_update())
     }
 }
 
@@ -194,7 +252,7 @@ mod tests {
     #[test]
     fn in_order_data_acks_cumulative() {
         let mut r = rx();
-        let a = r.on_data(0, 10_000, false, 0);
+        let a = r.on_data(0, 10_000, false);
         assert_eq!(a.delivered, 10_000);
         let (ack, win, ecn) = ack_fields(&a.ack.unwrap());
         assert_eq!(ack, 10_000);
@@ -206,8 +264,8 @@ mod tests {
     #[test]
     fn out_of_order_generates_dup_ack() {
         let mut r = rx();
-        r.on_data(0, 1_000, false, 0);
-        let a = r.on_data(2_000, 1_000, false, 1_000);
+        r.on_data(0, 1_000, false);
+        let a = r.on_data(2_000, 1_000, false);
         assert!(a.out_of_order);
         assert_eq!(a.delivered, 0);
         let (ack, _, _) = ack_fields(&a.ack.unwrap());
@@ -218,9 +276,9 @@ mod tests {
     #[test]
     fn hole_fill_delivers_everything() {
         let mut r = rx();
-        r.on_data(0, 1_000, false, 0);
-        r.on_data(2_000, 1_000, false, 1_000);
-        let a = r.on_data(1_000, 1_000, false, 1_000);
+        r.on_data(0, 1_000, false);
+        r.on_data(2_000, 1_000, false);
+        let a = r.on_data(1_000, 1_000, false);
         assert_eq!(a.delivered, 2_000);
         let (ack, _, _) = ack_fields(&a.ack.unwrap());
         assert_eq!(ack, 3_000);
@@ -229,7 +287,7 @@ mod tests {
     #[test]
     fn ecn_mark_echoed() {
         let mut r = rx();
-        let a = r.on_data(0, 1_000, true, 0);
+        let a = r.on_data(0, 1_000, true);
         let (_, _, ecn) = ack_fields(&a.ack.unwrap());
         assert!(ecn);
     }
@@ -237,35 +295,98 @@ mod tests {
     #[test]
     fn window_counts_ooo_bytes() {
         let mut r = rx();
-        r.on_data(10_000, 5_000, false, 0);
+        r.on_data(10_000, 5_000, false);
         // 5KB held out-of-order reduces the advertised window by its
         // truesize.
-        assert_eq!(r.advertised_window(0), (1 << 20) - 10_000);
+        assert_eq!(r.advertised_window(), (1 << 20) - 10_000);
     }
 
     #[test]
     fn window_reaches_zero_at_half_buffer() {
-        let r = rx();
         // Truesize doubling: payload backlog of rcvbuf/2 closes the window.
-        assert_eq!(r.advertised_window(1 << 19), 0);
-        assert_eq!(r.advertised_window(2 << 20), 0, "saturating");
+        let mut r = rx();
+        r.on_data(0, 1 << 19, false);
+        assert_eq!(r.advertised_window(), 0);
+        let mut r = rx();
+        r.on_data(0, 2 << 20, false);
+        assert_eq!(r.advertised_window(), 0, "saturating");
     }
 
     #[test]
     fn window_update_segment() {
         let mut r = rx();
-        r.on_data(0, 1_000, false, 0);
-        let u = r.window_update(0);
+        r.on_data(0, 1_000, false);
+        r.on_copy(0, 1_000, Duration::ZERO);
+        let u = r.window_update();
         let (ack, win, _) = ack_fields(&u);
         assert_eq!(ack, 1_000);
         assert_eq!(win, 1 << 20);
     }
 
     #[test]
+    fn copy_counts_only_new_bytes() {
+        let mut r = rx();
+        r.on_data(0, 3_000, false);
+        assert_eq!(r.on_copy(0, 2_000, Duration::ZERO), 2_000);
+        // An overlapping retransmit's skb counts only its unread tail.
+        assert_eq!(r.on_copy(1_000, 3_000, Duration::ZERO), 1_000);
+        assert_eq!(r.on_copy(0, 3_000, Duration::ZERO), 0, "all read");
+        assert_eq!(r.copied_seq(), 3_000);
+        assert_eq!(r.advertised_window(), 1 << 20, "backlog drained");
+    }
+
+    #[test]
+    fn closed_window_reopens_with_one_update() {
+        let mut r = rx();
+        // Fill to within 2·MSS of a closed window: rcvbuf/2 − 1KB payload.
+        let a = r.on_data(0, (1 << 19) - 1_000, false);
+        assert_eq!(ack_fields(&a.ack.unwrap()).1, 2_000);
+        assert!(r.reopen_update().is_none(), "no read yet");
+        // A read that frees less than 2·MSS keeps it closed.
+        r.on_copy(0, 100, Duration::ZERO);
+        assert!(r.reopen_update().is_none());
+        r.on_copy(100, 10_000, Duration::ZERO);
+        let u = r.reopen_update().expect("window reopened");
+        let (ack, win, _) = ack_fields(&u);
+        assert_eq!(ack, (1 << 19) - 1_000);
+        assert_eq!(win, 2_000 + 2 * 10_000);
+        assert!(r.reopen_update().is_none(), "one update per close");
+    }
+
+    #[test]
+    fn open_window_sends_no_update() {
+        let mut r = rx();
+        r.on_data(0, 10_000, false);
+        r.on_copy(0, 10_000, Duration::ZERO);
+        assert!(r.reopen_update().is_none());
+    }
+
+    #[test]
+    fn latency_ewma_feeds_the_drs_rtt_hint() {
+        let mut r = TcpReceiver::new(1, 1448, RcvBufAutotune::auto());
+        r.on_data(0, 1_000_000, false);
+        for i in 0..100 {
+            r.on_copy(i * 10_000, (i + 1) * 10_000, Duration::from_micros(200));
+        }
+        let us = r.host_latency_ewma.as_micros();
+        assert!((150..=205).contains(&us), "ewma = {us}us");
+        // 1MB per 1ms at an RTT of 2 × 50us + the EWMA: 4× the bytes per
+        // RTT, which beats the doubling rule's 2 × 256KB.
+        let rtt = Duration::from_micros(100) + r.host_latency_ewma;
+        r.on_tick(Duration::from_millis(1), Duration::from_micros(50));
+        let rate = 1e6 / Duration::from_millis(1).as_secs_f64();
+        let want = (4.0 * (rate * rtt.as_secs_f64())) as u64;
+        assert_eq!(r.rcvbuf(), want);
+        // The tick consumed the copied bytes: an idle tick changes nothing.
+        r.on_tick(Duration::from_millis(1), Duration::from_micros(50));
+        assert_eq!(r.rcvbuf(), want);
+    }
+
+    #[test]
     fn duplicate_data_counted() {
         let mut r = rx();
-        r.on_data(0, 10_000, false, 0);
-        let a = r.on_data(0, 1_000, false, 10_000);
+        r.on_data(0, 10_000, false);
+        let a = r.on_data(0, 1_000, false);
         assert!(a.duplicate);
         assert_eq!(r.dup_acks_sent, 1);
         assert_eq!(r.acks_sent, 2);
@@ -275,10 +396,10 @@ mod tests {
     fn delayed_ack_every_second_mss() {
         let mut r = rx();
         // First MSS-sized in-order segment: ACK withheld.
-        let a1 = r.on_data(0, 1_448, false, 0);
+        let a1 = r.on_data(0, 1_448, false);
         assert!(a1.ack.is_none(), "first MSS is delay-acked");
         // Second: cumulative ACK released.
-        let a2 = r.on_data(1_448, 1_448, false, 1_448);
+        let a2 = r.on_data(1_448, 1_448, false);
         let (ack, _, _) = ack_fields(&a2.ack.expect("second MSS acks"));
         assert_eq!(ack, 2 * 1_448);
         assert_eq!(r.acks_sent, 1);
@@ -288,17 +409,17 @@ mod tests {
     fn gro_aggregates_always_ack() {
         let mut r = rx();
         // A 64KB merged skb is ≥ 2×MSS: immediate ACK.
-        let a = r.on_data(0, 65_536, false, 0);
+        let a = r.on_data(0, 65_536, false);
         assert!(a.ack.is_some());
     }
 
     #[test]
     fn ooo_acks_immediately_even_after_delack() {
         let mut r = rx();
-        let a1 = r.on_data(0, 1_448, false, 0);
+        let a1 = r.on_data(0, 1_448, false);
         assert!(a1.ack.is_none());
         // Out-of-order arrival: immediate dup-ACK despite pending delack.
-        let a2 = r.on_data(10_000, 1_448, false, 1_448);
+        let a2 = r.on_data(10_000, 1_448, false);
         assert!(a2.ack.is_some());
         assert_eq!(r.dup_acks_sent, 1);
     }
@@ -307,28 +428,30 @@ mod tests {
     fn quickack_while_holes_remain() {
         let mut r = rx();
         // Open a hole: [10_000, 11_448) parked out of order.
-        assert!(r.on_data(10_000, 1_448, false, 0).ack.is_some());
+        assert!(r.on_data(10_000, 1_448, false).ack.is_some());
         // In-order single MSS with the hole still open: must ACK at once
         // (Linux quickack in recovery) — a delayed ACK here would starve a
         // min-cwnd sender mid-recovery of its ACK clock.
-        let a = r.on_data(0, 1_448, false, 0);
+        let a = r.on_data(0, 1_448, false);
         assert!(a.ack.is_some(), "in-order data acks immediately mid-hole");
         // Once the hole closes, the delayed-ACK policy resumes.
-        assert!(r.on_data(1_448, 8_552, false, 0).ack.is_some()); // fills to 10_000, releases hole
-        assert!(r.on_data(11_448, 1_448, false, 0).ack.is_none());
+        assert!(r.on_data(1_448, 8_552, false).ack.is_some()); // fills to 10_000, releases hole
+        assert!(r.on_data(11_448, 1_448, false).ack.is_none());
     }
 
     #[test]
     fn delack_flush_releases_held_ack() {
         let mut r = rx();
-        assert!(r.on_data(0, 1_448, false, 0).ack.is_none());
-        assert!(r.pending_delack(), "one MSS held by the delack policy");
-        let seg = r.delack_flush(1_448);
-        let v = seg.ack_view().expect("flush emits an ack");
-        assert_eq!(v.ack, 1_448);
-        assert!(!r.pending_delack());
+        assert!(r.on_data(0, 1_448, false).ack.is_none());
+        let now = SimTime::from_nanos(7);
+        let held = r.delack_deadline(now);
+        assert_eq!(held, Some(now + DELACK_TIMEOUT), "one MSS held back");
+        let seg = r.delack_flush().expect("flush emits an ack");
+        assert_eq!(seg.ack_view().unwrap().ack, 1_448);
+        assert_eq!(r.delack_deadline(now), None);
+        assert!(r.delack_flush().is_none(), "nothing left to flush");
         // Next odd MSS starts a fresh delack cycle, not an immediate ACK.
-        assert!(r.on_data(1_448, 1_448, false, 1_448).ack.is_none());
-        assert!(r.pending_delack());
+        assert!(r.on_data(1_448, 1_448, false).ack.is_none());
+        assert!(r.delack_deadline(now).is_some());
     }
 }

@@ -18,6 +18,11 @@ use crate::cc::{CcAlgo, CongestionControl};
 use crate::sack::{SackBlocks, Scoreboard};
 use crate::segment::{FlowId, Segment};
 
+/// Send-buffer cap in bytes (`tcp_wmem[2]`). Set above the receive-buffer
+/// cap so the receiver window, not the send buffer, is the binding
+/// constraint, as in the paper's tuned testbed.
+pub const SNDBUF_MAX: u64 = 16 * 1024 * 1024;
+
 /// Result of processing one ACK.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SendAction {
@@ -161,16 +166,6 @@ impl TcpSender {
         }
     }
 
-    /// Flow id.
-    pub fn flow(&self) -> FlowId {
-        self.flow
-    }
-
-    /// MSS in bytes.
-    pub fn mss(&self) -> u32 {
-        self.mss
-    }
-
     /// Bytes in flight (sent, unacked).
     pub fn in_flight(&self) -> u64 {
         self.snd_nxt - self.snd_una
@@ -212,14 +207,26 @@ impl TcpSender {
     }
 
     /// The application wrote `bytes` into the socket. The caller enforces
-    /// send-buffer capacity via [`TcpSender::buffered`].
+    /// send-buffer capacity via [`TcpSender::can_write`].
     pub fn app_write(&mut self, bytes: u64) {
         self.stream_end += bytes;
     }
 
-    /// How many more bytes the app may write given a send buffer of `cap`.
-    pub fn write_capacity(&self, cap: u64) -> u64 {
-        cap.saturating_sub(self.buffered())
+    /// Whether the send buffer has room for one more `write`-byte write.
+    /// Linux autotunes `sk_sndbuf` toward twice the congestion window
+    /// (`tcp_sndbuf_expand`), here at least two writes and at most
+    /// [`SNDBUF_MAX`]. Without this, thousands of idle-ish flows would each
+    /// buffer the full static maximum and the measurement would be
+    /// dominated by buffer-fill copies that never reach the wire.
+    pub fn can_write(&self, write: u64) -> bool {
+        let sndbuf = (2 * self.cwnd()).clamp(2 * write, SNDBUF_MAX);
+        sndbuf.saturating_sub(self.buffered()) >= write
+    }
+
+    /// Whether the windows admit new data and there is unsent data to
+    /// admit: the next transmission attempt would emit a segment.
+    pub fn can_send(&self) -> bool {
+        self.usable_window() > 0 && self.unsent() > 0
     }
 
     /// RFC 6675 pipe estimate: bytes believed to be in the network —
@@ -749,14 +756,14 @@ mod tests {
     }
 
     #[test]
-    fn write_capacity_tracks_buffer() {
+    fn send_buffer_holds_written_unacked_bytes() {
         let mut s = sender();
-        assert_eq!(s.write_capacity(10_000), 10_000);
+        assert_eq!(s.buffered(), 0);
         s.app_write(4_000);
-        assert_eq!(s.write_capacity(10_000), 6_000);
+        assert_eq!(s.buffered(), 4_000);
         while s.next_segment(SimTime::ZERO, 1000).is_some() {}
         // Buffer holds written-unacked bytes even after transmission.
-        assert_eq!(s.write_capacity(10_000), 6_000);
+        assert_eq!(s.buffered(), 4_000);
         s.on_ack(
             SimTime::from_nanos(1),
             4_000,
@@ -764,8 +771,37 @@ mod tests {
             false,
             &SackBlocks::EMPTY,
         );
-        assert_eq!(s.write_capacity(10_000), 10_000);
+        assert_eq!(s.buffered(), 0);
         assert!(s.all_acked());
+    }
+
+    #[test]
+    fn sndbuf_follows_cwnd_between_two_writes_and_the_cap() {
+        // (write size, expected send buffer): twice the congestion window,
+        // at least two writes, at most the cap.
+        let cwnd = sender().cwnd();
+        for (write, sndbuf) in [
+            (100, 2 * cwnd),
+            (cwnd, 2 * cwnd),
+            (4 * cwnd, 8 * cwnd),
+            (SNDBUF_MAX / 2, SNDBUF_MAX),
+        ] {
+            let mut s = sender();
+            s.app_write(sndbuf - write);
+            assert!(s.can_write(write), "room for the last write of {write}");
+            s.app_write(1);
+            assert!(!s.can_write(write), "send buffer of {sndbuf} is full");
+        }
+    }
+
+    #[test]
+    fn can_send_needs_window_and_unsent_data() {
+        let mut s = sender();
+        assert!(!s.can_send(), "nothing written");
+        s.app_write(4 * s.cwnd());
+        assert!(s.can_send());
+        while s.next_segment(SimTime::ZERO, 1000).is_some() {}
+        assert!(s.unsent() > 0 && !s.can_send(), "cwnd full");
     }
 
     #[test]

@@ -1,39 +1,108 @@
 //! End-to-end protocol property tests: a sender and receiver wired through
 //! a lossy, reordering "network" must still deliver the complete stream.
+//! The receiving application reads through the receiver's socket
+//! ([`TcpReceiver::on_copy`]), so a slow reader closes the advertised
+//! window and its reads reopen it; the delayed-ACK flush runs at
+//! [`DELACK_TIMEOUT`](hns_proto::DELACK_TIMEOUT), as the host stack files it.
 
 use hns_proto::{CcAlgo, RcvBufAutotune, Segment, SegmentKind, TcpReceiver, TcpSender};
 use hns_sim::{Duration, SimRng, SimTime};
 use proptest::prelude::*;
 
-/// Drive one sender/receiver pair to completion over a lossy in-order pipe.
-/// Returns (delivered_bytes, retransmissions, wire_drops). Panics on livelock.
+/// One transfer's shape.
+struct Transfer {
+    total: u64,
+    loss: f64,
+    reorder: bool,
+    seed: u64,
+    algo: CcAlgo,
+    /// Fixed receive buffer.
+    rcvbuf: u64,
+    /// Bytes the application reads per step (`u64::MAX`: everything
+    /// delivered).
+    read_per_step: u64,
+}
+
+/// What a finished transfer did.
+struct Outcome {
+    /// Bytes the receiver delivered in order.
+    delivered: u64,
+    /// Bytes the application read.
+    read: u64,
+    retransmissions: u64,
+    wire_drops: u64,
+    /// Window updates sent because a read reopened a closed window.
+    reopen_updates: u64,
+}
+
+/// A read-everything application over a 1MB buffer: the receive window
+/// only ever closes on reassembly backlog.
 fn run_transfer(total: u64, loss: f64, reorder: bool, seed: u64, algo: CcAlgo) -> (u64, u64, u64) {
+    let out = run(Transfer {
+        total,
+        loss,
+        reorder,
+        seed,
+        algo,
+        rcvbuf: 1 << 20,
+        read_per_step: u64::MAX,
+    });
+    assert_eq!(out.read, out.delivered, "the app reads each byte once");
+    (out.delivered, out.retransmissions, out.wire_drops)
+}
+
+/// ACKs travel reliably and at once (the property under test is data-path
+/// recovery).
+fn deliver_ack(snd: &mut TcpSender, now: SimTime, ack: Segment) {
+    if let SegmentKind::Ack {
+        ack,
+        window,
+        ecn_echo,
+        sack,
+    } = ack.kind
+    {
+        snd.on_ack(now, ack, window, ecn_echo, &sack);
+    }
+}
+
+/// Drive one sender/receiver pair until the application has read the
+/// whole stream, over a lossy pipe that delivers one data segment per
+/// 10us step. Panics on livelock.
+fn run(t: Transfer) -> Outcome {
     let mss = 1448u32;
-    let mut snd = TcpSender::new(1, mss, algo);
-    let mut rcv = TcpReceiver::new(1, mss, RcvBufAutotune::fixed(1 << 20));
-    let mut rng = SimRng::new(seed);
-    snd.app_write(total);
+    let mut snd = TcpSender::new(1, mss, t.algo);
+    let mut rcv = TcpReceiver::new(1, mss, RcvBufAutotune::fixed(t.rcvbuf));
+    let mut rng = SimRng::new(t.seed);
+    snd.app_write(t.total);
 
     let mut now = SimTime::ZERO;
     let step = Duration::from_micros(10);
     let mut in_transit: Vec<Segment> = Vec::new();
-    let mut delivered = 0u64;
+    let mut delack_due: Option<SimTime> = None;
+    let mut out = Outcome {
+        delivered: 0,
+        read: 0,
+        retransmissions: 0,
+        wire_drops: 0,
+        reopen_updates: 0,
+    };
     let mut iterations = 0u64;
-    let mut drops = 0u64;
 
-    while rcv.rcv_nxt() < total {
+    while rcv.copied_seq() < t.total {
         iterations += 1;
         assert!(
             iterations < 2_000_000,
-            "livelock: {} / {total}",
-            rcv.rcv_nxt()
+            "livelock: {} delivered, {} read / {}",
+            rcv.rcv_nxt(),
+            rcv.copied_seq(),
+            t.total
         );
         now += step;
 
         // Sender transmits whatever the window allows.
         while let Some(seg) = snd.next_segment(now, 64 * 1024) {
-            if rng.chance(loss) {
-                drops += 1;
+            if rng.chance(t.loss) {
+                out.wire_drops += 1;
             } else {
                 in_transit.push(seg);
             }
@@ -46,12 +115,32 @@ fn run_transfer(total: u64, loss: f64, reorder: bool, seed: u64, algo: CcAlgo) -
             }
         }
 
+        // Delayed-ACK flush timer.
+        if delack_due.is_some_and(|due| now >= due) {
+            delack_due = None;
+            if let Some(ack) = rcv.delack_flush() {
+                deliver_ack(&mut snd, now, ack);
+            }
+        }
+
+        // The application reads, and a read that reopens the window sends
+        // the update.
+        let from = rcv.copied_seq();
+        let to = from.saturating_add(t.read_per_step).min(rcv.rcv_nxt());
+        if to > from {
+            out.read += rcv.on_copy(from, to, Duration::ZERO);
+            if let Some(update) = rcv.reopen_update() {
+                out.reopen_updates += 1;
+                deliver_ack(&mut snd, now, update);
+            }
+        }
+
         if in_transit.is_empty() {
             continue;
         }
 
         // Deliver one segment (optionally out of order).
-        let idx = if reorder && in_transit.len() > 1 && rng.chance(0.3) {
+        let idx = if t.reorder && in_transit.len() > 1 && rng.chance(0.3) {
             rng.next_below(in_transit.len() as u64) as usize
         } else {
             0
@@ -59,19 +148,14 @@ fn run_transfer(total: u64, loss: f64, reorder: bool, seed: u64, algo: CcAlgo) -
         let seg = in_transit.remove(idx);
         match seg.kind {
             SegmentKind::Data { seq, len, .. } => {
-                let action = rcv.on_data(seq, len, false, 0);
-                delivered += action.delivered;
-                if let Some(ack) = action.ack {
-                    // ACKs are delivered reliably and immediately (the
-                    // property under test is data-path recovery).
-                    if let SegmentKind::Ack {
-                        ack: a,
-                        window,
-                        ecn_echo,
-                        sack,
-                    } = ack.kind
-                    {
-                        snd.on_ack(now, a, window, ecn_echo, &sack);
+                let action = rcv.on_data(seq, len, false);
+                out.delivered += action.delivered;
+                match action.ack {
+                    Some(ack) => deliver_ack(&mut snd, now, ack),
+                    None => {
+                        if delack_due.is_none() {
+                            delack_due = rcv.delack_deadline(now);
+                        }
                     }
                 }
             }
@@ -80,7 +164,8 @@ fn run_transfer(total: u64, loss: f64, reorder: bool, seed: u64, algo: CcAlgo) -
             }
         }
     }
-    (delivered, snd.retransmissions, drops)
+    out.retransmissions = snd.retransmissions;
+    out
 }
 
 proptest! {
@@ -136,5 +221,30 @@ proptest! {
         if drops > 0 {
             prop_assert!(rtx > 0, "{drops} drops but no retransmissions");
         }
+    }
+
+    /// A slow reader behind a small buffer: in-order delivery closes the
+    /// window, the reads reopen it with an explicit update, and sub-2·MSS
+    /// segments sent into the narrow window wait for the delayed-ACK
+    /// flush. The transfer still completes.
+    #[test]
+    fn slow_reader_closes_and_reopens_the_window(
+        total in 200_000u64..400_000,
+        rcvbuf in 32_768u64..98_304,
+        read_per_step in 256u64..4_096,
+        seed in any::<u64>(),
+    ) {
+        let out = run(Transfer {
+            total,
+            loss: 0.0,
+            reorder: false,
+            seed,
+            algo: CcAlgo::Cubic,
+            rcvbuf,
+            read_per_step,
+        });
+        prop_assert_eq!(out.delivered, total);
+        prop_assert_eq!(out.read, total);
+        prop_assert!(out.reopen_updates > 0, "the window never reopened");
     }
 }

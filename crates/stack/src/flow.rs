@@ -1,8 +1,10 @@
 //! Flow state: one unidirectional TCP connection between two hosts.
 //!
-//! A flow bundles the protocol endpoints (`TcpSender` at the source host,
-//! `TcpReceiver` + socket receive queue at the destination host) with the
-//! placement decisions that drive the memory model: which core runs the
+//! A flow bundles the protocol endpoints (`TcpSender` with its send buffer
+//! at the source host; at the destination host, `TcpReceiver`, which owns
+//! the socket's window and copy accounting, and the queue of skbs awaiting
+//! the copy) with the event filing of their timers and the placement
+//! decisions that drive the memory model: which core runs the
 //! application on each side and which core the receive IRQ lands on.
 
 use std::collections::VecDeque;
@@ -10,7 +12,7 @@ use std::collections::VecDeque;
 use hns_mem::numa::CoreId;
 use hns_proto::{CcAlgo, FlowId, RcvBufAutotune, TcpReceiver, TcpSender};
 use hns_sim::event::EventToken;
-use hns_sim::{Duration, EventKey, SimTime};
+use hns_sim::{EventKey, SimTime};
 
 use crate::config::{RcvBufPolicy, SimConfig};
 use crate::skb::RxSkb;
@@ -87,27 +89,15 @@ pub struct Flow {
     pub receiver: TcpReceiver,
     /// Socket receive queue: skbs awaiting application copy (in-order ones
     /// first; out-of-order skbs are parked here too, sorted by sequence).
+    /// The receiver owns the byte accounting: the in-order skbs cover
+    /// `[receiver.copied_seq(), receiver.rcv_nxt())`.
     pub rx_queue: VecDeque<RxSkb>,
-    /// In-order bytes delivered to the socket but not yet copied
-    /// (`rcv_nxt − app_read_pos`); drives the advertised window.
-    pub rx_backlog: u64,
-    /// Stream offset up to which the application has copied. Duplicate
-    /// bytes in overlapping skbs are never double-counted because copies
-    /// only count the overlap with `[app_read_pos, rcv_nxt)`.
-    pub app_read_pos: u64,
     /// Reader application thread blocked on this flow (wake on delivery).
     pub reader_tid: Option<u32>,
     /// Writer application thread blocked on send-buffer space.
     pub writer_tid: Option<u32>,
-    /// Set when we advertised a (near-)zero window; the next application
-    /// drain sends an explicit window update.
-    pub window_closed: bool,
     /// Bytes copied to the application within the measurement window.
     pub app_bytes: u64,
-    /// Bytes copied since the last autotune tick.
-    pub copied_since_tick: u64,
-    /// EWMA of host-side NAPI→copy latency, feeds the DRS RTT hint.
-    pub host_latency_ewma: Duration,
     /// Deadline of the armed retransmission timer, as
     /// `TcpSender::rto_deadline` last reported it; `None` when disarmed.
     pub rto_scheduled_for: Option<SimTime>,
@@ -151,14 +141,9 @@ impl Flow {
             sender: TcpSender::new(id, cfg.stack.mss(), cc),
             receiver: TcpReceiver::new(id, cfg.stack.mss(), autotune),
             rx_queue: VecDeque::new(),
-            rx_backlog: 0,
-            app_read_pos: 0,
             reader_tid: None,
             writer_tid: None,
-            window_closed: false,
             app_bytes: 0,
-            copied_since_tick: 0,
-            host_latency_ewma: Duration::from_micros(10),
             rto_scheduled_for: None,
             rto_key: None,
             rto_token: EventToken::NONE,
@@ -168,19 +153,6 @@ impl Flow {
             rtx_baseline: 0,
             last_write_at: SimTime::ZERO,
         }
-    }
-
-    /// Update the host-latency EWMA (gain 1/8).
-    pub fn sample_host_latency(&mut self, sample: Duration) {
-        let old = self.host_latency_ewma.as_nanos();
-        let s = sample.as_nanos();
-        self.host_latency_ewma = Duration::from_nanos(old - old / 8 + s / 8);
-    }
-
-    /// RTT hint for receive-buffer auto-tuning: wire RTT plus host
-    /// processing latency.
-    pub fn rtt_hint(&self, propagation: Duration) -> Duration {
-        propagation * 2 + self.host_latency_ewma
     }
 }
 
@@ -212,17 +184,6 @@ mod tests {
         spec.rcvbuf = Some(RcvBufPolicy::Fixed(3200 * 1024));
         let f = Flow::new(0, spec, &cfg, 0);
         assert_eq!(f.receiver.rcvbuf(), 3200 * 1024);
-    }
-
-    #[test]
-    fn latency_ewma_moves_toward_samples() {
-        let cfg = SimConfig::default();
-        let mut f = Flow::new(0, FlowSpec::forward(0, 0), &cfg, 0);
-        for _ in 0..100 {
-            f.sample_host_latency(Duration::from_micros(200));
-        }
-        let us = f.host_latency_ewma.as_micros();
-        assert!((150..=205).contains(&us), "ewma = {us}us");
     }
 
     #[test]

@@ -661,7 +661,7 @@ impl World {
         let stuck_flows = self
             .flows
             .iter()
-            .filter(|f| f.sender.in_flight() > 0 || f.sender.unsent() > 0)
+            .filter(|f| !f.sender.all_acked())
             .take(8)
             .map(|f| StuckFlow {
                 flow: f.id,

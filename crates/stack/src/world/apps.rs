@@ -78,12 +78,11 @@ impl World {
 
     fn step_long_sender(&mut self, fid: usize, ch: &mut CycleBreakdown) -> bool {
         let write = self.cfg.write_size as u64;
-        let cap = self.sndbuf_for(fid);
-        if self.flows[fid].sender.write_capacity(cap) < write {
+        if !self.flows[fid].sender.can_write(write) {
             return false;
         }
         self.app_send(fid, write, ch);
-        self.flows[fid].sender.write_capacity(self.sndbuf_for(fid)) >= write
+        self.flows[fid].sender.can_write(write)
     }
 
     fn step_long_receiver(

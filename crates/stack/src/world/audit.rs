@@ -20,6 +20,7 @@
 //!   a backlog, an rx queue, or a GRO table,
 //! * **flow byte ledgers + seqno continuity** — written equals acked plus
 //!   in-flight plus unsent, the receiver never runs ahead of the sender,
+//!   the socket queue's skbs cover the unread bytes `[copied_seq, rcv_nxt)`,
 //!   and delivery never regresses,
 //! * **rto-timer ledger** — an armed retransmission timer has exactly one
 //!   pending `Rto` event, firing no later than the timer is due, and a
@@ -321,8 +322,15 @@ impl World {
                 in_flight: f.sender.in_flight(),
                 unsent: f.sender.unsent(),
                 rcv_nxt: f.receiver.rcv_nxt(),
-                app_read: f.app_read_pos,
-                rx_backlog: f.rx_backlog,
+                app_read: f.receiver.copied_seq(),
+                // Sorted by seq: past the first gap no skb extends the run.
+                queued_to: f.rx_queue.iter().fold(f.receiver.copied_seq(), |to, s| {
+                    if s.seq <= to {
+                        to.max(s.end())
+                    } else {
+                        to
+                    }
+                }),
             }
             .check(out);
         }

@@ -21,11 +21,7 @@ impl World {
         }
         let prop = self.cfg.link.propagation;
         for f in &mut self.flows {
-            let copied = std::mem::take(&mut f.copied_since_tick);
-            let hint = f.rtt_hint(prop);
-            f.receiver
-                .autotune_mut()
-                .on_copied(copied, AUTOTUNE_INTERVAL, hint);
+            f.receiver.on_tick(AUTOTUNE_INTERVAL, prop);
         }
         self.check_watchdog();
         self.audit_check(false);
@@ -86,10 +82,7 @@ impl World {
         if now.since(self.last_progress_at) < horizon {
             return;
         }
-        let outstanding = self
-            .flows
-            .iter()
-            .any(|f| f.sender.in_flight() > 0 || f.sender.unsent() > 0);
+        let outstanding = self.flows.iter().any(|f| !f.sender.all_acked());
         if !outstanding {
             // Quiet because there's nothing to do — not a stall.
             self.last_progress_at = now;

@@ -274,8 +274,7 @@ impl World {
         }
         ch.charge(Category::NetDevice, self.cost.toe_rx_desc);
 
-        let f = &mut self.flows[fid];
-        let action = f.receiver.on_data(skb.seq, skb.len, skb.ce, f.rx_backlog);
+        let action = self.flows[fid].receiver.on_data(skb.seq, skb.len, skb.ce);
         let delivered = action.delivered;
         ch.charge(Category::TcpIp, self.cost.ack_gen);
         if action.out_of_order {
@@ -302,12 +301,7 @@ impl World {
                 .rposition(|s| s.seq <= skb.seq)
                 .map_or(0, |p| p + 1);
             f.rx_queue.insert(pos, skb);
-            f.rx_backlog = f.receiver.rcv_nxt() - f.app_read_pos;
             if delivered > 0 {
-                // Track near-zero advertised window for later updates.
-                if f.receiver.advertised_window(f.rx_backlog) < 2 * self.cfg.stack.mss() as u64 {
-                    f.window_closed = true;
-                }
                 if let Some(tid) = f.reader_tid {
                     self.wake(h, tid, ch);
                 }
@@ -318,8 +312,11 @@ impl World {
             Some(ack_seg) => self.enqueue_frames(h, core, ack_seg),
             // Delay-ACK'd in-order delivery: make sure the held ACK
             // eventually flushes even if no further data arrives.
-            None if self.flows[fid].receiver.pending_delack() => self.arm_delack(fid),
-            None => {}
+            None => {
+                if let Some(due) = self.flows[fid].receiver.delack_deadline(now) {
+                    self.arm_delack(fid, due);
+                }
+            }
         }
     }
 
@@ -337,32 +334,21 @@ impl World {
         let now = self.queue.now();
         let mut copied = 0u64;
         loop {
-            let (skb, lat_sample, effective) = {
-                let f = &mut self.flows[fid];
-                let rcv_nxt = f.receiver.rcv_nxt();
-                match f.rx_queue.front() {
-                    Some(s) if s.end() <= rcv_nxt && copied < budget => {
-                        let skb = f.rx_queue.pop_front().expect("front exists");
-                        // Only the overlap with [app_read_pos, rcv_nxt)
-                        // counts as new bytes — overlapping retransmits
-                        // never double-count.
-                        let lo = skb.seq.max(f.app_read_pos);
-                        let hi = skb.end().min(rcv_nxt);
-                        let effective = hi.saturating_sub(lo);
-                        f.app_read_pos = f.app_read_pos.max(hi);
-                        let lat = now.since(skb.napi_ts);
-                        (skb, lat, effective)
-                    }
-                    _ => break,
+            let f = &mut self.flows[fid];
+            let skb = match f.rx_queue.front() {
+                Some(s) if s.end() <= f.receiver.rcv_nxt() && copied < budget => {
+                    f.rx_queue.pop_front().expect("front exists")
                 }
+                _ => break,
             };
+            let lat_sample = now.since(skb.napi_ts);
+            let effective = f.receiver.on_copy(skb.seq, skb.end(), lat_sample);
             if self.measuring {
                 self.hosts[h].napi_to_copy_ns.record(lat_sample.as_nanos());
             }
             // End of life: the payload reached user space.
             self.trace
                 .stamp(skb.trace, skb.flow, StageId::RecvCopy, h, core, now);
-            self.flows[fid].sample_host_latency(lat_sample);
             self.consume_skb(h, core, skb, effective, ch);
             copied += effective;
         }
@@ -436,18 +422,12 @@ impl World {
             return 0;
         }
         self.progress += 1;
-        let mss = self.cfg.stack.mss() as u64;
         let f = &mut self.flows[fid];
-        f.rx_backlog = f.receiver.rcv_nxt() - f.app_read_pos;
         if self.measuring {
             f.app_bytes += copied;
             self.tick_bytes += copied;
         }
-        f.copied_since_tick += copied;
-        // Re-open a closed window explicitly.
-        if f.window_closed && f.receiver.advertised_window(f.rx_backlog) >= 2 * mss {
-            f.window_closed = false;
-            let upd = f.receiver.window_update(f.rx_backlog);
+        if let Some(upd) = f.receiver.reopen_update() {
             ch.charge(Category::TcpIp, self.cost.ack_gen);
             self.enqueue_frames(h, core, upd);
         }

@@ -3,18 +3,9 @@
 
 use hns_metrics::{Category, CycleBreakdown};
 use hns_sim::event::EventToken;
-use hns_sim::{Duration, EventKey};
+use hns_sim::{Duration, EventKey, SimTime};
 
 use super::{Event, FaultKind, World};
-
-/// Delayed-ACK flush timeout. Linux holds a delayed ACK up to 40–200ms
-/// against a 200ms RTO floor; with this simulation's microsecond RTTs and
-/// millisecond RTOs the same ratio lands at half a millisecond. Without
-/// the timer, an in-order segment below the every-second-MSS ACK threshold
-/// is never acknowledged once the sender goes quiet — a min-cwnd sender
-/// (post-RTO) then crawls at one segment per RTO, each RTO re-collapsing
-/// cwnd: a permanent livelock at ~0 goodput.
-const DELACK_TIMEOUT: Duration = Duration::from_micros(500);
 
 impl World {
     /// Reconcile one scheduled fault with its window state at `now`, apply
@@ -139,33 +130,28 @@ impl World {
         self.charge_core(spec.src_host, spec.src_core as usize, ch);
     }
 
-    /// Arm the delayed-ACK flush timer after in-order data was delivered
-    /// without an immediate ACK. One pending event per flow; a no-op when
-    /// a later segment already pushed the cumulative ACK out.
-    pub(super) fn arm_delack(&mut self, fid: usize) {
+    /// Arm the delayed-ACK flush timer for `due` after in-order data was
+    /// delivered without an immediate ACK. One pending event per flow; a
+    /// no-op when a later segment already pushed the cumulative ACK out.
+    pub(super) fn arm_delack(&mut self, fid: usize, due: SimTime) {
         if self.flows[fid].delack_armed {
             return;
         }
         self.flows[fid].delack_armed = true;
-        self.queue.schedule(
-            self.queue.now() + DELACK_TIMEOUT,
-            Event::DelAck { flow: fid as u32 },
-        );
+        self.queue.schedule(due, Event::DelAck { flow: fid as u32 });
     }
 
     pub(super) fn handle_delack(&mut self, fid: usize) {
         self.flows[fid].delack_armed = false;
-        if !self.flows[fid].receiver.pending_delack() {
+        let Some(ack) = self.flows[fid].receiver.delack_flush() else {
             return; // a data-driven ACK already flushed it
-        }
+        };
         // Timer softirq work on the receiver: flush the held cumulative
         // ACK, charged to the flow's rx-steering core like any ACK.
         let h = self.flows[fid].spec.dst_host;
         let core = self.flows[fid].irq_core as usize;
         let mut ch = CycleBreakdown::default();
         ch.charge(Category::TcpIp, self.cost.ack_gen);
-        let backlog = self.flows[fid].rx_backlog;
-        let ack = self.flows[fid].receiver.delack_flush(backlog);
         self.enqueue_frames(h, core, ack);
         self.charge_core(h, core, ch);
     }
@@ -173,8 +159,7 @@ impl World {
     /// BBR pacing: arm the release timer if not armed.
     pub(super) fn arm_pacer(&mut self, fid: usize) {
         let f = &self.flows[fid];
-        let has_work = f.sender.usable_window() > 0 && f.sender.unsent() > 0;
-        if f.pacer_armed || !has_work {
+        if f.pacer_armed || !f.sender.can_send() {
             return;
         }
         self.flows[fid].pacer_armed = true;
@@ -200,8 +185,7 @@ impl World {
             return;
         }
         let f = &self.flows[fid];
-        let more = f.sender.usable_window() > 0 && f.sender.unsent() > 0;
-        let Some(rate) = f.sender.pacing_rate().filter(|_| more) else {
+        let Some(rate) = f.sender.pacing_rate().filter(|_| f.sender.can_send()) else {
             return;
         };
         let burst = self.cfg.stack.max_tx_payload() as f64;

@@ -12,11 +12,6 @@ use hns_trace::StageId;
 
 use super::{arrival_lane, drain_lane, Event, World};
 
-/// Send-buffer cap in bytes (`tcp_wmem[2]`). Set above the receive-buffer
-/// cap so the receiver window, not the send buffer, is the binding
-/// constraint, as in the paper's tuned testbed.
-const SNDBUF: u64 = 16 * 1024 * 1024;
-
 impl World {
     /// Process an incoming ACK at the data sender (host `h`).
     pub(super) fn process_ack(
@@ -38,9 +33,7 @@ impl World {
             // wake a blocked writer.
             let node = self.cfg.topology.node_of(self.flows[fid].spec.src_core);
             self.hosts[h].adjust_send_active(node, -(action.newly_acked as i64));
-            let can_write = self.flows[fid].sender.write_capacity(self.sndbuf_for(fid))
-                >= self.cfg.write_size as u64;
-            if can_write {
+            if self.flows[fid].sender.can_write(self.cfg.write_size as u64) {
                 if let Some(tid) = self.flows[fid].writer_tid {
                     self.wake(h, tid, ch);
                 }
@@ -53,16 +46,6 @@ impl World {
             self.pump(fid, ch);
         }
         self.sync_rto(fid);
-    }
-
-    /// Effective send-buffer size for a flow: Linux autotunes `sk_sndbuf`
-    /// toward twice the congestion window (`tcp_sndbuf_expand`), capped by
-    /// [`SNDBUF`]. Without this, thousands of idle-ish flows would each
-    /// buffer the full static maximum and the measurement would be
-    /// dominated by buffer-fill copies that never reach the wire.
-    pub(super) fn sndbuf_for(&self, fid: usize) -> u64 {
-        let floor = 2 * self.cfg.write_size as u64;
-        (2 * self.flows[fid].sender.cwnd()).clamp(floor, SNDBUF)
     }
 
     /// One application `write()` of `bytes` on flow `fid`: the syscall,
