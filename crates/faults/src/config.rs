@@ -62,11 +62,6 @@ pub struct FaultConfig {
 }
 
 impl FaultConfig {
-    /// True when the plan injects nothing at all.
-    pub fn is_quiet(&self) -> bool {
-        *self == FaultConfig::default()
-    }
-
     /// Validate every schedule in the plan.
     pub fn validate(&self) -> Result<(), String> {
         if let Some(ring) = &self.ring_exhaust {
@@ -105,7 +100,7 @@ mod tests {
     #[test]
     fn default_is_quiet_and_valid() {
         let f = FaultConfig::default();
-        assert!(f.is_quiet());
+        assert!(f.ring_exhaust.is_none() && f.pool_pressure.is_none() && f.core_stall.is_none());
         assert!(f.validate().is_ok());
     }
 
@@ -116,7 +111,7 @@ mod tests {
             pool_pressure: Some(PoolPressure { window, host: 1 }),
             ..Default::default()
         };
-        assert!(!f.is_quiet());
+        assert_ne!(f, FaultConfig::default());
 
         let f = FaultConfig {
             core_stall: Some(CoreStall {
@@ -126,7 +121,7 @@ mod tests {
             }),
             ..Default::default()
         };
-        assert!(!f.is_quiet());
+        assert_ne!(f, FaultConfig::default());
     }
 
     #[test]
