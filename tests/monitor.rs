@@ -255,6 +255,32 @@ fn cli_monitor_streams_deterministic_jsonl() {
 }
 
 #[test]
+fn cli_run_ends_quietly_when_stdout_closes() {
+    // `hostnet run … | head -1`: the reader takes one live line and closes
+    // the pipe. The run prints ~95 KB of live lines, more than a pipe
+    // buffer holds, so the binary is still printing when the pipe closes.
+    use std::io::BufRead;
+    use std::process::{Command, Stdio};
+    let bin = env!("CARGO_BIN_EXE_hostnet");
+    let mut child = Command::new(bin)
+        .args("run incast --flows 4 --monitor-ms 1 --measure-ms 1000".split_whitespace())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn hostnet run");
+    let mut stdout = std::io::BufReader::new(child.stdout.take().expect("piped stdout"));
+    let mut line = String::new();
+    stdout.read_line(&mut line).expect("first live line");
+    assert!(line.contains("Gbps"), "not a live line: {line}");
+    drop(stdout);
+    let out = child.wait_with_output().expect("wait for hostnet run");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(out.status.success(), "exit {:?}: {stderr}", out.status);
+    assert!(stderr.is_empty(), "stderr: {stderr}");
+}
+
+#[test]
 fn golden_monitor_stream() {
     // The snapshot JSONL bytes themselves are pinned: a traced incast run
     // (`stages`) and a monitored churn run (`stages` and `conn`), as CI's
