@@ -67,15 +67,6 @@ impl EpollAccounting {
     pub fn ctl_ops(&self) -> u64 {
         self.ctl_ops
     }
-
-    /// Mean events coalesced per wakeup (1.0 = no batching benefit).
-    pub fn events_per_wakeup(&self) -> f64 {
-        if self.wakeups == 0 {
-            0.0
-        } else {
-            self.events as f64 / self.wakeups as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -92,7 +83,6 @@ mod tests {
         assert!(e.event(), "new batch wakes again");
         assert_eq!(e.wakeups(), 2);
         assert_eq!(e.events(), 4);
-        assert_eq!(e.events_per_wakeup(), 2.0);
     }
 
     #[test]
@@ -101,6 +91,6 @@ mod tests {
         e.ctl();
         e.ctl();
         assert_eq!(e.ctl_ops(), 2);
-        assert_eq!(e.events_per_wakeup(), 0.0, "no wakeups yet");
+        assert_eq!(e.wakeups(), 0, "epoll_ctl wakes no thread");
     }
 }

@@ -123,14 +123,6 @@ impl Conn {
         c.server = HalfConn::Established;
         c
     }
-
-    /// True once both halves have fully closed (record can be freed),
-    /// ignoring a client half still parked in TIME_WAIT (the reaper frees
-    /// the record).
-    #[inline]
-    pub fn both_closed(&self) -> bool {
-        self.client == HalfConn::Closed && self.server == HalfConn::Closed
-    }
 }
 
 #[cfg(test)]
@@ -161,12 +153,11 @@ mod tests {
     fn constructors() {
         let c = Conn::new(1, 2, SimTime::from_nanos(5));
         assert_eq!(c.client, HalfConn::Closed);
-        assert!(c.both_closed());
+        assert_eq!(c.server, HalfConn::Closed);
         assert_eq!(c.timer, EventKey::NONE);
         let e = Conn::established(1, 2, SimTime::ZERO);
         assert_eq!(e.client, HalfConn::Established);
         assert_eq!(e.server, HalfConn::Established);
-        assert!(!e.both_closed());
         assert_eq!(e.last_seen, SimTime::ZERO);
     }
 

@@ -48,11 +48,6 @@ impl TimeWaitRing {
         }
     }
 
-    /// Earliest pending deadline.
-    pub fn next_deadline(&self) -> Option<SimTime> {
-        self.entries.front().map(|&(d, _)| d)
-    }
-
     /// Entries currently parked.
     pub fn len(&self) -> usize {
         self.entries.len()
@@ -87,7 +82,6 @@ mod tests {
         r.insert(t(10), 2);
         r.insert(t(20), 3);
         assert_eq!(r.len(), 3);
-        assert_eq!(r.next_deadline(), Some(t(10)));
         assert_eq!(r.expire_one(t(5)), None, "nothing due yet");
         assert_eq!(r.expire_one(t(10)), Some(1));
         assert_eq!(r.expire_one(t(10)), Some(2));

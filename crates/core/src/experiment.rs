@@ -303,6 +303,27 @@ mod tests {
     }
 
     #[test]
+    fn try_run_rejects_host_sizes_out_of_range() {
+        // (MTU, Rx descriptors, write size): each once panicked building
+        // or running the world — an empty Rx ring, an MSS that wraps below
+        // the headers, and a write too big for the send buffer's two-write
+        // floor.
+        for sizes in [
+            (9000, 0, 1 << 17),
+            (40, 512, 1 << 17),
+            (0, 512, 1 << 17),
+            (9000, 512, 16 << 20),
+        ] {
+            let err = Experiment::new(ScenarioKind::Single)
+                .configure(|c| (c.stack.mtu, c.stack.rx_descriptors, c.write_size) = sizes)
+                .quick()
+                .try_run()
+                .unwrap_err();
+            assert_eq!(err.kind, hns_stack::RunErrorKind::BadTopology, "{sizes:?}");
+        }
+    }
+
+    #[test]
     fn try_run_rejects_out_of_range_cores() {
         use hns_stack::FlowSpec;
         // Scenario builders can't produce this, but a hand-rolled world

@@ -51,15 +51,6 @@ impl LossModel {
             }
         }
     }
-
-    /// Long-run expected loss fraction.
-    pub fn average_rate(&self) -> f64 {
-        match *self {
-            LossModel::None => 0.0,
-            LossModel::Uniform { rate } => rate,
-            LossModel::GilbertElliott { rate, .. } => rate,
-        }
-    }
 }
 
 /// Runtime state of the loss process (owned by the link; the config stays
@@ -260,12 +251,5 @@ mod tests {
             rate > 0.005,
             "sparse traffic should still see some loss: {rate}"
         );
-    }
-
-    #[test]
-    fn average_rate_reports_configured_rate() {
-        assert_eq!(LossModel::None.average_rate(), 0.0);
-        assert_eq!(LossModel::uniform(0.03).average_rate(), 0.03);
-        assert_eq!(LossModel::bursty(0.03, 4.0).average_rate(), 0.03);
     }
 }

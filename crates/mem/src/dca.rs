@@ -45,17 +45,6 @@ const CONFLICT_SLOPE: f64 = 0.16;
 /// Hazard ceiling.
 const CONFLICT_MAX: f64 = 2.2;
 
-/// Running statistics exported to reports.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct DcaStats {
-    /// Frames inserted by NIC DMA.
-    pub inserts: u64,
-    /// Copy probes that hit.
-    pub hits: u64,
-    /// Copy probes that missed (evicted before copy).
-    pub misses: u64,
-}
-
 /// The DDIO slice of the NIC-local L3 cache.
 #[derive(Debug)]
 pub struct DcaCache {
@@ -66,7 +55,6 @@ pub struct DcaCache {
     /// Additive eviction hazard from the descriptor-pool footprint.
     conflict_mu: f64,
     rng: SimRng,
-    stats: DcaStats,
 }
 
 /// Default DCA capacity: 18% of the 20MB L3 (paper footnote 7: "~3 MB").
@@ -82,7 +70,6 @@ impl DcaCache {
             dma_bytes: 0,
             conflict_mu: 0.0,
             rng: SimRng::new(seed),
-            stats: DcaStats::default(),
         }
     }
 
@@ -108,11 +95,6 @@ impl DcaCache {
         self.capacity
     }
 
-    /// Statistics snapshot.
-    pub fn stats(&self) -> DcaStats {
-        self.stats
-    }
-
     /// NIC DMA of `frame` into the slice: stamp it with the DMA clock.
     /// No-op when DDIO is disabled (the frame then counts as never
     /// cached).
@@ -121,7 +103,6 @@ impl DcaCache {
         if !self.enabled || bytes == 0 {
             return;
         }
-        self.stats.inserts += 1;
         arena.set_dca_inserted(frame, self.dma_bytes);
         self.dma_bytes += bytes;
     }
@@ -143,13 +124,7 @@ impl DcaCache {
         };
         let lag = self.dma_bytes.saturating_sub(mark);
         let p = self.survival_probability(lag);
-        let hit = self.rng.chance(p);
-        if hit {
-            self.stats.hits += 1;
-        } else {
-            self.stats.misses += 1;
-        }
-        hit
+        self.rng.chance(p)
     }
 
     /// Total bytes DMAed through the slice (diagnostics).
@@ -174,7 +149,8 @@ mod tests {
         let mut c = DcaCache::new(false, DEFAULT_DCA_CAPACITY, 1);
         c.insert(&mut a, ids[0]);
         assert!(!c.probe_copy(&a, ids[0]));
-        assert_eq!(c.stats().inserts, 0);
+        assert_eq!(a.dca_mark(ids[0]), None, "never stamped");
+        assert_eq!(c.dma_bytes(), 0);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! management to ~30% of receiver CPU cycles and costing 26% of
 //! throughput-per-core.
 //!
-//! The model is bookkeeping plus counters: the *costs* of map/unmap are
+//! The model is bookkeeping only: the *costs* of map/unmap are
 //! charged by the stack's cost model using the page counts returned here.
 
 /// IOMMU state for one host.
@@ -16,10 +16,6 @@ pub struct Iommu {
     enabled: bool,
     /// Pages currently mapped in the device domain.
     mapped_pages: u64,
-    /// Lifetime map operations.
-    pub total_maps: u64,
-    /// Lifetime unmap operations.
-    pub total_unmaps: u64,
 }
 
 impl Iommu {
@@ -43,7 +39,6 @@ impl Iommu {
             return 0;
         }
         self.mapped_pages += pages;
-        self.total_maps += pages;
         pages
     }
 
@@ -55,7 +50,6 @@ impl Iommu {
         }
         debug_assert!(self.mapped_pages >= pages, "unmapping more than mapped");
         self.mapped_pages = self.mapped_pages.saturating_sub(pages);
-        self.total_unmaps += pages;
         pages
     }
 
@@ -84,18 +78,17 @@ mod tests {
         assert_eq!(io.mapped_pages(), 10);
         assert_eq!(io.unmap(4), 4);
         assert_eq!(io.mapped_pages(), 6);
-        assert_eq!(io.total_maps, 10);
-        assert_eq!(io.total_unmaps, 4);
     }
 
     #[test]
     fn balanced_map_unmap_returns_to_zero() {
         let mut io = Iommu::new(true);
+        let (mut maps, mut unmaps) = (0, 0);
         for _ in 0..100 {
-            io.map(3);
-            io.unmap(3);
+            maps += io.map(3);
+            unmaps += io.unmap(3);
         }
         assert_eq!(io.mapped_pages(), 0);
-        assert_eq!(io.total_maps, 300);
+        assert_eq!((maps, unmaps), (300, 300), "every page charged both ways");
     }
 }

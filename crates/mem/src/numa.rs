@@ -55,11 +55,6 @@ impl Topology {
         (core / self.cores_per_node as u16) as NodeId
     }
 
-    /// True if `core` is on the NIC-local node.
-    pub fn is_nic_local(&self, core: CoreId) -> bool {
-        self.node_of(core) == self.nic_node
-    }
-
     /// The `i`-th core of a node.
     pub fn core_on_node(&self, node: NodeId, i: u8) -> CoreId {
         debug_assert!(node < self.nodes && i < self.cores_per_node);
@@ -115,8 +110,7 @@ mod tests {
         assert_eq!(t.node_of(5), 0);
         assert_eq!(t.node_of(6), 1);
         assert_eq!(t.node_of(23), 3);
-        assert!(t.is_nic_local(3));
-        assert!(!t.is_nic_local(7));
+        assert_eq!(t.nic_node, 0);
     }
 
     #[test]
@@ -156,9 +150,9 @@ mod tests {
     fn app_core_fills_local_node_first() {
         let t = Topology::default();
         for i in 0..6 {
-            assert!(t.is_nic_local(t.app_core(i)));
+            assert_eq!(t.node_of(t.app_core(i)), t.nic_node);
         }
-        assert!(!t.is_nic_local(t.app_core(6)));
+        assert_ne!(t.node_of(t.app_core(6)), t.nic_node);
         // Wraps around.
         assert_eq!(t.app_core(24), t.app_core(0));
     }

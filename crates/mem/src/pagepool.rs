@@ -160,11 +160,6 @@ impl PageAllocator {
             slow_pages: slow,
         }
     }
-
-    /// Current pageset depth for a core (diagnostics/tests).
-    pub fn pcp_free(&self, core: CoreId) -> u64 {
-        self.pcps[core as usize].free
-    }
 }
 
 #[cfg(test)]
@@ -174,7 +169,7 @@ mod tests {
     #[test]
     fn alloc_fast_until_dry() {
         let mut pa = PageAllocator::new(1, 6);
-        let start = pa.pcp_free(0);
+        let start = pa.pcps[0].free;
         let o = pa.alloc(0, start);
         assert_eq!(o.fast_pages, start);
         assert_eq!(o.slow_pages, 0);
@@ -183,20 +178,20 @@ mod tests {
         assert_eq!(o2.slow_pages, 10);
         assert_eq!(o2.fast_pages, 0);
         // Refill batch left leftover pages in the pcp.
-        assert_eq!(pa.pcp_free(0), PCP_BATCH - 10);
+        assert_eq!(pa.pcps[0].free, PCP_BATCH - 10);
     }
 
     #[test]
     fn free_fast_until_high_watermark() {
         let mut pa = PageAllocator::new(1, 6);
-        let room = PCP_HIGH - pa.pcp_free(0);
+        let room = PCP_HIGH - pa.pcps[0].free;
         let o = pa.free(0, room, true);
         assert_eq!(o.fast_pages, room);
         assert_eq!(o.slow_pages, 0);
         // Pageset is now full: further frees drain.
         let o2 = pa.free(0, 5, true);
         assert_eq!(o2.slow_pages, 5);
-        assert!(pa.pcp_free(0) < PCP_HIGH);
+        assert!(pa.pcps[0].free < PCP_HIGH);
     }
 
     #[test]

@@ -63,7 +63,7 @@ proptest! {
         }
     }
 
-    /// Frame arena: live count tracks inserts minus releases; ids stay
+    /// Frame arena: live count tracks insertions minus releases; ids stay
     /// valid until released.
     #[test]
     fn frame_arena_live_count(sizes in proptest::collection::vec(1u32..65536, 1..200)) {

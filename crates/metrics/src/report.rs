@@ -410,11 +410,6 @@ impl Report {
             .unwrap_or(0.0)
     }
 
-    /// Which side is the CPU bottleneck (more cores consumed).
-    pub fn bottleneck_is_receiver(&self) -> bool {
-        self.receiver.cores_used >= self.sender.cores_used
-    }
-
     /// Jain's fairness index over per-flow delivered bytes:
     /// `(Σxᵢ)² / (n·Σxᵢ²)` ∈ (0, 1], 1 = perfectly fair. Used to check
     /// that saturated multi-flow patterns (one-to-one, all-to-all) share
@@ -544,16 +539,6 @@ mod tests {
         };
         assert!((r.flow_gbps(7) - 1.0).abs() < 1e-9);
         assert_eq!(r.flow_gbps(8), 0.0);
-    }
-
-    #[test]
-    fn bottleneck_detection() {
-        let mut r = Report::default();
-        r.sender.cores_used = 0.5;
-        r.receiver.cores_used = 1.0;
-        assert!(r.bottleneck_is_receiver());
-        r.sender.cores_used = 2.0;
-        assert!(!r.bottleneck_is_receiver());
     }
 
     #[test]

@@ -51,14 +51,6 @@ impl CoreUsage {
     }
 }
 
-/// Aggregate utilization over a set of cores: the "cores' worth of CPU"
-/// consumed, e.g. `3.75` means 3.75 fully-busy cores (matches the paper's
-/// "receiver-side CPU utilizations for x = 1, 8, 16, 24 are 1, 3.75, 5.21,
-/// 6.58 cores").
-pub fn total_cores_used(cores: &[CoreUsage], now: SimTime) -> f64 {
-    cores.iter().map(|c| c.utilization(now)).sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -92,15 +84,5 @@ mod tests {
     fn zero_window_is_zero() {
         let u = CoreUsage::new();
         assert_eq!(u.utilization(SimTime::ZERO), 0.0);
-    }
-
-    #[test]
-    fn aggregate_cores() {
-        let now = SimTime::from_nanos(100);
-        let mut a = CoreUsage::new();
-        a.add_busy(Duration::from_nanos(100));
-        let mut b = CoreUsage::new();
-        b.add_busy(Duration::from_nanos(50));
-        assert!((total_cores_used(&[a, b], now) - 1.5).abs() < 1e-9);
     }
 }

@@ -13,10 +13,6 @@ pub struct InterruptCoalescer {
     /// True while NAPI is scheduled or actively polling on that core:
     /// interrupts masked.
     napi_active: Vec<bool>,
-    /// IRQs actually raised (each costs an IRQ-handler charge).
-    pub irqs_raised: u64,
-    /// Frames that arrived while masked (no IRQ needed).
-    pub suppressed: u64,
 }
 
 impl InterruptCoalescer {
@@ -24,8 +20,6 @@ impl InterruptCoalescer {
     pub fn new(cores: usize) -> Self {
         InterruptCoalescer {
             napi_active: vec![false; cores],
-            irqs_raised: 0,
-            suppressed: 0,
         }
     }
 
@@ -34,11 +28,9 @@ impl InterruptCoalescer {
     /// already pending and the frame will be picked up by the ongoing poll.
     pub fn frame_arrived(&mut self, core: usize) -> bool {
         if self.napi_active[core] {
-            self.suppressed += 1;
             false
         } else {
             self.napi_active[core] = true;
-            self.irqs_raised += 1;
             true
         }
     }
@@ -47,11 +39,6 @@ impl InterruptCoalescer {
     /// interrupts.
     pub fn napi_complete(&mut self, core: usize) {
         self.napi_active[core] = false;
-    }
-
-    /// Whether NAPI is currently scheduled/running on `core`.
-    pub fn is_active(&self, core: usize) -> bool {
-        self.napi_active[core]
     }
 }
 
@@ -63,9 +50,8 @@ mod tests {
     fn first_frame_raises_irq() {
         let mut ic = InterruptCoalescer::new(2);
         assert!(ic.frame_arrived(0));
-        assert_eq!(ic.irqs_raised, 1);
-        assert!(ic.is_active(0));
-        assert!(!ic.is_active(1));
+        assert!(!ic.frame_arrived(0), "core 0 is masked");
+        assert!(ic.frame_arrived(1), "core 1 is not");
     }
 
     #[test]
@@ -75,8 +61,6 @@ mod tests {
         for _ in 0..100 {
             assert!(!ic.frame_arrived(0));
         }
-        assert_eq!(ic.irqs_raised, 1);
-        assert_eq!(ic.suppressed, 100);
     }
 
     #[test]
@@ -85,7 +69,6 @@ mod tests {
         ic.frame_arrived(0);
         ic.napi_complete(0);
         assert!(ic.frame_arrived(0), "IRQ fires again after completion");
-        assert_eq!(ic.irqs_raised, 2);
     }
 
     #[test]
@@ -94,6 +77,6 @@ mod tests {
         assert!(ic.frame_arrived(1));
         assert!(ic.frame_arrived(2));
         assert!(!ic.frame_arrived(1));
-        assert_eq!(ic.irqs_raised, 2);
+        assert!(!ic.frame_arrived(2));
     }
 }

@@ -53,11 +53,6 @@ impl SteeringMode {
     pub fn software_cost(self) -> bool {
         matches!(self, SteeringMode::Rps | SteeringMode::Rfs)
     }
-
-    /// True when softirq processing is co-located with the application.
-    pub fn colocates_with_app(self) -> bool {
-        matches!(self, SteeringMode::Arfs | SteeringMode::Rfs)
-    }
 }
 
 #[cfg(test)]
@@ -95,12 +90,5 @@ mod tests {
         assert!(SteeringMode::Rfs.software_cost());
         assert!(!SteeringMode::Rss.software_cost());
         assert!(!SteeringMode::Arfs.software_cost());
-    }
-
-    #[test]
-    fn colocation_flags() {
-        assert!(SteeringMode::Arfs.colocates_with_app());
-        assert!(SteeringMode::Rfs.colocates_with_app());
-        assert!(!SteeringMode::Rss.colocates_with_app());
     }
 }

@@ -50,11 +50,6 @@ impl ReassemblyQueue {
         &self.ranges
     }
 
-    /// Number of discontiguous holes currently tracked.
-    pub fn hole_count(&self) -> usize {
-        self.ranges.len()
-    }
-
     /// SACK blocks for the next outgoing ACK: the first stored
     /// out-of-order ranges (RFC 2018 prefers most-recently-received
     /// first; lowest-first conveys the same hole boundaries to our
@@ -140,7 +135,7 @@ mod tests {
         let o = q.insert(1000, 500);
         assert_eq!(o.delivered, 500);
         assert_eq!(q.rcv_nxt(), 1500);
-        assert_eq!(q.hole_count(), 0);
+        assert!(q.ranges().is_empty());
     }
 
     #[test]
@@ -184,14 +179,14 @@ mod tests {
         q.insert(0, 100);
         q.insert(200, 100);
         q.insert(400, 100);
-        assert_eq!(q.hole_count(), 2);
+        assert_eq!(q.ranges(), [(200, 300), (400, 500)]);
         assert_eq!(q.ooo_bytes(), 200);
         q.insert(100, 100);
         assert_eq!(q.rcv_nxt(), 300);
-        assert_eq!(q.hole_count(), 1);
+        assert_eq!(q.ranges(), [(400, 500)]);
         q.insert(300, 100);
         assert_eq!(q.rcv_nxt(), 500);
-        assert_eq!(q.hole_count(), 0);
+        assert!(q.ranges().is_empty());
     }
 
     #[test]
@@ -199,7 +194,7 @@ mod tests {
         let mut q = ReassemblyQueue::new();
         q.insert(200, 100);
         q.insert(250, 100);
-        assert_eq!(q.hole_count(), 1);
+        assert_eq!(q.ranges(), [(200, 350)]);
         assert_eq!(q.ooo_bytes(), 150);
         let o = q.insert(220, 50);
         assert!(o.duplicate, "fully contained range adds nothing");
@@ -210,7 +205,7 @@ mod tests {
         let mut q = ReassemblyQueue::new();
         q.insert(200, 100);
         q.insert(300, 100);
-        assert_eq!(q.hole_count(), 1);
+        assert_eq!(q.ranges(), [(200, 400)]);
         assert_eq!(q.ooo_bytes(), 200);
         q.insert(0, 200);
         assert_eq!(q.rcv_nxt(), 400);

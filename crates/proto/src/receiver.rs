@@ -69,10 +69,6 @@ pub struct TcpReceiver {
     host_latency_ewma: Duration,
     /// Unacknowledged in-order bytes (delayed-ACK accounting).
     unacked_bytes: u64,
-    /// Dup-ACKs generated (reporting: §3.6 ACK-processing overhead).
-    pub dup_acks_sent: u64,
-    /// Total ACKs generated.
-    pub acks_sent: u64,
 }
 
 impl TcpReceiver {
@@ -88,8 +84,6 @@ impl TcpReceiver {
             copied_since_tick: 0,
             host_latency_ewma: Duration::from_micros(10),
             unacked_bytes: 0,
-            dup_acks_sent: 0,
-            acks_sent: 0,
         }
     }
 
@@ -148,10 +142,6 @@ impl TcpReceiver {
         };
         let ack_seg = if ack {
             self.unacked_bytes = 0;
-            self.acks_sent += 1;
-            if outcome.out_of_order || outcome.duplicate {
-                self.dup_acks_sent += 1;
-            }
             Some(Segment::ack(
                 self.flow,
                 self.reasm.rcv_nxt(),
@@ -208,8 +198,7 @@ impl TcpReceiver {
     }
 
     /// Generate a pure window update at the current cumulative edge.
-    pub fn window_update(&mut self) -> Segment {
-        self.acks_sent += 1;
+    pub fn window_update(&self) -> Segment {
         Segment::ack(
             self.flow,
             self.reasm.rcv_nxt(),
@@ -270,7 +259,7 @@ mod tests {
         assert_eq!(a.delivered, 0);
         let (ack, _, _) = ack_fields(&a.ack.unwrap());
         assert_eq!(ack, 1_000, "dup ack repeats rcv_nxt");
-        assert_eq!(r.dup_acks_sent, 1);
+        assert!(!a.duplicate);
     }
 
     #[test]
@@ -388,8 +377,8 @@ mod tests {
         r.on_data(0, 10_000, false);
         let a = r.on_data(0, 1_000, false);
         assert!(a.duplicate);
-        assert_eq!(r.dup_acks_sent, 1);
-        assert_eq!(r.acks_sent, 2);
+        let (ack, _, _) = ack_fields(&a.ack.expect("duplicate data acks at once"));
+        assert_eq!(ack, 10_000, "the dup ack repeats rcv_nxt");
     }
 
     #[test]
@@ -402,7 +391,7 @@ mod tests {
         let a2 = r.on_data(1_448, 1_448, false);
         let (ack, _, _) = ack_fields(&a2.ack.expect("second MSS acks"));
         assert_eq!(ack, 2 * 1_448);
-        assert_eq!(r.acks_sent, 1);
+        assert!(r.delack_flush().is_none(), "the ack left nothing held");
     }
 
     #[test]
@@ -421,7 +410,7 @@ mod tests {
         // Out-of-order arrival: immediate dup-ACK despite pending delack.
         let a2 = r.on_data(10_000, 1_448, false);
         assert!(a2.ack.is_some());
-        assert_eq!(r.dup_acks_sent, 1);
+        assert!(a2.out_of_order);
     }
 
     #[test]

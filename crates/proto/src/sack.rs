@@ -130,11 +130,6 @@ impl Scoreboard {
         self.ranges.last().map(|&(_, e)| e).unwrap_or(0)
     }
 
-    /// True if `seq` falls inside a SACKed range.
-    pub fn is_sacked(&self, seq: u64) -> bool {
-        self.ranges.iter().any(|&(s, e)| seq >= s && seq < e)
-    }
-
     /// RFC 6675-style loss inference: the first unSACKed gap at or above
     /// `from` whose start has at least `3 × mss` SACKed above it. Returns
     /// `[gap_start, gap_end)` clipped to SACKed boundaries.
@@ -198,8 +193,7 @@ mod tests {
         sb.merge(&SackBlocks::from_ranges([(150, 320)]), 0);
         assert_eq!(sb.sacked_bytes(), 300);
         assert_eq!(sb.high_sacked(), 400);
-        assert!(sb.is_sacked(150));
-        assert!(!sb.is_sacked(400));
+        assert_eq!(sb.ranges(), [(100, 400)]);
     }
 
     #[test]

@@ -208,15 +208,6 @@ impl Segment {
             _ => None,
         }
     }
-
-    /// Typed accessor: the connection-lifecycle phase, or `None` for data
-    /// and ACK segments.
-    pub fn conn_view(&self) -> Option<ConnPhase> {
-        match self.kind {
-            SegmentKind::Conn { phase } => Some(phase),
-            _ => None,
-        }
-    }
 }
 
 /// The fields of a data segment ([`Segment::data_view`]).
@@ -284,7 +275,12 @@ mod tests {
         assert_eq!(s.payload_len(), 0);
         assert_eq!(s.wire_bytes(), 78, "SYN is headers only");
         assert_eq!(s.flow, 0xdead_beef);
-        assert_eq!(s.conn_view(), Some(ConnPhase::Syn));
+        assert_eq!(
+            s.kind,
+            SegmentKind::Conn {
+                phase: ConnPhase::Syn
+            }
+        );
         assert!(s.data_view().is_none());
         assert!(s.ack_view().is_none());
 
@@ -304,7 +300,7 @@ mod tests {
             let s = Segment::conn(1, phase);
             assert_eq!(s.payload_len(), 0);
             assert_eq!(s.wire_bytes(), 78);
-            assert_eq!(s.conn_view(), Some(phase));
+            assert_eq!(s.kind, SegmentKind::Conn { phase });
         }
     }
 

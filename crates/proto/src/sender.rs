@@ -215,11 +215,12 @@ impl TcpSender {
     /// Whether the send buffer has room for one more `write`-byte write.
     /// Linux autotunes `sk_sndbuf` toward twice the congestion window
     /// (`tcp_sndbuf_expand`), here at least two writes and at most
-    /// [`SNDBUF_MAX`]. Without this, thousands of idle-ish flows would each
-    /// buffer the full static maximum and the measurement would be
-    /// dominated by buffer-fill copies that never reach the wire.
+    /// [`SNDBUF_MAX`] (the cap wins for a write above half of it). Without
+    /// this, thousands of idle-ish flows would each buffer the full static
+    /// maximum and the measurement would be dominated by buffer-fill copies
+    /// that never reach the wire.
     pub fn can_write(&self, write: u64) -> bool {
-        let sndbuf = (2 * self.cwnd()).clamp(2 * write, SNDBUF_MAX);
+        let sndbuf = (2 * self.cwnd()).max(2 * write).min(SNDBUF_MAX);
         sndbuf.saturating_sub(self.buffered()) >= write
     }
 
@@ -792,6 +793,16 @@ mod tests {
             s.app_write(1);
             assert!(!s.can_write(write), "send buffer of {sndbuf} is full");
         }
+    }
+
+    #[test]
+    fn sndbuf_cap_wins_over_two_writes() {
+        // A write above half the cap gets the cap, not two writes' worth.
+        let mut s = sender();
+        assert!(s.can_write(SNDBUF_MAX), "an empty buffer takes one write");
+        assert!(!s.can_write(SNDBUF_MAX + 1), "no write exceeds the cap");
+        s.app_write(1);
+        assert!(!s.can_write(SNDBUF_MAX));
     }
 
     #[test]

@@ -81,10 +81,6 @@ pub struct Picked {
 pub struct Scheduler {
     cores: Vec<CoreState>,
     threads: Vec<ThreadInfo>,
-    /// Context switches observed (reporting).
-    pub context_switches: u64,
-    /// Thread wakeups performed (each costs wakeup cycles).
-    pub wakeups: u64,
 }
 
 impl Scheduler {
@@ -93,8 +89,6 @@ impl Scheduler {
         Scheduler {
             cores: (0..cores).map(|_| CoreState::default()).collect(),
             threads: Vec::new(),
-            context_switches: 0,
-            wakeups: 0,
         }
     }
 
@@ -129,13 +123,11 @@ impl Scheduler {
                     None
                 } else {
                     t.wake_pending = true;
-                    self.wakeups += 1;
                     Some(false)
                 }
             }
             ThreadState::Blocked => {
                 t.state = ThreadState::Runnable;
-                self.wakeups += 1;
                 let core = t.core as usize;
                 self.cores[core].queue.push_back(tid);
                 Some(self.core_is_idle(core))
@@ -206,9 +198,6 @@ impl Scheduler {
                 sw
             }
         };
-        if switched {
-            self.context_switches += 1;
-        }
         Some(Picked { task, switched })
     }
 
@@ -269,10 +258,8 @@ mod tests {
         let mut s = Scheduler::new(2);
         let t = s.add_thread(0);
         assert_eq!(s.wake_thread(t), Some(true), "idle core needs a dispatch");
-        assert_eq!(s.wakeups, 1);
         // Double wake is a no-op.
         assert_eq!(s.wake_thread(t), None);
-        assert_eq!(s.wakeups, 1);
     }
 
     #[test]
@@ -315,8 +302,9 @@ mod tests {
         // a is requeued ahead; run a (no switch), then b (switch).
         assert!(!s.pick(0).unwrap().switched);
         s.step_done(0, true);
-        assert_eq!(s.pick(0).unwrap().task, Task::Thread(b));
-        assert_eq!(s.context_switches, 2);
+        let p = s.pick(0).unwrap();
+        assert_eq!(p.task, Task::Thread(b));
+        assert!(p.switched);
     }
 
     #[test]

@@ -37,12 +37,6 @@ impl SimRng {
         }
     }
 
-    /// Derive an independent child stream (e.g. one per flow) without
-    /// correlating with the parent.
-    pub fn fork(&mut self, tag: u64) -> SimRng {
-        SimRng::new(self.next_u64() ^ tag.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-    }
-
     /// Next raw 64 bits.
     #[inline]
     pub fn next_u64(&mut self) -> u64 {
@@ -175,15 +169,6 @@ mod tests {
         let sum: f64 = (0..n).map(|_| r.exp(3.0)).sum();
         let mean = sum / n as f64;
         assert!((2.9..3.1).contains(&mean), "mean = {mean}");
-    }
-
-    #[test]
-    fn fork_is_independent() {
-        let mut parent = SimRng::new(1234);
-        let mut c1 = parent.fork(1);
-        let mut c2 = parent.fork(2);
-        let same = (0..64).filter(|_| c1.next_u64() == c2.next_u64()).count();
-        assert!(same < 2);
     }
 
     #[test]

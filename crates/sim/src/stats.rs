@@ -173,19 +173,6 @@ impl Histogram {
             .filter(|(_, &c)| c > 0)
             .map(|(i, &c)| (bucket_lower_bound(i), c))
     }
-
-    /// Fraction of samples with value ≥ `threshold`.
-    pub fn fraction_at_least(&self, threshold: u64) -> f64 {
-        if self.count == 0 {
-            return 0.0;
-        }
-        let at_least: u64 = self
-            .iter_buckets()
-            .filter(|&(lb, _)| lb >= threshold)
-            .map(|(_, c)| c)
-            .sum();
-        at_least as f64 / self.count as f64
-    }
 }
 
 #[cfg(test)]
@@ -277,19 +264,6 @@ mod tests {
         for q in [0.0, 0.25, 0.5, 0.99, 1.0] {
             assert_eq!(h.quantile(q), 100, "q={q}");
         }
-    }
-
-    #[test]
-    fn histogram_fraction_at_least() {
-        let mut h = Histogram::new();
-        for _ in 0..75 {
-            h.record(10);
-        }
-        for _ in 0..25 {
-            h.record(1 << 20);
-        }
-        let f = h.fraction_at_least(1 << 19);
-        assert!((f - 0.25).abs() < 0.01, "f = {f}");
     }
 
     #[test]

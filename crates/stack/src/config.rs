@@ -6,6 +6,7 @@ use hns_nic::link::LinkConfig;
 use hns_nic::steering::SteeringMode;
 use hns_nic::{MAX_AGGREGATE, MTU_JUMBO, MTU_STANDARD};
 use hns_proto::cc::CcAlgo;
+use hns_proto::sender::SNDBUF_MAX;
 use hns_sim::Duration;
 
 use crate::fabric::MAX_HOSTS;
@@ -302,7 +303,9 @@ impl SimConfig {
     /// the link's flap and latency-spike windows), the
     /// churn and overload plan (which only the in-kernel datapath prices),
     /// the tracer's sampling, the monitor (which reads the tracer's
-    /// residencies, so needs it on), the link rate and the fabric size.
+    /// residencies, so needs it on), the link rate, the fabric size, and
+    /// the host sizing: an MTU in `MTU_STANDARD..=MTU_JUMBO`, at least one
+    /// Rx descriptor, and a write that fits twice in the send buffer.
     /// [`crate::World::try_run`] calls it first; front ends call it to
     /// refuse bad input before running.
     pub fn validate(&self) -> Result<(), RunError> {
@@ -377,6 +380,39 @@ impl SimConfig {
             return Err(RunError::preflight(
                 RunErrorKind::BadTopology,
                 format!("fabric of {hosts} hosts outside 2..={MAX_HOSTS}"),
+            ));
+        }
+        self.validate_host_sizing()
+            .map_err(fail(RunErrorKind::BadTopology))
+    }
+
+    /// Clamp a host sizing [`SimConfig::validate`] refuses into its range
+    /// and return the refusal: [`crate::World::new`] builds from the
+    /// clamped sizes, so no structure is built from a size it cannot take,
+    /// and `try_run` reports the refusal.
+    pub(crate) fn clamp_host_sizing(&mut self) -> Option<String> {
+        let refusal = self.validate_host_sizing().err()?;
+        self.stack.mtu = self.stack.mtu.clamp(MTU_STANDARD, MTU_JUMBO);
+        self.stack.rx_descriptors = self.stack.rx_descriptors.max(1);
+        self.write_size = self.write_size.min((SNDBUF_MAX / 2) as u32);
+        Some(refusal)
+    }
+
+    /// The host sizes the datapath is built for: the MTU range the MSS and
+    /// the congestion controllers assume, a ring with a descriptor, and a
+    /// write that [`hns_proto::TcpSender::can_write`] can admit twice over.
+    fn validate_host_sizing(&self) -> Result<(), String> {
+        let mtu = self.stack.mtu;
+        if !(MTU_STANDARD..=MTU_JUMBO).contains(&mtu) {
+            return Err(format!("MTU {mtu} outside {MTU_STANDARD}..={MTU_JUMBO}"));
+        }
+        if self.stack.rx_descriptors == 0 {
+            return Err("Rx ring needs at least one descriptor".into());
+        }
+        let write = self.write_size as u64;
+        if write > SNDBUF_MAX / 2 {
+            return Err(format!(
+                "write size {write} B above half the {SNDBUF_MAX} B send buffer"
             ));
         }
         Ok(())
@@ -505,6 +541,31 @@ mod tests {
         for hosts in [2, MAX_HOSTS] {
             assert!(with_hosts(hosts).validate().is_ok(), "{hosts} hosts");
         }
+    }
+
+    #[test]
+    fn validate_refuses_host_sizes_the_datapath_cannot_build() {
+        let sized = |mtu, ring, write| {
+            let mut c = SimConfig::default();
+            (c.stack.mtu, c.stack.rx_descriptors, c.write_size) = (mtu, ring, write);
+            c.validate().map_err(|e| (e.kind, e.detail))
+        };
+        let half_sndbuf = (SNDBUF_MAX / 2) as u32;
+        for (mtu, ring, write, refusal) in [
+            (0, 512, 1 << 17, "MTU 0 outside"),
+            (40, 512, 1 << 17, "MTU 40 outside"),
+            (MTU_STANDARD - 1, 512, 1 << 17, "MTU 1499"),
+            (MTU_JUMBO + 1, 512, 1 << 17, "MTU 9001"),
+            (MTU_JUMBO, 0, 1 << 17, "at least one descriptor"),
+            (MTU_JUMBO, 512, 16 << 20, "write size 16777216 B"),
+            (MTU_JUMBO, 512, half_sndbuf + 1, "above half"),
+        ] {
+            let (kind, detail) = sized(mtu, ring, write).unwrap_err();
+            assert_eq!(kind, RunErrorKind::BadTopology, "{detail}");
+            assert!(detail.contains(refusal), "{detail}");
+        }
+        assert_eq!(sized(MTU_STANDARD, 1, half_sndbuf), Ok(()));
+        assert_eq!(sized(MTU_JUMBO, 4096, 1), Ok(()));
     }
 
     #[test]

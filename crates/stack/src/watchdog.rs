@@ -29,8 +29,9 @@ pub enum RunErrorKind {
     BadTraceConfig,
     /// The scenario references a host or core outside the configured
     /// topology (flow/app host index past the fabric's host count, core
-    /// index past the per-host core count), or its link rate is not a
-    /// finite positive Gb/s; nothing was simulated.
+    /// index past the per-host core count), its link rate is not a
+    /// finite positive Gb/s, or a host is sized outside what its datapath
+    /// takes (MTU, Rx ring, write size); nothing was simulated.
     BadTopology,
     /// No forward progress — no frame offered to the wire and no byte
     /// delivered to an application — for a full watchdog horizon while

@@ -301,10 +301,11 @@ pub struct World {
     storm_at: SimTime,
     storm_count: u64,
     run_error: Option<RunError>,
-    /// First out-of-range host/core reference seen while installing the
-    /// scenario; `try_run` reports it as [`RunErrorKind::BadTopology`]
-    /// before simulating anything (the offending spec is clamped so world
-    /// structures stay consistent, but never runs).
+    /// The out-of-range host sizing, or else the first out-of-range
+    /// host/core reference seen while installing the scenario; `try_run`
+    /// reports it as [`RunErrorKind::BadTopology`] before simulating
+    /// anything (the offending value is clamped so world structures stay
+    /// consistent, but never runs).
     topo_error: Option<String>,
     label: String,
     /// Skb allocation cache: recycled frag vectors ([`FragPool`]). One per
@@ -338,12 +339,13 @@ pub struct World {
 
 impl World {
     /// Build an empty world from a configuration. A fabric sized outside
-    /// `2..=MAX_HOSTS` is clamped into range, and a link rate that cannot
-    /// serialize a frame builds a default-rate wire, so the world's
-    /// structures stay indexable; [`SimConfig::validate`], which
-    /// [`World::try_run`] calls first, reports either as
+    /// `2..=MAX_HOSTS` is clamped into range, a link rate that cannot
+    /// serialize a frame builds a default-rate wire, and an MTU, Rx ring
+    /// or write size out of range is clamped into it, so the world's
+    /// structures stay indexable; [`World::try_run`] reports each as
     /// [`RunErrorKind::BadTopology`].
-    pub fn new(cfg: SimConfig) -> Self {
+    pub fn new(mut cfg: SimConfig) -> Self {
+        let sizing_error = cfg.clamp_host_sizing();
         let cores = cfg.topology.total_cores() as usize;
         let nhosts = cfg.hosts().clamp(2, MAX_HOSTS as usize);
         let mut link = cfg.link;
@@ -389,7 +391,7 @@ impl World {
             storm_at: SimTime::ZERO,
             storm_count: 0,
             run_error: None,
-            topo_error: None,
+            topo_error: sizing_error,
             label: String::new(),
             frag_pool: crate::skb::FragPool::new(),
             gro_scratch: Vec::new(),

@@ -152,11 +152,6 @@ impl StageId {
             StageId::BypassPoll => "bypass_poll",
         }
     }
-
-    /// Reconstruct from the `repr(u8)` discriminant.
-    pub fn from_u8(v: u8) -> Option<StageId> {
-        StageId::ALL.get(v as usize).copied()
-    }
 }
 
 impl std::fmt::Display for StageId {
@@ -217,9 +212,7 @@ mod tests {
     fn stage_order_matches_discriminants() {
         for (i, s) in StageId::ALL.iter().enumerate() {
             assert_eq!(*s as usize, i);
-            assert_eq!(StageId::from_u8(i as u8), Some(*s));
         }
-        assert_eq!(StageId::from_u8(N_STAGES as u8), None);
     }
 
     #[test]

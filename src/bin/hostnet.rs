@@ -1269,6 +1269,11 @@ fault injection (all deterministic; scheduled faults share one window):
             assert!(parse(&argv("run single --loss 1.5")).is_err());
             assert!(parse(&argv("run single --flows")).is_err());
             assert!(parse(&argv("run single --mtu banana")).is_err());
+            // SimConfig::validate owns the host sizing's range.
+            assert!(parse(&argv("run single --ring 0")).is_err());
+            assert!(parse(&argv("run churn --ring 0")).is_err());
+            assert!(parse(&argv("run single --mtu 40")).is_err());
+            assert!(parse(&argv("run single --mtu 0")).is_err());
             // SimConfig::validate owns the tracer's preflight.
             assert!(parse(&argv("run single --trace-sample-every 0"))
                 .unwrap_err()

@@ -225,6 +225,28 @@ fn watchdog_never_fires_on_healthy_runs() {
 /// Drop taxonomy accounts for 100% of lost frames: the wire bucket matches
 /// the link's drop counters and the ring/pool buckets match the NIC's.
 #[test]
+fn cli_exit_codes_name_a_stall_and_refuse_bad_sizes() {
+    let hostnet = |args: &str| {
+        std::process::Command::new(env!("CARGO_BIN_EXE_hostnet"))
+            .args(args.split_whitespace())
+            .output()
+            .expect("run hostnet")
+    };
+    // A flap that outlasts the watchdog horizon: exit 1, the trip named.
+    let out = hostnet("run single --fault-flap-ms 100000 --fault-at-ms 5 --watchdog-ms 3");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("stalled"), "{stderr}");
+    // Sizes the datapath cannot build: exit 2 with an `error:` line.
+    for args in ["run single --ring 0", "run single --mtu 40"] {
+        let out = hostnet(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args}: {stderr}");
+        assert!(stderr.starts_with("error: "), "{args}: {stderr}");
+    }
+}
+
+#[test]
 fn drop_taxonomy_accounts_for_every_lost_frame() {
     let mut exp = Experiment::new(ScenarioKind::Single).configure(|c| {
         c.seed = 9;
