@@ -217,7 +217,8 @@ impl HostFrameLedger {
 /// stack hands its frame to the NIC, and frees the slot at the NAPI poll or
 /// where the frame is dropped. Every live slot therefore belongs to exactly
 /// one frame that is Tx-queued, on the wire, or waiting in a softirq
-/// backlog.
+/// backlog. An ACK's SACK blocks wait in a side table freed with the slot,
+/// so every live side entry belongs to exactly one live ACK.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SegmentSlabLedger {
     /// Slab slots currently holding a segment.
@@ -228,6 +229,10 @@ pub struct SegmentSlabLedger {
     pub wire_in_flight: u64,
     /// Frames waiting in the softirq backlogs, summed over hosts and cores.
     pub backlog: u64,
+    /// Side-table entries currently holding SACK blocks.
+    pub sack_entries: u64,
+    /// Live ACKs whose SACK blocks wait in the side table.
+    pub sack_acks: u64,
 }
 
 impl SegmentSlabLedger {
@@ -240,6 +245,15 @@ impl SegmentSlabLedger {
                 detail: format!(
                     "{} live slab segments != {} Tx-queued + {} on the wire + {} in backlogs",
                     self.live, self.tx_queued, self.wire_in_flight, self.backlog
+                ),
+            });
+        }
+        if self.sack_entries != self.sack_acks {
+            out.push(Violation {
+                invariant: "segment-slab-ledger",
+                detail: format!(
+                    "{} live SACK entries != {} live ACKs naming one",
+                    self.sack_entries, self.sack_acks
                 ),
             });
         }
@@ -1169,6 +1183,8 @@ mod tests {
             tx_queued: 0,
             wire_in_flight: 7,
             backlog: 0,
+            sack_entries: 2,
+            sack_acks: 2,
         };
         assert!(checked(|o| l.check(o)).is_empty());
         // A slot parked without an arrival event (or never freed after one).
@@ -1184,6 +1200,8 @@ mod tests {
             tx_queued: 3,
             wire_in_flight: 4,
             backlog: 5,
+            sack_entries: 0,
+            sack_acks: 0,
         };
         assert!(checked(|o| l.check(o)).is_empty());
         // A Tx-queued frame dropped without freeing its slot, and a polled
@@ -1200,6 +1218,32 @@ mod tests {
         // slab one short of the frames that still hold slots.
         let v = checked(|o| SegmentSlabLedger { live: 11, ..l }.check(o));
         assert_eq!(v.len(), 1);
+    }
+
+    #[test]
+    fn segment_slab_ledger_catches_orphaned_sack_entry() {
+        let l = SegmentSlabLedger {
+            live: 3,
+            wire_in_flight: 3,
+            sack_entries: 2,
+            sack_acks: 2,
+            ..SegmentSlabLedger::default()
+        };
+        assert!(checked(|o| l.check(o)).is_empty());
+        // A dropped ACK whose slot was freed without its side entry, and a
+        // side entry freed twice.
+        for bad in [
+            SegmentSlabLedger { sack_acks: 1, ..l },
+            SegmentSlabLedger {
+                sack_entries: 1,
+                ..l
+            },
+        ] {
+            let v = checked(|o| bad.check(o));
+            assert_eq!(v.len(), 1, "{bad:?}");
+            assert_eq!(v[0].invariant, "segment-slab-ledger");
+            assert!(v[0].detail.contains("SACK"), "{}", v[0].detail);
+        }
     }
 
     #[test]

@@ -265,7 +265,7 @@ impl Experiment {
         let cfg = self.sim_config();
         let mut world = World::new(cfg);
         world.set_label(self.report_label());
-        self.scenario.build(&cfg.topology).install(&mut world);
+        self.scenario.build(&world.cfg.topology).install(&mut world);
         world
     }
 }
@@ -307,12 +307,13 @@ mod tests {
         // (MTU, Rx descriptors, write size): each once panicked building
         // or running the world — an empty Rx ring, an MSS that wraps below
         // the headers, and a write too big for the send buffer's two-write
-        // floor.
+        // floor — or, for an empty write, reported an empty 0 Gbps run.
         for sizes in [
             (9000, 0, 1 << 17),
             (40, 512, 1 << 17),
             (0, 512, 1 << 17),
             (9000, 512, 16 << 20),
+            (9000, 512, 0),
         ] {
             let err = Experiment::new(ScenarioKind::Single)
                 .configure(|c| (c.stack.mtu, c.stack.rx_descriptors, c.write_size) = sizes)
@@ -320,6 +321,22 @@ mod tests {
                 .try_run()
                 .unwrap_err();
             assert_eq!(err.kind, hns_stack::RunErrorKind::BadTopology, "{sizes:?}");
+        }
+    }
+
+    #[test]
+    fn try_run_rejects_a_topology_without_cores() {
+        // Each once panicked building the world's Tx queues.
+        for (nodes, cores_per_node) in [(0, 6), (4, 0)] {
+            let err = Experiment::new(ScenarioKind::Single)
+                .configure(|c| {
+                    (c.topology.nodes, c.topology.cores_per_node) = (nodes, cores_per_node)
+                })
+                .quick()
+                .try_run()
+                .unwrap_err();
+            assert_eq!(err.kind, hns_stack::RunErrorKind::BadTopology);
+            assert!(err.detail.contains("no core"), "detail: {}", err.detail);
         }
     }
 

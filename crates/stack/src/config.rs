@@ -394,14 +394,27 @@ impl SimConfig {
         let refusal = self.validate_host_sizing().err()?;
         self.stack.mtu = self.stack.mtu.clamp(MTU_STANDARD, MTU_JUMBO);
         self.stack.rx_descriptors = self.stack.rx_descriptors.max(1);
-        self.write_size = self.write_size.min((SNDBUF_MAX / 2) as u32);
+        self.write_size = self.write_size.clamp(1, (SNDBUF_MAX / 2) as u32);
+        self.topology.nodes = self.topology.nodes.max(1);
+        self.topology.cores_per_node = self.topology.cores_per_node.max(1);
         Some(refusal)
     }
 
-    /// The host sizes the datapath is built for: the MTU range the MSS and
-    /// the congestion controllers assume, a ring with a descriptor, and a
-    /// write that [`hns_proto::TcpSender::can_write`] can admit twice over.
+    /// The host sizes the datapath is built for: a core to run on, the MTU
+    /// range the MSS and the congestion controllers assume, a ring with a
+    /// descriptor, and a write of at least one byte that
+    /// [`hns_proto::TcpSender::can_write`] can admit twice over.
     fn validate_host_sizing(&self) -> Result<(), String> {
+        let Topology {
+            nodes,
+            cores_per_node,
+            ..
+        } = self.topology;
+        if nodes == 0 || cores_per_node == 0 {
+            return Err(format!(
+                "topology of {nodes} nodes x {cores_per_node} cores has no core"
+            ));
+        }
         let mtu = self.stack.mtu;
         if !(MTU_STANDARD..=MTU_JUMBO).contains(&mtu) {
             return Err(format!("MTU {mtu} outside {MTU_STANDARD}..={MTU_JUMBO}"));
@@ -410,6 +423,9 @@ impl SimConfig {
             return Err("Rx ring needs at least one descriptor".into());
         }
         let write = self.write_size as u64;
+        if write == 0 {
+            return Err("write size 0 B writes nothing".into());
+        }
         if write > SNDBUF_MAX / 2 {
             return Err(format!(
                 "write size {write} B above half the {SNDBUF_MAX} B send buffer"
@@ -559,6 +575,7 @@ mod tests {
             (MTU_JUMBO, 0, 1 << 17, "at least one descriptor"),
             (MTU_JUMBO, 512, 16 << 20, "write size 16777216 B"),
             (MTU_JUMBO, 512, half_sndbuf + 1, "above half"),
+            (MTU_JUMBO, 512, 0, "writes nothing"),
         ] {
             let (kind, detail) = sized(mtu, ring, write).unwrap_err();
             assert_eq!(kind, RunErrorKind::BadTopology, "{detail}");

@@ -47,7 +47,7 @@ use hns_conn::Conn;
 use hns_metrics::{Category, CycleBreakdown, DropStats, Report};
 use hns_nic::link::LinkConfig;
 use hns_nic::TxArbiter;
-use hns_proto::{FlowId, Segment};
+use hns_proto::{ConnPhase, FlowId, SackBlocks, Segment, SegmentKind};
 use hns_sched::Task;
 use hns_sim::{cycles_to_time, Duration, EventKey, EventQueue, Lanes, Next, SimTime, MAX_LANES};
 use hns_trace::TraceCollector;
@@ -152,54 +152,269 @@ fn irq_value(host: usize, core: u16) -> u64 {
 const _: () = assert!(std::mem::size_of::<Event>() <= 16);
 // The same holds for the softirq backlog, which queues slots, not segments.
 const _: () = assert!(std::mem::size_of::<PendingFrame>() <= 24);
+// A window of in-flight frames costs one record each in the segment slab
+// (a full `Segment` is 104 B, 56 B of them ACK-only SACK blocks).
+const _: () = assert!(std::mem::size_of::<WireRecord>() <= 40);
+
+/// What a parked frame is, as its routing needs it.
+#[derive(Clone, Copy)]
+enum FrameKind {
+    Data,
+    Ack,
+    Conn,
+}
+
+/// [`WireRecord::tag`] of a data segment; an ACK's is [`TAG_ACK`], and a
+/// lifecycle segment's is its phase's ([`conn_tag`]).
+const TAG_DATA: u8 = 0;
+const TAG_ACK: u8 = 1;
+/// [`WireRecord::flags`] bits.
+const RETRANSMIT: u8 = 1;
+const ECN_ECHO: u8 = 2;
+const ECN_CE: u8 = 4;
+/// [`WireRecord::arg`] of an ACK that carries no SACK blocks.
+const NO_SACK: u32 = u32::MAX;
+
+/// A parked [`Segment`] in 40 B: what every frame has, plus one `u32`
+/// whose meaning the tag gives. The SACK blocks only some ACKs carry wait
+/// in the slab's side table ([`SegmentSlab::sacks`]).
+#[derive(Clone, Copy)]
+struct WireRecord {
+    flow: FlowId,
+    trace: u64,
+    /// Data: the stream offset of the first payload byte. ACK: the
+    /// cumulative ACK. Lifecycle: 0.
+    seq: u64,
+    /// ACK: the advertised window. Otherwise 0.
+    window: u64,
+    /// Data and lifecycle: payload bytes. ACK: the side-table index of its
+    /// SACK blocks, or [`NO_SACK`].
+    arg: u32,
+    /// [`TAG_DATA`], [`TAG_ACK`] or a lifecycle phase's [`conn_tag`].
+    tag: u8,
+    /// [`RETRANSMIT`], [`ECN_ECHO`] and [`ECN_CE`].
+    flags: u8,
+}
+
+impl WireRecord {
+    fn kind(&self) -> FrameKind {
+        match self.tag {
+            TAG_DATA => FrameKind::Data,
+            TAG_ACK => FrameKind::Ack,
+            _ => FrameKind::Conn,
+        }
+    }
+
+    /// Payload bytes (0 for an ACK).
+    fn payload_len(&self) -> u32 {
+        if self.tag == TAG_ACK {
+            0
+        } else {
+            self.arg
+        }
+    }
+
+    /// The side-table index of this ACK's SACK blocks.
+    fn sack_index(&self) -> Option<u32> {
+        (self.tag == TAG_ACK && self.arg != NO_SACK).then_some(self.arg)
+    }
+}
+
+/// A lifecycle phase's [`WireRecord::tag`] and payload length.
+fn conn_tag(phase: ConnPhase) -> (u8, u32) {
+    let tag = match phase {
+        ConnPhase::Syn => 2,
+        ConnPhase::SynAck => 3,
+        ConnPhase::SynAckCookie => 4,
+        ConnPhase::HsAck => 5,
+        ConnPhase::CookieAck => 6,
+        ConnPhase::Reset => 7,
+        ConnPhase::Request { .. } => 8,
+        ConnPhase::Response { .. } => 9,
+        ConnPhase::Fin => 10,
+        ConnPhase::FinAck => 11,
+    };
+    (tag, phase.payload_len())
+}
+
+/// The lifecycle phase [`conn_tag`] gave `tag` and `len`.
+fn conn_phase(tag: u8, len: u32) -> ConnPhase {
+    match tag {
+        2 => ConnPhase::Syn,
+        3 => ConnPhase::SynAck,
+        4 => ConnPhase::SynAckCookie,
+        5 => ConnPhase::HsAck,
+        6 => ConnPhase::CookieAck,
+        7 => ConnPhase::Reset,
+        8 => ConnPhase::Request { len },
+        9 => ConnPhase::Response { len },
+        10 => ConnPhase::Fin,
+        11 => ConnPhase::FinAck,
+        _ => unreachable!("tag {tag} names no lifecycle phase"),
+    }
+}
+
+/// Store `item` in a vacated index of `items`, else at its end; return the
+/// index.
+fn put<T>(items: &mut Vec<T>, free: &mut Vec<u32>, item: T) -> u32 {
+    match free.pop() {
+        Some(i) => {
+            items[i as usize] = item;
+            i
+        }
+        None => {
+            items.push(item);
+            (items.len() - 1) as u32
+        }
+    }
+}
 
 /// Segments between the NIC and the NAPI poll. The stack parks a segment
 /// once, when it hands the frame to the NIC; the Tx queues, the frame's
 /// arrival and the softirq backlog then carry its `u32` slot,
 /// so a frame's segment is written once and read once however many queues
-/// it crosses. Slots are reused LIFO. Each slot is freed exactly once: by
-/// [`SegmentSlab::take`] at the NAPI poll, or by [`SegmentSlab::release`]
-/// on the path that drops the frame (wire loss, switch refusal, stale
-/// connection frame, backlog cap, full Rx ring). Slots still parked at
-/// `EndRun` drop with the world.
+/// it crosses. The drain and the arrival read its flow, trace id, kind and
+/// length from the [`WireRecord`] in place. Slots and side-table entries
+/// are reused LIFO. Each slot is freed exactly once, with its SACK entry:
+/// by [`SegmentSlab::take`] at the NAPI poll, or by
+/// [`SegmentSlab::release`] on the path that drops the frame (wire loss,
+/// switch refusal, stale connection frame, backlog cap, full Rx ring).
+/// Slots still parked at `EndRun` drop with the world.
 #[derive(Default)]
 struct SegmentSlab {
     /// Slot storage; its length is the high-water mark of frames between
     /// Tx enqueue and the poll.
-    segs: Vec<Segment>,
+    recs: Vec<WireRecord>,
     /// Vacated slots awaiting reuse.
     free: Vec<u32>,
+    /// The SACK blocks of parked ACKs that carry any; a loss-free run
+    /// never allocates it.
+    sacks: Vec<SackBlocks>,
+    /// Vacated side-table entries awaiting reuse.
+    free_sacks: Vec<u32>,
 }
 
 impl SegmentSlab {
     /// Park `seg` and return its slot.
+    #[inline]
     fn park(&mut self, seg: Segment) -> u32 {
-        match self.free.pop() {
-            Some(slot) => {
-                self.segs[slot as usize] = seg;
-                slot
+        let mut flags = if seg.ecn_ce { ECN_CE } else { 0 };
+        let (tag, seq, window, arg) = match seg.kind {
+            SegmentKind::Data {
+                seq,
+                len,
+                retransmit,
+            } => {
+                if retransmit {
+                    flags |= RETRANSMIT;
+                }
+                (TAG_DATA, seq, 0, len)
             }
-            None => {
-                self.segs.push(seg);
-                (self.segs.len() - 1) as u32
+            SegmentKind::Ack {
+                ack,
+                window,
+                ecn_echo,
+                sack,
+            } => {
+                if ecn_echo {
+                    flags |= ECN_ECHO;
+                }
+                let arg = if sack.is_empty() {
+                    NO_SACK
+                } else {
+                    put(&mut self.sacks, &mut self.free_sacks, sack)
+                };
+                (TAG_ACK, ack, window, arg)
             }
+            SegmentKind::Conn { phase } => {
+                let (tag, len) = conn_tag(phase);
+                (tag, 0, 0, len)
+            }
+        };
+        let rec = WireRecord {
+            flow: seg.flow,
+            trace: seg.trace,
+            seq,
+            window,
+            arg,
+            tag,
+            flags,
+        };
+        put(&mut self.recs, &mut self.free, rec)
+    }
+
+    /// The record parked in `slot`.
+    #[inline]
+    fn record(&self, slot: u32) -> &WireRecord {
+        &self.recs[slot as usize]
+    }
+
+    /// The network marked the frame in `slot` Congestion Experienced.
+    fn mark_ce(&mut self, slot: u32) {
+        self.recs[slot as usize].flags |= ECN_CE;
+    }
+
+    /// Take the segment out of `slot`, freeing the slot and its SACK entry.
+    #[inline]
+    fn take(&mut self, slot: u32) -> Segment {
+        self.free.push(slot);
+        let r = self.recs[slot as usize];
+        let kind = match r.tag {
+            TAG_DATA => SegmentKind::Data {
+                seq: r.seq,
+                len: r.arg,
+                retransmit: r.flags & RETRANSMIT != 0,
+            },
+            TAG_ACK => SegmentKind::Ack {
+                ack: r.seq,
+                window: r.window,
+                ecn_echo: r.flags & ECN_ECHO != 0,
+                sack: match r.sack_index() {
+                    Some(i) => {
+                        self.free_sacks.push(i);
+                        self.sacks[i as usize]
+                    }
+                    None => SackBlocks::EMPTY,
+                },
+            },
+            tag => SegmentKind::Conn {
+                phase: conn_phase(tag, r.arg),
+            },
+        };
+        Segment {
+            flow: r.flow,
+            kind,
+            ecn_ce: r.flags & ECN_CE != 0,
+            trace: r.trace,
         }
     }
 
-    /// Take the segment out of `slot`, freeing the slot.
-    fn take(&mut self, slot: u32) -> Segment {
-        self.free.push(slot);
-        self.segs[slot as usize]
-    }
-
-    /// Free `slot` without reading it: its frame was dropped.
+    /// Free `slot` and its SACK entry without decoding: its frame was
+    /// dropped.
+    #[inline]
     fn release(&mut self, slot: u32) {
         self.free.push(slot);
+        if let Some(i) = self.recs[slot as usize].sack_index() {
+            self.free_sacks.push(i);
+        }
     }
 
     /// Slots currently holding a segment.
     fn live(&self) -> usize {
-        self.segs.len() - self.free.len()
+        self.recs.len() - self.free.len()
+    }
+
+    /// Side-table entries currently holding an ACK's SACK blocks.
+    fn live_sacks(&self) -> usize {
+        self.sacks.len() - self.free_sacks.len()
+    }
+
+    /// Live ACK records that name a side-table entry. A vacated slot keeps
+    /// its last record, so the free list's are counted out.
+    fn sack_refs(&self) -> usize {
+        let names = |slot: &u32| self.recs[*slot as usize].sack_index().is_some();
+        let all = (0..self.recs.len() as u32).filter(names).count();
+        all - self.free.iter().filter(|s| names(s)).count()
     }
 }
 

@@ -235,6 +235,8 @@ impl World {
             tx_queued: self.arbiters.iter().map(|t| t.len() as u64).sum(),
             wire_in_flight: pending.arrivals.iter().sum(),
             backlog: self.backlog_frames(),
+            sack_entries: self.in_flight.live_sacks() as u64,
+            sack_acks: self.in_flight.sack_refs() as u64,
         }
         .check(&mut out);
         self.check_flow_ledgers(&pending.rtos, &mut out);

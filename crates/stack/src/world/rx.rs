@@ -10,7 +10,7 @@ use hns_proto::SegmentKind;
 use hns_sim::Duration;
 use hns_trace::StageId;
 
-use super::{irq_value, World, IRQ_LANE};
+use super::{irq_value, FrameKind, World, IRQ_LANE};
 use crate::config::DatapathKind;
 use crate::host::PendingFrame;
 use crate::skb::RxSkb;
@@ -467,18 +467,18 @@ impl World {
     /// the frame is dropped here.
     pub(super) fn frame_arrive(&mut self, dst: usize, slot: u32) {
         let now = self.queue.now();
-        let seg = &self.in_flight.segs[slot as usize];
-        let (flow, tid) = (seg.flow, seg.trace);
+        let rec = self.in_flight.record(slot);
+        let (flow, tid, kind, len) = (rec.flow, rec.trace, rec.kind(), rec.payload_len());
         let fid = flow as usize;
         if let Some(a) = self.audit.as_deref_mut() {
             a.arrived[dst] += 1;
         }
         // Steering decides the queue; the frame consumes a descriptor of
         // *that queue's* ring.
-        let target_core = match self.in_flight.segs[slot as usize].kind {
-            SegmentKind::Data { .. } => self.flows[fid].irq_core,
-            SegmentKind::Ack { .. } => self.flows[fid].ack_irq_core,
-            SegmentKind::Conn { .. } => match self.conn_target_core(dst, flow) {
+        let target_core = match kind {
+            FrameKind::Data => self.flows[fid].irq_core,
+            FrameKind::Ack => self.flows[fid].ack_irq_core,
+            FrameKind::Conn => match self.conn_target_core(dst, flow) {
                 Some(core) => core,
                 None => {
                     // Connection torn down while the frame was in flight: a
@@ -522,8 +522,8 @@ impl World {
         // Only data is DMA'd into a page-arena buffer. ACKs carry none, and
         // lifecycle segments are header-sized (or small RPC payloads modeled
         // inline): no page-arena buffer, no GRO, no DCA.
-        let frame = match self.in_flight.segs[slot as usize].kind {
-            SegmentKind::Data { len, .. } => {
+        let frame = match kind {
+            FrameKind::Data => {
                 let node = self.cfg.topology.node_of(core);
                 let host = &mut self.hosts[dst];
                 let fr = host.arena.insert(len, node);
@@ -532,7 +532,7 @@ impl World {
                 }
                 Some(fr)
             }
-            SegmentKind::Ack { .. } | SegmentKind::Conn { .. } => None,
+            FrameKind::Ack | FrameKind::Conn => None,
         };
         // Descriptor accepted and DMA'd: the frame is in host memory.
         self.trace

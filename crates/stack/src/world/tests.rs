@@ -137,12 +137,91 @@ fn segment_slab_recycles_slots() {
     // is the peak number of frames between Tx enqueue and the poll:
     // about one window's worth for one flow, against ~10k frames sent.
     let frames = w.wire.frames();
-    let high_water = w.in_flight.segs.len() as u64;
+    let high_water = w.in_flight.recs.len() as u64;
     assert!(w.in_flight.live() as u64 <= high_water);
     assert!(
         high_water > 0 && high_water * 20 < frames,
         "{high_water} slots for {frames} frames"
     );
+}
+
+/// Parking a segment as a wire record and taking it at the poll gives back
+/// the identical segment, whatever its shape; taking or releasing an ACK
+/// frees its SACK side entry.
+#[test]
+fn segment_slab_round_trips_every_frame_shape() {
+    let blocks = [(3000, 4000), (5000, 6000), (7000, 9000)];
+    let mut shapes = vec![
+        Segment::data(1, 0, 1448, false),
+        Segment::data(2, u64::MAX - 9000, 9000, true),
+        Segment::ack(3, 1 << 40, 6 << 20, true, SackBlocks::EMPTY),
+    ];
+    for n in 0..=blocks.len() {
+        let sack = SackBlocks::from_ranges(blocks[..n].iter().copied());
+        shapes.push(Segment::ack(4, 2000, 65_535, false, sack));
+        shapes.push(Segment::ack(5, 2000, 0, true, sack));
+    }
+    for phase in [
+        ConnPhase::Syn,
+        ConnPhase::SynAck,
+        ConnPhase::SynAckCookie,
+        ConnPhase::HsAck,
+        ConnPhase::CookieAck,
+        ConnPhase::Reset,
+        ConnPhase::Request { len: 4096 },
+        ConnPhase::Response { len: 1 },
+        ConnPhase::Response { len: u32::MAX },
+        ConnPhase::Fin,
+        ConnPhase::FinAck,
+    ] {
+        shapes.push(Segment::conn(u64::MAX - 7, phase));
+    }
+    for (i, seg) in shapes.iter_mut().enumerate() {
+        seg.trace = if i % 2 == 0 {
+            100 + i as u64
+        } else {
+            hns_proto::segment::NO_TRACE
+        };
+    }
+
+    let mut slab = SegmentSlab::default();
+    for &seg in &shapes {
+        let slot = slab.park(seg);
+        assert_eq!(slab.take(slot), seg);
+        // The network's CE mark, set in place, survives the trip.
+        let slot = slab.park(seg);
+        slab.mark_ce(slot);
+        assert_eq!(
+            slab.take(slot),
+            Segment {
+                ecn_ce: true,
+                ..seg
+            }
+        );
+        let marked = Segment {
+            ecn_ce: true,
+            ..seg
+        };
+        let slot = slab.park(marked);
+        assert_eq!(slab.take(slot), marked);
+    }
+    assert_eq!((slab.live(), slab.live_sacks()), (0, 0));
+
+    // All parked at once, then half taken and half released.
+    let slots: Vec<u32> = shapes.iter().map(|&s| slab.park(s)).collect();
+    assert_eq!(slab.live(), shapes.len());
+    assert_eq!(slab.live_sacks(), 2 * blocks.len());
+    assert_eq!(slab.sack_refs(), slab.live_sacks());
+    for (i, (&slot, &seg)) in slots.iter().zip(&shapes).enumerate() {
+        if i % 2 == 0 {
+            assert_eq!(slab.take(slot), seg);
+        } else {
+            slab.release(slot);
+        }
+        assert_eq!(slab.sack_refs(), slab.live_sacks());
+    }
+    assert_eq!((slab.live(), slab.live_sacks()), (0, 0));
+    assert_eq!(slab.sacks.len(), 2 * blocks.len(), "side entries reused");
 }
 
 /// Every path that drops a frame between Tx enqueue and the NAPI poll

@@ -7,10 +7,10 @@ use hns_mem::pages_for;
 use hns_metrics::{Category, CycleBreakdown};
 use hns_nic::link::TransmitOutcome;
 use hns_nic::tso;
-use hns_proto::{FlowId, Segment, SegmentKind, HEADER_BYTES};
+use hns_proto::{FlowId, Segment, HEADER_BYTES};
 use hns_trace::StageId;
 
-use super::{arrival_lane, drain_lane, Event, World};
+use super::{arrival_lane, drain_lane, Event, FrameKind, World};
 
 impl World {
     /// Process an incoming ACK at the data sender (host `h`).
@@ -214,17 +214,17 @@ impl World {
         // watchdog — even a dropped frame proves the sender's recovery
         // machinery is still alive.
         self.progress += 1;
-        let seg = &self.in_flight.segs[slot as usize];
-        let (flow, tid) = (seg.flow, seg.trace);
+        let rec = self.in_flight.record(slot);
+        let (flow, tid) = (rec.flow, rec.trace);
         // Route the frame: data toward the flow's receiver, ACKs back toward
         // its sender, lifecycle frames to the churn peer. With two hosts
         // every case is `1 - h`. Conn segments carry a packed connection id
         // in `flow`, not a flow-table index; their lifecycle stamps happen
         // at the handshake stages instead.
-        let (dst, is_data, is_conn) = match seg.kind {
-            SegmentKind::Data { .. } => (self.flows[flow as usize].spec.dst_host, true, false),
-            SegmentKind::Ack { .. } => (self.flows[flow as usize].spec.src_host, false, false),
-            SegmentKind::Conn { .. } => (1 - h, false, true),
+        let (dst, is_data, is_conn) = match rec.kind() {
+            FrameKind::Data => (self.flows[flow as usize].spec.dst_host, true, false),
+            FrameKind::Ack => (self.flows[flow as usize].spec.src_host, false, false),
+            FrameKind::Conn => (1 - h, false, true),
         };
         if self.dp.keeps_tx_desc_rings() && is_data {
             // The NIC consumed the posted descriptor; the host harvests (and
@@ -240,7 +240,9 @@ impl World {
         let wire = payload as u64 + HEADER_BYTES as u64;
         match self.wire.transmit(h, dst, flow, now, wire) {
             TransmitOutcome::Delivered { arrives, ce } => {
-                self.in_flight.segs[slot as usize].ecn_ce |= ce;
+                if ce {
+                    self.in_flight.mark_ce(slot);
+                }
                 if traced {
                     let core = self.flows[flow as usize].spec.src_core as usize;
                     self.trace.stamp(tid, flow, StageId::Wire, h, core, now);
