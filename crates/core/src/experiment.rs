@@ -341,6 +341,44 @@ mod tests {
     }
 
     #[test]
+    fn try_run_rejects_hash_steering_on_one_node() {
+        // RSS maps a flow's IRQs to a NUMA node other than its
+        // application's; building such a flow on one node once panicked.
+        for level in [OptLevel::NoOpt, OptLevel::TsoGro, OptLevel::Jumbo] {
+            let err = Experiment::new(ScenarioKind::Single)
+                .at_level(level)
+                .configure(|c| c.topology.nodes = 1)
+                .quick()
+                .try_run()
+                .unwrap_err();
+            assert_eq!(err.kind, hns_stack::RunErrorKind::BadTopology, "{level:?}");
+            assert!(err.detail.contains("node 1"), "detail: {}", err.detail);
+        }
+        // aRFS keeps IRQs on the application's core: one node runs.
+        let r = Experiment::new(ScenarioKind::Single)
+            .configure(|c| c.topology.nodes = 1)
+            .quick()
+            .run();
+        assert!(r.total_gbps > 0.0);
+    }
+
+    #[test]
+    fn try_run_rejects_a_nic_remote_placement_on_one_node() {
+        // The placement's first remote node does not exist; choosing a
+        // core on it once divided by zero, also on a node-less topology
+        // the world clamps to one node.
+        for (nodes, detail) in [(1, "NUMA node 1"), (0, "no core")] {
+            let err = Experiment::new(ScenarioKind::SingleNicRemote)
+                .configure(|c| c.topology.nodes = nodes)
+                .quick()
+                .try_run()
+                .unwrap_err();
+            assert_eq!(err.kind, hns_stack::RunErrorKind::BadTopology);
+            assert!(err.detail.contains(detail), "detail: {}", err.detail);
+        }
+    }
+
+    #[test]
     fn try_run_rejects_out_of_range_cores() {
         use hns_stack::FlowSpec;
         // Scenario builders can't produce this, but a hand-rolled world

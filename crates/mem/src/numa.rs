@@ -86,15 +86,14 @@ impl Topology {
     /// Pick a core on a node different from `avoid_node` — the paper's
     /// deterministic worst-case IRQ mapping when aRFS is disabled (§3.1:
     /// "we explicitly map the IRQs to a core on a NUMA node different from
-    /// the application core").
-    pub fn remote_core(&self, avoid_node: NodeId, i: u16) -> CoreId {
+    /// the application core"). `None` when no other node exists.
+    pub fn remote_core(&self, avoid_node: NodeId, i: u16) -> Option<CoreId> {
         let other_nodes: Vec<NodeId> = (0..self.nodes).filter(|&n| n != avoid_node).collect();
-        assert!(
-            !other_nodes.is_empty(),
-            "need ≥2 NUMA nodes for remote IRQ mapping"
-        );
+        if other_nodes.is_empty() {
+            return None;
+        }
         let node = other_nodes[(i as usize / self.cores_per_node as usize) % other_nodes.len()];
-        self.core_on_node(node, (i % self.cores_per_node as u16) as u8)
+        Some(self.core_on_node(node, (i % self.cores_per_node as u16) as u8))
     }
 }
 
@@ -139,9 +138,11 @@ mod tests {
     fn remote_core_avoids_node() {
         let t = Topology::default();
         for i in 0..48 {
-            let c = t.remote_core(0, i);
+            let c = t.remote_core(0, i).unwrap();
             assert_ne!(t.node_of(c), 0, "core {c} is on the avoided node");
         }
+        let one_node = Topology { nodes: 1, ..t };
+        assert_eq!(one_node.remote_core(0, 0), None, "no other node to pick");
         // Deterministic.
         assert_eq!(t.remote_core(0, 3), t.remote_core(0, 3));
     }

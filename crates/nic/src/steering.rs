@@ -38,13 +38,15 @@ pub enum SteeringMode {
 impl SteeringMode {
     /// Core that receives the IRQ/NAPI processing for a flow whose
     /// application runs on `app_core`. `flow_index` makes the worst-case
-    /// mapping deterministic and distinct per flow.
+    /// mapping deterministic and distinct per flow. On a one-node
+    /// topology hash steering has no remote core to pick and falls back to
+    /// `app_core`; `hns_stack::SimConfig::validate` refuses that pairing.
     pub fn irq_core(self, topo: &Topology, app_core: CoreId, flow_index: u16) -> CoreId {
         match self {
             SteeringMode::Arfs | SteeringMode::Rfs => app_core,
-            SteeringMode::Rss | SteeringMode::Rps => {
-                topo.remote_core(topo.node_of(app_core), flow_index)
-            }
+            SteeringMode::Rss | SteeringMode::Rps => topo
+                .remote_core(topo.node_of(app_core), flow_index)
+                .unwrap_or(app_core),
         }
     }
 
@@ -73,6 +75,16 @@ mod tests {
             let irq = SteeringMode::Rss.irq_core(&topo, 2, flow);
             assert_ne!(topo.node_of(irq), topo.node_of(2));
         }
+    }
+
+    #[test]
+    fn rss_on_one_node_falls_back_to_the_app_core() {
+        let topo = Topology {
+            nodes: 1,
+            ..Topology::default()
+        };
+        assert_eq!(SteeringMode::Rss.irq_core(&topo, 2, 0), 2);
+        assert_eq!(SteeringMode::Rps.irq_core(&topo, 5, 3), 5);
     }
 
     #[test]

@@ -303,9 +303,10 @@ impl SimConfig {
     /// the link's flap and latency-spike windows), the
     /// churn and overload plan (which only the in-kernel datapath prices),
     /// the tracer's sampling, the monitor (which reads the tracer's
-    /// residencies, so needs it on), the link rate, the fabric size, and
-    /// the host sizing: an MTU in `MTU_STANDARD..=MTU_JUMBO`, at least one
-    /// Rx descriptor, and a write that fits twice in the send buffer.
+    /// residencies, so needs it on), the link rate, the fabric size, the
+    /// host sizing (an MTU in `MTU_STANDARD..=MTU_JUMBO`, at least one Rx
+    /// descriptor, and a write that fits twice in the send buffer), and a
+    /// second NUMA node for hash steering's remote IRQ cores.
     /// [`crate::World::try_run`] calls it first; front ends call it to
     /// refuse bad input before running.
     pub fn validate(&self) -> Result<(), RunError> {
@@ -383,7 +384,20 @@ impl SimConfig {
             ));
         }
         self.validate_host_sizing()
-            .map_err(fail(RunErrorKind::BadTopology))
+            .map_err(fail(RunErrorKind::BadTopology))?;
+        // Hash steering pins a flow's IRQs to a NUMA node other than its
+        // application's (§3.1), which a one-node host lacks.
+        let steering = self.stack.steering;
+        if self.topology.nodes < 2 && matches!(steering, SteeringMode::Rss | SteeringMode::Rps) {
+            return Err(RunError::preflight(
+                RunErrorKind::BadTopology,
+                format!(
+                    "{steering:?} steering maps IRQs to a NUMA node other than the \
+                     application's, and a 1-node topology has no node 1"
+                ),
+            ));
+        }
+        Ok(())
     }
 
     /// Clamp a host sizing [`SimConfig::validate`] refuses into its range

@@ -57,10 +57,14 @@ pub struct CoreData {
     /// Injected core stall ("noisy neighbor"): while set, no stack work is
     /// dispatched on this core.
     pub stalled: bool,
+    /// The core's NUMA node ([`hns_mem::numa::Topology::node_of`]), kept
+    /// here so the per-frame DMA, copy and free paths read it instead of
+    /// dividing.
+    pub node: NodeId,
 }
 
 impl CoreData {
-    fn new() -> Self {
+    fn new(node: NodeId) -> Self {
         CoreData {
             backlog: VecDeque::new(),
             gro: GroEngine::new(),
@@ -73,6 +77,7 @@ impl CoreData {
             step_end: EventKey::NONE,
             ring_deficit: 0,
             stalled: false,
+            node,
         }
     }
 }
@@ -130,7 +135,9 @@ impl Host {
         Host {
             id,
             sched: Scheduler::new(cores),
-            cores: (0..cores).map(|_| CoreData::new()).collect(),
+            cores: (0..cores as u16)
+                .map(|c| CoreData::new(cfg.topology.node_of(c)))
+                .collect(),
             arena: FrameArena::new(),
             dca,
             pages: PageAllocator::new(cores as u16, cfg.topology.cores_per_node),
@@ -208,6 +215,29 @@ mod tests {
             .iter()
             .all(|r| r.capacity() == cfg.stack.rx_descriptors));
         assert!(!h.iommu.enabled());
+    }
+
+    #[test]
+    fn cores_store_their_numa_node() {
+        use hns_mem::numa::Topology;
+        for nodes in [1, 2, 4] {
+            let cfg = SimConfig {
+                topology: Topology {
+                    nodes,
+                    ..Topology::default()
+                },
+                ..SimConfig::default()
+            };
+            let h = Host::new(0, &cfg);
+            assert_eq!(h.cores.len(), cfg.topology.total_cores() as usize);
+            for (c, core) in h.cores.iter().enumerate() {
+                assert_eq!(
+                    core.node,
+                    cfg.topology.node_of(c as u16),
+                    "{nodes} nodes, core {c}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -23,12 +23,12 @@ const FRAG_POOL_CAP: usize = 4096;
 
 /// Freelist of frag vectors, the skb allocation cache.
 ///
-/// Every received data frame builds an [`RxSkb`] whose only heap
-/// allocation is its `frags` vector; at line rate that is one allocation
-/// and one free per frame. The pool recycles the vectors instead —
-/// [`FragPool::get`] hands back a cleared vector with its capacity intact
-/// (grown once to [`MAX_SKB_FRAGS`] and never again), and consumed skbs
-/// return theirs via [`FragPool::put`]. The world owns one pool per run,
+/// Every received data frame that starts a GRO aggregate (or skips GRO)
+/// builds an [`RxSkb`] whose only heap allocation is its `frags` vector;
+/// at line rate that is one allocation and one free per skb. The pool
+/// recycles the vectors instead — [`FragPool::get`] hands back a cleared
+/// vector with its capacity intact (grown once to [`MAX_SKB_FRAGS`] and
+/// never again), and consumed skbs return theirs via [`FragPool::put`]. The world owns one pool per run,
 /// so recycling is deterministic and free of synchronization.
 #[derive(Debug, Default)]
 pub struct FragPool {
@@ -62,6 +62,49 @@ impl FragPool {
     }
 }
 
+/// One polled data frame as the NAPI poll hands it to GRO, before any skb
+/// exists. Only a frame that starts an aggregate (or that TCP/IP receives
+/// without GRO) becomes an [`RxSkb`]; one that merges is appended to its
+/// flow's aggregate in place ([`crate::gro::GroEngine::offer_frame`]).
+#[derive(Clone, Copy, Debug)]
+pub struct RxFrame {
+    /// Owning flow.
+    pub flow: FlowId,
+    /// Stream offset of the first payload byte.
+    pub seq: u64,
+    /// Payload bytes.
+    pub len: u32,
+    /// DMA frame holding the payload.
+    pub frame: FrameId,
+    /// NAPI processing timestamp.
+    pub napi_ts: SimTime,
+    /// ECN CE mark.
+    pub ce: bool,
+    /// A retransmission (for accounting).
+    pub retransmit: bool,
+    /// Lifecycle-trace id ([`hns_proto::segment::NO_TRACE`] when untraced).
+    pub trace: u64,
+}
+
+impl RxFrame {
+    /// The single-frame skb this frame builds, its frag vector recycled
+    /// from `pool` (nothing allocates once the pool is warm).
+    pub fn into_skb(self, pool: &mut FragPool) -> RxSkb {
+        let mut frags = pool.get();
+        frags.push(self.frame);
+        RxSkb {
+            flow: self.flow,
+            seq: self.seq,
+            len: self.len,
+            frags,
+            napi_ts: self.napi_ts,
+            ce: self.ce,
+            retransmit: self.retransmit,
+            trace: self.trace,
+        }
+    }
+}
+
 /// A receive-side skb, possibly GRO-aggregated from multiple frames.
 #[derive(Clone, Debug)]
 pub struct RxSkb {
@@ -87,8 +130,8 @@ pub struct RxSkb {
 }
 
 impl RxSkb {
-    /// Single-frame skb as NAPI polling builds it before GRO, its frag
-    /// vector recycled from `pool` (nothing allocates once it is warm).
+    /// Untraced single-frame skb ([`RxFrame::into_skb`]), its frag vector
+    /// recycled from `pool`.
     #[allow(clippy::too_many_arguments)]
     pub fn from_frame_pooled(
         pool: &mut FragPool,
@@ -100,127 +143,29 @@ impl RxSkb {
         ce: bool,
         retransmit: bool,
     ) -> Self {
-        let mut frags = pool.get();
-        frags.push(frame);
-        RxSkb {
+        let trace = hns_proto::segment::NO_TRACE;
+        RxFrame {
             flow,
             seq,
             len,
-            frags,
+            frame,
             napi_ts,
             ce,
             retransmit,
-            trace: hns_proto::segment::NO_TRACE,
+            trace,
         }
+        .into_skb(pool)
     }
 
     /// Stream offset one past the last byte.
     pub fn end(&self) -> u64 {
         self.seq + self.len as u64
     }
-
-    /// Try to append `other` (must be the immediately following bytes of
-    /// the same flow and fit under `max_len`). Returns `other` back on
-    /// failure; on success returns `other`'s drained frag vector so the
-    /// caller can recycle it into a [`FragPool`].
-    pub fn try_merge(&mut self, mut other: RxSkb, max_len: u32) -> Result<Vec<FrameId>, RxSkb> {
-        if other.flow != self.flow
-            || other.seq != self.end()
-            || self.len + other.len > max_len
-            || self.frags.len() + other.frags.len() > MAX_SKB_FRAGS
-        {
-            return Err(other);
-        }
-        self.len += other.len;
-        self.frags.append(&mut other.frags);
-        self.ce |= other.ce;
-        self.retransmit |= other.retransmit;
-        Ok(other.frags)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn skb(flow: FlowId, seq: u64, len: u32) -> RxSkb {
-        // Frame ids need an arena in real use; tests fabricate them.
-        let mut arena = hns_mem::FrameArena::new();
-        let f = arena.insert(len, 0);
-        frame_skb(flow, seq, len, f, false)
-    }
-
-    /// A single-frame skb from a fresh pool.
-    fn frame_skb(flow: FlowId, seq: u64, len: u32, frame: FrameId, flags: bool) -> RxSkb {
-        let mut pool = FragPool::new();
-        RxSkb::from_frame_pooled(
-            &mut pool,
-            flow,
-            seq,
-            len,
-            frame,
-            SimTime::ZERO,
-            flags,
-            flags,
-        )
-    }
-
-    #[test]
-    fn merge_contiguous_same_flow() {
-        let mut a = skb(1, 0, 9000);
-        let b = skb(1, 9000, 9000);
-        assert!(a.try_merge(b, 65536).is_ok());
-        assert_eq!(a.len, 18000);
-        assert_eq!(a.end(), 18000);
-        assert_eq!(a.frags.len(), 2);
-    }
-
-    #[test]
-    fn merge_rejects_gap() {
-        let mut a = skb(1, 0, 9000);
-        let b = skb(1, 18000, 9000);
-        assert!(a.try_merge(b, 65536).is_err());
-        assert_eq!(a.len, 9000);
-    }
-
-    #[test]
-    fn merge_rejects_other_flow() {
-        let mut a = skb(1, 0, 9000);
-        let b = skb(2, 9000, 9000);
-        assert!(a.try_merge(b, 65536).is_err());
-    }
-
-    #[test]
-    fn merge_respects_frag_limit() {
-        let mut arena = hns_mem::FrameArena::new();
-        let f = arena.insert(1448, 0);
-        let mut a = frame_skb(1, 0, 1448, f, false);
-        for i in 1..MAX_SKB_FRAGS as u64 {
-            let g = arena.insert(1448, 0);
-            let b = frame_skb(1, i * 1448, 1448, g, false);
-            assert!(a.try_merge(b, 65536).is_ok(), "frag {i} should fit");
-        }
-        let g = arena.insert(1448, 0);
-        let b = frame_skb(1, MAX_SKB_FRAGS as u64 * 1448, 1448, g, false);
-        assert!(a.try_merge(b, 65536).is_err(), "18th frag must be rejected");
-        assert_eq!(a.frags.len(), MAX_SKB_FRAGS);
-    }
-
-    #[test]
-    fn merge_respects_cap() {
-        let mut a = skb(1, 0, 60_000);
-        let b = skb(1, 60_000, 9_000);
-        assert!(a.try_merge(b, 65_536).is_err(), "would exceed 64KB");
-    }
-
-    #[test]
-    fn merge_returns_recyclable_vec() {
-        let mut a = skb(1, 0, 9000);
-        let b = skb(1, 9000, 9000);
-        let spare = a.try_merge(b, 65536).unwrap();
-        assert!(spare.is_empty(), "merged skb's vec comes back drained");
-        assert!(spare.capacity() >= 1, "capacity survives for reuse");
-    }
 
     #[test]
     fn frag_pool_recycles_capacity() {
@@ -250,19 +195,32 @@ mod tests {
         assert_eq!(b.flow, 1);
         assert_eq!(b.seq, 0);
         assert_eq!(b.len, 9000);
+        assert_eq!(b.end(), 9000);
         assert_eq!(b.frags, vec![f], "a recycled vector comes back cleared");
+        assert_eq!(b.trace, hns_proto::segment::NO_TRACE);
         assert_eq!(pool.cached(), 0);
     }
 
     #[test]
-    fn merge_propagates_flags() {
+    fn frame_skb_keeps_the_frames_fields() {
         let mut arena = hns_mem::FrameArena::new();
-        let f1 = arena.insert(100, 0);
-        let f2 = arena.insert(100, 0);
-        let mut a = frame_skb(1, 0, 100, f1, false);
-        let b = frame_skb(1, 100, 100, f2, true);
-        a.try_merge(b, 65536).unwrap();
-        assert!(a.ce);
-        assert!(a.retransmit);
+        let f = arena.insert(1448, 0);
+        let mut pool = FragPool::new();
+        let skb = RxFrame {
+            flow: 3,
+            seq: 1448,
+            len: 1448,
+            frame: f,
+            napi_ts: SimTime::from_nanos(7),
+            ce: true,
+            retransmit: true,
+            trace: 42,
+        }
+        .into_skb(&mut pool);
+        assert_eq!((skb.flow, skb.seq, skb.len), (3, 1448, 1448));
+        assert_eq!(skb.frags, vec![f]);
+        assert_eq!(skb.napi_ts, SimTime::from_nanos(7));
+        assert!(skb.ce && skb.retransmit);
+        assert_eq!(skb.trace, 42);
     }
 }

@@ -671,14 +671,28 @@ impl World {
             spec.dst_host = spec.dst_host.min(hosts - 1);
         }
         if spec.src_core >= cores || spec.dst_core >= cores {
+            let bad = spec.src_core.max(spec.dst_core);
             self.topology_error(format!(
-                "flow {id}: src_core {} / dst_core {} out of range (hosts have {cores} cores)",
-                spec.src_core, spec.dst_core
+                "flow {id}: src_core {} / dst_core {} out of range ({})",
+                spec.src_core,
+                spec.dst_core,
+                self.missing_core(bad)
             ));
             spec.src_core = spec.src_core.min(cores - 1);
             spec.dst_core = spec.dst_core.min(cores - 1);
         }
         spec
+    }
+
+    /// Why `core` is out of range: the NUMA node it would sit on, which
+    /// the hosts lack.
+    fn missing_core(&self, core: u16) -> String {
+        let t = self.cfg.topology;
+        let node = core / t.cores_per_node as u16;
+        format!(
+            "core {core} would be on NUMA node {node}; hosts have {} node(s) of {} cores",
+            t.nodes, t.cores_per_node
+        )
     }
 
     /// Register a flow. Returns its id. Host/core indices outside the
@@ -688,8 +702,9 @@ impl World {
         let id = self.flows.len() as FlowId;
         let spec = self.validated_flow_spec(id, spec);
         let flow = Flow::new(id, spec, &self.cfg, id as u16);
-        let node = self.cfg.topology.node_of(spec.src_core);
-        self.hosts[spec.src_host].node_sender_flows[node as usize] += 1;
+        let host = &mut self.hosts[spec.src_host];
+        let node = host.cores[spec.src_core as usize].node;
+        host.node_sender_flows[node as usize] += 1;
         self.flows.push(flow);
         id
     }
@@ -708,12 +723,12 @@ impl World {
             host = n - 1;
         }
         if core >= self.cfg.topology.total_cores() {
-            let n = self.cfg.topology.total_cores();
             self.topology_error(format!(
-                "app {}: core {core} out of range (hosts have {n} cores)",
-                self.apps.len()
+                "app {}: core {core} out of range ({})",
+                self.apps.len(),
+                self.missing_core(core)
             ));
-            core = n - 1;
+            core = self.cfg.topology.total_cores() - 1;
         }
         let tid = self.hosts[host].sched.add_thread(core);
         let app = AppInstance::new(spec, host, core, tid);

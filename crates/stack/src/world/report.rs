@@ -143,7 +143,9 @@ impl World {
         }
     }
 
-    pub(super) fn build_report(&self) -> Report {
+    /// The run's report. It takes the throughput timeline, which the run
+    /// never reads again, rather than copying it.
+    pub(super) fn build_report(&mut self) -> Report {
         let now = self.queue.now();
         let window = now.since(self.window_start).as_secs_f64();
         let delivered: u64 = self.flows.iter().map(|f| f.app_bytes).sum::<u64>()
@@ -233,7 +235,7 @@ impl World {
                 .sum(),
             rpcs_completed: self.apps.iter().map(|a| a.completions).sum(),
             per_flow_bytes: self.flows.iter().map(|f| (f.id, f.app_bytes)).collect(),
-            gbps_timeline: self.gbps_timeline.clone(),
+            gbps_timeline: std::mem::take(&mut self.gbps_timeline),
             stage_latency,
             trace_overflow,
             conn: self.conn_summary(window),

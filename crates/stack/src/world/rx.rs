@@ -13,7 +13,7 @@ use hns_trace::StageId;
 use super::{irq_value, FrameKind, World, IRQ_LANE};
 use crate::config::DatapathKind;
 use crate::host::PendingFrame;
-use crate::skb::RxSkb;
+use crate::skb::{RxFrame, RxSkb};
 
 /// IRQ dispatch latency from the NIC raising an interrupt to its handler
 /// running.
@@ -107,9 +107,9 @@ impl World {
     }
 
     /// Poll phase: take one frame off the backlog's slab slot. An ACK goes
-    /// to the sender's state machine, a data frame becomes an skb that GRO
-    /// aggregates ([`Self::gro_offer`]) or TCP/IP receives at once, and a
-    /// lifecycle frame goes to the churn engine.
+    /// to the sender's state machine, a data frame goes to GRO
+    /// ([`Self::gro_receive`]) or becomes an skb that TCP/IP receives at
+    /// once, and a lifecycle frame goes to the churn engine.
     fn poll_frame(&mut self, h: usize, core: usize, pf: PendingFrame, ch: &mut CycleBreakdown) {
         let now = self.queue.now();
         let seg = self.in_flight.take(pf.slot);
@@ -139,7 +139,9 @@ impl World {
                 // In-kernel pays the driver and the skb; bypass's
                 // per-frame harvest on the polling core is its whole Rx
                 // pipeline. TOE: per-frame work happened on-NIC; the
-                // host is charged per completion in `deliver_skb`.
+                // host is charged per completion in `deliver_skb`. The
+                // simulated kernel builds an skb per frame; the simulator
+                // builds one only for a frame that starts an aggregate.
                 ch.charge(
                     Category::NetDevice,
                     self.cost.driver_rx_frame + self.cost.bypass_poll_frame,
@@ -149,18 +151,16 @@ impl World {
                 if self.cfg.stack.steering.software_cost() {
                     ch.charge(Category::NetDevice, self.cost.steering_sw);
                 }
-                let frame = pf.frame.expect("data frames carry buffers");
-                let mut skb = RxSkb::from_frame_pooled(
-                    &mut self.frag_pool,
-                    seg.flow,
+                let frame = RxFrame {
+                    flow: seg.flow,
                     seq,
                     len,
-                    frame,
-                    now,
-                    seg.ecn_ce,
+                    frame: pf.frame.expect("data frames carry buffers"),
+                    napi_ts: now,
+                    ce: seg.ecn_ce,
                     retransmit,
-                );
-                skb.trace = seg.trace;
+                    trace: seg.trace,
+                };
                 self.trace
                     .stamp(seg.trace, seg.flow, StageId::Napi, h, core, now);
                 if self.dp.busy_polls() {
@@ -168,8 +168,9 @@ impl World {
                         .stamp(seg.trace, seg.flow, StageId::BypassPoll, h, core, now);
                 }
                 if self.dp.rx_aggregates(&self.cfg.stack) {
-                    self.gro_offer(h, core, skb, ch);
+                    self.gro_receive(h, core, frame, ch);
                 } else {
+                    let skb = frame.into_skb(&mut self.frag_pool);
                     self.deliver_skb(h, core, skb, ch);
                 }
             }
@@ -179,20 +180,22 @@ impl World {
         }
     }
 
-    /// GRO phase: offer a frame's skb to the core's GRO table and deliver
-    /// whatever the offer flushes.
-    fn gro_offer(&mut self, h: usize, core: usize, skb: RxSkb, ch: &mut CycleBreakdown) {
+    /// GRO phase: offer a frame to the core's GRO table and deliver
+    /// whatever the offer flushes. The host pays the skb build and the GRO
+    /// work for every frame, merged or not ([`Self::poll_frame`]).
+    fn gro_receive(&mut self, h: usize, core: usize, frame: RxFrame, ch: &mut CycleBreakdown) {
         let now = self.queue.now();
         // Software GRO costs cycles per merged frame; hardware aggregation
         // (LRO, TOE) is free.
         if self.cfg.stack.gro && !self.cfg.stack.lro {
             ch.charge(Category::NetDevice, self.cost.gro_per_frame);
         }
-        let tid = skb.trace;
-        self.trace.stamp(tid, skb.flow, StageId::Gro, h, core, now);
+        let tid = frame.trace;
+        self.trace
+            .stamp(tid, frame.flow, StageId::Gro, h, core, now);
         let mut flushed = std::mem::take(&mut self.gro_scratch);
-        let absorbed = self.hosts[h].cores[core].gro.offer_into(
-            skb,
+        let absorbed = self.hosts[h].cores[core].gro.offer_frame(
+            frame,
             hns_nic::MAX_AGGREGATE,
             &mut self.frag_pool,
             &mut flushed,
@@ -380,7 +383,7 @@ impl World {
             // place) neither probes the DCA cache, which changes its state,
             // nor counts copied bytes; its table prices the copy at zero.
             let copies = self.dp.copies_payload();
-            let app_node = self.cfg.topology.node_of(core as u16);
+            let app_node = self.hosts[h].cores[core].node;
             for &fr in &skb.frags {
                 let host = &mut self.hosts[h];
                 let bytes = host.arena.bytes(fr);
@@ -444,7 +447,7 @@ impl World {
         frags: &[hns_mem::FrameId],
         ch: &mut CycleBreakdown,
     ) {
-        let core_node = self.cfg.topology.node_of(core as u16);
+        let core_node = self.hosts[h].cores[core].node;
         for &fr in frags {
             let node = self.hosts[h].arena.node(fr);
             let bytes = self.hosts[h].arena.release(fr);
@@ -524,8 +527,8 @@ impl World {
         // inline): no page-arena buffer, no GRO, no DCA.
         let frame = match kind {
             FrameKind::Data => {
-                let node = self.cfg.topology.node_of(core);
                 let host = &mut self.hosts[dst];
+                let node = host.cores[core as usize].node;
                 let fr = host.arena.insert(len, node);
                 if node == self.cfg.topology.nic_node {
                     host.dca.insert(&mut host.arena, fr);

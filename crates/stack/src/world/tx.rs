@@ -31,7 +31,7 @@ impl World {
         if action.newly_acked > 0 {
             // Send-buffer space freed: update warm-buffer accounting and
             // wake a blocked writer.
-            let node = self.cfg.topology.node_of(self.flows[fid].spec.src_core);
+            let node = self.hosts[h].cores[self.flows[fid].spec.src_core as usize].node;
             self.hosts[h].adjust_send_active(node, -(action.newly_acked as i64));
             if self.flows[fid].sender.can_write(self.cfg.write_size as u64) {
                 if let Some(tid) = self.flows[fid].writer_tid {
@@ -55,9 +55,9 @@ impl World {
         ch.charge(Category::Etc, self.cost.syscall_write);
         self.charge_sender_copy(fid, bytes, ch);
         self.flows[fid].sender.app_write(bytes);
-        let node = self.cfg.topology.node_of(self.flows[fid].spec.src_core);
-        let h = self.flows[fid].spec.src_host;
-        self.hosts[h].adjust_send_active(node, bytes as i64);
+        let spec = self.flows[fid].spec;
+        let node = self.hosts[spec.src_host].cores[spec.src_core as usize].node;
+        self.hosts[spec.src_host].adjust_send_active(node, bytes as i64);
         self.pump(fid, ch);
         self.sync_rto(fid);
     }
@@ -83,7 +83,7 @@ impl World {
         }
         let f = &self.flows[fid];
         let h = f.spec.src_host;
-        let node = self.cfg.topology.node_of(f.spec.src_core);
+        let node = self.hosts[h].cores[f.spec.src_core as usize].node;
         let active = self.hosts[h].send_active(node)
             + self.hosts[h].node_sender_flows[node as usize] as u64 * Self::SENDER_FLOW_FOOTPRINT;
         let miss = self.hosts[h].sender_l3.miss_rate(active);

@@ -34,15 +34,17 @@ pub enum Placement {
 }
 
 impl Placement {
-    /// Core for the `i`-th application thread on a host.
+    /// Core for the `i`-th application thread on a host. On a one-node
+    /// topology `NicRemote` names a core of node 1, which does not exist:
+    /// `World::try_run` refuses it as out of range.
     pub fn core(self, topo: &Topology, i: u16) -> CoreId {
         match self {
             Placement::NicLocalFirst => topo.app_core(i),
             Placement::NicRemote => {
-                let remote_nodes = topo.nodes - 1;
+                let remote_nodes = topo.nodes.saturating_sub(1).max(1);
                 let per = topo.cores_per_node as u16;
-                let node = 1 + ((i / per) % remote_nodes as u16) as u8;
-                topo.core_on_node(node, (i % per) as u8)
+                let node = 1 + (i / per) % remote_nodes as u16;
+                node * per + i % per
             }
         }
     }
@@ -431,6 +433,9 @@ mod tests {
             let c = Placement::NicRemote.core(&t, i);
             assert_ne!(t.node_of(c), t.nic_node, "core {c} is NIC-local");
         }
+        let one = Topology { nodes: 1, ..t };
+        let c = Placement::NicRemote.core(&one, 0);
+        assert_eq!(c, one.total_cores(), "node 1's first core, out of range");
     }
 
     #[test]
