@@ -4,7 +4,7 @@ use hns_conn::ChurnConfig;
 use hns_mem::numa::Topology;
 use hns_metrics::Report;
 use hns_sim::Duration;
-use hns_stack::{OptLevel, RunError, SimConfig, World};
+use hns_stack::{OptLevel, RunError, RunErrorKind, SimConfig, World};
 use hns_workload::{Placement, Scenario};
 
 /// Which traffic pattern / workload to run (paper Fig. 2 + §3.7).
@@ -120,6 +120,27 @@ impl ScenarioKind {
                 size,
             } => hns_workload::fabric_mixed_tenant(topo, longs, shorts, size),
         }
+    }
+
+    /// Refuse a scenario with nothing to measure: no flow, no client, no
+    /// sender, or an empty RPC. Each once ran to an empty 0 Gbps report.
+    fn validate(self) -> Result<(), String> {
+        let empty = match self {
+            ScenarioKind::OneToOne { flows }
+            | ScenarioKind::Incast { flows }
+            | ScenarioKind::Outcast { flows }
+            | ScenarioKind::AllToAll { x: flows }
+            | ScenarioKind::FabricIncast { senders: flows } => flows == 0,
+            ScenarioKind::RpcIncast { clients, size, .. } => clients == 0 || size == 0,
+            _ => false,
+        };
+        if empty {
+            let label = self.label();
+            return Err(format!(
+                "scenario {label} has no flow, client or RPC byte to measure"
+            ));
+        }
+        Ok(())
     }
 
     /// Short label for reports.
@@ -241,20 +262,31 @@ impl Experiment {
     /// collector so callers can export timelines (JSONL / Chrome JSON).
     /// The collector is disabled (and empty) unless `cfg.trace.enabled`.
     pub fn try_run_traced(&self) -> Result<(Report, hns_trace::TraceCollector), RunError> {
+        self.validate()?;
         let mut world = self.world();
         let report = world.try_run(self.warmup, self.measure)?;
         Ok((report, world.take_trace()))
     }
 
     /// The configuration the run simulates: `cfg`, plus the workload of a
-    /// [`ScenarioKind::Churn`] scenario as `cfg.churn`. Its
-    /// [`SimConfig::validate`] is the run's preflight check.
+    /// [`ScenarioKind::Churn`] scenario as `cfg.churn`.
     pub fn sim_config(&self) -> SimConfig {
         let mut cfg = self.cfg;
         if let ScenarioKind::Churn { churn } = self.scenario {
             cfg.churn = Some(churn);
         }
         cfg
+    }
+
+    /// The run's preflight check: [`SimConfig::validate`] of
+    /// [`Experiment::sim_config`], then a scenario with something to
+    /// measure. [`Experiment::try_run`] calls it first; front ends call it
+    /// to refuse bad input before running.
+    pub fn validate(&self) -> Result<(), RunError> {
+        self.sim_config().validate()?;
+        self.scenario
+            .validate()
+            .map_err(|detail| RunError::preflight(RunErrorKind::BadTopology, detail))
     }
 
     /// Build the world this experiment runs: its configuration, report
@@ -321,6 +353,49 @@ mod tests {
                 .try_run()
                 .unwrap_err();
             assert_eq!(err.kind, hns_stack::RunErrorKind::BadTopology, "{sizes:?}");
+        }
+    }
+
+    #[test]
+    fn try_run_rejects_scenarios_that_measure_nothing() {
+        // Each once returned an empty 0 Gbps report.
+        for scenario in [
+            ScenarioKind::OneToOne { flows: 0 },
+            ScenarioKind::Incast { flows: 0 },
+            ScenarioKind::Outcast { flows: 0 },
+            ScenarioKind::AllToAll { x: 0 },
+            ScenarioKind::FabricIncast { senders: 0 },
+            ScenarioKind::RpcIncast {
+                clients: 0,
+                size: 4096,
+                server: Placement::NicLocalFirst,
+            },
+            ScenarioKind::RpcIncast {
+                clients: 16,
+                size: 0,
+                server: Placement::NicLocalFirst,
+            },
+        ] {
+            let err = Experiment::new(scenario).quick().try_run().unwrap_err();
+            assert_eq!(
+                err.kind,
+                hns_stack::RunErrorKind::BadTopology,
+                "{scenario:?}"
+            );
+            assert!(err.detail.contains("to measure"), "detail: {}", err.detail);
+        }
+        // One flow, client or sender is enough.
+        for scenario in [
+            ScenarioKind::Incast { flows: 1 },
+            ScenarioKind::AllToAll { x: 1 },
+            ScenarioKind::RpcIncast {
+                clients: 1,
+                size: 1,
+                server: Placement::NicLocalFirst,
+            },
+        ] {
+            let r = Experiment::new(scenario).quick().try_run();
+            assert!(r.is_ok_and(|r| r.total_gbps > 0.0), "{scenario:?}");
         }
     }
 

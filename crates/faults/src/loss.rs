@@ -30,9 +30,10 @@ pub enum LossModel {
 }
 
 impl LossModel {
-    /// Uniform loss; a non-positive rate means no loss.
+    /// Uniform loss; a zero rate means no loss. Any other rate is kept,
+    /// for [`LossModel::validate`] to judge.
     pub fn uniform(rate: f64) -> Self {
-        if rate <= 0.0 {
+        if rate == 0.0 {
             LossModel::None
         } else {
             LossModel::Uniform { rate }
@@ -40,9 +41,10 @@ impl LossModel {
     }
 
     /// Bursty loss at long-run `rate` with `mean_burst`-frame bursts.
-    /// A non-positive rate means no loss; `mean_burst` is clamped to ≥ 1.
+    /// A zero rate means no loss, and any other rate is kept, as in
+    /// [`LossModel::uniform`]; `mean_burst` is clamped to ≥ 1.
     pub fn bursty(rate: f64, mean_burst: f64) -> Self {
-        if rate <= 0.0 {
+        if rate == 0.0 {
             LossModel::None
         } else {
             LossModel::GilbertElliott {
@@ -50,6 +52,25 @@ impl LossModel {
                 mean_burst: mean_burst.max(1.0),
             }
         }
+    }
+
+    /// Refuse a process the link cannot draw from: a rate outside
+    /// [0, 1), NaN included, or a mean burst that is not finite.
+    pub fn validate(&self) -> Result<(), String> {
+        let (rate, mean_burst) = match *self {
+            LossModel::None => return Ok(()),
+            LossModel::Uniform { rate } => (rate, 1.0),
+            LossModel::GilbertElliott { rate, mean_burst } => (rate, mean_burst),
+        };
+        if !(0.0..1.0).contains(&rate) {
+            return Err(format!("wire loss rate {rate} outside [0, 1)"));
+        }
+        if !mean_burst.is_finite() {
+            return Err(format!(
+                "mean loss burst of {mean_burst} frames is not finite"
+            ));
+        }
+        Ok(())
     }
 }
 
@@ -213,8 +234,10 @@ mod tests {
     #[test]
     fn constructors_normalize_degenerate_input() {
         assert_eq!(LossModel::uniform(0.0), LossModel::None);
-        assert_eq!(LossModel::uniform(-1.0), LossModel::None);
         assert_eq!(LossModel::bursty(0.0, 5.0), LossModel::None);
+        // A negative rate is kept for `validate` to refuse.
+        assert_eq!(LossModel::uniform(-1.0), LossModel::Uniform { rate: -1.0 });
+        assert!(LossModel::uniform(-1.0).validate().is_err());
         match LossModel::bursty(0.01, 0.2) {
             LossModel::GilbertElliott { mean_burst, .. } => assert_eq!(mean_burst, 1.0),
             other => panic!("{other:?}"),

@@ -299,19 +299,23 @@ impl SimConfig {
     }
 
     /// Reject every plan a run cannot honour, before anything is
-    /// simulated: the fault plan (including the stalled core's range and
-    /// the link's flap and latency-spike windows), the
-    /// churn and overload plan (which only the in-kernel datapath prices),
-    /// the tracer's sampling, the monitor (which reads the tracer's
-    /// residencies, so needs it on), the link rate, the fabric size, the
-    /// host sizing (an MTU in `MTU_STANDARD..=MTU_JUMBO`, at least one Rx
-    /// descriptor, and a write that fits twice in the send buffer), and a
-    /// second NUMA node for hash steering's remote IRQ cores.
-    /// [`crate::World::try_run`] calls it first; front ends call it to
-    /// refuse bad input before running.
+    /// simulated: the fault plan (including the stalled core's range, the
+    /// wire's loss rate in [0, 1) and the link's flap and latency-spike
+    /// windows), the churn and overload plan (which only the in-kernel
+    /// datapath prices), the tracer's sampling, the monitor (which reads
+    /// the tracer's residencies, so needs it on), the link rate, the
+    /// fabric size, the host sizing (an MTU in `MTU_STANDARD..=MTU_JUMBO`,
+    /// at least one Rx descriptor, and a write that fits twice in the send
+    /// buffer), and a second NUMA node for hash steering's remote IRQ
+    /// cores. [`crate::World::try_run`] calls it first; front ends call it
+    /// (through `Experiment::validate`) to refuse bad input before running.
     pub fn validate(&self) -> Result<(), RunError> {
         let fail = |kind| move |detail| RunError::preflight(kind, detail);
         self.faults
+            .validate()
+            .map_err(fail(RunErrorKind::BadFaultPlan))?;
+        self.link
+            .loss
             .validate()
             .map_err(fail(RunErrorKind::BadFaultPlan))?;
         if let Some(cs) = &self.faults.core_stall {
@@ -597,6 +601,35 @@ mod tests {
         }
         assert_eq!(sized(MTU_STANDARD, 1, half_sndbuf), Ok(()));
         assert_eq!(sized(MTU_JUMBO, 4096, 1), Ok(()));
+    }
+
+    #[test]
+    fn validate_refuses_loss_rates_outside_the_unit_interval() {
+        use hns_faults::LossModel;
+        let lossy = |loss| {
+            let mut c = SimConfig::default();
+            c.link.loss = loss;
+            c.validate().map_err(|e| e.kind)
+        };
+        let ge = |rate, mean_burst| LossModel::GilbertElliott { rate, mean_burst };
+        for loss in [
+            LossModel::Uniform { rate: f64::NAN },
+            LossModel::Uniform { rate: 1.5 },
+            LossModel::Uniform { rate: -0.1 },
+            ge(1.0, 8.0),
+            ge(f64::INFINITY, 8.0),
+            ge(0.01, f64::NAN),
+        ] {
+            assert_eq!(lossy(loss), Err(RunErrorKind::BadFaultPlan), "{loss:?}");
+        }
+        for loss in [
+            LossModel::None,
+            LossModel::Uniform { rate: 0.0 },
+            LossModel::Uniform { rate: 0.999 },
+            ge(0.02, 0.5),
+        ] {
+            assert_eq!(lossy(loss), Ok(()), "{loss:?}");
+        }
     }
 
     #[test]

@@ -15,7 +15,7 @@ use std::fmt;
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RunErrorKind {
     /// The fault plan itself is inconsistent (bad schedule, core out of
-    /// range); nothing was simulated.
+    /// range, a wire loss rate outside [0, 1)); nothing was simulated.
     BadFaultPlan,
     /// The churn plan is inconsistent (zero arrival rate, empty pool, an
     /// overload budget below one socket); nothing was simulated.
@@ -30,8 +30,9 @@ pub enum RunErrorKind {
     /// The scenario references a host or core outside the configured
     /// topology (flow/app host index past the fabric's host count, core
     /// index past the per-host core count), its link rate is not a
-    /// finite positive Gb/s, or a host is sized outside what its datapath
-    /// takes (MTU, Rx ring, write size); nothing was simulated.
+    /// finite positive Gb/s, a host is sized outside what its datapath
+    /// takes (MTU, Rx ring, write size), or the scenario has nothing to
+    /// measure (no flow, client or RPC byte); nothing was simulated.
     BadTopology,
     /// No forward progress — no frame offered to the wire and no byte
     /// delivered to an application — for a full watchdog horizon while

@@ -14,12 +14,15 @@
 //! ```
 //!
 //! Argument parsing is hand-rolled (the workspace keeps its dependency
-//! surface to the approved set); see [`cli`] for the grammar.
+//! surface to the approved set): each subcommand has one `const` flag
+//! table that drives its parser and its help text; see [`cli`].
+
+#![warn(clippy::too_many_lines)]
 
 use hostnet::building_blocks::proto::cc::CcAlgo;
 use hostnet::building_blocks::sim::Duration;
 use hostnet::building_blocks::stack::config::RcvBufPolicy;
-use hostnet::building_blocks::stack::{DatapathKind, StackConfig};
+use hostnet::building_blocks::stack::DatapathKind;
 use hostnet::{Experiment, OptLevel, Placement, ScenarioKind};
 
 use std::io::Write as _;
@@ -30,8 +33,8 @@ fn main() -> ExitCode {
     match cli::parse(&args) {
         Ok(cmd) => execute(cmd),
         Err(e) => {
-            eprintln!("error: {e}\n");
-            eprintln!("{}", cli::USAGE);
+            // Nobody reads a closed stderr, so a failed write is dropped.
+            let _ = write!(std::io::stderr(), "error: {e}\n\n{}\n", cli::usage());
             ExitCode::from(2)
         }
     }
@@ -39,74 +42,54 @@ fn main() -> ExitCode {
 
 fn execute(cmd: cli::Command) -> ExitCode {
     match cmd {
-        cli::Command::Help => {
-            println!("{}", cli::USAGE);
-            ExitCode::SUCCESS
-        }
-        cli::Command::List => {
-            println!("scenarios:");
-            println!("  single       one long flow (paper §3.1)");
-            println!("  numa-remote  one long flow on a NIC-remote node (Fig. 4)");
-            println!("  one-to-one   n flows, one per core pair (§3.2)     [--flows]");
-            println!("  incast       n sender cores → 1 receiver core (§3.3) [--flows]");
-            println!("  outcast      1 sender core → n receiver cores (§3.4) [--flows]");
-            println!("  all-to-all   x·x flows (§3.5)                       [--flows = x]");
-            println!(
-                "  rpc          ping-pong RPC incast (§3.7)  [--clients --size --remote-server]"
-            );
-            println!("  mixed        1 long + n short flows on one core (§3.7) [--shorts --size]");
-            println!(
-                "  churn        connection-lifecycle churn (hns-conn)  [--churn-rate --churn-mode --churn-conns --size]"
-            );
-            ExitCode::SUCCESS
-        }
-        cli::Command::Figures {
-            names,
-            csv,
-            jobs,
-            quick,
-            audited,
-        } => run_figures(&names, csv, jobs, quick, audited),
-        cli::Command::Audit(opts) => {
-            let outcome = hostnet::run_audit(&opts);
-            if outcome.ok() {
-                println!(
-                    "audit: {} runs, 0 violations (seed {})",
-                    outcome.runs, opts.seed
-                );
-                ExitCode::SUCCESS
-            } else {
-                for f in &outcome.failures {
-                    eprintln!(
-                        "audit FAIL run {} [{}] {}: {}",
-                        f.run,
-                        f.scenario,
-                        f.property.name(),
-                        f.detail
-                    );
-                    eprintln!(
-                        "  minimal deltas: {}",
-                        f.minimal
-                            .iter()
-                            .map(|d| d.to_string())
-                            .collect::<Vec<_>>()
-                            .join(", ")
-                    );
-                    if let Some(p) = &f.repro {
-                        eprintln!("  repro written to {}", p.display());
-                    }
-                }
-                eprintln!(
-                    "audit: {} runs, {} violation(s) (seed {})",
-                    outcome.runs,
-                    outcome.failures.len(),
-                    opts.seed
-                );
-                ExitCode::FAILURE
-            }
-        }
+        cli::Command::Help => print_out(Ok(()), &format!("{}\n", cli::usage())),
+        cli::Command::List => print_out(Ok(()), &cli::scenario_list()),
+        cli::Command::Figures(sweep) => run_figures(&sweep),
+        cli::Command::Audit(opts) => audit(&opts),
         cli::Command::Run(exp, out) => run(&exp, &out),
     }
+}
+
+/// `hostnet audit`: run the fuzzer; name each failing case, its minimal
+/// deltas and repro file on stderr, and exit 1 if any case failed.
+fn audit(opts: &hostnet::AuditOptions) -> ExitCode {
+    let outcome = hostnet::run_audit(opts);
+    if outcome.ok() {
+        return print_out(
+            Ok(()),
+            &format!(
+                "audit: {} runs, 0 violations (seed {})\n",
+                outcome.runs, opts.seed
+            ),
+        );
+    }
+    for f in &outcome.failures {
+        eprintln!(
+            "audit FAIL run {} [{}] {}: {}",
+            f.run,
+            f.scenario,
+            f.property.name(),
+            f.detail
+        );
+        eprintln!(
+            "  minimal deltas: {}",
+            f.minimal
+                .iter()
+                .map(|d| d.to_string())
+                .collect::<Vec<_>>()
+                .join(", ")
+        );
+        if let Some(p) = &f.repro {
+            eprintln!("  repro written to {}", p.display());
+        }
+    }
+    eprintln!(
+        "audit: {} runs, {} violation(s) (seed {})",
+        outcome.runs,
+        outcome.failures.len(),
+        opts.seed
+    );
+    ExitCode::FAILURE
 }
 
 /// `hostnet run`: build the experiment's world and run it, streaming each
@@ -252,28 +235,22 @@ fn print_out(printed: std::io::Result<()>, text: &str) -> ExitCode {
     }
 }
 
-/// `hostnet figures`: run the named figures (all when `names` is empty) in
+/// `hostnet figures`: run the named figures (all when none is named) in
 /// registry order as one batch on the sweep pool, then print one CSV of
 /// every report or, per figure, its series table, the per-side cycle
 /// taxonomies and every present report section. A point whose run fails
 /// is named and the command exits 1.
-fn run_figures(
-    names: &[&str],
-    csv: bool,
-    jobs: Option<usize>,
-    quick: bool,
-    audited: bool,
-) -> ExitCode {
+fn run_figures(sweep: &cli::Sweep) -> ExitCode {
     use hostnet::building_blocks::{core_figures as figures, metrics};
     use hostnet::par;
     let mut points = Vec::new();
     let mut blocks = Vec::new();
     for (name, figure) in figures::FIGURES {
-        if names.is_empty() || names.contains(&name) {
+        if sweep.names.is_empty() || sweep.names.contains(&name) {
             let before = points.len();
             points.extend(figure().into_iter().map(|e| {
-                let e = if quick { e.quick() } else { e };
-                if audited {
+                let e = if sweep.quick { e.quick() } else { e };
+                if sweep.audited {
                     e.audited()
                 } else {
                     e
@@ -282,14 +259,15 @@ fn run_figures(
             blocks.push((name, points.len() - before));
         }
     }
-    let reports = match figures::run(jobs.unwrap_or_else(par::available_jobs), &points) {
+    let jobs = sweep.jobs.unwrap_or_else(par::available_jobs);
+    let reports = match figures::run(jobs, &points) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("{e}");
             return ExitCode::FAILURE;
         }
     };
-    if csv {
+    if sweep.csv {
         return print_out(Ok(()), &metrics::reports_to_csv(&reports));
     }
     let mut text = String::new();
@@ -325,101 +303,14 @@ fn run_figures(
 /// Command-line grammar and parsing.
 pub mod cli {
     use super::*;
-
-    /// Top-level usage text.
-    pub const USAGE: &str = "\
-usage:
-  hostnet run <scenario> [options]
-  hostnet figures [fig03|fig03e|fig03f|fig03g|fig04|fig05|fig06|fig07|
-                   fig08|fig09|fig09b|fig05c|fig10|fig11|fig12|fig13|figcap|
-                   figincast|figback|ablations]...
-                  [--csv] [--jobs N|auto] [--quick] [--audited]
-  hostnet audit [--runs N] [--seed S] [--out DIR] [--quiet]
-  hostnet list
-  hostnet help
-
-figures (the evaluation sweeps; no names runs every figure, in the order
-         above; per figure: series table, per-side cycle taxonomy, and
-         every report section a point produced, e.g. figcap's admission
-         control, fig05c's connection lifecycle, fig03g's stage residency):
-  --csv              one CSV of every report instead of tables
-  --jobs N|auto      sweep thread-pool size (output identical for any value)
-  --quick            short windows (5ms + 8ms) for smoke runs
-  --audited          run every point under the invariant auditor
-  figcap             admission policy x concurrent clients at fixed cores
-  figincast          switch fan-in through the shared-buffer ToR, ECN off/on
-  figback            in-kernel vs TCP offload vs kernel-bypass datapaths
-
-audit (differential config fuzzer, every run under the invariant auditor):
-  --runs N           fuzz cases to run                    (default 200)
-  --seed S           master seed; case i derives from (S, i)  (default 1)
-  --out DIR          directory for minimal-repro files    (default .)
-  --quiet            suppress the per-case progress line
-  exits non-zero if any case fails; failures are bisected to a minimal
-  delta set and written to DIR/audit-repro-s<seed>-r<run>.txt
-
-scenarios: single | numa-remote | one-to-one | incast | outcast |
-           all-to-all | rpc | mixed | churn   (see `hostnet list`)
-
-options:
-  --flows N          flow count / matrix dimension        (default 8)
-  --clients N        RPC clients                          (default 16)
-  --size BYTES       RPC request/response size            (default 4096)
-  --shorts N         short flows in the mixed scenario    (default 16)
-  --remote-server    place the RPC server on a NIC-remote node
-  --level L          no-opt | tso-gro | jumbo | arfs      (default arfs)
-  --cc ALGO          cubic | bbr | dctcp | reno           (default cubic)
-  --loss P           in-network loss probability          (default 0)
-  --mtu BYTES        1500..9000                           (default 9000)
-  --ring N           NIC Rx descriptors                   (default 512)
-  --rcvbuf-kb N      pin the receive buffer (default: Linux auto-tuning)
-  --no-dca           disable DDIO
-  --iommu            enable the IOMMU
-  --zerocopy-tx      MSG_ZEROCOPY sender path (§4)
-  --zerocopy-rx      TCP mmap receive path (§4)
-  --datapath B       inkernel | toe | bypass datapath backend (§4, default
-                     inkernel; toe = on-NIC protocol, bypass = busy-poll)
-  --seed N           RNG seed                             (default 1)
-  --warmup-ms N      warmup window                        (default 20)
-  --measure-ms N     measurement window                   (default 30)
-  --json             emit the full report as JSON (and no live monitor lines)
-  --churn-rate CPS   connection arrivals per second       (default 100000)
-  --churn-mode M     handshake | rpc | pool               (default handshake)
-  --churn-conns N    pool population for --churn-mode pool (default 100000)
-  --rpc-size-dist D  per-request size for --churn-mode rpc:
-                     fixed | pareto:<min>:<shape>:<cap>   (default fixed)
-
-overload model (churn scenario only; any flag enables it):
-  --admission P      accept-path policy: drop | queue | shed  (default drop)
-  --accept-queue N   listen/accept queue depth            (default 128)
-  --mem-budget-kb N  connection memory budget (0 = unlimited, default 0)
-  --idle-timeout-ms T  reap established conns idle longer than T (0 = off)
-  --slow-prob P      fraction of clients with heavy-tailed think times
-
-tracing (any --trace-* flag implies --trace):
-  --trace                  trace every skb through the 14 pipeline stages
-  --trace-sample-every N   trace every Nth skb                  (default 1)
-  --trace-flow F           only trace flow id F
-  --trace-out PATH         write the per-skb trace to PATH
-  --trace-format F         jsonl | chrome (Perfetto)       (default jsonl)
-
-monitoring (any scenario: a live line per snapshot interval, per-stage
-            quantile sketches fed by the sampled lifecycle tracer):
-  --monitor-ms N     snapshot interval in ms; implies --trace   (default 10)
-  --metrics-out PATH stream snapshot JSONL to PATH; implies --monitor-ms
-
-fault injection (all deterministic; scheduled faults share one window):
-  --fault-at-ms T        fault window start in ms             (default 30)
-  --fault-burst-loss P   Gilbert-Elliott wire loss, long-run rate P
-  --fault-burst-len B    mean loss-burst length in frames     (default 8)
-  --fault-flap-ms D      link flap (total outage) for D ms
-  --fault-spike-ms D     +100us one-way latency for D ms
-  --fault-ring-ms D      receiver Rx rings withhold descriptors for D ms
-  --fault-pool-ms D      receiver page-pool allocations fail for D ms
-  --fault-stall-ms D     receiver core 0 executes nothing for D ms
-  --watchdog-ms N        stall watchdog horizon (0 = off)     (default 5000)
-  --max-backlog N        per-core softirq backlog cap (0 = off)
-";
+    use hostnet::building_blocks::conn::{AdmissionPolicy, OverloadConfig, RpcSizeDist};
+    use hostnet::building_blocks::faults::{
+        CoreStall, LatencySpike, LossModel, PhaseSchedule, PoolPressure, RingExhaust,
+    };
+    use hostnet::building_blocks::monitor::MonitorConfig;
+    use hostnet::building_blocks::workload;
+    use Kind::{Choice, Frac, FracMs, Kib, Ms, Parse, Switch};
+    use Scope::{Any, Churn, Overload};
 
     /// A parsed invocation.
     #[derive(Debug)]
@@ -431,20 +322,7 @@ fault injection (all deterministic; scheduled faults share one window):
         /// `hostnet run …`: the experiment, and what to do with its output.
         Run(Box<Experiment>, Output),
         /// `hostnet figures [names…] [--csv] [--jobs N] [--quick] [--audited]`.
-        Figures {
-            /// Registered figures to run (empty = all), see
-            /// [`hostnet::building_blocks::core_figures::FIGURES`].
-            names: Vec<&'static str>,
-            /// Emit CSV instead of tables.
-            csv: bool,
-            /// Sweep thread-pool size; `None` = auto (host parallelism).
-            /// Output is byte-identical for every value.
-            jobs: Option<usize>,
-            /// Short windows (5ms + 8ms) for smoke runs.
-            quick: bool,
-            /// Run every point under the invariant auditor.
-            audited: bool,
-        },
+        Figures(Sweep),
         /// `hostnet audit [--runs N] [--seed S] [--out DIR] [--quiet]`.
         Audit(hostnet::AuditOptions),
     }
@@ -463,466 +341,555 @@ fault injection (all deterministic; scheduled faults share one window):
         pub metrics_out: Option<String>,
     }
 
+    /// `hostnet figures`: which registered figures to run, and how.
+    #[derive(Debug, Default)]
+    pub struct Sweep {
+        /// Registered figures to run (empty = all), see
+        /// [`hostnet::building_blocks::core_figures::FIGURES`].
+        pub names: Vec<&'static str>,
+        /// Emit CSV instead of tables.
+        pub csv: bool,
+        /// Sweep thread-pool size; `None` = auto (host parallelism).
+        /// Output is byte-identical for every value.
+        pub jobs: Option<usize>,
+        /// Short windows (5ms + 8ms) for smoke runs.
+        pub quick: bool,
+        /// Run every point under the invariant auditor.
+        pub audited: bool,
+    }
+
+    /// Which `run` scenarios take a flag.
+    #[derive(Clone, Copy, PartialEq)]
+    enum Scope {
+        /// Every scenario.
+        Any,
+        /// The churn scenario's workload.
+        Churn,
+        /// The churn scenario's overload model; any such flag enables it.
+        Overload,
+    }
+
+    /// How a flag reads its value, with the setter that stores it. An
+    /// error names the value only; the parser prefixes the flag's name.
+    enum Kind<S> {
+        /// No value: the flag's presence is the setting.
+        Switch(fn(&mut S)),
+        /// A value the setter parses: a number into its field's type
+        /// ([`num`]), a path, or a spelling of its own.
+        Parse(fn(&mut S, &str) -> Result<(), String>),
+        /// One of the listed words; the setter gets the word's index.
+        Choice(&'static [&'static str], fn(&mut S, usize)),
+        /// Whole milliseconds.
+        Ms(fn(&mut S, Duration)),
+        /// A non-negative finite number.
+        Frac(fn(&mut S, f64)),
+        /// A non-negative finite number of milliseconds, fractions allowed.
+        FracMs(fn(&mut S, Duration)),
+        /// A count of KiB, stored in bytes.
+        Kib(fn(&mut S, u64)),
+    }
+
+    impl<S> Kind<S> {
+        fn set(&self, s: &mut S, v: &str) -> Result<(), String> {
+            let scaled = |unit: u64, name: &str| {
+                num::<u64>(v)?
+                    .checked_mul(unit)
+                    .ok_or_else(|| format!("`{v}` {name} is out of range"))
+            };
+            match *self {
+                Switch(set) => set(s),
+                Parse(set) => set(s, v)?,
+                Choice(words, set) => match words.iter().position(|w| *w == v) {
+                    Some(i) => set(s, i),
+                    None => return Err(format!("expected {}, got `{v}`", words.join("|"))),
+                },
+                Ms(set) => set(s, Duration::from_nanos(scaled(1_000_000, "ms")?)),
+                Frac(set) => set(s, frac(v)?),
+                FracMs(set) => set(s, Duration::from_nanos((frac(v)? * 1e6) as u64)),
+                Kib(set) => set(s, scaled(1024, "KiB")?),
+            }
+            Ok(())
+        }
+    }
+
+    /// One flag: the scenarios that take it, its name and the help text's
+    /// placeholder for its value (`"--flows N"`), the rest of its help
+    /// line, and how it reads and stores its value.
+    struct Flag<S> {
+        scope: Scope,
+        spec: &'static str,
+        help: &'static str,
+        kind: Kind<S>,
+    }
+
+    const fn flag<S>(
+        scope: Scope,
+        spec: &'static str,
+        help: &'static str,
+        kind: Kind<S>,
+    ) -> Flag<S> {
+        Flag {
+            scope,
+            spec,
+            help,
+            kind,
+        }
+    }
+
+    impl<S> Flag<S> {
+        fn name(&self) -> &'static str {
+            self.spec.split(' ').next().unwrap_or(self.spec)
+        }
+    }
+
+    /// A block of `hostnet help`: a heading, its flags (help text from
+    /// column `width`), and notes after them.
+    struct Section<S: 'static> {
+        heading: &'static str,
+        width: usize,
+        flags: &'static [Flag<S>],
+        notes: &'static str,
+    }
+
+    /// `hostnet figures`'s flags.
+    #[rustfmt::skip]
+    const FIGURE_FLAGS: &[Section<Sweep>] = &[Section {
+        heading: "\
+figures (the evaluation sweeps; no names runs every figure, in the order
+         above; per figure: series table, per-side cycle taxonomy, and
+         every report section a point produced, e.g. figcap's admission
+         control, fig05c's connection lifecycle, fig03g's stage residency):",
+        width: 19,
+        flags: &[
+            flag(Any, "--csv", "one CSV of every report instead of tables", Switch(|f| f.csv = true)),
+            flag(Any, "--jobs N|auto", "sweep thread-pool size (output identical for any value)", Parse(|f, v| {
+                f.jobs = if v == "auto" { None } else { Some(num(v)?) };
+                Ok(())
+            })),
+            flag(Any, "--quick", "short windows (5ms + 8ms) for smoke runs", Switch(|f| f.quick = true)),
+            flag(Any, "--audited", "run every point under the invariant auditor", Switch(|f| f.audited = true)),
+        ],
+        notes: "  \
+figcap             admission policy x concurrent clients at fixed cores
+  figincast          switch fan-in through the shared-buffer ToR, ECN off/on
+  figback            in-kernel vs TCP offload vs kernel-bypass datapaths
+",
+    }];
+
+    /// `hostnet audit`'s flags.
+    #[rustfmt::skip]
+    const AUDIT_FLAGS: &[Section<hostnet::AuditOptions>] = &[Section {
+        heading: "audit (differential config fuzzer, every run under the invariant auditor):",
+        width: 19,
+        flags: &[
+            flag(Any, "--runs N", "fuzz cases to run                    (default 200)", Parse(|o, v| num(v).map(|n| o.runs = n))),
+            flag(Any, "--seed S", "master seed; case i derives from (S, i)  (default 1)", Parse(|o, v| num(v).map(|n| o.seed = n))),
+            flag(Any, "--out DIR", "directory for minimal-repro files    (default .)", Parse(|o, v| {
+                o.out_dir = Some(v.into());
+                Ok(())
+            })),
+            flag(Any, "--quiet", "suppress the per-case progress line", Switch(|o| o.progress = false)),
+        ],
+        notes: "  \
+exits non-zero if any case fails; failures are bisected to a minimal
+  delta set and written to DIR/audit-repro-s<seed>-r<run>.txt
+",
+    }];
+
+    /// Everything `hostnet run`'s flags set: the experiment and the output
+    /// choices, plus what builds the scenario once every flag is read.
+    struct Run {
+        exp: Experiment,
+        out: Output,
+        flows: u16,
+        clients: u16,
+        size: u32,
+        shorts: u16,
+        remote_server: bool,
+        churn_rate: f64,
+        /// Index of the `--churn-mode` word.
+        churn_mode: usize,
+        churn_conns: u32,
+        rpc_size_dist: RpcSizeDist,
+        overload: OverloadConfig,
+        fault_at: Duration,
+        burst_loss: f64,
+        burst_len: f64,
+    }
+
+    impl Run {
+        fn new() -> Self {
+            Run {
+                exp: Experiment::new(ScenarioKind::Single),
+                out: Output::default(),
+                flows: 8,
+                clients: 16,
+                size: 4096,
+                shorts: 16,
+                remote_server: false,
+                churn_rate: 100_000.0,
+                churn_mode: 0,
+                churn_conns: 100_000,
+                rpc_size_dist: RpcSizeDist::Fixed,
+                overload: OverloadConfig::default(),
+                fault_at: Duration::from_millis(30),
+                burst_loss: 0.0,
+                burst_len: 8.0,
+            }
+        }
+
+        /// A scheduled fault's window: `d` long from `--fault-at-ms` (which
+        /// the table applies first), none for a zero `d`.
+        fn window(&self, d: Duration) -> Option<PhaseSchedule> {
+            (!d.is_zero()).then_some(PhaseSchedule::once(self.fault_at, d))
+        }
+
+        /// The churn scenario's workload.
+        fn churn(&self) -> ScenarioKind {
+            // In `--churn-mode`'s word order.
+            let mut churn = [
+                workload::churn_open_loop(self.churn_rate),
+                workload::churn_short_rpc(self.churn_rate, self.size),
+                workload::churn_pool(self.churn_conns, self.churn_rate),
+            ][self.churn_mode];
+            // Sample handshakes into the lifecycle tracer at the same rate
+            // as data skbs.
+            if self.exp.cfg.trace.enabled {
+                churn.trace_sample = self.exp.cfg.trace.sample_every;
+            }
+            churn.rpc_size_dist = self.rpc_size_dist;
+            churn.overload = self.overload;
+            ScenarioKind::Churn { churn }
+        }
+    }
+
+    /// A `hostnet run` scenario: its name, its `hostnet list` line, and
+    /// the scenario the flags build.
+    type Scenario = (&'static str, &'static str, fn(&Run) -> ScenarioKind);
+
+    /// `hostnet run`'s scenarios, in `hostnet list` order.
+    #[rustfmt::skip]
+    const SCENARIOS: &[Scenario] = &[
+        ("single", "one long flow (paper §3.1)", |_| ScenarioKind::Single),
+        ("numa-remote", "one long flow on a NIC-remote node (Fig. 4)", |_| ScenarioKind::SingleNicRemote),
+        ("one-to-one", "n flows, one per core pair (§3.2)     [--flows]", |r| ScenarioKind::OneToOne { flows: r.flows }),
+        ("incast", "n sender cores → 1 receiver core (§3.3) [--flows]", |r| ScenarioKind::Incast { flows: r.flows }),
+        ("outcast", "1 sender core → n receiver cores (§3.4) [--flows]", |r| ScenarioKind::Outcast { flows: r.flows }),
+        ("all-to-all", "x·x flows (§3.5)                       [--flows = x]", |r| ScenarioKind::AllToAll { x: r.flows }),
+        ("rpc", "ping-pong RPC incast (§3.7)  [--clients --size --remote-server]", |r| ScenarioKind::RpcIncast {
+            clients: r.clients,
+            size: r.size,
+            server: if r.remote_server { Placement::NicRemote } else { Placement::NicLocalFirst },
+        }),
+        ("mixed", "1 long + n short flows on one core (§3.7) [--shorts --size]", |r| ScenarioKind::Mixed { shorts: r.shorts, size: r.size }),
+        ("churn", "connection-lifecycle churn (hns-conn)  [--churn-rate --churn-mode --churn-conns --size]", Run::churn),
+    ];
+
+    /// `hostnet run`'s flags. They apply in table order, whatever their
+    /// order on the command line: `--level`, which replaces the whole stack
+    /// config, before the stack flags that edit it, and `--fault-at-ms`
+    /// before the fault windows that start there.
+    #[rustfmt::skip]
+    const RUN_FLAGS: &[Section<Run>] = &[
+        Section { heading: "options:", width: 19, notes: "", flags: &[
+            flag(Any, "--flows N", "flow count / matrix dimension        (default 8)", Parse(|r, v| num(v).map(|n| r.flows = n))),
+            flag(Any, "--clients N", "RPC clients                          (default 16)", Parse(|r, v| num(v).map(|n| r.clients = n))),
+            flag(Any, "--size BYTES", "RPC request/response size            (default 4096)", Parse(|r, v| num(v).map(|n| r.size = n))),
+            flag(Any, "--shorts N", "short flows in the mixed scenario    (default 16)", Parse(|r, v| num(v).map(|n| r.shorts = n))),
+            flag(Any, "--remote-server", "place the RPC server on a NIC-remote node", Switch(|r| r.remote_server = true)),
+            flag(Any, "--level L", "no-opt | tso-gro | jumbo | arfs      (default arfs)",
+                Choice(&["no-opt", "tso-gro", "jumbo", "arfs"], |r, i| r.exp = r.exp.clone().at_level(OptLevel::ALL[i]))),
+            flag(Any, "--cc ALGO", "cubic | bbr | dctcp | reno           (default cubic)",
+                Choice(&["cubic", "bbr", "dctcp", "reno"], |r, i| r.exp.cfg.stack.cc = [CcAlgo::Cubic, CcAlgo::Bbr, CcAlgo::Dctcp, CcAlgo::Reno][i])),
+            flag(Any, "--loss P", "in-network loss probability          (default 0)", Parse(|r, v| num(v).map(|p| r.exp.cfg.link.loss = LossModel::uniform(p)))),
+            flag(Any, "--mtu BYTES", "1500..9000                           (default 9000)", Parse(|r, v| num(v).map(|n| r.exp.cfg.stack.mtu = n))),
+            flag(Any, "--ring N", "NIC Rx descriptors                   (default 512)", Parse(|r, v| num(v).map(|n| r.exp.cfg.stack.rx_descriptors = n))),
+            flag(Any, "--rcvbuf-kb N", "pin the receive buffer (default: Linux auto-tuning)", Kib(|r, b| r.exp.cfg.stack.rcvbuf = RcvBufPolicy::Fixed(b))),
+            flag(Any, "--no-dca", "disable DDIO", Switch(|r| r.exp.cfg.stack.dca = false)),
+            flag(Any, "--iommu", "enable the IOMMU", Switch(|r| r.exp.cfg.stack.iommu = true)),
+            flag(Any, "--zerocopy-tx", "MSG_ZEROCOPY sender path (§4)", Switch(|r| r.exp.cfg.stack.zerocopy_tx = true)),
+            flag(Any, "--zerocopy-rx", "TCP mmap receive path (§4)", Switch(|r| r.exp.cfg.stack.zerocopy_rx = true)),
+            flag(Any, "--datapath B", "inkernel | toe | bypass datapath backend (§4, default\n\
+                                        inkernel; toe = on-NIC protocol, bypass = busy-poll)", Parse(|r, v| {
+                r.exp.cfg.datapath = DatapathKind::parse(v).ok_or_else(|| format!("unknown backend `{v}` (inkernel | toe | bypass)"))?;
+                Ok(())
+            })),
+            flag(Any, "--seed N", "RNG seed                             (default 1)", Parse(|r, v| num(v).map(|n| r.exp.cfg.seed = n))),
+            flag(Any, "--warmup-ms N", "warmup window                        (default 20)", Ms(|r, d| r.exp.warmup = d)),
+            flag(Any, "--measure-ms N", "measurement window                   (default 30)", Ms(|r, d| r.exp.measure = d)),
+            flag(Any, "--json", "emit the full report as JSON (and no live monitor lines)", Switch(|r| r.out.json = true)),
+            flag(Churn, "--churn-rate CPS", "connection arrivals per second       (default 100000)", Parse(|r, v| num(v).map(|n| r.churn_rate = n))),
+            flag(Churn, "--churn-mode M", "handshake | rpc | pool               (default handshake)", Choice(&["handshake", "rpc", "pool"], |r, i| r.churn_mode = i)),
+            flag(Churn, "--churn-conns N", "pool population for --churn-mode pool (default 100000)", Parse(|r, v| num(v).map(|n| r.churn_conns = n))),
+            flag(Churn, "--rpc-size-dist D", "per-request size for --churn-mode rpc:\n\
+                                              fixed | pareto:<min>:<shape>:<cap>   (default fixed)", Parse(|r, v| parse_rpc_size_dist(v).map(|d| r.rpc_size_dist = d))),
+        ]},
+        Section { heading: "overload model (churn scenario only; any flag enables it):", width: 19, notes: "", flags: &[
+            flag(Overload, "--admission P", "accept-path policy: drop | queue | shed  (default drop)",
+                Choice(&["drop", "queue", "shed"], |r, i| r.overload.policy = [AdmissionPolicy::Drop, AdmissionPolicy::Queue, AdmissionPolicy::Shed][i])),
+            flag(Overload, "--accept-queue N", "listen/accept queue depth            (default 128)", Parse(|r, v| num(v).map(|n| r.overload.accept_queue = n))),
+            flag(Overload, "--mem-budget-kb N", "connection memory budget (0 = unlimited, default 0)", Kib(|r, b| r.overload.mem_budget = b)),
+            flag(Overload, "--idle-timeout-ms T", "reap established conns idle longer than T (0 = off)", FracMs(|r, d| r.overload.idle_timeout = d)),
+            flag(Overload, "--slow-prob P", "fraction of clients with heavy-tailed think times", Parse(|r, v| num(v).map(|p| r.overload.slow_prob = p))),
+        ]},
+        Section { heading: "tracing (any --trace-* flag implies --trace):", width: 25, notes: "", flags: &[
+            flag(Any, "--trace", "trace every skb through the 14 pipeline stages", Switch(|r| r.exp.cfg.trace.enabled = true)),
+            flag(Any, "--trace-sample-every N", "trace every Nth skb                  (default 1)", Parse(|r, v| {
+                r.exp.cfg.trace.enabled = true;
+                num(v).map(|n| r.exp.cfg.trace.sample_every = n)
+            })),
+            flag(Any, "--trace-flow F", "only trace flow id F", Parse(|r, v| {
+                r.exp.cfg.trace.enabled = true;
+                num(v).map(|n| r.exp.cfg.trace.flow = Some(n))
+            })),
+            flag(Any, "--trace-out PATH", "write the per-skb trace to PATH", Parse(|r, v| {
+                r.exp.cfg.trace.enabled = true;
+                r.out.trace_out = Some(v.into());
+                Ok(())
+            })),
+            flag(Any, "--trace-format F", "jsonl | chrome (Perfetto)       (default jsonl)", Choice(&["jsonl", "chrome"], |r, i| {
+                r.exp.cfg.trace.enabled = true;
+                r.out.trace_chrome = i == 1;
+            })),
+        ]},
+        Section { heading: "\
+monitoring (any scenario: a live line per snapshot interval, per-stage
+            quantile sketches fed by the sampled lifecycle tracer):", width: 19, notes: "", flags: &[
+            flag(Any, "--monitor-ms N", "snapshot interval in ms; implies --trace   (default 10)", Ms(|r, interval| r.exp.cfg.monitor = Some(MonitorConfig { interval }))),
+            flag(Any, "--metrics-out PATH", "stream snapshot JSONL to PATH; implies --monitor-ms", Parse(|r, v| {
+                r.out.metrics_out = Some(v.into());
+                Ok(())
+            })),
+        ]},
+        Section { heading: "fault injection (all deterministic; scheduled faults share one window):", width: 23, notes: "", flags: &[
+            flag(Any, "--fault-at-ms T", "fault window start in ms             (default 30)", FracMs(|r, d| r.fault_at = d)),
+            flag(Any, "--fault-burst-loss P", "Gilbert-Elliott wire loss, long-run rate P", Parse(|r, v| num(v).map(|p| r.burst_loss = p))),
+            flag(Any, "--fault-burst-len B", "mean loss-burst length in frames     (default 8)", Frac(|r, frames| r.burst_len = frames)),
+            flag(Any, "--fault-flap-ms D", "link flap (total outage) for D ms", FracMs(|r, d| r.exp.cfg.link.flap = r.window(d))),
+            flag(Any, "--fault-spike-ms D", "+100us one-way latency for D ms", FracMs(|r, d| {
+                r.exp.cfg.link.latency_spike = r.window(d).map(|window| LatencySpike { window, extra: Duration::from_micros(100) })
+            })),
+            // Resource faults hit the receiver host.
+            flag(Any, "--fault-ring-ms D", "receiver Rx rings withhold descriptors for D ms", FracMs(|r, d| {
+                r.exp.cfg.faults.ring_exhaust = r.window(d).map(|window| RingExhaust { window, host: 1 })
+            })),
+            flag(Any, "--fault-pool-ms D", "receiver page-pool allocations fail for D ms", FracMs(|r, d| {
+                r.exp.cfg.faults.pool_pressure = r.window(d).map(|window| PoolPressure { window, host: 1 })
+            })),
+            flag(Any, "--fault-stall-ms D", "receiver core 0 executes nothing for D ms", FracMs(|r, d| {
+                r.exp.cfg.faults.core_stall = r.window(d).map(|window| CoreStall { window, host: 1, core: 0 })
+            })),
+            flag(Any, "--watchdog-ms N", "stall watchdog horizon (0 = off)     (default 5000)", Ms(|r, d| r.exp.cfg.watchdog_horizon = d)),
+            flag(Any, "--max-backlog N", "per-core softirq backlog cap (0 = off)", Parse(|r, v| num(v).map(|n| r.exp.cfg.max_backlog = n))),
+        ]},
+    ];
+
+    /// The registered figure names as `hostnet help`'s synopsis lists them.
+    const FIGURE_NAMES: &str = "\
+[fig03|fig03e|fig03f|fig03g|fig04|fig05|fig06|fig07|
+                   fig08|fig09|fig09b|fig05c|fig10|fig11|fig12|fig13|figcap|
+                   figincast|figback|ablations]...";
+
+    /// `hostnet help`: the synopsis, then every subcommand's flags from its
+    /// table, and the scenario names.
+    pub fn usage() -> String {
+        let names: Vec<&str> = SCENARIOS.iter().map(|s| s.0).collect();
+        let scenarios: Vec<String> = names.chunks(5).map(|line| line.join(" | ")).collect();
+        format!(
+            "usage:\n  hostnet run <scenario> [options]\n  hostnet figures {FIGURE_NAMES}\n\
+             \x20                 {}\n  hostnet audit {}\n  hostnet list\n  hostnet help\n\
+             {}{}\nscenarios: {}   (see `hostnet list`)\n{}",
+            synopsis(FIGURE_FLAGS),
+            synopsis(AUDIT_FLAGS),
+            help(FIGURE_FLAGS),
+            help(AUDIT_FLAGS),
+            scenarios.join(" |\n           "),
+            help(RUN_FLAGS),
+        )
+    }
+
+    /// A table's flags as the synopsis lists them: `[--flag ARG] …`.
+    fn synopsis<S>(table: &[Section<S>]) -> String {
+        let specs = table
+            .iter()
+            .flat_map(|s| s.flags)
+            .map(|f| format!("[{}]", f.spec));
+        specs.collect::<Vec<_>>().join(" ")
+    }
+
+    /// A table's sections, each after a blank line. A help text's lines
+    /// start at the section's column, or two spaces after a longer spec.
+    fn help<S>(table: &[Section<S>]) -> String {
+        let mut text = String::new();
+        for section in table {
+            let w = section.width;
+            text += &format!("\n{}\n", section.heading);
+            for f in section.flags {
+                let gap = w.checked_sub(f.spec.len()).filter(|&g| g > 0).unwrap_or(2);
+                let help = f.help.replace('\n', &format!("\n{:1$}", "", w + 2));
+                text += &format!("  {}{:gap$}{help}\n", f.spec, "");
+            }
+            text += section.notes;
+        }
+        text
+    }
+
+    /// `hostnet list`: each scenario and the flags it takes.
+    pub fn scenario_list() -> String {
+        let mut text = String::from("scenarios:\n");
+        for (name, about, _) in SCENARIOS {
+            text += &format!("  {name:<12} {about}\n");
+        }
+        text
+    }
+
     /// Parse a full argument vector.
     pub fn parse(args: &[String]) -> Result<Command, String> {
-        let mut it = args.iter();
-        match it.next().map(String::as_str) {
+        use hostnet::building_blocks::core_figures::FIGURES;
+        let rest = args.get(1..).unwrap_or_default();
+        match args.first().map(String::as_str) {
             None | Some("help") | Some("--help") | Some("-h") => Ok(Command::Help),
             Some("list") => Ok(Command::List),
-            Some("run") => parse_run(&args[1..]),
-            Some("figures") => parse_figures(&args[1..]),
+            Some("run") => parse_run(rest),
+            Some("figures") => {
+                let mut sweep = Sweep::default();
+                for x in parse_flags("figures", FIGURE_FLAGS, rest, &mut sweep, true)?.0 {
+                    let Some((name, _)) = FIGURES.iter().find(|(name, _)| *name == x) else {
+                        let valid: Vec<&str> = FIGURES.iter().map(|(name, _)| *name).collect();
+                        return Err(format!(
+                            "figures: unknown figure `{x}` (one of: {})",
+                            valid.join(", ")
+                        ));
+                    };
+                    sweep.names.push(*name);
+                }
+                Ok(Command::Figures(sweep))
+            }
             Some("audit") => {
                 let mut opts = hostnet::AuditOptions::new(200, 1);
                 opts.progress = true;
-                let mut it = args[1..].iter();
-                while let Some(a) = it.next() {
-                    let mut value = |name: &str| -> Result<&String, String> {
-                        it.next().ok_or_else(|| format!("{name}: missing value"))
-                    };
-                    match a.as_str() {
-                        "--runs" => opts.runs = parse_num(value("--runs")?, "--runs")?,
-                        "--seed" => opts.seed = parse_num(value("--seed")?, "--seed")?,
-                        "--out" => opts.out_dir = Some(std::path::PathBuf::from(value("--out")?)),
-                        "--quiet" => opts.progress = false,
-                        x => return Err(format!("audit: unknown flag `{x}`")),
-                    }
-                }
+                parse_flags("audit", AUDIT_FLAGS, rest, &mut opts, false)?;
                 Ok(Command::Audit(opts))
             }
             Some(other) => Err(format!("unknown command `{other}`")),
         }
     }
 
-    fn parse_figures(args: &[String]) -> Result<Command, String> {
-        use hostnet::building_blocks::core_figures::FIGURES;
-        let mut names = Vec::new();
-        let (mut csv, mut jobs, mut quick, mut audited) = (false, None, false, false);
+    /// Read `args` against a subcommand's flag table and apply each flag to
+    /// `state` in table order (a repeated flag's last value wins). Returns
+    /// the words that are not flags, if the subcommand `takes_words`, and
+    /// the flags given.
+    fn parse_flags<'t, 'a, S>(
+        cmd: &str,
+        table: &'t [Section<S>],
+        args: &'a [String],
+        state: &mut S,
+        takes_words: bool,
+    ) -> Result<(Vec<&'a str>, Vec<&'t Flag<S>>), String> {
+        let flags: Vec<&Flag<S>> = table.iter().flat_map(|s| s.flags).collect();
+        let (mut words, mut given) = (Vec::new(), Vec::new());
         let mut it = args.iter();
         while let Some(a) = it.next() {
-            match a.as_str() {
-                "--csv" => csv = true,
-                "--quick" => quick = true,
-                "--audited" => audited = true,
-                "--jobs" => {
-                    let v = it
-                        .next()
-                        .ok_or_else(|| "--jobs: missing value".to_string())?;
-                    jobs = if v == "auto" {
-                        None
-                    } else {
-                        Some(parse_num(v, "--jobs")?)
-                    };
-                }
-                x if x.starts_with("--") => return Err(format!("figures: unknown flag `{x}`")),
-                x => match FIGURES.iter().find(|(name, _)| *name == x) {
-                    Some((name, _)) => names.push(*name),
-                    None => {
-                        let valid: Vec<&str> = FIGURES.iter().map(|(name, _)| *name).collect();
-                        return Err(format!(
-                            "figures: unknown figure `{x}` (one of: {})",
-                            valid.join(", ")
-                        ));
-                    }
-                },
+            if takes_words && !a.starts_with("--") {
+                words.push(a.as_str());
+                continue;
             }
+            let i = flags
+                .iter()
+                .position(|f| f.name() == a.as_str())
+                .ok_or_else(|| format!("{cmd}: unknown flag `{a}`"))?;
+            let value = match flags[i].kind {
+                Switch(_) => "",
+                _ => it
+                    .next()
+                    .ok_or_else(|| format!("{}: missing value", flags[i].name()))?,
+            };
+            given.push((i, value));
         }
-        Ok(Command::Figures {
-            names,
-            csv,
-            jobs,
-            quick,
-            audited,
-        })
+        given.sort_by_key(|&(i, _)| i);
+        for &(i, value) in &given {
+            let f = flags[i];
+            f.kind
+                .set(state, value)
+                .map_err(|e| format!("{}: {e}", f.name()))?;
+        }
+        Ok((words, given.iter().map(|&(i, _)| flags[i]).collect()))
     }
 
-    /// The `run` flags that only the churn scenario takes, besides
-    /// [`OVERLOAD_FLAGS`].
-    const CHURN_FLAGS: [&str; 4] = [
-        "--churn-rate",
-        "--churn-mode",
-        "--churn-conns",
-        "--rpc-size-dist",
-    ];
-
-    /// The churn scenario's overload-model flags; any of them switches the
-    /// model on.
-    const OVERLOAD_FLAGS: [&str; 5] = [
-        "--admission",
-        "--accept-queue",
-        "--mem-budget-kb",
-        "--idle-timeout-ms",
-        "--slow-prob",
-    ];
-
-    /// A `run` flag's edit of the stack config, applied after `--level`.
-    type StackEdit = Box<dyn Fn(&mut StackConfig)>;
-
     fn parse_run(args: &[String]) -> Result<Command, String> {
-        use hostnet::building_blocks::conn::{AdmissionPolicy, OverloadConfig};
-        use hostnet::building_blocks::faults::{
-            CoreStall, LatencySpike, LossModel, PhaseSchedule, PoolPressure, RingExhaust,
-        };
-        use hostnet::building_blocks::monitor::MonitorConfig;
-        use hostnet::building_blocks::workload;
-
-        let scenario_name = args
-            .first()
-            .ok_or_else(|| "run: missing scenario".to_string())?
-            .clone();
-
-        // Settings land in `exp` as they are parsed. Only what needs more
-        // than one flag waits for the end: the scenario and its churn
-        // workload, the stack overrides (applied after `--level`, whatever
-        // the flag order) and the fault durations (which share the
-        // `--fault-at-ms` window).
-        let mut exp = Experiment::new(ScenarioKind::Single);
-        let mut out = Output::default();
-        let mut flows = 8u16;
-        let mut clients = 16u16;
-        let mut size = 4096u32;
-        let mut shorts = 16u16;
-        let mut remote_server = false;
-        let mut churn_rate = 100_000.0f64;
-        let mut churn_mode = String::from("handshake");
-        let mut churn_conns = 100_000u32;
-        let mut rpc_size_dist = None;
-        let mut overload = OverloadConfig::default();
-        // Churn-only flags actually given, so a non-churn scenario can
-        // reject them instead of silently ignoring them.
-        let mut churn_flags: Vec<&'static str> = Vec::new();
-        let mut level = None;
-        let mut stack: Vec<StackEdit> = Vec::new();
-        let (mut fault_at_ms, mut burst_loss, mut burst_len) = (30.0f64, 0.0f64, 8.0f64);
-        let (mut flap_ms, mut spike_ms, mut ring_ms, mut pool_ms, mut stall_ms) =
-            (0.0f64, 0.0f64, 0.0f64, 0.0f64, 0.0f64);
-
-        let mut it = args[1..].iter();
-        while let Some(flag) = it.next() {
-            let mut value = |name: &str| -> Result<&String, String> {
-                it.next().ok_or_else(|| format!("{name}: missing value"))
-            };
-            if let Some(f) = CHURN_FLAGS
-                .iter()
-                .chain(&OVERLOAD_FLAGS)
-                .find(|f| *f == flag)
-            {
-                churn_flags.push(f);
-            }
-            overload.enabled |= OVERLOAD_FLAGS.contains(&flag.as_str());
-            match flag.as_str() {
-                "--flows" => flows = parse_num(value("--flows")?, "--flows")?,
-                "--clients" => clients = parse_num(value("--clients")?, "--clients")?,
-                "--size" => size = parse_num(value("--size")?, "--size")?,
-                "--shorts" => shorts = parse_num(value("--shorts")?, "--shorts")?,
-                "--remote-server" => remote_server = true,
-                "--churn-rate" => churn_rate = parse_num(value("--churn-rate")?, "--churn-rate")?,
-                "--churn-mode" => churn_mode = value("--churn-mode")?.clone(),
-                "--churn-conns" => {
-                    churn_conns = parse_num(value("--churn-conns")?, "--churn-conns")?
-                }
-                "--rpc-size-dist" => {
-                    rpc_size_dist = Some(parse_rpc_size_dist(value("--rpc-size-dist")?)?)
-                }
-                "--admission" => {
-                    let p = value("--admission")?;
-                    overload.policy = AdmissionPolicy::parse(p).ok_or_else(|| {
-                        format!("--admission: expected drop|queue|shed, got `{p}`")
-                    })?;
-                }
-                "--accept-queue" => {
-                    overload.accept_queue = parse_num(value("--accept-queue")?, "--accept-queue")?
-                }
-                "--mem-budget-kb" => {
-                    overload.mem_budget = parse_kib(value("--mem-budget-kb")?, "--mem-budget-kb")?
-                }
-                "--idle-timeout-ms" => {
-                    let ms: f64 = parse_num(value("--idle-timeout-ms")?, "--idle-timeout-ms")?;
-                    if !ms.is_finite() || ms < 0.0 {
-                        return Err("--idle-timeout-ms: must be a non-negative number".into());
-                    }
-                    overload.idle_timeout = Duration::from_nanos((ms * 1e6) as u64);
-                }
-                "--slow-prob" => {
-                    overload.slow_prob = parse_num(value("--slow-prob")?, "--slow-prob")?
-                }
-                "--level" => {
-                    level = Some(match value("--level")?.as_str() {
-                        "no-opt" => OptLevel::NoOpt,
-                        "tso-gro" => OptLevel::TsoGro,
-                        "jumbo" => OptLevel::Jumbo,
-                        "arfs" => OptLevel::Arfs,
-                        x => return Err(format!("--level: unknown level `{x}`")),
-                    })
-                }
-                "--cc" => {
-                    let cc = match value("--cc")?.as_str() {
-                        "cubic" => CcAlgo::Cubic,
-                        "bbr" => CcAlgo::Bbr,
-                        "dctcp" => CcAlgo::Dctcp,
-                        "reno" => CcAlgo::Reno,
-                        x => return Err(format!("--cc: unknown algorithm `{x}`")),
-                    };
-                    stack.push(Box::new(move |s| s.cc = cc));
-                }
-                "--loss" => {
-                    let p: f64 = value("--loss")?
-                        .parse()
-                        .map_err(|_| "--loss: expected a probability".to_string())?;
-                    if !(0.0..1.0).contains(&p) {
-                        return Err("--loss: must be in [0, 1)".into());
-                    }
-                    exp.cfg.link.loss = LossModel::uniform(p);
-                }
-                "--mtu" => {
-                    let mtu = parse_num(value("--mtu")?, "--mtu")?;
-                    stack.push(Box::new(move |s| s.mtu = mtu));
-                }
-                "--ring" => {
-                    let ring = parse_num(value("--ring")?, "--ring")?;
-                    stack.push(Box::new(move |s| s.rx_descriptors = ring));
-                }
-                "--rcvbuf-kb" => {
-                    let bytes = parse_kib(value("--rcvbuf-kb")?, "--rcvbuf-kb")?;
-                    stack.push(Box::new(move |s| s.rcvbuf = RcvBufPolicy::Fixed(bytes)));
-                }
-                "--no-dca" => stack.push(Box::new(|s| s.dca = false)),
-                "--iommu" => stack.push(Box::new(|s| s.iommu = true)),
-                "--zerocopy-tx" => stack.push(Box::new(|s| s.zerocopy_tx = true)),
-                "--zerocopy-rx" => stack.push(Box::new(|s| s.zerocopy_rx = true)),
-                "--datapath" => {
-                    let v = value("--datapath")?;
-                    exp.cfg.datapath = DatapathKind::parse(v).ok_or_else(|| {
-                        format!("--datapath: unknown backend `{v}` (inkernel | toe | bypass)")
-                    })?;
-                }
-                "--fault-at-ms" => {
-                    fault_at_ms = parse_num(value("--fault-at-ms")?, "--fault-at-ms")?
-                }
-                "--fault-burst-loss" => {
-                    burst_loss = parse_num(value("--fault-burst-loss")?, "--fault-burst-loss")?;
-                    if !(0.0..1.0).contains(&burst_loss) {
-                        return Err("--fault-burst-loss: must be in [0, 1)".into());
-                    }
-                }
-                "--fault-burst-len" => {
-                    burst_len = parse_num(value("--fault-burst-len")?, "--fault-burst-len")?
-                }
-                "--fault-flap-ms" => {
-                    flap_ms = parse_num(value("--fault-flap-ms")?, "--fault-flap-ms")?
-                }
-                "--fault-spike-ms" => {
-                    spike_ms = parse_num(value("--fault-spike-ms")?, "--fault-spike-ms")?
-                }
-                "--fault-ring-ms" => {
-                    ring_ms = parse_num(value("--fault-ring-ms")?, "--fault-ring-ms")?
-                }
-                "--fault-pool-ms" => {
-                    pool_ms = parse_num(value("--fault-pool-ms")?, "--fault-pool-ms")?
-                }
-                "--fault-stall-ms" => {
-                    stall_ms = parse_num(value("--fault-stall-ms")?, "--fault-stall-ms")?
-                }
-                "--watchdog-ms" => {
-                    exp.cfg.watchdog_horizon = parse_ms(value("--watchdog-ms")?, "--watchdog-ms")?
-                }
-                "--max-backlog" => {
-                    exp.cfg.max_backlog = parse_num(value("--max-backlog")?, "--max-backlog")?
-                }
-                "--trace" => exp.cfg.trace.enabled = true,
-                "--trace-sample-every" => {
-                    exp.cfg.trace.enabled = true;
-                    exp.cfg.trace.sample_every =
-                        parse_num(value("--trace-sample-every")?, "--trace-sample-every")?;
-                }
-                "--trace-flow" => {
-                    exp.cfg.trace.enabled = true;
-                    exp.cfg.trace.flow = Some(parse_num(value("--trace-flow")?, "--trace-flow")?);
-                }
-                "--trace-out" => {
-                    exp.cfg.trace.enabled = true;
-                    out.trace_out = Some(value("--trace-out")?.clone());
-                }
-                "--trace-format" => {
-                    exp.cfg.trace.enabled = true;
-                    out.trace_chrome = match value("--trace-format")?.as_str() {
-                        "jsonl" => false,
-                        "chrome" => true,
-                        x => {
-                            return Err(format!("--trace-format: expected jsonl|chrome, got `{x}`"))
-                        }
-                    };
-                }
-                "--monitor-ms" => {
-                    exp.cfg.monitor = Some(MonitorConfig {
-                        interval: parse_ms(value("--monitor-ms")?, "--monitor-ms")?,
-                    })
-                }
-                "--metrics-out" => out.metrics_out = Some(value("--metrics-out")?.clone()),
-                "--seed" => exp.cfg.seed = parse_num(value("--seed")?, "--seed")?,
-                "--warmup-ms" => exp.warmup = parse_ms(value("--warmup-ms")?, "--warmup-ms")?,
-                "--measure-ms" => exp.measure = parse_ms(value("--measure-ms")?, "--measure-ms")?,
-                "--json" => out.json = true,
-                x => return Err(format!("unknown flag `{x}`")),
-            }
-        }
-
-        if let Some(level) = level {
-            exp = exp.at_level(level);
-        }
-        for set in &stack {
-            set(&mut exp.cfg.stack);
+        let name = args.first().ok_or("run: missing scenario")?;
+        let mut r = Run::new();
+        let (_, given) = parse_flags("run", RUN_FLAGS, &args[1..], &mut r, false)?;
+        r.overload.enabled = given.iter().any(|f| f.scope == Overload);
+        if r.burst_loss != 0.0 {
+            r.exp.cfg.link.loss = LossModel::bursty(r.burst_loss, r.burst_len);
         }
         // A snapshot stream needs a monitor, and the monitor's sketches ride
         // the sampled lifecycle tracer.
-        if out.metrics_out.is_some() && exp.cfg.monitor.is_none() {
-            exp.cfg.monitor = Some(MonitorConfig::default());
+        if r.out.metrics_out.is_some() && r.exp.cfg.monitor.is_none() {
+            r.exp.cfg.monitor = Some(MonitorConfig::default());
         }
-        if exp.cfg.monitor.is_some() {
-            exp.cfg.trace.enabled = true;
+        if r.exp.cfg.monitor.is_some() {
+            r.exp.cfg.trace.enabled = true;
         }
-
-        // Scheduled faults share one window starting at `--fault-at-ms`;
-        // resource faults target the receiver host.
-        for (v, flag) in [
-            (fault_at_ms, "--fault-at-ms"),
-            (burst_len, "--fault-burst-len"),
-            (flap_ms, "--fault-flap-ms"),
-            (spike_ms, "--fault-spike-ms"),
-            (ring_ms, "--fault-ring-ms"),
-            (pool_ms, "--fault-pool-ms"),
-            (stall_ms, "--fault-stall-ms"),
-        ] {
-            if !v.is_finite() || v < 0.0 {
-                return Err(format!("{flag}: must be a non-negative number"));
-            }
-        }
-        let ms = |v: f64| Duration::from_nanos((v * 1e6) as u64);
-        let window = |d: f64| PhaseSchedule::once(ms(fault_at_ms), ms(d));
-        let c = &mut exp.cfg;
-        if burst_loss > 0.0 {
-            c.link.loss = LossModel::bursty(burst_loss, burst_len);
-        }
-        if flap_ms > 0.0 {
-            c.link.flap = Some(window(flap_ms));
-        }
-        if spike_ms > 0.0 {
-            c.link.latency_spike = Some(LatencySpike {
-                window: window(spike_ms),
-                extra: Duration::from_micros(100),
-            });
-        }
-        if ring_ms > 0.0 {
-            c.faults.ring_exhaust = Some(RingExhaust {
-                window: window(ring_ms),
-                host: 1,
-            });
-        }
-        if pool_ms > 0.0 {
-            c.faults.pool_pressure = Some(PoolPressure {
-                window: window(pool_ms),
-                host: 1,
-            });
-        }
-        if stall_ms > 0.0 {
-            c.faults.core_stall = Some(CoreStall {
-                window: window(stall_ms),
-                host: 1,
-                core: 0,
-            });
-        }
-
-        exp.scenario = match scenario_name.as_str() {
-            "single" => ScenarioKind::Single,
-            "numa-remote" => ScenarioKind::SingleNicRemote,
-            "one-to-one" => ScenarioKind::OneToOne { flows },
-            "incast" => ScenarioKind::Incast { flows },
-            "outcast" => ScenarioKind::Outcast { flows },
-            "all-to-all" => ScenarioKind::AllToAll { x: flows },
-            "rpc" => ScenarioKind::RpcIncast {
-                clients,
-                size,
-                server: if remote_server {
-                    Placement::NicRemote
-                } else {
-                    Placement::NicLocalFirst
-                },
-            },
-            "mixed" => ScenarioKind::Mixed { shorts, size },
-            "churn" => {
-                let mut churn = match churn_mode.as_str() {
-                    "handshake" => workload::churn_open_loop(churn_rate),
-                    "rpc" => workload::churn_short_rpc(churn_rate, size),
-                    "pool" => workload::churn_pool(churn_conns, churn_rate),
-                    x => {
-                        return Err(format!(
-                            "--churn-mode: expected handshake|rpc|pool, got `{x}`"
-                        ))
-                    }
-                };
-                // Sample handshakes into the lifecycle tracer at the same
-                // rate as data skbs.
-                if exp.cfg.trace.enabled {
-                    churn.trace_sample = exp.cfg.trace.sample_every;
-                }
-                if let Some(d) = rpc_size_dist {
-                    churn.rpc_size_dist = d;
-                }
-                churn.overload = overload;
-                ScenarioKind::Churn { churn }
-            }
-            x => return Err(format!("unknown scenario `{x}` (see `hostnet list`)")),
-        };
-        if !matches!(exp.scenario, ScenarioKind::Churn { .. }) && !churn_flags.is_empty() {
+        let (_, _, build) = SCENARIOS
+            .iter()
+            .find(|s| s.0 == name.as_str())
+            .ok_or_else(|| format!("unknown scenario `{name}` (see `hostnet list`)"))?;
+        r.exp.scenario = build(&r);
+        let scoped: Vec<&str> = given
+            .iter()
+            .filter(|f| f.scope != Any)
+            .map(|f| f.name())
+            .collect();
+        if !matches!(r.exp.scenario, ScenarioKind::Churn { .. }) && !scoped.is_empty() {
             return Err(format!(
-                "{}: only valid with the churn scenario (got `{scenario_name}`)",
-                churn_flags.join(", ")
+                "{}: only valid with the churn scenario (got `{name}`)",
+                scoped.join(", ")
             ));
         }
-        exp.sim_config()
+        r.exp
             .validate()
-            .map_err(|e| format!("run {scenario_name}: {}", e.detail))?;
-        Ok(Command::Run(Box::new(exp), out))
+            .map_err(|e| format!("run {name}: {}", e.detail))?;
+        Ok(Command::Run(Box::new(r.exp), r.out))
     }
 
     /// Parse `fixed` or `pareto:<min>:<shape>:<cap>` into an [`RpcSizeDist`].
-    fn parse_rpc_size_dist(s: &str) -> Result<hostnet::building_blocks::conn::RpcSizeDist, String> {
-        use hostnet::building_blocks::conn::RpcSizeDist;
+    fn parse_rpc_size_dist(s: &str) -> Result<RpcSizeDist, String> {
+        fn part<T: std::str::FromStr>(name: &str, v: &str) -> Result<T, String> {
+            num(v).map_err(|e| format!("pareto {name}: {e}"))
+        }
         if s == "fixed" {
             return Ok(RpcSizeDist::Fixed);
         }
-        if let Some(rest) = s.strip_prefix("pareto:") {
-            let parts: Vec<&str> = rest.split(':').collect();
-            if parts.len() == 3 {
-                return Ok(RpcSizeDist::Pareto {
-                    min: parse_num(parts[0], "--rpc-size-dist: pareto min")?,
-                    shape: parse_num(parts[1], "--rpc-size-dist: pareto shape")?,
-                    cap: parse_num(parts[2], "--rpc-size-dist: pareto cap")?,
-                });
-            }
+        let parts: Vec<&str> = s
+            .strip_prefix("pareto:")
+            .map_or(vec![], |p| p.split(':').collect());
+        match parts[..] {
+            [min, shape, cap] => Ok(RpcSizeDist::Pareto {
+                min: part("min", min)?,
+                shape: part("shape", shape)?,
+                cap: part("cap", cap)?,
+            }),
+            _ => Err(format!(
+                "expected fixed|pareto:<min>:<shape>:<cap>, got `{s}`"
+            )),
         }
-        Err(format!(
-            "--rpc-size-dist: expected fixed|pareto:<min>:<shape>:<cap>, got `{s}`"
-        ))
     }
 
-    /// Parse whole milliseconds, rejecting counts past `Duration`'s range.
-    fn parse_ms(s: &str, flag: &str) -> Result<Duration, String> {
-        parse_num::<u64>(s, flag)?
-            .checked_mul(1_000_000)
-            .map(Duration::from_nanos)
-            .ok_or_else(|| format!("{flag}: `{s}` ms is out of range"))
+    /// Parse a number into the setter's field type.
+    fn num<T: std::str::FromStr>(s: &str) -> Result<T, String> {
+        s.parse().map_err(|_| format!("invalid number `{s}`"))
     }
 
-    /// Parse a KiB count into bytes, rejecting counts that overflow.
-    fn parse_kib(s: &str, flag: &str) -> Result<u64, String> {
-        parse_num::<u64>(s, flag)?
-            .checked_mul(1024)
-            .ok_or_else(|| format!("{flag}: `{s}` KiB is out of range"))
-    }
-
-    fn parse_num<T: std::str::FromStr>(s: &str, flag: &str) -> Result<T, String> {
-        s.parse()
-            .map_err(|_| format!("{flag}: invalid number `{s}`"))
+    /// Parse a non-negative finite number.
+    fn frac(s: &str) -> Result<f64, String> {
+        let v: f64 = num(s)?;
+        if v.is_finite() && v >= 0.0 {
+            Ok(v)
+        } else {
+            Err("must be a non-negative number".into())
+        }
     }
 
     #[cfg(test)]
@@ -1229,6 +1196,14 @@ fault injection (all deterministic; scheduled faults share one window):
             assert_eq!((stall.window, stall.host, stall.core), (window(4.0), 1, 0));
             assert_eq!(c.watchdog_horizon, Duration::from_millis(800));
             assert_eq!(c.max_backlog, 4096);
+            // The windows start at --fault-at-ms wherever it is given.
+            let last =
+                run("run single --fault-flap-ms 1.5 --fault-stall-ms 4 --fault-at-ms 22.5").0;
+            assert_eq!(last.cfg.link.flap, Some(window(1.5)));
+            assert_eq!(
+                last.cfg.faults.core_stall.map(|s| s.window),
+                Some(window(4.0))
+            );
         }
 
         #[test]
@@ -1267,6 +1242,10 @@ fault injection (all deterministic; scheduled faults share one window):
             assert!(parse(&argv("run nosuch")).is_err());
             assert!(parse(&argv("run single --level warp9")).is_err());
             assert!(parse(&argv("run single --loss 1.5")).is_err());
+            assert!(parse(&argv("run single --loss -0.1")).is_err());
+            assert!(parse(&argv("run single --loss NaN")).is_err());
+            assert!(parse(&argv("run single --fault-burst-loss NaN")).is_err());
+            assert!(parse(&argv("run single --fault-burst-len -1")).is_err());
             assert!(parse(&argv("run single --flows")).is_err());
             assert!(parse(&argv("run single --mtu banana")).is_err());
             // SimConfig::validate owns the host sizing's range.
@@ -1282,14 +1261,26 @@ fault injection (all deterministic; scheduled faults share one window):
             // Values whose unit conversion would overflow.
             assert!(parse(&argv("run single --measure-ms 18446744073709552")).is_err());
             assert!(parse(&argv("run single --rcvbuf-kb 18446744073709552")).is_err());
+            // Experiment::validate refuses a scenario with nothing to measure.
+            for args in [
+                "run one-to-one --flows 0",
+                "run incast --flows 0",
+                "run outcast --flows 0",
+                "run all-to-all --flows 0",
+                "run rpc --clients 0",
+                "run rpc --size 0",
+            ] {
+                let err = parse(&argv(args)).unwrap_err();
+                assert!(err.contains("to measure"), "{args}: {err}");
+            }
         }
 
         #[test]
         fn parses_figures_command() {
             match parse(&argv("figures fig06 fig12 --csv")).unwrap() {
-                Command::Figures {
+                Command::Figures(Sweep {
                     names, csv, jobs, ..
-                } => {
+                }) => {
                     assert_eq!(names, vec!["fig06", "fig12"]);
                     assert!(csv);
                     assert_eq!(jobs, None);
@@ -1297,13 +1288,13 @@ fault injection (all deterministic; scheduled faults share one window):
                 _ => panic!("not figures"),
             }
             match parse(&argv("figures")).unwrap() {
-                Command::Figures {
+                Command::Figures(Sweep {
                     names,
                     csv,
                     jobs,
                     quick,
                     audited,
-                } => {
+                }) => {
                     assert!(names.is_empty());
                     assert!(!csv && !quick && !audited);
                     assert_eq!(jobs, None);
@@ -1311,17 +1302,17 @@ fault injection (all deterministic; scheduled faults share one window):
                 _ => panic!("not figures"),
             }
             match parse(&argv("figures ablations")).unwrap() {
-                Command::Figures { names, .. } => assert_eq!(names, vec!["ablations"]),
+                Command::Figures(Sweep { names, .. }) => assert_eq!(names, vec!["ablations"]),
                 _ => panic!("not figures"),
             }
             match parse(&argv("figures figcap --csv --jobs 4 --quick --audited")).unwrap() {
-                Command::Figures {
+                Command::Figures(Sweep {
                     names,
                     csv,
                     jobs,
                     quick,
                     audited,
-                } => {
+                }) => {
                     assert_eq!(names, vec!["figcap"]);
                     assert!(csv && quick && audited);
                     assert_eq!(jobs, Some(4));
@@ -1334,13 +1325,13 @@ fault injection (all deterministic; scheduled faults share one window):
         #[test]
         fn parses_capacity_command() {
             match parse(&argv("figures figcap --csv --jobs 4 --quick --audited")).unwrap() {
-                Command::Figures {
+                Command::Figures(Sweep {
                     names,
                     csv,
                     jobs,
                     quick,
                     audited,
-                } => {
+                }) => {
                     assert_eq!(names, vec!["figcap"]);
                     assert!(csv && quick && audited);
                     assert_eq!(jobs, Some(4));
@@ -1348,13 +1339,13 @@ fault injection (all deterministic; scheduled faults share one window):
                 _ => panic!("not figures"),
             }
             match parse(&argv("figures figcap")).unwrap() {
-                Command::Figures {
+                Command::Figures(Sweep {
                     names,
                     csv,
                     jobs,
                     quick,
                     audited,
-                } => {
+                }) => {
                     assert_eq!(names, vec!["figcap"]);
                     assert!(!csv && !quick && !audited);
                     assert_eq!(jobs, None);
@@ -1362,7 +1353,7 @@ fault injection (all deterministic; scheduled faults share one window):
                 _ => panic!("not figures"),
             }
             match parse(&argv("figures figcap --jobs auto")).unwrap() {
-                Command::Figures { jobs, .. } => assert_eq!(jobs, None),
+                Command::Figures(Sweep { jobs, .. }) => assert_eq!(jobs, None),
                 _ => panic!("not figures"),
             }
             assert!(parse(&argv("figures figcap --bogus")).is_err());
@@ -1388,9 +1379,10 @@ fault injection (all deterministic; scheduled faults share one window):
 
         #[test]
         fn usage_lists_every_registered_figure() {
-            let start = USAGE.find("hostnet figures [").unwrap() + "hostnet figures [".len();
-            let end = start + USAGE[start..].find(']').unwrap();
-            let listed: Vec<&str> = USAGE[start..end]
+            let usage = usage();
+            let start = usage.find("hostnet figures [").unwrap() + "hostnet figures [".len();
+            let end = start + usage[start..].find(']').unwrap();
+            let listed: Vec<&str> = usage[start..end]
                 .split(|c: char| c == '|' || c.is_whitespace())
                 .filter(|n| !n.is_empty())
                 .collect();
@@ -1404,11 +1396,11 @@ fault injection (all deterministic; scheduled faults share one window):
         #[test]
         fn parses_figures_jobs() {
             match parse(&argv("figures fig13 --jobs 4")).unwrap() {
-                Command::Figures { jobs, .. } => assert_eq!(jobs, Some(4)),
+                Command::Figures(Sweep { jobs, .. }) => assert_eq!(jobs, Some(4)),
                 _ => panic!("not figures"),
             }
             match parse(&argv("figures --jobs auto")).unwrap() {
-                Command::Figures { jobs, .. } => assert_eq!(jobs, None),
+                Command::Figures(Sweep { jobs, .. }) => assert_eq!(jobs, None),
                 _ => panic!("not figures"),
             }
             assert!(parse(&argv("figures --jobs")).is_err());

@@ -281,6 +281,41 @@ fn cli_run_ends_quietly_when_stdout_closes() {
 }
 
 #[test]
+fn cli_help_list_and_audit_end_quietly_when_stdout_is_closed() {
+    // The reader is gone before the command writes a byte, so every write
+    // to stdout fails with a broken pipe.
+    use std::process::{Command, Stdio};
+    let bin = env!("CARGO_BIN_EXE_hostnet");
+    for args in ["help", "list", "audit --runs 1 --quiet"] {
+        let (reader, writer) = std::io::pipe().expect("pipe");
+        drop(reader);
+        let out = Command::new(bin)
+            .args(args.split_whitespace())
+            .stdout(writer)
+            .stderr(Stdio::piped())
+            .output()
+            .expect("spawn hostnet");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!stderr.contains("panicked"), "{args}: {stderr}");
+        assert_eq!(out.status.code(), Some(0), "{args}: {stderr}");
+    }
+    // A stdout that refuses the write is an error, named, not a panic.
+    let full = std::fs::OpenOptions::new()
+        .write(true)
+        .open("/dev/full")
+        .expect("open /dev/full");
+    let out = Command::new(bin)
+        .arg("help")
+        .stdout(full)
+        .stderr(Stdio::piped())
+        .output()
+        .expect("spawn hostnet");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.starts_with("error: writing to stdout"), "{stderr}");
+}
+
+#[test]
 fn golden_monitor_stream() {
     // The snapshot JSONL bytes themselves are pinned: a traced incast run
     // (`stages`) and a monitored churn run (`stages` and `conn`), as CI's

@@ -222,8 +222,37 @@ fn watchdog_never_fires_on_healthy_runs() {
     }
 }
 
-/// Drop taxonomy accounts for 100% of lost frames: the wire bucket matches
-/// the link's drop counters and the ring/pool buckets match the NIC's.
+/// `hostnet help` is pinned byte for byte; its option lines come from the
+/// CLI's flag tables. To accept a new text:
+/// `HNS_BLESS=1 cargo test --test simulation_invariants cli_help_matches_its_golden`.
+#[test]
+fn cli_help_matches_its_golden() {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_hostnet"))
+        .arg("help")
+        .output()
+        .expect("run hostnet");
+    assert!(out.status.success(), "{out:?}");
+    let got = String::from_utf8(out.stdout).expect("utf-8 help text");
+    let golden = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/help.txt");
+    if std::env::var_os("HNS_BLESS").is_some() {
+        std::fs::write(&golden, got).expect("bless: cannot write golden file");
+        return;
+    }
+    let want = std::fs::read_to_string(&golden).expect("golden help text");
+    if let Some((i, (w, g))) = want
+        .lines()
+        .zip(got.lines())
+        .enumerate()
+        .find(|(_, (w, g))| w != g)
+    {
+        panic!(
+            "help differs at line {}:\n  golden: {w}\n  got:    {g}",
+            i + 1
+        );
+    }
+    assert_eq!(got, want, "help text differs from tests/golden/help.txt");
+}
+
 #[test]
 fn cli_exit_codes_name_a_stall_and_refuse_bad_sizes() {
     let hostnet = |args: &str| {
@@ -246,6 +275,8 @@ fn cli_exit_codes_name_a_stall_and_refuse_bad_sizes() {
     }
 }
 
+/// Drop taxonomy accounts for 100% of lost frames: the wire bucket matches
+/// the link's drop counters and the ring/pool buckets match the NIC's.
 #[test]
 fn drop_taxonomy_accounts_for_every_lost_frame() {
     let mut exp = Experiment::new(ScenarioKind::Single).configure(|c| {
