@@ -65,14 +65,6 @@ pub enum RpcSizeDist {
 }
 
 impl RpcSizeDist {
-    /// Short label for CSV/CLI output.
-    pub fn label(&self) -> &'static str {
-        match self {
-            RpcSizeDist::Fixed => "fixed",
-            RpcSizeDist::Pareto { .. } => "pareto",
-        }
-    }
-
     fn validate(&self) -> Result<(), String> {
         if let RpcSizeDist::Pareto { min, shape, cap } = *self {
             if min == 0 {
@@ -248,16 +240,6 @@ mod tests {
         );
         c.rpc_size_dist = RpcSizeDist::Fixed;
         c.validate().unwrap();
-        assert_eq!(RpcSizeDist::Fixed.label(), "fixed");
-        assert_eq!(
-            RpcSizeDist::Pareto {
-                min: 1,
-                shape: 1.0,
-                cap: 2
-            }
-            .label(),
-            "pareto"
-        );
     }
 
     #[test]

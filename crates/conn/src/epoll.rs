@@ -17,7 +17,6 @@
 pub struct EpollAccounting {
     wakeups: u64,
     events: u64,
-    ctl_ops: u64,
     batch_open: bool,
 }
 
@@ -48,11 +47,6 @@ impl EpollAccounting {
         self.batch_open = false;
     }
 
-    /// Record an `epoll_ctl` add/remove.
-    pub fn ctl(&mut self) {
-        self.ctl_ops += 1;
-    }
-
     /// Thread wakeups charged.
     pub fn wakeups(&self) -> u64 {
         self.wakeups
@@ -61,11 +55,6 @@ impl EpollAccounting {
     /// Ready events dispatched.
     pub fn events(&self) -> u64 {
         self.events
-    }
-
-    /// `epoll_ctl` operations performed.
-    pub fn ctl_ops(&self) -> u64 {
-        self.ctl_ops
     }
 }
 
@@ -83,14 +72,5 @@ mod tests {
         assert!(e.event(), "new batch wakes again");
         assert_eq!(e.wakeups(), 2);
         assert_eq!(e.events(), 4);
-    }
-
-    #[test]
-    fn ctl_ops_count() {
-        let mut e = EpollAccounting::new();
-        e.ctl();
-        e.ctl();
-        assert_eq!(e.ctl_ops(), 2);
-        assert_eq!(e.wakeups(), 0, "epoll_ctl wakes no thread");
     }
 }

@@ -54,16 +54,6 @@ impl AdmissionPolicy {
             AdmissionPolicy::Shed => "shed",
         }
     }
-
-    /// Parse a CLI spelling.
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "drop" => Some(AdmissionPolicy::Drop),
-            "queue" => Some(AdmissionPolicy::Queue),
-            "shed" => Some(AdmissionPolicy::Shed),
-            _ => None,
-        }
-    }
 }
 
 // Per-connection footprints and the slow-client think-time law. These are
@@ -225,12 +215,8 @@ impl AcceptQueue {
         self.depth
     }
     /// Current occupancy.
-    pub fn len(&self) -> u32 {
+    pub fn occupancy(&self) -> u32 {
         self.len
-    }
-    /// True when no connection is waiting to be accepted.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
     }
     /// Peak occupancy over the run.
     pub fn high_water(&self) -> u32 {
@@ -417,30 +403,21 @@ mod tests {
     }
 
     #[test]
-    fn policy_labels_round_trip() {
-        for p in [
-            AdmissionPolicy::Drop,
-            AdmissionPolicy::Queue,
-            AdmissionPolicy::Shed,
-        ] {
-            assert_eq!(AdmissionPolicy::parse(p.label()), Some(p));
-        }
-        assert_eq!(AdmissionPolicy::parse("bogus"), None);
-    }
-
-    #[test]
     fn accept_queue_books_balance() {
         let mut q = AcceptQueue::new(2);
         assert!(q.push());
         assert!(q.push());
         assert!(!q.push(), "third push overflows a depth-2 queue");
         q.note_cookie();
-        assert_eq!(q.len(), 2);
+        assert_eq!(q.occupancy(), 2);
         assert_eq!(q.high_water(), 2);
         q.pop();
         q.release();
-        assert!(q.is_empty());
-        assert_eq!(q.enqueued(), q.dequeued() + q.released() + q.len() as u64);
+        assert_eq!(q.occupancy(), 0);
+        assert_eq!(
+            q.enqueued(),
+            q.dequeued() + q.released() + q.occupancy() as u64
+        );
         assert_eq!(q.overflows(), q.cookies() + q.full_drops() + q.sheds());
     }
 

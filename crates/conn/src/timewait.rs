@@ -15,7 +15,6 @@ use hns_sim::SimTime;
 pub struct TimeWaitRing {
     entries: VecDeque<(SimTime, u64)>,
     high_water: usize,
-    reaped: u64,
 }
 
 impl TimeWaitRing {
@@ -40,32 +39,14 @@ impl TimeWaitRing {
     /// Pop the next entry whose deadline has passed, if any.
     pub fn expire_one(&mut self, now: SimTime) -> Option<u64> {
         match self.entries.front() {
-            Some(&(d, _)) if d <= now => {
-                self.reaped += 1;
-                Some(self.entries.pop_front().expect("front exists").1)
-            }
+            Some(&(d, _)) if d <= now => Some(self.entries.pop_front().expect("front exists").1),
             _ => None,
         }
-    }
-
-    /// Entries currently parked.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True when nothing is parked.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 
     /// Largest simultaneous TIME_WAIT population observed.
     pub fn high_water(&self) -> usize {
         self.high_water
-    }
-
-    /// Total entries reaped over the run.
-    pub fn reaped(&self) -> u64 {
-        self.reaped
     }
 }
 
@@ -81,15 +62,13 @@ mod tests {
         r.insert(t(10), 1);
         r.insert(t(10), 2);
         r.insert(t(20), 3);
-        assert_eq!(r.len(), 3);
         assert_eq!(r.expire_one(t(5)), None, "nothing due yet");
         assert_eq!(r.expire_one(t(10)), Some(1));
         assert_eq!(r.expire_one(t(10)), Some(2));
         assert_eq!(r.expire_one(t(10)), None, "entry 3 not due");
         assert_eq!(r.expire_one(t(25)), Some(3));
-        assert!(r.is_empty());
+        assert_eq!(r.expire_one(SimTime::MAX), None, "all three reaped");
         assert_eq!(r.high_water(), 3);
-        assert_eq!(r.reaped(), 3);
     }
 
     #[test]

@@ -30,15 +30,15 @@ proptest! {
                 // The guard carries the side effect: a refused push is
                 // the overflow being counted.
                 0 if !q.push() => failed_pushes += 1,
-                1 if !q.is_empty() => q.pop(),
-                2 if !q.is_empty() => q.release(),
+                1 if q.occupancy() > 0 => q.pop(),
+                2 if q.occupancy() > 0 => q.release(),
                 _ => {}
             }
-            prop_assert!(q.len() <= q.depth(), "occupancy {} > depth {}", q.len(), q.depth());
+            prop_assert!(q.occupancy() <= q.depth(), "occupancy {} > depth {}", q.occupancy(), q.depth());
             prop_assert!(q.high_water() <= q.depth());
             prop_assert_eq!(
                 q.enqueued(),
-                q.dequeued() + q.released() + q.len() as u64,
+                q.dequeued() + q.released() + q.occupancy() as u64,
                 "slot books must balance at every step"
             );
             prop_assert_eq!(q.overflows(), failed_pushes);

@@ -155,8 +155,9 @@ pub struct AuditOptions {
     /// Directory minimal-repro files are written into (created on demand).
     /// `None` skips writing repros to disk.
     pub out_dir: Option<PathBuf>,
-    /// Print one line per case to stderr as it completes.
-    pub progress: bool,
+    /// Called with one progress line per case as it completes (`None`:
+    /// quiet). The caller owns the output stream.
+    pub progress: Option<fn(&str)>,
 }
 
 impl AuditOptions {
@@ -166,7 +167,7 @@ impl AuditOptions {
             runs,
             seed,
             out_dir: Some(PathBuf::from(".")),
-            progress: false,
+            progress: None,
         }
     }
 }
@@ -480,14 +481,14 @@ pub fn run_audit(opts: &AuditOptions) -> AuditOutcome {
         let (scenario, deltas, property) = draw_case(opts.seed, run);
         let label = scenario.label();
         let result = check_case(scenario, property, &deltas);
-        if opts.progress {
-            eprintln!(
+        if let Some(progress) = opts.progress {
+            progress(&format!(
                 "audit[{run:>4}] {:<24} {:<16} [{}] {}",
                 label,
                 property.name(),
                 format_deltas(&deltas),
                 if result.is_ok() { "ok" } else { "FAIL" },
-            );
+            ));
         }
         if let Err(detail) = result {
             let minimal = bisect_case(scenario, property, &deltas);
@@ -567,7 +568,7 @@ mod tests {
             runs: 1,
             seed: 42,
             out_dir: Some(dir.clone()),
-            progress: false,
+            progress: None,
         };
         let failure = AuditFailure {
             run: 0,

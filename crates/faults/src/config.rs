@@ -128,11 +128,11 @@ mod tests {
     fn validation_catches_bad_schedules_and_hosts() {
         let f = FaultConfig {
             ring_exhaust: Some(RingExhaust {
-                window: PhaseSchedule::every(
-                    Duration::ZERO,
-                    Duration::from_millis(2),
-                    Duration::from_millis(1),
-                ),
+                window: PhaseSchedule {
+                    start: Duration::ZERO,
+                    duration: Duration::from_millis(2),
+                    period: Duration::from_millis(1),
+                },
                 host: 1,
             }),
             ..Default::default()

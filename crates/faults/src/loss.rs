@@ -104,14 +104,9 @@ pub struct LossProcess {
 }
 
 impl LossProcess {
-    /// Build the process for `model` with no time decay (the chain steps
-    /// once per observed frame regardless of spacing).
-    pub fn new(model: LossModel) -> Self {
-        Self::with_slot(model, Duration::ZERO)
-    }
-
     /// Build the process for `model`; idle gaps advance the chain by one
-    /// step per elapsed `slot` (nominal line-rate frame time).
+    /// step per elapsed `slot` (nominal line-rate frame time). A `ZERO`
+    /// slot steps the chain once per observed frame regardless of spacing.
     pub fn with_slot(model: LossModel, slot: Duration) -> Self {
         let (p_gb, p_bg) = match model {
             LossModel::GilbertElliott { rate, mean_burst } => {
@@ -171,11 +166,6 @@ impl LossProcess {
             }
         }
     }
-
-    /// The configured model.
-    pub fn model(&self) -> LossModel {
-        self.model
-    }
 }
 
 #[cfg(test)]
@@ -183,7 +173,7 @@ mod tests {
     use super::*;
 
     fn observed(model: LossModel, frames: usize) -> (f64, f64) {
-        let mut p = LossProcess::new(model);
+        let mut p = LossProcess::with_slot(model, Duration::ZERO);
         let mut rng = SimRng::new(0xfa17);
         let mut lost = 0u64;
         let mut bursts = 0u64;

@@ -28,17 +28,6 @@ impl PhaseSchedule {
         }
     }
 
-    /// Repeating window: active for `duration` at `start`, `start + period`,
-    /// `start + 2·period`, … `period` must exceed `duration` for the fault
-    /// to ever clear; [`PhaseSchedule::validate`] enforces that.
-    pub const fn every(start: Duration, duration: Duration, period: Duration) -> Self {
-        PhaseSchedule {
-            start,
-            duration,
-            period,
-        }
-    }
-
     /// Check internal consistency; returns a human-readable complaint.
     pub fn validate(&self) -> Result<(), String> {
         if self.period > Duration::ZERO && self.period <= self.duration {
@@ -114,6 +103,15 @@ mod tests {
         SimTime::from_nanos(ms(n).as_nanos())
     }
 
+    /// A window of `duration` ms every `period` ms from `start` ms.
+    fn every(start: u64, duration: u64, period: u64) -> PhaseSchedule {
+        PhaseSchedule {
+            start: ms(start),
+            duration: ms(duration),
+            period: ms(period),
+        }
+    }
+
     #[test]
     fn one_shot_window() {
         let s = PhaseSchedule::once(ms(10), ms(5));
@@ -126,7 +124,7 @@ mod tests {
 
     #[test]
     fn periodic_window() {
-        let s = PhaseSchedule::every(ms(10), ms(2), ms(10));
+        let s = every(10, 2, 10);
         for k in 0..5u64 {
             assert!(s.active(at(10 + 10 * k)), "cycle {k} start");
             assert!(s.active(at(11 + 10 * k)), "cycle {k} middle");
@@ -145,7 +143,7 @@ mod tests {
 
     #[test]
     fn transitions_walk_the_whole_timeline() {
-        let s = PhaseSchedule::every(ms(10), ms(2), ms(10));
+        let s = every(10, 2, 10);
         let mut now = SimTime::ZERO;
         let mut flips = Vec::new();
         for _ in 0..6 {
@@ -167,10 +165,8 @@ mod tests {
 
     #[test]
     fn validation_rejects_overlapping_period() {
-        assert!(PhaseSchedule::every(ms(0), ms(5), ms(5))
-            .validate()
-            .is_err());
-        assert!(PhaseSchedule::every(ms(0), ms(5), ms(6)).validate().is_ok());
+        assert!(every(0, 5, 5).validate().is_err());
+        assert!(every(0, 5, 6).validate().is_ok());
         assert!(PhaseSchedule::once(ms(0), ms(5)).validate().is_ok());
     }
 }

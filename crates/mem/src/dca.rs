@@ -85,16 +85,6 @@ impl DcaCache {
         self.conflict_mu = (CONFLICT_SLOPE * (ratio - 1.0).max(0.0)).min(CONFLICT_MAX);
     }
 
-    /// Current conflict hazard (exposed for tests/calibration).
-    pub fn conflict_mu(&self) -> f64 {
-        self.conflict_mu
-    }
-
-    /// Capacity in bytes.
-    pub fn capacity(&self) -> u64 {
-        self.capacity
-    }
-
     /// NIC DMA of `frame` into the slice: stamp it with the DMA clock.
     /// No-op when DDIO is disabled (the frame then counts as never
     /// cached).
@@ -126,11 +116,6 @@ impl DcaCache {
         let p = self.survival_probability(lag);
         self.rng.chance(p)
     }
-
-    /// Total bytes DMAed through the slice (diagnostics).
-    pub fn dma_bytes(&self) -> u64 {
-        self.dma_bytes
-    }
 }
 
 #[cfg(test)]
@@ -150,7 +135,7 @@ mod tests {
         c.insert(&mut a, ids[0]);
         assert!(!c.probe_copy(&a, ids[0]));
         assert_eq!(a.dca_mark(ids[0]), None, "never stamped");
-        assert_eq!(c.dma_bytes(), 0);
+        assert_eq!(c.dma_bytes, 0);
     }
 
     #[test]
@@ -199,10 +184,10 @@ mod tests {
     fn conflict_hazard_grows_with_footprint() {
         let mut c = DcaCache::with_defaults(true, 1);
         c.set_descriptor_footprint(512 * 9000);
-        let small = c.conflict_mu();
+        let small = c.conflict_mu;
         let p_small = c.survival_probability(0);
         c.set_descriptor_footprint(8192 * 9000);
-        let large = c.conflict_mu();
+        let large = c.conflict_mu;
         let p_large = c.survival_probability(0);
         assert!(
             small < 0.08,
@@ -256,7 +241,7 @@ mod tests {
             let g = a.insert(9000, 0);
             c.insert(&mut a, g);
         }
-        let lag = c.dma_bytes();
+        let lag = c.dma_bytes;
         assert!(lag > 2 << 20);
         // Survival must reflect the polluted lag, not f1's own traffic.
         let p = c.survival_probability(lag - 9000);

@@ -84,12 +84,6 @@ impl FrameArena {
         slot.bytes as u64
     }
 
-    /// True if `id` refers to a live (not yet released) frame.
-    pub fn is_live(&self, id: FrameId) -> bool {
-        let slot = &self.slots[id.index as usize];
-        slot.live && slot.generation == id.generation
-    }
-
     /// DMA-clock stamp of a live, DDIO-inserted frame.
     pub fn dca_mark(&self, id: FrameId) -> Option<u64> {
         let slot = &self.slots[id.index as usize];
@@ -138,11 +132,10 @@ mod tests {
     fn insert_release_cycle() {
         let mut a = FrameArena::new();
         let f = a.insert(9000, 0);
-        assert!(a.is_live(f));
         assert_eq!(a.bytes(f), 9000);
         assert_eq!(a.live_count(), 1);
         assert_eq!(a.release(f), 9000);
-        assert!(!a.is_live(f));
+        assert_eq!(a.bytes(f), 0, "a released handle holds nothing");
         assert_eq!(a.live_count(), 0);
     }
 
@@ -165,8 +158,6 @@ mod tests {
         let g = a.insert(200, 2);
         // g reuses f's slot but with a bumped generation.
         assert_eq!(g.index, f.index);
-        assert!(!a.is_live(f));
-        assert!(a.is_live(g));
         assert_eq!(a.bytes(f), 0);
         assert_eq!(a.bytes(g), 200);
         // Stale mark writes are ignored.

@@ -27,11 +27,6 @@ impl Iommu {
         }
     }
 
-    /// Whether the IOMMU is active.
-    pub fn enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Map `pages` pages for device DMA. Returns the number of page-table
     /// insertions to charge (0 when disabled).
     pub fn map(&mut self, pages: u64) -> u64 {
@@ -52,11 +47,6 @@ impl Iommu {
         self.mapped_pages = self.mapped_pages.saturating_sub(pages);
         pages
     }
-
-    /// Pages currently mapped (diagnostics).
-    pub fn mapped_pages(&self) -> u64 {
-        self.mapped_pages
-    }
 }
 
 #[cfg(test)]
@@ -68,16 +58,16 @@ mod tests {
         let mut io = Iommu::new(false);
         assert_eq!(io.map(10), 0);
         assert_eq!(io.unmap(10), 0);
-        assert_eq!(io.mapped_pages(), 0);
+        assert_eq!(io.mapped_pages, 0);
     }
 
     #[test]
     fn enabled_tracks_domain() {
         let mut io = Iommu::new(true);
         assert_eq!(io.map(10), 10);
-        assert_eq!(io.mapped_pages(), 10);
+        assert_eq!(io.mapped_pages, 10);
         assert_eq!(io.unmap(4), 4);
-        assert_eq!(io.mapped_pages(), 6);
+        assert_eq!(io.mapped_pages, 6);
     }
 
     #[test]
@@ -88,7 +78,7 @@ mod tests {
             maps += io.map(3);
             unmaps += io.unmap(3);
         }
-        assert_eq!(io.mapped_pages(), 0);
+        assert_eq!(io.mapped_pages, 0);
         assert_eq!((maps, unmaps), (300, 300), "every page charged both ways");
     }
 }

@@ -13,7 +13,7 @@
 //! This model reproduces that: the number of pages "in flight" between NAPI
 //! allocation and post-copy free determines how often the pcp under/overflows.
 
-use crate::numa::{CoreId, NodeId};
+use crate::numa::CoreId;
 
 /// Outcome of an allocation or free, used by the cost model to charge
 /// cheap (pcp hit) vs expensive (global list) cycles.
@@ -23,19 +23,6 @@ pub struct AllocOutcome {
     pub fast_pages: u64,
     /// Pages that required the global free list (zone lock, batch refill).
     pub slow_pages: u64,
-}
-
-impl AllocOutcome {
-    /// Merge two outcomes.
-    pub fn merge(&mut self, other: AllocOutcome) {
-        self.fast_pages += other.fast_pages;
-        self.slow_pages += other.slow_pages;
-    }
-
-    /// Total pages moved.
-    pub fn total(&self) -> u64 {
-        self.fast_pages + self.slow_pages
-    }
 }
 
 #[derive(Clone, Copy, Debug)]
@@ -56,7 +43,6 @@ struct Pcp {
 #[derive(Debug)]
 pub struct PageAllocator {
     pcps: Vec<Pcp>,
-    cores_per_node: u8,
     /// Fault injection: while set, [`PageAllocator::try_alloc`] refuses
     /// every request (allocator under pressure / reclaim stall).
     failing: bool,
@@ -68,9 +54,8 @@ const PCP_HIGH: u64 = 384;
 const PCP_BATCH: u64 = 64;
 
 impl PageAllocator {
-    /// Build pagesets for `cores` cores (`cores_per_node` used only for
-    /// node-locality bookkeeping by callers).
-    pub fn new(cores: u16, cores_per_node: u8) -> Self {
+    /// Build pagesets for `cores` cores.
+    pub fn new(cores: u16) -> Self {
         PageAllocator {
             pcps: (0..cores)
                 .map(|_| Pcp {
@@ -79,7 +64,6 @@ impl PageAllocator {
                     batch: PCP_BATCH,
                 })
                 .collect(),
-            cores_per_node,
             failing: false,
         }
     }
@@ -102,11 +86,6 @@ impl PageAllocator {
             return None;
         }
         Some(self.alloc(core, pages))
-    }
-
-    /// NUMA node owning `core`'s pageset.
-    pub fn node_of(&self, core: CoreId) -> NodeId {
-        (core / self.cores_per_node as u16) as NodeId
     }
 
     /// Allocate `pages` pages on `core` (driver replenishing Rx descriptors,
@@ -168,7 +147,7 @@ mod tests {
 
     #[test]
     fn alloc_fast_until_dry() {
-        let mut pa = PageAllocator::new(1, 6);
+        let mut pa = PageAllocator::new(1);
         let start = pa.pcps[0].free;
         let o = pa.alloc(0, start);
         assert_eq!(o.fast_pages, start);
@@ -183,7 +162,7 @@ mod tests {
 
     #[test]
     fn free_fast_until_high_watermark() {
-        let mut pa = PageAllocator::new(1, 6);
+        let mut pa = PageAllocator::new(1);
         let room = PCP_HIGH - pa.pcps[0].free;
         let o = pa.free(0, room, true);
         assert_eq!(o.fast_pages, room);
@@ -196,7 +175,7 @@ mod tests {
 
     #[test]
     fn remote_free_is_always_slow() {
-        let mut pa = PageAllocator::new(2, 6);
+        let mut pa = PageAllocator::new(2);
         let o = pa.free(0, 20, false);
         assert_eq!(o.fast_pages, 0);
         assert_eq!(o.slow_pages, 20);
@@ -206,7 +185,7 @@ mod tests {
     fn steady_state_recycling_is_fast() {
         // Alloc/free in small balanced batches: after warmup everything is
         // pcp-hit — the saturation regime of §3.2.
-        let mut pa = PageAllocator::new(1, 6);
+        let mut pa = PageAllocator::new(1);
         let mut slow_total = 0;
         for _ in 0..1_000 {
             let a = pa.alloc(0, 16);
@@ -221,7 +200,7 @@ mod tests {
         // Allocate a large burst (deep socket queue) before freeing: the
         // pageset underflows on alloc and overflows on the bulk free — the
         // high-rate regime of §3.2.
-        let mut pa = PageAllocator::new(1, 6);
+        let mut pa = PageAllocator::new(1);
         let a = pa.alloc(0, 2_000);
         assert!(a.slow_pages > 0);
         let f = pa.free(0, 2_000, true);
@@ -230,37 +209,15 @@ mod tests {
 
     #[test]
     fn injected_failure_window() {
-        let mut pa = PageAllocator::new(1, 6);
+        let mut pa = PageAllocator::new(1);
         assert!(pa.try_alloc(0, 4).is_some());
         pa.set_failing(true);
         assert!(pa.failing());
         assert!(pa.try_alloc(0, 4).is_none());
         // The infallible path is unaffected (used by non-fault call sites).
-        assert_eq!(pa.alloc(0, 4).total(), 4);
+        let o = pa.alloc(0, 4);
+        assert_eq!(o.fast_pages + o.slow_pages, 4);
         pa.set_failing(false);
         assert!(pa.try_alloc(0, 4).is_some());
-    }
-
-    #[test]
-    fn node_of_uses_cores_per_node() {
-        let pa = PageAllocator::new(24, 6);
-        assert_eq!(pa.node_of(0), 0);
-        assert_eq!(pa.node_of(11), 1);
-        assert_eq!(pa.node_of(23), 3);
-    }
-
-    #[test]
-    fn alloc_outcome_merge() {
-        let mut a = AllocOutcome {
-            fast_pages: 1,
-            slow_pages: 2,
-        };
-        a.merge(AllocOutcome {
-            fast_pages: 10,
-            slow_pages: 20,
-        });
-        assert_eq!(a.fast_pages, 11);
-        assert_eq!(a.slow_pages, 22);
-        assert_eq!(a.total(), 33);
     }
 }

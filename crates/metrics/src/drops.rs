@@ -96,19 +96,6 @@ impl DropStats {
             + self.conn_memory
     }
 
-    /// Merge another sample set into this one.
-    pub fn merge(&mut self, other: DropStats) {
-        self.wire += other.wire;
-        self.switch_buffer += other.switch_buffer;
-        self.rx_ring += other.rx_ring;
-        self.gro_overflow += other.gro_overflow;
-        self.socket_queue += other.socket_queue;
-        self.pool += other.pool;
-        self.handshake_abort += other.handshake_abort;
-        self.accept_queue += other.accept_queue;
-        self.conn_memory += other.conn_memory;
-    }
-
     /// Bucket-wise `self - baseline`, used to exclude warmup drops from the
     /// measurement window (saturating, so a never-reset baseline is safe).
     pub fn since(&self, baseline: DropStats) -> DropStats {
@@ -199,10 +186,11 @@ mod tests {
     }
 
     #[test]
-    fn merge_and_since_are_inverse() {
-        let mut a = DropStats {
-            wire: 10,
+    fn since_subtracts_bucketwise() {
+        let a = DropStats {
+            wire: 13,
             rx_ring: 5,
+            pool: 7,
             ..DropStats::new()
         };
         let b = DropStats {
@@ -210,9 +198,6 @@ mod tests {
             pool: 7,
             ..DropStats::new()
         };
-        a.merge(b);
-        assert_eq!(a.wire, 13);
-        assert_eq!(a.pool, 7);
         let delta = a.since(b);
         assert_eq!(delta.wire, 10);
         assert_eq!(delta.rx_ring, 5);

@@ -33,6 +33,6 @@ pub use report::{
     CacheStats, CapacitySummary, ConnSummary, LatencyStats, MonitorStage, MonitorSummary, Report,
     SideReport, StageLatency,
 };
-pub use table::{format_breakdown_table, format_gbps, format_sections, format_series_table};
+pub use table::{format_breakdown_table, format_sections, format_series_table};
 pub use taxonomy::{Category, CycleBreakdown, ALL_CATEGORIES};
 pub use util::CoreUsage;

@@ -439,22 +439,6 @@ impl Report {
         report.read(&Value::parse(text)?)?;
         Ok(report)
     }
-
-    /// Coefficient of variation of the throughput timeline — a steadiness
-    /// check for the measurement window (0 = perfectly steady; empty or
-    /// idle timelines return 0).
-    pub fn throughput_cv(&self) -> f64 {
-        let xs: Vec<f64> = self.gbps_timeline.iter().map(|&(_, g)| g).collect();
-        if xs.len() < 2 {
-            return 0.0;
-        }
-        let mean = xs.iter().sum::<f64>() / xs.len() as f64;
-        if mean <= 0.0 {
-            return 0.0;
-        }
-        let var = xs.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / xs.len() as f64;
-        var.sqrt() / mean
-    }
 }
 
 /// Trace keys exist only when tracing ran, so untraced reports keep the
@@ -552,16 +536,6 @@ mod tests {
         assert!((r.fairness_index() - 1.0 / 3.0).abs() < 1e-12, "one hog");
         r.per_flow_bytes = vec![];
         assert_eq!(r.fairness_index(), 1.0, "vacuous");
-    }
-
-    #[test]
-    fn throughput_cv_behaviour() {
-        let mut r = Report::default();
-        assert_eq!(r.throughput_cv(), 0.0, "empty timeline");
-        r.gbps_timeline = vec![(0.001, 40.0), (0.002, 40.0), (0.003, 40.0)];
-        assert!(r.throughput_cv() < 1e-12, "steady timeline");
-        r.gbps_timeline = vec![(0.001, 10.0), (0.002, 70.0)];
-        assert!(r.throughput_cv() > 0.5, "bursty timeline");
     }
 
     #[test]

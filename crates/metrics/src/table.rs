@@ -7,11 +7,6 @@ use crate::report::Report;
 use crate::schema::{At, Section, View};
 use crate::taxonomy::{CycleBreakdown, ALL_CATEGORIES};
 
-/// Format a Gbps value the way the figure tables do.
-pub fn format_gbps(gbps: f64) -> String {
-    format!("{gbps:6.2}")
-}
-
 /// Render a CPU-breakdown table: one column per labelled breakdown, one row
 /// per taxonomy category, cells showing the fraction of CPU cycles — the
 /// textual equivalent of the paper's stacked-bar breakdown figures.
@@ -111,11 +106,6 @@ mod tests {
         let t = format_series_table(&[r]);
         assert!(t.contains("single-flow"));
         assert!(t.contains("42.00"));
-    }
-
-    #[test]
-    fn gbps_formatting() {
-        assert_eq!(format_gbps(42.0), " 42.00");
     }
 
     #[test]

@@ -123,18 +123,6 @@ impl CycleBreakdown {
         }
     }
 
-    /// All fractions in [`ALL_CATEGORIES`] order.
-    pub fn fractions(&self) -> [f64; 8] {
-        let total = self.total();
-        let mut out = [0.0; 8];
-        if total > 0 {
-            for (i, &c) in self.cycles.iter().enumerate() {
-                out[i] = c as f64 / total as f64;
-            }
-        }
-        out
-    }
-
     /// The category with the most cycles (ties broken by display order;
     /// `None` if empty).
     pub fn dominant(&self) -> Option<Category> {
@@ -225,7 +213,7 @@ mod tests {
         for (i, c) in ALL_CATEGORIES.into_iter().enumerate() {
             b.charge(c, (i as u64 + 1) * 10);
         }
-        let s: f64 = b.fractions().iter().sum();
+        let s: f64 = ALL_CATEGORIES.into_iter().map(|c| b.fraction(c)).sum();
         assert!((s - 1.0).abs() < 1e-12);
     }
 

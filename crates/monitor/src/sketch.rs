@@ -35,7 +35,6 @@ pub struct DdSketch {
     /// Exact count of zero-valued samples (log buckets can't hold 0).
     zero_count: u64,
     count: u64,
-    sum: u64,
     min: u64,
     max: u64,
 }
@@ -58,15 +57,9 @@ impl DdSketch {
             buckets: BTreeMap::new(),
             zero_count: 0,
             count: 0,
-            sum: 0,
             min: u64::MAX,
             max: 0,
         }
-    }
-
-    /// The configured relative-error bound.
-    pub fn alpha(&self) -> f64 {
-        self.alpha
     }
 
     /// Record one sample.
@@ -78,7 +71,6 @@ impl DdSketch {
             *self.buckets.entry(key).or_insert(0) += 1;
         }
         self.count += 1;
-        self.sum = self.sum.saturating_add(v);
         self.min = self.min.min(v);
         self.max = self.max.max(v);
     }
@@ -99,7 +91,6 @@ impl DdSketch {
         }
         self.zero_count += other.zero_count;
         self.count += other.count;
-        self.sum = self.sum.saturating_add(other.sum);
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
     }
@@ -114,35 +105,11 @@ impl DdSketch {
         self.count == 0
     }
 
-    /// Smallest recorded sample (0 when empty).
-    pub fn min(&self) -> u64 {
-        if self.count == 0 {
-            0
-        } else {
-            self.min
-        }
-    }
-
-    /// Largest recorded sample (0 when empty).
-    pub fn max(&self) -> u64 {
-        self.max
-    }
-
-    /// Exact mean of the recorded samples (0.0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-
     /// Drop all samples, keeping the configured error bound.
     pub fn clear(&mut self) {
         self.buckets.clear();
         self.zero_count = 0;
         self.count = 0;
-        self.sum = 0;
         self.min = u64::MAX;
         self.max = 0;
     }
@@ -190,9 +157,8 @@ mod tests {
         assert!(s.is_empty());
         assert_eq!(s.count(), 0);
         assert_eq!(s.quantile(0.5), 0);
-        assert_eq!(s.min(), 0);
-        assert_eq!(s.max(), 0);
-        assert_eq!(s.mean(), 0.0);
+        assert_eq!(s.quantile(0.0), 0);
+        assert_eq!(s.quantile(1.0), 0);
     }
 
     #[test]
@@ -214,7 +180,7 @@ mod tests {
         s.record(100);
         assert_eq!(s.quantile(0.5), 0);
         assert_eq!(s.quantile(1.0), 100);
-        assert_eq!(s.min(), 0);
+        assert_eq!(s.quantile(0.0), 0);
     }
 
     #[test]
@@ -270,7 +236,7 @@ mod tests {
         s.record(42);
         s.clear();
         assert!(s.is_empty());
-        assert_eq!(s.alpha(), 0.03);
+        assert_eq!(s.alpha, 0.03);
         assert_eq!(s.quantile(0.5), 0);
     }
 }

@@ -67,16 +67,6 @@ impl MonitorState {
         }
     }
 
-    /// The configured knobs.
-    pub fn cfg(&self) -> MonitorConfig {
-        self.cfg
-    }
-
-    /// Snapshots emitted so far.
-    pub fn snapshots(&self) -> u64 {
-        self.snapshots
-    }
-
     /// Open the measurement window: drop warmup accumulation and pin the
     /// counter baselines so the first interval's deltas are exact.
     pub fn begin_window(&mut self, now: SimTime, drops: DropStats, conn: Option<ConnCounters>) {
@@ -227,7 +217,7 @@ mod tests {
         m.begin_window(t(0), DropStats::new(), None);
         m.record_bytes(1000);
         assert!(m.on_tick(t(5), DropStats::new(), None).is_none());
-        assert_eq!(m.snapshots(), 0);
+        assert_eq!(m.summary().snapshots, 0);
     }
 
     #[test]
@@ -292,7 +282,7 @@ mod tests {
         m.on_tick(t(10), DropStats::new(), None).unwrap();
         // Re-opening the window (end of warmup) wipes everything.
         m.begin_window(t(10), DropStats::new(), None);
-        assert_eq!(m.snapshots(), 0);
+        assert_eq!(m.summary().snapshots, 0);
         let sum = m.summary();
         assert!(sum.stages.is_empty());
         assert_eq!(sum.goodput_max_gbps, 0.0);

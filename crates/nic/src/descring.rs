@@ -43,11 +43,6 @@ impl DescRing {
         }
     }
 
-    /// Slot count.
-    pub fn capacity(&self) -> u64 {
-        self.cap
-    }
-
     /// Total descriptors ever posted.
     pub fn posted(&self) -> u64 {
         self.posted
@@ -76,11 +71,6 @@ impl DescRing {
     /// Slots currently free for posting.
     pub fn free_slots(&self) -> u64 {
         self.cap - (self.posted - self.harvested)
-    }
-
-    /// Physical slot index for a descriptor id.
-    pub fn slot(&self, id: u64) -> u64 {
-        id % self.cap
     }
 
     /// Post one descriptor. Returns its id, or `None` if every slot is
@@ -167,7 +157,6 @@ mod tests {
             for i in 0..3u64 {
                 let id = r.try_post().unwrap();
                 assert_eq!(id, round * 3 + i);
-                assert_eq!(r.slot(id), i);
             }
             r.complete(3);
             r.harvest(3);

@@ -122,7 +122,6 @@ struct Direction {
     busy_until: SimTime,
     drops: u64,
     frames: u64,
-    bytes: u64,
 }
 
 /// The full-duplex cable between two hosts.
@@ -150,7 +149,6 @@ impl Link {
     pub fn transmit(&mut self, dir: usize, now: SimTime, wire_bytes: u64) -> TransmitOutcome {
         let d = &mut self.dirs[dir];
         d.frames += 1;
-        d.bytes += wire_bytes;
         let ser = Duration::for_bytes_at_gbps(wire_bytes, self.config.gbps);
         d.busy_until = d.busy_until.max(now) + ser;
         match self.faults.fate(dir, now) {
@@ -178,11 +176,6 @@ impl Link {
     /// Frames offered on `dir`.
     pub fn frames(&self, dir: usize) -> u64 {
         self.dirs[dir].frames
-    }
-
-    /// Bytes offered on `dir`.
-    pub fn bytes(&self, dir: usize) -> u64 {
-        self.dirs[dir].bytes
     }
 }
 
@@ -338,12 +331,11 @@ mod tests {
     }
 
     #[test]
-    fn byte_and_frame_counters() {
+    fn frame_counters() {
         let mut l = link(0.0);
         l.transmit(0, SimTime::ZERO, 1000);
         l.transmit(0, SimTime::ZERO, 2000);
         assert_eq!(l.frames(0), 2);
-        assert_eq!(l.bytes(0), 3000);
         assert_eq!(l.frames(1), 0);
     }
 }

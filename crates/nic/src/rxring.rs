@@ -51,11 +51,6 @@ impl RxRing {
         self.available
     }
 
-    /// Descriptors consumed and awaiting driver replenishment.
-    pub fn consumed(&self) -> u32 {
-        self.capacity - self.available - self.withheld
-    }
-
     /// Descriptors held out of service by fault injection.
     pub fn withheld(&self) -> u32 {
         self.withheld
@@ -135,7 +130,6 @@ mod tests {
         assert!(r.try_receive());
         assert!(r.try_receive());
         assert_eq!(r.available(), 2);
-        assert_eq!(r.consumed(), 2);
         assert_eq!(r.replenish(10), 2, "cannot overfill");
         assert_eq!(r.available(), 4);
     }
@@ -194,9 +188,9 @@ mod tests {
         assert_eq!(r.replenish(4), 4);
         assert_eq!(r.unreplenish(4), 4);
         assert_eq!(r.available(), 2);
-        assert_eq!(r.consumed(), 6);
         // Cannot take back more than what's in service.
         assert_eq!(r.unreplenish(100), 2);
         assert_eq!(r.available(), 0);
+        assert_eq!(r.replenish(100), 8, "every descriptor awaits replenishment");
     }
 }

@@ -93,7 +93,6 @@ proptest! {
             for _ in 0..batch {
                 let id = r.try_post().expect("batch ≤ cap must fit in an empty ring");
                 prop_assert_eq!(id, expect_id);
-                prop_assert_eq!(r.slot(id), id % cap, "physical slot must wrap");
                 expect_id += 1;
             }
             prop_assert_eq!(r.complete(u64::MAX), batch);

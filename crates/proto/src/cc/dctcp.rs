@@ -40,11 +40,6 @@ impl Dctcp {
         }
     }
 
-    /// Current α estimate (visible for tests).
-    pub fn alpha(&self) -> f64 {
-        self.alpha
-    }
-
     /// HyStart delay-based slow-start exit (Linux `tcp_cubic` hystart):
     /// when the RTT inflates well past the minimum observed, queues are
     /// building — leave slow start *before* overrunning them.
@@ -132,7 +127,7 @@ mod tests {
             r.on_ack(SimTime::ZERO, r.cwnd(), Duration::from_micros(50), r.cwnd());
         }
         assert_eq!(d.cwnd(), r.cwnd());
-        assert_eq!(d.alpha(), 0.0);
+        assert_eq!(d.alpha, 0.0);
     }
 
     #[test]
@@ -142,7 +137,7 @@ mod tests {
         for _ in 0..200 {
             d.on_ecn_sample(0.3);
         }
-        assert!((d.alpha() - 0.3).abs() < 0.01, "alpha = {}", d.alpha());
+        assert!((d.alpha - 0.3).abs() < 0.01, "alpha = {}", d.alpha);
     }
 
     #[test]
@@ -171,7 +166,7 @@ mod tests {
         for _ in 0..500 {
             d.on_ecn_sample(1.0);
         }
-        assert!(d.alpha() > 0.99);
+        assert!(d.alpha > 0.99);
         // Regrow the window with unmarked traffic so the floor isn't
         // binding, then measure a single marked-window shrink.
         for _ in 0..5_000 {

@@ -35,18 +35,6 @@ pub enum CcAlgo {
     Bbr,
 }
 
-impl CcAlgo {
-    /// Display name.
-    pub fn name(self) -> &'static str {
-        match self {
-            CcAlgo::Cubic => "cubic",
-            CcAlgo::Reno => "reno",
-            CcAlgo::Dctcp => "dctcp",
-            CcAlgo::Bbr => "bbr",
-        }
-    }
-}
-
 /// Events and queries every algorithm answers.
 pub trait CongestionControl {
     /// Current congestion window in bytes.
@@ -108,9 +96,14 @@ mod tests {
 
     #[test]
     fn factory_makes_all_algorithms() {
-        for algo in [CcAlgo::Cubic, CcAlgo::Reno, CcAlgo::Dctcp, CcAlgo::Bbr] {
+        for (algo, name) in [
+            (CcAlgo::Cubic, "cubic"),
+            (CcAlgo::Reno, "reno"),
+            (CcAlgo::Dctcp, "dctcp"),
+            (CcAlgo::Bbr, "bbr"),
+        ] {
             let cc = make_cc(algo, 1448);
-            assert_eq!(cc.name(), algo.name());
+            assert_eq!(cc.name(), name);
             assert_eq!(cc.cwnd(), 14480, "initial window is 10 MSS");
         }
     }

@@ -32,11 +32,6 @@ impl Reno {
         }
     }
 
-    /// Slow-start threshold (visible for tests).
-    pub fn ssthresh(&self) -> u64 {
-        self.ssthresh
-    }
-
     /// HyStart delay-based slow-start exit (Linux `tcp_cubic` hystart):
     /// when the RTT inflates well past the minimum observed, queues are
     /// building — leave slow start *before* overrunning them.
@@ -139,7 +134,7 @@ mod tests {
         }
         cc.on_loss(SimTime::ZERO);
         let w = cc.cwnd();
-        assert_eq!(cc.ssthresh(), w);
+        assert_eq!(cc.ssthresh, w);
         // One full window of ACKs should add ~1 MSS.
         cc.on_ack(SimTime::ZERO, w, rtt(), w);
         assert!(
@@ -172,7 +167,7 @@ mod tests {
         assert_eq!(cc.cwnd(), before);
         cc.on_ecn_sample(0.5);
         assert_eq!(cc.cwnd(), before / 2);
-        assert_eq!(cc.ssthresh(), before / 2);
+        assert_eq!(cc.ssthresh, before / 2);
     }
 
     #[test]

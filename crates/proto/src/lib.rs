@@ -35,6 +35,8 @@
 
 pub mod autotune;
 pub mod cc;
+#[cfg(test)]
+mod prop_merge;
 pub mod reassembly;
 pub mod receiver;
 pub mod sack;
@@ -46,7 +48,7 @@ pub use cc::{make_cc, CcAlgo, CongestionControl};
 pub use reassembly::ReassemblyQueue;
 pub use receiver::{AckAction, TcpReceiver, DELACK_TIMEOUT};
 pub use sack::{SackBlocks, Scoreboard};
-pub use segment::{AckView, ConnPhase, DataView, FlowId, Segment, SegmentKind};
+pub use segment::{ConnPhase, DataView, FlowId, Segment, SegmentKind};
 pub use sender::{SendAction, TcpSender};
 
 /// Bytes of TCP/IP/Ethernet header overhead per wire frame.

@@ -6,8 +6,8 @@
 //! fresh vector on every call. Random insert streams drive both, and the
 //! stored ranges and every outcome must agree after every operation.
 
-use hns_proto::reassembly::{InsertOutcome, ReassemblyQueue};
-use hns_proto::sack::{SackBlocks, Scoreboard};
+use crate::reassembly::{InsertOutcome, ReassemblyQueue};
+use crate::sack::{SackBlocks, Scoreboard};
 use proptest::prelude::*;
 
 /// The copying SACK scoreboard merge.

@@ -46,7 +46,8 @@ impl ReassemblyQueue {
     }
 
     /// The stored out-of-order ranges: sorted, disjoint and non-adjacent.
-    pub fn ranges(&self) -> &[(u64, u64)] {
+    #[cfg(test)]
+    pub(crate) fn ranges(&self) -> &[(u64, u64)] {
         &self.ranges
     }
 

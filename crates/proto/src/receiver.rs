@@ -97,11 +97,6 @@ impl TcpReceiver {
         self.copied_seq
     }
 
-    /// Current receive buffer size.
-    pub fn rcvbuf(&self) -> u64 {
-        self.autotune.rcvbuf()
-    }
-
     /// Window to advertise: the buffer minus what the socket holds —
     /// payload delivered but not yet copied, plus out-of-order bytes —
     /// charged at truesize (≈2× payload), as in the kernel.
@@ -228,10 +223,18 @@ impl TcpReceiver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::segment::SegmentKind;
 
     fn ack_fields(s: &Segment) -> (u64, u64, bool) {
-        let v = s.ack_view().expect("receiver emits acks");
-        (v.ack, v.window, v.ecn_echo)
+        match s.kind {
+            SegmentKind::Ack {
+                ack,
+                window,
+                ecn_echo,
+                ..
+            } => (ack, window, ecn_echo),
+            _ => panic!("receiver emits acks"),
+        }
     }
 
     fn rx() -> TcpReceiver {
@@ -365,10 +368,10 @@ mod tests {
         r.on_tick(Duration::from_millis(1), Duration::from_micros(50));
         let rate = 1e6 / Duration::from_millis(1).as_secs_f64();
         let want = (4.0 * (rate * rtt.as_secs_f64())) as u64;
-        assert_eq!(r.rcvbuf(), want);
+        assert_eq!(r.autotune.rcvbuf(), want);
         // The tick consumed the copied bytes: an idle tick changes nothing.
         r.on_tick(Duration::from_millis(1), Duration::from_micros(50));
-        assert_eq!(r.rcvbuf(), want);
+        assert_eq!(r.autotune.rcvbuf(), want);
     }
 
     #[test]
@@ -436,7 +439,7 @@ mod tests {
         let held = r.delack_deadline(now);
         assert_eq!(held, Some(now + DELACK_TIMEOUT), "one MSS held back");
         let seg = r.delack_flush().expect("flush emits an ack");
-        assert_eq!(seg.ack_view().unwrap().ack, 1_448);
+        assert_eq!(ack_fields(&seg).0, 1_448);
         assert_eq!(r.delack_deadline(now), None);
         assert!(r.delack_flush().is_none(), "nothing left to flush");
         // Next odd MSS starts a fresh delack cycle, not an immediate ACK.

@@ -103,7 +103,8 @@ impl Scoreboard {
     }
 
     /// The SACKed ranges: sorted, disjoint and non-adjacent.
-    pub fn ranges(&self) -> &[(u64, u64)] {
+    #[cfg(test)]
+    pub(crate) fn ranges(&self) -> &[(u64, u64)] {
         &self.ranges
     }
 

@@ -164,18 +164,9 @@ impl Segment {
         }
     }
 
-    /// Bytes this segment occupies on the wire including headers.
-    pub fn wire_bytes(&self) -> u64 {
-        self.payload_len() as u64 + crate::HEADER_BYTES as u64
-    }
-
-    /// True for data segments.
-    pub fn is_data(&self) -> bool {
-        matches!(self.kind, SegmentKind::Data { .. })
-    }
-
-    /// Typed accessor: the data fields, or `None` for an ACK. Prefer this
-    /// over matching [`SegmentKind`] with a panicking catch-all arm.
+    /// Typed accessor: the data fields, or `None` for any other segment.
+    /// Prefer this over matching [`SegmentKind`] with a panicking
+    /// catch-all arm.
     pub fn data_view(&self) -> Option<DataView> {
         match self.kind {
             SegmentKind::Data {
@@ -186,24 +177,6 @@ impl Segment {
                 seq,
                 len,
                 retransmit,
-            }),
-            _ => None,
-        }
-    }
-
-    /// Typed accessor: the ACK fields, or `None` for a data segment.
-    pub fn ack_view(&self) -> Option<AckView> {
-        match self.kind {
-            SegmentKind::Ack {
-                ack,
-                window,
-                ecn_echo,
-                sack,
-            } => Some(AckView {
-                ack,
-                window,
-                ecn_echo,
-                sack,
             }),
             _ => None,
         }
@@ -221,26 +194,6 @@ pub struct DataView {
     pub retransmit: bool,
 }
 
-impl DataView {
-    /// One past the last payload byte.
-    pub fn end(&self) -> u64 {
-        self.seq + self.len as u64
-    }
-}
-
-/// The fields of a pure ACK ([`Segment::ack_view`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct AckView {
-    /// Cumulative ACK offset.
-    pub ack: u64,
-    /// Advertised receive window in bytes.
-    pub window: u64,
-    /// ECN echo flag.
-    pub ecn_echo: bool,
-    /// Selective-acknowledgment blocks.
-    pub sack: SackBlocks,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -248,9 +201,8 @@ mod tests {
     #[test]
     fn data_segment_fields() {
         let s = Segment::data(3, 1000, 1448, false);
-        assert!(s.is_data());
+        assert!(s.data_view().is_some());
         assert_eq!(s.payload_len(), 1448);
-        assert_eq!(s.wire_bytes(), 1448 + 78);
         assert_eq!(s.flow, 3);
     }
 
@@ -258,22 +210,23 @@ mod tests {
     fn ack_segment_fields() {
         let blocks = SackBlocks::from_ranges([(6000, 7000)]);
         let s = Segment::ack(9, 5000, 65535, true, blocks);
-        assert!(!s.is_data());
+        assert!(s.data_view().is_none());
         assert_eq!(s.payload_len(), 0);
-        assert_eq!(s.wire_bytes(), 78);
-        let v = s.ack_view().expect("ack segment");
-        assert_eq!(v.ack, 5000);
-        assert_eq!(v.window, 65535);
-        assert!(v.ecn_echo);
-        assert_eq!(v.sack.as_slice(), &[(6000, 7000)]);
+        assert_eq!(
+            s.kind,
+            SegmentKind::Ack {
+                ack: 5000,
+                window: 65535,
+                ecn_echo: true,
+                sack: blocks
+            }
+        );
     }
 
     #[test]
     fn conn_segment_fields() {
         let s = Segment::conn(0xdead_beef, ConnPhase::Syn);
-        assert!(!s.is_data());
-        assert_eq!(s.payload_len(), 0);
-        assert_eq!(s.wire_bytes(), 78, "SYN is headers only");
+        assert_eq!(s.payload_len(), 0, "SYN is headers only");
         assert_eq!(s.flow, 0xdead_beef);
         assert_eq!(
             s.kind,
@@ -282,11 +235,9 @@ mod tests {
             }
         );
         assert!(s.data_view().is_none());
-        assert!(s.ack_view().is_none());
 
         let r = Segment::conn(7, ConnPhase::Request { len: 4096 });
         assert_eq!(r.payload_len(), 4096);
-        assert_eq!(r.wire_bytes(), 4096 + 78);
         assert_eq!(ConnPhase::FinAck.payload_len(), 0);
     }
 
@@ -299,7 +250,6 @@ mod tests {
         ] {
             let s = Segment::conn(1, phase);
             assert_eq!(s.payload_len(), 0);
-            assert_eq!(s.wire_bytes(), 78);
             assert_eq!(s.kind, SegmentKind::Conn { phase });
         }
     }
@@ -307,12 +257,9 @@ mod tests {
     #[test]
     fn typed_views_reject_wrong_kind() {
         let d = Segment::data(1, 0, 100, false);
-        assert!(d.ack_view().is_none());
         let dv = d.data_view().expect("data");
         assert_eq!((dv.seq, dv.len, dv.retransmit), (0, 100, false));
-        assert_eq!(dv.end(), 100);
         let a = Segment::ack(1, 5, 10, false, SackBlocks::EMPTY);
         assert!(a.data_view().is_none());
-        assert!(a.ack_view().is_some());
     }
 }

@@ -527,7 +527,7 @@ mod tests {
 
     fn seg_range(s: &Segment) -> (u64, u64, bool) {
         let d = s.data_view().expect("sender emits data");
-        (d.seq, d.end(), d.retransmit)
+        (d.seq, d.seq + d.len as u64, d.retransmit)
     }
 
     fn sender() -> TcpSender {

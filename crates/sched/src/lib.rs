@@ -227,12 +227,6 @@ impl Scheduler {
             }
         }
     }
-
-    /// Threads currently runnable or running on `core` (diagnostics).
-    pub fn load(&self, core: usize) -> usize {
-        let c = &self.cores[core];
-        c.queue.len() + usize::from(matches!(c.running, Some(Task::Thread(_))))
-    }
 }
 
 #[cfg(test)]
@@ -407,17 +401,18 @@ mod tests {
     }
 
     #[test]
-    fn load_counts_runnable_and_running() {
+    fn runnable_threads_wait_behind_the_running_one() {
         let mut s = Scheduler::new(1);
         let a = s.add_thread(0);
         let b = s.add_thread(0);
         s.wake_thread(a);
         s.wake_thread(b);
-        assert_eq!(s.load(0), 2);
         s.pick(0).unwrap();
-        assert_eq!(s.load(0), 2, "running thread still loads the core");
+        assert_eq!(s.running(0), Some(Task::Thread(a)));
+        assert!(!s.nothing_waiting(0), "b waits behind a");
         s.step_done(0, false);
-        assert_eq!(s.load(0), 1);
+        assert_eq!(s.running(0), None);
+        assert!(!s.nothing_waiting(0), "b is still runnable");
     }
 
     #[test]

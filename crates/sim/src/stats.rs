@@ -118,11 +118,6 @@ impl Histogram {
         }
     }
 
-    /// Largest recorded value.
-    pub fn max(&self) -> u64 {
-        self.max
-    }
-
     /// Value at quantile `q` in `[0, 1]` (bucket lower bound, clamped to
     /// the recorded `[min, max]` range; 0 if empty).
     pub fn quantile(&self, q: f64) -> u64 {
@@ -208,7 +203,7 @@ mod tests {
             h.record(v);
         }
         assert_eq!(h.quantile(0.0), 0);
-        assert_eq!(h.max(), 63);
+        assert_eq!(h.percentiles().max, 63);
         assert_eq!(h.count(), 64);
     }
 
@@ -250,7 +245,7 @@ mod tests {
         let mut h = Histogram::default();
         h.record(100);
         assert_eq!(h.min(), 100);
-        assert_eq!(h.max(), 100);
+        assert_eq!(h.percentiles().max, 100);
         assert_eq!(h.count(), 1);
     }
 

@@ -92,7 +92,7 @@ proptest! {
         let max = *values.iter().max().unwrap();
         let min = *values.iter().min().unwrap();
         prop_assert_eq!(h.count(), values.len() as u64);
-        prop_assert_eq!(h.max(), max);
+        prop_assert_eq!(h.percentiles().max, max);
         for q in [0.0, 0.1, 0.5, 0.9, 0.99, 1.0] {
             let v = h.quantile(q);
             prop_assert!(v <= max, "quantile {q} = {v} above max {max}");

@@ -522,8 +522,16 @@ mod tests {
         use hns_faults::{LatencySpike, PhaseSchedule};
         let ms = Duration::from_millis;
         // Active for 2 ms every 1 ms: the link never comes back.
-        let stuck = PhaseSchedule::every(Duration::ZERO, ms(2), ms(1));
-        let clears = PhaseSchedule::every(Duration::ZERO, ms(1), ms(2));
+        let stuck = PhaseSchedule {
+            start: Duration::ZERO,
+            duration: ms(2),
+            period: ms(1),
+        };
+        let clears = PhaseSchedule {
+            start: Duration::ZERO,
+            duration: ms(1),
+            period: ms(2),
+        };
         let flap = |window| {
             let mut c = SimConfig::default();
             c.link.flap = Some(window);

@@ -112,7 +112,6 @@ impl Default for FabricConfig {
 struct Port {
     busy_until: SimTime,
     frames: u64,
-    bytes: u64,
     /// Frames the shared buffer refused.
     refused: u64,
     /// Frames lost in-network after serializing.
@@ -253,16 +252,12 @@ impl Fabric {
         (h % self.uplinks.len() as u32) as usize
     }
 
-    /// Total queued bytes across every egress port and uplink at `now`
-    /// (the shared buffer's occupancy). `now` must be no earlier than the
-    /// latest [`Fabric::transmit`]'s.
-    pub fn occupancy(&self, now: SimTime) -> u64 {
-        self.backlog(now).0
-    }
-
-    /// The occupancy at `now`, and the busy-port and busy-uplink sets
-    /// with every port and uplink that has drained by `now` removed. Each
-    /// term is an integer, so the sum is exact in any order.
+    /// The occupancy at `now` (total queued bytes across every egress port
+    /// and uplink: the shared buffer's occupancy), and the busy-port and
+    /// busy-uplink sets with every port and uplink that has drained by
+    /// `now` removed. Each term is an integer, so the sum is exact in any
+    /// order. `now` must be no earlier than the latest
+    /// [`Fabric::transmit`]'s.
     fn backlog(&self, now: SimTime) -> (u64, [u64; BUSY_WORDS], [u64; UPLINK_WORDS]) {
         debug_assert!(now >= self.clock, "fabric time went backwards");
         let gbps = self.link.gbps;
@@ -311,7 +306,6 @@ impl Fabric {
         self.ingress[src] = self.ingress[src].max(now) + ser;
 
         self.ports[dst].frames += 1;
-        self.ports[dst].bytes += wire_bytes;
 
         // Shared-buffer admission: a refused frame consumed its ingress
         // wire time but never occupied the switch, so no switch clock
@@ -379,11 +373,6 @@ impl Fabric {
     /// or lost in-network.
     pub fn drops_to(&self, dst: usize) -> u64 {
         self.ports[dst].refused + self.ports[dst].lost
-    }
-
-    /// Bytes offered toward host `dst`.
-    pub fn bytes_to(&self, dst: usize) -> u64 {
-        self.ports[dst].bytes
     }
 
     /// Frames offered toward every host.
@@ -458,7 +447,6 @@ mod tests {
             }
             for dst in 0..2 {
                 assert_eq!(f.frames_to(dst), l.frames(1 - dst), "{name}");
-                assert_eq!(f.bytes_to(dst), l.bytes(1 - dst), "{name}");
                 assert_eq!(f.drops_to(dst), l.drops(1 - dst), "{name}");
             }
             assert_eq!(f.switch_drops(), 0, "{name}");
@@ -542,7 +530,7 @@ mod tests {
         // Every frame — dropped ones included — crossed the source's own
         // wire; only the switch clocks skip the refused frames.
         assert_eq!(f.next_free(0).as_nanos(), 726 * (delivered + dropped));
-        let queued = f.occupancy(t0);
+        let queued = f.backlog(t0).0;
         assert!(
             queued <= 20_000,
             "admission keeps occupancy within the buffer: {queued}"
@@ -560,11 +548,11 @@ mod tests {
         let mut f = neutral();
         f.transmit(0, 1, 1, SimTime::ZERO, 9078);
         f.transmit(0, 1, 1, SimTime::ZERO, 9078);
-        let full = f.occupancy(SimTime::ZERO);
+        let full = f.backlog(SimTime::ZERO).0;
         assert!(full > 17_000, "two jumbo frames queued: {full}");
-        let half = f.occupancy(SimTime::from_nanos(726));
+        let half = f.backlog(SimTime::from_nanos(726)).0;
         assert!(half < full && half > 8_000, "one frame left: {half}");
-        assert_eq!(f.occupancy(SimTime::from_nanos(2_000)), 0);
+        assert_eq!(f.backlog(SimTime::from_nanos(2_000)).0, 0);
     }
 
     /// Every port's and uplink's backlog at `now`, summed the long way.
@@ -653,14 +641,14 @@ mod tests {
                     _ => rng.next_below(600),
                 };
                 let at = SimTime::from_nanos(now);
-                assert_eq!(f.occupancy(at), full_scan(&f, at), "{name}: frame {i}");
+                assert_eq!(f.backlog(at).0, full_scan(&f, at), "{name}: frame {i}");
                 let (before, uplinks_before) = (f.busy, f.busy_uplinks);
                 twin.busy = every_port;
                 twin.busy_uplinks = every_uplink;
                 let a = f.transmit(src, dst, u64::from(i), at, bytes);
                 let b = twin.transmit(src, dst, u64::from(i), at, bytes);
                 assert_eq!(a, b, "{name}: frame {i}");
-                assert_eq!(f.occupancy(at), full_scan(&f, at), "{name}: frame {i}");
+                assert_eq!(f.backlog(at).0, full_scan(&f, at), "{name}: frame {i}");
                 ce += u32::from(matches!(a, TransmitOutcome::Delivered { ce: true, .. }));
                 let shrank = |b: &[u64], a: &[u64]| b.iter().zip(a).any(|(&b, &a)| b & !a != 0);
                 cleared += u32::from(shrank(&before, &f.busy));

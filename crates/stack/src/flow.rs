@@ -183,7 +183,8 @@ mod tests {
         let mut spec = FlowSpec::forward(0, 0);
         spec.rcvbuf = Some(RcvBufPolicy::Fixed(3200 * 1024));
         let f = Flow::new(0, spec, &cfg, 0);
-        assert_eq!(f.receiver.rcvbuf(), 3200 * 1024);
+        // Nothing received yet: the whole buffer is advertised.
+        assert_eq!(f.receiver.advertised_window(), 3200 * 1024);
     }
 
     #[test]

@@ -114,11 +114,6 @@ impl GroEngine {
         out.append(&mut self.table);
     }
 
-    /// Aggregates currently held.
-    pub fn pending(&self) -> usize {
-        self.table.len()
-    }
-
     /// Total frames referenced by held aggregates (the audit ledger's view
     /// of what GRO owns).
     pub fn held_frags(&self) -> u64 {
@@ -206,7 +201,7 @@ mod tests {
         assert_eq!(flushed.len(), 1);
         assert_eq!(flushed[0].len, 63_000);
         // The 8th frame started a new aggregate.
-        assert_eq!(rig.gro.pending(), 1);
+        assert_eq!(rig.gro.table.len(), 1);
     }
 
     #[test]
@@ -225,7 +220,7 @@ mod tests {
         let flushed = rig.offer(1, 65_536 - 1448, 1448);
         assert_eq!(flushed.len(), 1);
         assert_eq!(flushed[0].len, 65_536);
-        assert_eq!(rig.gro.pending(), 0);
+        assert_eq!(rig.gro.table.len(), 0);
         assert_eq!((rig.gro.merged, rig.gro.flushed), (1, 1));
     }
 
@@ -241,7 +236,7 @@ mod tests {
         let flushed = rig.offer(1, MAX_SKB_FRAGS as u64 * 1448, 1448);
         assert_eq!(flushed.len(), 1, "the 18th frag must be refused");
         assert_eq!(flushed[0].frags.len(), MAX_SKB_FRAGS);
-        assert_eq!(rig.gro.pending(), 1);
+        assert_eq!(rig.gro.table.len(), 1);
     }
 
     #[test]
@@ -253,7 +248,7 @@ mod tests {
         let flushed = rig.offer(1, 27_000, 9000);
         assert_eq!(flushed.len(), 1);
         assert_eq!(flushed[0].len, 18_000);
-        assert_eq!(rig.gro.pending(), 1);
+        assert_eq!(rig.gro.table.len(), 1);
     }
 
     #[test]

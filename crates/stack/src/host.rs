@@ -23,8 +23,6 @@ pub struct PendingFrame {
     /// Backing DMA buffer (None for pure ACKs, which we model as
     /// header-only frames whose payload buffer is trivially recycled).
     pub frame: Option<FrameId>,
-    /// Arrival time at the NIC (IRQ latency reference).
-    pub arrived: SimTime,
 }
 
 /// Per-core mutable state.
@@ -140,7 +138,7 @@ impl Host {
                 .collect(),
             arena: FrameArena::new(),
             dca,
-            pages: PageAllocator::new(cores as u16, cfg.topology.cores_per_node),
+            pages: PageAllocator::new(cores as u16),
             iommu: Iommu::new(cfg.stack.iommu),
             sender_l3: SenderL3::with_defaults(),
             rings: (0..cores)
@@ -207,14 +205,14 @@ mod tests {
     #[test]
     fn host_builds_from_default_config() {
         let cfg = SimConfig::default();
-        let h = Host::new(0, &cfg);
+        let mut h = Host::new(0, &cfg);
         assert_eq!(h.cores.len(), 24);
         assert_eq!(h.rings.len(), 24, "one Rx ring per core");
         assert!(h
             .rings
             .iter()
             .all(|r| r.capacity() == cfg.stack.rx_descriptors));
-        assert!(!h.iommu.enabled());
+        assert_eq!(h.iommu.map(1), 0, "the IOMMU is off by default");
     }
 
     #[test]

@@ -56,8 +56,9 @@ impl FragPool {
         }
     }
 
-    /// Vectors currently cached (introspection for tests/benches).
-    pub fn cached(&self) -> usize {
+    /// Vectors currently cached.
+    #[cfg(test)]
+    pub(crate) fn cached(&self) -> usize {
         self.free.len()
     }
 }

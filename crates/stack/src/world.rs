@@ -151,7 +151,7 @@ fn irq_value(host: usize, core: u16) -> u64 {
 // slot index for this reason; the largest variants carry one `u64`.
 const _: () = assert!(std::mem::size_of::<Event>() <= 16);
 // The same holds for the softirq backlog, which queues slots, not segments.
-const _: () = assert!(std::mem::size_of::<PendingFrame>() <= 24);
+const _: () = assert!(std::mem::size_of::<PendingFrame>() <= 16);
 // A window of in-flight frames costs one record each in the segment slab
 // (a full `Segment` is 104 B, 56 B of them ACK-only SACK blocks).
 const _: () = assert!(std::mem::size_of::<WireRecord>() <= 40);
@@ -218,6 +218,17 @@ impl WireRecord {
     fn sack_index(&self) -> Option<u32> {
         (self.tag == TAG_ACK && self.arg != NO_SACK).then_some(self.arg)
     }
+
+    /// Whether flag bit `flag` ([`RETRANSMIT`], [`ECN_ECHO`], [`ECN_CE`])
+    /// is set.
+    fn has(&self, flag: u8) -> bool {
+        self.flags & flag != 0
+    }
+
+    /// A lifecycle record's phase.
+    fn phase(&self) -> ConnPhase {
+        conn_phase(self.tag, self.arg)
+    }
 }
 
 /// A lifecycle phase's [`WireRecord::tag`] and payload length.
@@ -273,13 +284,14 @@ fn put<T>(items: &mut Vec<T>, free: &mut Vec<u32>, item: T) -> u32 {
 /// once, when it hands the frame to the NIC; the Tx queues, the frame's
 /// arrival and the softirq backlog then carry its `u32` slot,
 /// so a frame's segment is written once and read once however many queues
-/// it crosses. The drain and the arrival read its flow, trace id, kind and
-/// length from the [`WireRecord`] in place. Slots and side-table entries
-/// are reused LIFO. Each slot is freed exactly once, with its SACK entry:
-/// by [`SegmentSlab::take`] at the NAPI poll, or by
-/// [`SegmentSlab::release`] on the path that drops the frame (wire loss,
-/// switch refusal, stale connection frame, backlog cap, full Rx ring).
-/// Slots still parked at `EndRun` drop with the world.
+/// it crosses. The drain, the arrival and the NAPI poll read the
+/// [`WireRecord`] in place; only an ACK that carries SACK blocks copies
+/// them out of the side table ([`SegmentSlab::sack`]). Slots and
+/// side-table entries are reused LIFO. Each slot is freed exactly once,
+/// with its SACK entry, by [`SegmentSlab::release`]: at the NAPI poll, or
+/// on the path that drops the frame (wire loss, switch refusal, stale
+/// connection frame, backlog cap, full Rx ring). Slots still parked at
+/// `EndRun` drop with the world.
 #[derive(Default)]
 struct SegmentSlab {
     /// Slot storage; its length is the high-water mark of frames between
@@ -354,43 +366,17 @@ impl SegmentSlab {
         self.recs[slot as usize].flags |= ECN_CE;
     }
 
-    /// Take the segment out of `slot`, freeing the slot and its SACK entry.
+    /// The SACK blocks the ACK record `rec` carries (none for any other
+    /// record). Read them before the slot is released.
     #[inline]
-    fn take(&mut self, slot: u32) -> Segment {
-        self.free.push(slot);
-        let r = self.recs[slot as usize];
-        let kind = match r.tag {
-            TAG_DATA => SegmentKind::Data {
-                seq: r.seq,
-                len: r.arg,
-                retransmit: r.flags & RETRANSMIT != 0,
-            },
-            TAG_ACK => SegmentKind::Ack {
-                ack: r.seq,
-                window: r.window,
-                ecn_echo: r.flags & ECN_ECHO != 0,
-                sack: match r.sack_index() {
-                    Some(i) => {
-                        self.free_sacks.push(i);
-                        self.sacks[i as usize]
-                    }
-                    None => SackBlocks::EMPTY,
-                },
-            },
-            tag => SegmentKind::Conn {
-                phase: conn_phase(tag, r.arg),
-            },
-        };
-        Segment {
-            flow: r.flow,
-            kind,
-            ecn_ce: r.flags & ECN_CE != 0,
-            trace: r.trace,
+    fn sack(&self, rec: &WireRecord) -> SackBlocks {
+        match rec.sack_index() {
+            Some(i) => self.sacks[i as usize],
+            None => SackBlocks::EMPTY,
         }
     }
 
-    /// Free `slot` and its SACK entry without decoding: its frame was
-    /// dropped.
+    /// Free `slot` and its SACK entry: its frame was polled or dropped.
     #[inline]
     fn release(&mut self, slot: u32) {
         self.free.push(slot);

@@ -474,7 +474,7 @@ impl World {
         }
         let accept = AcceptLedger {
             depth: eng.accept.depth() as u64,
-            len: eng.accept.len() as u64,
+            len: eng.accept.occupancy() as u64,
             high_water: eng.accept.high_water() as u64,
             enqueued: eng.accept.enqueued(),
             dequeued: eng.accept.dequeued(),

@@ -552,7 +552,6 @@ impl World {
         ch.charge(Category::TcpIp, cc.establish);
         ch.charge(Category::Etc, cc.accept);
         ch.charge(Category::Etc, cc.epoll_ctl);
-        eng.epoll[core].ctl();
         if eng.epoll[core].event() {
             ch.charge(Category::Sched, cc.epoll_wakeup);
         }
@@ -795,7 +794,6 @@ impl World {
                     // Server sock freed and its fd dropped from epoll.
                     ch.charge(Category::Memory, cc.sock_free);
                     ch.charge(Category::Etc, cc.epoll_ctl);
-                    eng.epoll[core].ctl();
                     // A client that closes before completing the handshake
                     // (lost completing ACK) releases the pending minisock.
                     eng.release_server_half(was);
@@ -1097,7 +1095,6 @@ impl World {
             // An unclean close: the peer finds out when its next segment
             // comes back stale.
             eng.stats.closed += 1;
-            eng.epoll[core].ctl();
             let mut ch = CycleBreakdown::default();
             ch.charge(Category::TcpIp, cc.idle_reap);
             ch.charge(Category::Memory, cc.sock_free);
@@ -1180,15 +1177,5 @@ impl World {
             sheds: eng.accept.sheds(),
             live: eng.table.len() as u64,
         })
-    }
-
-    /// Live-connection count (tests and the million-connection assertion).
-    pub fn live_connections(&self) -> usize {
-        self.churn.as_ref().map_or(0, |e| e.table.len())
-    }
-
-    /// Flow-table slot capacity (tests assert churn keeps it flat).
-    pub fn conn_table_capacity(&self) -> usize {
-        self.churn.as_ref().map_or(0, |e| e.table.capacity())
     }
 }

@@ -6,11 +6,10 @@
 use hns_mem::numa::MemClass;
 use hns_mem::{pages_for, AllocOutcome};
 use hns_metrics::{Category, CycleBreakdown};
-use hns_proto::SegmentKind;
 use hns_sim::Duration;
 use hns_trace::StageId;
 
-use super::{irq_value, FrameKind, World, IRQ_LANE};
+use super::{irq_value, FrameKind, World, ECN_CE, ECN_ECHO, IRQ_LANE, RETRANSMIT};
 use crate::config::DatapathKind;
 use crate::host::PendingFrame;
 use crate::skb::{RxFrame, RxSkb};
@@ -106,20 +105,17 @@ impl World {
         !cd.backlog.is_empty() || !cd.pacer_ready.is_empty()
     }
 
-    /// Poll phase: take one frame off the backlog's slab slot. An ACK goes
-    /// to the sender's state machine, a data frame goes to GRO
-    /// ([`Self::gro_receive`]) or becomes an skb that TCP/IP receives at
-    /// once, and a lifecycle frame goes to the churn engine.
+    /// Poll phase: read one frame's record in its slab slot, then free the
+    /// slot. An ACK goes to the sender's state machine, a data frame goes
+    /// to GRO ([`Self::gro_receive`]) or becomes an skb that TCP/IP
+    /// receives at once, and a lifecycle frame goes to the churn engine.
     fn poll_frame(&mut self, h: usize, core: usize, pf: PendingFrame, ch: &mut CycleBreakdown) {
         let now = self.queue.now();
-        let seg = self.in_flight.take(pf.slot);
-        match seg.kind {
-            SegmentKind::Ack {
-                ack,
-                window,
-                ecn_echo,
-                sack,
-            } => {
+        let rec = *self.in_flight.record(pf.slot);
+        match rec.kind() {
+            FrameKind::Ack => {
+                let sack = self.in_flight.sack(&rec);
+                self.in_flight.release(pf.slot);
                 // In-kernel pays the driver and TCP ACK processing;
                 // bypass sees the raw ACK frame on the polling core.
                 // TOE: ACK clocking lives on-NIC; the host never sees
@@ -129,13 +125,11 @@ impl World {
                     self.cost.driver_rx_ack + self.cost.bypass_poll_frame,
                 );
                 ch.charge(Category::TcpIp, self.cost.ack_rx);
-                self.process_ack(seg.flow as usize, ack, window, ecn_echo, sack, ch);
+                let ecn_echo = rec.has(ECN_ECHO);
+                self.process_ack(rec.flow as usize, rec.seq, rec.window, ecn_echo, sack, ch);
             }
-            SegmentKind::Data {
-                seq,
-                len,
-                retransmit,
-            } => {
+            FrameKind::Data => {
+                self.in_flight.release(pf.slot);
                 // In-kernel pays the driver and the skb; bypass's
                 // per-frame harvest on the polling core is its whole Rx
                 // pipeline. TOE: per-frame work happened on-NIC; the
@@ -152,20 +146,20 @@ impl World {
                     ch.charge(Category::NetDevice, self.cost.steering_sw);
                 }
                 let frame = RxFrame {
-                    flow: seg.flow,
-                    seq,
-                    len,
+                    flow: rec.flow,
+                    seq: rec.seq,
+                    len: rec.arg,
                     frame: pf.frame.expect("data frames carry buffers"),
                     napi_ts: now,
-                    ce: seg.ecn_ce,
-                    retransmit,
-                    trace: seg.trace,
+                    ce: rec.has(ECN_CE),
+                    retransmit: rec.has(RETRANSMIT),
+                    trace: rec.trace,
                 };
                 self.trace
-                    .stamp(seg.trace, seg.flow, StageId::Napi, h, core, now);
+                    .stamp(rec.trace, rec.flow, StageId::Napi, h, core, now);
                 if self.dp.busy_polls() {
                     self.trace
-                        .stamp(seg.trace, seg.flow, StageId::BypassPoll, h, core, now);
+                        .stamp(rec.trace, rec.flow, StageId::BypassPoll, h, core, now);
                 }
                 if self.dp.rx_aggregates(&self.cfg.stack) {
                     self.gro_receive(h, core, frame, ch);
@@ -174,8 +168,10 @@ impl World {
                     self.deliver_skb(h, core, skb, ch);
                 }
             }
-            SegmentKind::Conn { phase } => {
-                self.with_churn(|w, eng| w.conn_rx(eng, h, core, seg.flow, phase, ch));
+            FrameKind::Conn => {
+                self.in_flight.release(pf.slot);
+                let phase = rec.phase();
+                self.with_churn(|w, eng| w.conn_rx(eng, h, core, rec.flow, phase, ch));
             }
         }
     }
@@ -542,11 +538,9 @@ impl World {
             .stamp(tid, flow, StageId::RxDma, dst, core as usize, now);
         self.settle(dst, core as usize);
         let host = &mut self.hosts[dst];
-        host.cores[core as usize].backlog.push_back(PendingFrame {
-            slot,
-            frame,
-            arrived: now,
-        });
+        host.cores[core as usize]
+            .backlog
+            .push_back(PendingFrame { slot, frame });
         if host.coalescer.frame_arrived(core as usize) {
             host.cores[core as usize].irqs_pending += 1;
             // A busy-polling backend notices the frame on its next spin:

@@ -1,6 +1,6 @@
 //! Unit tests of the world: topology and monitor preflight errors, churn
-//! connection tracing and timer carriers, the segment slab, and held step
-//! ends.
+//! connection tracing and timer carriers, the million-connection pool, the
+//! segment slab, and held step ends.
 
 use super::*;
 
@@ -145,11 +145,38 @@ fn segment_slab_recycles_slots() {
     );
 }
 
-/// Parking a segment as a wire record and taking it at the poll gives back
-/// the identical segment, whatever its shape; taking or releasing an ACK
-/// frees its SACK side entry.
+/// Parking a segment as a wire record and reading the record in place at
+/// the poll gives back the identical segment, whatever its shape; polling
+/// or dropping an ACK frees its SACK side entry.
 #[test]
 fn segment_slab_round_trips_every_frame_shape() {
+    /// What the NAPI poll reads of the record in `slot` (the readers
+    /// `World::poll_frame` uses), as a segment; then the poll frees it.
+    fn poll(slab: &mut SegmentSlab, slot: u32) -> Segment {
+        let rec = *slab.record(slot);
+        let kind = match rec.kind() {
+            FrameKind::Data => SegmentKind::Data {
+                seq: rec.seq,
+                len: rec.arg,
+                retransmit: rec.has(RETRANSMIT),
+            },
+            FrameKind::Ack => SegmentKind::Ack {
+                ack: rec.seq,
+                window: rec.window,
+                ecn_echo: rec.has(ECN_ECHO),
+                sack: slab.sack(&rec),
+            },
+            FrameKind::Conn => SegmentKind::Conn { phase: rec.phase() },
+        };
+        slab.release(slot);
+        Segment {
+            flow: rec.flow,
+            kind,
+            ecn_ce: rec.has(ECN_CE),
+            trace: rec.trace,
+        }
+    }
+
     let blocks = [(3000, 4000), (5000, 6000), (7000, 9000)];
     let mut shapes = vec![
         Segment::data(1, 0, 1448, false),
@@ -187,12 +214,12 @@ fn segment_slab_round_trips_every_frame_shape() {
     let mut slab = SegmentSlab::default();
     for &seg in &shapes {
         let slot = slab.park(seg);
-        assert_eq!(slab.take(slot), seg);
+        assert_eq!(poll(&mut slab, slot), seg);
         // The network's CE mark, set in place, survives the trip.
         let slot = slab.park(seg);
         slab.mark_ce(slot);
         assert_eq!(
-            slab.take(slot),
+            poll(&mut slab, slot),
             Segment {
                 ecn_ce: true,
                 ..seg
@@ -203,18 +230,18 @@ fn segment_slab_round_trips_every_frame_shape() {
             ..seg
         };
         let slot = slab.park(marked);
-        assert_eq!(slab.take(slot), marked);
+        assert_eq!(poll(&mut slab, slot), marked);
     }
     assert_eq!((slab.live(), slab.live_sacks()), (0, 0));
 
-    // All parked at once, then half taken and half released.
+    // All parked at once, then half polled and half dropped.
     let slots: Vec<u32> = shapes.iter().map(|&s| slab.park(s)).collect();
     assert_eq!(slab.live(), shapes.len());
     assert_eq!(slab.live_sacks(), 2 * blocks.len());
     assert_eq!(slab.sack_refs(), slab.live_sacks());
     for (i, (&slot, &seg)) in slots.iter().zip(&shapes).enumerate() {
         if i % 2 == 0 {
-            assert_eq!(slab.take(slot), seg);
+            assert_eq!(poll(&mut slab, slot), seg);
         } else {
             slab.release(slot);
         }
@@ -398,4 +425,51 @@ fn frame_at_the_ends_nanosecond_orders_by_sequence_number() {
     assert!(early.time == end.time && early < end);
     arrive_at(&mut w, flow, early);
     assert_filed(&w, core, end);
+}
+
+/// Million-flow scaling acceptance: a pool of 1,000,000 pre-established
+/// connections with partial churn runs to completion, and per-connection
+/// memory stays flat — the slab's capacity tracks the concurrency high
+/// water, not the number of connections ever opened (slot reuse).
+#[test]
+fn million_connection_pool_completes_with_flat_memory() {
+    use hns_conn::{ChurnConfig, ChurnMode};
+    const POOL: u32 = 1_000_000;
+    let cfg = SimConfig {
+        churn: Some(ChurnConfig {
+            mode: ChurnMode::Pool { conns: POOL },
+            rate_cps: 200_000.0,
+            ..ChurnConfig::default()
+        }),
+        ..SimConfig::default()
+    };
+    let mut w = World::new(cfg);
+    w.set_label("million-conn");
+    let r = w
+        .try_run(Duration::from_millis(5), Duration::from_millis(20))
+        .expect("million-connection run must quiesce");
+    let c = r.conn.expect("conn summary");
+
+    // The full population was live the whole run.
+    assert!(c.established_high_water >= POOL as u64);
+    let live = w.churn_engine().expect("churn engine").table.len();
+    assert!(live >= POOL as usize - c.failed as usize);
+
+    // Flat memory: capacity tracks the high water (pool + churn fringe),
+    // not total installs. A leaky table would grow by `opened` instead.
+    assert!(c.opened > 1_000, "the pool actually churned: {c:?}");
+    let fringe = c.established_high_water - POOL as u64;
+    // Slack: each of the 64 shards rounds its own high water up by at most
+    // one slot, so capacity may exceed the global high water by shard count.
+    assert!(
+        c.table_capacity <= POOL as u64 + fringe + 64,
+        "slab grew past the concurrency high water: capacity {} vs pool {} + fringe {}",
+        c.table_capacity,
+        POOL,
+        fringe
+    );
+    assert!(
+        c.table_slot_reuse > 0,
+        "churned slots must be recycled, not freshly allocated"
+    );
 }

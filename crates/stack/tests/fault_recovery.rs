@@ -137,11 +137,11 @@ fn combined_faults_complete_without_panic() {
 fn periodic_fault_windows_apply_and_clear_repeatedly() {
     let mut cfg = SimConfig::default();
     cfg.faults.ring_exhaust = Some(RingExhaust {
-        window: PhaseSchedule::every(
-            Duration::from_millis(22),
-            Duration::from_millis(1),
-            Duration::from_millis(5),
-        ),
+        window: PhaseSchedule {
+            start: Duration::from_millis(22),
+            duration: Duration::from_millis(1),
+            period: Duration::from_millis(5),
+        },
         host: 1,
     });
     let r = run(cfg);

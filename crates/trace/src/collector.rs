@@ -321,7 +321,7 @@ mod tests {
 
     fn residencies(c: &TraceCollector) -> Vec<(StageId, u64, u64)> {
         c.stage_residency()
-            .map(|(s, h)| (s, h.count(), h.max()))
+            .map(|(s, h)| (s, h.count(), h.percentiles().max))
             .collect()
     }
 
@@ -422,7 +422,7 @@ mod tests {
             ]
         );
         let e2e = c.end_to_end().expect("a timeline ended");
-        assert_eq!((e2e.count(), e2e.max()), (1, 1000));
+        assert_eq!((e2e.count(), e2e.percentiles().max), (1, 1000));
     }
 
     #[test]
@@ -449,7 +449,7 @@ mod tests {
             [(StageId::TcpTx, 1, 50), (StageId::Wire, 1, 700)]
         );
         // End to end spans the whole timeline; its closing stamp decides.
-        assert_eq!(c.end_to_end().map(|h| h.max()), Some(800));
+        assert_eq!(c.end_to_end().map(|h| h.percentiles().max), Some(800));
         let mut got = Vec::new();
         c.drain_residencies(t(1000), |s, ns| got.push((s, ns)));
         assert_eq!(got, [(StageId::TcpTx, 50), (StageId::Wire, 700)]);

@@ -146,7 +146,7 @@ fn shape(h: &Histogram) -> (u64, u64, u64, u64, Vec<(u64, u64)>) {
         h.count(),
         h.mean().to_bits(),
         h.min(),
-        h.max(),
+        h.percentiles().max,
         h.iter_buckets().collect(),
     )
 }

@@ -28,13 +28,21 @@ use hostnet::{Experiment, OptLevel, Placement, ScenarioKind};
 use std::io::Write as _;
 use std::process::ExitCode;
 
+/// Write one line to stderr, as `eprintln!` does. Every stderr line of the
+/// CLI goes through here: nobody reads a closed or full stderr, so a failed
+/// write is dropped where `eprintln!` would panic.
+macro_rules! note {
+    ($($arg:tt)*) => {{
+        let _ = writeln!(std::io::stderr(), $($arg)*);
+    }};
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match cli::parse(&args) {
         Ok(cmd) => execute(cmd),
         Err(e) => {
-            // Nobody reads a closed stderr, so a failed write is dropped.
-            let _ = write!(std::io::stderr(), "error: {e}\n\n{}\n", cli::usage());
+            note!("error: {e}\n\n{}", cli::usage());
             ExitCode::from(2)
         }
     }
@@ -64,14 +72,14 @@ fn audit(opts: &hostnet::AuditOptions) -> ExitCode {
         );
     }
     for f in &outcome.failures {
-        eprintln!(
+        note!(
             "audit FAIL run {} [{}] {}: {}",
             f.run,
             f.scenario,
             f.property.name(),
             f.detail
         );
-        eprintln!(
+        note!(
             "  minimal deltas: {}",
             f.minimal
                 .iter()
@@ -80,10 +88,10 @@ fn audit(opts: &hostnet::AuditOptions) -> ExitCode {
                 .join(", ")
         );
         if let Some(p) = &f.repro {
-            eprintln!("  repro written to {}", p.display());
+            note!("  repro written to {}", p.display());
         }
     }
-    eprintln!(
+    note!(
         "audit: {} runs, {} violation(s) (seed {})",
         outcome.runs,
         outcome.failures.len(),
@@ -106,7 +114,7 @@ fn run(exp: &Experiment, out: &cli::Output) -> ExitCode {
         Some(path) => match std::fs::File::create(path) {
             Ok(f) => Some(std::io::BufWriter::new(f)),
             Err(e) => {
-                eprintln!("--metrics-out: cannot create `{path}`: {e}");
+                note!("--metrics-out: cannot create `{path}`: {e}");
                 return ExitCode::FAILURE;
             }
         },
@@ -140,12 +148,12 @@ fn run(exp: &Experiment, out: &cli::Output) -> ExitCode {
     let report = match world.try_run(exp.warmup, exp.measure) {
         Ok(r) => r,
         Err(e) => {
-            eprintln!("run did not quiesce: {e}");
+            note!("run did not quiesce: {e}");
             return ExitCode::FAILURE;
         }
     };
     if write_failed.get() {
-        eprintln!(
+        note!(
             "--metrics-out: write to `{}` failed",
             out.metrics_out.as_deref().unwrap_or("?")
         );
@@ -159,10 +167,10 @@ fn run(exp: &Experiment, out: &cli::Output) -> ExitCode {
             export::to_jsonl(&trace)
         };
         if let Err(e) = std::fs::write(path, body) {
-            eprintln!("--trace-out: cannot write `{path}`: {e}");
+            note!("--trace-out: cannot write `{path}`: {e}");
             return ExitCode::FAILURE;
         }
-        eprintln!(
+        note!(
             "trace: {} events ({} skbs) written to {path}",
             trace.events(),
             trace.skbs()
@@ -228,7 +236,7 @@ fn run(exp: &Experiment, out: &cli::Output) -> ExitCode {
 fn print_out(printed: std::io::Result<()>, text: &str) -> ExitCode {
     match printed.and_then(|()| std::io::stdout().write_all(text.as_bytes())) {
         Err(e) if e.kind() != std::io::ErrorKind::BrokenPipe => {
-            eprintln!("error: writing to stdout: {e}");
+            note!("error: writing to stdout: {e}");
             ExitCode::FAILURE
         }
         _ => ExitCode::SUCCESS,
@@ -263,7 +271,7 @@ fn run_figures(sweep: &cli::Sweep) -> ExitCode {
     let reports = match figures::run(jobs, &points) {
         Ok(r) => r,
         Err(e) => {
-            eprintln!("{e}");
+            note!("{e}");
             return ExitCode::FAILURE;
         }
     };
@@ -488,7 +496,7 @@ figcap             admission policy x concurrent clients at fixed cores
                 o.out_dir = Some(v.into());
                 Ok(())
             })),
-            flag(Any, "--quiet", "suppress the per-case progress line", Switch(|o| o.progress = false)),
+            flag(Any, "--quiet", "suppress the per-case progress line", Switch(|o| o.progress = None)),
         ],
         notes: "  \
 exits non-zero if any case fails; failures are bisected to a minimal
@@ -767,7 +775,7 @@ monitoring (any scenario: a live line per snapshot interval, per-stage
             }
             Some("audit") => {
                 let mut opts = hostnet::AuditOptions::new(200, 1);
-                opts.progress = true;
+                opts.progress = Some(|line| note!("{line}"));
                 parse_flags("audit", AUDIT_FLAGS, rest, &mut opts, false)?;
                 Ok(Command::Audit(opts))
             }
@@ -1414,7 +1422,7 @@ monitoring (any scenario: a live line per snapshot interval, per-stage
                     assert_eq!(o.runs, 25);
                     assert_eq!(o.seed, 7);
                     assert_eq!(o.out_dir.as_deref(), Some(std::path::Path::new("repros")));
-                    assert!(!o.progress);
+                    assert!(o.progress.is_none());
                 }
                 _ => panic!("not audit"),
             }
@@ -1422,7 +1430,7 @@ monitoring (any scenario: a live line per snapshot interval, per-stage
                 Command::Audit(o) => {
                     assert_eq!(o.runs, 200);
                     assert_eq!(o.seed, 1);
-                    assert!(o.progress);
+                    assert!(o.progress.is_some());
                 }
                 _ => panic!("not audit"),
             }

@@ -201,7 +201,7 @@ fn fuzzer_smoke_sweep_is_clean() {
         runs: 4,
         seed: 1,
         out_dir: None,
-        progress: false,
+        progress: None,
     });
     assert_eq!(outcome.runs, 4);
     assert!(outcome.ok(), "failures: {:?}", outcome.failures);

@@ -316,6 +316,46 @@ fn cli_help_list_and_audit_end_quietly_when_stdout_is_closed() {
 }
 
 #[test]
+fn cli_run_and_audit_drop_their_stderr_lines_when_stderr_is_full() {
+    // Every stderr line of `run` and `audit` (the trace note, the stall
+    // diagnostic, a file error, the per-case progress line) is written to
+    // a stderr that refuses it; each command still exits as it does with
+    // a writable stderr.
+    use std::process::{Command, Stdio};
+    let bin = env!("CARGO_BIN_EXE_hostnet");
+    let trace =
+        std::env::temp_dir().join(format!("hostnet-full-stderr-{}.jsonl", std::process::id()));
+    let trace_args = format!(
+        "run single --trace-out {} --warmup-ms 1 --measure-ms 2",
+        trace.display()
+    );
+    let cases = [
+        (trace_args.as_str(), 0),
+        (
+            "run single --fault-flap-ms 100000 --fault-at-ms 5 --watchdog-ms 3",
+            1,
+        ),
+        ("run single --metrics-out /nonexistent/x.jsonl", 1),
+        ("audit --runs 1", 0),
+    ];
+    for (args, code) in cases {
+        let full = std::fs::OpenOptions::new()
+            .write(true)
+            .open("/dev/full")
+            .expect("open /dev/full");
+        let status = Command::new(bin)
+            .args(args.split_whitespace())
+            .stdout(Stdio::null())
+            .stderr(full)
+            .status()
+            .expect("spawn hostnet");
+        assert_eq!(status.code(), Some(code), "{args}");
+    }
+    assert!(trace.exists(), "the trace is written before its note");
+    let _ = std::fs::remove_file(&trace);
+}
+
+#[test]
 fn golden_monitor_stream() {
     // The snapshot JSONL bytes themselves are pinned: a traced incast run
     // (`stages`) and a monitored churn run (`stages` and `conn`), as CI's

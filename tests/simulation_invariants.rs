@@ -285,26 +285,26 @@ fn drop_taxonomy_accounts_for_every_lost_frame() {
         // the flow's recovery state, each fault catches traffic at full
         // rate at least once, so every bucket gets populated.
         c.faults.ring_exhaust = Some(RingExhaust {
-            window: PhaseSchedule::every(
-                Duration::from_millis(25),
-                Duration::from_millis(1),
-                Duration::from_millis(20),
-            ),
+            window: PhaseSchedule {
+                start: Duration::from_millis(25),
+                duration: Duration::from_millis(1),
+                period: Duration::from_millis(20),
+            },
             host: 1,
         });
         c.faults.pool_pressure = Some(PoolPressure {
-            window: PhaseSchedule::every(
-                Duration::from_millis(33),
-                Duration::from_millis(3),
-                Duration::from_millis(20),
-            ),
+            window: PhaseSchedule {
+                start: Duration::from_millis(33),
+                duration: Duration::from_millis(3),
+                period: Duration::from_millis(20),
+            },
             host: 1,
         });
-        c.link.flap = Some(PhaseSchedule::every(
-            Duration::from_millis(41),
-            Duration::from_millis(1),
-            Duration::from_millis(20),
-        ));
+        c.link.flap = Some(PhaseSchedule {
+            start: Duration::from_millis(41),
+            duration: Duration::from_millis(1),
+            period: Duration::from_millis(20),
+        });
     });
     exp.warmup = Duration::from_millis(20);
     exp.measure = Duration::from_millis(100);
@@ -344,10 +344,11 @@ fn timeline_integrates_and_is_steady() {
         .sum();
     let rel = (integrated_bytes - r.delivered_bytes as f64).abs() / r.delivered_bytes as f64;
     assert!(rel < 0.05, "timeline does not integrate: rel {rel:.3}");
-    // Post-warmup, a lossless single flow is steady.
-    assert!(
-        r.throughput_cv() < 0.25,
-        "unsteady measurement window: cv = {:.3}",
-        r.throughput_cv()
-    );
+    // Post-warmup, a lossless single flow is steady: the coefficient of
+    // variation of the timeline stays small.
+    let xs: Vec<f64> = r.gbps_timeline.iter().map(|&(_, g)| g).collect();
+    let mean = xs.iter().sum::<f64>() / xs.len() as f64;
+    let var = xs.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / xs.len() as f64;
+    let cv = var.sqrt() / mean;
+    assert!(cv < 0.25, "unsteady measurement window: cv = {cv:.3}");
 }
