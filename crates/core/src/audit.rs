@@ -47,8 +47,6 @@ pub enum FieldDelta {
     Opt(OptLevel),
     /// NIC Rx descriptor count (Fig. 3e sweep range).
     RxDescriptors(u32),
-    /// Softirq sub-batch size.
-    NapiBatch(u32),
     /// Per-core softirq backlog cap (`netdev_max_backlog` analogue).
     MaxBacklog(u32),
     /// Fixed receive buffer in bytes instead of dynamic right-sizing.
@@ -57,10 +55,6 @@ pub enum FieldDelta {
     IrqCoalesceUs(u32),
     /// Uniform wire loss in basis points (1/100 of a percent).
     WireLossBp(u32),
-    /// Link speed in Gbps.
-    LinkGbps(u32),
-    /// Application `write()` size in bytes.
-    WriteSize(u32),
     /// Sender-side `MSG_ZEROCOPY`.
     ZerocopyTx,
     /// Master simulation seed.
@@ -83,13 +77,10 @@ impl FieldDelta {
                 cfg.stack.cc = keep_cc;
             }
             FieldDelta::RxDescriptors(n) => cfg.stack.rx_descriptors = n,
-            FieldDelta::NapiBatch(n) => cfg.napi_batch = n,
             FieldDelta::MaxBacklog(n) => cfg.max_backlog = n,
             FieldDelta::RcvBufFixed(bytes) => cfg.stack.rcvbuf = RcvBufPolicy::Fixed(bytes),
             FieldDelta::IrqCoalesceUs(us) => cfg.irq_coalesce = Duration::from_micros(us as u64),
             FieldDelta::WireLossBp(bp) => cfg.link.loss = LossModel::uniform(bp as f64 / 10_000.0),
-            FieldDelta::LinkGbps(g) => cfg.link.gbps = g as f64,
-            FieldDelta::WriteSize(bytes) => cfg.write_size = bytes,
             FieldDelta::ZerocopyTx => cfg.stack.zerocopy_tx = true,
             FieldDelta::Seed(seed) => cfg.seed = seed,
             FieldDelta::InjectRxLeak => cfg.inject_rx_leak = true,
@@ -102,13 +93,10 @@ impl fmt::Display for FieldDelta {
         match *self {
             FieldDelta::Opt(level) => write!(f, "opt-level={}", level.label()),
             FieldDelta::RxDescriptors(n) => write!(f, "rx-descriptors={n}"),
-            FieldDelta::NapiBatch(n) => write!(f, "napi-batch={n}"),
             FieldDelta::MaxBacklog(n) => write!(f, "max-backlog={n}"),
             FieldDelta::RcvBufFixed(b) => write!(f, "rcvbuf-fixed={}KB", b / 1024),
             FieldDelta::IrqCoalesceUs(us) => write!(f, "irq-coalesce={us}us"),
             FieldDelta::WireLossBp(bp) => write!(f, "wire-loss={}.{:02}%", bp / 100, bp % 100),
-            FieldDelta::LinkGbps(g) => write!(f, "link={g}gbps"),
-            FieldDelta::WriteSize(b) => write!(f, "write-size={}KB", b / 1024),
             FieldDelta::ZerocopyTx => write!(f, "zerocopy-tx"),
             FieldDelta::Seed(s) => write!(f, "seed={s}"),
             FieldDelta::InjectRxLeak => write!(f, "inject-rx-leak"),
@@ -262,9 +250,6 @@ fn draw_deltas(rng: &mut TestRng) -> Vec<FieldDelta> {
         out.push(FieldDelta::RxDescriptors(1 << (7 + rng.next_u64() % 6)));
     }
     if include(rng) {
-        out.push(FieldDelta::NapiBatch(16 + (rng.next_u64() % 113) as u32));
-    }
-    if include(rng) {
         out.push(FieldDelta::MaxBacklog(128 + (rng.next_u64() % 897) as u32));
     }
     if include(rng) {
@@ -279,13 +264,6 @@ fn draw_deltas(rng: &mut TestRng) -> Vec<FieldDelta> {
         out.push(FieldDelta::WireLossBp(10 + (rng.next_u64() % 190) as u32));
     }
     if include(rng) {
-        out.push(FieldDelta::LinkGbps(10 + (rng.next_u64() % 91) as u32));
-    }
-    if include(rng) {
-        // 16KB .. 256KB in powers of two.
-        out.push(FieldDelta::WriteSize(1 << (14 + rng.next_u64() % 5)));
-    }
-    if include(rng) {
         out.push(FieldDelta::ZerocopyTx);
     }
     if include(rng) {
@@ -297,8 +275,8 @@ fn draw_deltas(rng: &mut TestRng) -> Vec<FieldDelta> {
 fn experiment(scenario: ScenarioKind, deltas: &[FieldDelta]) -> Experiment {
     let mut e = Experiment::new(scenario).quick().audited();
     if let ScenarioKind::FabricIncast { senders } = scenario {
-        // A neutral rack, so the wire deltas (loss, rate) act on the
-        // fabric's ports.
+        // A neutral rack, so the wire-loss delta acts on the fabric's
+        // ports.
         e.cfg.fabric = Some(FabricConfig::neutral(senders + 1));
     }
     for d in deltas {
@@ -534,13 +512,10 @@ mod tests {
         for d in [
             FieldDelta::Opt(OptLevel::NoOpt),
             FieldDelta::RxDescriptors(128),
-            FieldDelta::NapiBatch(32),
             FieldDelta::MaxBacklog(256),
             FieldDelta::RcvBufFixed(512 * 1024),
             FieldDelta::IrqCoalesceUs(8),
             FieldDelta::WireLossBp(50),
-            FieldDelta::LinkGbps(40),
-            FieldDelta::WriteSize(32 * 1024),
             FieldDelta::ZerocopyTx,
             FieldDelta::Seed(99),
             FieldDelta::InjectRxLeak,
@@ -549,13 +524,10 @@ mod tests {
         }
         assert!(!cfg.stack.tso);
         assert_eq!(cfg.stack.rx_descriptors, 128);
-        assert_eq!(cfg.napi_batch, 32);
         assert_eq!(cfg.max_backlog, 256);
         assert_eq!(cfg.stack.rcvbuf, RcvBufPolicy::Fixed(512 * 1024));
         assert_eq!(cfg.irq_coalesce, Duration::from_micros(8));
         assert!(!matches!(cfg.link.loss, LossModel::None));
-        assert_eq!(cfg.link.gbps, 40.0);
-        assert_eq!(cfg.write_size, 32 * 1024);
         assert!(cfg.stack.zerocopy_tx);
         assert_eq!(cfg.seed, 99);
         assert!(cfg.inject_rx_leak);
@@ -575,7 +547,7 @@ mod tests {
             scenario: "single".into(),
             property: Property::Conservation,
             detail: "[arrival-attribution] synthetic".into(),
-            deltas: vec![FieldDelta::NapiBatch(32), FieldDelta::InjectRxLeak],
+            deltas: vec![FieldDelta::MaxBacklog(256), FieldDelta::InjectRxLeak],
             minimal: vec![FieldDelta::InjectRxLeak],
             repro: None,
         };

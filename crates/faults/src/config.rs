@@ -1,92 +1,46 @@
 //! The aggregate fault plan threaded through `SimConfig`.
 
 use crate::schedule::PhaseSchedule;
-use hns_sim::Duration;
 
-/// Added one-way delay during a scheduled window (in-network latency spike:
-/// failover reroute, congested core switch, …).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct LatencySpike {
-    /// When the spike applies.
-    pub window: PhaseSchedule,
-    /// Extra propagation delay while active.
-    pub extra: Duration,
-}
+/// The host every resource fault hits: host 1, which receives the data of
+/// every long-flow scenario.
+pub const VICTIM_HOST: u8 = 1;
 
-/// Rx descriptor-ring exhaustion: while active, the victim host's Rx rings
-/// hold back every free descriptor, so arriving frames drop at the NIC and
-/// senders must recover via RTO/zero-window machinery.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct RingExhaust {
-    /// When the exhaustion applies.
-    pub window: PhaseSchedule,
-    /// Victim host (0 = sender side, 1 = receiver side).
-    pub host: u8,
-}
-
-/// Page-pool allocation failure: while active, descriptor replenish cannot
-/// be backed by pages, so rings drain and subsequent arrivals drop
-/// (attributed to the `pool` bucket).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct PoolPressure {
-    /// When the allocation failures apply.
-    pub window: PhaseSchedule,
-    /// Victim host (0 = sender side, 1 = receiver side).
-    pub host: u8,
-}
-
-/// Core stall ("noisy neighbor"): while active, the victim core executes no
-/// stack work — dispatches are deferred to the end of the window, backlog
-/// builds, and NAPI must re-arm afterwards.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct CoreStall {
-    /// When the stall applies.
-    pub window: PhaseSchedule,
-    /// Victim host (0 = sender side, 1 = receiver side).
-    pub host: u8,
-    /// Victim core index on that host.
-    pub core: u16,
-}
+/// The core a core stall freezes on [`VICTIM_HOST`]: core 0, where a
+/// single flow's receiving application and IRQs land.
+pub const STALLED_CORE: u16 = 0;
 
 /// Deterministic host-side fault plan for one run; the wire's faults
 /// (loss, flaps, latency spikes) are part of the link's configuration.
+/// Each fault hits [`VICTIM_HOST`] while its window is active.
 /// `Default` injects nothing, so every existing experiment is unchanged.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct FaultConfig {
-    /// Rx descriptor-ring exhaustion.
-    pub ring_exhaust: Option<RingExhaust>,
-    /// Page-pool allocation failure.
-    pub pool_pressure: Option<PoolPressure>,
-    /// Core stall window.
-    pub core_stall: Option<CoreStall>,
+    /// Rx descriptor-ring exhaustion: while active, the victim's Rx rings
+    /// hold back every free descriptor, so arriving frames drop at the NIC
+    /// and senders must recover via RTO/zero-window machinery.
+    pub ring_exhaust: Option<PhaseSchedule>,
+    /// Page-pool allocation failure: while active, descriptor replenish
+    /// cannot be backed by pages, so rings drain and subsequent arrivals
+    /// drop (attributed to the `pool` bucket).
+    pub pool_pressure: Option<PhaseSchedule>,
+    /// Core stall ("noisy neighbor"): while active, [`STALLED_CORE`]
+    /// executes no stack work — dispatches are deferred to the end of the
+    /// window, backlog builds, and NAPI must re-arm afterwards.
+    pub core_stall: Option<PhaseSchedule>,
 }
 
 impl FaultConfig {
     /// Validate every schedule in the plan.
     pub fn validate(&self) -> Result<(), String> {
-        if let Some(ring) = &self.ring_exhaust {
-            ring.window
-                .validate()
-                .map_err(|e| format!("ring exhaust: {e}"))?;
-            if ring.host > 1 {
-                return Err(format!("ring exhaust host {} out of range", ring.host));
-            }
-        }
-        if let Some(pool) = &self.pool_pressure {
-            pool.window
-                .validate()
-                .map_err(|e| format!("pool pressure: {e}"))?;
-            if pool.host > 1 {
-                return Err(format!("pool pressure host {} out of range", pool.host));
-            }
-        }
-        if let Some(stall) = &self.core_stall {
-            stall
-                .window
-                .validate()
-                .map_err(|e| format!("core stall: {e}"))?;
-            if stall.host > 1 {
-                return Err(format!("core stall host {} out of range", stall.host));
+        let windows = [
+            ("ring exhaust", self.ring_exhaust),
+            ("pool pressure", self.pool_pressure),
+            ("core stall", self.core_stall),
+        ];
+        for (name, window) in windows {
+            if let Some(w) = window {
+                w.validate().map_err(|e| format!("{name}: {e}"))?;
             }
         }
         Ok(())
@@ -96,6 +50,7 @@ impl FaultConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hns_sim::Duration;
 
     #[test]
     fn default_is_quiet_and_valid() {
@@ -108,44 +63,46 @@ mod tests {
     fn any_fault_breaks_quiet() {
         let window = PhaseSchedule::once(Duration::from_millis(5), Duration::from_millis(1));
         let f = FaultConfig {
-            pool_pressure: Some(PoolPressure { window, host: 1 }),
+            pool_pressure: Some(window),
             ..Default::default()
         };
         assert_ne!(f, FaultConfig::default());
 
         let f = FaultConfig {
-            core_stall: Some(CoreStall {
-                window,
-                host: 1,
-                core: 0,
-            }),
+            core_stall: Some(window),
             ..Default::default()
         };
         assert_ne!(f, FaultConfig::default());
     }
 
     #[test]
-    fn validation_catches_bad_schedules_and_hosts() {
-        let f = FaultConfig {
-            ring_exhaust: Some(RingExhaust {
-                window: PhaseSchedule {
-                    start: Duration::ZERO,
-                    duration: Duration::from_millis(2),
-                    period: Duration::from_millis(1),
-                },
-                host: 1,
-            }),
-            ..Default::default()
+    fn validation_catches_bad_schedules() {
+        // Active for 2 ms every 1 ms: the fault never clears.
+        let stuck = PhaseSchedule {
+            start: Duration::ZERO,
+            duration: Duration::from_millis(2),
+            period: Duration::from_millis(1),
         };
-        assert!(f.validate().is_err());
-
-        let f = FaultConfig {
-            ring_exhaust: Some(RingExhaust {
-                window: PhaseSchedule::once(Duration::ZERO, Duration::from_millis(1)),
-                host: 3,
-            }),
-            ..Default::default()
-        };
-        assert!(f.validate().is_err());
+        let plans = [
+            FaultConfig {
+                ring_exhaust: Some(stuck),
+                ..Default::default()
+            },
+            FaultConfig {
+                pool_pressure: Some(stuck),
+                ..Default::default()
+            },
+            FaultConfig {
+                core_stall: Some(stuck),
+                ..Default::default()
+            },
+        ];
+        for (plan, name) in plans
+            .iter()
+            .zip(["ring exhaust", "pool pressure", "core stall"])
+        {
+            let err = plan.validate().unwrap_err();
+            assert!(err.starts_with(name), "{err}");
+        }
     }
 }

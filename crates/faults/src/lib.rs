@@ -12,9 +12,9 @@
 //! * [`PhaseSchedule`] — one-shot or periodic activity windows on the
 //!   simulation clock,
 //! * [`FaultConfig`] — the host-side plan threaded through `SimConfig`:
-//!   ring exhaustion, pool pressure, core stalls,
-//! * [`LatencySpike`] — a scheduled extra wire delay; the wire's loss,
-//!   flaps and spikes ride on the link's configuration.
+//!   ring exhaustion, pool pressure and core stalls, each a window on the
+//!   receiver host ([`VICTIM_HOST`]); the wire's loss, flaps and latency
+//!   spikes ride on the link's configuration.
 //!
 //! Everything is `Copy` and seeded from the run's master seed; the same
 //! seed and plan reproduce the same byte-level run.
@@ -23,6 +23,6 @@ pub mod config;
 pub mod loss;
 pub mod schedule;
 
-pub use config::{CoreStall, FaultConfig, LatencySpike, PoolPressure, RingExhaust};
+pub use config::{FaultConfig, STALLED_CORE, VICTIM_HOST};
 pub use loss::{LossModel, LossProcess};
 pub use schedule::PhaseSchedule;

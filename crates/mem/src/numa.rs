@@ -22,15 +22,17 @@ pub enum MemClass {
     RemoteDram,
 }
 
-/// Host NUMA topology. Matches the paper's testbed by default.
+/// Node the NIC's PCIe lanes attach to (paper: 0).
+pub const NIC_NODE: NodeId = 0;
+
+/// Host NUMA topology. Matches the paper's testbed by default; the NIC
+/// sits on [`NIC_NODE`].
 #[derive(Clone, Copy, Debug)]
 pub struct Topology {
     /// Number of NUMA nodes (paper: 4).
     pub nodes: u8,
     /// Cores per node (paper: 6).
     pub cores_per_node: u8,
-    /// Node the NIC's PCIe lanes attach to (paper: 0).
-    pub nic_node: NodeId,
 }
 
 impl Default for Topology {
@@ -38,7 +40,6 @@ impl Default for Topology {
         Topology {
             nodes: 4,
             cores_per_node: 6,
-            nic_node: 0,
         }
     }
 }
@@ -67,7 +68,7 @@ impl Topology {
     /// DCA residency only helps a copier on the NIC-local node — DDIO
     /// writes land in the NIC-local L3, which remote-node cores cannot hit.
     pub fn classify(&self, copier_node: NodeId, data_node: NodeId, dca_resident: bool) -> MemClass {
-        if dca_resident && copier_node == self.nic_node && data_node == self.nic_node {
+        if dca_resident && copier_node == NIC_NODE && data_node == NIC_NODE {
             MemClass::DcaHit
         } else if copier_node == data_node {
             MemClass::LocalDram
@@ -109,7 +110,6 @@ mod tests {
         assert_eq!(t.node_of(5), 0);
         assert_eq!(t.node_of(6), 1);
         assert_eq!(t.node_of(23), 3);
-        assert_eq!(t.nic_node, 0);
     }
 
     #[test]
@@ -151,9 +151,9 @@ mod tests {
     fn app_core_fills_local_node_first() {
         let t = Topology::default();
         for i in 0..6 {
-            assert_eq!(t.node_of(t.app_core(i)), t.nic_node);
+            assert_eq!(t.node_of(t.app_core(i)), NIC_NODE);
         }
-        assert_ne!(t.node_of(t.app_core(6)), t.nic_node);
+        assert_ne!(t.node_of(t.app_core(6)), NIC_NODE);
         // Wraps around.
         assert_eq!(t.app_core(24), t.app_core(0));
     }

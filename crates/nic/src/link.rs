@@ -2,8 +2,9 @@
 //!
 //! The paper's testbed wires two servers back-to-back with a 100Gbps cable
 //! (a switch is inserted only for the §3.6 loss experiments). A frame
-//! occupies a serializing port for `bytes × 8 / rate`, frames queue behind
-//! each other (`busy_until`), and arrive `propagation` later.
+//! occupies a serializing port for `bytes × 8 /` [`LINK_GBPS`], frames
+//! queue behind each other (`busy_until`), and arrive [`PROPAGATION`]
+//! later.
 //! [`WireFaults`] then decides each frame's fate with a deterministic
 //! seeded RNG: in-network loss, either independently per frame (the
 //! paper's §3.6 sweep) or through a Gilbert–Elliott bursty process, plus
@@ -13,42 +14,31 @@
 //! egress ports run these faults. [`Link`] is a two-port cable on the same
 //! faults, which the fabric's unit tests replay as their oracle.
 
-use hns_faults::{LatencySpike, LossModel, LossProcess, PhaseSchedule};
+use hns_faults::{LossModel, LossProcess, PhaseSchedule};
 use hns_sim::{Duration, SimRng, SimTime};
 
-/// Link parameters.
-#[derive(Clone, Copy, Debug)]
+/// Line rate of every wire port in Gbps (the paper's 100Gbps testbed).
+pub const LINK_GBPS: f64 = 100.0;
+
+/// One-way propagation delay of the wire (cable + switch forwarding).
+pub const PROPAGATION: Duration = Duration::from_micros(2);
+
+/// Extra one-way delay of every frame sent during a latency spike
+/// (a failover reroute).
+pub const SPIKE_EXTRA: Duration = Duration::from_micros(100);
+
+/// The wire's faults; its rate and propagation are [`LINK_GBPS`] and
+/// [`PROPAGATION`].
+#[derive(Clone, Copy, Debug, Default)]
 pub struct LinkConfig {
-    /// Line rate in Gbps (paper: 100).
-    pub gbps: f64,
-    /// One-way propagation delay (cable + switch forwarding).
-    pub propagation: Duration,
     /// Per-frame in-network loss process (§3.6 sweep, burst-loss faults).
     pub loss: LossModel,
     /// Scheduled outage: while active, every frame in both directions is
     /// lost (cable pull / switch reboot).
     pub flap: Option<PhaseSchedule>,
-    /// Scheduled extra one-way delay (failover reroute).
-    pub latency_spike: Option<LatencySpike>,
-}
-
-impl LinkConfig {
-    /// True if the line rate can serialize a frame: finite and positive.
-    pub fn rate_is_valid(&self) -> bool {
-        self.gbps.is_finite() && self.gbps > 0.0
-    }
-}
-
-impl Default for LinkConfig {
-    fn default() -> Self {
-        LinkConfig {
-            gbps: 100.0,
-            propagation: Duration::from_micros(2),
-            loss: LossModel::None,
-            flap: None,
-            latency_spike: None,
-        }
-    }
+    /// Scheduled latency spike: while active, every frame arrives
+    /// [`SPIKE_EXTRA`] later.
+    pub latency_spike: Option<PhaseSchedule>,
 }
 
 /// Result of offering a frame to a wire port.
@@ -77,7 +67,7 @@ pub enum TransmitOutcome {
 pub struct WireFaults {
     loss: Vec<LossProcess>,
     flap: Option<PhaseSchedule>,
-    latency_spike: Option<LatencySpike>,
+    latency_spike: Option<PhaseSchedule>,
     rng: SimRng,
 }
 
@@ -86,7 +76,7 @@ impl WireFaults {
     pub fn new(config: &LinkConfig, ports: usize, seed: u64) -> Self {
         // Line-rate time of a nominal 1500B+overhead frame: the slot that
         // converts idle wire time into Gilbert–Elliott chain steps.
-        let slot = Duration::for_bytes_at_gbps(1578, config.gbps);
+        let slot = Duration::for_bytes_at_gbps(1578, LINK_GBPS);
         WireFaults {
             loss: (0..ports)
                 .map(|_| LossProcess::with_slot(config.loss, slot))
@@ -110,7 +100,7 @@ impl WireFaults {
             return None;
         }
         Some(match &self.latency_spike {
-            Some(spike) if spike.window.active(now) => spike.extra,
+            Some(w) if w.active(now) => SPIKE_EXTRA,
             _ => Duration::ZERO,
         })
     }
@@ -127,7 +117,6 @@ struct Direction {
 /// The full-duplex cable between two hosts.
 #[derive(Debug)]
 pub struct Link {
-    config: LinkConfig,
     dirs: [Direction; 2],
     /// Port `dir` carries direction `dir`.
     faults: WireFaults,
@@ -137,7 +126,6 @@ impl Link {
     /// Build a link.
     pub fn new(config: LinkConfig, seed: u64) -> Self {
         Link {
-            config,
             dirs: Default::default(),
             faults: WireFaults::new(&config, 2, seed),
         }
@@ -149,7 +137,7 @@ impl Link {
     pub fn transmit(&mut self, dir: usize, now: SimTime, wire_bytes: u64) -> TransmitOutcome {
         let d = &mut self.dirs[dir];
         d.frames += 1;
-        let ser = Duration::for_bytes_at_gbps(wire_bytes, self.config.gbps);
+        let ser = Duration::for_bytes_at_gbps(wire_bytes, LINK_GBPS);
         d.busy_until = d.busy_until.max(now) + ser;
         match self.faults.fate(dir, now) {
             None => {
@@ -157,7 +145,7 @@ impl Link {
                 TransmitOutcome::Lost
             }
             Some(extra) => TransmitOutcome::Delivered {
-                arrives: d.busy_until + self.config.propagation + extra,
+                arrives: d.busy_until + PROPAGATION + extra,
                 ce: false,
             },
         }
@@ -303,10 +291,7 @@ mod tests {
 
     #[test]
     fn latency_spike_adds_delay_during_window() {
-        let spike = LatencySpike {
-            window: PhaseSchedule::once(Duration::from_micros(10), Duration::from_micros(10)),
-            extra: Duration::from_micros(50),
-        };
+        let spike = PhaseSchedule::once(Duration::from_micros(10), Duration::from_micros(10));
         let mut l = Link::new(
             LinkConfig {
                 latency_spike: Some(spike),
@@ -322,11 +307,11 @@ mod tests {
             TransmitOutcome::Delivered { arrives, .. } => arrives,
             _ => panic!(),
         };
-        // Same serialization and propagation, plus 50us of spike, minus the
-        // 14us later offer time.
+        // Same serialization and propagation, plus 100us of spike, minus
+        // the 14us later offer time.
         assert_eq!(
             spiked.since(normal),
-            Duration::from_micros(50) + Duration::from_micros(14)
+            Duration::from_micros(100) + Duration::from_micros(14)
         );
     }
 

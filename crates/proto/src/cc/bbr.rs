@@ -168,10 +168,6 @@ impl CongestionControl for Bbr {
         }
         Some(self.pacing_gain() * bw)
     }
-
-    fn name(&self) -> &'static str {
-        "bbr"
-    }
 }
 
 #[cfg(test)]

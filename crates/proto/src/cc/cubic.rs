@@ -174,10 +174,6 @@ impl CongestionControl for Cubic {
             self.est_acc = 0.0;
         }
     }
-
-    fn name(&self) -> &'static str {
-        "cubic"
-    }
 }
 
 #[cfg(test)]

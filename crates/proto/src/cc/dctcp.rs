@@ -108,10 +108,6 @@ impl CongestionControl for Dctcp {
         self.cwnd = min_cwnd(self.mss);
         self.avoid_acc = 0;
     }
-
-    fn name(&self) -> &'static str {
-        "dctcp"
-    }
 }
 
 #[cfg(test)]

@@ -60,9 +60,6 @@ pub trait CongestionControl {
     fn pacing_rate(&self) -> Option<f64> {
         None
     }
-
-    /// Algorithm name for reports.
-    fn name(&self) -> &'static str;
 }
 
 /// Construct an algorithm instance for a flow. `mss` is the maximum segment
@@ -96,15 +93,9 @@ mod tests {
 
     #[test]
     fn factory_makes_all_algorithms() {
-        for (algo, name) in [
-            (CcAlgo::Cubic, "cubic"),
-            (CcAlgo::Reno, "reno"),
-            (CcAlgo::Dctcp, "dctcp"),
-            (CcAlgo::Bbr, "bbr"),
-        ] {
+        for algo in [CcAlgo::Cubic, CcAlgo::Reno, CcAlgo::Dctcp, CcAlgo::Bbr] {
             let cc = make_cc(algo, 1448);
-            assert_eq!(cc.name(), name);
-            assert_eq!(cc.cwnd(), 14480, "initial window is 10 MSS");
+            assert_eq!(cc.cwnd(), 14480, "{algo:?}: initial window is 10 MSS");
         }
     }
 
@@ -122,9 +113,7 @@ mod tests {
             }
             assert!(
                 cc.cwnd() > start,
-                "{} did not grow: {} -> {}",
-                cc.name(),
-                start,
+                "{algo:?} did not grow: {start} -> {}",
                 cc.cwnd()
             );
         }
@@ -144,9 +133,7 @@ mod tests {
             cc.on_loss(t);
             assert!(
                 cc.cwnd() < before,
-                "{} did not back off: {} -> {}",
-                cc.name(),
-                before,
+                "{algo:?} did not back off: {before} -> {}",
                 cc.cwnd()
             );
             assert!(cc.cwnd() >= min_cwnd(1448));
@@ -164,7 +151,7 @@ mod tests {
                 cc.on_ack(t, 14480, rtt, 14480);
             }
             cc.on_rto(t);
-            assert_eq!(cc.cwnd(), 1448, "{} RTO should go to 1 MSS", cc.name());
+            assert_eq!(cc.cwnd(), 1448, "{algo:?} RTO should go to 1 MSS");
         }
     }
 

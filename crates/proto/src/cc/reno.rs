@@ -102,10 +102,6 @@ impl CongestionControl for Reno {
             self.avoid_acc = 0;
         }
     }
-
-    fn name(&self) -> &'static str {
-        "reno"
-    }
 }
 
 #[cfg(test)]

@@ -10,10 +10,15 @@
 use hns_mem::numa::CoreId;
 use hns_proto::FlowId;
 
+/// Bytes a long-flow sender passes to each `write()` (iPerf's default
+/// 128 KiB). [`hns_proto::TcpSender::can_write`] admits two of them to an
+/// empty send buffer.
+pub(crate) const WRITE_SIZE: u64 = 128 * 1024;
+
 /// What kind of application a thread runs.
 #[derive(Clone, Debug)]
 pub enum AppSpec {
-    /// iPerf-style sender: blocking `write(write_size)` loop on one flow.
+    /// iPerf-style sender: blocking `write(WRITE_SIZE)` loop on one flow.
     LongSender {
         /// The flow this application writes to.
         flow: FlowId,

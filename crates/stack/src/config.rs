@@ -6,7 +6,7 @@ use hns_nic::link::LinkConfig;
 use hns_nic::steering::SteeringMode;
 use hns_nic::{MAX_AGGREGATE, MTU_JUMBO, MTU_STANDARD};
 use hns_proto::cc::CcAlgo;
-use hns_proto::sender::SNDBUF_MAX;
+use hns_proto::HEADER_BYTES;
 use hns_sim::Duration;
 
 use crate::fabric::MAX_HOSTS;
@@ -79,23 +79,12 @@ impl DatapathKind {
         DatapathKind::UserBypass,
     ];
 
-    /// Stable label used in figure rows and CLI parsing.
+    /// Stable label used in figure rows and the CLI's `--datapath` words.
     pub fn label(self) -> &'static str {
         match self {
             DatapathKind::InKernel => "inkernel",
             DatapathKind::ToeOffload => "toe",
             DatapathKind::UserBypass => "bypass",
-        }
-    }
-
-    /// Parse a CLI spelling. Accepts the canonical labels plus a few
-    /// forgiving aliases.
-    pub fn parse(s: &str) -> Option<Self> {
-        match s.to_ascii_lowercase().as_str() {
-            "inkernel" | "in-kernel" | "kernel" => Some(DatapathKind::InKernel),
-            "toe" | "offload" | "toe-offload" => Some(DatapathKind::ToeOffload),
-            "bypass" | "userbypass" | "user-bypass" | "dpdk" => Some(DatapathKind::UserBypass),
-            _ => None,
         }
     }
 }
@@ -224,8 +213,8 @@ pub struct SimConfig {
     pub datapath: DatapathKind,
     /// NUMA topology of each host.
     pub topology: Topology,
-    /// The wire's rate, propagation and in-network faults (loss, flaps,
-    /// latency spikes), applied at every egress port of the fabric.
+    /// The wire's in-network faults (loss, flaps, latency spikes), applied
+    /// at every egress port of the fabric.
     pub link: LinkConfig,
     /// The ToR switch every world's hosts sit behind
     /// ([`crate::fabric::Fabric`]). `None` (the default) builds
@@ -233,7 +222,7 @@ pub struct SimConfig {
     /// an infinite buffer and no marking, frame-for-frame the paper's
     /// back-to-back cable. `Some` adds uplinks, a shared buffer or ECN
     /// marking and sizes the world to `fabric.hosts` hosts; the ports
-    /// still run at [`SimConfig::link`]'s rate and suffer its faults.
+    /// still suffer [`SimConfig::link`]'s faults.
     pub fabric: Option<crate::fabric::FabricConfig>,
     /// DCA-usable cache capacity in bytes (≈18% of L3).
     pub dca_capacity: u64,
@@ -241,11 +230,6 @@ pub struct SimConfig {
     pub seed: u64,
     /// NAPI budget in frames per poll cycle (Linux netdev_budget = 300).
     pub napi_budget: u32,
-    /// Frames processed per softirq *step* (sub-batch granularity for the
-    /// scheduler; Linux polls in per-queue batches of 64).
-    pub napi_batch: u32,
-    /// Application `write()` size for long flows (iPerf default: 128KB).
-    pub write_size: u32,
     /// Interrupt moderation (`ethtool -C rx-usecs`): the NIC delays the
     /// IRQ after the first unmasked frame by this much, batching further
     /// arrivals into one interrupt. Zero (the default here, and typical
@@ -299,15 +283,15 @@ impl SimConfig {
     }
 
     /// Reject every plan a run cannot honour, before anything is
-    /// simulated: the fault plan (including the stalled core's range, the
-    /// wire's loss rate in [0, 1) and the link's flap and latency-spike
-    /// windows), the churn and overload plan (which only the in-kernel
-    /// datapath prices), the tracer's sampling, the monitor (which reads
-    /// the tracer's residencies, so needs it on), the link rate, the
-    /// fabric size, the host sizing (an MTU in `MTU_STANDARD..=MTU_JUMBO`,
-    /// at least one Rx descriptor, and a write that fits twice in the send
-    /// buffer), and a second NUMA node for hash steering's remote IRQ
-    /// cores. [`crate::World::try_run`] calls it first; front ends call it
+    /// simulated: the fault plan (the wire's loss rate in [0, 1) and the
+    /// flap, latency-spike and host fault windows), the churn and overload
+    /// plan (which only the in-kernel datapath prices), the tracer's
+    /// sampling, the monitor (which reads the tracer's residencies, so
+    /// needs it on), the fabric size, the host sizing (at least one core,
+    /// an MTU in `MTU_STANDARD..=MTU_JUMBO` and at least one Rx
+    /// descriptor), a fabric buffer that holds the largest frame, and a
+    /// second NUMA node for hash steering's remote IRQ cores.
+    /// [`crate::World::try_run`] calls it first; front ends call it
     /// (through `Experiment::validate`) to refuse bad input before running.
     pub fn validate(&self) -> Result<(), RunError> {
         let fail = |kind| move |detail| RunError::preflight(kind, detail);
@@ -318,21 +302,9 @@ impl SimConfig {
             .loss
             .validate()
             .map_err(fail(RunErrorKind::BadFaultPlan))?;
-        if let Some(cs) = &self.faults.core_stall {
-            let cores = self.topology.total_cores();
-            if cs.core >= cores {
-                return Err(RunError::preflight(
-                    RunErrorKind::BadFaultPlan,
-                    format!(
-                        "core stall victim core {} out of range (host has {cores})",
-                        cs.core
-                    ),
-                ));
-            }
-        }
         let link_windows = [
             ("link flap", self.link.flap),
-            ("latency spike", self.link.latency_spike.map(|s| s.window)),
+            ("latency spike", self.link.latency_spike),
         ];
         for (name, window) in link_windows {
             if let Some(w) = window {
@@ -371,13 +343,6 @@ impl SimConfig {
                 .and(traced)
                 .map_err(fail(RunErrorKind::BadMonitorConfig))?;
         }
-        // Every port of the wire serializes at this rate.
-        if !self.link.rate_is_valid() {
-            return Err(RunError::preflight(
-                RunErrorKind::BadTopology,
-                format!("link rate {} Gb/s cannot serialize a frame", self.link.gbps),
-            ));
-        }
         // Events pack a host into a `u8`, and the world's event lanes are
         // sized for at most `MAX_HOSTS` hosts.
         let hosts = self.hosts();
@@ -389,6 +354,20 @@ impl SimConfig {
         }
         self.validate_host_sizing()
             .map_err(fail(RunErrorKind::BadTopology))?;
+        // A shared buffer that cannot hold one full-sized frame refuses
+        // every data frame, so the run would measure nothing.
+        if let Some(fabric) = &self.fabric {
+            let frame = (self.stack.mss() + HEADER_BYTES) as u64;
+            if fabric.buffer_bytes < frame {
+                return Err(RunError::preflight(
+                    RunErrorKind::BadTopology,
+                    format!(
+                        "fabric buffer of {} B cannot hold one {frame} B frame",
+                        fabric.buffer_bytes
+                    ),
+                ));
+            }
+        }
         // Hash steering pins a flow's IRQs to a NUMA node other than its
         // application's (§3.1), which a one-node host lacks.
         let steering = self.stack.steering;
@@ -412,16 +391,14 @@ impl SimConfig {
         let refusal = self.validate_host_sizing().err()?;
         self.stack.mtu = self.stack.mtu.clamp(MTU_STANDARD, MTU_JUMBO);
         self.stack.rx_descriptors = self.stack.rx_descriptors.max(1);
-        self.write_size = self.write_size.clamp(1, (SNDBUF_MAX / 2) as u32);
         self.topology.nodes = self.topology.nodes.max(1);
         self.topology.cores_per_node = self.topology.cores_per_node.max(1);
         Some(refusal)
     }
 
     /// The host sizes the datapath is built for: a core to run on, the MTU
-    /// range the MSS and the congestion controllers assume, a ring with a
-    /// descriptor, and a write of at least one byte that
-    /// [`hns_proto::TcpSender::can_write`] can admit twice over.
+    /// range the MSS and the congestion controllers assume, and a ring with
+    /// a descriptor.
     fn validate_host_sizing(&self) -> Result<(), String> {
         let Topology {
             nodes,
@@ -440,15 +417,6 @@ impl SimConfig {
         if self.stack.rx_descriptors == 0 {
             return Err("Rx ring needs at least one descriptor".into());
         }
-        let write = self.write_size as u64;
-        if write == 0 {
-            return Err("write size 0 B writes nothing".into());
-        }
-        if write > SNDBUF_MAX / 2 {
-            return Err(format!(
-                "write size {write} B above half the {SNDBUF_MAX} B send buffer"
-            ));
-        }
         Ok(())
     }
 }
@@ -464,8 +432,6 @@ impl Default for SimConfig {
             dca_capacity: hns_mem::dca::DEFAULT_DCA_CAPACITY,
             seed: 1,
             napi_budget: 300,
-            napi_batch: 64,
-            write_size: 128 * 1024,
             irq_coalesce: Duration::ZERO,
             trace: hns_trace::TraceConfig::DISABLED,
             max_backlog: 0,
@@ -519,7 +485,7 @@ mod tests {
 
     #[test]
     fn link_fault_windows_that_never_clear_are_rejected() {
-        use hns_faults::{LatencySpike, PhaseSchedule};
+        use hns_faults::PhaseSchedule;
         let ms = Duration::from_millis;
         // Active for 2 ms every 1 ms: the link never comes back.
         let stuck = PhaseSchedule {
@@ -539,30 +505,13 @@ mod tests {
         };
         let spike = |window| {
             let mut c = SimConfig::default();
-            c.link.latency_spike = Some(LatencySpike {
-                window,
-                extra: ms(1),
-            });
+            c.link.latency_spike = Some(window);
             c.validate().map_err(|e| e.kind)
         };
         assert_eq!(flap(stuck), Err(RunErrorKind::BadFaultPlan));
         assert_eq!(spike(stuck), Err(RunErrorKind::BadFaultPlan));
         assert_eq!(flap(clears), Ok(()));
         assert_eq!(spike(clears), Ok(()));
-    }
-
-    #[test]
-    fn datapath_labels_round_trip() {
-        for k in DatapathKind::ALL {
-            assert_eq!(DatapathKind::parse(k.label()), Some(k));
-        }
-        assert_eq!(DatapathKind::parse("dpdk"), Some(DatapathKind::UserBypass));
-        assert_eq!(
-            DatapathKind::parse("in-kernel"),
-            Some(DatapathKind::InKernel)
-        );
-        assert!(DatapathKind::parse("quic").is_none());
-        assert_eq!(SimConfig::default().datapath, DatapathKind::InKernel);
     }
 
     #[test]
@@ -587,28 +536,24 @@ mod tests {
 
     #[test]
     fn validate_refuses_host_sizes_the_datapath_cannot_build() {
-        let sized = |mtu, ring, write| {
+        let sized = |mtu, ring| {
             let mut c = SimConfig::default();
-            (c.stack.mtu, c.stack.rx_descriptors, c.write_size) = (mtu, ring, write);
+            (c.stack.mtu, c.stack.rx_descriptors) = (mtu, ring);
             c.validate().map_err(|e| (e.kind, e.detail))
         };
-        let half_sndbuf = (SNDBUF_MAX / 2) as u32;
-        for (mtu, ring, write, refusal) in [
-            (0, 512, 1 << 17, "MTU 0 outside"),
-            (40, 512, 1 << 17, "MTU 40 outside"),
-            (MTU_STANDARD - 1, 512, 1 << 17, "MTU 1499"),
-            (MTU_JUMBO + 1, 512, 1 << 17, "MTU 9001"),
-            (MTU_JUMBO, 0, 1 << 17, "at least one descriptor"),
-            (MTU_JUMBO, 512, 16 << 20, "write size 16777216 B"),
-            (MTU_JUMBO, 512, half_sndbuf + 1, "above half"),
-            (MTU_JUMBO, 512, 0, "writes nothing"),
+        for (mtu, ring, refusal) in [
+            (0, 512, "MTU 0 outside"),
+            (40, 512, "MTU 40 outside"),
+            (MTU_STANDARD - 1, 512, "MTU 1499"),
+            (MTU_JUMBO + 1, 512, "MTU 9001"),
+            (MTU_JUMBO, 0, "at least one descriptor"),
         ] {
-            let (kind, detail) = sized(mtu, ring, write).unwrap_err();
+            let (kind, detail) = sized(mtu, ring).unwrap_err();
             assert_eq!(kind, RunErrorKind::BadTopology, "{detail}");
             assert!(detail.contains(refusal), "{detail}");
         }
-        assert_eq!(sized(MTU_STANDARD, 1, half_sndbuf), Ok(()));
-        assert_eq!(sized(MTU_JUMBO, 4096, 1), Ok(()));
+        assert_eq!(sized(MTU_STANDARD, 1), Ok(()));
+        assert_eq!(sized(MTU_JUMBO, 4096), Ok(()));
     }
 
     #[test]
@@ -667,6 +612,6 @@ mod tests {
         let c = SimConfig::default();
         assert_eq!(c.topology.total_cores(), 24);
         assert_eq!(c.napi_budget, 300);
-        assert!((c.link.gbps - 100.0).abs() < f64::EPSILON);
+        assert_eq!(c.datapath, DatapathKind::InKernel);
     }
 }

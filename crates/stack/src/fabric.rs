@@ -33,7 +33,8 @@
 //! and the depth behind an ECN mark is computed only when a threshold is
 //! set.
 //!
-//! Rate, propagation and in-network faults come from a [`LinkConfig`]:
+//! Every port and uplink serializes at [`LINK_GBPS`] and delivers
+//! [`PROPAGATION`] later. In-network faults come from a [`LinkConfig`]:
 //! each egress port runs one loss process of a shared [`WireFaults`]
 //! (the §3.6 loss sweep, bursty loss, flaps and latency spikes), stepped
 //! after the port clock advances, so a lost frame still occupies the wire
@@ -47,7 +48,7 @@
 //! `SimConfig::fabric: None` build [`FabricConfig::neutral`]`(2)` as the
 //! paper's cable.
 
-use hns_nic::link::{LinkConfig, TransmitOutcome, WireFaults};
+use hns_nic::link::{LinkConfig, TransmitOutcome, WireFaults, LINK_GBPS, PROPAGATION};
 use hns_sim::{Duration, SimTime};
 
 /// Most hosts a fabric (and so a world) can hold: events pack the host
@@ -67,8 +68,7 @@ const UPLINK_WORDS: usize = (u8::MAX as usize + 1) / 64;
 const SER_MEMO: usize = 4;
 
 /// ToR fabric parameters. `Copy` so [`crate::SimConfig`] stays `Copy`.
-/// The ports' rate, propagation and faults are the world's
-/// [`crate::SimConfig::link`].
+/// The ports' faults are the world's [`crate::SimConfig::link`].
 #[derive(Clone, Copy, Debug)]
 pub struct FabricConfig {
     /// Number of hosts on the rack (ports on the switch), in
@@ -122,8 +122,6 @@ struct Port {
 #[derive(Debug)]
 pub struct Fabric {
     config: FabricConfig,
-    /// Port rate and propagation.
-    link: LinkConfig,
     /// Port `dst`'s loss process is the fault plan's port `dst`.
     faults: WireFaults,
     /// Egress port toward each host (indexed by destination host).
@@ -154,22 +152,17 @@ pub struct Fabric {
     ser_memo: [(u64, Duration); SER_MEMO],
 }
 
-/// Bytes a port backlog of `depth` represents at `gbps` (inverse of
-/// [`Duration::for_bytes_at_gbps`]).
-fn backlog_bytes(depth: Duration, gbps: f64) -> u64 {
-    (depth.as_nanos() as f64 * gbps / 8.0) as u64
+/// Bytes a port backlog of `depth` represents at the line rate (inverse
+/// of [`Duration::for_bytes_at_gbps`]).
+fn backlog_bytes(depth: Duration) -> u64 {
+    (depth.as_nanos() as f64 * LINK_GBPS / 8.0) as u64
 }
 
 /// The summed backlog at `now` of every serializing clock whose bit is set
 /// in `busy` (bit `i % 64` of word `i / 64` for clock `i`, which frees up
 /// at `until(i)`), clearing the bits of clocks that have drained. A
 /// drained clock's term is exactly 0, so leaving it out is exact.
-fn busy_backlog(
-    busy: &mut [u64],
-    until: impl Fn(usize) -> SimTime,
-    now: SimTime,
-    gbps: f64,
-) -> u64 {
+fn busy_backlog(busy: &mut [u64], until: impl Fn(usize) -> SimTime, now: SimTime) -> u64 {
     let mut total = 0;
     for (w, word) in busy.iter_mut().enumerate() {
         let mut bits = *word;
@@ -180,7 +173,7 @@ fn busy_backlog(
             if until <= now {
                 *word &= !(1 << b);
             } else {
-                total += backlog_bytes(until.since(now), gbps);
+                total += backlog_bytes(until.since(now));
             }
         }
     }
@@ -188,15 +181,14 @@ fn busy_backlog(
 }
 
 impl Fabric {
-    /// Build a fault-free fabric at the default link rate and propagation.
-    /// Panics on fewer than two hosts or more than [`MAX_HOSTS`], like
+    /// Build a fault-free fabric. Panics on fewer than two hosts or more than [`MAX_HOSTS`], like
     /// [`Fabric::with_link`].
     pub fn new(config: FabricConfig) -> Self {
         Fabric::with_link(config, LinkConfig::default(), 0)
     }
 
-    /// Build a fabric whose ports run at `link`'s rate and propagation and
-    /// suffer its faults, drawn from `seed`. Panics on fewer than two
+    /// Build a fabric whose ports suffer `link`'s faults, drawn from
+    /// `seed`. Panics on fewer than two
     /// hosts — a rack of one has no wire to model — or more than
     /// [`MAX_HOSTS`]. `SimConfig::validate` reports a bad size as a run
     /// error, and `World::new` clamps the host count before building.
@@ -208,7 +200,6 @@ impl Fabric {
         );
         let n = config.hosts as usize;
         Fabric {
-            link,
             faults: WireFaults::new(&link, n, seed),
             ports: (0..n).map(|_| Port::default()).collect(),
             busy: [0; BUSY_WORDS],
@@ -216,7 +207,7 @@ impl Fabric {
             uplinks: vec![SimTime::ZERO; config.uplinks as usize],
             busy_uplinks: [0; UPLINK_WORDS],
             ingress: vec![SimTime::ZERO; n],
-            ser_memo: [(0, Duration::for_bytes_at_gbps(0, link.gbps)); SER_MEMO],
+            ser_memo: [(0, Duration::for_bytes_at_gbps(0, LINK_GBPS)); SER_MEMO],
             config,
         }
     }
@@ -229,7 +220,7 @@ impl Fabric {
         let (i, ser) = match memo.iter().position(|&(b, _)| b == wire_bytes) {
             Some(i) => (i, memo[i].1),
             None => {
-                let ser = Duration::for_bytes_at_gbps(wire_bytes, self.link.gbps);
+                let ser = Duration::for_bytes_at_gbps(wire_bytes, LINK_GBPS);
                 (SER_MEMO - 1, ser)
             }
         };
@@ -260,26 +251,23 @@ impl Fabric {
     /// [`Fabric::transmit`]'s.
     fn backlog(&self, now: SimTime) -> (u64, [u64; BUSY_WORDS], [u64; UPLINK_WORDS]) {
         debug_assert!(now >= self.clock, "fabric time went backwards");
-        let gbps = self.link.gbps;
         let mut ports = self.busy;
         let mut uplinks = self.busy_uplinks;
         let total = busy_backlog(
             &mut ports[..self.ports.len().div_ceil(64)],
             |p| self.ports[p].busy_until,
             now,
-            gbps,
         ) + busy_backlog(
             &mut uplinks[..self.uplinks.len().div_ceil(64)],
             |u| self.uplinks[u],
             now,
-            gbps,
         );
         (total, ports, uplinks)
     }
 
     /// Offer a frame of `wire_bytes` from host `src` to host `dst` on
     /// behalf of `flow` (the ECMP key). Serialization starts when the
-    /// egress port frees up, the frame arrives `propagation` after it
+    /// egress port frees up, the frame arrives [`PROPAGATION`] after it
     /// finishes, and callers gate their transmit loops on
     /// [`Fabric::next_free`].
     ///
@@ -325,7 +313,7 @@ impl Fabric {
         // Depth-based CE mark, judged on the egress queue as the frame is
         // offered (the DCTCP "K" rule).
         let ce = match self.config.ecn_threshold_bytes {
-            Some(k) => backlog_bytes(self.ports[dst].busy_until.since(now), self.link.gbps) >= k,
+            Some(k) => backlog_bytes(self.ports[dst].busy_until.since(now)) >= k,
             None => false,
         };
 
@@ -350,7 +338,7 @@ impl Fabric {
                 TransmitOutcome::Lost
             }
             Some(extra) => TransmitOutcome::Delivered {
-                arrives: p.busy_until + self.link.propagation + extra,
+                arrives: p.busy_until + PROPAGATION + extra,
                 ce,
             },
         }
@@ -394,7 +382,7 @@ impl Fabric {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hns_faults::{LatencySpike, LossModel, PhaseSchedule};
+    use hns_faults::{LossModel, PhaseSchedule};
     use hns_nic::link::Link;
 
     fn neutral() -> Fabric {
@@ -415,11 +403,7 @@ mod tests {
         let faulted = LinkConfig {
             loss: LossModel::bursty(0.02, 4.0),
             flap: Some(window(300, 100)),
-            latency_spike: Some(LatencySpike {
-                window: window(1_000, 300),
-                extra: Duration::from_micros(30),
-            }),
-            ..LinkConfig::default()
+            latency_spike: Some(window(1_000, 300)),
         };
         for (name, link) in [("default", LinkConfig::default()), ("faulted", faulted)] {
             let mut f = Fabric::with_link(FabricConfig::neutral(2), link, 7);
@@ -440,7 +424,7 @@ mod tests {
                     TransmitOutcome::Lost => lost += 1,
                     TransmitOutcome::Delivered { arrives, .. } => {
                         let prop = arrives.since(l.next_free(src));
-                        spiked += u32::from(prop > link.propagation);
+                        spiked += u32::from(prop > PROPAGATION);
                     }
                     TransmitOutcome::Dropped => panic!("{name}: infinite buffer refused"),
                 }
@@ -557,17 +541,12 @@ mod tests {
 
     /// Every port's and uplink's backlog at `now`, summed the long way.
     fn full_scan(f: &Fabric, now: SimTime) -> u64 {
-        let gbps = f.link.gbps;
         let ports: u64 = f
             .ports
             .iter()
-            .map(|p| backlog_bytes(p.busy_until.since(now), gbps))
+            .map(|p| backlog_bytes(p.busy_until.since(now)))
             .sum();
-        let uplinks: u64 = f
-            .uplinks
-            .iter()
-            .map(|&u| backlog_bytes(u.since(now), gbps))
-            .sum();
+        let uplinks: u64 = f.uplinks.iter().map(|&u| backlog_bytes(u.since(now))).sum();
         ports + uplinks
     }
 
@@ -738,24 +717,18 @@ mod tests {
     #[test]
     fn memoized_serialization_is_the_division() {
         let mut rng = hns_sim::SimRng::new(0x5e71);
-        for gbps in [100.0, 25.0] {
-            let link = LinkConfig {
-                gbps,
-                ..LinkConfig::default()
+        let mut f = Fabric::new(FabricConfig::neutral(2));
+        // Data and ACK sizes alternating, a third size and a zero now and
+        // then, and random sizes that evict the least recent.
+        let sizes = [9078, 78, 1578, 0];
+        for _ in 0..4096 {
+            let bytes = match rng.next_below(16) {
+                0 => rng.next_below(10_000),
+                1 => sizes[rng.next_below(4) as usize],
+                n => sizes[(n % 2) as usize],
             };
-            let mut f = Fabric::with_link(FabricConfig::neutral(2), link, 0);
-            // Data and ACK sizes alternating, a third size and a zero now
-            // and then, and random sizes that evict the least recent.
-            let sizes = [9078, 78, 1578, 0];
-            for _ in 0..4096 {
-                let bytes = match rng.next_below(16) {
-                    0 => rng.next_below(10_000),
-                    1 => sizes[rng.next_below(4) as usize],
-                    n => sizes[(n % 2) as usize],
-                };
-                let want = Duration::for_bytes_at_gbps(bytes, gbps);
-                assert_eq!(f.serialization(bytes), want, "{bytes} B at {gbps} Gb/s");
-            }
+            let want = Duration::for_bytes_at_gbps(bytes, LINK_GBPS);
+            assert_eq!(f.serialization(bytes), want, "{bytes} B");
         }
     }
 

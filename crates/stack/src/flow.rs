@@ -10,14 +10,16 @@
 use std::collections::VecDeque;
 
 use hns_mem::numa::CoreId;
-use hns_proto::{CcAlgo, FlowId, RcvBufAutotune, TcpReceiver, TcpSender};
+use hns_proto::{FlowId, RcvBufAutotune, TcpReceiver, TcpSender};
 use hns_sim::event::EventToken;
 use hns_sim::{EventKey, SimTime};
 
 use crate::config::{RcvBufPolicy, SimConfig};
 use crate::skb::RxSkb;
 
-/// Placement and policy for one flow. Built by the workload layer.
+/// Placement of one flow. Built by the workload layer; its congestion
+/// control and receive buffer are the experiment's
+/// ([`crate::StackConfig`]).
 #[derive(Clone, Copy, Debug)]
 pub struct FlowSpec {
     /// Host transmitting the data.
@@ -28,36 +30,18 @@ pub struct FlowSpec {
     pub dst_host: usize,
     /// Core of the receiving application.
     pub dst_core: CoreId,
-    /// Congestion control override (`None` → the experiment default).
-    pub cc: Option<CcAlgo>,
-    /// Receive-buffer override (`None` → the experiment default).
-    pub rcvbuf: Option<RcvBufPolicy>,
 }
 
 impl FlowSpec {
-    /// The common case: host 0 sends to host 1 with default policies.
+    /// The common case: host 0 sends to host 1.
     pub fn forward(src_core: CoreId, dst_core: CoreId) -> Self {
-        FlowSpec {
-            src_host: 0,
-            src_core,
-            dst_host: 1,
-            dst_core,
-            cc: None,
-            rcvbuf: None,
-        }
+        FlowSpec::between(0, src_core, 1, dst_core)
     }
 
     /// Reverse-direction flow (host 1 sends to host 0), used for RPC
     /// responses.
     pub fn reverse(src_core: CoreId, dst_core: CoreId) -> Self {
-        FlowSpec {
-            src_host: 1,
-            src_core,
-            dst_host: 0,
-            dst_core,
-            cc: None,
-            rcvbuf: None,
-        }
+        FlowSpec::between(1, src_core, 0, dst_core)
     }
 
     /// A flow between arbitrary hosts of an N-host fabric topology.
@@ -67,8 +51,6 @@ impl FlowSpec {
             src_core,
             dst_host,
             dst_core,
-            cc: None,
-            rcvbuf: None,
         }
     }
 }
@@ -126,9 +108,7 @@ pub struct Flow {
 impl Flow {
     /// Build a flow from its spec and the experiment configuration.
     pub fn new(id: FlowId, spec: FlowSpec, cfg: &SimConfig, flow_index: u16) -> Self {
-        let cc = spec.cc.unwrap_or(cfg.stack.cc);
-        let rcvbuf = spec.rcvbuf.unwrap_or(cfg.stack.rcvbuf);
-        let autotune = match rcvbuf {
+        let autotune = match cfg.stack.rcvbuf {
             RcvBufPolicy::Auto => RcvBufAutotune::auto(),
             RcvBufPolicy::Fixed(bytes) => RcvBufAutotune::fixed(bytes),
         };
@@ -138,7 +118,7 @@ impl Flow {
             spec,
             irq_core: steering.irq_core(&cfg.topology, spec.dst_core, flow_index),
             ack_irq_core: steering.irq_core(&cfg.topology, spec.src_core, flow_index),
-            sender: TcpSender::new(id, cfg.stack.mss(), cc),
+            sender: TcpSender::new(id, cfg.stack.mss(), cfg.stack.cc),
             receiver: TcpReceiver::new(id, cfg.stack.mss(), autotune),
             rx_queue: VecDeque::new(),
             reader_tid: None,
@@ -178,11 +158,10 @@ mod tests {
     }
 
     #[test]
-    fn rcvbuf_override_applies() {
-        let cfg = SimConfig::default();
-        let mut spec = FlowSpec::forward(0, 0);
-        spec.rcvbuf = Some(RcvBufPolicy::Fixed(3200 * 1024));
-        let f = Flow::new(0, spec, &cfg, 0);
+    fn fixed_rcvbuf_applies() {
+        let mut cfg = SimConfig::default();
+        cfg.stack.rcvbuf = RcvBufPolicy::Fixed(3200 * 1024);
+        let f = Flow::new(0, FlowSpec::forward(0, 0), &cfg, 0);
         // Nothing received yet: the whole buffer is advertised.
         assert_eq!(f.receiver.advertised_window(), 3200 * 1024);
     }

@@ -29,10 +29,11 @@ pub enum RunErrorKind {
     BadTraceConfig,
     /// The scenario references a host or core outside the configured
     /// topology (flow/app host index past the fabric's host count, core
-    /// index past the per-host core count), its link rate is not a
-    /// finite positive Gb/s, a host is sized outside what its datapath
-    /// takes (MTU, Rx ring, write size), or the scenario has nothing to
-    /// measure (no flow, client or RPC byte); nothing was simulated.
+    /// index past the per-host core count), a host is sized outside what
+    /// its datapath takes (cores, MTU, Rx ring), the fabric's shared
+    /// buffer cannot hold one full-sized frame, or the scenario has
+    /// nothing to measure (no flow, client or RPC byte); nothing was
+    /// simulated.
     BadTopology,
     /// No forward progress — no frame offered to the wire and no byte
     /// delivered to an application — for a full watchdog horizon while

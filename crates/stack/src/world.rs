@@ -1,7 +1,7 @@
 //! The simulation world: the hosts, the wire between them, and the event
 //! loop that drives every pipeline stage of the paper's Fig. 1. The wire is
-//! always a ToR switch model ([`crate::fabric::Fabric`]) whose ports carry
-//! the rate, propagation and faults of [`SimConfig::link`]. By default it
+//! always a ToR switch model ([`crate::fabric::Fabric`]) whose ports run at
+//! 100Gbps and carry the faults of [`SimConfig::link`]. By default it
 //! is a neutral two-port switch, frame-for-frame the paper's back-to-back
 //! cable; configuring [`SimConfig::fabric`] puts N hosts behind it for
 //! incast experiments.
@@ -45,7 +45,6 @@
 
 use hns_conn::Conn;
 use hns_metrics::{Category, CycleBreakdown, DropStats, Report};
-use hns_nic::link::LinkConfig;
 use hns_nic::TxArbiter;
 use hns_proto::{ConnPhase, FlowId, SackBlocks, Segment, SegmentKind};
 use hns_sched::Task;
@@ -540,19 +539,14 @@ pub struct World {
 
 impl World {
     /// Build an empty world from a configuration. A fabric sized outside
-    /// `2..=MAX_HOSTS` is clamped into range, a link rate that cannot
-    /// serialize a frame builds a default-rate wire, and an MTU, Rx ring
-    /// or write size out of range is clamped into it, so the world's
-    /// structures stay indexable; [`World::try_run`] reports each as
+    /// `2..=MAX_HOSTS` is clamped into range, and a topology, MTU or Rx
+    /// ring out of range is clamped into it, so the world's structures
+    /// stay indexable; [`World::try_run`] reports each as
     /// [`RunErrorKind::BadTopology`].
     pub fn new(mut cfg: SimConfig) -> Self {
         let sizing_error = cfg.clamp_host_sizing();
         let cores = cfg.topology.total_cores() as usize;
         let nhosts = cfg.hosts().clamp(2, MAX_HOSTS as usize);
-        let mut link = cfg.link;
-        if !link.rate_is_valid() {
-            link.gbps = LinkConfig::default().gbps;
-        }
         World {
             cost: cfg.datapath.cost_model(),
             dp: cfg.datapath,
@@ -568,7 +562,7 @@ impl World {
                     hosts: nhosts as u16,
                     ..cfg.fabric.unwrap_or_default()
                 },
-                link,
+                cfg.link,
                 cfg.seed,
             ),
             arbiters: (0..nhosts).map(|_| TxArbiter::new(cores)).collect(),

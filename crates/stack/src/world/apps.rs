@@ -8,7 +8,7 @@ use hns_proto::FlowId;
 use hns_sim::Duration;
 
 use super::{Event, World};
-use crate::app::AppSpec;
+use crate::app::{AppSpec, WRITE_SIZE};
 
 /// Application read size per `recv()` call of a long-flow receiver.
 const RECV_SIZE: u64 = 128 * 1024;
@@ -77,12 +77,11 @@ impl World {
     }
 
     fn step_long_sender(&mut self, fid: usize, ch: &mut CycleBreakdown) -> bool {
-        let write = self.cfg.write_size as u64;
-        if !self.flows[fid].sender.can_write(write) {
+        if !self.flows[fid].sender.can_write(WRITE_SIZE) {
             return false;
         }
-        self.app_send(fid, write, ch);
-        self.flows[fid].sender.can_write(write)
+        self.app_send(fid, WRITE_SIZE, ch);
+        self.flows[fid].sender.can_write(WRITE_SIZE)
     }
 
     fn step_long_receiver(

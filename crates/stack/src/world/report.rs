@@ -3,6 +3,7 @@
 //! of the run.
 
 use hns_metrics::{DropStats, LatencyStats, Report, SideReport};
+use hns_nic::link::PROPAGATION;
 use hns_sim::Duration;
 
 use super::{Event, World, AUTOTUNE_INTERVAL};
@@ -19,9 +20,8 @@ impl World {
             self.monitor_tick(self.tick_bytes);
             self.tick_bytes = 0;
         }
-        let prop = self.cfg.link.propagation;
         for f in &mut self.flows {
-            f.receiver.on_tick(AUTOTUNE_INTERVAL, prop);
+            f.receiver.on_tick(AUTOTUNE_INTERVAL, PROPAGATION);
         }
         self.check_watchdog();
         self.audit_check(false);

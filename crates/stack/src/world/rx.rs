@@ -3,7 +3,7 @@
 //! application's `recv()` copy that ends an skb's life, with the Rx ring
 //! replenish and DMA-buffer release around them.
 
-use hns_mem::numa::MemClass;
+use hns_mem::numa::{MemClass, NIC_NODE};
 use hns_mem::{pages_for, AllocOutcome};
 use hns_metrics::{Category, CycleBreakdown};
 use hns_sim::Duration;
@@ -13,6 +13,10 @@ use super::{irq_value, FrameKind, World, ECN_CE, ECN_ECHO, IRQ_LANE, RETRANSMIT}
 use crate::config::DatapathKind;
 use crate::host::PendingFrame;
 use crate::skb::{RxFrame, RxSkb};
+
+/// Frames one softirq step polls: Linux's NAPI poll weight, the per-queue
+/// batch `net_rx_action` polls before it checks the budget again.
+const NAPI_WEIGHT: u32 = 64;
 
 /// IRQ dispatch latency from the NIC raising an interrupt to its handler
 /// running.
@@ -70,10 +74,7 @@ impl World {
         }
 
         // NAPI poll: one sub-batch of frames.
-        let batch = self
-            .cfg
-            .napi_batch
-            .min(self.hosts[h].cores[core].backlog.len() as u32);
+        let batch = NAPI_WEIGHT.min(self.hosts[h].cores[core].backlog.len() as u32);
         if batch > 0 {
             ch.charge(Category::NetDevice, self.cost.napi_poll);
         }
@@ -526,7 +527,7 @@ impl World {
                 let host = &mut self.hosts[dst];
                 let node = host.cores[core as usize].node;
                 let fr = host.arena.insert(len, node);
-                if node == self.cfg.topology.nic_node {
+                if node == NIC_NODE {
                     host.dca.insert(&mut host.arena, fr);
                 }
                 Some(fr)

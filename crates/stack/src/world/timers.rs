@@ -1,6 +1,7 @@
 //! Timers: the scheduled fault windows and each flow's retransmission,
 //! delayed-ACK and BBR pacing timers.
 
+use hns_faults::{STALLED_CORE, VICTIM_HOST};
 use hns_metrics::{Category, CycleBreakdown};
 use hns_sim::event::EventToken;
 use hns_sim::{Duration, EventKey, SimTime};
@@ -13,50 +14,46 @@ impl World {
     /// Idempotent, so it doubles as the t = 0 arming call.
     pub(super) fn fault_tick(&mut self, kind: FaultKind) {
         let now = self.queue.now();
-        let next = match kind {
+        let faults = &self.cfg.faults;
+        let window = match kind {
+            FaultKind::Ring => faults.ring_exhaust,
+            FaultKind::Pool => faults.pool_pressure,
+            FaultKind::Stall => faults.core_stall,
+        };
+        let Some(window) = window else {
+            return;
+        };
+        let active = window.active(now);
+        let h = VICTIM_HOST as usize;
+        match kind {
             FaultKind::Ring => {
-                let Some(re) = self.cfg.faults.ring_exhaust else {
-                    return;
-                };
-                let active = re.window.active(now);
-                for r in &mut self.hosts[re.host as usize].rings {
+                for r in &mut self.hosts[h].rings {
                     match (active, r.faulted()) {
                         (true, false) => r.force_exhaust(),
                         (false, true) => r.restore(),
                         _ => {}
                     }
                 }
-                re.window.next_transition(now)
             }
             FaultKind::Pool => {
-                let Some(pp) = self.cfg.faults.pool_pressure else {
-                    return;
-                };
-                let h = pp.host as usize;
-                let active = pp.window.active(now);
                 let was = self.hosts[h].pages.failing();
                 self.hosts[h].pages.set_failing(active);
                 if was && !active {
                     self.repay_ring_deficits(h);
                 }
-                pp.window.next_transition(now)
             }
             FaultKind::Stall => {
-                let Some(cs) = self.cfg.faults.core_stall else {
-                    return;
-                };
-                let (h, core) = (cs.host as usize, cs.core as usize);
-                let active = cs.window.active(now);
-                let was = self.hosts[h].cores[core].stalled;
-                self.hosts[h].cores[core].stalled = active;
+                let core = &mut self.hosts[h].cores[STALLED_CORE as usize];
+                let was = core.stalled;
+                core.stalled = active;
                 if was && !active {
                     // Stall over: resume whatever piled up on the core.
-                    let (host, core) = (cs.host, cs.core);
+                    let (host, core) = (VICTIM_HOST, STALLED_CORE);
                     self.queue.schedule(now, Event::Dispatch { host, core });
                 }
-                cs.window.next_transition(now)
             }
-        };
+        }
+        let next = window.next_transition(now);
         if let Some(t) = next {
             self.queue.schedule(t, Event::FaultTick { kind });
         }

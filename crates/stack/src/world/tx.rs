@@ -11,6 +11,7 @@ use hns_proto::{FlowId, Segment, HEADER_BYTES};
 use hns_trace::StageId;
 
 use super::{arrival_lane, drain_lane, Event, FrameKind, World};
+use crate::app::WRITE_SIZE;
 
 impl World {
     /// Process an incoming ACK at the data sender (host `h`).
@@ -33,7 +34,7 @@ impl World {
             // wake a blocked writer.
             let node = self.hosts[h].cores[self.flows[fid].spec.src_core as usize].node;
             self.hosts[h].adjust_send_active(node, -(action.newly_acked as i64));
-            if self.flows[fid].sender.can_write(self.cfg.write_size as u64) {
+            if self.flows[fid].sender.can_write(WRITE_SIZE) {
                 if let Some(tid) = self.flows[fid].writer_tid {
                     self.wake(h, tid, ch);
                 }

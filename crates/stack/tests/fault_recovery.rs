@@ -3,7 +3,7 @@
 //! and link flaps, attributes every dropped frame to a taxonomy bucket, and
 //! the watchdog fires only when a run genuinely cannot make progress.
 
-use hns_faults::{CoreStall, PhaseSchedule, PoolPressure, RingExhaust};
+use hns_faults::PhaseSchedule;
 use hns_sim::Duration;
 use hns_stack::{AppSpec, FlowSpec, RunErrorKind, SimConfig, World};
 
@@ -32,10 +32,7 @@ fn run(cfg: SimConfig) -> hns_metrics::Report {
 #[test]
 fn ring_exhaustion_drops_at_the_nic_and_recovers() {
     let mut cfg = SimConfig::default();
-    cfg.faults.ring_exhaust = Some(RingExhaust {
-        window: mid_measure(2),
-        host: 1,
-    });
+    cfg.faults.ring_exhaust = Some(mid_measure(2));
     let r = run(cfg);
     assert!(
         r.drops.rx_ring > 0,
@@ -58,10 +55,7 @@ fn ring_exhaustion_drops_at_the_nic_and_recovers() {
 fn pool_pressure_starves_replenish_and_recovers() {
     let mut cfg = SimConfig::default();
     // Long enough that the 512-descriptor ring fully drains un-backed.
-    cfg.faults.pool_pressure = Some(PoolPressure {
-        window: mid_measure(3),
-        host: 1,
-    });
+    cfg.faults.pool_pressure = Some(mid_measure(3));
     let r = run(cfg);
     assert!(
         r.drops.pool > 0,
@@ -79,11 +73,7 @@ fn pool_pressure_starves_replenish_and_recovers() {
 #[test]
 fn core_stall_defers_work_and_recovers() {
     let mut cfg = SimConfig::default();
-    cfg.faults.core_stall = Some(CoreStall {
-        window: mid_measure(2),
-        host: 1,
-        core: 0,
-    });
+    cfg.faults.core_stall = Some(mid_measure(2));
     let r = run(cfg);
     // A single flow lands on core 0 (aRFS): the stall freezes the receive
     // path, yet the run completes and still moves real data overall.
@@ -123,10 +113,7 @@ fn combined_faults_complete_without_panic() {
         Duration::from_millis(25),
         Duration::from_millis(1),
     ));
-    cfg.faults.ring_exhaust = Some(RingExhaust {
-        window: mid_measure(2),
-        host: 1,
-    });
+    cfg.faults.ring_exhaust = Some(mid_measure(2));
     let r = run(cfg);
     assert!(r.delivered_bytes > 0);
     assert_eq!(r.drops.wire, r.wire_drops);
@@ -136,13 +123,10 @@ fn combined_faults_complete_without_panic() {
 #[test]
 fn periodic_fault_windows_apply_and_clear_repeatedly() {
     let mut cfg = SimConfig::default();
-    cfg.faults.ring_exhaust = Some(RingExhaust {
-        window: PhaseSchedule {
-            start: Duration::from_millis(22),
-            duration: Duration::from_millis(1),
-            period: Duration::from_millis(5),
-        },
-        host: 1,
+    cfg.faults.ring_exhaust = Some(PhaseSchedule {
+        start: Duration::from_millis(22),
+        duration: Duration::from_millis(1),
+        period: Duration::from_millis(5),
     });
     let r = run(cfg);
     assert!(r.drops.rx_ring > 0);

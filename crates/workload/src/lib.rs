@@ -431,7 +431,11 @@ mod tests {
         let t = topo();
         for i in 0..36 {
             let c = Placement::NicRemote.core(&t, i);
-            assert_ne!(t.node_of(c), t.nic_node, "core {c} is NIC-local");
+            assert_ne!(
+                t.node_of(c),
+                hns_mem::numa::NIC_NODE,
+                "core {c} is NIC-local"
+            );
         }
         let one = Topology { nodes: 1, ..t };
         let c = Placement::NicRemote.core(&one, 0);

@@ -1,7 +1,6 @@
 //! Build a simulation directly from the building blocks instead of the
 //! canned scenarios: a skewed workload with two long flows and a latency-
-//! sensitive RPC pair, custom link properties, and DCTCP with ECN marking
-//! on the wire.
+//! sensitive RPC pair, and DCTCP with ECN marking at the switch.
 //!
 //! Run with: `cargo run --release --example custom_world`
 
@@ -10,17 +9,17 @@ use hostnet::building_blocks::sim::Duration;
 use hostnet::building_blocks::stack::{AppSpec, FabricConfig, FlowSpec, SimConfig, World};
 
 fn main() {
-    let mut cfg = SimConfig::default();
-    // A longer link (two switch hops) whose switch CE-marks past a
-    // shallow queue (20 us at 100 Gbps), the environment DCTCP is
-    // designed for.
-    cfg.link.propagation = Duration::from_micros(8);
-    cfg.fabric = Some(FabricConfig {
-        ecn_threshold_bytes: Some(250_000),
-        ..FabricConfig::neutral(2)
-    });
+    // A switch that CE-marks past a shallow queue (20 us at 100 Gbps),
+    // the environment DCTCP is designed for.
+    let mut cfg = SimConfig {
+        fabric: Some(FabricConfig {
+            ecn_threshold_bytes: Some(250_000),
+            ..FabricConfig::neutral(2)
+        }),
+        seed: 42,
+        ..SimConfig::default()
+    };
     cfg.stack.cc = CcAlgo::Dctcp;
-    cfg.seed = 42;
 
     let mut world = World::new(cfg);
     world.set_label("custom: 2 long + 1 rpc, dctcp with ecn");

@@ -312,9 +312,7 @@ fn run_figures(sweep: &cli::Sweep) -> ExitCode {
 pub mod cli {
     use super::*;
     use hostnet::building_blocks::conn::{AdmissionPolicy, OverloadConfig, RpcSizeDist};
-    use hostnet::building_blocks::faults::{
-        CoreStall, LatencySpike, LossModel, PhaseSchedule, PoolPressure, RingExhaust,
-    };
+    use hostnet::building_blocks::faults::{LossModel, PhaseSchedule};
     use hostnet::building_blocks::monitor::MonitorConfig;
     use hostnet::building_blocks::workload;
     use Kind::{Choice, Frac, FracMs, Kib, Ms, Parse, Switch};
@@ -618,10 +616,8 @@ exits non-zero if any case fails; failures are bisected to a minimal
             flag(Any, "--zerocopy-tx", "MSG_ZEROCOPY sender path (§4)", Switch(|r| r.exp.cfg.stack.zerocopy_tx = true)),
             flag(Any, "--zerocopy-rx", "TCP mmap receive path (§4)", Switch(|r| r.exp.cfg.stack.zerocopy_rx = true)),
             flag(Any, "--datapath B", "inkernel | toe | bypass datapath backend (§4, default\n\
-                                        inkernel; toe = on-NIC protocol, bypass = busy-poll)", Parse(|r, v| {
-                r.exp.cfg.datapath = DatapathKind::parse(v).ok_or_else(|| format!("unknown backend `{v}` (inkernel | toe | bypass)"))?;
-                Ok(())
-            })),
+                                        inkernel; toe = on-NIC protocol, bypass = busy-poll)",
+                Choice(&["inkernel", "toe", "bypass"], |r, i| r.exp.cfg.datapath = DatapathKind::ALL[i])),
             flag(Any, "--seed N", "RNG seed                             (default 1)", Parse(|r, v| num(v).map(|n| r.exp.cfg.seed = n))),
             flag(Any, "--warmup-ms N", "warmup window                        (default 20)", Ms(|r, d| r.exp.warmup = d)),
             flag(Any, "--measure-ms N", "measurement window                   (default 30)", Ms(|r, d| r.exp.measure = d)),
@@ -674,19 +670,11 @@ monitoring (any scenario: a live line per snapshot interval, per-stage
             flag(Any, "--fault-burst-loss P", "Gilbert-Elliott wire loss, long-run rate P", Parse(|r, v| num(v).map(|p| r.burst_loss = p))),
             flag(Any, "--fault-burst-len B", "mean loss-burst length in frames     (default 8)", Frac(|r, frames| r.burst_len = frames)),
             flag(Any, "--fault-flap-ms D", "link flap (total outage) for D ms", FracMs(|r, d| r.exp.cfg.link.flap = r.window(d))),
-            flag(Any, "--fault-spike-ms D", "+100us one-way latency for D ms", FracMs(|r, d| {
-                r.exp.cfg.link.latency_spike = r.window(d).map(|window| LatencySpike { window, extra: Duration::from_micros(100) })
-            })),
+            flag(Any, "--fault-spike-ms D", "+100us one-way latency for D ms", FracMs(|r, d| r.exp.cfg.link.latency_spike = r.window(d))),
             // Resource faults hit the receiver host.
-            flag(Any, "--fault-ring-ms D", "receiver Rx rings withhold descriptors for D ms", FracMs(|r, d| {
-                r.exp.cfg.faults.ring_exhaust = r.window(d).map(|window| RingExhaust { window, host: 1 })
-            })),
-            flag(Any, "--fault-pool-ms D", "receiver page-pool allocations fail for D ms", FracMs(|r, d| {
-                r.exp.cfg.faults.pool_pressure = r.window(d).map(|window| PoolPressure { window, host: 1 })
-            })),
-            flag(Any, "--fault-stall-ms D", "receiver core 0 executes nothing for D ms", FracMs(|r, d| {
-                r.exp.cfg.faults.core_stall = r.window(d).map(|window| CoreStall { window, host: 1, core: 0 })
-            })),
+            flag(Any, "--fault-ring-ms D", "receiver Rx rings withhold descriptors for D ms", FracMs(|r, d| r.exp.cfg.faults.ring_exhaust = r.window(d))),
+            flag(Any, "--fault-pool-ms D", "receiver page-pool allocations fail for D ms", FracMs(|r, d| r.exp.cfg.faults.pool_pressure = r.window(d))),
+            flag(Any, "--fault-stall-ms D", "receiver core 0 executes nothing for D ms", FracMs(|r, d| r.exp.cfg.faults.core_stall = r.window(d))),
             flag(Any, "--watchdog-ms N", "stall watchdog horizon (0 = off)     (default 5000)", Ms(|r, d| r.exp.cfg.watchdog_horizon = d)),
             flag(Any, "--max-backlog N", "per-core softirq backlog cap (0 = off)", Parse(|r, v| num(v).map(|n| r.exp.cfg.max_backlog = n))),
         ]},
@@ -1125,7 +1113,7 @@ monitoring (any scenario: a live line per snapshot interval, per-stage
 
         #[test]
         fn rejects_offload_datapaths_with_churn() {
-            for dp in ["toe", "dpdk"] {
+            for dp in ["toe", "bypass"] {
                 let err = parse(&argv(&format!("run churn --datapath {dp}"))).unwrap_err();
                 assert!(
                     err.contains("only valid with long-flow scenarios"),
@@ -1140,12 +1128,8 @@ monitoring (any scenario: a live line per snapshot interval, per-stage
 
         #[test]
         fn parses_datapath_flag() {
-            for (arg, kind) in [
-                ("inkernel", DatapathKind::InKernel),
-                ("toe", DatapathKind::ToeOffload),
-                ("dpdk", DatapathKind::UserBypass),
-            ] {
-                let (exp, _) = run(&format!("run single --datapath {arg}"));
+            for kind in DatapathKind::ALL {
+                let (exp, _) = run(&format!("run single --datapath {}", kind.label()));
                 assert_eq!(exp.cfg.datapath, kind);
             }
             assert_eq!(run("run single").0.cfg.datapath, DatapathKind::InKernel);
@@ -1195,23 +1179,17 @@ monitoring (any scenario: a live line per snapshot interval, per-stage
             let window = |d: f64| PhaseSchedule::once(ms(22.5), ms(d));
             assert_eq!(c.link.loss, LossModel::bursty(0.02, 16.0));
             assert_eq!(c.link.flap, Some(window(1.5)));
-            assert_eq!(c.link.latency_spike.map(|s| s.window), Some(window(0.5)));
-            let ring = c.faults.ring_exhaust.unwrap();
-            assert_eq!((ring.window, ring.host), (window(2.0), 1));
-            let pool = c.faults.pool_pressure.unwrap();
-            assert_eq!((pool.window, pool.host), (window(3.0), 1));
-            let stall = c.faults.core_stall.unwrap();
-            assert_eq!((stall.window, stall.host, stall.core), (window(4.0), 1, 0));
+            assert_eq!(c.link.latency_spike, Some(window(0.5)));
+            assert_eq!(c.faults.ring_exhaust, Some(window(2.0)));
+            assert_eq!(c.faults.pool_pressure, Some(window(3.0)));
+            assert_eq!(c.faults.core_stall, Some(window(4.0)));
             assert_eq!(c.watchdog_horizon, Duration::from_millis(800));
             assert_eq!(c.max_backlog, 4096);
             // The windows start at --fault-at-ms wherever it is given.
             let last =
                 run("run single --fault-flap-ms 1.5 --fault-stall-ms 4 --fault-at-ms 22.5").0;
             assert_eq!(last.cfg.link.flap, Some(window(1.5)));
-            assert_eq!(
-                last.cfg.faults.core_stall.map(|s| s.window),
-                Some(window(4.0))
-            );
+            assert_eq!(last.cfg.faults.core_stall, Some(window(4.0)));
         }
 
         #[test]

@@ -221,7 +221,7 @@ fn golden_figure_digests() {
     // figure stalls a core: the `--fault-stall-ms 4` shape). One line per
     // point: figure, report label, digest.
     use hostnet::building_blocks::conn::AdmissionPolicy;
-    use hostnet::building_blocks::faults::{CoreStall, PhaseSchedule};
+    use hostnet::building_blocks::faults::PhaseSchedule;
     use hostnet::building_blocks::monitor::MonitorConfig;
     use hostnet::building_blocks::sim::Duration;
     use hostnet::building_blocks::trace::TraceConfig;
@@ -263,11 +263,10 @@ fn golden_figure_digests() {
         Experiment::new(ScenarioKind::Single)
             .quick()
             .configure(|c| {
-                c.faults.core_stall = Some(CoreStall {
-                    window: PhaseSchedule::once(Duration::from_millis(7), Duration::from_millis(4)),
-                    host: 1,
-                    core: 0,
-                });
+                c.faults.core_stall = Some(PhaseSchedule::once(
+                    Duration::from_millis(7),
+                    Duration::from_millis(4),
+                ));
             }),
     );
     let reports = figures::run(2, &points).unwrap();
@@ -318,15 +317,15 @@ fn golden_latency_spike_keeps_event_order() {
     // arrivals cannot join the port's FIFO lane and go to the timer wheel
     // instead. The auditor checks that events still pop in time order, and
     // the golden pins the report.
-    use hostnet::building_blocks::faults::{LatencySpike, PhaseSchedule};
+    use hostnet::building_blocks::faults::PhaseSchedule;
     use hostnet::building_blocks::sim::Duration;
     let report = Experiment::new(ScenarioKind::Single)
         .audited()
         .configure(|c| {
-            c.link.latency_spike = Some(LatencySpike {
-                window: PhaseSchedule::once(Duration::from_millis(25), Duration::from_millis(5)),
-                extra: Duration::from_micros(100),
-            });
+            c.link.latency_spike = Some(PhaseSchedule::once(
+                Duration::from_millis(25),
+                Duration::from_millis(5),
+            ));
         })
         .try_run()
         .unwrap_or_else(|e| panic!("audited latency-spike run tripped: {e}"));

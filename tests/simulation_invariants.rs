@@ -1,9 +1,7 @@
 //! Cross-cutting invariants of the simulation itself: determinism,
 //! conservation, and sanity bounds that must hold for *every* scenario.
 
-use hostnet::building_blocks::faults::{
-    CoreStall, LossModel, PhaseSchedule, PoolPressure, RingExhaust,
-};
+use hostnet::building_blocks::faults::{LossModel, PhaseSchedule};
 use hostnet::building_blocks::sim::Duration;
 use hostnet::{Experiment, Report, ScenarioKind};
 use proptest::prelude::*;
@@ -178,19 +176,10 @@ fn fault_plans_are_deterministic() {
                 Duration::from_millis(14),
                 Duration::from_micros(500),
             ));
-            c.faults.ring_exhaust = Some(RingExhaust {
-                window: PhaseSchedule::once(Duration::from_millis(16), Duration::from_millis(2)),
-                host: 1,
-            });
-            c.faults.pool_pressure = Some(PoolPressure {
-                window: PhaseSchedule::once(Duration::from_millis(20), Duration::from_millis(2)),
-                host: 1,
-            });
-            c.faults.core_stall = Some(CoreStall {
-                window: PhaseSchedule::once(Duration::from_millis(24), Duration::from_millis(1)),
-                host: 1,
-                core: 0,
-            });
+            let ms = Duration::from_millis;
+            c.faults.ring_exhaust = Some(PhaseSchedule::once(ms(16), ms(2)));
+            c.faults.pool_pressure = Some(PhaseSchedule::once(ms(20), ms(2)));
+            c.faults.core_stall = Some(PhaseSchedule::once(ms(24), ms(1)));
             c.max_backlog = 2048;
         });
         exp.warmup = Duration::from_millis(10);
@@ -284,21 +273,15 @@ fn drop_taxonomy_accounts_for_every_lost_frame() {
         // Periodic, interleaved fault windows over a long run: whatever
         // the flow's recovery state, each fault catches traffic at full
         // rate at least once, so every bucket gets populated.
-        c.faults.ring_exhaust = Some(RingExhaust {
-            window: PhaseSchedule {
-                start: Duration::from_millis(25),
-                duration: Duration::from_millis(1),
-                period: Duration::from_millis(20),
-            },
-            host: 1,
+        c.faults.ring_exhaust = Some(PhaseSchedule {
+            start: Duration::from_millis(25),
+            duration: Duration::from_millis(1),
+            period: Duration::from_millis(20),
         });
-        c.faults.pool_pressure = Some(PoolPressure {
-            window: PhaseSchedule {
-                start: Duration::from_millis(33),
-                duration: Duration::from_millis(3),
-                period: Duration::from_millis(20),
-            },
-            host: 1,
+        c.faults.pool_pressure = Some(PhaseSchedule {
+            start: Duration::from_millis(33),
+            duration: Duration::from_millis(3),
+            period: Duration::from_millis(20),
         });
         c.link.flap = Some(PhaseSchedule {
             start: Duration::from_millis(41),
