@@ -313,3 +313,65 @@ fn monitor_and_stage_latency_fold_the_same_residencies() {
     assert!(!traced.is_empty());
     assert_eq!(monitor, traced);
 }
+
+/// FNV-1a 64-bit hash of an export's bytes.
+fn digest(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The per-skb exports' bytes, pinned by digest: `hostnet run single
+/// --trace-sample-every 8`, `hostnet run incast --flows 4 --trace` and a
+/// filtered incast (`--trace-flow 2 --trace-sample-every 3`), at quick
+/// windows, with rings that hold every stamp. Each line holds a run, an export format, its stamp count and
+/// its digest. A change to how the sender hands frames to the NIC must
+/// keep every trace id, sampling decision and stamp where it was.
+/// Re-bless with `HNS_BLESS=1 cargo test --test trace_lifecycle
+/// golden_trace_export_digests`.
+#[test]
+fn golden_trace_export_digests() {
+    let incast = || Experiment::new(ScenarioKind::Incast { flows: 4 }).quick();
+    let runs = [
+        ("single/every-8", traced(8)),
+        ("incast4/every-1", with_trace(incast(), 1)),
+        (
+            "incast4/flow-2/every-3",
+            with_trace(incast(), 3).configure(|c| c.trace.flow = Some(2)),
+        ),
+    ];
+    let mut body = String::new();
+    for (name, exp) in runs {
+        let exp = exp.configure(|c| c.trace.ring_capacity = 1 << 20);
+        let (report, trace) = exp.try_run_traced().unwrap();
+        assert_eq!(
+            report.trace_overflow, 0,
+            "{name}: the rings must hold every stamp"
+        );
+        assert!(trace.events() > 0, "{name}: no stamps");
+        for (format, bytes) in [
+            ("jsonl", export::to_jsonl(&trace)),
+            ("chrome", export::to_chrome(&trace)),
+        ] {
+            body += &format!(
+                "{name}\t{format}\t{}\t{:016x}\n",
+                trace.events(),
+                digest(bytes.as_bytes())
+            );
+        }
+    }
+    let path =
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/trace_digests.txt");
+    if std::env::var_os("HNS_BLESS").is_some() {
+        std::fs::write(&path, &body).expect("bless: cannot write golden file");
+        return;
+    }
+    let want = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!(
+            "missing golden file {}: {e}\n(generate it with `HNS_BLESS=1 cargo test --test \
+             trace_lifecycle golden_trace_export_digests`)",
+            path.display()
+        )
+    });
+    assert_eq!(want, body, "a trace export moved (re-bless if intended)");
+}
