@@ -214,16 +214,18 @@ impl HostFrameLedger {
 }
 
 /// Segment slab conservation: the world parks a segment once, when the
-/// stack hands its frame to the NIC, and frees the slot at the NAPI poll or
-/// where the frame is dropped. Every live slot therefore belongs to exactly
-/// one frame that is Tx-queued, on the wire, or waiting in a softirq
-/// backlog. An ACK's SACK blocks wait in a side table freed with the slot,
+/// stack hands it to the NIC, as one Tx-queue run (a TSO burst, or a
+/// control segment's one frame); the drain gives each frame it splits off
+/// a run a slot of its own, the run's last frame keeping the run's. A
+/// frame's slot is freed at the NAPI poll or where the frame is dropped.
+/// Every live slot therefore belongs to exactly one Tx-queued run, or to
+/// one frame on the wire or waiting in a softirq backlog. An ACK's SACK blocks wait in a side table freed with the slot,
 /// so every live side entry belongs to exactly one live ACK.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SegmentSlabLedger {
     /// Slab slots currently holding a segment.
     pub live: u64,
-    /// Frames waiting in the NICs' Tx queues, summed over hosts.
+    /// Runs waiting in the NICs' Tx queues, summed over hosts.
     pub tx_queued: u64,
     /// Frames in flight on the wire, summed over destination hosts.
     pub wire_in_flight: u64,
@@ -243,7 +245,7 @@ impl SegmentSlabLedger {
             out.push(Violation {
                 invariant: "segment-slab-ledger",
                 detail: format!(
-                    "{} live slab segments != {} Tx-queued + {} on the wire + {} in backlogs",
+                    "{} live slab segments != {} Tx-queued runs + {} on the wire + {} in backlogs",
                     self.live, self.tx_queued, self.wire_in_flight, self.backlog
                 ),
             });
@@ -1204,7 +1206,7 @@ mod tests {
             sack_acks: 0,
         };
         assert!(checked(|o| l.check(o)).is_empty());
-        // A Tx-queued frame dropped without freeing its slot, and a polled
+        // A Tx-queued run dropped without freeing its slot, and a polled
         // frame whose slot was never freed: each leaves one orphan.
         for orphan in [
             SegmentSlabLedger { tx_queued: 2, ..l },

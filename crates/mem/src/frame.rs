@@ -16,17 +16,26 @@ pub struct FrameId {
     generation: u32,
 }
 
+/// [`Slot::dca_mark`] of a frame never DDIO-inserted.
+const NO_MARK: u64 = u64::MAX;
+
+/// One DMA buffer in 16 B: a live window holds one per frame between the
+/// DMA and the application's copy.
 #[derive(Clone, Debug)]
 struct Slot {
+    /// DMA-clock stamp from the DCA model, [`NO_MARK`] if never
+    /// DDIO-inserted.
+    dca_mark: u64,
     generation: u32,
-    live: bool,
-    /// Payload bytes held by this frame.
-    bytes: u32,
+    /// Payload bytes held by this frame (below 64 KiB: an MTU frame is at
+    /// most 9000).
+    bytes: u16,
     /// NUMA node of the backing memory.
     node: NodeId,
-    /// DMA-clock stamp from the DCA model, `None` if never DDIO-inserted.
-    dca_mark: Option<u64>,
+    live: bool,
 }
+
+const _: () = assert!(std::mem::size_of::<Slot>() == 16);
 
 /// Generational slab of live DMA frames.
 #[derive(Default, Debug)]
@@ -43,15 +52,20 @@ impl FrameArena {
     }
 
     /// Register a new frame of `bytes` backed by memory on `node`.
-    /// Residency starts false; the DCA model flips it on insert.
+    /// Residency starts false; the DCA model flips it on insert. Panics on
+    /// a buffer of 64 KiB or more, which no frame of an MTU up to 9000
+    /// reaches.
     pub fn insert(&mut self, bytes: u32, node: NodeId) -> FrameId {
+        let Ok(bytes) = u16::try_from(bytes) else {
+            panic!("a {bytes} B DMA buffer: frames stay below 64 KiB");
+        };
         self.live_count += 1;
         if let Some(index) = self.free.pop() {
             let slot = &mut self.slots[index as usize];
             slot.live = true;
             slot.bytes = bytes;
             slot.node = node;
-            slot.dca_mark = None;
+            slot.dca_mark = NO_MARK;
             FrameId {
                 index,
                 generation: slot.generation,
@@ -59,11 +73,11 @@ impl FrameArena {
         } else {
             let index = self.slots.len() as u32;
             self.slots.push(Slot {
+                dca_mark: NO_MARK,
                 generation: 0,
-                live: true,
                 bytes,
                 node,
-                dca_mark: None,
+                live: true,
             });
             FrameId {
                 index,
@@ -87,19 +101,17 @@ impl FrameArena {
     /// DMA-clock stamp of a live, DDIO-inserted frame.
     pub fn dca_mark(&self, id: FrameId) -> Option<u64> {
         let slot = &self.slots[id.index as usize];
-        if slot.live && slot.generation == id.generation {
-            slot.dca_mark
-        } else {
-            None
-        }
+        (slot.live && slot.generation == id.generation && slot.dca_mark != NO_MARK)
+            .then_some(slot.dca_mark)
     }
 
-    /// Stamp a frame as DDIO-inserted at DMA-clock `mark`. Stale ids are
-    /// ignored.
+    /// Stamp a frame as DDIO-inserted at DMA-clock `mark` (a byte count,
+    /// below `u64::MAX`). Stale ids are ignored.
     pub fn set_dca_inserted(&mut self, id: FrameId, mark: u64) {
+        debug_assert_ne!(mark, NO_MARK, "the DMA clock wrapped");
         let slot = &mut self.slots[id.index as usize];
         if slot.live && slot.generation == id.generation {
-            slot.dca_mark = Some(mark);
+            slot.dca_mark = mark;
         }
     }
 
@@ -182,6 +194,14 @@ mod tests {
             a.release(f);
         }
         assert_eq!(a.slots.len(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "a 65536 B DMA buffer")]
+    fn refuses_a_64_kib_buffer() {
+        let mut a = FrameArena::new();
+        a.insert(u16::MAX as u32, 0);
+        a.insert(65_536, 0);
     }
 
     #[test]

@@ -1,22 +1,27 @@
 //! Differential property test for the Tx arbiter.
 //!
-//! `TxArbiter` finds the next queue to serve through a bitmap of
-//! non-empty queues. The reference below is the plain linear-scan round
-//! robin it replaced: probe every queue from the round-robin pointer on,
-//! serve the first non-empty one, and move the pointer past it. Under any
-//! interleaving of single enqueues, batch enqueues and dequeues, over
+//! `TxArbiter` queues runs of frames and finds the next queue to serve
+//! through a bitmap of non-empty queues. The reference below queues single
+//! frames and is the plain linear-scan round robin: probe every queue from
+//! the round-robin pointer on, serve the first non-empty one, and move the
+//! pointer past it. A run of `n` frames enters the reference as its `n`
+//! frames, each carrying the run's tag and whether it is the run's last.
+//! Under any interleaving of runs of one or more frames and dequeues, over
 //! queue counts on both sides of every 64-queue word boundary, both must
 //! hand out the identical frame sequence and agree on `len()` and
 //! `is_empty()` after every operation.
 
-use hns_nic::txqueue::QueuedFrame;
 use hns_nic::TxArbiter;
 use proptest::prelude::*;
 use std::collections::VecDeque;
 
-/// The linear-scan round robin: `O(queues)` per dequeue.
+/// A queued frame: its run's tag and whether it is the run's last.
+type Frame = (u32, bool);
+
+/// The linear-scan round robin over single frames: `O(queues)` per
+/// dequeue.
 struct Reference {
-    queues: Vec<VecDeque<QueuedFrame<u32>>>,
+    queues: Vec<VecDeque<Frame>>,
     next: usize,
     queued: usize,
 }
@@ -30,12 +35,15 @@ impl Reference {
         }
     }
 
-    fn enqueue(&mut self, queue: usize, payload: u32, tag: u32) {
-        self.queues[queue].push_back((payload, tag));
-        self.queued += 1;
+    /// A run of `frames` frames, queued frame by frame.
+    fn enqueue(&mut self, queue: usize, frames: u32, tag: u32) {
+        for i in 1..=frames {
+            self.queues[queue].push_back((tag, i == frames));
+        }
+        self.queued += frames as usize;
     }
 
-    fn dequeue(&mut self) -> Option<QueuedFrame<u32>> {
+    fn dequeue(&mut self) -> Option<Frame> {
         if self.queued == 0 {
             return None;
         }
@@ -61,15 +69,17 @@ const QUEUE_COUNTS: [usize; 7] = [1, 2, 24, 63, 64, 65, 130];
 /// empty and refill.
 #[derive(Clone, Copy, Debug)]
 enum Op {
-    Enqueue(usize),
-    EnqueueAll(usize, u32),
+    /// A run of this many frames (one, as an ACK's, or a TSO burst's
+    /// several) on a queue.
+    Enqueue(usize, u32),
     Dequeue,
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
-        (0usize..1024).prop_map(Op::Enqueue),
-        (0usize..1024, 0u32..6).prop_map(|(q, n)| Op::EnqueueAll(q, n)),
+        (0usize..1024).prop_map(|q| Op::Enqueue(q, 1)),
+        (0usize..1024, 1u32..6).prop_map(|(q, n)| Op::Enqueue(q, n)),
+        Just(Op::Dequeue),
         Just(Op::Dequeue),
         Just(Op::Dequeue),
     ]
@@ -78,10 +88,10 @@ fn op_strategy() -> impl Strategy<Value = Op> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Same dequeue sequence, `len()` and `is_empty()` as the linear
-    /// scan after every operation, then the same drain order.
+    /// Same dequeue sequence, `len()` and `is_empty()` as the per-frame
+    /// linear scan after every operation, then the same drain order.
     #[test]
-    fn bitmap_round_robin_matches_linear_scan(
+    fn run_round_robin_matches_per_frame_linear_scan(
         count in 0usize..QUEUE_COUNTS.len(),
         hot in 0usize..1024,
         ops in proptest::collection::vec(op_strategy(), 1..600),
@@ -99,21 +109,11 @@ proptest! {
         let mut tag = 0u32;
         for (i, op) in ops.into_iter().enumerate() {
             match op {
-                Op::Enqueue(q) => {
+                Op::Enqueue(q, frames) => {
                     let q = pick(q);
-                    arb.enqueue(q, 100 + tag % 1400, tag);
-                    reference.enqueue(q, 100 + tag % 1400, tag);
+                    arb.enqueue(q, frames, tag);
+                    reference.enqueue(q, frames, tag);
                     tag += 1;
-                }
-                Op::EnqueueAll(q, frames) => {
-                    let q = pick(q);
-                    let run: Vec<(u32, u32)> =
-                        (tag..tag + frames).map(|t| (100 + t % 1400, t)).collect();
-                    arb.enqueue_all(q, run.iter().copied());
-                    for &(payload, t) in &run {
-                        reference.enqueue(q, payload, t);
-                    }
-                    tag += frames;
                 }
                 Op::Dequeue => {
                     prop_assert_eq!(arb.dequeue(), reference.dequeue(), "op {}, {} queues", i, n);

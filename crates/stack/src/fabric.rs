@@ -136,6 +136,10 @@ pub struct Fabric {
     clock: SimTime,
     /// ECMP uplink serialization clocks (empty when `uplinks == 0`).
     uplinks: Vec<SimTime>,
+    /// `2^64 / uplinks` rounded up (wrapping to 0 at one uplink): the
+    /// multiplier [`Fabric::ecmp_uplink`] reduces a hash by instead of
+    /// dividing.
+    ecmp_magic: u64,
     /// Uplinks that may hold a backlog, kept like `busy`: set when an
     /// uplink serializes a frame, cleared once it has drained.
     busy_uplinks: [u64; UPLINK_WORDS],
@@ -153,10 +157,15 @@ pub struct Fabric {
 }
 
 /// Bytes a port backlog of `depth` represents at the line rate (inverse
-/// of [`Duration::for_bytes_at_gbps`]).
+/// of [`Duration::for_bytes_at_gbps`]): 100 bits, 12.5 bytes, a
+/// nanosecond, rounded down. In integers it equals the `f64` formula
+/// `(ns as f64 * LINK_GBPS / 8.0) as u64` at every depth below 2^53 / 100
+/// ns (some 1,000 days), where `ns * 100` is exact in an `f64`.
 fn backlog_bytes(depth: Duration) -> u64 {
-    (depth.as_nanos() as f64 * LINK_GBPS / 8.0) as u64
+    depth.as_nanos() * 100 / 8
 }
+
+const _: () = assert!(LINK_GBPS == 100.0, "backlog_bytes assumes a 100 Gbps line");
 
 /// The summed backlog at `now` of every serializing clock whose bit is set
 /// in `busy` (bit `i % 64` of word `i / 64` for clock `i`, which frees up
@@ -205,6 +214,7 @@ impl Fabric {
             busy: [0; BUSY_WORDS],
             clock: SimTime::ZERO,
             uplinks: vec![SimTime::ZERO; config.uplinks as usize],
+            ecmp_magic: (u64::MAX / u64::from(config.uplinks.max(1))).wrapping_add(1),
             busy_uplinks: [0; UPLINK_WORDS],
             ingress: vec![SimTime::ZERO; n],
             ser_memo: [(0, Duration::for_bytes_at_gbps(0, LINK_GBPS)); SER_MEMO],
@@ -235,34 +245,35 @@ impl Fabric {
 
     /// Deterministic ECMP: which uplink carries `flow`. Fibonacci hashing
     /// on the flow id — stable across runs, processes and job counts. The
-    /// hash's top 32 bits and the uplink count (a `u8`) both fit a `u32`,
-    /// so the reduction runs in `u32`.
+    /// hash's top 32 bits modulo the uplink count, by Lemire's
+    /// multiply-high remainder, which is exact for a 32-bit hash and any
+    /// count up to `u32::MAX`: the low 64 bits of `h * ecmp_magic` are the
+    /// fraction `h / uplinks`, and their high product with `uplinks` is the
+    /// remainder.
     pub fn ecmp_uplink(&self, flow: u64) -> usize {
         debug_assert!(!self.uplinks.is_empty());
-        let h = (flow.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as u32;
-        (h % self.uplinks.len() as u32) as usize
+        let h = flow.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32;
+        let frac = self.ecmp_magic.wrapping_mul(h);
+        ((u128::from(frac) * self.uplinks.len() as u128) >> 64) as usize
     }
 
     /// The occupancy at `now` (total queued bytes across every egress port
-    /// and uplink: the shared buffer's occupancy), and the busy-port and
-    /// busy-uplink sets with every port and uplink that has drained by
-    /// `now` removed. Each term is an integer, so the sum is exact in any
-    /// order. `now` must be no earlier than the latest
-    /// [`Fabric::transmit`]'s.
-    fn backlog(&self, now: SimTime) -> (u64, [u64; BUSY_WORDS], [u64; UPLINK_WORDS]) {
+    /// and uplink: the shared buffer's occupancy), dropping every port and
+    /// uplink that has drained by `now` from the busy sets. Each term is an
+    /// integer, so the sum is exact in any order. `now` must be no earlier
+    /// than the latest [`Fabric::transmit`]'s.
+    fn backlog(&mut self, now: SimTime) -> u64 {
         debug_assert!(now >= self.clock, "fabric time went backwards");
-        let mut ports = self.busy;
-        let mut uplinks = self.busy_uplinks;
-        let total = busy_backlog(
-            &mut ports[..self.ports.len().div_ceil(64)],
-            |p| self.ports[p].busy_until,
+        let (ports, uplinks) = (&self.ports, &self.uplinks);
+        busy_backlog(
+            &mut self.busy[..ports.len().div_ceil(64)],
+            |p| ports[p].busy_until,
             now,
         ) + busy_backlog(
-            &mut uplinks[..self.uplinks.len().div_ceil(64)],
-            |u| self.uplinks[u],
+            &mut self.busy_uplinks[..uplinks.len().div_ceil(64)],
+            |u| uplinks[u],
             now,
-        );
-        (total, ports, uplinks)
+        )
     }
 
     /// Offer a frame of `wire_bytes` from host `src` to host `dst` on
@@ -301,9 +312,7 @@ impl Fabric {
         // nothing, so it skips the occupancy sum and its busy sets stay
         // supersets of the queues that hold a backlog.
         if self.config.buffer_bytes != u64::MAX {
-            let (occ, busy, busy_uplinks) = self.backlog(now);
-            self.busy = busy;
-            self.busy_uplinks = busy_uplinks;
+            let occ = self.backlog(now);
             if occ.saturating_add(wire_bytes) > self.config.buffer_bytes {
                 self.ports[dst].refused += 1;
                 return TransmitOutcome::Dropped;
@@ -514,7 +523,7 @@ mod tests {
         // Every frame — dropped ones included — crossed the source's own
         // wire; only the switch clocks skip the refused frames.
         assert_eq!(f.next_free(0).as_nanos(), 726 * (delivered + dropped));
-        let queued = f.backlog(t0).0;
+        let queued = f.backlog(t0);
         assert!(
             queued <= 20_000,
             "admission keeps occupancy within the buffer: {queued}"
@@ -532,11 +541,38 @@ mod tests {
         let mut f = neutral();
         f.transmit(0, 1, 1, SimTime::ZERO, 9078);
         f.transmit(0, 1, 1, SimTime::ZERO, 9078);
-        let full = f.backlog(SimTime::ZERO).0;
+        let full = f.backlog(SimTime::ZERO);
         assert!(full > 17_000, "two jumbo frames queued: {full}");
-        let half = f.backlog(SimTime::from_nanos(726)).0;
+        let half = f.backlog(SimTime::from_nanos(726));
         assert!(half < full && half > 8_000, "one frame left: {half}");
-        assert_eq!(f.backlog(SimTime::from_nanos(2_000)).0, 0);
+        assert_eq!(f.backlog(SimTime::from_nanos(2_000)), 0);
+    }
+
+    /// The integer backlog is the `f64` formula it replaced, floor and
+    /// all: at depths around every multiple of 8 ns (where 12.5 B/ns lands
+    /// on a whole byte), the largest depths a run reaches, and random ones.
+    #[test]
+    fn integer_backlog_matches_the_f64_formula() {
+        let f64_formula = |ns: u64| (ns as f64 * LINK_GBPS / 8.0) as u64;
+        let mut rng = hns_sim::SimRng::new(0xb4c1);
+        let edges = (0..4096u64).flat_map(|k| [8 * k, 8 * k + 1, 8 * k + 7]);
+        let large = (1..=16u64).map(|k| (1u64 << 53) / 100 - k);
+        let random = (0..100_000).map(|_| rng.next_below((1 << 53) / 100));
+        for ns in edges.chain(large).chain(random) {
+            assert_eq!(
+                backlog_bytes(Duration::from_nanos(ns)),
+                f64_formula(ns),
+                "{ns} ns"
+            );
+        }
+    }
+
+    /// [`Fabric::backlog`] without clearing the busy sets: the occupancy
+    /// the fabric's next `transmit` at `now` would see.
+    fn busy_sum(f: &Fabric, now: SimTime) -> u64 {
+        let (mut ports, mut uplinks) = (f.busy, f.busy_uplinks);
+        busy_backlog(&mut ports, |p| f.ports[p].busy_until, now)
+            + busy_backlog(&mut uplinks, |u| f.uplinks[u], now)
     }
 
     /// Every port's and uplink's backlog at `now`, summed the long way.
@@ -620,14 +656,14 @@ mod tests {
                     _ => rng.next_below(600),
                 };
                 let at = SimTime::from_nanos(now);
-                assert_eq!(f.backlog(at).0, full_scan(&f, at), "{name}: frame {i}");
+                assert_eq!(busy_sum(&f, at), full_scan(&f, at), "{name}: frame {i}");
                 let (before, uplinks_before) = (f.busy, f.busy_uplinks);
                 twin.busy = every_port;
                 twin.busy_uplinks = every_uplink;
                 let a = f.transmit(src, dst, u64::from(i), at, bytes);
                 let b = twin.transmit(src, dst, u64::from(i), at, bytes);
                 assert_eq!(a, b, "{name}: frame {i}");
-                assert_eq!(f.backlog(at).0, full_scan(&f, at), "{name}: frame {i}");
+                assert_eq!(busy_sum(&f, at), full_scan(&f, at), "{name}: frame {i}");
                 ce += u32::from(matches!(a, TransmitOutcome::Delivered { ce: true, .. }));
                 let shrank = |b: &[u64], a: &[u64]| b.iter().zip(a).any(|(&b, &a)| b & !a != 0);
                 cleared += u32::from(shrank(&before, &f.busy));

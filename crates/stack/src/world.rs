@@ -32,9 +32,9 @@
 //! Either way the step ends at the same `(time, seq)` as a filed one, and
 //! a core that goes idle after its step costs no event.
 //!
-//! Packets move as whole frames: the sender path enqueues post-TSO frames
-//! on the NIC [`TxArbiter`]; each host's NIC drain serializes them onto the
-//! [`Fabric`] one frame at a time; their arrival lands them in an Rx
+//! Packets move as whole frames: the sender path enqueues each TSO burst
+//! on the NIC [`TxArbiter`] as one run; each host's NIC drain splits the
+//! next frame off a run and serializes it onto the [`Fabric`]; their arrival lands them in an Rx
 //! descriptor, DMAs them (into the DCA cache when eligible), and raises an
 //! IRQ subject to NAPI masking. Drains, arrivals and IRQs are FIFO streams,
 //! as are the churn engine's connection-timer carriers filed one fixed RTO
@@ -176,18 +176,24 @@ const NO_SACK: u32 = u32::MAX;
 
 /// A parked [`Segment`] in 40 B: what every frame has, plus one `u32`
 /// whose meaning the tag gives. The SACK blocks only some ACKs carry wait
-/// in the slab's side table ([`SegmentSlab::sacks`]).
+/// in the slab's side table ([`SegmentSlab::sacks`]). A Tx-queued data
+/// record is a whole TSO burst, whose frames the drain splits off
+/// ([`SegmentSlab::take_frame`]).
 #[derive(Clone, Copy)]
 struct WireRecord {
     flow: FlowId,
+    /// The frame's trace id. A queued burst: the id its next sampled frame
+    /// gets, or `NO_SKB` when the tracer does not admit the flow.
     trace: u64,
     /// Data: the stream offset of the first payload byte. ACK: the
     /// cumulative ACK. Lifecycle: 0.
     seq: u64,
-    /// ACK: the advertised window. Otherwise 0.
+    /// ACK: the advertised window. A queued burst: its next frame's
+    /// sampling phase ([`TraceCollector::run_cursor`]). Otherwise 0.
     window: u64,
-    /// Data and lifecycle: payload bytes. ACK: the side-table index of its
-    /// SACK blocks, or [`NO_SACK`].
+    /// Data and lifecycle: payload bytes (a queued burst: those it has
+    /// left to send). ACK: the side-table index of its SACK blocks, or
+    /// [`NO_SACK`].
     arg: u32,
     /// [`TAG_DATA`], [`TAG_ACK`] or a lifecycle phase's [`conn_tag`].
     tag: u8,
@@ -280,10 +286,11 @@ fn put<T>(items: &mut Vec<T>, free: &mut Vec<u32>, item: T) -> u32 {
 }
 
 /// Segments between the NIC and the NAPI poll. The stack parks a segment
-/// once, when it hands the frame to the NIC; the Tx queues, the frame's
-/// arrival and the softirq backlog then carry its `u32` slot,
-/// so a frame's segment is written once and read once however many queues
-/// it crosses. The drain, the arrival and the NAPI poll read the
+/// once, when it hands it to the NIC: a control segment as its frame, a
+/// TSO burst as one record its Tx-queue run carries until the drain splits
+/// each frame off. The frame's arrival and the softirq backlog then carry
+/// its `u32` slot, so a frame's record is written once and read once
+/// however many queues it crosses. The drain, the arrival and the NAPI poll read the
 /// [`WireRecord`] in place; only an ACK that carries SACK blocks copies
 /// them out of the side table ([`SegmentSlab::sack`]). Slots and
 /// side-table entries are reused LIFO. Each slot is freed exactly once,
@@ -293,8 +300,8 @@ fn put<T>(items: &mut Vec<T>, free: &mut Vec<u32>, item: T) -> u32 {
 /// `EndRun` drop with the world.
 #[derive(Default)]
 struct SegmentSlab {
-    /// Slot storage; its length is the high-water mark of frames between
-    /// Tx enqueue and the poll.
+    /// Slot storage; its length is the high-water mark of Tx-queued runs
+    /// plus frames between the drain and the poll.
     recs: Vec<WireRecord>,
     /// Vacated slots awaiting reuse.
     free: Vec<u32>,
@@ -352,6 +359,54 @@ impl SegmentSlab {
             flags,
         };
         put(&mut self.recs, &mut self.free, rec)
+    }
+
+    /// Park a data burst of `len` bytes from stream offset `seq`, whose
+    /// frames take their trace ids from the sampling cursor `(next, phase)`
+    /// ([`TraceCollector::run_cursor`]), and return its slot.
+    fn park_burst(
+        &mut self,
+        flow: FlowId,
+        seq: u64,
+        len: u32,
+        rtx: bool,
+        cursor: (u64, u64),
+    ) -> u32 {
+        let rec = WireRecord {
+            flow,
+            trace: cursor.0,
+            seq,
+            window: cursor.1,
+            arg: len,
+            tag: TAG_DATA,
+            flags: if rtx { RETRANSMIT } else { 0 },
+        };
+        put(&mut self.recs, &mut self.free, rec)
+    }
+
+    /// Take the next frame off the Tx run parked in `slot` and return the
+    /// frame's slot. A data burst yields `min(rest, mss)` bytes under the
+    /// trace id its cursor gives; its `last` frame keeps `slot`, and any
+    /// other moves to a slot of its own. Any other record is a one-frame
+    /// run, sent as it is.
+    #[inline]
+    fn take_frame(&mut self, slot: u32, last: bool, mss: u32, trace: &TraceCollector) -> u32 {
+        let burst = &mut self.recs[slot as usize];
+        if burst.tag != TAG_DATA {
+            return slot;
+        }
+        let mut frame = *burst;
+        frame.arg = burst.arg.min(mss);
+        frame.trace = trace.run_next(&mut burst.trace, &mut burst.window);
+        frame.window = 0;
+        if last {
+            debug_assert_eq!(frame.arg, burst.arg, "a burst's last frame takes its rest");
+            *burst = frame;
+            return slot;
+        }
+        burst.seq += frame.arg as u64;
+        burst.arg -= frame.arg;
+        put(&mut self.recs, &mut self.free, frame)
     }
 
     /// The record parked in `slot`.
@@ -466,10 +521,11 @@ pub struct World {
     lanes: Lanes<u64>,
     hosts: Vec<Host>,
     wire: Fabric,
-    /// Per-host NIC Tx queues, holding [`SegmentSlab`] slots.
+    /// Per-host NIC Tx queues, holding runs of frames under
+    /// [`SegmentSlab`] slots.
     arbiters: Vec<TxArbiter<u32>>,
-    /// Segments handed to a NIC and not yet polled: Tx-queued, on the
-    /// wire, or waiting in a softirq backlog.
+    /// Segments handed to a NIC and not yet polled: Tx-queued runs, and
+    /// frames on the wire or waiting in a softirq backlog.
     in_flight: SegmentSlab,
     /// All flows, indexed by [`FlowId`].
     pub flows: Vec<Flow>,

@@ -232,7 +232,7 @@ impl World {
         self.check_host_ledgers(&pending.arrivals, &mut out);
         SegmentSlabLedger {
             live: self.in_flight.live() as u64,
-            tx_queued: self.arbiters.iter().map(|t| t.len() as u64).sum(),
+            tx_queued: self.arbiters.iter().map(|t| t.runs() as u64).sum(),
             wire_in_flight: pending.arrivals.iter().sum(),
             backlog: self.backlog_frames(),
             sack_entries: self.in_flight.live_sacks() as u64,

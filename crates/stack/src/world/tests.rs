@@ -134,15 +134,76 @@ fn segment_slab_recycles_slots() {
     w.add_app(1, 0, AppSpec::LongReceiver { flow });
     w.run(Duration::from_millis(5), Duration::from_millis(8));
     // A new slot is pushed only when none is free, so the slab's length
-    // is the peak number of frames between Tx enqueue and the poll:
-    // about one window's worth for one flow, against ~10k frames sent.
+    // is the peak of Tx-queued bursts plus frames between the drain and
+    // the poll. Parked frame by frame from Tx enqueue on, one window of
+    // this flow took 512 slots; against ~10k frames sent.
     let frames = w.wire.frames();
     let high_water = w.in_flight.recs.len() as u64;
     assert!(w.in_flight.live() as u64 <= high_water);
     assert!(
-        high_water > 0 && high_water * 20 < frames,
+        high_water > 0 && high_water <= 128 && high_water * 20 < frames,
         "{high_water} slots for {frames} frames"
     );
+}
+
+/// The drain splits a parked burst into exactly `tso::segment`'s frames
+/// (stream offset, length, `RETRANSMIT`), the last keeping the burst's
+/// slot, and each frame carries the id the tracer gave it at enqueue:
+/// at every sampling rate and starting phase, with the per-flow filter
+/// admitting the flow or not.
+#[test]
+fn burst_splits_into_tso_frames_with_their_trace_ids() {
+    use hns_nic::tso;
+    use hns_trace::TraceConfig;
+    let flow: FlowId = 7;
+    for every in [1, 3, 8] {
+        for filter in [None, Some(flow as u64), Some(flow as u64 + 1)] {
+            for lead in 0..every {
+                for (len, mss, rtx) in [
+                    (65_536, 1448, false),
+                    (9000, 8948, true),
+                    (100, 1448, false),
+                ] {
+                    let mut trace = TraceCollector::new(
+                        TraceConfig {
+                            sample_every: every,
+                            flow: filter,
+                            ..TraceConfig::enabled()
+                        },
+                        1,
+                        1,
+                    );
+                    for _ in 0..lead {
+                        trace.alloc(flow as u64);
+                    }
+                    let cursor = trace.run_cursor(flow as u64);
+                    let want_ids: Vec<u64> = tso::segment(len, mss)
+                        .map(|_| trace.alloc(flow as u64))
+                        .collect();
+                    let mut slab = SegmentSlab::default();
+                    let burst = slab.park_burst(flow, 1 << 33, len, rtx, cursor);
+                    let n = tso::frame_count(len, mss);
+                    let mut seq = 1 << 33;
+                    for (i, (flen, tid)) in tso::segment(len, mss).zip(want_ids).enumerate() {
+                        let last = i as u32 + 1 == n;
+                        let slot = slab.take_frame(burst, last, mss, &trace);
+                        assert_eq!(slot == burst, last, "frame {i}");
+                        let rec = *slab.record(slot);
+                        let case =
+                            format!("every {every}, filter {filter:?}, lead {lead}, frame {i}");
+                        assert_eq!((rec.flow, rec.seq, rec.arg), (flow, seq, flen), "{case}");
+                        assert_eq!(
+                            (rec.has(RETRANSMIT), rec.trace, rec.window),
+                            (rtx, tid, 0),
+                            "{case}"
+                        );
+                        seq += flen as u64;
+                    }
+                    assert_eq!(slab.live(), n as usize);
+                }
+            }
+        }
+    }
 }
 
 /// Parking a segment as a wire record and reading the record in place at

@@ -161,26 +161,25 @@ impl World {
         );
         let queue = self.flows[fid].spec.src_core as usize;
         let wrote = self.flows[fid].last_write_at;
-        // Bulk-enqueue the whole TSO burst: frames are built and parked
-        // lazily while the arbiter hoists its queue lookup out of the loop.
-        let trace = &mut self.trace;
-        let slab = &mut self.in_flight;
-        let mut off = 0u64;
-        let frames = tso::segment(len, mss).map(|flen| {
-            let mut frame_seg = Segment::data(fid as FlowId, seq0 + off, flen, rtx);
-            let tid = trace.alloc(fid as u64);
+        // The tracer samples the burst's frames now, in frame order; the
+        // burst's record keeps the cursor the drain replays their ids from.
+        let cursor = self.trace.run_cursor(fid as u64);
+        for _ in 0..nframes {
+            let tid = self.trace.alloc(fid as u64);
             if tid != hns_trace::NO_SKB {
-                frame_seg.trace = tid;
+                let trace = &mut self.trace;
                 trace.stamp(tid, fid as u64, StageId::AppWrite, h, queue, wrote);
                 trace.stamp(tid, fid as u64, StageId::CopyIn, h, queue, wrote);
                 trace.stamp(tid, fid as u64, StageId::TcpTx, h, queue, now);
                 trace.stamp(tid, fid as u64, StageId::Gso, h, queue, now);
                 trace.stamp(tid, fid as u64, StageId::Qdisc, h, queue, now);
             }
-            off += flen as u64;
-            (flen, slab.park(frame_seg))
-        });
-        self.arbiters[h].enqueue_all(queue, frames);
+        }
+        // The NIC gets the whole burst as one run; the drain slices it.
+        let slot = self
+            .in_flight
+            .park_burst(fid as FlowId, seq0, len, rtx, cursor);
+        self.arbiters[h].enqueue(queue, nframes as u32, slot);
         self.arm_txdrain(h);
         true
     }
@@ -197,26 +196,29 @@ impl World {
     /// transmission from (host, core).
     pub(super) fn enqueue_frames(&mut self, h: usize, core: usize, seg: Segment) {
         let slot = self.in_flight.park(seg);
-        self.arbiters[h].enqueue(core, seg.payload_len(), slot);
+        self.arbiters[h].enqueue(core, 1, slot);
         self.arm_txdrain(h);
     }
 
-    /// Serialize the next Tx-queued frame onto the fabric. The segment
+    /// Serialize the next Tx-queued frame onto the fabric: the next frame
+    /// of the run at the head of the queue the arbiter serves. The frame
     /// stays in its slab slot: a delivered frame's arrival carries the same
     /// slot (a CE mark is set in place), and a frame the switch refused or
     /// the wire lost releases it.
     pub(super) fn tx_drain(&mut self, h: usize) {
         let now = self.queue.now();
-        let Some((payload, slot)) = self.arbiters[h].dequeue() else {
+        let Some((run, last)) = self.arbiters[h].dequeue() else {
             self.hosts[h].txdrain_armed = false;
             return;
         };
+        let mss = self.cfg.stack.mss();
+        let slot = self.in_flight.take_frame(run, last, mss, &self.trace);
         // Anything reaching the wire counts as forward progress for the
         // watchdog — even a dropped frame proves the sender's recovery
         // machinery is still alive.
         self.progress += 1;
         let rec = self.in_flight.record(slot);
-        let (flow, tid) = (rec.flow, rec.trace);
+        let (flow, tid, payload) = (rec.flow, rec.trace, rec.payload_len());
         // Route the frame: data toward the flow's receiver, ACKs back toward
         // its sender, lifecycle frames to the churn peer. With two hosts
         // every case is `1 - h`. Conn segments carry a packed connection id

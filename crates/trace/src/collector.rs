@@ -196,6 +196,37 @@ impl TraceCollector {
         self.next_id - 1
     }
 
+    /// Where sampling stands before `flow`'s next candidate skb, for a
+    /// caller that will [`Self::alloc`] a run of candidates now and must
+    /// know their ids later: the id the run's first sampled skb gets
+    /// ([`NO_SKB`] when the flow is not admitted, so none is), and the
+    /// first candidate's sampling phase (0: sampled). [`Self::run_next`]
+    /// replays the run's ids from it.
+    pub fn run_cursor(&self, flow: u64) -> (SkbId, u64) {
+        if !self.admits(flow) {
+            return (NO_SKB, 0);
+        }
+        (self.next_id, self.seen % self.cfg.sample_every as u64)
+    }
+
+    /// The id [`Self::alloc`] gave the candidate at `(next, phase)`, a
+    /// [`Self::run_cursor`] of an unbroken run of candidates, and move the
+    /// cursor past it.
+    #[inline]
+    pub fn run_next(&self, next: &mut SkbId, phase: &mut u64) -> SkbId {
+        let id = if *phase == 0 && *next != NO_SKB {
+            *next += 1;
+            *next - 1
+        } else {
+            NO_SKB
+        };
+        *phase += 1;
+        if *phase == self.cfg.sample_every as u64 {
+            *phase = 0;
+        }
+        id
+    }
+
     #[inline]
     fn admits(&self, flow: u64) -> bool {
         self.cfg.enabled && self.cfg.flow.is_none_or(|want| want == flow)
@@ -339,6 +370,36 @@ mod tests {
         let mut got = Vec::new();
         c.drain_residencies(t(10), |s, ns| got.push((s, ns)));
         assert!(got.is_empty());
+    }
+
+    /// A run's cursor, taken before its candidates are allocated, replays
+    /// their ids after other ids were handed out in between.
+    #[test]
+    fn run_cursor_replays_the_runs_ids() {
+        for every in [1, 3, 8] {
+            for filter in [None, Some(5), Some(6)] {
+                let mut c = TraceCollector::new(
+                    TraceConfig {
+                        sample_every: every,
+                        flow: filter,
+                        ..TraceConfig::enabled()
+                    },
+                    1,
+                    1,
+                );
+                for lead in 0..every as usize + 2 {
+                    for _ in 0..lead {
+                        c.alloc(5);
+                    }
+                    let (mut next, mut phase) = c.run_cursor(5);
+                    let ids: Vec<SkbId> = (0..11).map(|_| c.alloc(5)).collect();
+                    c.alloc_sampled(5);
+                    let replay: Vec<SkbId> =
+                        (0..11).map(|_| c.run_next(&mut next, &mut phase)).collect();
+                    assert_eq!(replay, ids, "every {every}, filter {filter:?}, lead {lead}");
+                }
+            }
+        }
     }
 
     #[test]
