@@ -219,8 +219,9 @@ impl HostFrameLedger {
 /// a run a slot of its own, the run's last frame keeping the run's. A
 /// frame's slot is freed at the NAPI poll or where the frame is dropped.
 /// Every live slot therefore belongs to exactly one Tx-queued run, or to
-/// one frame on the wire or waiting in a softirq backlog. An ACK's SACK blocks wait in a side table freed with the slot,
-/// so every live side entry belongs to exactly one live ACK.
+/// one frame on the wire or waiting in a softirq backlog. An ACK's SACK
+/// blocks wait in a side table freed with the slot, so every live side
+/// entry belongs to exactly one live ACK.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SegmentSlabLedger {
     /// Slab slots currently holding a segment.

@@ -7,8 +7,10 @@
 //! no CPU overheads associated with TSO processing").
 //!
 //! [`segment`] yields the per-frame payload sizes for one send of `len`
-//! bytes at a given MTU payload; it is used by the NIC for TSO and by the
-//! stack for software GSO (where each produced frame *does* cost cycles).
+//! bytes at a given MTU payload. The simulated NIC does the same slicing
+//! as it sends: a burst waits in its Tx queue as one run of
+//! [`frame_count`] frames, and the drain takes `min(rest, mss)` bytes off
+//! it per frame, which is [`segment`]'s sequence.
 
 /// Iterator over the frame payload sizes of a segmented send.
 #[derive(Clone, Copy, Debug)]

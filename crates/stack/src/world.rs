@@ -34,12 +34,13 @@
 //!
 //! Packets move as whole frames: the sender path enqueues each TSO burst
 //! on the NIC [`TxArbiter`] as one run; each host's NIC drain splits the
-//! next frame off a run and serializes it onto the [`Fabric`]; their arrival lands them in an Rx
-//! descriptor, DMAs them (into the DCA cache when eligible), and raises an
-//! IRQ subject to NAPI masking. Drains, arrivals and IRQs are FIFO streams,
-//! as are the churn engine's connection-timer carriers filed one fixed RTO
-//! ahead, so they ride event lanes off the timer wheel and merge with it in
-//! `(time, seq)` order (see `World::lanes`).
+//! next frame off a run and serializes it onto the [`Fabric`]; a frame's
+//! arrival lands it in an Rx descriptor, DMAs it (into the DCA cache when
+//! eligible), and raises an IRQ subject to NAPI masking. Drains, arrivals
+//! and IRQs are FIFO streams, as are the churn engine's connection-timer
+//! carriers filed one fixed RTO ahead, so they ride event lanes off the
+//! timer wheel and merge with it in `(time, seq)` order (see
+//! `World::lanes`).
 
 #![warn(clippy::too_many_lines)]
 
@@ -290,12 +291,12 @@ fn put<T>(items: &mut Vec<T>, free: &mut Vec<u32>, item: T) -> u32 {
 /// TSO burst as one record its Tx-queue run carries until the drain splits
 /// each frame off. The frame's arrival and the softirq backlog then carry
 /// its `u32` slot, so a frame's record is written once and read once
-/// however many queues it crosses. The drain, the arrival and the NAPI poll read the
-/// [`WireRecord`] in place; only an ACK that carries SACK blocks copies
-/// them out of the side table ([`SegmentSlab::sack`]). Slots and
-/// side-table entries are reused LIFO. Each slot is freed exactly once,
-/// with its SACK entry, by [`SegmentSlab::release`]: at the NAPI poll, or
-/// on the path that drops the frame (wire loss, switch refusal, stale
+/// however many queues it crosses. The drain, the arrival and the NAPI
+/// poll read the [`WireRecord`] in place; only an ACK that carries SACK
+/// blocks copies them out of the side table ([`SegmentSlab::sack`]). Slots
+/// and side-table entries are reused LIFO. Each frame's slot is freed
+/// exactly once, with its SACK entry, by [`SegmentSlab::release`]: at the
+/// NAPI poll, or on the path that drops the frame (wire loss, switch refusal, stale
 /// connection frame, backlog cap, full Rx ring). Slots still parked at
 /// `EndRun` drop with the world.
 #[derive(Default)]
@@ -361,27 +362,13 @@ impl SegmentSlab {
         put(&mut self.recs, &mut self.free, rec)
     }
 
-    /// Park a data burst of `len` bytes from stream offset `seq`, whose
-    /// frames take their trace ids from the sampling cursor `(next, phase)`
+    /// Park the data segment `seg` as a TSO burst whose frames take their
+    /// trace ids from the sampling cursor `(next, phase)`
     /// ([`TraceCollector::run_cursor`]), and return its slot.
-    fn park_burst(
-        &mut self,
-        flow: FlowId,
-        seq: u64,
-        len: u32,
-        rtx: bool,
-        cursor: (u64, u64),
-    ) -> u32 {
-        let rec = WireRecord {
-            flow,
-            trace: cursor.0,
-            seq,
-            window: cursor.1,
-            arg: len,
-            tag: TAG_DATA,
-            flags: if rtx { RETRANSMIT } else { 0 },
-        };
-        put(&mut self.recs, &mut self.free, rec)
+    fn park_burst(&mut self, seg: Segment, (next, phase): (u64, u64)) -> u32 {
+        let slot = self.park(Segment { trace: next, ..seg });
+        self.recs[slot as usize].window = phase;
+        slot
     }
 
     /// Take the next frame off the Tx run parked in `slot` and return the

@@ -135,8 +135,8 @@ fn segment_slab_recycles_slots() {
     w.run(Duration::from_millis(5), Duration::from_millis(8));
     // A new slot is pushed only when none is free, so the slab's length
     // is the peak of Tx-queued bursts plus frames between the drain and
-    // the poll. Parked frame by frame from Tx enqueue on, one window of
-    // this flow took 512 slots; against ~10k frames sent.
+    // the poll: 72 here, against ~10k frames sent. A slot per frame from
+    // Tx enqueue on would take 512.
     let frames = w.wire.frames();
     let high_water = w.in_flight.recs.len() as u64;
     assert!(w.in_flight.live() as u64 <= high_water);
@@ -181,7 +181,8 @@ fn burst_splits_into_tso_frames_with_their_trace_ids() {
                         .map(|_| trace.alloc(flow as u64))
                         .collect();
                     let mut slab = SegmentSlab::default();
-                    let burst = slab.park_burst(flow, 1 << 33, len, rtx, cursor);
+                    let seg = Segment::data(flow, 1 << 33, len, rtx);
+                    let burst = slab.park_burst(seg, cursor);
                     let n = tso::frame_count(len, mss);
                     let mut seq = 1 << 33;
                     for (i, (flen, tid)) in tso::segment(len, mss).zip(want_ids).enumerate() {

@@ -7,7 +7,7 @@ use hns_mem::pages_for;
 use hns_metrics::{Category, CycleBreakdown};
 use hns_nic::link::TransmitOutcome;
 use hns_nic::tso;
-use hns_proto::{FlowId, Segment, HEADER_BYTES};
+use hns_proto::{Segment, HEADER_BYTES};
 use hns_trace::StageId;
 
 use super::{arrival_lane, drain_lane, Event, FrameKind, World};
@@ -120,8 +120,8 @@ impl World {
             Some(s) => s,
             None => return false,
         };
-        let (seq0, len, rtx) = match seg.data_view() {
-            Some(d) => (d.seq, d.len, d.retransmit),
+        let (len, rtx) = match seg.data_view() {
+            Some(d) => (d.len, d.retransmit),
             None => {
                 // Senders only emit data today; if a control segment ever
                 // appears here, forward it untouched rather than abort.
@@ -163,11 +163,11 @@ impl World {
         let wrote = self.flows[fid].last_write_at;
         // The tracer samples the burst's frames now, in frame order; the
         // burst's record keeps the cursor the drain replays their ids from.
-        let cursor = self.trace.run_cursor(fid as u64);
+        let trace = &mut self.trace;
+        let cursor = trace.run_cursor(fid as u64);
         for _ in 0..nframes {
-            let tid = self.trace.alloc(fid as u64);
+            let tid = trace.alloc(fid as u64);
             if tid != hns_trace::NO_SKB {
-                let trace = &mut self.trace;
                 trace.stamp(tid, fid as u64, StageId::AppWrite, h, queue, wrote);
                 trace.stamp(tid, fid as u64, StageId::CopyIn, h, queue, wrote);
                 trace.stamp(tid, fid as u64, StageId::TcpTx, h, queue, now);
@@ -176,9 +176,7 @@ impl World {
             }
         }
         // The NIC gets the whole burst as one run; the drain slices it.
-        let slot = self
-            .in_flight
-            .park_burst(fid as FlowId, seq0, len, rtx, cursor);
+        let slot = self.in_flight.park_burst(seg, cursor);
         self.arbiters[h].enqueue(queue, nframes as u32, slot);
         self.arm_txdrain(h);
         true

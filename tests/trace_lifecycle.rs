@@ -324,9 +324,10 @@ fn digest(bytes: &[u8]) -> u64 {
 /// The per-skb exports' bytes, pinned by digest: `hostnet run single
 /// --trace-sample-every 8`, `hostnet run incast --flows 4 --trace` and a
 /// filtered incast (`--trace-flow 2 --trace-sample-every 3`), at quick
-/// windows, with rings that hold every stamp. Each line holds a run, an export format, its stamp count and
-/// its digest. A change to how the sender hands frames to the NIC must
-/// keep every trace id, sampling decision and stamp where it was.
+/// windows, with rings that hold every stamp. Each line holds a run, an
+/// export format, its stamp count and its digest. A change to how the
+/// sender hands frames to the NIC must keep every trace id, sampling
+/// decision and stamp where it was.
 /// Re-bless with `HNS_BLESS=1 cargo test --test trace_lifecycle
 /// golden_trace_export_digests`.
 #[test]
