@@ -157,7 +157,7 @@ pub struct Fabric {
 }
 
 /// Bytes a port backlog of `depth` represents at the line rate (inverse
-/// of [`Duration::for_bytes_at_gbps`]): 100 bits, 12.5 bytes, a
+/// of [`Duration::for_bytes_at_gbps`]): 100 bits, or 12.5 bytes, per
 /// nanosecond, rounded down. In integers it equals the `f64` formula
 /// `(ns as f64 * LINK_GBPS / 8.0) as u64` at every depth below 2^53 / 100
 /// ns (some 1,000 days), where `ns * 100` is exact in an `f64`.

@@ -148,9 +148,10 @@ fn segment_slab_recycles_slots() {
 
 /// The drain splits a parked burst into exactly `tso::segment`'s frames
 /// (stream offset, length, `RETRANSMIT`), the last keeping the burst's
-/// slot, and each frame carries the id the tracer gave it at enqueue:
-/// at every sampling rate and starting phase, with the per-flow filter
-/// admitting the flow or not.
+/// slot, and each frame carries the id the tracer gave it at enqueue,
+/// whatever ids the tracer hands out before the drain: at every sampling
+/// rate and starting phase, with the per-flow filter admitting the flow
+/// or not.
 #[test]
 fn burst_splits_into_tso_frames_with_their_trace_ids() {
     use hns_nic::tso;
@@ -180,6 +181,9 @@ fn burst_splits_into_tso_frames_with_their_trace_ids() {
                     let want_ids: Vec<u64> = tso::segment(len, mss)
                         .map(|_| trace.alloc(flow as u64))
                         .collect();
+                    // Ids handed out before the drain runs move nothing.
+                    trace.alloc(flow as u64);
+                    trace.alloc_sampled(flow as u64);
                     let mut slab = SegmentSlab::default();
                     let seg = Segment::data(flow, 1 << 33, len, rtx);
                     let burst = slab.park_burst(seg, cursor);

@@ -372,36 +372,6 @@ mod tests {
         assert!(got.is_empty());
     }
 
-    /// A run's cursor, taken before its candidates are allocated, replays
-    /// their ids after other ids were handed out in between.
-    #[test]
-    fn run_cursor_replays_the_runs_ids() {
-        for every in [1, 3, 8] {
-            for filter in [None, Some(5), Some(6)] {
-                let mut c = TraceCollector::new(
-                    TraceConfig {
-                        sample_every: every,
-                        flow: filter,
-                        ..TraceConfig::enabled()
-                    },
-                    1,
-                    1,
-                );
-                for lead in 0..every as usize + 2 {
-                    for _ in 0..lead {
-                        c.alloc(5);
-                    }
-                    let (mut next, mut phase) = c.run_cursor(5);
-                    let ids: Vec<SkbId> = (0..11).map(|_| c.alloc(5)).collect();
-                    c.alloc_sampled(5);
-                    let replay: Vec<SkbId> =
-                        (0..11).map(|_| c.run_next(&mut next, &mut phase)).collect();
-                    assert_eq!(replay, ids, "every {every}, filter {filter:?}, lead {lead}");
-                }
-            }
-        }
-    }
-
     #[test]
     fn sampling_picks_every_nth_candidate() {
         let cfg = TraceConfig {
